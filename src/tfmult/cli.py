@@ -142,7 +142,10 @@ def _float(cfg, key, default=None):
 
 
 def _int(cfg, key, default=None):
-    return int(_float(cfg, key, default))
+    v = _float(cfg, key, default)
+    if not v.is_integer():
+        raise ConfigError(f"{key!r} must be an integer, got {cfg.get(key, default)}")
+    return int(v)
 
 
 def load_config(path: str) -> dict:
@@ -439,9 +442,12 @@ def _validate(cfg) -> None:
     name = cfg["name"]
     if "n" in cfg or "l" in cfg or "d" in cfg:
         _grid_from(cfg)
-    for key in ("t", "p", "q", "alpha", "delta", "tolerance", "seed", "cases", "k", "j"):
+    for key in ("t", "p", "q", "alpha", "delta", "tolerance"):
         if key in cfg:
             _float(cfg, key)
+    for key in ("seed", "cases", "k", "j"):
+        if key in cfg:
+            _int(cfg, key)
     for key in ("t_list", "l_list", "alpha_list", "lambda_list"):
         if key in cfg:
             _floats(cfg, key)

@@ -10,6 +10,8 @@ numpy's pairwise summation, so results are bitwise reproducible across runs.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,13 +89,15 @@ class Grid:
 
 
 def make_grid(d: int, L: float, N: int) -> Grid:
-    """Build a centered grid; N must be a power of two >= 8, L > 0, d in {1, 2}."""
+    """Build a centered grid; N a power of two >= 8, L > 0 finite, d in {1, 2}."""
     if d not in (1, 2):
         raise ParameterError(f"dimension must be 1 or 2, got {d}")
     if not (isinstance(N, (int, np.integer)) and _is_power_of_two(int(N)) and N >= 8):
         raise ParameterError(f"N must be a power of two >= 8, got {N}")
-    if not L > 0:
-        raise ParameterError(f"L must be positive, got {L}")
+    if not (L > 0 and math.isfinite(L) and L / N >= sys.float_info.min):
+        raise ParameterError(
+            f"L must be finite and positive with L/N a normal float, got L = {L}"
+        )
     return Grid(d=int(d), L=float(L), N=int(N))
 
 

@@ -4,14 +4,22 @@ import os
 import subprocess
 import sys
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
+import tfmult
 from tfmult.cli import EXPERIMENTS, main
+
+# the child process imports the same tfmult as this one, installed or not
+PACKAGE_ROOT = str(Path(tfmult.__file__).resolve().parents[1])
 
 
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p
+    )
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "tfmult.cli", *args],
@@ -52,6 +60,20 @@ class TestListValidate:
         cfg = write_config(tmp_path, "name = chirp_stft\nt_list = 1, banana\n")
         out = run_cli(["validate", cfg])
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("chirp_stft", "n", "256.9"),
+        ("amalgam_constants", "d", "1.5"),
+        ("dyadic_series", "k", "5.5"),
+        ("linear_phase", "cases", "2.5"),
+        ("linear_phase", "seed", "inf"),
+    ])
+    def test_validate_rejects_non_integer(self, tmp_path, capsys, name, key, value):
+        cfg = write_config(tmp_path, f"name = {name}\n{key} = {value}\n"
+                                     f"out = {tmp_path / 'o'}\n")
+        assert main(["validate", cfg]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert main(["run", cfg]) == 2
 
     def test_missing_file(self):
         out = run_cli(["run", "/no/such/file.ini"])

@@ -50,6 +50,13 @@ class TestMakeGrid:
         with pytest.raises(ParameterError):
             make_grid(1, -1.0, 256)
 
+    @pytest.mark.parametrize("L,N", [(np.inf, 256), (np.nan, 256), (1e-320, 256),
+                                     (1e-306, 2048)])
+    def test_rejects_non_finite_or_subnormal_spacing(self, L, N):
+        # L/N must be a normal float: 1e-306 / 2048 is subnormal
+        with pytest.raises(ParameterError):
+            make_grid(2, L, N)
+
     def test_defaults(self):
         assert default_grid(1) == make_grid(1, 32.0, 2048)
         assert default_grid(2) == make_grid(2, 16.0, 256)

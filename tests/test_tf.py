@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tfmult.core import ParameterError, SampledField, make_grid, sample
+from tfmult.core import ParameterError, SampledField, l2_norm, make_grid, sample
 from tfmult.tf import (
     amalgam_norm_wfl1,
     annulus_psi,
@@ -119,6 +119,62 @@ class TestStft:
         assert np.max(np.abs(a - b)) < 1e-10
 
 
+def _random_field(grid, seed):
+    rng = np.random.default_rng(seed)
+    n = grid.npoints
+    return SampledField(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+class TestRowColumn2D:
+    """The tensor-product (row-column) path against the per-position path."""
+
+    def test_gaussian_carries_factors(self):
+        grid = make_grid(2, 8.0, 32)
+        w = gaussian_window(grid)
+        assert np.array_equal(w.field.reshaped(), np.outer(*w.factors))
+        assert resample_window(w, make_grid(2, 8.0, 16)).factors is not None
+        assert custom_window(w.field).factors is None
+        assert bump_chi(grid).factors is None
+
+    @pytest.mark.parametrize("N", [32, 64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_stft_matches_per_position(self, N, stride):
+        grid = make_grid(2, 8.0, N)
+        f = _random_field(grid, N + stride)
+        g = gaussian_window(grid)
+        a = stft(f, g, stride)
+        b = stft(f, custom_window(g.field), stride)
+        assert np.array_equal(a.position_indices, b.position_indices)
+        assert np.max(np.abs(a.values - b.values)) <= 1e-12 * np.max(np.abs(b.values))
+
+    @pytest.mark.parametrize("N", [32, 64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("quarter_box", [False, True])
+    def test_norms_match_per_position(self, N, stride, quarter_box):
+        grid = make_grid(2, 8.0, N)
+        f = _random_field(grid, N + stride)
+        g = gaussian_window(grid)
+        c = custom_window(g.field)
+        hw = grid.L / 4.0 if quarter_box else None
+        for norm in (amalgam_norm_wfl1, m_1_inf_norm, m_inf_1_norm):
+            a = norm(f, g, stride=stride, position_halfwidth=hw, refine=False).value
+            b = norm(f, c, stride=stride, position_halfwidth=hw, refine=False).value
+            assert np.isclose(a, b, rtol=1e-12, atol=0.0), norm.__name__
+        if not quarter_box:
+            for p in (1, 2):
+                a = modulation_norm(f, g, p, p, stride=stride, refine=False).value
+                b = modulation_norm(f, c, p, p, stride=stride, refine=False).value
+                assert np.isclose(a, b, rtol=1e-12, atol=0.0), p
+
+    def test_moyal_2d(self):
+        # ||V_g f||_{L2} = ||f||_2 ||g||_2, exact on the lattice
+        grid = make_grid(2, 8.0, 32)
+        f = _random_field(grid, 5)
+        g = gaussian_window(grid)
+        val = modulation_norm(f, g, 2, 2, refine=False).value
+        assert np.isclose(val, l2_norm(f) * l2_norm(g.field), rtol=1e-10, atol=0.0)
+
+
 class TestMixedNorms:
     def test_p2_q2_equals_l2_product(self):
         # ||V_g f||_{L2} = ||f||_2 ||g||_2 (orthogonality relations)
@@ -126,7 +182,6 @@ class TestMixedNorms:
         rng = np.random.default_rng(3)
         f = SampledField(grid, rng.standard_normal(512) + 1j * rng.standard_normal(512))
         g = gaussian_window(grid)
-        from tfmult.core import l2_norm
         val = modulation_norm(f, g, 2, 2, refine=False).value
         assert np.isclose(val, l2_norm(f) * l2_norm(g.field), rtol=1e-10)
 
