@@ -37,7 +37,6 @@ from .tf import (
     gaussian_window,
     m_1_inf_norm,
     m_inf_1_norm,
-    mixed_norm,
     modulation_norm,
     stft,
 )

@@ -124,9 +124,12 @@ def _floats(cfg, key, default=None):
             raise ConfigError(f"missing key {key!r}")
         return list(default)
     try:
-        return [float(s) for s in raw.split(",") if s.strip()]
+        vals = [float(s) for s in raw.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad list for {key!r}: {raw}") from exc
+    if not vals or not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"{key!r} must be a non-empty list of finite numbers, got {raw!r}")
+    return vals
 
 
 def _float(cfg, key, default=None):
@@ -451,6 +454,10 @@ def _validate(cfg) -> None:
     for key in ("t_list", "l_list", "alpha_list", "lambda_list"):
         if key in cfg:
             _floats(cfg, key)
+    if name != "amalgam_constants" and _int(cfg, "d", 1) != 1:
+        raise ConfigError(f"{name} is one-dimensional; only amalgam_constants takes d = 2")
+    if name == "m_inf_1_divergence" and "l_list" in cfg and len(_floats(cfg, "l_list")) < 2:
+        raise ConfigError("m_inf_1_divergence needs at least 2 boxes in 'l_list'")
     if name == "sin_singular_fl1":
         alpha, delta = _float(cfg, "alpha", 1.0), _float(cfg, "delta", 1.0)
         if not 0 < delta <= alpha <= 1:

@@ -29,6 +29,14 @@ class GridMismatchError(ValueError):
     """Two operands live on different grids."""
 
 
+def radius(meshes) -> np.ndarray:
+    """Euclidean norm of a point given by its d coordinate arrays."""
+    s = np.zeros_like(meshes[0])
+    for m in meshes:
+        s += m * m
+    return np.sqrt(s)
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -78,10 +86,7 @@ class Grid:
         """
         meshes = self.frequency_meshes()
         if r == 1.0:
-            s = np.zeros(self.shape)
-            for m in meshes:
-                s += m * m
-            return np.sqrt(s)
+            return radius(meshes)
         s = np.zeros(self.shape)
         for m in meshes:
             s += np.abs(m) ** (2.0 * r)
@@ -131,12 +136,8 @@ class SampledField:
         return SampledField(self.grid, self.values.copy())
 
 
-def same_grid(a: Grid, b: Grid) -> bool:
-    return a.d == b.d and a.L == b.L and a.N == b.N
-
-
 def require_same_grid(a: Grid, b: Grid) -> None:
-    if not same_grid(a, b):
+    if a != b:
         raise GridMismatchError(f"grid mismatch: {a} vs {b}")
 
 

@@ -81,6 +81,20 @@ def symbol_gaussian_chirp(grid: Grid, t: float) -> Symbol:
     )
 
 
+def sin_singular_profile(rho, alpha: float, delta: float) -> np.ndarray:
+    """sin(rho^alpha) / rho^delta for rho >= 0, with its removable value at 0.
+
+    The value at rho = 0 is the limit for delta = alpha and 0 for delta <
+    alpha; callers check their own parameter range.
+    """
+    rho = np.asarray(rho, dtype=float)
+    out = np.empty_like(rho)
+    nz = rho > 0
+    out[nz] = np.sin(rho[nz] ** alpha) / rho[nz] ** delta
+    out[~nz] = 1.0 if delta == alpha else 0.0
+    return out
+
+
 def symbol_sin_singular(grid: Grid, alpha: float, delta: float) -> Symbol:
     """sin(|xi|^alpha) / |xi|^delta with the removable value at xi = 0.
 
@@ -89,12 +103,7 @@ def symbol_sin_singular(grid: Grid, alpha: float, delta: float) -> Symbol:
     """
     if not (0.0 < delta <= alpha):
         raise ParameterError(f"need 0 < delta <= alpha, got alpha={alpha}, delta={delta}")
-    rho = grid.frequency_radius()
-    vals = np.empty(grid.shape)
-    zero = rho == 0.0
-    nz = ~zero
-    vals[nz] = np.sin(rho[nz] ** alpha) / rho[nz] ** delta
-    vals[zero] = 1.0 if delta == alpha else 0.0
+    vals = sin_singular_profile(grid.frequency_radius(), alpha, delta)
     return Symbol(grid, vals.astype(np.complex128).reshape(-1), "sin_singular",
                   {"alpha": alpha, "delta": delta})
 

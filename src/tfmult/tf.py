@@ -12,8 +12,12 @@ raw matrix we provide the three norm functionals used throughout:
 plus ``m_1_inf_norm`` (sup over frequencies of the L^1-in-position slice) and
 ``fl1_norm`` (L^1 norm of the Fourier transform).
 
-Large cases stream the STFT in position chunks so norms never materialize the
-full N^d x N^d matrix.
+Every STFT norm, ``modulation_norms_multi`` included, goes through one
+streamed pass (``_norms``): the STFT arrives in position chunks, |V| is taken
+once per chunk, and every requested (p, q, order) reduction is accumulated
+from it, so norms never materialize the full N^d x N^d matrix.  The
+refinement estimate recomputes the same reduction on the half-resolution grid
+(``coarsen`` plus ``resample_window``).
 
 2D windows that are tensor products g(x) = g0(x0) g1(x1) take a row-column
 path: V_g f(x, w) = F1[F0[f conj(g0(. - x0))] conj(g1(. - x1))], so the
@@ -38,6 +42,7 @@ from .core import (
     centered_fft,
     coarsen,
     make_grid,
+    radius,
     require_same_grid,
     sample,
 )
@@ -90,31 +95,24 @@ class Window:
     factors: tuple | None = None
 
 
-def _radius(meshes) -> np.ndarray:
-    s = np.zeros_like(meshes[0])
-    for m in meshes:
-        s += m * m
-    return np.sqrt(s)
-
-
 def gaussian_window(grid: Grid) -> Window:
     """The Gaussian e^{-pi |x|^2}, the reference window for all norm estimates.
 
     Sampled as the outer product of its 1D factors, so ``field`` and
     ``factors`` agree bit for bit.
     """
-    g1 = np.exp(-np.pi * _radius((grid.axis_positions(),)) ** 2)
+    g1 = np.exp(-np.pi * radius((grid.axis_positions(),)) ** 2)
     vals = g1 if grid.d == 1 else np.outer(g1, g1)
     return Window(SampledField(grid, vals), "gaussian", factors=(g1,) * grid.d)
 
 
 def bump_chi(grid: Grid) -> Window:
-    f = sample(lambda *xs: chi_profile(_radius(xs)), grid)
+    f = sample(lambda *xs: chi_profile(radius(xs)), grid)
     return Window(f, "bump_chi")
 
 
 def annulus_psi(grid: Grid) -> Window:
-    f = sample(lambda *xs: psi_profile(_radius(xs)), grid)
+    f = sample(lambda *xs: psi_profile(radius(xs)), grid)
     return Window(f, "annulus_psi")
 
 
@@ -267,7 +265,6 @@ class NormReport:
     grid: Grid
     stride: int = 1
     refinement_estimate: float | None = None
-    aliasing_warning: bool = False
 
 
 def _check_exponent(p) -> float:
@@ -284,98 +281,40 @@ def _lp_reduce(a: np.ndarray, p: float, w: float, axis):
     return (np.sum(a ** p, axis=axis) * w) ** (1.0 / p)
 
 
-class _PositionsInnerAccum:
-    """Accumulate sum_x |V|^p * wx (or running max) per frequency, streaming."""
-
-    def __init__(self, nfreq: int, p: float, wx: float):
-        self.p = p
-        self.wx = wx
-        self.acc = np.zeros(nfreq)
-
-    def add(self, abs_rows: np.ndarray):
-        if math.isinf(self.p):
-            np.maximum(self.acc, abs_rows.max(axis=0), out=self.acc)
-        else:
-            self.acc += np.sum(abs_rows ** self.p, axis=0)
-
-    def inner(self) -> np.ndarray:
-        if math.isinf(self.p):
-            return self.acc
-        return (self.acc * self.wx) ** (1.0 / self.p)
-
-
-def _outer_reduce(inner: np.ndarray, q: float, w: float) -> float:
-    return float(_lp_reduce(inner, q, w, axis=None))
-
-
-def mixed_norm(V: StftMatrix, p, q, order: str = POSITIONS_INNER) -> NormReport:
-    """Mixed (p, q) norm of an STFT matrix with Riemann weights from the grid.
+def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -> list:
+    """Every (p, q, order) spec of V_g f from one streamed pass over the STFT.
 
     positions-inner: ( sum_w ( sum_x |V|^p dx^d )^{q/p} dxi^d )^{1/q};
     frequencies-inner swaps the roles.  An infinite exponent turns its sum
-    into a max.  The refinement estimate compares against the norm recomputed
-    from every second position and the central half of the frequency lattice
-    (the entries a half-resolution grid would share).
+    into a max.  Positions-inner specs with the same p share one running
+    per-frequency accumulator; frequencies-inner specs keep one reduced value
+    per position row.
     """
-    p = _check_exponent(p)
-    q = _check_exponent(q)
-    if order not in (POSITIONS_INNER, FREQUENCIES_INNER):
-        raise ParameterError(f"unknown order {order!r}")
-    val = _mixed_norm_from_matrix(V, p, q, order, coarse=False)
-    half = _mixed_norm_from_matrix(V, p, q, order, coarse=True)
-    ref = abs(val - half) / max(abs(val), 1e-300)
-    return NormReport(val, p, q, order, V.grid, V.stride, refinement_estimate=ref)
-
-
-def _mixed_norm_from_matrix(V: StftMatrix, p, q, order, coarse: bool) -> float:
-    grid = V.grid
-    A = np.abs(V.values)
-    wx = (grid.dx * V.stride) ** grid.d
-    wxi = grid.dxi ** grid.d
-    if coarse:
-        if grid.d == 1:
-            A = A[::2]
-        else:
-            n_ax = int(round(math.sqrt(A.shape[0])))
-            A = A.reshape(n_ax, n_ax, -1)[::2, ::2].reshape(-1, A.shape[1])
-        wx *= 2 ** grid.d
-        N = grid.N
-        nyq = N * grid.dxi / 4
-        axf = grid.axis_frequencies()
-        keep = (axf >= -nyq) & (axf < nyq)
-        if grid.d == 1:
-            A = A[:, keep]
-        else:
-            A = A.reshape(A.shape[0], N, N)[:, keep][:, :, keep]
-            A = A.reshape(A.shape[0], -1)
-    if order == POSITIONS_INNER:
-        inner = _lp_reduce(A, p, wx, axis=0)
-        return _outer_reduce(inner, q, wxi)
-    inner = _lp_reduce(A, p, wxi, axis=1)
-    return _outer_reduce(inner, q, wx)
-
-
-def _streamed_norm(
-    f: SampledField,
-    g: Window,
-    p: float,
-    q: float,
-    order: str,
-    stride: int,
-    halfwidth,
-) -> float:
     grid = f.grid
     wx = (grid.dx * stride) ** grid.d
     wxi = grid.dxi ** grid.d
-    if order == POSITIONS_INNER:
-        acc = _PositionsInnerAccum(grid.npoints, p, wx)
-        for _, V in _stft_chunks(f, g, stride, halfwidth):
-            acc.add(np.abs(V))
-        return _outer_reduce(acc.inner(), q, wxi)
-    vals = []
+    acc = {p: np.zeros(grid.npoints) for p, _, order in specs if order == POSITIONS_INNER}
+    rows = {p: [] for p, _, order in specs if order == FREQUENCIES_INNER}
     for _, V in _stft_chunks(f, g, stride, halfwidth):
-        vals.append(_lp_reduce(np.abs(V), p, wxi, axis=1))
-    return _outer_reduce(np.concatenate(vals), q, wx)
+        A = np.abs(V)
+        for p, a in acc.items():
+            if math.isinf(p):
+                np.maximum(a, A.max(axis=0), out=a)
+            else:
+                a += np.sum(A ** p, axis=0)
+        for p, r in rows.items():
+            r.append(_lp_reduce(A, p, wxi, axis=1))
+        # dropped before the generator builds the next chunk, so this |V|
+        # does not add to the peak memory of that step
+        del A
+    out = []
+    for p, q, order in specs:
+        if order == POSITIONS_INNER:
+            inner = acc[p] if math.isinf(p) else (acc[p] * wx) ** (1.0 / p)
+            out.append(float(_lp_reduce(inner, q, wxi, axis=None)))
+        else:
+            out.append(float(_lp_reduce(np.concatenate(rows[p]), q, wx, axis=None)))
+    return out
 
 
 def _field_norm(
@@ -390,12 +329,13 @@ def _field_norm(
 ) -> NormReport:
     p = _check_exponent(p)
     q = _check_exponent(q)
-    val = _streamed_norm(f, g, p, q, order, stride, halfwidth)
+    specs = [(p, q, order)]
+    (val,) = _norms(f, g, specs, stride, halfwidth)
     ref = None
     if refine:
         fc = coarsen(f)
         gc = resample_window(g, fc.grid)
-        half = _streamed_norm(fc, gc, p, q, order, max(1, stride // 2), halfwidth)
+        (half,) = _norms(fc, gc, specs, max(1, stride // 2), halfwidth)
         ref = abs(val - half) / max(abs(val), 1e-300)
     return NormReport(val, p, q, order, f.grid, stride, refinement_estimate=ref)
 
@@ -455,16 +395,9 @@ def modulation_norms_multi(
     f: SampledField, g: Window, pq_list, stride: int = 1
 ) -> dict:
     """Positions-inner mixed norms for several (p, q) pairs from one STFT pass."""
-    grid = f.grid
-    wx = (grid.dx * stride) ** grid.d
-    wxi = grid.dxi ** grid.d
     pq_list = [(_check_exponent(p), _check_exponent(q)) for p, q in pq_list]
-    accs = {pq: _PositionsInnerAccum(grid.npoints, pq[0], wx) for pq in set(pq_list)}
-    for _, V in _stft_chunks(f, g, stride):
-        A = np.abs(V)
-        for acc in accs.values():
-            acc.add(A)
-    return {pq: _outer_reduce(accs[pq].inner(), pq[1], wxi) for pq in pq_list}
+    vals = _norms(f, g, [(p, q, POSITIONS_INNER) for p, q in pq_list], stride)
+    return dict(zip(pq_list, vals))
 
 
 def fl1_norm(f: SampledField, refine: bool = True) -> NormReport:
@@ -473,14 +406,14 @@ def fl1_norm(f: SampledField, refine: bool = True) -> NormReport:
     The field is treated as compactly supported on its box; callers truncate
     (e.g. multiply by the bump cutoff) before measuring.
     """
-    grid = f.grid
-    val = float(grid.dxi ** grid.d * np.sum(np.abs(centered_fft(f.reshaped(), grid.d, grid.dx))))
+
+    def value(h: SampledField) -> float:
+        gr = h.grid
+        return float(gr.dxi ** gr.d * np.sum(np.abs(centered_fft(h.reshaped(), gr.d, gr.dx))))
+
+    val = value(f)
     ref = None
     if refine:
-        fc = coarsen(f)
-        gc = fc.grid
-        half = float(
-            gc.dxi ** gc.d * np.sum(np.abs(centered_fft(fc.reshaped(), gc.d, gc.dx)))
-        )
+        half = value(coarsen(f))
         ref = abs(val - half) / max(abs(val), 1e-300)
-    return NormReport(val, 1.0, 1.0, "fourier-l1", grid, refinement_estimate=ref)
+    return NormReport(val, 1.0, 1.0, "fourier-l1", f.grid, refinement_estimate=ref)

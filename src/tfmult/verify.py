@@ -21,9 +21,10 @@ from .core import (
     coarsen,
     l1_norm,
     make_grid,
+    radius,
     sample,
 )
-from .mult import Symbol, apply_multiplier, symbol_unimodular
+from .mult import Symbol, apply_multiplier, sin_singular_profile, symbol_unimodular
 from .tf import (
     Window,
     amalgam_norm_wfl1,
@@ -42,20 +43,13 @@ from .tf import (
 DEFAULT_SEED = 20240214
 
 
-def _radius(meshes):
-    s = np.zeros_like(meshes[0])
-    for m in meshes:
-        s += m * m
-    return np.sqrt(s)
-
-
 def chirp_field(grid: Grid, t: float) -> SampledField:
     """The quadratic chirp e^{i pi t |.|^2} sampled on the position lattice.
 
     The position lattice plays the role of the frequency variable of the
     symbol; the STFT machinery does not care what the variable is called.
     """
-    return sample(lambda *xs: np.exp(1j * np.pi * t * _radius(xs) ** 2), grid)
+    return sample(lambda *xs: np.exp(1j * np.pi * t * radius(xs) ** 2), grid)
 
 
 def chirp_aliased(grid: Grid, t: float) -> bool:
@@ -281,9 +275,8 @@ def dyadic_fl1_series(alpha: float, K: int = 40, J: int = 20,
     if K < 10 or J < 5:
         raise ParameterError("need K >= 10 and J >= 5")
     grid = grid or _dyadic_grid()
-    rho_fn = lambda *xs: _radius(xs)
 
-    chi_f = sample(lambda *xs: chi_profile(rho_fn(*xs)), grid)
+    chi_f = sample(lambda *xs: chi_profile(radius(xs)), grid)
     chi_l1 = fl1_norm(chi_f, refine=False).value
 
     per_k = []
@@ -291,7 +284,7 @@ def dyadic_fl1_series(alpha: float, K: int = 40, J: int = 20,
     cauchy_k = None
     for k in range(K + 1):
         psi_k = sample(
-            lambda *xs: rho_fn(*xs) ** (k * alpha) * psi_profile(rho_fn(*xs)), grid
+            lambda *xs: radius(xs) ** (k * alpha) * psi_profile(radius(xs)), grid
         )
         psi_l1 = fl1_norm(psi_k, refine=False).value
         if k == 0:
@@ -308,7 +301,7 @@ def dyadic_fl1_series(alpha: float, K: int = 40, J: int = 20,
             cauchy_k = k
 
     direct = fl1_norm(
-        sample(lambda *xs: np.exp(1j * rho_fn(*xs) ** alpha) * chi_profile(rho_fn(*xs)),
+        sample(lambda *xs: np.exp(1j * radius(xs) ** alpha) * chi_profile(radius(xs)),
                grid),
         refine=True,
     )
@@ -337,17 +330,9 @@ def verify_sin_singular_fl1(alpha: float, delta: float, K: int = 10,
     if not (0.0 < delta <= alpha <= 1.0):
         raise ParameterError(f"need 0 < delta <= alpha <= 1, got {alpha}, {delta}")
     grid = grid or _dyadic_grid()
-    rho_fn = lambda *xs: _radius(xs)
-
-    def sigma(*xs):
-        rho = rho_fn(*xs)
-        out = np.empty_like(rho, dtype=np.complex128)
-        nz = rho > 0
-        out[nz] = np.sin(rho[nz] ** alpha) / rho[nz] ** delta
-        out[~nz] = 1.0 if delta == alpha else 0.0
-        return out * chi_profile(rho)
-
-    direct = fl1_norm(sample(sigma, grid), refine=True)
+    sigma = sample(lambda *xs: sin_singular_profile(radius(xs), alpha, delta)
+                   * chi_profile(radius(xs)), grid)
+    direct = fl1_norm(sigma, refine=True)
 
     partials = []
     total = 0.0
@@ -355,9 +340,9 @@ def verify_sin_singular_fl1(alpha: float, delta: float, K: int = 10,
     for k in range(K + 1):
         exponent = (2 * k + 1) * alpha - delta
         term_field = sample(
-            lambda *xs: np.where(rho_fn(*xs) > 0, rho_fn(*xs) ** exponent,
+            lambda *xs: np.where(radius(xs) > 0, radius(xs) ** exponent,
                                  1.0 if exponent == 0 else 0.0)
-            * chi_profile(rho_fn(*xs)),
+            * chi_profile(radius(xs)),
             grid,
         )
         term = fl1_norm(term_field, refine=False).value / math.factorial(2 * k + 1)
@@ -416,7 +401,7 @@ def linear_phase_random_cases(n: int = 50, seed: int = DEFAULT_SEED,
         kind = rng.integers(0, 3)
         if kind == 0:
             alpha = float(rng.uniform(0.25, 2.0))
-            f = sample(lambda *p: np.exp(1j * _radius(p) ** alpha), grid)
+            f = sample(lambda *p: np.exp(1j * radius(p) ** alpha), grid)
             label = f"unimodular_a{alpha:.3f}"
         elif kind == 1:
             t = float(rng.uniform(0.25, 2.0))
@@ -425,14 +410,8 @@ def linear_phase_random_cases(n: int = 50, seed: int = DEFAULT_SEED,
         else:
             alpha = float(rng.uniform(0.5, 1.0))
             delta = float(rng.uniform(0.1, alpha))
-            f = sample(
-                lambda *p: np.where(_radius(p) > 0,
-                                    np.sin(np.maximum(_radius(p), 1e-300) ** alpha)
-                                    / np.maximum(_radius(p), 1e-300) ** delta,
-                                    1.0 if delta == alpha else 0.0)
-                * chi_profile(_radius(p)),
-                grid,
-            )
+            f = sample(lambda *p: sin_singular_profile(radius(p), alpha, delta)
+                       * chi_profile(radius(p)), grid)
             label = f"sin_singular_a{alpha:.3f}_d{delta:.3f}"
         x = float(rng.choice(xs[np.abs(xs) <= grid.L / 4]))
         a = float(rng.uniform(0, 2 * np.pi))
@@ -536,16 +515,16 @@ def probe_family(grid: Grid, lambdas=(0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)) -> 
     fams = []
     for lam in lambdas:
         fams.append((f"gauss_l{lam:g}",
-                     sample(lambda *xs: np.exp(-np.pi * lam * _radius(xs) ** 2), grid)))
+                     sample(lambda *xs: np.exp(-np.pi * lam * radius(xs) ** 2), grid)))
     fams.append(("gauss_shift2",
                  sample(lambda *xs: np.exp(-np.pi * ((xs[0] - 2.0) ** 2
                         + sum(x ** 2 for x in xs[1:]))), grid)))
     fams.append(("gauss_mod2",
                  sample(lambda *xs: np.exp(2j * np.pi * 2.0 * xs[0])
-                        * np.exp(-np.pi * _radius(xs) ** 2), grid)))
+                        * np.exp(-np.pi * radius(xs) ** 2), grid)))
     fams.append(("gauss_chirped",
-                 sample(lambda *xs: np.exp(1j * np.pi * _radius(xs) ** 2)
-                        * np.exp(-np.pi * _radius(xs) ** 2), grid)))
+                 sample(lambda *xs: np.exp(1j * np.pi * radius(xs) ** 2)
+                        * np.exp(-np.pi * radius(xs) ** 2), grid)))
     return fams
 
 
@@ -571,11 +550,6 @@ def probe_ratios(sigma: Symbol, pq_list, family=None, window: Window | None = No
             rep.ratios.append(r)
             rep.max_ratio = max(rep.max_ratio, r)
     return reports
-
-
-def operator_norm_probe(sigma: Symbol, p, q, family=None,
-                        window: Window | None = None) -> ProbeReport:
-    return probe_ratios(sigma, [(float(p), float(q))], family, window)[(float(p), float(q))]
 
 
 @dataclass
@@ -605,7 +579,7 @@ def lp_contrast_probe(t: float, lambdas=(1.0, 2.0, 4.0, 8.0),
     g = gaussian_window(grid)
     l1_ratios, oracle, m11 = [], [], []
     for lam in lambdas:
-        f = sample(lambda *xs: np.exp(-np.pi * lam * _radius(xs) ** 2), grid)
+        f = sample(lambda *xs: np.exp(-np.pi * lam * radius(xs) ** 2), grid)
         out = apply_multiplier(sigma, f)
         l1_ratios.append(l1_norm(out) / l1_norm(f))
         oracle.append(fresnel_l1_ratio(t, lam))

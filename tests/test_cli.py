@@ -75,6 +75,36 @@ class TestListValidate:
         assert "must be an integer" in capsys.readouterr().err
         assert main(["run", cfg]) == 2
 
+    @pytest.mark.parametrize("name,key,value", [
+        ("lp_contrast", "lambda_list", ","),
+        ("amalgam_constants", "t_list", ","),
+        ("amalgam_constants", "t_list", "nan"),
+        ("m_inf_1_divergence", "l_list", "16, inf"),
+    ])
+    def test_rejects_empty_or_non_finite_list(self, tmp_path, capsys, name, key, value):
+        cfg = write_config(tmp_path, f"name = {name}\n{key} = {value}\n"
+                                     f"out = {tmp_path / 'o'}\n")
+        assert main(["validate", cfg]) == 2
+        assert "non-empty list of finite numbers" in capsys.readouterr().err
+        assert main(["run", cfg]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_divergence_needs_two_boxes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "name = m_inf_1_divergence\nl_list = 16\n"
+                                     f"out = {tmp_path / 'o'}\n")
+        assert main(["validate", cfg]) == 2
+        assert "at least 2 boxes" in capsys.readouterr().err
+        assert main(["run", cfg]) == 2
+
+    @pytest.mark.parametrize("name", [
+        "schrodinger_conservation", "wave_conservation", "operator_probe", "lp_contrast",
+    ])
+    def test_only_amalgam_constants_takes_d2(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, f"name = {name}\nd = 2\nout = {tmp_path / 'o'}\n")
+        assert main(["validate", cfg]) == 2
+        assert "only amalgam_constants takes d = 2" in capsys.readouterr().err
+        assert main(["run", cfg]) == 2
+
     def test_missing_file(self):
         out = run_cli(["run", "/no/such/file.ini"])
         assert out.returncode == 2

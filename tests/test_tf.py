@@ -5,6 +5,9 @@ import pytest
 
 from tfmult.core import ParameterError, SampledField, l2_norm, make_grid, sample
 from tfmult.tf import (
+    FREQUENCIES_INNER,
+    POSITIONS_INNER,
+    _norms,
     amalgam_norm_wfl1,
     annulus_psi,
     bump_chi,
@@ -14,7 +17,6 @@ from tfmult.tf import (
     gaussian_window,
     m_1_inf_norm,
     m_inf_1_norm,
-    mixed_norm,
     modulation_norm,
     modulation_norms_multi,
     psi_profile,
@@ -187,12 +189,25 @@ class TestMixedNorms:
 
     @pytest.mark.parametrize("p,q", [(1, 1), (1, np.inf), (np.inf, 1), (2, 2)])
     def test_multi_matches_single(self, p, q):
-        grid = make_grid(1, 16.0, 256)
-        f = sample(lambda x: np.exp(-np.pi * x ** 2) * np.cos(x), grid)
-        g = gaussian_window(grid)
-        multi = modulation_norms_multi(f, g, [(p, q)])
-        single = modulation_norm(f, g, p, q, refine=False).value
-        assert np.isclose(multi[(p, q)], single, rtol=1e-12)
+        # one pass over all four pairs does the same arithmetic as one pass
+        # per pair; (1, 1) and (1, inf) share the p = 1 accumulator
+        pairs = [(1.0, 1.0), (2.0, 2.0), (np.inf, 1.0), (1.0, np.inf)]
+        specs = [(a, b, POSITIONS_INNER) for a, b in pairs]
+        specs.append((1.0, np.inf, FREQUENCIES_INNER))
+        for grid in (make_grid(1, 16.0, 256), make_grid(2, 8.0, 32)):
+            f = sample(lambda *xs: np.exp(-np.pi * sum(x ** 2 for x in xs))
+                       * np.cos(xs[0]), grid)
+            g = gaussian_window(grid)
+            single = modulation_norm(f, g, p, q, refine=False).value
+            assert modulation_norms_multi(f, g, pairs)[(p, q)] == single
+            wfl1 = amalgam_norm_wfl1(f, g, refine=False).value
+            vals = _norms(f, g, specs)
+            assert vals[pairs.index((p, q))] == single
+            assert vals[-1] == wfl1
+            # the frequencies-inner value against the materialized STFT
+            A = np.abs(stft(f, g).values)
+            direct = np.max(np.sum(A, axis=1)) * grid.dxi ** grid.d
+            assert np.isclose(wfl1, direct, rtol=1e-14, atol=0.0)
 
     def test_rejects_bad_exponent(self):
         grid = make_grid(1, 16.0, 256)

@@ -158,7 +158,7 @@ class TestProbesAndContrast:
     def test_probe_ratios_l2_exactly_one(self):
         grid = make_grid(1, 16.0, 256)
         sig = symbol_unimodular(grid, 1.0, t=1.0)
-        rep = verify.operator_norm_probe(sig, 2, 2)
+        rep = verify.probe_ratios(sig, [(2.0, 2.0)])[(2.0, 2.0)]
         assert np.allclose(rep.ratios, 1.0, atol=1e-12)
 
     def test_probe_family_labels_unique(self):
