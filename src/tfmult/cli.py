@@ -30,7 +30,7 @@ import numpy as np
 from . import verify
 from .core import ParameterError, default_grid, make_grid, sample
 from .mult import symbol_unimodular
-from .tf import gaussian_window
+from .tf import _check_exponent, gaussian_window
 from .verify import DEFAULT_SEED
 
 
@@ -132,20 +132,31 @@ def _floats(cfg, key, default=None):
     return vals
 
 
-def _float(cfg, key, default=None):
+def _float(cfg, key, default=None, finite=True):
     raw = cfg.get(key, None)
     if raw is None:
         if default is None:
             raise ConfigError(f"missing key {key!r}")
         return float(default)
     try:
-        return float("inf") if raw.strip() in ("inf", "oo") else float(raw)
+        v = float("inf") if raw.strip() in ("inf", "oo") else float(raw)
     except ValueError as exc:
         raise ConfigError(f"bad number for {key!r}: {raw}") from exc
+    if finite and not math.isfinite(v):
+        raise ConfigError(f"{key!r} must be a finite number, got {raw!r}")
+    return v
+
+
+def _exponent(cfg, key, default=None):
+    """A Lebesgue exponent in [1, inf]; inf is allowed, nan is not."""
+    try:
+        return _check_exponent(_float(cfg, key, default, finite=False))
+    except ParameterError as exc:
+        raise ConfigError(f"{key!r}: {exc}") from exc
 
 
 def _int(cfg, key, default=None):
-    v = _float(cfg, key, default)
+    v = _float(cfg, key, default, finite=False)
     if not v.is_integer():
         raise ConfigError(f"{key!r} must be an integer, got {cfg.get(key, default)}")
     return int(v)
@@ -251,10 +262,18 @@ def _run_divergence(cfg):
     return rows, series, ok
 
 
+def _series_depth(cfg):
+    """(K, J) of the dyadic series, range-checked as ``dyadic_fl1_series`` does."""
+    K, J = _int(cfg, "k", 40), _int(cfg, "j", 20)
+    verify._check_series_depth(K, J)
+    return K, J
+
+
 def _run_dyadic_series(cfg):
+    K, J = _series_depth(cfg)
     rows, ok = [], True
     for alpha in _floats(cfg, "alpha_list", (0.5, 1.0, 2.0)):
-        rep = verify.dyadic_fl1_series(alpha, K=_int(cfg, "k", 40), J=_int(cfg, "j", 20))
+        rep = verify.dyadic_fl1_series(alpha, K=K, J=J)
         ok = ok and (rep.series_bound >= rep.direct_fl1
                      and math.isfinite(rep.series_bound)
                      and rep.cauchy_k is not None
@@ -369,8 +388,8 @@ def _default_initial_data(grid):
 def _run_schrodinger(cfg):
     grid = _grid_from(cfg, 1, 32.0, 2048)
     t_list = _floats(cfg, "t_list", (0.5, 1.0, 2.0, 4.0))
-    p = _float(cfg, "p", 1.0)
-    q = _float(cfg, "q", float("inf"))
+    p = _exponent(cfg, "p", 1.0)
+    q = _exponent(cfg, "q", float("inf"))
     w = gaussian_window(grid)
     fields = _default_initial_data(grid)
     rep = verify.schrodinger_conservation(fields, w, p, q, t_list)
@@ -402,8 +421,8 @@ def _run_schrodinger(cfg):
 def _run_wave(cfg):
     grid = _grid_from(cfg, 1, 32.0, 2048)
     t_list = _floats(cfg, "t_list", (0.5, 1.0, 2.0))
-    p = _float(cfg, "p", 1.0)
-    q = _float(cfg, "q", 1.0)
+    p = _exponent(cfg, "p", 1.0)
+    q = _exponent(cfg, "q", 1.0)
     w = gaussian_window(grid)
     f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
     g0 = sample(lambda x: np.zeros_like(x), grid)
@@ -445,9 +464,12 @@ def _validate(cfg) -> None:
     name = cfg["name"]
     if "n" in cfg or "l" in cfg or "d" in cfg:
         _grid_from(cfg)
-    for key in ("t", "p", "q", "alpha", "delta", "tolerance"):
+    for key in ("t", "alpha", "delta", "tolerance"):
         if key in cfg:
             _float(cfg, key)
+    for key in ("p", "q"):
+        if key in cfg:
+            _exponent(cfg, key)
     for key in ("seed", "cases", "k", "j"):
         if key in cfg:
             _int(cfg, key)
@@ -458,10 +480,10 @@ def _validate(cfg) -> None:
         raise ConfigError(f"{name} is one-dimensional; only amalgam_constants takes d = 2")
     if name == "m_inf_1_divergence" and "l_list" in cfg and len(_floats(cfg, "l_list")) < 2:
         raise ConfigError("m_inf_1_divergence needs at least 2 boxes in 'l_list'")
+    if name == "dyadic_series":
+        _series_depth(cfg)
     if name == "sin_singular_fl1":
-        alpha, delta = _float(cfg, "alpha", 1.0), _float(cfg, "delta", 1.0)
-        if not 0 < delta <= alpha <= 1:
-            raise ConfigError(f"need 0 < delta <= alpha <= 1, got {alpha}, {delta}")
+        verify._check_sin_singular(_float(cfg, "alpha", 1.0), _float(cfg, "delta", 1.0))
 
 
 def run_experiment(cfg, out_dir: Path) -> int:

@@ -6,10 +6,19 @@ centered at 0 and dx * dxi * N = 1 holds exactly as a rational relation.
 
 All operations are pure functions on immutable inputs.  Reductions go through
 numpy's pairwise summation, so results are bitwise reproducible across runs.
+
+The centered transforms need no shift copies.  With the checkerboard sign
+s_k = (-1)^(k_1 + ... + k_d) and every transformed axis length N divisible
+by 4, fftshift(fftn(ifftshift(a))) = s * fftn(s * a): the ifftshift becomes
+the factor (-1)^k on the output, the fftshift the factor (-1)^k on the input,
+and (-1)^(N/2) = 1.  Multiplying by s is exact, and so is folding s into the
+dx^d scale; with numpy's FFT the result equals the shift formula bit for bit
+(``tests/test_core.py`` checks it).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -160,32 +169,44 @@ def sample(fn, grid: Grid) -> SampledField:
     return SampledField(grid, vals.reshape(-1).copy())
 
 
-def _centered_axes(a: np.ndarray, d: int) -> tuple:
-    # transform the trailing d axes; leading axes are batch
-    return tuple(range(a.ndim - d, a.ndim))
+@functools.lru_cache(maxsize=16)
+def _checkerboard(shape: tuple, scale: float = 1.0) -> np.ndarray:
+    """Read-only scale * (-1)^(k_1 + ... + k_d) on an index lattice of this shape."""
+    s = np.full(shape, float(scale))
+    for axis in range(len(shape)):
+        s[(slice(None),) * axis + (slice(1, None, 2),)] *= -1.0
+    s.flags.writeable = False
+    return s
+
+
+def _signed_transform(a: np.ndarray, d: int, fft) -> np.ndarray:
+    """fft(s * a) over the trailing d axes, in a new buffer; leading axes are batch."""
+    shape = a.shape[a.ndim - d :]
+    if any(n % 4 for n in shape):
+        raise ParameterError(
+            f"centered transforms need axis lengths divisible by 4, got {shape}"
+        )
+    out = np.multiply(a, _checkerboard(shape), dtype=np.complex128)
+    fft(out, axes=tuple(range(a.ndim - d, a.ndim)), out=out)
+    return out
 
 
 def centered_fft(a: np.ndarray, d: int, dx: float) -> np.ndarray:
     """Centered-lattice DFT of the trailing d axes, scaled by dx^d.
 
     Approximates f_hat(xi) = int f(x) e^{-2 pi i x.xi} dx on the centered
-    frequency lattice.
+    frequency lattice.  Computed shift-free as s * fftn(s * a) * dx^d with
+    the checkerboard sign s (see the module docstring).
     """
-    axes = _centered_axes(a, d)
-    out = np.fft.fftshift(
-        np.fft.fftn(np.fft.ifftshift(a, axes=axes), axes=axes), axes=axes
-    )
-    out *= dx ** d
+    out = _signed_transform(a, d, np.fft.fftn)
+    out *= _checkerboard(out.shape[out.ndim - d :], dx ** d)
     return out
 
 
 def centered_ifft(a: np.ndarray, d: int, dx: float) -> np.ndarray:
     """Inverse of :func:`centered_fft` (e^{+2 pi i x.xi} convention)."""
-    axes = _centered_axes(a, d)
-    out = np.fft.fftshift(
-        np.fft.ifftn(np.fft.ifftshift(a, axes=axes), axes=axes), axes=axes
-    )
-    out /= dx ** d
+    out = _signed_transform(a, d, np.fft.ifftn)
+    out /= _checkerboard(out.shape[out.ndim - d :], dx ** d)
     return out
 
 

@@ -178,6 +178,7 @@ def _windowed_chunk(f: SampledField, gvals: np.ndarray, axis_idx, grid: Grid):
     g = gvals.reshape(grid.shape)
     if grid.d == 1:
         (sel,) = axis_idx
+        gc = np.conj(g)
         rows_per_chunk = max(1, _CHUNK_BYTES // (16 * N))
         for start in range(0, sel.size, rows_per_chunk):
             js = sel[start : start + rows_per_chunk]
@@ -185,7 +186,7 @@ def _windowed_chunk(f: SampledField, gvals: np.ndarray, axis_idx, grid: Grid):
             # earlier reorders heap reuse and raised the peak RSS of a run of
             # all default experiments by ~24 MiB
             idx = _translate_indices(N, js)
-            yield js, fv[None, :] * np.conj(g[idx])
+            yield js, fv[None, :] * gc[idx]
     else:
         sel0, sel1 = axis_idx
         rows_per_chunk = max(1, _CHUNK_BYTES // (16 * N * N))
@@ -198,6 +199,7 @@ def _windowed_chunk(f: SampledField, gvals: np.ndarray, axis_idx, grid: Grid):
                     np.roll(g, (i - N // 2, j - N // 2), axis=(0, 1))
                 )
             yield np.array([i * N + j for i, j in part]), block
+            del block  # freed before the next block is allocated
 
 
 def _row_column_chunks(f: SampledField, factors, axis_idx, grid: Grid):
@@ -233,7 +235,11 @@ def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None):
         return
     for js, block in _windowed_chunk(f, g.field.values, axis_idx, grid):
         V = centered_fft(block, grid.d, grid.dx)
+        # neither buffer may outlive this chunk: both would stay allocated
+        # while the next chunk is gathered
+        del block
         yield js, V.reshape(len(js), -1)
+        del V
 
 
 def stft(f: SampledField, g: Window, stride: int = 1) -> StftMatrix:
@@ -274,11 +280,16 @@ def _check_exponent(p) -> float:
     return p
 
 
+def _pow(a, p: float):
+    """a ** p, skipping the pass when p == 1 (x ** 1.0 == x exactly)."""
+    return a if p == 1.0 else a ** p
+
+
 def _lp_reduce(a: np.ndarray, p: float, w: float, axis):
     """(sum |a|^p * w)^(1/p) along axis, max when p = inf."""
     if math.isinf(p):
         return np.max(a, axis=axis)
-    return (np.sum(a ** p, axis=axis) * w) ** (1.0 / p)
+    return _pow(np.sum(_pow(a, p), axis=axis) * w, 1.0 / p)
 
 
 def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -> list:
@@ -297,11 +308,12 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     rows = {p: [] for p, _, order in specs if order == FREQUENCIES_INNER}
     for _, V in _stft_chunks(f, g, stride, halfwidth):
         A = np.abs(V)
+        del V
         for p, a in acc.items():
             if math.isinf(p):
                 np.maximum(a, A.max(axis=0), out=a)
             else:
-                a += np.sum(A ** p, axis=0)
+                a += np.sum(_pow(A, p), axis=0)
         for p, r in rows.items():
             r.append(_lp_reduce(A, p, wxi, axis=1))
         # dropped before the generator builds the next chunk, so this |V|
@@ -310,7 +322,7 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     out = []
     for p, q, order in specs:
         if order == POSITIONS_INNER:
-            inner = acc[p] if math.isinf(p) else (acc[p] * wx) ** (1.0 / p)
+            inner = acc[p] if math.isinf(p) else _pow(acc[p] * wx, 1.0 / p)
             out.append(float(_lp_reduce(inner, q, wxi, axis=None)))
         else:
             out.append(float(_lp_reduce(np.concatenate(rows[p]), q, wx, axis=None)))

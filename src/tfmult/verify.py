@@ -261,6 +261,16 @@ def _dyadic_grid() -> Grid:
     return make_grid(1, 16.0, 2048)
 
 
+def _check_series_depth(K: int, J: int) -> None:
+    if K < 10 or J < 5:
+        raise ParameterError("need K >= 10 and J >= 5")
+
+
+def _check_sin_singular(alpha: float, delta: float) -> None:
+    if not (0.0 < delta <= alpha <= 1.0):
+        raise ParameterError(f"need 0 < delta <= alpha <= 1, got {alpha}, {delta}")
+
+
 def dyadic_fl1_series(alpha: float, K: int = 40, J: int = 20,
                       grid: Grid | None = None) -> DyadicSeriesReport:
     """Taylor-in-the-exponent series bound for e^{i |.|^alpha} * chi in FL1.
@@ -272,8 +282,7 @@ def dyadic_fl1_series(alpha: float, K: int = 40, J: int = 20,
     """
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    if K < 10 or J < 5:
-        raise ParameterError("need K >= 10 and J >= 5")
+    _check_series_depth(K, J)
     grid = grid or _dyadic_grid()
 
     chi_f = sample(lambda *xs: chi_profile(radius(xs)), grid)
@@ -327,8 +336,7 @@ def verify_sin_singular_fl1(alpha: float, delta: float, K: int = 10,
     Measures the direct FL1 norm (with refinement stability) and the odd
     Taylor series whose terms are |.|^{(2k+1) alpha - delta} chi / (2k+1)!.
     """
-    if not (0.0 < delta <= alpha <= 1.0):
-        raise ParameterError(f"need 0 < delta <= alpha <= 1, got {alpha}, {delta}")
+    _check_sin_singular(alpha, delta)
     grid = grid or _dyadic_grid()
     sigma = sample(lambda *xs: sin_singular_profile(radius(xs), alpha, delta)
                    * chi_profile(radius(xs)), grid)

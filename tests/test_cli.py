@@ -89,6 +89,40 @@ class TestListValidate:
         assert main(["run", cfg]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name,key,value", [
+        ("m_inf_1_divergence", "t", "nan"),
+        ("lp_contrast", "t", "nan"),
+        ("amalgam_constants", "tolerance", "nan"),
+        ("sin_singular_fl1", "alpha", "inf"),
+    ])
+    def test_rejects_non_finite_scalar(self, tmp_path, capsys, name, key, value):
+        cfg = write_config(tmp_path, f"name = {name}\n{key} = {value}\n"
+                                     f"out = {tmp_path / 'o'}\n")
+        assert main(["validate", cfg]) == 2
+        assert "must be a finite number" in capsys.readouterr().err
+        assert main(["run", cfg]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name,key,value,message", [
+        ("schrodinger_conservation", "p", "0.5", "exponent must lie in [1, inf]"),
+        ("schrodinger_conservation", "p", "nan", "exponent must lie in [1, inf]"),
+        ("wave_conservation", "q", "0.5", "exponent must lie in [1, inf]"),
+        ("dyadic_series", "k", "5", "need K >= 10 and J >= 5"),
+        ("dyadic_series", "j", "4", "need K >= 10 and J >= 5"),
+    ])
+    def test_validate_applies_run_range_checks(self, tmp_path, capsys, name, key,
+                                               value, message):
+        cfg = write_config(tmp_path, f"name = {name}\n{key} = {value}\n"
+                                     f"out = {tmp_path / 'o'}\n")
+        assert main(["validate", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["run", cfg]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_validate_accepts_infinite_exponent(self, tmp_path):
+        cfg = write_config(tmp_path, "name = schrodinger_conservation\np = 1\nq = inf\n")
+        assert main(["validate", cfg]) == 0
+
     def test_divergence_needs_two_boxes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "name = m_inf_1_divergence\nl_list = 16\n"
                                      f"out = {tmp_path / 'o'}\n")

@@ -176,3 +176,48 @@ class TestNormsAndCoarsen:
         b = SampledField(make_grid(1, 16.0, 256), np.zeros(256, complex))
         with pytest.raises(GridMismatchError):
             require_same_grid(a.grid, b.grid)
+
+
+class TestCheckerboardKernel:
+    """The shift-free kernel against the fftshift/ifftshift formula it replaces."""
+
+    @staticmethod
+    def _shift_formula(a, d, dx, inverse=False):
+        axes = tuple(range(a.ndim - d, a.ndim))
+        fft = np.fft.ifftn if inverse else np.fft.fftn
+        out = np.fft.fftshift(fft(np.fft.ifftshift(a, axes=axes), axes=axes), axes=axes)
+        if inverse:
+            out /= dx ** d
+        else:
+            out *= dx ** d
+        return out
+
+    @pytest.mark.parametrize(
+        "d,N",
+        [(1, 2 ** k) for k in range(3, 13)] + [(2, 2 ** k) for k in range(3, 10)],
+    )
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    def test_equals_shift_formula(self, d, N, batch):
+        rng = np.random.default_rng(N + 7 * d + len(batch))
+        shape = batch + (N,) * d
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        before = a.copy()
+        dx = 37.3 / N  # not a power of two, so the dx^d scaling rounds
+        fwd = centered_fft(a, d, dx)
+        inv = centered_ifft(a, d, dx)
+        assert np.array_equal(fwd, self._shift_formula(a, d, dx))
+        assert np.array_equal(inv, self._shift_formula(a, d, dx, inverse=True))
+        assert np.array_equal(a, before)  # the input is not mutated
+
+    def test_real_input(self):
+        a = np.random.default_rng(12).standard_normal((4, 64))
+        out = centered_fft(a, 1, 0.3)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, self._shift_formula(a, 1, 0.3))
+
+    @pytest.mark.parametrize("shape,d", [((6,), 1), ((2,), 1), ((3, 10), 1), ((8, 6), 2)])
+    def test_rejects_axis_not_divisible_by_four(self, shape, d):
+        a = np.ones(shape, dtype=complex)
+        for transform in (centered_fft, centered_ifft):
+            with pytest.raises(ParameterError, match="divisible by 4"):
+                transform(a, d, 1.0)

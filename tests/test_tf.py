@@ -1,10 +1,13 @@
 """STFT correctness, window machinery, and mixed-norm reductions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tfmult.core import ParameterError, SampledField, l2_norm, make_grid, sample
 from tfmult.tf import (
+    _CHUNK_BYTES,
     FREQUENCIES_INNER,
     POSITIONS_INNER,
     _norms,
@@ -23,6 +26,7 @@ from tfmult.tf import (
     resample_window,
     stft,
 )
+from tfmult.verify import _divergence_grid, chirp_field
 
 
 class TestProfiles:
@@ -255,3 +259,19 @@ class TestMixedNorms:
         rep = modulation_norm(f, gaussian_window(grid), 1, 1, refine=True)
         assert rep.refinement_estimate is not None
         assert rep.refinement_estimate < 1e-6
+
+    def test_streamed_norm_peak_memory(self):
+        # one streamed chunk of the N = 4096 divergence grid is _CHUNK_BYTES of
+        # V; the previous chunk's V and gather block must be freed before the
+        # next chunk is gathered, or the peak reaches 4.5 chunks
+        grid = _divergence_grid(64.0, 1.0)
+        assert grid.N == 4096
+        f = chirp_field(grid, 1.0)
+        g = gaussian_window(grid)
+        tracemalloc.start()
+        try:
+            m_inf_1_norm(f, g, position_halfwidth=grid.L / 4, refine=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * _CHUNK_BYTES
