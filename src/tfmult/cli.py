@@ -29,7 +29,7 @@ import numpy as np
 
 from . import verify
 from .core import ParameterError, default_grid, make_grid, sample
-from .mult import symbol_unimodular
+from .mult import _check_unimodular_alpha, symbol_unimodular
 from .tf import _check_exponent, gaussian_window
 from .verify import DEFAULT_SEED
 
@@ -478,10 +478,19 @@ def _validate(cfg) -> None:
             _floats(cfg, key)
     if name != "amalgam_constants" and _int(cfg, "d", 1) != 1:
         raise ConfigError(f"{name} is one-dimensional; only amalgam_constants takes d = 2")
-    if name == "m_inf_1_divergence" and "l_list" in cfg and len(_floats(cfg, "l_list")) < 2:
-        raise ConfigError("m_inf_1_divergence needs at least 2 boxes in 'l_list'")
+    if name == "m_inf_1_divergence" and "l_list" in cfg:
+        verify._check_boxes(_floats(cfg, "l_list"))
+    if name == "lp_contrast" and "lambda_list" in cfg:
+        verify._check_dilations(_floats(cfg, "lambda_list"))
+    if name == "linear_phase" and "cases" in cfg:
+        verify._check_case_count(_int(cfg, "cases"))
     if name == "dyadic_series":
         _series_depth(cfg)
+        for alpha in _floats(cfg, "alpha_list", ()):
+            verify._check_dyadic_alpha(alpha)
+    if name == "operator_probe":
+        for alpha in _floats(cfg, "alpha_list", ()):
+            _check_unimodular_alpha(alpha)
     if name == "sin_singular_fl1":
         verify._check_sin_singular(_float(cfg, "alpha", 1.0), _float(cfg, "delta", 1.0))
 

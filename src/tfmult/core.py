@@ -14,6 +14,12 @@ the factor (-1)^k on the output, the fftshift the factor (-1)^k on the input,
 and (-1)^(N/2) = 1.  Multiplying by s is exact, and so is folding s into the
 dx^d scale; with numpy's FFT the result equals the shift formula bit for bit
 (``tests/test_core.py`` checks it).
+
+``centered_fft(a, d, dx, out=buf)`` writes s * a into ``buf``, transforms and
+scales it in place and returns ``buf``; ``buf`` may be ``a`` itself, so a
+caller that owns its input can transform it with no new allocation.  The
+result is bit for bit the one of ``centered_fft(a, d, dx)``, which leaves
+``a`` untouched and returns a new buffer.
 """
 
 from __future__ import annotations
@@ -179,26 +185,31 @@ def _checkerboard(shape: tuple, scale: float = 1.0) -> np.ndarray:
     return s
 
 
-def _signed_transform(a: np.ndarray, d: int, fft) -> np.ndarray:
-    """fft(s * a) over the trailing d axes, in a new buffer; leading axes are batch."""
+def _signed_transform(a: np.ndarray, d: int, fft, out=None) -> np.ndarray:
+    """fft(s * a) over the trailing d axes, in ``out`` (a new buffer if None).
+
+    Leading axes are batch.
+    """
     shape = a.shape[a.ndim - d :]
     if any(n % 4 for n in shape):
         raise ParameterError(
             f"centered transforms need axis lengths divisible by 4, got {shape}"
         )
-    out = np.multiply(a, _checkerboard(shape), dtype=np.complex128)
+    out = np.multiply(a, _checkerboard(shape), out=out, dtype=np.complex128)
     fft(out, axes=tuple(range(a.ndim - d, a.ndim)), out=out)
     return out
 
 
-def centered_fft(a: np.ndarray, d: int, dx: float) -> np.ndarray:
+def centered_fft(a: np.ndarray, d: int, dx: float, out=None) -> np.ndarray:
     """Centered-lattice DFT of the trailing d axes, scaled by dx^d.
 
     Approximates f_hat(xi) = int f(x) e^{-2 pi i x.xi} dx on the centered
     frequency lattice.  Computed shift-free as s * fftn(s * a) * dx^d with
-    the checkerboard sign s (see the module docstring).
+    the checkerboard sign s (see the module docstring).  ``out``, a complex
+    array of a's shape (``a`` itself allowed), receives the result and is
+    returned; without it a new buffer is returned.
     """
-    out = _signed_transform(a, d, np.fft.fftn)
+    out = _signed_transform(a, d, np.fft.fftn, out)
     out *= _checkerboard(out.shape[out.ndim - d :], dx ** d)
     return out
 

@@ -49,13 +49,17 @@ def _phase_aliased(phase: np.ndarray) -> bool:
     return False
 
 
+def _check_unimodular_alpha(alpha: float) -> None:
+    if not (0.0 <= alpha <= 2.0):
+        raise ParameterError(f"alpha must lie in [0, 2], got {alpha}")
+
+
 def symbol_unimodular(grid: Grid, alpha: float, t: float = 1.0, r: float = 1.0) -> Symbol:
     """e^{i t |xi|_{2r}^alpha}; alpha restricted to [0, 2], r >= 1.
 
     r = 1 gives the Euclidean norm |xi|.
     """
-    if not (0.0 <= alpha <= 2.0):
-        raise ParameterError(f"alpha must lie in [0, 2], got {alpha}")
+    _check_unimodular_alpha(alpha)
     if not r >= 1.0:
         raise ParameterError(f"r must be >= 1, got {r}")
     phase = t * grid.frequency_radius(r) ** alpha if alpha > 0 else t * np.ones(grid.shape)

@@ -26,6 +26,13 @@ column of that row.  Only ``gaussian_window`` marks its window as such (it
 carries per-axis ``factors``); ``bump_chi``, ``annulus_psi`` and
 ``custom_window`` take one full 2D transform per position.  Both paths yield
 the same layout: positions row-major, frequencies centered.
+
+A streamed pass allocates its chunk buffers once and reuses them for every
+chunk: each position row is written into the pass's buffer, transformed in
+place (``centered_fft(..., out=)``), and ``_norms`` takes |V| and its powers
+into buffers of its own.  So each V that ``_stft_chunks`` yields is a view of
+one reused buffer, valid only until the generator resumes: ``stft`` copies
+it, and ``_norms`` is done with it before asking for the next chunk.
 """
 
 from __future__ import annotations
@@ -165,41 +172,38 @@ def _position_indices(grid: Grid, stride: int, halfwidth: float | None):
     return (ii * grid.N + jj).reshape(-1), (sel, sel)
 
 
-def _translate_indices(N: int, js) -> np.ndarray:
-    """Gather indices with g[idx[m]] = T_x g on a 1D lattice, x the js[m]-th position."""
-    shifts = np.atleast_1d(js) - N // 2
-    return (np.arange(N)[None, :] - shifts[:, None]) % N
+def _doubled_conj(g: np.ndarray) -> np.ndarray:
+    """conj(g) tiled twice along every axis, for :func:`_conj_translate`."""
+    return np.tile(np.conj(g), (2,) * g.ndim)
 
 
-def _windowed_chunk(f: SampledField, gvals: np.ndarray, axis_idx, grid: Grid):
-    """Yield (flat position indices, f * conj(T_x g)) chunks, row-major."""
-    N = grid.N
+def _conj_translate(gc2: np.ndarray, position) -> np.ndarray:
+    """conj(T_x g) as a view of gc2 = ``_doubled_conj(g)``, no copy.
+
+    ``position`` holds x's lattice index per axis.  Along an axis,
+    (T_x g)[n] = g[(n + N/2 - j) mod N], the N entries of the doubled window
+    from k = (N/2 - j) mod N on.
+    """
+    N = gc2.shape[0] // 2
+    return gc2[tuple(slice(k, k + N) for k in ((N // 2 - j) % N for j in position))]
+
+
+def _windowed_chunk(f: SampledField, gvals: np.ndarray, flat_idx, grid: Grid):
+    """Yield (flat position indices, f * conj(T_x g)) chunks, row-major.
+
+    Every chunk is a prefix of one buffer that the next chunk overwrites.
+    """
     fv = f.reshaped()
-    g = gvals.reshape(grid.shape)
-    if grid.d == 1:
-        (sel,) = axis_idx
-        gc = np.conj(g)
-        rows_per_chunk = max(1, _CHUNK_BYTES // (16 * N))
-        for start in range(0, sel.size, rows_per_chunk):
-            js = sel[start : start + rows_per_chunk]
-            # idx stays referenced across the yield on purpose: releasing it
-            # earlier reorders heap reuse and raised the peak RSS of a run of
-            # all default experiments by ~24 MiB
-            idx = _translate_indices(N, js)
-            yield js, fv[None, :] * gc[idx]
-    else:
-        sel0, sel1 = axis_idx
-        rows_per_chunk = max(1, _CHUNK_BYTES // (16 * N * N))
-        flat = [(i, j) for i in sel0 for j in sel1]
-        for start in range(0, len(flat), rows_per_chunk):
-            part = flat[start : start + rows_per_chunk]
-            block = np.empty((len(part), N, N), dtype=np.complex128)
-            for m, (i, j) in enumerate(part):
-                block[m] = fv * np.conj(
-                    np.roll(g, (i - N // 2, j - N // 2), axis=(0, 1))
-                )
-            yield np.array([i * N + j for i, j in part]), block
-            del block  # freed before the next block is allocated
+    gc2 = _doubled_conj(gvals.reshape(grid.shape))
+    axes = np.unravel_index(flat_idx, grid.shape)
+    rows_per_chunk = max(1, _CHUNK_BYTES // (16 * grid.npoints))
+    buf = np.empty((min(rows_per_chunk, flat_idx.size), *grid.shape), dtype=np.complex128)
+    for start in range(0, flat_idx.size, rows_per_chunk):
+        stop = min(start + rows_per_chunk, flat_idx.size)
+        block = buf[: stop - start]
+        for m, n in enumerate(range(start, stop)):
+            np.multiply(fv, _conj_translate(gc2, [a[n] for a in axes]), out=block[m])
+        yield flat_idx[start:stop], block
 
 
 def _row_column_chunks(f: SampledField, factors, axis_idx, grid: Grid):
@@ -211,35 +215,40 @@ def _row_column_chunks(f: SampledField, factors, axis_idx, grid: Grid):
     axis-1 transform.
     """
     N = grid.N
-    g0, g1 = factors
+    gc0, gc1 = (_doubled_conj(g) for g in factors)
     sel0, sel1 = axis_idx
     fT = np.ascontiguousarray(f.reshaped().T)
     cols_per_chunk = max(1, _ROW_COLUMN_CHUNK_BYTES // (16 * N * N))
+    HT = np.empty((N, N), dtype=np.complex128)  # (x1, k0)
+    H = np.empty((N, N), dtype=np.complex128)  # (k0, x1)
+    buf = np.empty((min(cols_per_chunk, sel1.size), N, N), dtype=np.complex128)
     for i in sel0:
-        H = centered_fft(fT * np.conj(g0[_translate_indices(N, i)]), 1, grid.dx)
-        H = np.ascontiguousarray(H.T)  # (k0, x1)
+        np.multiply(fT, _conj_translate(gc0, (i,)), out=HT)
+        centered_fft(HT, 1, grid.dx, out=HT)
+        H[...] = HT.T
         for start in range(0, sel1.size, cols_per_chunk):
             js = sel1[start : start + cols_per_chunk]
-            block = H[None, :, :] * np.conj(g1[_translate_indices(N, js)])[:, None, :]
-            V = centered_fft(block, 1, grid.dx)
-            yield i * N + js, V.reshape(len(js), -1)
+            block = buf[: js.size]
+            for m, j in enumerate(js):
+                np.multiply(H, _conj_translate(gc1, (j,)), out=block[m])
+            centered_fft(block, 1, grid.dx, out=block)
+            yield i * N + js, block.reshape(js.size, -1)
 
 
 def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None):
-    """Yield (flat position indices, V_g f rows), positions row-major."""
+    """Yield (flat position indices, V_g f rows), positions row-major.
+
+    Each yielded V is a view of one buffer that the pass reuses: it is valid
+    only until the generator resumes, so a caller that keeps rows copies them.
+    """
     grid = f.grid
     require_same_grid(grid, g.field.grid)
-    _, axis_idx = _position_indices(grid, stride, halfwidth)
+    flat_idx, axis_idx = _position_indices(grid, stride, halfwidth)
     if grid.d == 2 and g.factors is not None:
         yield from _row_column_chunks(f, g.factors, axis_idx, grid)
         return
-    for js, block in _windowed_chunk(f, g.field.values, axis_idx, grid):
-        V = centered_fft(block, grid.d, grid.dx)
-        # neither buffer may outlive this chunk: both would stay allocated
-        # while the next chunk is gathered
-        del block
-        yield js, V.reshape(len(js), -1)
-        del V
+    for js, block in _windowed_chunk(f, g.field.values, flat_idx, grid):
+        yield js, centered_fft(block, grid.d, grid.dx, out=block).reshape(len(js), -1)
 
 
 def stft(f: SampledField, g: Window, stride: int = 1) -> StftMatrix:
@@ -280,16 +289,18 @@ def _check_exponent(p) -> float:
     return p
 
 
-def _pow(a, p: float):
-    """a ** p, skipping the pass when p == 1 (x ** 1.0 == x exactly)."""
-    return a if p == 1.0 else a ** p
+def _pow(a, p: float, buf=None):
+    """a ** p, into buf[:len(a)] when given; no pass when p == 1 (x ** 1.0 == x)."""
+    if p == 1.0:
+        return a
+    return a ** p if buf is None else np.power(a, p, out=buf[: len(a)])
 
 
-def _lp_reduce(a: np.ndarray, p: float, w: float, axis):
-    """(sum |a|^p * w)^(1/p) along axis, max when p = inf."""
+def _lp_reduce(a: np.ndarray, p: float, w: float, axis, buf=None):
+    """(sum |a|^p * w)^(1/p) along axis, max when p = inf; buf holds |a|^p."""
     if math.isinf(p):
         return np.max(a, axis=axis)
-    return _pow(np.sum(_pow(a, p), axis=axis) * w, 1.0 / p)
+    return _pow(np.sum(_pow(a, p, buf), axis=axis) * w, 1.0 / p)
 
 
 def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -> list:
@@ -299,33 +310,43 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     frequencies-inner swaps the roles.  An infinite exponent turns its sum
     into a max.  Positions-inner specs with the same p share one running
     per-frequency accumulator; frequencies-inner specs keep one reduced value
-    per position row.
+    per position row.  |V|, |V|^p and the per-frequency partial sums go
+    into buffers allocated once per pass.  A value that overflows to inf (or
+    is nan) raises ParameterError naming its spec.
     """
     grid = f.grid
     wx = (grid.dx * stride) ** grid.d
     wxi = grid.dxi ** grid.d
     acc = {p: np.zeros(grid.npoints) for p, _, order in specs if order == POSITIONS_INNER}
     rows = {p: [] for p, _, order in specs if order == FREQUENCIES_INNER}
+    powered = any(p != 1.0 and not math.isinf(p) for p, _, _ in specs)
+    col = np.empty(grid.npoints)
+    A = P = None
     for _, V in _stft_chunks(f, g, stride, halfwidth):
-        A = np.abs(V)
-        del V
-        for p, a in acc.items():
+        if A is None:  # the first chunk is the largest
+            A = np.empty(V.shape)
+            P = np.empty(V.shape) if powered else None
+        a = np.abs(V, out=A[: len(V)])
+        for p, s in acc.items():
             if math.isinf(p):
-                np.maximum(a, A.max(axis=0), out=a)
+                np.maximum(s, a.max(axis=0, out=col), out=s)
             else:
-                a += np.sum(_pow(A, p), axis=0)
+                s += np.sum(_pow(a, p, P), axis=0, out=col)
         for p, r in rows.items():
-            r.append(_lp_reduce(A, p, wxi, axis=1))
-        # dropped before the generator builds the next chunk, so this |V|
-        # does not add to the peak memory of that step
-        del A
+            r.append(_lp_reduce(a, p, wxi, axis=1, buf=P))
     out = []
     for p, q, order in specs:
         if order == POSITIONS_INNER:
             inner = acc[p] if math.isinf(p) else _pow(acc[p] * wx, 1.0 / p)
-            out.append(float(_lp_reduce(inner, q, wxi, axis=None)))
+            value = float(_lp_reduce(inner, q, wxi, axis=None))
         else:
-            out.append(float(_lp_reduce(np.concatenate(rows[p]), q, wx, axis=None)))
+            value = float(_lp_reduce(np.concatenate(rows[p]), q, wx, axis=None))
+        if not math.isfinite(value):
+            raise ParameterError(
+                f"the ({p:g}, {q:g}) {order} norm is not finite ({value}): "
+                "rescale the field so that |V|^p stays within float64"
+            )
+        out.append(value)
     return out
 
 

@@ -217,6 +217,13 @@ def _divergence_grid(L: float, t: float) -> Grid:
     return make_grid(1, L, N)
 
 
+def _check_boxes(box_sizes) -> None:
+    if len(box_sizes) < 2:
+        raise ParameterError("the divergence needs at least 2 boxes to grow over")
+    if not all(L > 0 for L in box_sizes):
+        raise ParameterError(f"box sizes must be positive, got {list(box_sizes)}")
+
+
 def verify_m_inf_1_divergence(t: float, box_sizes=(16.0, 32.0, 64.0)) -> DivergenceReport:
     """M^{inf,1}-type norm of the chirp on growing boxes.
 
@@ -225,6 +232,7 @@ def verify_m_inf_1_divergence(t: float, box_sizes=(16.0, 32.0, 64.0)) -> Diverge
     linearly with the box size.  t = 0 gives the constant symbol and the
     divergence assertion does not apply.
     """
+    _check_boxes(box_sizes)
     values = []
     for L in box_sizes:
         grid = _divergence_grid(L, max(t, 0.25))
@@ -266,6 +274,11 @@ def _check_series_depth(K: int, J: int) -> None:
         raise ParameterError("need K >= 10 and J >= 5")
 
 
+def _check_dyadic_alpha(alpha: float) -> None:
+    if not alpha > 0:
+        raise ParameterError(f"alpha must be positive, got {alpha}")
+
+
 def _check_sin_singular(alpha: float, delta: float) -> None:
     if not (0.0 < delta <= alpha <= 1.0):
         raise ParameterError(f"need 0 < delta <= alpha <= 1, got {alpha}, {delta}")
@@ -280,8 +293,7 @@ def dyadic_fl1_series(alpha: float, K: int = 40, J: int = 20,
     term's norm is bounded by a geometric sum plus an explicit tail.  The
     resulting exponential series dominates the directly measured FL1 norm.
     """
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    _check_dyadic_alpha(alpha)
     _check_series_depth(K, J)
     grid = grid or _dyadic_grid()
 
@@ -392,6 +404,11 @@ def lattice_aligned_b(grid: Grid, m: int) -> float:
     return 2.0 * np.pi * m / grid.L
 
 
+def _check_case_count(n: int) -> None:
+    if n < 1:
+        raise ParameterError(f"need at least 1 random case, got {n}")
+
+
 def linear_phase_random_cases(n: int = 50, seed: int = DEFAULT_SEED,
                               grid: Grid | None = None) -> list:
     """Seeded random (symbol, x, a, b) draws for the linear-phase invariance check.
@@ -400,6 +417,7 @@ def linear_phase_random_cases(n: int = 50, seed: int = DEFAULT_SEED,
     families, sampled on the position lattice; b is always lattice-aligned.
     Returns (label, before, after) triples.
     """
+    _check_case_count(n)
     grid = grid or make_grid(1, 16.0, 512)
     rng = np.random.default_rng(seed)
     g = gaussian_window(grid)
@@ -579,9 +597,15 @@ def fresnel_l1_ratio(t: float, lam: float) -> float:
     return (np.pi ** 2 + (t * lam) ** 2) ** 0.25 / math.sqrt(np.pi)
 
 
+def _check_dilations(lambdas) -> None:
+    if not all(lam > 0 for lam in lambdas):
+        raise ParameterError(f"Gaussian dilations must be positive, got {list(lambdas)}")
+
+
 def lp_contrast_probe(t: float, lambdas=(1.0, 2.0, 4.0, 8.0),
                       grid: Grid | None = None) -> LpContrastReport:
     """L^1 growth versus modulation-norm stability over dilated Gaussians."""
+    _check_dilations(lambdas)
     grid = grid or make_grid(1, 32.0, 2048)
     sigma = symbol_unimodular(grid, 2.0, t=t)
     g = gaussian_window(grid)

@@ -119,6 +119,25 @@ class TestListValidate:
         assert main(["run", cfg]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,key,value,message", [
+        ("m_inf_1_divergence", "l_list", "16, 0", "box sizes must be positive"),
+        ("lp_contrast", "lambda_list", "-1", "Gaussian dilations must be positive"),
+        ("linear_phase", "cases", "0", "need at least 1 random case"),
+        ("dyadic_series", "alpha_list", "-1", "alpha must be positive"),
+        ("operator_probe", "alpha_list", "3", "alpha must lie in [0, 2]"),
+    ])
+    def test_validate_rejects_what_run_cannot_run(self, tmp_path, capsys, name, key,
+                                                  value, message):
+        # each of these used to pass validate, then crash, fail late or pass
+        # vacuously in run
+        cfg = write_config(tmp_path, f"name = {name}\n{key} = {value}\n"
+                                     f"out = {tmp_path / 'o'}\n")
+        assert main(["validate", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["run", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_validate_accepts_infinite_exponent(self, tmp_path):
         cfg = write_config(tmp_path, "name = schrodinger_conservation\np = 1\nq = inf\n")
         assert main(["validate", cfg]) == 0

@@ -209,6 +209,19 @@ class TestCheckerboardKernel:
         assert np.array_equal(inv, self._shift_formula(a, d, dx, inverse=True))
         assert np.array_equal(a, before)  # the input is not mutated
 
+    @pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("aliased", [True, False])
+    def test_out_buffer(self, d, N, batch, aliased):
+        rng = np.random.default_rng(N + d + len(batch))
+        shape = batch + (N,) * d
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = centered_fft(a, d, 37.3 / N)
+        buf = a if aliased else np.full(shape, np.nan, dtype=complex)
+        result = centered_fft(a, d, 37.3 / N, out=buf)
+        assert result is buf
+        assert np.array_equal(result, expected)
+
     def test_real_input(self):
         a = np.random.default_rng(12).standard_normal((4, 64))
         out = centered_fft(a, 1, 0.3)

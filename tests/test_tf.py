@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tfmult.core import ParameterError, SampledField, l2_norm, make_grid, sample
+from tfmult import tf
+from tfmult.core import ParameterError, SampledField, centered_fft, l2_norm, make_grid, sample
 from tfmult.tf import (
     _CHUNK_BYTES,
     FREQUENCIES_INNER,
@@ -275,3 +276,82 @@ class TestMixedNorms:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * _CHUNK_BYTES
+
+    @pytest.mark.parametrize("case", ["1d_m_inf_1", "2d_bump_wfl1"])
+    def test_reused_chunk_buffers_peak_memory(self, case):
+        # a pass holds one chunk of V (transformed in place) and one real |V|
+        # buffer; a fresh gather, product or |V| per chunk pushes the peak
+        # past two chunks
+        if case == "1d_m_inf_1":
+            grid = _divergence_grid(64.0, 1.0)
+            assert grid.N == 4096
+            f, g = chirp_field(grid, 1.0), gaussian_window(grid)
+
+            def norm():
+                m_inf_1_norm(f, g, position_halfwidth=grid.L / 4, refine=False)
+        else:
+            grid = make_grid(2, 16.0, 64)
+            f, g = chirp_field(grid, 1.0), bump_chi(grid)
+
+            def norm():
+                amalgam_norm_wfl1(f, g, stride=2, refine=False)
+        tracemalloc.start()
+        try:
+            norm()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * _CHUNK_BYTES
+
+    def test_overflow_raises(self):
+        grid = make_grid(1, 32.0, 1024)
+        f = sample(lambda x: 1e200 * np.exp(-np.pi * x ** 2), grid)
+        g = gaussian_window(grid)
+        with np.errstate(over="ignore"), pytest.raises(ParameterError, match=r"\(2, 2\)"):
+            modulation_norm(f, g, 2, 2, refine=False)
+        val = modulation_norm(f, g, 1, 1, refine=False).value
+        assert val == 1.4142135623730956e+200
+
+
+def _reference_stft(f, g, stride):
+    """V_g f built one position at a time, with no chunk buffer."""
+    grid = f.grid
+    N, dx = grid.N, grid.dx
+    fv = f.reshaped()
+    sel = np.arange(0, N, stride)
+    if grid.d == 1:
+        return np.stack([centered_fft(fv * np.conj(np.roll(g.field.values, j - N // 2)), 1, dx)
+                         for j in sel])
+    if g.factors is None:
+        gv = g.field.reshaped()
+        return np.stack([
+            centered_fft(fv * np.conj(np.roll(gv, (i - N // 2, j - N // 2), axis=(0, 1))), 2, dx)
+            .reshape(-1) for i in sel for j in sel])
+    g0, g1 = g.factors
+    rows = []
+    for i in sel:
+        H = centered_fft(np.ascontiguousarray(fv.T) * np.conj(np.roll(g0, i - N // 2)), 1, dx)
+        H = np.ascontiguousarray(H.T)
+        rows += [centered_fft(H * np.conj(np.roll(g1, j - N // 2)), 1, dx).reshape(-1)
+                 for j in sel]
+    return np.stack(rows)
+
+
+class TestReusedChunkBuffers:
+    """Small chunk sizes, so every pass reuses its buffers and ends on a partial chunk."""
+
+    @pytest.mark.parametrize("window", ["gaussian_1d", "gaussian_2d", "bump_2d"])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_stft_matches_per_position_reference(self, monkeypatch, window, stride):
+        d = 1 if window.endswith("1d") else 2
+        grid = make_grid(d, 8.0, 64 if d == 1 else 32)
+        # 5 positions per windowed chunk, 3 columns per row-column block
+        monkeypatch.setattr(tf, "_CHUNK_BYTES", 5 * 16 * grid.npoints)
+        monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * grid.npoints)
+        rng = np.random.default_rng(5 + d + stride)
+        f = SampledField(grid, rng.standard_normal(grid.npoints)
+                         + 1j * rng.standard_normal(grid.npoints))
+        g = bump_chi(grid) if window == "bump_2d" else gaussian_window(grid)
+        npos = len(range(0, grid.N, stride)) ** d
+        assert npos % 5 and len(range(0, grid.N, stride)) % 3  # partial last chunks
+        assert np.array_equal(stft(f, g, stride).values, _reference_stft(f, g, stride))
