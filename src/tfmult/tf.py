@@ -30,7 +30,8 @@ the same layout: positions row-major, frequencies centered.
 A streamed pass allocates its chunk buffers once and reuses them for every
 chunk: each position row is written into the pass's buffer, transformed in
 place (``centered_fft(..., out=)``), and ``_norms`` takes |V| and its powers
-into buffers of its own.  So each V that ``_stft_chunks`` yields is a view of
+into buffers of its own.  The translates conj(T_x g) are read as views of
+conj(g) tiled three times per axis, so no gather index array is built.  So each V that ``_stft_chunks`` yields is a view of
 one reused buffer, valid only until the generator resumes: ``stft`` copies
 it, and ``_norms`` is done with it before asking for the next chunk.
 """
@@ -162,47 +163,62 @@ class StftMatrix:
 
 def _position_indices(grid: Grid, stride: int, halfwidth: float | None):
     """Flat lattice indices of the selected positions, one axis index set per axis."""
+    if not (stride >= 1 and int(stride) == stride):
+        raise ParameterError(f"stride must be a positive integer, got {stride}")
     ax = grid.axis_positions()
-    sel = np.arange(0, grid.N, stride)
+    sel = np.arange(0, grid.N, int(stride))
     if halfwidth is not None:
         sel = sel[np.abs(ax[sel]) <= halfwidth]
+    if sel.size == 0:
+        raise ParameterError(f"position half-width {halfwidth} selects no lattice point")
     if grid.d == 1:
         return sel, (sel,)
     ii, jj = np.meshgrid(sel, sel, indexing="ij")
     return (ii * grid.N + jj).reshape(-1), (sel, sel)
 
 
-def _doubled_conj(g: np.ndarray) -> np.ndarray:
-    """conj(g) tiled twice along every axis, for :func:`_conj_translate`."""
-    return np.tile(np.conj(g), (2,) * g.ndim)
+def _conj_tiled(g: np.ndarray) -> np.ndarray:
+    """conj(g) tiled three times along every axis, for :func:`_translates`."""
+    return np.tile(np.conj(g), (3,) * g.ndim)
 
 
-def _conj_translate(gc2: np.ndarray, position) -> np.ndarray:
-    """conj(T_x g) as a view of gc2 = ``_doubled_conj(g)``, no copy.
+def _translates(gc3: np.ndarray, axis_idx) -> np.ndarray:
+    """conj(T_x g) for every x in the position grid ``axis_idx``, as a view of gc3.
 
-    ``position`` holds x's lattice index per axis.  Along an axis,
-    (T_x g)[n] = g[(n + N/2 - j) mod N], the N entries of the doubled window
-    from k = (N/2 - j) mod N on.
+    gc3 is ``_conj_tiled(g)`` and ``axis_idx`` holds one increasing run of
+    lattice indices with a constant step per axis, as ``_position_indices``
+    selects them.  Along an axis, (T_x g)[n] = g[(n + N/2 - j) mod N] for x
+    the j-th position, which is the N entries of the tiling from 3N/2 - j on,
+    so no index array is built.  The result has shape
+    (len(axis_idx[0]), ..., N, ...): position axes first, then the window.
     """
-    N = gc2.shape[0] // 2
-    return gc2[tuple(slice(k, k + N) for k in ((N // 2 - j) % N for j in position))]
+    N = gc3.shape[0] // 3
+    windows = np.lib.stride_tricks.sliding_window_view(gc3, (N,) * gc3.ndim)
+    for axis, js in enumerate(axis_idx):
+        step = int(js[1] - js[0]) if js.size > 1 else 1
+        starts = slice(3 * N // 2 - int(js[-1]), 3 * N // 2 - int(js[0]) + 1, step)
+        windows = windows[(slice(None),) * axis + (starts,)]
+    return windows[(slice(None, None, -1),) * gc3.ndim]
 
 
-def _windowed_chunk(f: SampledField, gvals: np.ndarray, flat_idx, grid: Grid):
+def _windowed_chunk(f: SampledField, gvals: np.ndarray, flat_idx, axis_idx, grid: Grid):
     """Yield (flat position indices, f * conj(T_x g)) chunks, row-major.
 
     Every chunk is a prefix of one buffer that the next chunk overwrites.
     """
     fv = f.reshaped()
-    gc2 = _doubled_conj(gvals.reshape(grid.shape))
-    axes = np.unravel_index(flat_idx, grid.shape)
+    windows = _translates(_conj_tiled(gvals.reshape(grid.shape)), axis_idx)
+    npos_axes = windows.shape[: grid.d]
     rows_per_chunk = max(1, _CHUNK_BYTES // (16 * grid.npoints))
     buf = np.empty((min(rows_per_chunk, flat_idx.size), *grid.shape), dtype=np.complex128)
     for start in range(0, flat_idx.size, rows_per_chunk):
         stop = min(start + rows_per_chunk, flat_idx.size)
         block = buf[: stop - start]
-        for m, n in enumerate(range(start, stop)):
-            np.multiply(fv, _conj_translate(gc2, [a[n] for a in axes]), out=block[m])
+        if grid.d == 1:
+            np.multiply(fv, windows[start:stop], out=block)
+        else:
+            for m, n in enumerate(range(start, stop)):
+                np.multiply(fv, windows[np.unravel_index(n, npos_axes)], out=block[m])
         yield flat_idx[start:stop], block
 
 
@@ -215,24 +231,23 @@ def _row_column_chunks(f: SampledField, factors, axis_idx, grid: Grid):
     axis-1 transform.
     """
     N = grid.N
-    gc0, gc1 = (_doubled_conj(g) for g in factors)
     sel0, sel1 = axis_idx
+    rows0, rows1 = (_translates(_conj_tiled(g), (sel,)) for g, sel in zip(factors, axis_idx))
     fT = np.ascontiguousarray(f.reshaped().T)
     cols_per_chunk = max(1, _ROW_COLUMN_CHUNK_BYTES // (16 * N * N))
     HT = np.empty((N, N), dtype=np.complex128)  # (x1, k0)
     H = np.empty((N, N), dtype=np.complex128)  # (k0, x1)
     buf = np.empty((min(cols_per_chunk, sel1.size), N, N), dtype=np.complex128)
-    for i in sel0:
-        np.multiply(fT, _conj_translate(gc0, (i,)), out=HT)
+    for i, row0 in zip(sel0, rows0):
+        np.multiply(fT, row0, out=HT)
         centered_fft(HT, 1, grid.dx, out=HT)
         H[...] = HT.T
         for start in range(0, sel1.size, cols_per_chunk):
-            js = sel1[start : start + cols_per_chunk]
-            block = buf[: js.size]
-            for m, j in enumerate(js):
-                np.multiply(H, _conj_translate(gc1, (j,)), out=block[m])
+            stop = min(start + cols_per_chunk, sel1.size)
+            block = buf[: stop - start]
+            np.multiply(H, rows1[start:stop, None, :], out=block)
             centered_fft(block, 1, grid.dx, out=block)
-            yield i * N + js, block.reshape(js.size, -1)
+            yield i * N + sel1[start:stop], block.reshape(stop - start, -1)
 
 
 def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None):
@@ -247,7 +262,7 @@ def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None):
     if grid.d == 2 and g.factors is not None:
         yield from _row_column_chunks(f, g.factors, axis_idx, grid)
         return
-    for js, block in _windowed_chunk(f, g.field.values, flat_idx, grid):
+    for js, block in _windowed_chunk(f, g.field.values, flat_idx, axis_idx, grid):
         yield js, centered_fft(block, grid.d, grid.dx, out=block).reshape(len(js), -1)
 
 

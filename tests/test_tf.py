@@ -313,27 +313,24 @@ class TestMixedNorms:
         assert val == 1.4142135623730956e+200
 
 
-def _reference_stft(f, g, stride):
-    """V_g f built one position at a time, with no chunk buffer."""
+def _reference_rows(f, g, flat_idx):
+    """V_g f at the given flat positions, one position at a time, no chunk buffer."""
     grid = f.grid
     N, dx = grid.N, grid.dx
     fv = f.reshaped()
-    sel = np.arange(0, N, stride)
     if grid.d == 1:
         return np.stack([centered_fft(fv * np.conj(np.roll(g.field.values, j - N // 2)), 1, dx)
-                         for j in sel])
-    if g.factors is None:
-        gv = g.field.reshaped()
-        return np.stack([
-            centered_fft(fv * np.conj(np.roll(gv, (i - N // 2, j - N // 2), axis=(0, 1))), 2, dx)
-            .reshape(-1) for i in sel for j in sel])
-    g0, g1 = g.factors
+                         for j in flat_idx])
     rows = []
-    for i in sel:
-        H = centered_fft(np.ascontiguousarray(fv.T) * np.conj(np.roll(g0, i - N // 2)), 1, dx)
-        H = np.ascontiguousarray(H.T)
-        rows += [centered_fft(H * np.conj(np.roll(g1, j - N // 2)), 1, dx).reshape(-1)
-                 for j in sel]
+    for i, j in (divmod(int(n), N) for n in flat_idx):
+        if g.factors is None:
+            gv = np.roll(g.field.reshaped(), (i - N // 2, j - N // 2), axis=(0, 1))
+            rows.append(centered_fft(fv * np.conj(gv), 2, dx).reshape(-1))
+        else:
+            g0, g1 = g.factors
+            H = centered_fft(np.ascontiguousarray(fv.T) * np.conj(np.roll(g0, i - N // 2)), 1, dx)
+            H = np.ascontiguousarray(H.T)
+            rows.append(centered_fft(H * np.conj(np.roll(g1, j - N // 2)), 1, dx).reshape(-1))
     return np.stack(rows)
 
 
@@ -342,7 +339,9 @@ class TestReusedChunkBuffers:
 
     @pytest.mark.parametrize("window", ["gaussian_1d", "gaussian_2d", "bump_2d"])
     @pytest.mark.parametrize("stride", [1, 3])
-    def test_stft_matches_per_position_reference(self, monkeypatch, window, stride):
+    @pytest.mark.parametrize("halfwidth", [None, 2.0])
+    def test_chunks_match_per_position_reference(self, monkeypatch, window, stride,
+                                                 halfwidth):
         d = 1 if window.endswith("1d") else 2
         grid = make_grid(d, 8.0, 64 if d == 1 else 32)
         # 5 positions per windowed chunk, 3 columns per row-column block
@@ -352,6 +351,23 @@ class TestReusedChunkBuffers:
         f = SampledField(grid, rng.standard_normal(grid.npoints)
                          + 1j * rng.standard_normal(grid.npoints))
         g = bump_chi(grid) if window == "bump_2d" else gaussian_window(grid)
-        npos = len(range(0, grid.N, stride)) ** d
-        assert npos % 5 and len(range(0, grid.N, stride)) % 3  # partial last chunks
-        assert np.array_equal(stft(f, g, stride).values, _reference_stft(f, g, stride))
+        chunks = [(js.copy(), V.copy()) for js, V in tf._stft_chunks(f, g, stride, halfwidth)]
+        js = np.concatenate([c[0] for c in chunks])
+        assert np.array_equal(np.concatenate([c[1] for c in chunks]),
+                              _reference_rows(f, g, js))
+        if halfwidth is None:
+            naxis = len(range(0, grid.N, stride))
+            assert naxis ** d % 5 and naxis % 3  # partial last chunks
+            assert np.array_equal(js, np.arange(grid.npoints).reshape(grid.shape)[
+                (slice(None, None, stride),) * d].reshape(-1))
+            assert np.array_equal(stft(f, g, stride).values, _reference_rows(f, g, js))
+
+    @pytest.mark.parametrize("stride,halfwidth", [(0, None), (1.5, None), (1, -1.0)])
+    def test_rejects_empty_or_fractional_position_grid(self, stride, halfwidth):
+        grid = make_grid(1, 16.0, 64)
+        f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
+        g = gaussian_window(grid)
+        with pytest.raises(ParameterError):
+            m_inf_1_norm(f, g, stride, halfwidth, refine=False)
+        with pytest.raises(ParameterError):
+            amalgam_norm_wfl1(f, g, stride, halfwidth, refine=False)
