@@ -177,28 +177,24 @@ def _position_indices(grid: Grid, stride: int, halfwidth: float | None):
     return (ii * grid.N + jj).reshape(-1), (sel, sel)
 
 
-def _conj_tiled(g: np.ndarray) -> np.ndarray:
-    """conj(g) tiled three times along every axis, for :func:`_translates`."""
-    return np.tile(np.conj(g), (3,) * g.ndim)
+def _translates(g: np.ndarray, axis_idx) -> np.ndarray:
+    """conj(T_x g) for every x in the position grid ``axis_idx``, as one view.
 
-
-def _translates(gc3: np.ndarray, axis_idx) -> np.ndarray:
-    """conj(T_x g) for every x in the position grid ``axis_idx``, as a view of gc3.
-
-    gc3 is ``_conj_tiled(g)`` and ``axis_idx`` holds one increasing run of
-    lattice indices with a constant step per axis, as ``_position_indices``
-    selects them.  Along an axis, (T_x g)[n] = g[(n + N/2 - j) mod N] for x
-    the j-th position, which is the N entries of the tiling from 3N/2 - j on,
-    so no index array is built.  The result has shape
-    (len(axis_idx[0]), ..., N, ...): position axes first, then the window.
+    ``axis_idx`` holds one increasing run of lattice indices with a constant
+    step per axis, as ``_position_indices`` selects them.  Along an axis,
+    (T_x g)[n] = g[(n + N/2 - j) mod N] for x the j-th position, which is
+    the N entries of conj(g) tiled three times from 3N/2 - j on, so no index
+    array is built.  The result has shape (len(axis_idx[0]), ..., N, ...):
+    position axes first, then the window.
     """
-    N = gc3.shape[0] // 3
-    windows = np.lib.stride_tricks.sliding_window_view(gc3, (N,) * gc3.ndim)
+    N = g.shape[0]
+    gc3 = np.tile(np.conj(g), (3,) * g.ndim)
+    windows = np.lib.stride_tricks.sliding_window_view(gc3, g.shape)
     for axis, js in enumerate(axis_idx):
         step = int(js[1] - js[0]) if js.size > 1 else 1
         starts = slice(3 * N // 2 - int(js[-1]), 3 * N // 2 - int(js[0]) + 1, step)
         windows = windows[(slice(None),) * axis + (starts,)]
-    return windows[(slice(None, None, -1),) * gc3.ndim]
+    return windows[(slice(None, None, -1),) * g.ndim]
 
 
 def _windowed_chunk(f: SampledField, gvals: np.ndarray, flat_idx, axis_idx, grid: Grid):
@@ -207,7 +203,7 @@ def _windowed_chunk(f: SampledField, gvals: np.ndarray, flat_idx, axis_idx, grid
     Every chunk is a prefix of one buffer that the next chunk overwrites.
     """
     fv = f.reshaped()
-    windows = _translates(_conj_tiled(gvals.reshape(grid.shape)), axis_idx)
+    windows = _translates(gvals.reshape(grid.shape), axis_idx)
     npos_axes = windows.shape[: grid.d]
     rows_per_chunk = max(1, _CHUNK_BYTES // (16 * grid.npoints))
     buf = np.empty((min(rows_per_chunk, flat_idx.size), *grid.shape), dtype=np.complex128)
@@ -232,7 +228,7 @@ def _row_column_chunks(f: SampledField, factors, axis_idx, grid: Grid):
     """
     N = grid.N
     sel0, sel1 = axis_idx
-    rows0, rows1 = (_translates(_conj_tiled(g), (sel,)) for g, sel in zip(factors, axis_idx))
+    rows0, rows1 = (_translates(g, (sel,)) for g, sel in zip(factors, axis_idx))
     fT = np.ascontiguousarray(f.reshaped().T)
     cols_per_chunk = max(1, _ROW_COLUMN_CHUNK_BYTES // (16 * N * N))
     HT = np.empty((N, N), dtype=np.complex128)  # (x1, k0)
