@@ -31,9 +31,10 @@ A streamed pass allocates its chunk buffers once and reuses them for every
 chunk: each position row is written into the pass's buffer, transformed in
 place (``centered_fft(..., out=)``), and ``_norms`` takes |V| and its powers
 into buffers of its own.  The translates conj(T_x g) are read as views of
-conj(g) tiled three times per axis, so no gather index array is built.  So each V that ``_stft_chunks`` yields is a view of
-one reused buffer, valid only until the generator resumes: ``stft`` copies
-it, and ``_norms`` is done with it before asking for the next chunk.
+conj(g) tiled three times per axis, so no gather index array is built.
+Each V that ``_stft_chunks`` yields is therefore a view of one reused
+buffer, valid only until the generator resumes: ``stft`` copies it, and
+``_norms`` is done with it before asking for the next chunk.
 """
 
 from __future__ import annotations
