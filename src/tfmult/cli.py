@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .core import ParameterError, default_grid, make_grid, sample
+from .core import ParameterError, _check_coarsenable, default_grid, make_grid, sample
 from .mult import _check_unimodular_alpha, symbol_unimodular
 from .tf import _check_exponent, gaussian_window
 from .verify import DEFAULT_SEED
@@ -493,6 +493,8 @@ def _validate(cfg) -> None:
             _check_unimodular_alpha(alpha)
     if name == "sin_singular_fl1":
         verify._check_sin_singular(_float(cfg, "alpha", 1.0), _float(cfg, "delta", 1.0))
+    if name == "wave_conservation":  # its refinement recompute coarsens the grid
+        _check_coarsenable(_grid_from(cfg))
 
 
 def run_experiment(cfg, out_dir: Path) -> int:

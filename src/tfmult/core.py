@@ -20,13 +20,29 @@ scales it in place and returns ``buf``; ``buf`` may be ``a`` itself, so a
 caller that owns its input can transform it with no new allocation.  The
 result is bit for bit the one of ``centered_fft(a, d, dx)``, which leaves
 ``a`` untouched and returns a new buffer.
+
+A caller that reads only the modulus passes ``sign_free=True`` and gets
+fftn(a) alone: it folds s into its data once (negation is exact, so
+(s * f) * w = s * (f * w) bit for bit), the output sign drops out of |.|,
+and it applies dx^d to the real modulus, which equals |centered_fft| bit
+for bit when dx is a power of two (and to a rounding otherwise).
+
+Batched transforms are split over two threads along their last batch axis
+(one thread where only one core is usable, and none for arrays below
+``_SPLIT_BYTES``).  Every line is transformed on its own, so a split changes
+no bit.  The threads come from one module pool, created on the first split
+(importing ``core`` starts none), and run only numpy code: ``_split`` is the
+one way in, and the functions handed to it never call back into ``tfmult``.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,22 +201,103 @@ def _checkerboard(shape: tuple, scale: float = 1.0) -> np.ndarray:
     return s
 
 
-def _signed_transform(a: np.ndarray, d: int, fft, out=None) -> np.ndarray:
-    """fft(s * a) over the trailing d axes, in ``out`` (a new buffer if None).
+_SPLIT_BYTES = 1 << 20  # smaller chunks run on the calling thread alone
+_pool = None  # (workers, executor or None), made on the first split
+_pool_lock = threading.Lock()
 
-    Leading axes are batch.
+
+def _worker_count() -> int:
+    """Threads one chunk is split over: two, or one on a single usable core."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: start from no pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor():
+    """(workers, executor), the executor running all but the caller's part."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            workers = _worker_count()
+            executor = None
+            if workers > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                executor = ThreadPoolExecutor(workers - 1, thread_name_prefix="tfmult")
+            _pool = (workers, executor)
+        return _pool
+
+
+def _split(fn, n: int, nbytes: int) -> list:
+    """[fn(lo, hi) for consecutive parts lo:hi of range(n)], the parts in parallel.
+
+    ``nbytes`` is the size of the data the call touches; below
+    ``_SPLIT_BYTES``, for n < 2, or on one core, fn(0, n) runs alone on the
+    calling thread.  Otherwise the caller runs the first part while the pool
+    runs the rest, each in a copy of the caller's context (so numpy's
+    ``errstate`` holds there too), and every part has finished before this
+    returns or raises.  fn must touch disjoint data per part and call only
+    numpy, which releases the GIL in its loops.
+    """
+    if n < 2 or nbytes < _SPLIT_BYTES:
+        return [fn(0, n)]
+    workers, executor = _executor()
+    if executor is None:
+        return [fn(0, n)]
+    cuts = [n * k // workers for k in range(workers + 1)]
+    futures = [executor.submit(contextvars.copy_context().run, fn, lo, hi)
+               for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        head = fn(cuts[0], cuts[1])
+    finally:
+        tail = [fut.result() for fut in futures]
+    return [head, *tail]
+
+
+def _transform(a: np.ndarray, d: int, fft, out=None, scale_op=None, scale=1.0):
+    """fft over the trailing d axes of a, into ``out`` (a new buffer if None).
+
+    With ``scale_op`` the checkerboard s goes on the way in and
+    scale_op(., s * scale) on the way out; without it ``a`` is transformed
+    as it is.  Leading axes are batch; the last of them is split over the
+    threads.
     """
     shape = a.shape[a.ndim - d :]
     if any(n % 4 for n in shape):
         raise ParameterError(
             f"centered transforms need axis lengths divisible by 4, got {shape}"
         )
-    out = np.multiply(a, _checkerboard(shape), out=out, dtype=np.complex128)
-    fft(out, axes=tuple(range(a.ndim - d, a.ndim)), out=out)
+    if out is None:
+        out = np.empty(a.shape, dtype=np.complex128)
+    sign = None if scale_op is None else _checkerboard(shape)
+    post = None if scale_op is None else _checkerboard(shape, scale)
+    src, dst = (a[None], out[None]) if a.ndim == d else (a, out)
+    axes = tuple(range(src.ndim - d, src.ndim))
+
+    def part(lo, hi):
+        rows = (Ellipsis, slice(lo, hi)) + (slice(None),) * d
+        x, y = src[rows], dst[rows]
+        if sign is not None:
+            x = np.multiply(x, sign, out=y, dtype=np.complex128)
+        fft(x, axes=axes, out=y)
+        if post is not None:
+            scale_op(y, post, out=y)
+
+    _split(part, src.shape[src.ndim - d - 1], out.nbytes)
     return out
 
 
-def centered_fft(a: np.ndarray, d: int, dx: float, out=None) -> np.ndarray:
+def centered_fft(a: np.ndarray, d: int, dx: float, out=None, sign_free=False) -> np.ndarray:
     """Centered-lattice DFT of the trailing d axes, scaled by dx^d.
 
     Approximates f_hat(xi) = int f(x) e^{-2 pi i x.xi} dx on the centered
@@ -208,17 +305,19 @@ def centered_fft(a: np.ndarray, d: int, dx: float, out=None) -> np.ndarray:
     the checkerboard sign s (see the module docstring).  ``out``, a complex
     array of a's shape (``a`` itself allowed), receives the result and is
     returned; without it a new buffer is returned.
+
+    ``sign_free=True`` returns fftn(a) alone, for a caller that has already
+    multiplied a by s and reads only the modulus: dx^d * |fftn(s * a)| =
+    |centered_fft(a, d, dx)|, bit for bit when dx is a power of two.
     """
-    out = _signed_transform(a, d, np.fft.fftn, out)
-    out *= _checkerboard(out.shape[out.ndim - d :], dx ** d)
-    return out
+    if sign_free:
+        return _transform(a, d, np.fft.fftn, out)
+    return _transform(a, d, np.fft.fftn, out, np.multiply, dx ** d)
 
 
 def centered_ifft(a: np.ndarray, d: int, dx: float) -> np.ndarray:
     """Inverse of :func:`centered_fft` (e^{+2 pi i x.xi} convention)."""
-    out = _signed_transform(a, d, np.fft.ifftn)
-    out /= _checkerboard(out.shape[out.ndim - d :], dx ** d)
-    return out
+    return _transform(a, d, np.fft.ifftn, None, np.divide, dx ** d)
 
 
 def forward_transform(f: SampledField) -> SampledField:
@@ -247,14 +346,19 @@ def l1_norm(f: SampledField) -> float:
     return float(g.dx ** g.d * np.sum(np.abs(f.values)))
 
 
+def _check_coarsenable(grid: Grid) -> None:
+    """The half-resolution grid of a refinement estimate needs N >= 16."""
+    if grid.N < 16:
+        raise ParameterError("cannot coarsen below N = 8")
+
+
 def coarsen(f: SampledField) -> SampledField:
     """Subsample a field onto the half-resolution grid (same L, N/2).
 
     Used for the discretization-error estimates carried by norm reports.
     """
     g = f.grid
-    if g.N < 16:
-        raise ParameterError("cannot coarsen below N = 8")
+    _check_coarsenable(g)
     half = make_grid(g.d, g.L, g.N // 2)
     v = f.reshaped()
     for _ in range(g.d):

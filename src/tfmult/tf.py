@@ -35,10 +35,32 @@ conj(g) tiled three times per axis, so no gather index array is built.
 Each V that ``_stft_chunks`` yields is therefore a view of one reused
 buffer, valid only until the generator resumes: ``stft`` copies it, and
 ``_norms`` is done with it before asking for the next chunk.
+
+The norms read only |V|, so they take the sign-free path
+(``_stft_chunks(..., modulus=True)``): the checkerboard sign s is folded into
+the field once per pass (negation is exact, so every windowed row is the
+signed kernel's input up to sign), ``centered_fft(..., sign_free=True)``
+transforms without the output sign, which drops out of |V|, and the dx^d
+scale is applied to the real |V|.  In the row-column path s0 goes into the
+transposed field and s1 into g1 (the translates then carry s1 up to one sign
+per position); the axis-0 output sign s0(k0) is constant along each axis-1
+transform, and H keeps its factor dx, so only the axis-1 dx moves onto |V|.
+Moving a power-of-two scale is exact, so |V| is bit for bit that of
+``stft`` whenever dx is a power of two, and within a rounding otherwise.
+``stft`` keeps the signed path.
+
+Every stage of a chunk is split over two threads (``core._split``): the
+window multiply by rows, the FFT by its batch, |V| with its scale and |V|^p
+by contiguous halves, the positions-inner sums and maxima by frequency
+column, and the frequencies-inner reductions by row.  Each output element
+is computed by the same operations in the same order as on one thread, so a
+split changes no bit.  The functions handed to the threads call only numpy,
+never a public ``tfmult`` function.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -48,6 +70,8 @@ from .core import (
     Grid,
     ParameterError,
     SampledField,
+    _checkerboard,
+    _split,
     centered_fft,
     coarsen,
     make_grid,
@@ -198,12 +222,16 @@ def _translates(g: np.ndarray, axis_idx) -> np.ndarray:
     return windows[(slice(None, None, -1),) * g.ndim]
 
 
-def _windowed_chunk(f: SampledField, gvals: np.ndarray, flat_idx, axis_idx, grid: Grid):
-    """Yield (flat position indices, f * conj(T_x g)) chunks, row-major.
+def _windowed_chunks(fv: np.ndarray, gvals: np.ndarray, flat_idx, axis_idx, grid: Grid,
+                     sign_free: bool):
+    """Yield (flat position indices, centered_fft of f * conj(T_x g)) chunks, row-major.
 
-    Every chunk is a prefix of one buffer that the next chunk overwrites.
+    On the sign-free path s is folded into f once and the transforms are
+    left unsigned and unscaled.  Every chunk is a prefix of one buffer that
+    the next chunk overwrites.
     """
-    fv = f.reshaped()
+    if sign_free:
+        fv = fv * _checkerboard(grid.shape)
     windows = _translates(gvals.reshape(grid.shape), axis_idx)
     npos_axes = windows.shape[: grid.d]
     rows_per_chunk = max(1, _CHUNK_BYTES // (16 * grid.npoints))
@@ -211,56 +239,103 @@ def _windowed_chunk(f: SampledField, gvals: np.ndarray, flat_idx, axis_idx, grid
     for start in range(0, flat_idx.size, rows_per_chunk):
         stop = min(start + rows_per_chunk, flat_idx.size)
         block = buf[: stop - start]
-        if grid.d == 1:
-            np.multiply(fv, windows[start:stop], out=block)
-        else:
-            for m, n in enumerate(range(start, stop)):
-                np.multiply(fv, windows[np.unravel_index(n, npos_axes)], out=block[m])
-        yield flat_idx[start:stop], block
+
+        def fill(lo, hi):
+            if grid.d == 1:
+                np.multiply(fv, windows[start + lo : start + hi], out=block[lo:hi])
+            else:
+                for m in range(lo, hi):
+                    window = windows[np.unravel_index(start + m, npos_axes)]
+                    np.multiply(fv, window, out=block[m])
+
+        _split(fill, stop - start, block.nbytes)
+        centered_fft(block, grid.d, grid.dx, out=block, sign_free=sign_free)
+        yield flat_idx[start:stop], block.reshape(stop - start, -1)
 
 
-def _row_column_chunks(f: SampledField, factors, axis_idx, grid: Grid):
+def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, sign_free: bool):
     """Yield (flat position indices, V_g f rows) for a tensor-product 2D window.
 
     H = F0[f conj(T_{x_i} g0)] depends only on the position row i, so it is
     transformed once per row (on the transposed field, along contiguous
     rows) and then multiplied by each column's conj(T_{x_j} g1) before the
-    axis-1 transform.
+    axis-1 transform.  On the sign-free path s0 is folded into the field and
+    s1 into g1; the translates then carry s1 up to one sign per position,
+    the axis-0 output sign s0(k0) is constant along each axis-1 transform,
+    and H keeps its factor dx, so the rows are |V_g f| / dx up to sign.
     """
-    N = grid.N
+    N, dx = grid.N, grid.dx
     sel0, sel1 = axis_idx
-    rows0, rows1 = (_translates(g, (sel,)) for g, sel in zip(factors, axis_idx))
-    fT = np.ascontiguousarray(f.reshaped().T)
+    g0, g1 = factors
+    fT = np.ascontiguousarray(fv.T)
+    if sign_free:
+        fT *= _checkerboard((N,))
+        g1 = g1 * _checkerboard((N,))
+    rows0, rows1 = _translates(g0, (sel0,)), _translates(g1, (sel1,))
     cols_per_chunk = max(1, _ROW_COLUMN_CHUNK_BYTES // (16 * N * N))
     HT = np.empty((N, N), dtype=np.complex128)  # (x1, k0)
     H = np.empty((N, N), dtype=np.complex128)  # (k0, x1)
     buf = np.empty((min(cols_per_chunk, sel1.size), N, N), dtype=np.complex128)
     for i, row0 in zip(sel0, rows0):
-        np.multiply(fT, row0, out=HT)
-        centered_fft(HT, 1, grid.dx, out=HT)
-        H[...] = HT.T
+
+        def window_rows(lo, hi):
+            np.multiply(fT[lo:hi], row0, out=HT[lo:hi])
+
+        def transpose(lo, hi):
+            if sign_free:
+                np.multiply(HT.T[lo:hi], dx, out=H[lo:hi])
+            else:
+                H[lo:hi] = HT.T[lo:hi]
+
+        _split(window_rows, N, HT.nbytes)
+        centered_fft(HT, 1, dx, out=HT, sign_free=sign_free)
+        _split(transpose, N, H.nbytes)
         for start in range(0, sel1.size, cols_per_chunk):
             stop = min(start + cols_per_chunk, sel1.size)
             block = buf[: stop - start]
-            np.multiply(H, rows1[start:stop, None, :], out=block)
-            centered_fft(block, 1, grid.dx, out=block)
+            w = rows1[start:stop, None, :]
+
+            def window_columns(lo, hi):
+                np.multiply(H[lo:hi], w, out=block[:, lo:hi])
+
+            _split(window_columns, N, block.nbytes)
+            centered_fft(block, 1, dx, out=block, sign_free=sign_free)
             yield i * N + sel1[start:stop], block.reshape(stop - start, -1)
 
 
-def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None):
+def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None, modulus=False):
     """Yield (flat position indices, V_g f rows), positions row-major.
 
-    Each yielded V is a view of one buffer that the pass reuses: it is valid
-    only until the generator resumes, so a caller that keeps rows copies them.
+    With ``modulus`` the rows are |V_g f|, computed on the sign-free path.
+    Each yielded array is a view of one buffer that the pass reuses: it is
+    valid only until the generator resumes, so a caller that keeps rows
+    copies them.
     """
     grid = f.grid
     require_same_grid(grid, g.field.grid)
     flat_idx, axis_idx = _position_indices(grid, stride, halfwidth)
+    fv = f.reshaped()
     if grid.d == 2 and g.factors is not None:
-        yield from _row_column_chunks(f, g.factors, axis_idx, grid)
+        chunks = _row_column_chunks(fv, g.factors, axis_idx, grid, modulus)
+        scale = grid.dx  # the axis-0 dx is already on H
+    else:
+        chunks = _windowed_chunks(fv, g.field.values, flat_idx, axis_idx, grid, modulus)
+        scale = grid.dx ** grid.d
+    if not modulus:
+        yield from chunks
         return
-    for js, block in _windowed_chunk(f, g.field.values, flat_idx, axis_idx, grid):
-        yield js, centered_fft(block, grid.d, grid.dx, out=block).reshape(len(js), -1)
+    A = None
+    for js, V in chunks:
+        if A is None:  # the first chunk is the largest
+            A = np.empty(V.shape)
+        a = A[: len(js)]
+        v, m = V.reshape(-1), a.reshape(-1)
+
+        def take_modulus(lo, hi):
+            np.multiply(np.abs(v[lo:hi], out=m[lo:hi]), scale, out=m[lo:hi])
+
+        _split(take_modulus, v.size, V.nbytes)
+        yield js, a
 
 
 def stft(f: SampledField, g: Window, stride: int = 1) -> StftMatrix:
@@ -301,18 +376,44 @@ def _check_exponent(p) -> float:
     return p
 
 
-def _pow(a, p: float, buf=None):
-    """a ** p, into buf[:len(a)] when given; no pass when p == 1 (x ** 1.0 == x)."""
+def _pow(a, p: float, out=None):
+    """a ** p, into out when given; no pass when p == 1 (x ** 1.0 == x)."""
     if p == 1.0:
         return a
-    return a ** p if buf is None else np.power(a, p, out=buf[: len(a)])
+    return a ** p if out is None else np.power(a, p, out=out)
 
 
-def _lp_reduce(a: np.ndarray, p: float, w: float, axis, buf=None):
-    """(sum |a|^p * w)^(1/p) along axis, max when p = inf; buf holds |a|^p."""
+def _lp_reduce(a: np.ndarray, p: float, w: float, axis, out=None):
+    """(sum |a|^p * w)^(1/p) along axis, max when p = inf; out holds |a|^p."""
     if math.isinf(p):
         return np.max(a, axis=axis)
-    return _pow(np.sum(_pow(a, p, buf), axis=axis) * w, 1.0 / p)
+    return _pow(np.sum(_pow(a, p, out), axis=axis) * w, 1.0 / p)
+
+
+def _split_power(A: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """A ** p into out (both contiguous), split over the threads."""
+    a, o = A.reshape(-1), out.reshape(-1)
+
+    def part(lo, hi):
+        np.power(a[lo:hi], p, out=o[lo:hi])
+
+    _split(part, a.size, A.nbytes)
+    return out
+
+
+def _accumulate_columns(a, s, is_max, col, lo, hi) -> None:
+    """Fold frequency columns lo:hi of one chunk into s: a max, or a sum over rows."""
+    c, t = col[lo:hi], s[lo:hi]
+    if is_max:
+        np.maximum(t, a[:, lo:hi].max(axis=0, out=c), out=t)
+    else:
+        np.add(t, np.sum(a[:, lo:hi], axis=0, out=c), out=t)
+
+
+def _reduce_rows(A, P, ps, w, lo, hi) -> list:
+    """The frequencies-inner value of position rows lo:hi of |V|, one array per p."""
+    out = None if P is None else P[lo:hi]
+    return [_lp_reduce(A[lo:hi], p, w, axis=1, out=out) for p in ps]
 
 
 def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -> list:
@@ -322,9 +423,12 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     frequencies-inner swaps the roles.  An infinite exponent turns its sum
     into a max.  Positions-inner specs with the same p share one running
     per-frequency accumulator; frequencies-inner specs keep one reduced value
-    per position row.  |V|, |V|^p and the per-frequency partial sums go
-    into buffers allocated once per pass.  A value that overflows to inf (or
-    is nan) raises ParameterError naming its spec.
+    per position row.  |V| comes from the sign-free path; |V|^p and the
+    per-frequency partial sums go into buffers allocated once per pass.  The
+    positions-inner sums are split over the threads by frequency column and
+    the frequencies-inner ones by row, so every sum keeps its order.  A
+    value that overflows to inf (or is nan) raises ParameterError naming its
+    spec.
     """
     grid = f.grid
     wx = (grid.dx * stride) ** grid.d
@@ -333,19 +437,21 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     rows = {p: [] for p, _, order in specs if order == FREQUENCIES_INNER}
     powered = any(p != 1.0 and not math.isinf(p) for p, _, _ in specs)
     col = np.empty(grid.npoints)
-    A = P = None
-    for _, V in _stft_chunks(f, g, stride, halfwidth):
-        if A is None:  # the first chunk is the largest
-            A = np.empty(V.shape)
-            P = np.empty(V.shape) if powered else None
-        a = np.abs(V, out=A[: len(V)])
+    P = None
+    for _, A in _stft_chunks(f, g, stride, halfwidth, modulus=True):
+        if powered and P is None:  # the first chunk is the largest
+            P = np.empty(A.shape)
+        pa = None if P is None else P[: len(A)]
         for p, s in acc.items():
-            if math.isinf(p):
-                np.maximum(s, a.max(axis=0, out=col), out=s)
-            else:
-                s += np.sum(_pow(a, p, P), axis=0, out=col)
-        for p, r in rows.items():
-            r.append(_lp_reduce(a, p, wxi, axis=1, buf=P))
+            a = A if p == 1.0 or math.isinf(p) else _split_power(A, p, pa)
+            _split(functools.partial(_accumulate_columns, a, s, math.isinf(p), col),
+                   A.shape[1], A.nbytes)
+        if rows:
+            parts = _split(functools.partial(_reduce_rows, A, pa, list(rows), wxi),
+                           len(A), A.nbytes)
+            for part in parts:
+                for r, values in zip(rows.values(), part):
+                    r.append(values)
     out = []
     for p, q, order in specs:
         if order == POSITIONS_INNER:

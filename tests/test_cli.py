@@ -125,6 +125,7 @@ class TestListValidate:
         ("linear_phase", "cases", "0", "need at least 1 random case"),
         ("dyadic_series", "alpha_list", "-1", "alpha must be positive"),
         ("operator_probe", "alpha_list", "3", "alpha must lie in [0, 2]"),
+        ("wave_conservation", "n", "8", "cannot coarsen below N = 8"),
     ])
     def test_validate_rejects_what_run_cannot_run(self, tmp_path, capsys, name, key,
                                                   value, message):

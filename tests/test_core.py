@@ -1,14 +1,24 @@
 """Grid construction, sampling, and centered transform invariants."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tfmult
+from tfmult import core
 from tfmult.core import (
     Grid,
     GridMismatchError,
     ParameterError,
     SampledField,
     SamplingError,
+    _checkerboard,
     centered_fft,
     centered_ifft,
     coarsen,
@@ -234,3 +244,109 @@ class TestCheckerboardKernel:
         for transform in (centered_fft, centered_ifft):
             with pytest.raises(ParameterError, match="divisible by 4"):
                 transform(a, d, 1.0)
+
+    @pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("dx", [0.125, 37.3 / 64])
+    def test_sign_free(self, d, N, batch, dx):
+        # fftn of the presigned input is the signed kernel up to the output
+        # sign and the dx^d scale, and its modulus scaled by dx^d is exact
+        # when dx is a power of two
+        rng = np.random.default_rng(N + d + len(batch))
+        shape = batch + (N,) * d
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        presigned = a * _checkerboard((N,) * d)
+        signed = centered_fft(a, d, dx)
+        free = centered_fft(presigned, d, dx, sign_free=True)
+        assert np.array_equal(free * _checkerboard((N,) * d, dx ** d), signed)
+        modulus = np.abs(free) * dx ** d
+        if dx == 0.125:
+            assert np.array_equal(modulus, np.abs(signed))
+        else:
+            np.testing.assert_allclose(modulus, np.abs(signed), rtol=1e-15, atol=0.0)
+        assert centered_fft(presigned, d, dx, out=presigned, sign_free=True) is presigned
+        assert np.array_equal(presigned, free)
+
+
+class TestThreadSplit:
+    @pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("batch", [(), (1,), (5,), (2, 3)])
+    @pytest.mark.parametrize("sign_free", [False, True])
+    def test_split_batches_match_one_worker(self, split_workers, d, N, batch, sign_free):
+        rng = np.random.default_rng(N + d + len(batch))
+        shape = batch + (N,) * d
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        results = []
+        for workers in (1, 2):
+            with split_workers(workers):
+                results.append((centered_fft(a, d, 0.3, sign_free=sign_free),
+                                centered_ifft(a, d, 0.3)))
+        for one, two in zip(*results):
+            assert np.array_equal(one, two)
+
+    def test_parts_cover_the_range_once(self, split_workers):
+        for workers in (1, 2):
+            with split_workers(workers):
+                for n in (1, 2, 5, 64):
+                    parts = core._split(lambda lo, hi: (lo, hi), n, 1 << 30)
+                    assert len(parts) == min(workers, n)
+                    assert [lo for lo, _ in parts] == [0] + [hi for _, hi in parts[:-1]]
+                    assert parts[-1][1] == n
+
+    def test_worker_error_is_raised(self, split_workers):
+        def fail_second_half(lo, hi):
+            if lo > 0:
+                raise FloatingPointError("second half")
+
+        with split_workers(2), pytest.raises(FloatingPointError, match="second half"):
+            core._split(fail_second_half, 4, 1 << 30)
+
+    def test_workers_keep_the_callers_errstate(self, split_workers):
+        a = np.full(4, 1e200)
+        with split_workers(2), np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            core._split(lambda lo, hi: a[lo:hi] * a[lo:hi], 4, 1 << 30)
+
+    def test_worker_cap_follows_usable_cores(self, monkeypatch):
+        threads, pool = threading.active_count(), core._pool
+        for cores, workers in [({0}, 1), (set(range(8)), 2)]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: c, raising=False)
+            assert core._worker_count() == workers
+        assert threading.active_count() == threads and core._pool is pool
+
+    def test_one_core_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(core, "_pool", None)
+        monkeypatch.setattr(core, "_SPLIT_BYTES", 0)
+        threads = threading.active_count()
+        assert core._split(lambda lo, hi: (lo, hi), 64, 1 << 30) == [(0, 64)]
+        assert core._pool == (1, None)
+        assert threading.active_count() == threads
+
+    def test_import_starts_no_thread(self):
+        # set-up time: the pool and concurrent.futures wait for the first split
+        code = ("import sys, threading, tfmult.cli; "
+                "print('concurrent.futures' in sys.modules, threading.active_count())")
+        env = dict(os.environ, PYTHONPATH=str(Path(tfmult.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout.split()
+        assert out == ["False", "1"]
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+    def test_forked_child_can_split(self, split_workers):
+        # the child inherits the pool object but not its thread
+        with split_workers(2):
+            core._split(lambda lo, hi: None, 4, 1 << 30)
+            child = multiprocessing.get_context("fork").Process(target=_split_in_child)
+            child.start()
+            child.join(30)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+                child.join()
+        assert not hung and child.exitcode == 0
+
+
+def _split_in_child():
+    a = np.arange(8.0)
+    parts = core._split(lambda lo, hi: a[lo:hi].sum(), 8, 1 << 30)
+    sys.exit(0 if parts == [6.0, 22.0] else 1)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tfmult import tf
+from tfmult import core, tf
 from tfmult.core import ParameterError, SampledField, centered_fft, l2_norm, make_grid, sample
 from tfmult.tf import (
     _CHUNK_BYTES,
@@ -371,3 +371,105 @@ class TestReusedChunkBuffers:
             m_inf_1_norm(f, g, stride, halfwidth, refine=False)
         with pytest.raises(ParameterError):
             amalgam_norm_wfl1(f, g, stride, halfwidth, refine=False)
+
+
+# (1, 1), (2, 1), (inf, 1) and (1, inf), each in both orders
+SPECS = [(p, q, order) for p, q in [(1.0, 1.0), (2.0, 1.0), (np.inf, 1.0), (1.0, np.inf)]
+         for order in (POSITIONS_INNER, FREQUENCIES_INNER)]
+
+
+def _case(window, L=8.0, seed=0):
+    d = 1 if window.endswith("1d") else 2
+    grid = make_grid(d, L, 64 if d == 1 else 32)
+    g = bump_chi(grid) if window == "bump_2d" else gaussian_window(grid)
+    return _random_field(grid, seed), g
+
+
+def _reference_norms(f, g, specs, stride, halfwidth):
+    """The specs reduced from np.abs(stft(...).values), position sums chunk by chunk.
+
+    Positions-inner sums run down each frequency column in the order and
+    with the chunk boundaries of ``_stft_chunks``; frequencies-inner ones
+    along each row.  |V|^p is ``np.power`` and the roots are ``**``, as in
+    ``_norms``.
+    """
+    grid = f.grid
+    S = stft(f, g, stride)
+    keep = np.ones(S.position_indices.size, dtype=bool)
+    if halfwidth is not None:
+        for axis_index in np.unravel_index(S.position_indices, grid.shape):
+            keep &= np.abs(grid.axis_positions()[axis_index]) <= halfwidth
+    A = np.abs(S.values[keep])
+    sizes = [len(js) for js, _ in tf._stft_chunks(f, g, stride, halfwidth)]
+    chunks = np.split(A, np.cumsum(sizes)[:-1])
+    wx, wxi = (grid.dx * stride) ** grid.d, grid.dxi ** grid.d
+
+    def lp(a, p, w, axis):
+        if p == np.inf:
+            return np.max(a, axis=axis)
+        return (np.sum(np.power(a, p), axis=axis) * w) ** (1.0 / p)
+
+    values = []
+    for p, q, order in specs:
+        if order == FREQUENCIES_INNER:
+            values.append(float(lp(lp(A, p, wxi, 1), q, wx, None)))
+            continue
+        if p == np.inf:
+            inner = A.max(axis=0)
+        else:
+            s = np.zeros(grid.npoints)
+            for c in chunks:
+                s = s + np.sum(np.power(c, p), axis=0)
+            inner = (s * wx) ** (1.0 / p)
+        values.append(float(lp(inner, q, wxi, None)))
+    return values
+
+
+class TestSignFreeModulus:
+    """The norms read |V| from the sign-free path; stft() keeps the signed one."""
+
+    @pytest.mark.parametrize("window", ["gaussian_1d", "gaussian_2d", "bump_2d"])
+    @pytest.mark.parametrize("L", [8.0, 9.0, 17.66])
+    @pytest.mark.parametrize("stride,quarter_box", [(1, False), (3, True)])
+    def test_matches_abs_of_stft(self, window, L, stride, quarter_box):
+        f, g = _case(window, L, seed=int(L) + stride)
+        grid = f.grid
+        hw = grid.L / 4.0 if quarter_box else None
+        rows = np.concatenate([A.copy() for _, A in tf._stft_chunks(f, g, stride, hw, True)])
+        signed = np.abs(np.concatenate([V.copy() for _, V in tf._stft_chunks(f, g, stride, hw)]))
+        got = _norms(f, g, SPECS, stride, hw)
+        want = _reference_norms(f, g, SPECS, stride, hw)
+        if L == 8.0:  # dx = 1/8 or 1/4: scaling |V| by dx^d is exact
+            assert np.array_equal(rows, signed)
+            assert got == want
+        else:
+            np.testing.assert_allclose(rows, signed, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+class TestTwoWorkers:
+    """Splitting every chunk stage over two threads changes no bit."""
+
+    @pytest.mark.parametrize("window", ["gaussian_1d", "gaussian_2d", "bump_2d"])
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("quarter_box", [False, True])
+    def test_matches_one_worker(self, monkeypatch, split_workers, window, stride,
+                                quarter_box):
+        f, g = _case(window, seed=stride)
+        grid = f.grid
+        # odd sizes: 5 positions per windowed chunk, 3 columns per row-column block
+        monkeypatch.setattr(tf, "_CHUNK_BYTES", 5 * 16 * grid.npoints)
+        monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * grid.npoints)
+        hw = grid.L / 4.0 if quarter_box else None
+        runs = []
+        for workers in (1, 2):
+            with split_workers(workers):
+                chunks = [(js.copy(), V.copy()) for modulus in (False, True)
+                          for js, V in tf._stft_chunks(f, g, stride, hw, modulus)]
+                runs.append((chunks, _norms(f, g, SPECS, stride, hw)))
+                assert (core._pool[1] is not None) == (workers == 2)
+        (chunks1, norms1), (chunks2, norms2) = runs
+        assert len(chunks1) == len(chunks2)
+        for (js1, V1), (js2, V2) in zip(chunks1, chunks2):
+            assert np.array_equal(js1, js2) and np.array_equal(V1, V2)
+        assert norms1 == norms2
