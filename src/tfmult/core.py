@@ -21,11 +21,11 @@ caller that owns its input can transform it with no new allocation.  The
 result is bit for bit the one of ``centered_fft(a, d, dx)``, which leaves
 ``a`` untouched and returns a new buffer.
 
-A caller that reads only the modulus passes ``sign_free=True`` and gets
-fftn(a) alone: it folds s into its data once (negation is exact, so
-(s * f) * w = s * (f * w) bit for bit), the output sign drops out of |.|,
-and it applies dx^d to the real modulus, which equals |centered_fft| bit
-for bit when dx is a power of two (and to a rounding otherwise).
+A caller that reads only the modulus passes a real buffer as ``modulus``:
+it folds s into its data once (negation is exact, so (s * f) * w =
+s * (f * w) bit for bit), the output sign drops out of |.|, and dx^d is
+applied to the real modulus, which equals |centered_fft| bit for bit when
+dx is a power of two (and to a rounding otherwise).
 
 Batched transforms are split over two threads along their last batch axis
 (one thread where only one core is usable, and none for arrays below
@@ -264,13 +264,14 @@ def _split(fn, n: int, nbytes: int) -> list:
     return [head, *tail]
 
 
-def _transform(a: np.ndarray, d: int, fft, out=None, scale_op=None, scale=1.0):
+def _transform(a: np.ndarray, d: int, fft, out, scale: float, scale_op=np.multiply,
+               modulus=None):
     """fft over the trailing d axes of a, into ``out`` (a new buffer if None).
 
-    With ``scale_op`` the checkerboard s goes on the way in and
-    scale_op(., s * scale) on the way out; without it ``a`` is transformed
-    as it is.  Leading axes are batch; the last of them is split over the
-    threads.
+    Signed: s goes on the way in and scale_op(., s * scale) on the way out.
+    With ``modulus``: a is transformed as it is, and |result| * scale goes
+    into modulus.  Leading axes are batch; the last of them is split over
+    the threads, each part running all of its steps.
     """
     shape = a.shape[a.ndim - d :]
     if any(n % 4 for n in shape):
@@ -279,25 +280,30 @@ def _transform(a: np.ndarray, d: int, fft, out=None, scale_op=None, scale=1.0):
         )
     if out is None:
         out = np.empty(a.shape, dtype=np.complex128)
-    sign = None if scale_op is None else _checkerboard(shape)
-    post = None if scale_op is None else _checkerboard(shape, scale)
-    src, dst = (a[None], out[None]) if a.ndim == d else (a, out)
-    axes = tuple(range(src.ndim - d, src.ndim))
+    signed = modulus is None
+    if signed:
+        sign, post = _checkerboard(shape), _checkerboard(shape, scale)
+    views = [a, out] if signed else [a, out, modulus]
+    if a.ndim == d:
+        views = [v[None] for v in views]
+    axes = tuple(range(views[0].ndim - d, views[0].ndim))
 
     def part(lo, hi):
         rows = (Ellipsis, slice(lo, hi)) + (slice(None),) * d
-        x, y = src[rows], dst[rows]
-        if sign is not None:
+        x, y, *m = (v[rows] for v in views)
+        if signed:
             x = np.multiply(x, sign, out=y, dtype=np.complex128)
         fft(x, axes=axes, out=y)
-        if post is not None:
+        if signed:
             scale_op(y, post, out=y)
+        else:
+            np.multiply(np.abs(y, out=m[0]), scale, out=m[0])
 
-    _split(part, src.shape[src.ndim - d - 1], out.nbytes)
-    return out
+    _split(part, views[0].shape[views[0].ndim - d - 1], out.nbytes)
+    return out if signed else modulus
 
 
-def centered_fft(a: np.ndarray, d: int, dx: float, out=None, sign_free=False) -> np.ndarray:
+def centered_fft(a: np.ndarray, d: int, dx: float, out=None, modulus=None) -> np.ndarray:
     """Centered-lattice DFT of the trailing d axes, scaled by dx^d.
 
     Approximates f_hat(xi) = int f(x) e^{-2 pi i x.xi} dx on the centered
@@ -306,18 +312,18 @@ def centered_fft(a: np.ndarray, d: int, dx: float, out=None, sign_free=False) ->
     array of a's shape (``a`` itself allowed), receives the result and is
     returned; without it a new buffer is returned.
 
-    ``sign_free=True`` returns fftn(a) alone, for a caller that has already
-    multiplied a by s and reads only the modulus: dx^d * |fftn(s * a)| =
-    |centered_fft(a, d, dx)|, bit for bit when dx is a power of two.
+    ``modulus``, a real array of a's shape, selects the sign-free path for a
+    caller that has already multiplied a by s: ``out`` receives fftn(a)
+    (no output sign, no scale), and dx^d * |fftn(a)| goes into ``modulus``,
+    which is returned.  That is |centered_fft(s * a, d, dx)|, bit for bit
+    when dx is a power of two.
     """
-    if sign_free:
-        return _transform(a, d, np.fft.fftn, out)
-    return _transform(a, d, np.fft.fftn, out, np.multiply, dx ** d)
+    return _transform(a, d, np.fft.fftn, out, dx ** d, modulus=modulus)
 
 
 def centered_ifft(a: np.ndarray, d: int, dx: float) -> np.ndarray:
     """Inverse of :func:`centered_fft` (e^{+2 pi i x.xi} convention)."""
-    return _transform(a, d, np.fft.ifftn, None, np.divide, dx ** d)
+    return _transform(a, d, np.fft.ifftn, None, dx ** d, np.divide)
 
 
 def forward_transform(f: SampledField) -> SampledField:

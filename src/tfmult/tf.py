@@ -29,8 +29,8 @@ the same layout: positions row-major, frequencies centered.
 
 A streamed pass allocates its chunk buffers once and reuses them for every
 chunk: each position row is written into the pass's buffer, transformed in
-place (``centered_fft(..., out=)``), and ``_norms`` takes |V| and its powers
-into buffers of its own.  The translates conj(T_x g) are read as views of
+place (``centered_fft(..., out=)``); on the modulus path |V| goes into one
+reused real buffer, and ``_norms`` takes its powers into one of its own.  The translates conj(T_x g) are read as views of
 conj(g) tiled three times per axis, so no gather index array is built.
 Each V that ``_stft_chunks`` yields is therefore a view of one reused
 buffer, valid only until the generator resumes: ``stft`` copies it, and
@@ -39,23 +39,23 @@ buffer, valid only until the generator resumes: ``stft`` copies it, and
 The norms read only |V|, so they take the sign-free path
 (``_stft_chunks(..., modulus=True)``): the checkerboard sign s is folded into
 the field once per pass (negation is exact, so every windowed row is the
-signed kernel's input up to sign), ``centered_fft(..., sign_free=True)``
-transforms without the output sign, which drops out of |V|, and the dx^d
-scale is applied to the real |V|.  In the row-column path s0 goes into the
-transposed field and s1 into g1 (the translates then carry s1 up to one sign
-per position); the axis-0 output sign s0(k0) is constant along each axis-1
-transform, and H keeps its factor dx, so only the axis-1 dx moves onto |V|.
-Moving a power-of-two scale is exact, so |V| is bit for bit that of
-``stft`` whenever dx is a power of two, and within a rounding otherwise.
-``stft`` keeps the signed path.
+signed kernel's input up to sign), and ``centered_fft(..., modulus=A)``
+transforms without the output sign, which drops out of |V|, and writes
+dx^d |V| into the real buffer A.  In the row-column path H keeps the signed
+axis-0 transform with its factor dx (once per position row), s1 is folded
+into g1 (the translates then carry it up to one sign per position), and
+H's output sign s0(k0) is constant along each axis-1 transform, so only the
+axis-1 dx moves onto |V|.  Moving a power-of-two scale is exact, so |V| is
+bit for bit that of ``stft`` whenever dx is a power of two, and within a
+rounding otherwise.  ``stft`` keeps the signed path.
 
 Every stage of a chunk is split over two threads (``core._split``): the
-window multiply by rows, the FFT by its batch, |V| with its scale and |V|^p
-by contiguous halves, the positions-inner sums and maxima by frequency
-column, and the frequencies-inner reductions by row.  Each output element
-is computed by the same operations in the same order as on one thread, so a
-split changes no bit.  The functions handed to the threads call only numpy,
-never a public ``tfmult`` function.
+window multiply by rows, the FFT with |V| and its scale by the transform's
+batch, |V|^p by contiguous halves, the positions-inner sums and maxima by
+frequency column, and the frequencies-inner reductions by row.  Each output
+element is computed by the same operations in the same order as on one
+thread, so a split changes no bit.  The functions handed to the threads
+call only numpy, never a public ``tfmult`` function.
 """
 
 from __future__ import annotations
@@ -222,22 +222,35 @@ def _translates(g: np.ndarray, axis_idx) -> np.ndarray:
     return windows[(slice(None, None, -1),) * g.ndim]
 
 
-def _windowed_chunks(fv: np.ndarray, gvals: np.ndarray, flat_idx, axis_idx, grid: Grid,
-                     sign_free: bool):
-    """Yield (flat position indices, centered_fft of f * conj(T_x g)) chunks, row-major.
+def _transformed(block: np.ndarray, d: int, dx: float, A):
+    """One chunk's centered_fft in place, as (rows, N^d): V, or |V| into A if given.
 
-    On the sign-free path s is folded into f once and the transforms are
-    left unsigned and unscaled.  Every chunk is a prefix of one buffer that
-    the next chunk overwrites.
+    With A the block must carry the checkerboard sign already (the sign-free
+    path); A[:rows] is returned.
     """
-    if sign_free:
+    rows = len(block)
+    if A is None:
+        return centered_fft(block, d, dx, out=block).reshape(rows, -1)
+    centered_fft(block, d, dx, out=block, modulus=A[:rows].reshape(block.shape))
+    return A[:rows]
+
+
+def _windowed_chunks(fv: np.ndarray, gvals: np.ndarray, flat_idx, axis_idx, grid: Grid,
+                     modulus: bool):
+    """Yield (flat position indices, rows of V_g f or |V_g f|) chunks, row-major.
+
+    For |V| the sign s is folded into f once.  Every chunk is a prefix of
+    buffers that the next chunk overwrites.
+    """
+    if modulus:
         fv = fv * _checkerboard(grid.shape)
     windows = _translates(gvals.reshape(grid.shape), axis_idx)
     npos_axes = windows.shape[: grid.d]
-    rows_per_chunk = max(1, _CHUNK_BYTES // (16 * grid.npoints))
-    buf = np.empty((min(rows_per_chunk, flat_idx.size), *grid.shape), dtype=np.complex128)
-    for start in range(0, flat_idx.size, rows_per_chunk):
-        stop = min(start + rows_per_chunk, flat_idx.size)
+    rows = min(max(1, _CHUNK_BYTES // (16 * grid.npoints)), flat_idx.size)
+    buf = np.empty((rows, *grid.shape), dtype=np.complex128)
+    A = np.empty((rows, grid.npoints)) if modulus else None
+    for start in range(0, flat_idx.size, rows):
+        stop = min(start + rows, flat_idx.size)
         block = buf[: stop - start]
 
         def fill(lo, hi):
@@ -249,49 +262,45 @@ def _windowed_chunks(fv: np.ndarray, gvals: np.ndarray, flat_idx, axis_idx, grid
                     np.multiply(fv, window, out=block[m])
 
         _split(fill, stop - start, block.nbytes)
-        centered_fft(block, grid.d, grid.dx, out=block, sign_free=sign_free)
-        yield flat_idx[start:stop], block.reshape(stop - start, -1)
+        yield flat_idx[start:stop], _transformed(block, grid.d, grid.dx, A)
 
 
-def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, sign_free: bool):
-    """Yield (flat position indices, V_g f rows) for a tensor-product 2D window.
+def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: bool):
+    """Yield (flat position indices, V_g f or |V_g f| rows) for a tensor-product 2D window.
 
     H = F0[f conj(T_{x_i} g0)] depends only on the position row i, so it is
     transformed once per row (on the transposed field, along contiguous
     rows) and then multiplied by each column's conj(T_{x_j} g1) before the
-    axis-1 transform.  On the sign-free path s0 is folded into the field and
-    s1 into g1; the translates then carry s1 up to one sign per position,
-    the axis-0 output sign s0(k0) is constant along each axis-1 transform,
-    and H keeps its factor dx, so the rows are |V_g f| / dx up to sign.
+    axis-1 transform.  H is always signed and scaled by dx.  For |V|, s1 is
+    folded into g1, so the translates carry it up to one sign per position;
+    H's output sign s0(k0) is constant along each axis-1 transform, and only
+    the axis-1 dx moves onto |V|.
     """
-    N, dx = grid.N, grid.dx
+    N = grid.N
     sel0, sel1 = axis_idx
     g0, g1 = factors
-    fT = np.ascontiguousarray(fv.T)
-    if sign_free:
-        fT *= _checkerboard((N,))
+    if modulus:
         g1 = g1 * _checkerboard((N,))
     rows0, rows1 = _translates(g0, (sel0,)), _translates(g1, (sel1,))
-    cols_per_chunk = max(1, _ROW_COLUMN_CHUNK_BYTES // (16 * N * N))
+    fT = np.ascontiguousarray(fv.T)
+    cols = min(max(1, _ROW_COLUMN_CHUNK_BYTES // (16 * N * N)), sel1.size)
     HT = np.empty((N, N), dtype=np.complex128)  # (x1, k0)
     H = np.empty((N, N), dtype=np.complex128)  # (k0, x1)
-    buf = np.empty((min(cols_per_chunk, sel1.size), N, N), dtype=np.complex128)
+    buf = np.empty((cols, N, N), dtype=np.complex128)
+    A = np.empty((cols, N * N)) if modulus else None
     for i, row0 in zip(sel0, rows0):
 
         def window_rows(lo, hi):
             np.multiply(fT[lo:hi], row0, out=HT[lo:hi])
 
         def transpose(lo, hi):
-            if sign_free:
-                np.multiply(HT.T[lo:hi], dx, out=H[lo:hi])
-            else:
-                H[lo:hi] = HT.T[lo:hi]
+            H[lo:hi] = HT.T[lo:hi]
 
         _split(window_rows, N, HT.nbytes)
-        centered_fft(HT, 1, dx, out=HT, sign_free=sign_free)
+        centered_fft(HT, 1, grid.dx, out=HT)
         _split(transpose, N, H.nbytes)
-        for start in range(0, sel1.size, cols_per_chunk):
-            stop = min(start + cols_per_chunk, sel1.size)
+        for start in range(0, sel1.size, cols):
+            stop = min(start + cols, sel1.size)
             block = buf[: stop - start]
             w = rows1[start:stop, None, :]
 
@@ -299,8 +308,7 @@ def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, sign_free:
                 np.multiply(H[lo:hi], w, out=block[:, lo:hi])
 
             _split(window_columns, N, block.nbytes)
-            centered_fft(block, 1, dx, out=block, sign_free=sign_free)
-            yield i * N + sel1[start:stop], block.reshape(stop - start, -1)
+            yield i * N + sel1[start:stop], _transformed(block, 1, grid.dx, A)
 
 
 def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None, modulus=False):
@@ -314,28 +322,11 @@ def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None, modulus=F
     grid = f.grid
     require_same_grid(grid, g.field.grid)
     flat_idx, axis_idx = _position_indices(grid, stride, halfwidth)
-    fv = f.reshaped()
     if grid.d == 2 and g.factors is not None:
-        chunks = _row_column_chunks(fv, g.factors, axis_idx, grid, modulus)
-        scale = grid.dx  # the axis-0 dx is already on H
+        yield from _row_column_chunks(f.reshaped(), g.factors, axis_idx, grid, modulus)
     else:
-        chunks = _windowed_chunks(fv, g.field.values, flat_idx, axis_idx, grid, modulus)
-        scale = grid.dx ** grid.d
-    if not modulus:
-        yield from chunks
-        return
-    A = None
-    for js, V in chunks:
-        if A is None:  # the first chunk is the largest
-            A = np.empty(V.shape)
-        a = A[: len(js)]
-        v, m = V.reshape(-1), a.reshape(-1)
-
-        def take_modulus(lo, hi):
-            np.multiply(np.abs(v[lo:hi], out=m[lo:hi]), scale, out=m[lo:hi])
-
-        _split(take_modulus, v.size, V.nbytes)
-        yield js, a
+        yield from _windowed_chunks(f.reshaped(), g.field.values, flat_idx, axis_idx, grid,
+                                    modulus)
 
 
 def stft(f: SampledField, g: Window, stride: int = 1) -> StftMatrix:
@@ -402,12 +393,15 @@ def _split_power(A: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
 
 
 def _accumulate_columns(a, s, is_max, col, lo, hi) -> None:
-    """Fold frequency columns lo:hi of one chunk into s: a max, or a sum over rows."""
-    c, t = col[lo:hi], s[lo:hi]
+    """Fold frequency columns lo:hi of one chunk into s: a max, or a sum over rows.
+
+    A single row is its own max and sum, so it is folded in directly.
+    """
+    a, c, t = a[:, lo:hi], col[lo:hi], s[lo:hi]
     if is_max:
-        np.maximum(t, a[:, lo:hi].max(axis=0, out=c), out=t)
+        np.maximum(t, a[0] if len(a) == 1 else a.max(axis=0, out=c), out=t)
     else:
-        np.add(t, np.sum(a[:, lo:hi], axis=0, out=c), out=t)
+        np.add(t, a[0] if len(a) == 1 else np.sum(a, axis=0, out=c), out=t)
 
 
 def _reduce_rows(A, P, ps, w, lo, hi) -> list:

@@ -248,39 +248,42 @@ class TestCheckerboardKernel:
     @pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
     @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
     @pytest.mark.parametrize("dx", [0.125, 37.3 / 64])
-    def test_sign_free(self, d, N, batch, dx):
-        # fftn of the presigned input is the signed kernel up to the output
-        # sign and the dx^d scale, and its modulus scaled by dx^d is exact
-        # when dx is a power of two
+    @pytest.mark.parametrize("aliased", [True, False])
+    def test_modulus(self, d, N, batch, dx, aliased):
+        # on the presigned input the transform is the signed kernel up to the
+        # output sign and the dx^d scale, and the modulus scaled by dx^d is
+        # exact when dx is a power of two
         rng = np.random.default_rng(N + d + len(batch))
         shape = batch + (N,) * d
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         presigned = a * _checkerboard((N,) * d)
+        before = presigned.copy()
         signed = centered_fft(a, d, dx)
-        free = centered_fft(presigned, d, dx, sign_free=True)
-        assert np.array_equal(free * _checkerboard((N,) * d, dx ** d), signed)
-        modulus = np.abs(free) * dx ** d
+        out = presigned if aliased else np.full(shape, np.nan, dtype=complex)
+        modulus = np.full(shape, np.nan)
+        assert centered_fft(presigned, d, dx, out=out, modulus=modulus) is modulus
+        assert np.array_equal(out * _checkerboard((N,) * d, dx ** d), signed)
         if dx == 0.125:
             assert np.array_equal(modulus, np.abs(signed))
         else:
             np.testing.assert_allclose(modulus, np.abs(signed), rtol=1e-15, atol=0.0)
-        assert centered_fft(presigned, d, dx, out=presigned, sign_free=True) is presigned
-        assert np.array_equal(presigned, free)
+        if not aliased:
+            assert np.array_equal(presigned, before)
 
 
 class TestThreadSplit:
     @pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
     @pytest.mark.parametrize("batch", [(), (1,), (5,), (2, 3)])
-    @pytest.mark.parametrize("sign_free", [False, True])
-    def test_split_batches_match_one_worker(self, split_workers, d, N, batch, sign_free):
+    def test_split_batches_match_one_worker(self, split_workers, d, N, batch):
         rng = np.random.default_rng(N + d + len(batch))
         shape = batch + (N,) * d
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         results = []
         for workers in (1, 2):
             with split_workers(workers):
-                results.append((centered_fft(a, d, 0.3, sign_free=sign_free),
-                                centered_ifft(a, d, 0.3)))
+                modulus = np.empty(shape)
+                results.append((centered_fft(a, d, 0.3), centered_ifft(a, d, 0.3),
+                                centered_fft(a, d, 0.3, modulus=modulus)))
         for one, two in zip(*results):
             assert np.array_equal(one, two)
 
