@@ -29,16 +29,18 @@ dx is a power of two (and to a rounding otherwise).
 
 Batched transforms are split over two threads along their last batch axis
 (one thread where only one core is usable, and none for arrays below
-``_SPLIT_BYTES``).  Every line is transformed on its own, so a split changes
-no bit.  The threads come from one module pool, created on the first split
-(importing ``core`` starts none), and run only numpy code: ``_split`` is the
-one way in, and the functions handed to it never call back into ``tfmult``.
+``_SPLIT_BYTES``), in pieces that the threads take in turn.  Every line is
+transformed on its own, so a split changes no bit.  The threads come from
+one module pool, created on the first split (importing ``core`` starts
+none), and run only numpy code: ``_split`` is the one way in, and the
+functions handed to it never call back into ``tfmult``.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
 import math
 import os
 import sys
@@ -202,6 +204,7 @@ def _checkerboard(shape: tuple, scale: float = 1.0) -> np.ndarray:
 
 
 _SPLIT_BYTES = 1 << 20  # smaller chunks run on the calling thread alone
+_PIECES = 4  # pieces per split, taken in turn by the threads
 _pool = None  # (workers, executor or None), made on the first split
 _pool_lock = threading.Lock()
 
@@ -239,29 +242,41 @@ def _executor():
 
 
 def _split(fn, n: int, nbytes: int) -> list:
-    """[fn(lo, hi) for consecutive parts lo:hi of range(n)], the parts in parallel.
+    """[fn(lo, hi) for consecutive pieces lo:hi of range(n)], the pieces in parallel.
 
     ``nbytes`` is the size of the data the call touches; below
     ``_SPLIT_BYTES``, for n < 2, or on one core, fn(0, n) runs alone on the
-    calling thread.  Otherwise the caller runs the first part while the pool
-    runs the rest, each in a copy of the caller's context (so numpy's
-    ``errstate`` holds there too), and every part has finished before this
-    returns or raises.  fn must touch disjoint data per part and call only
-    numpy, which releases the GIL in its loops.
+    calling thread.  Otherwise range(n) is cut into up to ``_PIECES`` pieces
+    that the caller and the pool threads take in turn, so a thread that
+    starts late (a busy or descheduled core) takes fewer pieces instead of
+    holding the others up.  Pool threads run in a copy of the caller's
+    context (so numpy's ``errstate`` holds there too), and every piece has
+    finished before this returns or raises.  fn must touch disjoint data
+    per piece and call only numpy, which releases the GIL in its loops.
     """
     if n < 2 or nbytes < _SPLIT_BYTES:
         return [fn(0, n)]
     workers, executor = _executor()
     if executor is None:
         return [fn(0, n)]
-    cuts = [n * k // workers for k in range(workers + 1)]
-    futures = [executor.submit(contextvars.copy_context().run, fn, lo, hi)
-               for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    pieces = min(n, _PIECES)
+    cuts = [n * k // pieces for k in range(pieces + 1)]
+    results = [None] * pieces
+    claim = itertools.count()  # next() is atomic under the GIL
+
+    def take_pieces():
+        while (k := next(claim)) < pieces:
+            results[k] = fn(cuts[k], cuts[k + 1])
+
+    futures = [executor.submit(contextvars.copy_context().run, take_pieces)
+               for _ in range(workers - 1)]
     try:
-        head = fn(cuts[0], cuts[1])
+        take_pieces()
     finally:
-        tail = [fut.result() for fut in futures]
-    return [head, *tail]
+        for fut in futures:
+            if not fut.cancel():  # a thread that has not started is not waited for
+                fut.result()
+    return results
 
 
 def _transform(a: np.ndarray, d: int, fft, out, scale: float, scale_op=np.multiply,

@@ -292,7 +292,7 @@ class TestThreadSplit:
             with split_workers(workers):
                 for n in (1, 2, 5, 64):
                     parts = core._split(lambda lo, hi: (lo, hi), n, 1 << 30)
-                    assert len(parts) == min(workers, n)
+                    assert len(parts) == (1 if workers == 1 else min(n, core._PIECES))
                     assert [lo for lo, _ in parts] == [0] + [hi for _, hi in parts[:-1]]
                     assert parts[-1][1] == n
 
@@ -352,4 +352,4 @@ class TestThreadSplit:
 def _split_in_child():
     a = np.arange(8.0)
     parts = core._split(lambda lo, hi: a[lo:hi].sum(), 8, 1 << 30)
-    sys.exit(0 if parts == [6.0, 22.0] else 1)
+    sys.exit(0 if len(parts) > 1 and sum(parts) == 28.0 else 1)
