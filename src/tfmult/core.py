@@ -204,7 +204,6 @@ def _checkerboard(shape: tuple, scale: float = 1.0) -> np.ndarray:
 
 
 _SPLIT_BYTES = 1 << 20  # smaller chunks run on the calling thread alone
-_PIECES = 4  # pieces per split, taken in turn by the threads
 _pool = None  # (workers, executor or None), made on the first split
 _pool_lock = threading.Lock()
 
@@ -246,20 +245,21 @@ def _split(fn, n: int, nbytes: int) -> list:
 
     ``nbytes`` is the size of the data the call touches; below
     ``_SPLIT_BYTES``, for n < 2, or on one core, fn(0, n) runs alone on the
-    calling thread.  Otherwise range(n) is cut into up to ``_PIECES`` pieces
-    that the caller and the pool threads take in turn, so a thread that
-    starts late (a busy or descheduled core) takes fewer pieces instead of
-    holding the others up.  Pool threads run in a copy of the caller's
-    context (so numpy's ``errstate`` holds there too), and every piece has
-    finished before this returns or raises.  fn must touch disjoint data
-    per piece and call only numpy, which releases the GIL in its loops.
+    calling thread.  Otherwise range(n) is cut into one piece per thread,
+    and the caller and the pool threads take the pieces in turn, so when a
+    pool thread starts late (a busy or descheduled core) the caller takes
+    its piece too instead of waiting for it.  Pool threads run in a copy of
+    the caller's context (so numpy's ``errstate`` holds there too), and
+    every piece has finished before this returns or raises.  fn must touch
+    disjoint data per piece and call only numpy, which releases the GIL in
+    its loops.
     """
     if n < 2 or nbytes < _SPLIT_BYTES:
         return [fn(0, n)]
     workers, executor = _executor()
     if executor is None:
         return [fn(0, n)]
-    pieces = min(n, _PIECES)
+    pieces = min(n, workers)
     cuts = [n * k // pieces for k in range(pieces + 1)]
     results = [None] * pieces
     claim = itertools.count()  # next() is atomic under the GIL

@@ -292,7 +292,7 @@ class TestThreadSplit:
             with split_workers(workers):
                 for n in (1, 2, 5, 64):
                     parts = core._split(lambda lo, hi: (lo, hi), n, 1 << 30)
-                    assert len(parts) == (1 if workers == 1 else min(n, core._PIECES))
+                    assert len(parts) == min(workers, n)
                     assert [lo for lo, _ in parts] == [0] + [hi for _, hi in parts[:-1]]
                     assert parts[-1][1] == n
 
