@@ -30,11 +30,12 @@ the same layout: positions row-major, frequencies centered.
 A streamed pass allocates its chunk buffers once and reuses them for every
 chunk: each position row is written into the pass's buffer, transformed in
 place (``centered_fft(..., out=)``); on the modulus path |V| goes into one
-reused real buffer, and ``_norms`` takes its powers into one of its own.  The translates conj(T_x g) are read as views of
-conj(g) tiled three times per axis, so no gather index array is built.
-Each V that ``_stft_chunks`` yields is therefore a view of one reused
-buffer, valid only until the generator resumes: ``stft`` copies it, and
-``_norms`` is done with it before asking for the next chunk.
+reused real buffer, and ``_norms`` takes its powers into one of its own.
+The translates conj(T_x g) are read as views of conj(g) tiled three times
+per axis, so no gather index array is built.  Each V that ``_stft_chunks``
+yields is therefore a view of one reused buffer, valid only until the
+generator resumes: ``stft`` copies it, and ``_norms`` is done with it
+before asking for the next chunk.
 
 The norms read only |V|, so they take the sign-free path
 (``_stft_chunks(..., modulus=True)``): the checkerboard sign s is folded into
