@@ -226,7 +226,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _executor():
-    """(workers, executor), the executor running all but the caller's part."""
+    """(workers, executor); the executor's workers - 1 threads work beside the caller."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -286,7 +286,7 @@ def _transform(a: np.ndarray, d: int, fft, out, scale: float, scale_op=np.multip
     Signed: s goes on the way in and scale_op(., s * scale) on the way out.
     With ``modulus``: a is transformed as it is, and |result| * scale goes
     into modulus.  Leading axes are batch; the last of them is split over
-    the threads, each part running all of its steps.
+    the threads, each piece running all of its steps.
     """
     shape = a.shape[a.ndim - d :]
     if any(n % 4 for n in shape):

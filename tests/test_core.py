@@ -297,17 +297,16 @@ class TestThreadSplit:
                     assert parts[-1][1] == n
 
     def test_worker_error_is_raised(self, split_workers):
-        def fail_second_half(lo, hi):
-            if lo > 0:
-                raise FloatingPointError("second half")
+        def fail(lo, hi):
+            raise FloatingPointError("in the pool")
 
-        with split_workers(2), pytest.raises(FloatingPointError, match="second half"):
-            core._split(fail_second_half, 4, 1 << 30)
+        with split_workers(2), pytest.raises(FloatingPointError, match="in the pool"):
+            core._split(_in_pool_thread(fail), 4, 1 << 30)
 
     def test_workers_keep_the_callers_errstate(self, split_workers):
-        a = np.full(4, 1e200)
+        a = np.full(2, 1e200)
         with split_workers(2), np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            core._split(lambda lo, hi: a[lo:hi] * a[lo:hi], 4, 1 << 30)
+            core._split(_in_pool_thread(lambda lo, hi: a * a), 4, 1 << 30)
 
     def test_worker_cap_follows_usable_cores(self, monkeypatch):
         threads, pool = threading.active_count(), core._pool
@@ -347,6 +346,22 @@ class TestThreadSplit:
                 child.kill()
                 child.join()
         assert not hung and child.exitcode == 0
+
+
+def _in_pool_thread(fn):
+    """A split piece that runs fn on a pool thread; the caller's piece waits for it."""
+    ran = threading.Event()
+
+    def piece(lo, hi):
+        if threading.current_thread() is threading.main_thread():
+            ran.wait(10)
+            return None
+        try:
+            return fn(lo, hi)
+        finally:
+            ran.set()
+
+    return piece
 
 
 def _split_in_child():

@@ -436,7 +436,8 @@ class TestSignFreeModulus:
         grid = f.grid
         hw = grid.L / 4.0 if quarter_box else None
         rows = np.concatenate([A.copy() for _, A in tf._stft_chunks(f, g, stride, hw, True)])
-        signed = np.abs(np.concatenate([V.copy() for _, V in tf._stft_chunks(f, g, stride, hw)]))
+        V = np.concatenate([V.copy() for _, V in tf._stft_chunks(f, g, stride, hw)])
+        signed = np.abs(V)
         got = _norms(f, g, SPECS, stride, hw)
         want = _reference_norms(f, g, SPECS, stride, hw)
         if L == 8.0:  # dx = 1/8 or 1/4: scaling |V| by dx^d is exact
