@@ -21,11 +21,15 @@ caller that owns its input can transform it with no new allocation.  The
 result is bit for bit the one of ``centered_fft(a, d, dx)``, which leaves
 ``a`` untouched and returns a new buffer.
 
-A caller that reads only the modulus passes a real buffer as ``modulus``:
-it folds s into its data once (negation is exact, so (s * f) * w =
-s * (f * w) bit for bit), the output sign drops out of |.|, and dx^d is
-applied to the real modulus, which equals |centered_fft| bit for bit when
-dx is a power of two (and to a rounding otherwise).
+A caller that reads only the modulus passes a real buffer as ``modulus``
+and an input that already carries s, made once by ``_presigned``: the
+output sign drops out of |.|, and dx^d is applied to the real modulus,
+which equals |centered_fft| bit for bit when dx is a power of two (and to
+a rounding otherwise).  Negation is exact, so a presigned factor carries s
+through products: (s * f) * w = s * (f * w) bit for bit.  And s flips sign
+with every lattice step along an axis, so a circular translate of s * g is
+s times the translate of g up to one sign per translate: a window factor
+presigned once yields presigned translates, and |.| ignores their sign.
 
 Batched transforms are split over two threads along their last batch axis
 (one thread where only one core is usable, and none for arrays below
@@ -203,7 +207,15 @@ def _checkerboard(shape: tuple, scale: float = 1.0) -> np.ndarray:
     return s
 
 
-_SPLIT_BYTES = 1 << 20  # smaller chunks run on the calling thread alone
+def _presigned(a: np.ndarray, d: int) -> np.ndarray:
+    """s * a over the trailing d axes (a new array): input for ``modulus=``."""
+    return a * _checkerboard(a.shape[a.ndim - d :])
+
+
+# Stages that touch fewer bytes run on the calling thread alone.  Measured
+# on whole benchmark runs: the 2D stages of 1 MiB (the N = 256 H) break even
+# when split, those of 2 MiB and up gain (see CHANGES.md).
+_SPLIT_BYTES = 3 << 19  # 1.5 MiB
 _pool = None  # (workers, executor or None), made on the first split
 _pool_lock = threading.Lock()
 
@@ -327,8 +339,8 @@ def centered_fft(a: np.ndarray, d: int, dx: float, out=None, modulus=None) -> np
     array of a's shape (``a`` itself allowed), receives the result and is
     returned; without it a new buffer is returned.
 
-    ``modulus``, a real array of a's shape, selects the sign-free path for a
-    caller that has already multiplied a by s: ``out`` receives fftn(a)
+    ``modulus``, a real array of a's shape, selects the sign-free path for
+    an ``a`` that carries s (see ``_presigned``): ``out`` receives fftn(a)
     (no output sign, no scale), and dx^d * |fftn(a)| goes into ``modulus``,
     which is returned.  That is |centered_fft(s * a, d, dx)|, bit for bit
     when dx is a power of two.

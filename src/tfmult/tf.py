@@ -38,17 +38,13 @@ generator resumes: ``stft`` copies it, and ``_norms`` is done with it
 before asking for the next chunk.
 
 The norms read only |V|, so they take the sign-free path
-(``_stft_chunks(..., modulus=True)``): the checkerboard sign s is folded into
-the field once per pass (negation is exact, so every windowed row is the
-signed kernel's input up to sign), and ``centered_fft(..., modulus=A)``
-transforms without the output sign, which drops out of |V|, and writes
-dx^d |V| into the real buffer A.  In the row-column path H keeps the signed
-axis-0 transform with its factor dx (once per position row), s1 is folded
-into g1 (the translates then carry it up to one sign per position), and
-H's output sign s0(k0) is constant along each axis-1 transform, so only the
-axis-1 dx moves onto |V|.  Moving a power-of-two scale is exact, so |V| is
-bit for bit that of ``stft`` whenever dx is a power of two, and within a
-rounding otherwise.  ``stft`` keeps the signed path.
+(``_stft_chunks(..., modulus=True)``): the field is presigned once per pass
+(``core._presigned``) and ``centered_fft(..., modulus=A)`` writes |V| into
+the real buffer A.  In the row-column path H stays the signed axis-0
+transform (once per position row) and g1 is presigned instead of the
+field.  ``core`` states why this gives |V| bit for bit that of ``stft``
+whenever dx is a power of two, and within a rounding otherwise.  ``stft``
+keeps the signed path.
 
 Every stage of a chunk is split over two threads (``core._split``): the
 window multiply by rows, the FFT with |V| and its scale by the transform's
@@ -71,7 +67,7 @@ from .core import (
     Grid,
     ParameterError,
     SampledField,
-    _checkerboard,
+    _presigned,
     _split,
     centered_fft,
     coarsen,
@@ -226,8 +222,8 @@ def _translates(g: np.ndarray, axis_idx) -> np.ndarray:
 def _transformed(block: np.ndarray, d: int, dx: float, A):
     """One chunk's centered_fft in place, as (rows, N^d): V, or |V| into A if given.
 
-    With A the block must carry the checkerboard sign already (the sign-free
-    path); A[:rows] is returned.
+    With A the block must be presigned (the sign-free path); A[:rows] is
+    returned.
     """
     rows = len(block)
     if A is None:
@@ -240,11 +236,11 @@ def _windowed_chunks(fv: np.ndarray, gvals: np.ndarray, flat_idx, axis_idx, grid
                      modulus: bool):
     """Yield (flat position indices, rows of V_g f or |V_g f|) chunks, row-major.
 
-    For |V| the sign s is folded into f once.  Every chunk is a prefix of
-    buffers that the next chunk overwrites.
+    For |V| f is presigned once.  Every chunk is a prefix of buffers that
+    the next chunk overwrites.
     """
     if modulus:
-        fv = fv * _checkerboard(grid.shape)
+        fv = _presigned(fv, grid.d)
     windows = _translates(gvals.reshape(grid.shape), axis_idx)
     npos_axes = windows.shape[: grid.d]
     rows = min(max(1, _CHUNK_BYTES // (16 * grid.npoints)), flat_idx.size)
@@ -272,16 +268,14 @@ def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: b
     H = F0[f conj(T_{x_i} g0)] depends only on the position row i, so it is
     transformed once per row (on the transposed field, along contiguous
     rows) and then multiplied by each column's conj(T_{x_j} g1) before the
-    axis-1 transform.  H is always signed and scaled by dx.  For |V|, s1 is
-    folded into g1, so the translates carry it up to one sign per position;
-    H's output sign s0(k0) is constant along each axis-1 transform, and only
-    the axis-1 dx moves onto |V|.
+    axis-1 transform.  H is always signed and scaled by dx; for |V|, g1 is
+    presigned.
     """
     N = grid.N
     sel0, sel1 = axis_idx
     g0, g1 = factors
     if modulus:
-        g1 = g1 * _checkerboard((N,))
+        g1 = _presigned(g1, 1)
     rows0, rows1 = _translates(g0, (sel0,)), _translates(g1, (sel1,))
     fT = np.ascontiguousarray(fv.T)
     cols = min(max(1, _ROW_COLUMN_CHUNK_BYTES // (16 * N * N)), sel1.size)

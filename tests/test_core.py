@@ -19,6 +19,7 @@ from tfmult.core import (
     SampledField,
     SamplingError,
     _checkerboard,
+    _presigned,
     centered_fft,
     centered_ifft,
     coarsen,
@@ -256,7 +257,7 @@ class TestCheckerboardKernel:
         rng = np.random.default_rng(N + d + len(batch))
         shape = batch + (N,) * d
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        presigned = a * _checkerboard((N,) * d)
+        presigned = _presigned(a, d)
         before = presigned.copy()
         signed = centered_fft(a, d, dx)
         out = presigned if aliased else np.full(shape, np.nan, dtype=complex)
@@ -269,6 +270,17 @@ class TestCheckerboardKernel:
             np.testing.assert_allclose(modulus, np.abs(signed), rtol=1e-15, atol=0.0)
         if not aliased:
             assert np.array_equal(presigned, before)
+
+    @pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
+    def test_translates_of_presigned_are_presigned(self, d, N):
+        # a window presigned once yields presigned translates, up to one sign
+        rng = np.random.default_rng(N + d)
+        g = rng.standard_normal((N,) * d) + 1j * rng.standard_normal((N,) * d)
+        axes = tuple(range(d))
+        for shift in [(0,) * d, (1,) * d, (3, 6)[:d], (N - 1, 2)[:d]]:
+            moved = np.roll(_presigned(g, d), shift, axes)
+            sign = (-1.0) ** sum(shift)
+            assert np.array_equal(moved, sign * _presigned(np.roll(g, shift, axes), d))
 
 
 class TestThreadSplit:

@@ -1,16 +1,18 @@
 """Record alternating parent/change runs of the benchmark into one JSON file.
 
     python3 tools/bench_record.py PARENT CHANGE --out BENCH_6.json \\
-        --workload amalgam_2d --workload suite_1d --pairs 10 --first-seed 600 --trace
+        --pairs 10 --first-seed 600
 
-PARENT and CHANGE are two checkouts of this repository.  For each workload,
-pair i runs ``python3 <side>/bench/run.py --workload W --seed S --seconds T
---trace 0`` once per side, with seed S = first-seed + i; even pairs run the
-parent first, odd pairs the change first, so a drift of the machine's speed
-over minutes falls on both sides alike.  Each run's final JSON line (the
-line ``bench/run.py`` ends with) and its ``machine:`` record are kept.  With
-``--trace`` one ``--trace 1`` run per side and workload follows the pairs,
-for the per-layer metrics.
+PARENT and CHANGE are two checkouts of this repository.  The workloads
+(every one, or those given with ``--workload``) and the run length T come
+from the change's ``BENCHMARK.json``.  For each workload, pair i runs
+``python3 <side>/bench/run.py --workload W --seed S --seconds T --trace 0``
+once per side, with seed S = first-seed + i; even pairs run the parent
+first, odd pairs the change first, so a drift of the machine's speed over
+minutes falls on both sides alike.  Each run's final JSON line (the line
+``bench/run.py`` ends with) and its ``machine:`` record are kept.  One
+``--trace 1`` run per side and workload follows the pairs, for the
+per-layer metrics.
 
 The file holds the machine record, the command, every pair, and per metric
 and side the median and quartiles (``statistics.quantiles``, inclusive
@@ -48,11 +50,6 @@ def _run(side: Path, workload: str, seed: int, seconds: float, trace: int) -> di
             "result": result}
 
 
-def _better(change: Path) -> dict:
-    spec = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
-
-
 def _summary(pairs: list, better: dict) -> dict:
     """Per metric: median and quartiles of each side, and the change's wins."""
     out = {}
@@ -88,16 +85,17 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--workload", action="append")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--trace", action="store_true")
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    better = _better(sides["change"])
+    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
-    record = {"command": ["python3", "bench/run.py", "--seconds", str(args.seconds),
+    record = {"command": ["python3", "bench/run.py", "--seconds", str(seconds),
                           "--trace", "0"],
               "machine": None, "commits": {}, "workloads": {}}
     ok = True
@@ -105,14 +103,14 @@ def main(argv=None) -> int:
     def save():
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
-    for workload in args.workload:
+    for workload in workloads:
         entry = record["workloads"][workload] = {"pairs": [], "summary": {}, "traced": {}}
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                run = _run(sides[side], workload, seed, args.seconds, 0)
+                run = _run(sides[side], workload, seed, seconds, 0)
                 ok = ok and _ok(run)
                 machine = run.pop("machine") or {}
                 record["commits"][side] = machine.pop("commit", None)
@@ -124,13 +122,12 @@ def main(argv=None) -> int:
             entry["pairs"].append(pair)
             entry["summary"] = _summary(entry["pairs"], better)
             save()
-        if args.trace:
-            for side in ("parent", "change"):
-                run = _run(sides[side], workload, args.first_seed, args.seconds, 1)
-                ok = ok and _ok(run)
-                run.pop("machine")
-                entry["traced"][side] = run
-                save()
+        for side in ("parent", "change"):
+            run = _run(sides[side], workload, args.first_seed, seconds, 1)
+            ok = ok and _ok(run)
+            run.pop("machine")
+            entry["traced"][side] = run
+            save()
     return 0 if ok else 1
 
 
