@@ -331,13 +331,17 @@ def _run_operator_probe(cfg):
     pq_list = [(1.0, 1.0), (2.0, 2.0), (float("inf"), 1.0), (1.0, float("inf"))]
     N = _int(cfg, "n", 512)
     L = _float(cfg, "l", 32.0)
+    probes = {}  # per N: the family, window and base norms, which no alpha changes
+    for NN in (N, 2 * N):
+        grid = make_grid(1, L, NN)
+        family, g = verify.probe_family(grid), gaussian_window(grid)
+        probes[NN] = (grid, family, g, verify.probe_base_norms(family, g, pq_list))
     rows, ok = [], True
     for alpha in alphas:
         maxima = {}
-        for NN in (N, 2 * N):
-            grid = make_grid(1, L, NN)
+        for NN, (grid, family, g, base) in probes.items():
             sig = symbol_unimodular(grid, alpha, t=1.0)
-            reps = verify.probe_ratios(sig, pq_list)
+            reps = verify.probe_ratios(sig, pq_list, family, g, base)
             maxima[NN] = {pq: reps[pq].max_ratio for pq in pq_list}
         for pq in pq_list:
             a, b = maxima[N][pq], maxima[2 * N][pq]

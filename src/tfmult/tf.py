@@ -27,15 +27,26 @@ carries per-axis ``factors``); ``bump_chi``, ``annulus_psi`` and
 ``custom_window`` take one full 2D transform per position.  Both paths yield
 the same layout: positions row-major, frequencies centered.
 
-A streamed pass allocates its chunk buffers once and reuses them for every
-chunk: each position row is written into the pass's buffer, transformed in
-place (``centered_fft(..., out=)``); on the modulus path |V| goes into one
-reused real buffer, and ``_norms`` takes its powers into one of its own.
-The translates conj(T_x g) are read as views of conj(g) tiled three times
-per axis, so no gather index array is built.  Each V that ``_stft_chunks``
+A streamed pass reuses its chunk buffers for every chunk: each position
+row is written into the pass's buffer, transformed in place
+(``centered_fft(..., out=)``); on the modulus path |V| goes into one real
+buffer, and ``_norms`` takes its powers into one of its own.  The
+translates conj(T_x g) are read as views of conj(g) tiled three times per
+axis, so no gather index array is built.  Each V that ``_stft_chunks``
 yields is therefore a view of one reused buffer, valid only until the
-generator resumes: ``stft`` copies it, and ``_norms`` is done with it
-before asking for the next chunk.
+generator resumes or ends: ``stft`` copies it, and ``_norms`` is done with
+it before asking for the next chunk.
+
+The buffers also outlive the pass (``_pass_buffers``): one module store
+keeps a spare per role (the chunk, |V|, |V|^p, and the row-column H and
+HT), which the next pass takes instead of faulting in fresh pages.  A pass
+gives its buffers back when its generator ends or is closed; one that runs
+beside it finds no spare and allocates its own.  Spares only grow, so the
+largest retained set is that of the 1D N = 2048 powered pass: the 64 MiB
+chunk and the 32 MiB |V| and |V|^p buffers, 128 MiB in all.  ``stft``
+drops every spare before and after it materializes its matrix, so none
+stays under the matrix or what its caller computes from it.  Chunk sizes
+do not depend on the spares, so no sum changes its order.
 
 The norms read only |V|, so they take the sign-free path
 (``_stft_chunks(..., modulus=True)``): the field is presigned once per pass
@@ -57,8 +68,11 @@ call only numpy, never a public ``tfmult`` function.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -82,6 +96,63 @@ FREQUENCIES_INNER = "frequencies-inner"
 
 _CHUNK_BYTES = 1 << 26  # ~64 MiB of complex rows per streamed chunk
 _ROW_COLUMN_CHUNK_BYTES = 1 << 22  # ~4 MiB per row-column block
+
+# Spare pass buffers kept between passes, one flat array per role ("chunk",
+# "modulus", "power", "H", "HT").  See the module docstring.
+_spares: dict = {}
+_spares_lock = threading.Lock()
+
+
+def _forget_spares() -> None:
+    """A forked child lacks the thread that may hold the lock: start from an empty store."""
+    global _spares, _spares_lock
+    _spares, _spares_lock = {}, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_spares)
+
+
+def _release_spares() -> None:
+    """Drop every spare; buffers held by running passes come back when they end."""
+    with _spares_lock:
+        _spares.clear()
+
+
+@contextlib.contextmanager
+def _pass_buffers():
+    """``take(role, shape, dtype)`` for one pass; its buffers become spares on exit.
+
+    ``take`` pops the role's spare and returns it shaped as a prefix view.
+    A pass that finds no spare allocates a buffer of exactly its size; so
+    does a pass that runs beside the one holding the spare (a nested or
+    interleaved generator, another thread).  A spare too small for the
+    pass is dropped, and so are the other spares: a larger pass makes a new
+    set, and spares freed together leave the heap one hole that its buffers
+    can reuse.  On exit each buffer goes back unless the store already has
+    a larger one for its role.
+    """
+    held = {}
+
+    def take(role, shape, dtype=np.float64):
+        n = math.prod(shape)
+        with _spares_lock:
+            spare = _spares.pop(role, None)
+            if spare is not None and spare.size < n:
+                spare = None  # dropped before the new one is allocated
+                _spares.clear()
+        if spare is None:
+            spare = np.empty(n, dtype)
+        held[role] = spare
+        return spare[:n].reshape(shape)
+
+    try:
+        yield take
+    finally:
+        with _spares_lock:
+            for role, buf in held.items():
+                if role not in _spares or _spares[role].size < buf.size:
+                    _spares[role] = buf
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +315,23 @@ def _windowed_chunks(fv: np.ndarray, gvals: np.ndarray, flat_idx, axis_idx, grid
     windows = _translates(gvals.reshape(grid.shape), axis_idx)
     npos_axes = windows.shape[: grid.d]
     rows = min(max(1, _CHUNK_BYTES // (16 * grid.npoints)), flat_idx.size)
-    buf = np.empty((rows, *grid.shape), dtype=np.complex128)
-    A = np.empty((rows, grid.npoints)) if modulus else None
-    for start in range(0, flat_idx.size, rows):
-        stop = min(start + rows, flat_idx.size)
-        block = buf[: stop - start]
+    with _pass_buffers() as take:
+        buf = take("chunk", (rows, *grid.shape), np.complex128)
+        A = take("modulus", (rows, grid.npoints)) if modulus else None
+        for start in range(0, flat_idx.size, rows):
+            stop = min(start + rows, flat_idx.size)
+            block = buf[: stop - start]
 
-        def fill(lo, hi):
-            if grid.d == 1:
-                np.multiply(fv, windows[start + lo : start + hi], out=block[lo:hi])
-            else:
-                for m in range(lo, hi):
-                    window = windows[np.unravel_index(start + m, npos_axes)]
-                    np.multiply(fv, window, out=block[m])
+            def fill(lo, hi):
+                if grid.d == 1:
+                    np.multiply(fv, windows[start + lo : start + hi], out=block[lo:hi])
+                else:
+                    for m in range(lo, hi):
+                        window = windows[np.unravel_index(start + m, npos_axes)]
+                        np.multiply(fv, window, out=block[m])
 
-        _split(fill, stop - start, block.nbytes)
-        yield flat_idx[start:stop], _transformed(block, grid.d, grid.dx, A)
+            _split(fill, stop - start, block.nbytes)
+            yield flat_idx[start:stop], _transformed(block, grid.d, grid.dx, A)
 
 
 def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: bool):
@@ -279,31 +351,32 @@ def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: b
     rows0, rows1 = _translates(g0, (sel0,)), _translates(g1, (sel1,))
     fT = np.ascontiguousarray(fv.T)
     cols = min(max(1, _ROW_COLUMN_CHUNK_BYTES // (16 * N * N)), sel1.size)
-    HT = np.empty((N, N), dtype=np.complex128)  # (x1, k0)
-    H = np.empty((N, N), dtype=np.complex128)  # (k0, x1)
-    buf = np.empty((cols, N, N), dtype=np.complex128)
-    A = np.empty((cols, N * N)) if modulus else None
-    for i, row0 in zip(sel0, rows0):
+    with _pass_buffers() as take:
+        HT = take("HT", (N, N), np.complex128)  # (x1, k0)
+        H = take("H", (N, N), np.complex128)  # (k0, x1)
+        buf = take("chunk", (cols, N, N), np.complex128)
+        A = take("modulus", (cols, N * N)) if modulus else None
+        for i, row0 in zip(sel0, rows0):
 
-        def window_rows(lo, hi):
-            np.multiply(fT[lo:hi], row0, out=HT[lo:hi])
+            def window_rows(lo, hi):
+                np.multiply(fT[lo:hi], row0, out=HT[lo:hi])
 
-        def transpose(lo, hi):
-            H[lo:hi] = HT.T[lo:hi]
+            def transpose(lo, hi):
+                H[lo:hi] = HT.T[lo:hi]
 
-        _split(window_rows, N, HT.nbytes)
-        centered_fft(HT, 1, grid.dx, out=HT)
-        _split(transpose, N, H.nbytes)
-        for start in range(0, sel1.size, cols):
-            stop = min(start + cols, sel1.size)
-            block = buf[: stop - start]
-            w = rows1[start:stop, None, :]
+            _split(window_rows, N, HT.nbytes)
+            centered_fft(HT, 1, grid.dx, out=HT)
+            _split(transpose, N, H.nbytes)
+            for start in range(0, sel1.size, cols):
+                stop = min(start + cols, sel1.size)
+                block = buf[: stop - start]
+                w = rows1[start:stop, None, :]
 
-            def window_columns(lo, hi):
-                np.multiply(H[lo:hi], w, out=block[:, lo:hi])
+                def window_columns(lo, hi):
+                    np.multiply(H[lo:hi], w, out=block[:, lo:hi])
 
-            _split(window_columns, N, block.nbytes)
-            yield i * N + sel1[start:stop], _transformed(block, 1, grid.dx, A)
+                _split(window_columns, N, block.nbytes)
+                yield i * N + sel1[start:stop], _transformed(block, 1, grid.dx, A)
 
 
 def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None, modulus=False):
@@ -330,11 +403,13 @@ def stft(f: SampledField, g: Window, stride: int = 1) -> StftMatrix:
     require_same_grid(grid, g.field.grid)
     flat_idx, _ = _position_indices(grid, stride, None)
     npos = flat_idx.size
+    _release_spares()  # no spare stays under the matrix
     values = np.empty((npos, grid.npoints), dtype=np.complex128)
     row = 0
     for js, V in _stft_chunks(f, g, stride):
         values[row : row + len(js)] = V
         row += len(js)
+    _release_spares()  # nor under what the caller computes from it
     return StftMatrix(grid, values, flat_idx, stride)
 
 
@@ -363,10 +438,16 @@ def _check_exponent(p) -> float:
 
 
 def _pow(a, p: float, out=None):
-    """a ** p, into out when given; no pass when p == 1 (x ** 1.0 == x)."""
+    """a ** p, into out when given; no pass when p == 1 (x ** 1.0 == x).
+
+    Into out, p == 2 takes ``np.square``: the bits of ``np.power(a, 2.0)``,
+    in less time (``a ** p`` already squares that way).
+    """
     if p == 1.0:
         return a
-    return a ** p if out is None else np.power(a, p, out=out)
+    if out is None:
+        return a ** p
+    return np.square(a, out=out) if p == 2.0 else np.power(a, p, out=out)
 
 
 def _lp_reduce(a: np.ndarray, p: float, w: float, axis, out=None):
@@ -381,7 +462,7 @@ def _split_power(A: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
     a, o = A.reshape(-1), out.reshape(-1)
 
     def part(lo, hi):
-        np.power(a[lo:hi], p, out=o[lo:hi])
+        _pow(a[lo:hi], p, out=o[lo:hi])
 
     _split(part, a.size, A.nbytes)
     return out
@@ -427,20 +508,21 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     powered = any(p != 1.0 and not math.isinf(p) for p, _, _ in specs)
     col = np.empty(grid.npoints)
     P = None
-    for _, A in _stft_chunks(f, g, stride, halfwidth, modulus=True):
-        if powered and P is None:  # the first chunk is the largest
-            P = np.empty(A.shape)
-        pa = None if P is None else P[: len(A)]
-        for p, s in acc.items():
-            a = A if p == 1.0 or math.isinf(p) else _split_power(A, p, pa)
-            _split(functools.partial(_accumulate_columns, a, s, math.isinf(p), col),
-                   A.shape[1], A.nbytes)
-        if rows:
-            parts = _split(functools.partial(_reduce_rows, A, pa, list(rows), wxi),
-                           len(A), A.nbytes)
-            for part in parts:
-                for r, values in zip(rows.values(), part):
-                    r.append(values)
+    with _pass_buffers() as take:
+        for _, A in _stft_chunks(f, g, stride, halfwidth, modulus=True):
+            if powered and P is None:  # the first chunk is the largest
+                P = take("power", A.shape)
+            pa = None if P is None else P[: len(A)]
+            for p, s in acc.items():
+                a = A if p == 1.0 or math.isinf(p) else _split_power(A, p, pa)
+                _split(functools.partial(_accumulate_columns, a, s, math.isinf(p), col),
+                       A.shape[1], A.nbytes)
+            if rows:
+                parts = _split(functools.partial(_reduce_rows, A, pa, list(rows), wxi),
+                               len(A), A.nbytes)
+                for part in parts:
+                    for r, values in zip(rows.values(), part):
+                        r.append(values)
     out = []
     for p, q, order in specs:
         if order == POSITIONS_INNER:

@@ -554,19 +554,29 @@ def probe_family(grid: Grid, lambdas=(0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)) -> 
     return fams
 
 
-def probe_ratios(sigma: Symbol, pq_list, family=None, window: Window | None = None) -> dict:
+def probe_base_norms(family, window: Window, pq_list) -> dict:
+    """{label: {(p, q): ||f||}} for every probe f of the family, one pass each."""
+    return {label: modulation_norms_multi(f, window, pq_list) for label, f in family}
+
+
+def probe_ratios(sigma: Symbol, pq_list, family=None, window: Window | None = None,
+                 base_norms: dict | None = None) -> dict:
     """Norm ratios ||H_sigma f|| / ||f|| over a probe family, all (p, q) at once.
 
     Lower bounds for the operator norm; the suite asserts boundedness through
-    refinement stability, not a true operator norm.
+    refinement stability, not a true operator norm.  ``base_norms``, from
+    ``probe_base_norms`` of the same family, window and (p, q) list, saves
+    recomputing the ||f||, which do not depend on sigma.
     """
     grid = sigma.grid
     family = family if family is not None else probe_family(grid)
     g = window or gaussian_window(grid)
+    if base_norms is None:
+        base_norms = probe_base_norms(family, g, pq_list)
     reports = {pq: ProbeReport(sigma.descriptor, pq[0], pq[1], [], [], 0.0, grid)
                for pq in pq_list}
     for label, f in family:
-        base = modulation_norms_multi(f, g, pq_list)
+        base = base_norms[label]
         out = apply_multiplier(sigma, f)
         moved = modulation_norms_multi(out, g, pq_list)
         for pq in pq_list:

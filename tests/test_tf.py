@@ -1,5 +1,9 @@
 """STFT correctness, window machinery, and mixed-norm reductions."""
 
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -269,6 +273,7 @@ class TestMixedNorms:
         assert grid.N == 4096
         f = chirp_field(grid, 1.0)
         g = gaussian_window(grid)
+        tf._release_spares()  # a cold pass: no spare buffer to reuse
         tracemalloc.start()
         try:
             m_inf_1_norm(f, g, position_halfwidth=grid.L / 4, refine=False)
@@ -295,6 +300,7 @@ class TestMixedNorms:
 
             def norm():
                 amalgam_norm_wfl1(f, g, stride=2, refine=False)
+        tf._release_spares()  # a cold pass: no spare buffer to reuse
         tracemalloc.start()
         try:
             norm()
@@ -474,3 +480,149 @@ class TestTwoWorkers:
         for (js1, V1), (js2, V2) in zip(chunks1, chunks2):
             assert np.array_equal(js1, js2) and np.array_equal(V1, V2)
         assert norms1 == norms2
+
+
+class TestSpareBuffers:
+    """Passes reuse the spare chunk buffers of earlier passes; concurrent ones do not."""
+
+    @staticmethod
+    def _small_chunks(monkeypatch, grid):
+        # 5 positions per windowed chunk, 3 columns per row-column block
+        monkeypatch.setattr(tf, "_CHUNK_BYTES", 5 * 16 * grid.npoints)
+        monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * grid.npoints)
+
+    @pytest.mark.parametrize("window", ["gaussian_1d", "gaussian_2d", "bump_2d"])
+    @pytest.mark.parametrize("modulus", [False, True])
+    def test_consecutive_passes_share_buffers(self, monkeypatch, window, modulus):
+        f, g = _case(window)
+        self._small_chunks(monkeypatch, f.grid)
+        tf._release_spares()
+        passes = []
+        for _ in range(3):
+            chunks = tf._stft_chunks(f, g, 1, None, modulus)
+            first = next(chunks)[1]
+            passes.append((first, [first.copy()] + [V.copy() for _, V in chunks]))
+        (cold_view, cold), (warm_view, warm), (_, warmer) = passes
+        assert np.shares_memory(cold_view, warm_view)
+        for rows in (warm, warmer):
+            assert len(rows) == len(cold) > 1
+            assert all(np.array_equal(a, b) for a, b in zip(rows, cold))
+
+    @pytest.mark.parametrize("window", ["gaussian_1d", "gaussian_2d", "bump_2d"])
+    def test_interleaved_passes_get_their_own_buffers(self, monkeypatch, window):
+        f, g = _case(window)
+        self._small_chunks(monkeypatch, f.grid)
+        tf._norms(f, g, SPECS)  # leaves spares of every role
+        one, two = (tf._stft_chunks(f, g, 1, None, True) for _ in range(2))
+        n = 0
+        for (js1, A1), (js2, A2) in zip(one, two):
+            assert not np.shares_memory(A1, A2)
+            assert np.array_equal(js1, js2) and np.array_equal(A1, A2)
+            n += 1
+        assert n > 1
+
+    def test_nested_pass_keeps_the_outer_rows(self, monkeypatch):
+        f, g = _case("gaussian_1d")
+        self._small_chunks(monkeypatch, f.grid)
+        want = _norms(f, g, SPECS)
+        outer = tf._stft_chunks(f, g, 1, None, True)
+        _, A = next(outer)
+        before = A.copy()
+        assert _norms(f, g, SPECS) == want
+        assert np.array_equal(A, before)
+        outer.close()
+
+    def test_closed_partly_read_pass_returns_its_buffers(self, monkeypatch):
+        f, g = _case("gaussian_2d")
+        self._small_chunks(monkeypatch, f.grid)
+        tf._release_spares()
+        chunks = tf._stft_chunks(f, g, 1, None, True)
+        _, A = next(chunks)
+        assert not tf._spares
+        chunks.close()
+        assert set(tf._spares) == {"chunk", "modulus", "H", "HT"}
+        assert np.shares_memory(tf._spares["modulus"], A)
+
+    def test_larger_pass_drops_every_spare(self):
+        small, g = _case("gaussian_2d")
+        _norms(small, g, SPECS)
+        assert set(tf._spares) >= {"chunk", "modulus", "power", "H", "HT"}
+        old = dict(tf._spares)
+        big = make_grid(2, 8.0, 2 * small.grid.N)
+        chunks = tf._stft_chunks(_random_field(big, 1), gaussian_window(big), 1, None, True)
+        next(chunks)
+        assert not tf._spares  # "power", unused by this pass, went too
+        chunks.close()
+        assert not any(np.shares_memory(tf._spares[r], old[r]) for r in tf._spares)
+
+    def test_stft_leaves_no_spare(self):
+        f, g = _case("gaussian_1d")
+        _norms(f, g, SPECS)
+        assert set(tf._spares) >= {"chunk", "modulus", "power"}
+        stft(f, g)
+        assert tf._spares == {}
+
+    def test_warm_pass_allocates_no_chunk(self):
+        grid = _divergence_grid(64.0, 1.0)
+        assert grid.N == 4096
+        f, g = chirp_field(grid, 1.0), gaussian_window(grid)
+
+        def norm():
+            return m_inf_1_norm(f, g, position_halfwidth=grid.L / 4, refine=False).value
+
+        want = norm()
+        tracemalloc.start()
+        try:
+            assert norm() == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _CHUNK_BYTES // 16
+
+    def test_threads_give_equal_norms(self, monkeypatch):
+        # more threads than cores, switching often: two passes that got the
+        # same spare would overwrite each other's rows
+        f, g = _case("gaussian_2d")
+        self._small_chunks(monkeypatch, f.grid)
+        want = _norms(f, g, SPECS)
+        nthreads = 4
+        start = threading.Barrier(nthreads)
+        got = [[] for _ in range(nthreads)]
+
+        def run(k):
+            start.wait(10)
+            for _ in range(10):
+                got[k].append(_norms(f, g, SPECS))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(nthreads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[want] * 10] * nthreads
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+    def test_forked_child_can_run_a_pass(self):
+        # the child inherits the store, but not the thread that holds its lock
+        f, g = _case("gaussian_1d")
+        want = _norms(f, g, SPECS)
+        ctx = multiprocessing.get_context("fork")
+        with tf._spares_lock:
+            child = ctx.Process(target=_norms_in_child, args=(f, g, want))
+            child.start()
+        child.join(30)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
+
+
+def _norms_in_child(f, g, want):
+    os._exit(0 if _norms(f, g, SPECS) == want else 1)

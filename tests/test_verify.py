@@ -7,6 +7,7 @@ import pytest
 
 from tfmult.core import ParameterError, make_grid, sample
 from tfmult.mult import symbol_unimodular
+from tfmult.tf import gaussian_window
 from tfmult import verify
 from tfmult.verify import (
     DEFAULT_SEED,
@@ -160,6 +161,16 @@ class TestProbesAndContrast:
         sig = symbol_unimodular(grid, 1.0, t=1.0)
         rep = verify.probe_ratios(sig, [(2.0, 2.0)])[(2.0, 2.0)]
         assert np.allclose(rep.ratios, 1.0, atol=1e-12)
+
+    def test_probe_ratios_with_precomputed_base_norms(self):
+        grid = make_grid(1, 16.0, 256)
+        sig = symbol_unimodular(grid, 1.5, t=1.0)
+        pq_list = [(1.0, 1.0), (2.0, 2.0), (math.inf, 1.0), (1.0, math.inf)]
+        family = verify.probe_family(grid)
+        g = gaussian_window(grid)
+        base = verify.probe_base_norms(family, g, pq_list)
+        assert verify.probe_ratios(sig, pq_list, family, g, base) == \
+            verify.probe_ratios(sig, pq_list)
 
     def test_probe_family_labels_unique(self):
         grid = make_grid(1, 16.0, 128)
