@@ -41,12 +41,13 @@ The buffers also outlive the pass (``_pass_buffers``): one module store
 keeps a spare per role (the chunk, |V|, |V|^p, and the row-column H and
 HT), which the next pass takes instead of faulting in fresh pages.  A pass
 gives its buffers back when its generator ends or is closed; one that runs
-beside it finds no spare and allocates its own.  Spares only grow, so the
-largest retained set is that of the 1D N = 2048 powered pass: the 64 MiB
-chunk and the 32 MiB |V| and |V|^p buffers, 128 MiB in all.  ``stft``
-drops every spare before and after it materializes its matrix, so none
-stays under the matrix or what its caller computes from it.  Chunk sizes
-do not depend on the spares, so no sum changes its order.
+beside it finds no spare and allocates its own.  Each spare is sized for
+a pass that ran, so in the paper's runs the largest retained set is that
+of the 1D N = 2048 powered pass: the 64 MiB chunk and the 32 MiB |V| and
+|V|^p buffers, 128 MiB in all.  ``stft`` drops every spare before and
+after it materializes its matrix, so none stays under the matrix or what
+its caller computes from it.  Chunk sizes do not depend on the spares, so
+no sum changes its order.
 
 The norms read only |V|, so they take the sign-free path
 (``_stft_chunks(..., modulus=True)``): the field is presigned once per pass
