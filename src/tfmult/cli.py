@@ -10,6 +10,14 @@ pairs, lists comma-separated.  Results land in the directory named by the
 ``out`` key (overridden by the TFMULT_OUT environment variable) as
 ``results.csv`` plus, for table experiments, ``plot.svg``.
 
+Parameter schema, the one place where keys, defaults and ranges live: the
+keys an experiment takes are its runner's keyword parameters, with the
+keyword defaults as their defaults; ``PARSERS`` gives each key's kind and
+``RULES`` each experiment's range and cross-key checks.  ``parse_params``
+reads only these.  ``validate`` stops after it and ``run`` calls the runner
+on its result, so the two cannot disagree.  A key the experiment does not
+take is an error.
+
 CSV schema (stable column order): experiment, parameters, measured,
 predicted, rel_deviation, refinement_estimate.  The predicted column is
 empty when no closed-form prediction applies.  Exit codes: 0 all assertions
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import math
 import os
 import sys
@@ -117,14 +126,42 @@ class ConfigError(Exception):
     pass
 
 
-def _floats(cfg, key, default=None):
-    raw = cfg.get(key, None)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing key {key!r}")
-        return list(default)
+def _number(key, raw) -> float:
     try:
-        vals = [float(s) for s in raw.split(",") if s.strip()]
+        return float("inf") if raw.strip() in ("inf", "oo") else float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad number for {key!r}: {raw}") from exc
+
+
+def _float(key, raw) -> float:
+    v = _number(key, raw)
+    if not math.isfinite(v):
+        raise ConfigError(f"{key!r} must be a finite number, got {raw!r}")
+    return v
+
+
+def _exponent(key, raw) -> float:
+    """A Lebesgue exponent in [1, inf]; inf is allowed, nan is not."""
+    try:
+        return _check_exponent(_number(key, raw))
+    except ParameterError as exc:
+        raise ConfigError(f"{key!r}: {exc}") from exc
+
+
+def _int(key, raw) -> int:
+    """Exact for integer literals; integer-valued spellings such as 1e3 also pass."""
+    try:
+        return int(raw)
+    except ValueError:
+        v = _number(key, raw)
+    if not v.is_integer():
+        raise ConfigError(f"{key!r} must be an integer, got {raw}")
+    return int(v)
+
+
+def _floats(key, raw) -> tuple:
+    try:
+        vals = tuple(float(s) for s in raw.split(",") if s.strip())
     except ValueError as exc:
         raise ConfigError(f"bad list for {key!r}: {raw}") from exc
     if not vals or not all(math.isfinite(v) for v in vals):
@@ -132,34 +169,13 @@ def _floats(cfg, key, default=None):
     return vals
 
 
-def _float(cfg, key, default=None, finite=True):
-    raw = cfg.get(key, None)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing key {key!r}")
-        return float(default)
-    try:
-        v = float("inf") if raw.strip() in ("inf", "oo") else float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad number for {key!r}: {raw}") from exc
-    if finite and not math.isfinite(v):
-        raise ConfigError(f"{key!r} must be a finite number, got {raw!r}")
-    return v
-
-
-def _exponent(cfg, key, default=None):
-    """A Lebesgue exponent in [1, inf]; inf is allowed, nan is not."""
-    try:
-        return _check_exponent(_float(cfg, key, default, finite=False))
-    except ParameterError as exc:
-        raise ConfigError(f"{key!r}: {exc}") from exc
-
-
-def _int(cfg, key, default=None):
-    v = _float(cfg, key, default, finite=False)
-    if not v.is_integer():
-        raise ConfigError(f"{key!r} must be an integer, got {cfg.get(key, default)}")
-    return int(v)
+# the kind of every key any experiment takes: its INI text -> value
+PARSERS = {
+    **dict.fromkeys(("d", "n", "k", "j", "cases", "seed"), _int),
+    **dict.fromkeys(("l", "t", "alpha", "delta", "tolerance"), _float),
+    **dict.fromkeys(("p", "q"), _exponent),
+    **dict.fromkeys(("t_list", "l_list", "alpha_list", "lambda_list"), _floats),
+}
 
 
 def load_config(path: str) -> dict:
@@ -177,25 +193,35 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _grid_from(cfg, d_default=1, L_default=None, N_default=None):
-    d = _int(cfg, "d", d_default)
-    base = default_grid(d)
-    L = _float(cfg, "l", L_default if L_default is not None else base.L)
-    N = _int(cfg, "n", N_default if N_default is not None else base.N)
-    return make_grid(d, L, N)
+def parse_params(cfg) -> dict:
+    """The runner's keyword arguments: keys parsed, defaults filled in, rules checked."""
+    name = cfg["name"]
+    defaults = {key: par.default for key, par in
+                inspect.signature(EXPERIMENTS[name]).parameters.items()}
+    unknown = sorted(cfg.keys() - defaults.keys() - {"name", "out"})
+    if unknown:
+        note = "; only amalgam_constants takes d = 2" if "d" in unknown else ""
+        raise ConfigError(f"{name} takes no key {', '.join(map(repr, unknown))} "
+                          f"(it takes {', '.join(defaults)}){note}")
+    params = {key: PARSERS[key](key, cfg[key]) if key in cfg else default
+              for key, default in defaults.items()}
+    for check, *keys in RULES[name]:
+        check(*(params[key] for key in keys))
+    return params
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: cfg -> (rows, plot_series or None, ok)
+# experiment runners: keyword parameters -> (rows, plot_series or None, ok)
+
+_GRID = default_grid(1)  # the desk-scale 1D grid, L = 32 and N = 2048
 
 
-def _run_chirp_stft(cfg):
-    grid = _grid_from(cfg, 1, 32.0, 2048)
+def _run_chirp_stft(t_list=(0.0, 0.5, 1.0, 2.0), tolerance=1e-6, l=_GRID.L, n=_GRID.N):
+    grid = make_grid(1, l, n)
     rows, ok = [], True
-    tol = _float(cfg, "tolerance", 1e-6)
-    for t in _floats(cfg, "t_list", (0.0, 0.5, 1.0, 2.0)):
+    for t in t_list:
         rep = verify.verify_chirp_stft(grid, t)
-        ok = ok and rep.max_abs_error < tol
+        ok = ok and rep.max_abs_error < tolerance
         rows.append({
             "experiment": "chirp_stft",
             "parameters": f"t={t:g};L={grid.L:g};N={grid.N};aliased={rep.aliasing_warning}",
@@ -206,10 +232,8 @@ def _run_chirp_stft(cfg):
     return rows, None, ok
 
 
-def _run_amalgam_constants(cfg):
-    d = _int(cfg, "d", 1)
-    t_list = _floats(cfg, "t_list", (0.5, 1.0, 2.0, 4.0))
-    tol = _float(cfg, "tolerance", 0.02 if d == 1 else 0.05)
+def _run_amalgam_constants(d=1, t_list=(0.5, 1.0, 2.0, 4.0), tolerance=None):
+    tol = {1: 0.02, 2: 0.05}[d] if tolerance is None else tolerance
     rows, ok = [], True
     series = {"W measured": ([], []), "W predicted": ([], [])}
     for r in verify.verify_amalgam_constants(t_list, d=d):
@@ -238,10 +262,8 @@ def _run_amalgam_constants(cfg):
     return rows, series, ok
 
 
-def _run_divergence(cfg):
-    t = _float(cfg, "t", 1.0)
-    boxes = _floats(cfg, "l_list", (16.0, 32.0, 64.0))
-    rep = verify.verify_m_inf_1_divergence(t, boxes)
+def _run_divergence(t=1.0, l_list=(16.0, 32.0, 64.0)):
+    rep = verify.verify_m_inf_1_divergence(t, l_list)
     rows = [{
         "experiment": "m_inf_1_divergence",
         "parameters": f"t={t:g};L={L:g}",
@@ -262,18 +284,10 @@ def _run_divergence(cfg):
     return rows, series, ok
 
 
-def _series_depth(cfg):
-    """(K, J) of the dyadic series, range-checked as ``dyadic_fl1_series`` does."""
-    K, J = _int(cfg, "k", 40), _int(cfg, "j", 20)
-    verify._check_series_depth(K, J)
-    return K, J
-
-
-def _run_dyadic_series(cfg):
-    K, J = _series_depth(cfg)
+def _run_dyadic_series(alpha_list=(0.5, 1.0, 2.0), k=40, j=20):
     rows, ok = [], True
-    for alpha in _floats(cfg, "alpha_list", (0.5, 1.0, 2.0)):
-        rep = verify.dyadic_fl1_series(alpha, K=K, J=J)
+    for alpha in alpha_list:
+        rep = verify.dyadic_fl1_series(alpha, K=k, J=j)
         ok = ok and (rep.series_bound >= rep.direct_fl1
                      and math.isfinite(rep.series_bound)
                      and rep.cauchy_k is not None
@@ -292,9 +306,7 @@ def _run_dyadic_series(cfg):
     return rows, None, ok
 
 
-def _run_sin_singular(cfg):
-    alpha = _float(cfg, "alpha", 1.0)
-    delta = _float(cfg, "delta", 1.0)
+def _run_sin_singular(alpha=1.0, delta=1.0):
     rep = verify.verify_sin_singular_fl1(alpha, delta)
     ok = (math.isfinite(rep.direct_fl1) and rep.direct_refinement < 0.01 and rep.cauchy)
     rows = [{
@@ -306,19 +318,16 @@ def _run_sin_singular(cfg):
     return rows, None, ok
 
 
-def _run_linear_phase(cfg):
-    n = _int(cfg, "cases", 50)
-    seed = _int(cfg, "seed", DEFAULT_SEED)
-    cases = verify.linear_phase_random_cases(n, seed)
+def _run_linear_phase(cases=50, seed=DEFAULT_SEED):
     rows, ok = [], True
     worst = 0.0
-    for label, before, after in cases:
+    for label, before, after in verify.linear_phase_random_cases(cases, seed):
         dev = abs(before - after) / max(before, 1e-300)
         worst = max(worst, dev)
         ok = ok and dev < 1e-12
     rows.append({
         "experiment": "linear_phase",
-        "parameters": f"cases={n};seed={seed}",
+        "parameters": f"cases={cases};seed={seed}",
         "measured": worst,
         "predicted": 0.0,
         "rel_deviation": worst,
@@ -326,40 +335,35 @@ def _run_linear_phase(cfg):
     return rows, None, ok
 
 
-def _run_operator_probe(cfg):
-    alphas = _floats(cfg, "alpha_list", (0.5, 1.0, 1.5, 2.0))
+def _run_operator_probe(alpha_list=(0.5, 1.0, 1.5, 2.0), l=32.0, n=512):
     pq_list = [(1.0, 1.0), (2.0, 2.0), (float("inf"), 1.0), (1.0, float("inf"))]
-    N = _int(cfg, "n", 512)
-    L = _float(cfg, "l", 32.0)
     probes = {}  # per N: the family, window and base norms, which no alpha changes
-    for NN in (N, 2 * N):
-        grid = make_grid(1, L, NN)
+    for NN in (n, 2 * n):
+        grid = make_grid(1, l, NN)
         family, g = verify.probe_family(grid), gaussian_window(grid)
         probes[NN] = (grid, family, g, verify.probe_base_norms(family, g, pq_list))
     rows, ok = [], True
-    for alpha in alphas:
+    for alpha in alpha_list:
         maxima = {}
         for NN, (grid, family, g, base) in probes.items():
             sig = symbol_unimodular(grid, alpha, t=1.0)
             reps = verify.probe_ratios(sig, pq_list, family, g, base)
             maxima[NN] = {pq: reps[pq].max_ratio for pq in pq_list}
         for pq in pq_list:
-            a, b = maxima[N][pq], maxima[2 * N][pq]
+            a, b = maxima[n][pq], maxima[2 * n][pq]
             change = abs(a - b) / max(a, 1e-300)
             ok = ok and change < 0.05 and b < 10.0
             rows.append({
                 "experiment": "operator_probe",
-                "parameters": f"alpha={alpha:g};p={pq[0]:g};q={pq[1]:g};N={2 * N}",
+                "parameters": f"alpha={alpha:g};p={pq[0]:g};q={pq[1]:g};N={2 * n}",
                 "measured": b,
                 "rel_deviation": change,
             })
     return rows, None, ok
 
 
-def _run_lp_contrast(cfg):
-    t = _float(cfg, "t", 1.0)
-    lambdas = _floats(cfg, "lambda_list", (1.0, 2.0, 4.0, 8.0))
-    rep = verify.lp_contrast_probe(t, lambdas)
+def _run_lp_contrast(t=1.0, lambda_list=(1.0, 2.0, 4.0, 8.0)):
+    rep = verify.lp_contrast_probe(t, lambda_list)
     increasing = all(b > a for a, b in zip(rep.l1_ratios, rep.l1_ratios[1:]))
     spread = max(rep.m11_ratios) / min(rep.m11_ratios)
     ok = (t == 0 or increasing) and spread < 3.0
@@ -389,11 +393,8 @@ def _default_initial_data(grid):
     return [("gauss", g1), ("mod_shift_gauss", g2)]
 
 
-def _run_schrodinger(cfg):
-    grid = _grid_from(cfg, 1, 32.0, 2048)
-    t_list = _floats(cfg, "t_list", (0.5, 1.0, 2.0, 4.0))
-    p = _exponent(cfg, "p", 1.0)
-    q = _exponent(cfg, "q", float("inf"))
+def _run_schrodinger(t_list=(0.5, 1.0, 2.0, 4.0), p=1.0, q=math.inf, l=_GRID.L, n=_GRID.N):
+    grid = make_grid(1, l, n)
     w = gaussian_window(grid)
     fields = _default_initial_data(grid)
     rep = verify.schrodinger_conservation(fields, w, p, q, t_list)
@@ -422,11 +423,8 @@ def _run_schrodinger(cfg):
     return rows, series, ok
 
 
-def _run_wave(cfg):
-    grid = _grid_from(cfg, 1, 32.0, 2048)
-    t_list = _floats(cfg, "t_list", (0.5, 1.0, 2.0))
-    p = _exponent(cfg, "p", 1.0)
-    q = _exponent(cfg, "q", 1.0)
+def _run_wave(t_list=(0.5, 1.0, 2.0), p=1.0, q=1.0, l=_GRID.L, n=_GRID.N):
+    grid = make_grid(1, l, n)
     w = gaussian_window(grid)
     f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
     g0 = sample(lambda x: np.zeros_like(x), grid)
@@ -463,50 +461,41 @@ EXPERIMENTS = {
 }
 
 
-def _validate(cfg) -> None:
-    """Re-parse every numeric key and grid parameter without running anything."""
-    name = cfg["name"]
-    if "n" in cfg or "l" in cfg or "d" in cfg:
-        _grid_from(cfg)
-    for key in ("t", "alpha", "delta", "tolerance"):
-        if key in cfg:
-            _float(cfg, key)
-    for key in ("p", "q"):
-        if key in cfg:
-            _exponent(cfg, key)
-    for key in ("seed", "cases", "k", "j"):
-        if key in cfg:
-            _int(cfg, key)
-    for key in ("t_list", "l_list", "alpha_list", "lambda_list"):
-        if key in cfg:
-            _floats(cfg, key)
-    if name != "amalgam_constants" and _int(cfg, "d", 1) != 1:
-        raise ConfigError(f"{name} is one-dimensional; only amalgam_constants takes d = 2")
-    if name == "m_inf_1_divergence" and "l_list" in cfg:
-        verify._check_boxes(_floats(cfg, "l_list"))
-    if name == "lp_contrast" and "lambda_list" in cfg:
-        verify._check_dilations(_floats(cfg, "lambda_list"))
-    if name == "linear_phase" and "cases" in cfg:
-        verify._check_case_count(_int(cfg, "cases"))
-    if name == "dyadic_series":
-        _series_depth(cfg)
-        for alpha in _floats(cfg, "alpha_list", ()):
-            verify._check_dyadic_alpha(alpha)
-    if name == "operator_probe":
-        for alpha in _floats(cfg, "alpha_list", ()):
-            _check_unimodular_alpha(alpha)
-    if name == "sin_singular_fl1":
-        verify._check_sin_singular(_float(cfg, "alpha", 1.0), _float(cfg, "delta", 1.0))
-    if name == "wave_conservation":  # its refinement recompute coarsens the grid
-        _check_coarsenable(_grid_from(cfg))
+def _grid_1d(l, n):
+    make_grid(1, l, n)
 
 
-def run_experiment(cfg, out_dir: Path) -> int:
-    rows, series, ok = EXPERIMENTS[cfg["name"]](cfg)
+def _refinable_grid_1d(l, n):
+    """A refinement estimate coarsens the grid to N / 2."""
+    _check_coarsenable(make_grid(1, l, n))
+
+
+def _each(check):
+    return lambda values: [check(v) for v in values]
+
+
+# each experiment's range and cross-key checks: (check, keys whose values it takes)
+RULES = {
+    "chirp_stft": [(_grid_1d, "l", "n")],
+    "amalgam_constants": [(default_grid, "d")],  # d in {1, 2}
+    "m_inf_1_divergence": [(verify._check_boxes, "l_list")],
+    "dyadic_series": [(verify._check_series_depth, "k", "j"),
+                      (_each(verify._check_dyadic_alpha), "alpha_list")],
+    "sin_singular_fl1": [(verify._check_sin_singular, "alpha", "delta")],
+    "linear_phase": [(verify._check_case_count, "cases"), (verify._check_seed, "seed")],
+    "operator_probe": [(_grid_1d, "l", "n"), (_each(_check_unimodular_alpha), "alpha_list")],
+    "lp_contrast": [(verify._check_dilations, "lambda_list")],
+    "schrodinger_conservation": [(_grid_1d, "l", "n")],
+    "wave_conservation": [(_refinable_grid_1d, "l", "n")],
+}
+
+
+def run_experiment(name, params, out_dir: Path) -> int:
+    rows, series, ok = EXPERIMENTS[name](**params)
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_csv(rows, out_dir / "results.csv")
     if series is not None:
-        emit_svg(series, out_dir / "plot.svg", title=cfg["name"])
+        emit_svg(series, out_dir / "plot.svg", title=name)
     if not ok:
         for r in rows:
             print(f"FAIL-context: {r['experiment']} {r['parameters']} "
@@ -531,7 +520,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        _validate(cfg)
+        params = parse_params(cfg)
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -540,7 +529,7 @@ def main(argv=None) -> int:
         return 0
     out = os.environ.get("TFMULT_OUT") or cfg.get("out", ".")
     try:
-        return run_experiment(cfg, Path(out))
+        return run_experiment(cfg["name"], params, Path(out))
     except (ParameterError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

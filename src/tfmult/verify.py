@@ -409,6 +409,11 @@ def _check_case_count(n: int) -> None:
         raise ParameterError(f"need at least 1 random case, got {n}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
+
+
 def linear_phase_random_cases(n: int = 50, seed: int = DEFAULT_SEED,
                               grid: Grid | None = None) -> list:
     """Seeded random (symbol, x, a, b) draws for the linear-phase invariance check.
@@ -418,6 +423,7 @@ def linear_phase_random_cases(n: int = 50, seed: int = DEFAULT_SEED,
     Returns (label, before, after) triples.
     """
     _check_case_count(n)
+    _check_seed(seed)
     grid = grid or make_grid(1, 16.0, 512)
     rng = np.random.default_rng(seed)
     g = gaussian_window(grid)

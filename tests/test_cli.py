@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tfmult
-from tfmult.cli import EXPERIMENTS, main
+from tfmult.cli import EXPERIMENTS, PARSERS, RULES, load_config, main, parse_params
 
 # the child process imports the same tfmult as this one, installed or not
 PACKAGE_ROOT = str(Path(tfmult.__file__).resolve().parents[1])
@@ -126,6 +126,11 @@ class TestListValidate:
         ("dyadic_series", "alpha_list", "-1", "alpha must be positive"),
         ("operator_probe", "alpha_list", "3", "alpha must lie in [0, 2]"),
         ("wave_conservation", "n", "8", "cannot coarsen below N = 8"),
+        ("linear_phase", "seed", "-1", "seed must be non-negative"),
+        ("amalgam_constants", "d", "3", "dimension must be 1 or 2"),
+        # keys the experiment does not take used to pass both commands unread
+        ("sin_singular_fl1", "n", "64", "sin_singular_fl1 takes no key 'n'"),
+        ("lp_contrast", "lambda_lst", "1, 2", "lp_contrast takes no key 'lambda_lst'"),
     ])
     def test_validate_rejects_what_run_cannot_run(self, tmp_path, capsys, name, key,
                                                   value, message):
@@ -138,6 +143,16 @@ class TestListValidate:
         assert main(["run", cfg]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name,key,value,parsed", [
+        ("chirp_stft", "n", "2048.0", 2048),
+        ("linear_phase", "cases", "1e3", 1000),
+    ])
+    def test_integer_valued_float_spellings_pass(self, tmp_path, name, key, value, parsed):
+        cfg = write_config(tmp_path, f"name = {name}\n{key} = {value}\n")
+        assert main(["validate", cfg]) == 0
+        value = parse_params(load_config(cfg))[key]
+        assert type(value) is int and value == parsed
 
     def test_validate_accepts_infinite_exponent(self, tmp_path):
         cfg = write_config(tmp_path, "name = schrodinger_conservation\np = 1\nq = inf\n")
@@ -170,6 +185,24 @@ class TestListValidate:
         assert out.returncode == 2
 
 
+class TestSchema:
+    def test_rules_name_every_experiment(self):
+        assert set(RULES) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_defaults_written_back_parse_to_the_defaults(self, tmp_path, name):
+        # a key without a parser, or a default of another kind than its
+        # parser returns, makes the two configs differ
+        bare = parse_params({"name": name})
+        assert bare.keys() <= PARSERS.keys()
+        text = "".join(
+            f"{key} = {', '.join(map(repr, v)) if isinstance(v, tuple) else repr(v)}\n"
+            for key, v in bare.items() if v is not None)
+        written = parse_params(load_config(write_config(tmp_path, f"name = {name}\n{text}")))
+        assert written == bare
+        assert [type(v) for v in written.values()] == [type(v) for v in bare.values()]
+
+
 class TestRun:
     def test_run_writes_csv(self, tmp_path):
         cfg = write_config(tmp_path, f"name = linear_phase\ncases = 5\n"
@@ -182,6 +215,14 @@ class TestRun:
                             "rel_deviation,refinement_estimate")
         assert len(lines) == 2
         assert lines[1].startswith("linear_phase,")
+
+    def test_seed_reaches_csv_exactly(self, tmp_path):
+        # 2**53 + 1 has no float; parsing through float wrote ...992
+        cfg = write_config(tmp_path, "name = linear_phase\ncases = 1\n"
+                                     f"seed = 9007199254740993\nout = {tmp_path / 'o'}\n")
+        assert main(["run", cfg]) == 0
+        csv = (tmp_path / "o" / "results.csv").read_text(encoding="utf-8")
+        assert "cases=1;seed=9007199254740993," in csv
 
     def test_env_override_wins(self, tmp_path):
         cfg = write_config(tmp_path, f"name = linear_phase\ncases = 3\n"
@@ -201,7 +242,7 @@ class TestRun:
 
     def test_svg_emitted_and_well_formed(self, tmp_path):
         cfg = write_config(tmp_path, "name = lp_contrast\nt = 1\n"
-                                     "lambda_list = 1, 2\nn = 512\n")
+                                     "lambda_list = 1, 2\n")
         out = run_cli(["run", cfg], env_extra={"TFMULT_OUT": str(tmp_path / "o")})
         assert out.returncode == 0
         svg = tmp_path / "o" / "plot.svg"
@@ -226,7 +267,7 @@ class TestRun:
 class TestCsvFormat:
     def test_twelve_significant_digits(self, tmp_path):
         cfg = write_config(tmp_path, "name = lp_contrast\nt = 1\n"
-                                     "lambda_list = 1\nn = 512\n")
+                                     "lambda_list = 1\n")
         run_cli(["run", cfg], env_extra={"TFMULT_OUT": str(tmp_path / "o")})
         rows = (tmp_path / "o" / "results.csv").read_text().strip().split("\n")[1:]
         measured = rows[0].split(",")[2]
@@ -235,7 +276,7 @@ class TestCsvFormat:
 
     def test_predicted_empty_when_no_formula(self, tmp_path):
         cfg = write_config(tmp_path, "name = lp_contrast\nt = 1\n"
-                                     "lambda_list = 1\nn = 512\n")
+                                     "lambda_list = 1\n")
         run_cli(["run", cfg], env_extra={"TFMULT_OUT": str(tmp_path / "o")})
         rows = (tmp_path / "o" / "results.csv").read_text().strip().split("\n")[1:]
         m11_row = [r for r in rows if "space=M11" in r][0]

@@ -7,7 +7,7 @@ lattice, so the only slack is floating-point rounding.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from tfmult.core import SampledField, l2_norm, make_grid
+from tfmult.core import SampledField, coarsen, l2_norm, make_grid, sample
 from tfmult.tf import gaussian_window, modulation_norm, stft
 
 RTOL = 1e-12
@@ -69,3 +69,17 @@ def test_modulation_covariance(dims, seed, m0, m1):
     moved = SampledField(grid, f.reshaped() * phase)
     axes = tuple(range(grid.d, 2 * grid.d))
     assert _close(_abs_stft(moved), np.roll(_abs_stft(f), m, axis=axes))
+
+
+@PROPERTY
+@given(st.sampled_from([1, 2]), st.floats(0.5, 64.0), st.integers(4, 7),
+       st.floats(0.1, 4.0), st.floats(-4.0, 4.0))
+def test_coarsen_equals_sampling_on_the_coarse_grid(d, L, log2n, a, b):
+    # every second fine position is a coarse position, bit for bit: the coarse
+    # spacing L / (N/2) is exactly twice L / N, and doubling is exact
+    def fn(*xs):
+        return np.exp(-np.pi * a * sum(x * x for x in xs)) * np.exp(1j * np.pi * b * xs[0] ** 2)
+
+    N = 2 ** log2n
+    fine = sample(fn, make_grid(d, L, N))
+    assert np.array_equal(coarsen(fine).values, sample(fn, make_grid(d, L, N // 2)).values)
