@@ -38,6 +38,15 @@ transformed on its own, so a split changes no bit.  The threads come from
 one module pool, created on the first split (importing ``core`` starts
 none), and run only numpy code: ``_split`` is the one way in, and the
 functions handed to it never call back into ``tfmult``.
+
+A streamed pass hands each chunk to the threads once: ``centered_fft``'s
+``fill(lo, hi)`` writes a thread's piece of the input (``tf``'s window
+multiply) and ``fold(lo, hi)`` reduces that piece of the output (``tf``'s
+positions-inner sums), in the same piece as the transform, while it is
+still in cache.  So a traced ``centered_fft`` span also holds that window
+multiply and reduction, and the ``tf`` layer's own time is smaller by as
+much.  Both callbacks are numpy-only, like every function handed to
+``_split``.
 """
 
 from __future__ import annotations
@@ -292,13 +301,14 @@ def _split(fn, n: int, nbytes: int) -> list:
 
 
 def _transform(a: np.ndarray, d: int, fft, out, scale: float, scale_op=np.multiply,
-               modulus=None):
+               modulus=None, fill=None, fold=None):
     """fft over the trailing d axes of a, into ``out`` (a new buffer if None).
 
     Signed: s goes on the way in and scale_op(., s * scale) on the way out.
     With ``modulus``: a is transformed as it is, and |result| * scale goes
     into modulus.  Leading axes are batch; the last of them is split over
-    the threads, each piece running all of its steps.
+    the threads, each piece running all of its steps: fill(lo, hi), the
+    transform of batch indices lo:hi, then fold(lo, hi).
     """
     shape = a.shape[a.ndim - d :]
     if any(n % 4 for n in shape):
@@ -316,6 +326,8 @@ def _transform(a: np.ndarray, d: int, fft, out, scale: float, scale_op=np.multip
     axes = tuple(range(views[0].ndim - d, views[0].ndim))
 
     def part(lo, hi):
+        if fill is not None:
+            fill(lo, hi)
         rows = (Ellipsis, slice(lo, hi)) + (slice(None),) * d
         x, y, *m = (v[rows] for v in views)
         if signed:
@@ -325,12 +337,15 @@ def _transform(a: np.ndarray, d: int, fft, out, scale: float, scale_op=np.multip
             scale_op(y, post, out=y)
         else:
             np.multiply(np.abs(y, out=m[0]), scale, out=m[0])
+        if fold is not None:
+            fold(lo, hi)
 
     _split(part, views[0].shape[views[0].ndim - d - 1], out.nbytes)
     return out if signed else modulus
 
 
-def centered_fft(a: np.ndarray, d: int, dx: float, out=None, modulus=None) -> np.ndarray:
+def centered_fft(a: np.ndarray, d: int, dx: float, out=None, modulus=None, fill=None,
+                 fold=None) -> np.ndarray:
     """Centered-lattice DFT of the trailing d axes, scaled by dx^d.
 
     Approximates f_hat(xi) = int f(x) e^{-2 pi i x.xi} dx on the centered
@@ -344,8 +359,14 @@ def centered_fft(a: np.ndarray, d: int, dx: float, out=None, modulus=None) -> np
     (no output sign, no scale), and dx^d * |fftn(a)| goes into ``modulus``,
     which is returned.  That is |centered_fft(s * a, d, dx)|, bit for bit
     when dx is a power of two.
+
+    ``fill`` and ``fold``, callbacks for ``tfmult``'s own passes, run in the
+    thread piece of batch indices lo:hi (along the last batch axis):
+    ``fill(lo, hi)`` writes that piece of ``a`` before it is transformed,
+    ``fold(lo, hi)`` reads that piece of the result after it is written.
     """
-    return _transform(a, d, np.fft.fftn, out, dx ** d, modulus=modulus)
+    return _transform(a, d, np.fft.fftn, out, dx ** d, modulus=modulus, fill=fill,
+                      fold=fold)
 
 
 def centered_ifft(a: np.ndarray, d: int, dx: float) -> np.ndarray:

@@ -58,13 +58,21 @@ field.  ``core`` states why this gives |V| bit for bit that of ``stft``
 whenever dx is a power of two, and within a rounding otherwise.  ``stft``
 keeps the signed path.
 
-Every stage of a chunk is split over two threads (``core._split``): the
-window multiply by rows, the FFT with |V| and its scale by the transform's
-batch, |V|^p by contiguous halves, the positions-inner sums and maxima by
-frequency column, and the frequencies-inner reductions by row.  Each output
-element is computed by the same operations in the same order as on one
-thread, so a split changes no bit.  The functions handed to the threads
-call only numpy, never a public ``tfmult`` function.
+Every stage of a chunk is split over two threads (``core._split``), and
+each chunk is handed to them once for its transform: the window multiply is
+the transform's ``fill`` (see ``core.centered_fft``), so it runs in the
+same thread piece as the FFT and |V|.  On the row-column path that piece
+is a range of k0, which is a range of flat frequency columns, so the
+positions-inner sums and maxima (with |V|^p) are the transform's ``fold``;
+H's transpose is the ``fold`` of H's transform.  On the windowed path the
+piece is a range of positions, so |V|^p (by contiguous halves) and the
+positions-inner reductions (by frequency column) are handed off after the
+transform.  The frequencies-inner reductions are split by row on both
+paths.  Each output element is computed by the same operations in the same
+order as on one thread, so a split changes no bit.  The functions handed to
+the threads call only numpy, never a public ``tfmult`` function.  Since the
+window multiply and the folded reductions run inside ``centered_fft``, a
+traced run counts their time in ``core.centered_fft`` and not in ``tf``.
 """
 
 from __future__ import annotations
@@ -94,6 +102,9 @@ from .core import (
 
 POSITIONS_INNER = "positions-inner"
 FREQUENCIES_INNER = "frequencies-inner"
+# the (p, q, order) specs of the W(FL^1, l^inf) and M^{1,inf} norms
+_WFL1 = (1.0, math.inf, FREQUENCIES_INNER)
+_M1INF = (1.0, math.inf, POSITIONS_INNER)
 
 _CHUNK_BYTES = 1 << 26  # ~64 MiB of complex rows per streamed chunk
 _ROW_COLUMN_CHUNK_BYTES = 1 << 22  # ~4 MiB per row-column block
@@ -291,16 +302,19 @@ def _translates(g: np.ndarray, axis_idx) -> np.ndarray:
     return windows[(slice(None, None, -1),) * g.ndim]
 
 
-def _transformed(block: np.ndarray, d: int, dx: float, A):
+def _transformed(block: np.ndarray, d: int, dx: float, A, fill, fold=None):
     """One chunk's centered_fft in place, as (rows, N^d): V, or |V| into A if given.
 
-    With A the block must be presigned (the sign-free path); A[:rows] is
+    ``fill`` writes the block and ``fold`` reads the result, piece by piece
+    in the transform's thread split (see ``core.centered_fft``).  With A the
+    filled block must be presigned (the sign-free path); A[:rows] is
     returned.
     """
     rows = len(block)
     if A is None:
-        return centered_fft(block, d, dx, out=block).reshape(rows, -1)
-    centered_fft(block, d, dx, out=block, modulus=A[:rows].reshape(block.shape))
+        return centered_fft(block, d, dx, out=block, fill=fill, fold=fold).reshape(rows, -1)
+    centered_fft(block, d, dx, out=block, modulus=A[:rows].reshape(block.shape), fill=fill,
+                 fold=fold)
     return A[:rows]
 
 
@@ -331,18 +345,21 @@ def _windowed_chunks(fv: np.ndarray, gvals: np.ndarray, flat_idx, axis_idx, grid
                         window = windows[np.unravel_index(start + m, npos_axes)]
                         np.multiply(fv, window, out=block[m])
 
-            _split(fill, stop - start, block.nbytes)
-            yield flat_idx[start:stop], _transformed(block, grid.d, grid.dx, A)
+            yield flat_idx[start:stop], _transformed(block, grid.d, grid.dx, A, fill)
 
 
-def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: bool):
+def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: bool,
+                       fold=None):
     """Yield (flat position indices, V_g f or |V_g f| rows) for a tensor-product 2D window.
 
     H = F0[f conj(T_{x_i} g0)] depends only on the position row i, so it is
     transformed once per row (on the transposed field, along contiguous
     rows) and then multiplied by each column's conj(T_{x_j} g1) before the
     axis-1 transform.  H is always signed and scaled by dx; for |V|, g1 is
-    presigned.
+    presigned.  Each transform is one hand-off to the threads: the window
+    multiply is its ``fill``, and H's transpose (per position row) or
+    ``fold`` (per block) its ``fold``.  A block's transform is split by k0,
+    so the piece k0 in lo:hi holds the flat frequency columns lo*N:hi*N.
     """
     N = grid.N
     sel0, sel1 = axis_idx
@@ -363,36 +380,49 @@ def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: b
                 np.multiply(fT[lo:hi], row0, out=HT[lo:hi])
 
             def transpose(lo, hi):
-                H[lo:hi] = HT.T[lo:hi]
+                H[:, lo:hi] = HT[lo:hi].T
 
-            _split(window_rows, N, HT.nbytes)
-            centered_fft(HT, 1, grid.dx, out=HT)
-            _split(transpose, N, H.nbytes)
+            centered_fft(HT, 1, grid.dx, out=HT, fill=window_rows, fold=transpose)
             for start in range(0, sel1.size, cols):
                 stop = min(start + cols, sel1.size)
                 block = buf[: stop - start]
                 w = rows1[start:stop, None, :]
+                part = None if fold is None else fold(A[: stop - start])
 
                 def window_columns(lo, hi):
                     np.multiply(H[lo:hi], w, out=block[:, lo:hi])
 
-                _split(window_columns, N, block.nbytes)
-                yield i * N + sel1[start:stop], _transformed(block, 1, grid.dx, A)
+                def fold_columns(lo, hi):
+                    part(lo * N, hi * N)
+
+                yield i * N + sel1[start:stop], _transformed(
+                    block, 1, grid.dx, A, window_columns, None if part is None else fold_columns)
 
 
-def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None, modulus=False):
+def _row_column(g: Window) -> bool:
+    """Whether V_g takes the row-column path: a 2D window with factors."""
+    return g.field.grid.d == 2 and g.factors is not None
+
+
+def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None, modulus=False,
+                 fold=None):
     """Yield (flat position indices, V_g f rows), positions row-major.
 
     With ``modulus`` the rows are |V_g f|, computed on the sign-free path.
     Each yielded array is a view of one buffer that the pass reuses: it is
     valid only until the generator resumes, so a caller that keeps rows
     copies them.
+
+    ``fold``, taken on the row-column path only (``_row_column``), is called
+    with each chunk's |V| rows before they are computed and returns
+    ``part(c0, c1)``, which reduces their flat frequency columns c0:c1; each
+    thread runs it on the columns it has just transformed.
     """
     grid = f.grid
     require_same_grid(grid, g.field.grid)
     flat_idx, axis_idx = _position_indices(grid, stride, halfwidth)
-    if grid.d == 2 and g.factors is not None:
-        yield from _row_column_chunks(f.reshaped(), g.factors, axis_idx, grid, modulus)
+    if _row_column(g):
+        yield from _row_column_chunks(f.reshaped(), g.factors, axis_idx, grid, modulus, fold)
     else:
         yield from _windowed_chunks(f.reshaped(), g.field.values, flat_idx, axis_idx, grid,
                                     modulus)
@@ -481,6 +511,20 @@ def _accumulate_columns(a, s, is_max, col, lo, hi) -> None:
         np.add(t, a[0] if len(a) == 1 else np.sum(a, axis=0, out=c), out=t)
 
 
+def _fold_columns(A, P, acc, col, lo, hi) -> None:
+    """Fold frequency columns lo:hi of one chunk's |V| rows into every accumulator.
+
+    ``acc`` maps each positions-inner p to its per-frequency accumulator;
+    |V|^p of those columns goes into the same columns of P.
+    """
+    for p, s in acc.items():
+        a = A
+        if p != 1.0 and not math.isinf(p):
+            a = P
+            _pow(A[:, lo:hi], p, out=P[:, lo:hi])
+        _accumulate_columns(a, s, math.isinf(p), col, lo, hi)
+
+
 def _reduce_rows(A, P, ps, w, lo, hi) -> list:
     """The frequencies-inner value of position rows lo:hi of |V|, one array per p."""
     out = None if P is None else P[lo:hi]
@@ -497,9 +541,11 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     per position row.  |V| comes from the sign-free path; |V|^p and the
     per-frequency partial sums go into buffers allocated once per pass.  The
     positions-inner sums are split over the threads by frequency column and
-    the frequencies-inner ones by row, so every sum keeps its order.  A
-    value that overflows to inf (or is nan) raises ParameterError naming its
-    spec.
+    the frequencies-inner ones by row, so every sum keeps its order.  On the
+    row-column path, whose transform is split by frequency column too, the
+    positions-inner sums run inside the transform's thread pieces (its
+    ``fold``).  A value that overflows to inf (or is nan) raises
+    ParameterError naming its spec.
     """
     grid = f.grid
     wx = (grid.dx * stride) ** grid.d
@@ -507,17 +553,30 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     acc = {p: np.zeros(grid.npoints) for p, _, order in specs if order == POSITIONS_INNER}
     rows = {p: [] for p, _, order in specs if order == FREQUENCIES_INNER}
     powered = any(p != 1.0 and not math.isinf(p) for p, _, _ in specs)
+    folded = bool(acc) and _row_column(g)
     col = np.empty(grid.npoints)
     P = None
     with _pass_buffers() as take:
-        for _, A in _stft_chunks(f, g, stride, halfwidth, modulus=True):
-            if powered and P is None:  # the first chunk is the largest
+
+        def power_rows(A):
+            """P[:len(A)] for |V|^p; P is taken with the first chunk, the largest."""
+            nonlocal P
+            if powered and P is None:
                 P = take("power", A.shape)
-            pa = None if P is None else P[: len(A)]
-            for p, s in acc.items():
-                a = A if p == 1.0 or math.isinf(p) else _split_power(A, p, pa)
-                _split(functools.partial(_accumulate_columns, a, s, math.isinf(p), col),
-                       A.shape[1], A.nbytes)
+            return None if P is None else P[: len(A)]
+
+        def fold(A):
+            return functools.partial(_fold_columns, A, power_rows(A), acc, col)
+
+        chunks = _stft_chunks(f, g, stride, halfwidth, modulus=True,
+                              fold=fold if folded else None)
+        for _, A in chunks:
+            pa = power_rows(A)
+            if not folded:
+                for p, s in acc.items():
+                    a = A if p == 1.0 or math.isinf(p) else _split_power(A, p, pa)
+                    _split(functools.partial(_accumulate_columns, a, s, math.isinf(p), col),
+                           A.shape[1], A.nbytes)
             if rows:
                 parts = _split(functools.partial(_reduce_rows, A, pa, list(rows), wxi),
                                len(A), A.nbytes)
@@ -552,15 +611,18 @@ def _field_norm(
 ) -> NormReport:
     p = _check_exponent(p)
     q = _check_exponent(q)
-    specs = [(p, q, order)]
-    (val,) = _norms(f, g, specs, stride, halfwidth)
-    ref = None
-    if refine:
-        fc = coarsen(f)
-        gc = resample_window(g, fc.grid)
-        (half,) = _norms(fc, gc, specs, max(1, stride // 2), halfwidth)
-        ref = abs(val - half) / max(abs(val), 1e-300)
+    spec = (p, q, order)
+    (val,) = _norms(f, g, [spec], stride, halfwidth)
+    ref = _refinement(f, g, spec, stride, halfwidth, val) if refine else None
     return NormReport(val, p, q, order, f.grid, stride, refinement_estimate=ref)
+
+
+def _refinement(f: SampledField, g: Window, spec, stride: int, halfwidth, value: float) -> float:
+    """Relative change of a spec's value, ``value``, recomputed at half resolution."""
+    fc = coarsen(f)
+    gc = resample_window(g, fc.grid)
+    (half,) = _norms(fc, gc, [spec], max(1, stride // 2), halfwidth)
+    return abs(value - half) / max(abs(value), 1e-300)
 
 
 def modulation_norm(
@@ -583,9 +645,7 @@ def amalgam_norm_wfl1(
     positions whose window wraps around the periodic box misrepresent the
     continuum translate, so sup-type estimates may exclude an edge margin.
     """
-    return _field_norm(
-        f, g, 1.0, np.inf, FREQUENCIES_INNER, stride, position_halfwidth, refine
-    )
+    return _field_norm(f, g, *_WFL1, stride, position_halfwidth, refine)
 
 
 def m_inf_1_norm(
@@ -609,9 +669,7 @@ def m_1_inf_norm(
     refine: bool = True,
 ) -> NormReport:
     """sup over frequencies of (sum over positions of |V_g f| dx^d)."""
-    return _field_norm(
-        f, g, 1.0, np.inf, POSITIONS_INNER, stride, position_halfwidth, refine
-    )
+    return _field_norm(f, g, *_M1INF, stride, position_halfwidth, refine)
 
 
 def modulation_norms_multi(

@@ -26,7 +26,12 @@ from .core import (
 )
 from .mult import Symbol, apply_multiplier, sin_singular_profile, symbol_unimodular
 from .tf import (
+    _M1INF,
+    _WFL1,
     Window,
+    _norms,
+    _refinement,
+    _stft_chunks,
     amalgam_norm_wfl1,
     chi_profile,
     fl1_norm,
@@ -37,10 +42,13 @@ from .tf import (
     modulation_norms_multi,
     psi_profile,
     resample_window,
-    stft,
 )
 
 DEFAULT_SEED = 20240214
+# defaults shared with the CLI experiments
+DIVERGENCE_BOXES = (16.0, 32.0, 64.0)
+LINEAR_PHASE_CASES = 50
+LP_CONTRAST_LAMBDAS = (1.0, 2.0, 4.0, 8.0)
 
 
 def chirp_field(grid: Grid, t: float) -> SampledField:
@@ -90,19 +98,23 @@ def verify_chirp_stft(grid: Grid, t: float) -> ChirpStftReport:
 
     The maximum deviation is taken over the central half of the lattice in
     both position and frequency, where window periodization is negligible.
+    |V| is streamed over those positions, chunk by chunk, from the sign-free
+    path, which scales the real modulus by dx: that is |V| of ``stft`` bit
+    for bit when dx is a power of two, and within a rounding of each value
+    (a relative 1e-15) otherwise.
     """
     if grid.d != 1:
         raise ParameterError("chirp STFT check is one-dimensional")
     f = chirp_field(grid, t)
-    V = stft(f, gaussian_window(grid))
     xs = grid.axis_positions()
     oms = grid.axis_frequencies()
-    px = np.abs(xs) <= grid.L / 4.0
     pw = np.abs(oms) <= grid.N * grid.dxi / 4.0
-    sub = np.abs(V.values)[np.ix_(px, pw)]
-    oracle = chirp_stft_oracle(xs[px][:, None], oms[pw][None, :], t)
-    err = float(np.max(np.abs(sub - oracle)))
-    return ChirpStftReport(grid, t, err, chirp_aliased(grid, t))
+    errs = []
+    for js, A in _stft_chunks(f, gaussian_window(grid), halfwidth=grid.L / 4.0,
+                              modulus=True):
+        oracle = chirp_stft_oracle(xs[js][:, None], oms[pw][None, :], t)
+        errs.append(np.max(np.abs(A[:, pw] - oracle)))
+    return ChirpStftReport(grid, t, float(np.max(errs)), chirp_aliased(grid, t))
 
 
 # ---------------------------------------------------------------------------
@@ -163,39 +175,33 @@ def verify_amalgam_constants(t_list, d: int = 1, grid: Grid | None = None,
 
     Sup-type quantities are restricted to the central half of the position
     lattice; edge positions wrap the window around the periodic box and do
-    not represent any continuum translate.
+    not represent any continuum translate.  In 1D both norms read the same
+    |V|, so one pass measures them, and W is refined at half resolution; in
+    2D M^{1,inf} takes its own grid (``_m1inf_grid_2d``) and W is not
+    refined.
     """
     base, stride = _amalgam_grid(d) if grid is None else (grid, 1 if d == 1 else 4)
     g = gaussian_window(base)
+    hw = base.L / 4.0
     rows = []
     for t in t_list:
         f = chirp_field(base, t)
-        w = amalgam_norm_wfl1(
-            f, g, stride=stride, position_halfwidth=base.L / 4.0, refine=(d == 1)
-        )
-        if t == 0 or not include_m1inf:
-            m1 = float("nan")
-            m1_pred = float("nan")
+        with_m1 = t != 0 and include_m1inf
+        m1_pred = m1inf_prediction(t, d) if with_m1 else float("nan")
+        if d == 1:
+            w, *m1 = _norms(f, g, [_WFL1, _M1INF] if with_m1 else [_WFL1], stride, hw)
+            w_ref = _refinement(f, g, _WFL1, stride, hw, w)
+            m1 = m1[0] if m1 else float("nan")
         else:
-            m1_pred = m1inf_prediction(t, d)
-            if d == 1:
-                m1 = m_1_inf_norm(
-                    f, g, stride=stride, position_halfwidth=base.L / 4.0, refine=False
-                ).value
-            else:
+            w = amalgam_norm_wfl1(f, g, stride=stride, position_halfwidth=hw,
+                                  refine=False).value
+            w_ref, m1 = None, float("nan")
+            if with_m1:
                 mg, mstride = _m1inf_grid_2d(t)
-                mf = chirp_field(mg, t)
-                m1 = m_1_inf_norm(
-                    mf,
-                    gaussian_window(mg),
-                    stride=mstride,
-                    position_halfwidth=mg.L / 4.0,
-                    refine=False,
-                ).value
-        rows.append(
-            AmalgamRow(t, w.value, w_norm_prediction(t, d), m1, m1_pred,
-                       w_refinement=w.refinement_estimate)
-        )
+                m1 = m_1_inf_norm(chirp_field(mg, t), gaussian_window(mg), stride=mstride,
+                                  position_halfwidth=mg.L / 4.0, refine=False).value
+        rows.append(AmalgamRow(t, w, w_norm_prediction(t, d), m1, m1_pred,
+                               w_refinement=w_ref))
     return rows
 
 
@@ -224,7 +230,7 @@ def _check_boxes(box_sizes) -> None:
         raise ParameterError(f"box sizes must be positive, got {list(box_sizes)}")
 
 
-def verify_m_inf_1_divergence(t: float, box_sizes=(16.0, 32.0, 64.0)) -> DivergenceReport:
+def verify_m_inf_1_divergence(t: float, box_sizes=DIVERGENCE_BOXES) -> DivergenceReport:
     """M^{inf,1}-type norm of the chirp on growing boxes.
 
     The continuum integral diverges; on a box the sup-in-position slice is
@@ -414,7 +420,7 @@ def _check_seed(seed: int) -> None:
         raise ParameterError(f"seed must be non-negative, got {seed}")
 
 
-def linear_phase_random_cases(n: int = 50, seed: int = DEFAULT_SEED,
+def linear_phase_random_cases(n: int = LINEAR_PHASE_CASES, seed: int = DEFAULT_SEED,
                               grid: Grid | None = None) -> list:
     """Seeded random (symbol, x, a, b) draws for the linear-phase invariance check.
 
@@ -618,7 +624,7 @@ def _check_dilations(lambdas) -> None:
         raise ParameterError(f"Gaussian dilations must be positive, got {list(lambdas)}")
 
 
-def lp_contrast_probe(t: float, lambdas=(1.0, 2.0, 4.0, 8.0),
+def lp_contrast_probe(t: float, lambdas=LP_CONTRAST_LAMBDAS,
                       grid: Grid | None = None) -> LpContrastReport:
     """L^1 growth versus modulation-norm stability over dilated Gaussians."""
     _check_dilations(lambdas)
@@ -651,32 +657,40 @@ class SchrodingerConservationReport:
     c_values: dict        # (label, t) -> ratio / (t^2 + 4 pi^2)^{d/4}
     fitted_c: float
     stability: float      # (max - min) / max over all c_values
+    l2_ratios: dict = dc_field(default_factory=dict)  # (label, t) -> M^{2,2} ratio
 
 
 def schrodinger_conservation(fields, window: Window, p, q, t_list,
-                             refine: bool = False) -> SchrodingerConservationReport:
+                             l2_labels=()) -> SchrodingerConservationReport:
     """Phase-space norm growth of free Schrodinger evolution.
 
     For each initial field, measures ||u(., t)|| / ||f|| in the (p, q)
     modulation norm and the implied envelope constant against
-    (t^2 + 4 pi^2)^{d/4}.
+    (t^2 + 4 pi^2)^{d/4}.  For the fields named in ``l2_labels`` the same
+    passes also give the M^{2,2} ratios (``l2_ratios``), which Moyal's
+    formula and the unitary flow make exactly 1.
     """
     from .mult import schrodinger_propagate
 
-    ratios, c_values = {}, {}
+    pq, l2 = (float(p), float(q)), (2.0, 2.0)
+    ratios, c_values, l2_ratios = {}, {}, {}
     for label, f in fields:
         d = f.grid.d
-        base = modulation_norm(f, window, p, q, refine=False).value
+        pq_list = [pq, l2] if label in l2_labels else [pq]
+        base = modulation_norms_multi(f, window, pq_list)
         for t in t_list:
             u = schrodinger_propagate(f, t).u
-            r = modulation_norm(u, window, p, q, refine=refine).value / base
+            norms = modulation_norms_multi(u, window, pq_list)
+            r = norms[pq] / base[pq]
             ratios[(label, t)] = r
             c_values[(label, t)] = r / (t * t + 4 * np.pi ** 2) ** (d / 4.0)
+            if label in l2_labels:
+                l2_ratios[(label, t)] = norms[l2] / base[l2]
     vals = list(c_values.values())
     fitted = max(vals)
     stability = (fitted - min(vals)) / fitted
-    return SchrodingerConservationReport(float(p), float(q), list(t_list), ratios,
-                                         c_values, fitted, stability)
+    return SchrodingerConservationReport(pq[0], pq[1], list(t_list), ratios, c_values,
+                                         fitted, stability, l2_ratios)
 
 
 @dataclass
@@ -689,17 +703,26 @@ class WaveConservationReport:
     energy_drift: float     # max relative wave-energy deviation over t_list
 
 
+def _norm_unless_zero(h: SampledField, window: Window, p, q) -> float:
+    """The (p, q) modulation norm of h, with no STFT pass when h is all zero.
+
+    Every |V| of a zero field is 0, so its norm is exactly 0.0, and adding
+    0.0 to a norm changes no bit.
+    """
+    if not h.values.any():
+        return 0.0
+    return modulation_norm(h, window, p, q, refine=False).value
+
+
 def wave_conservation(f: SampledField, g0: SampledField, window: Window, p, q,
                       t_list) -> WaveConservationReport:
     """Measured envelope constants and energy conservation for the wave flow."""
     from .mult import wave_energy, wave_propagate
 
-    denom = (modulation_norm(f, window, p, q, refine=False).value
-             + modulation_norm(g0, window, p, q, refine=False).value)
+    denom = _norm_unless_zero(f, window, p, q) + _norm_unless_zero(g0, window, p, q)
     fc, gc = coarsen(f), coarsen(g0)
     wc = resample_window(window, fc.grid)
-    denom_c = (modulation_norm(fc, wc, p, q, refine=False).value
-               + modulation_norm(gc, wc, p, q, refine=False).value)
+    denom_c = _norm_unless_zero(fc, wc, p, q) + _norm_unless_zero(gc, wc, p, q)
     e0 = wave_energy(wave_propagate(f, g0, 0.0))
     cs, refs = [], []
     drift = 0.0

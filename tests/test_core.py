@@ -360,6 +360,80 @@ class TestThreadSplit:
         assert not hung and child.exitcode == 0
 
 
+class TestFillFold:
+    """``centered_fft``'s fill and fold run in each thread piece, around its transform."""
+
+    @pytest.mark.parametrize("batch", [(5,), (3, 6)])
+    @pytest.mark.parametrize("modulus", [False, True])
+    def test_fill_before_fold_once_per_piece(self, split_workers, batch, modulus):
+        # the last batch axis is split; each piece is filled, then
+        # transformed, then folded, and the pieces cover it once
+        N = 16
+        shape = batch + (N,)
+        rng = np.random.default_rng(len(batch))
+        src = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = centered_fft(src, 1, 0.125)
+        source = _presigned(src, 1) if modulus else src
+        for workers in (1, 2):
+            with split_workers(workers):
+                a = np.full(shape, np.nan, dtype=complex)
+                out = np.full(shape, np.nan) if modulus else a
+                seen, lock = [], threading.Lock()
+
+                def fill(lo, hi):
+                    a[..., lo:hi, :] = source[..., lo:hi, :]
+                    with lock:
+                        seen.append(("fill", lo, hi))
+
+                def fold(lo, hi):
+                    # the piece's output is written by now
+                    assert not np.isnan(out[..., lo:hi, :]).any()
+                    with lock:
+                        seen.append(("fold", lo, hi))
+
+                kwargs = {"modulus": out} if modulus else {}
+                got = centered_fft(a, 1, 0.125, out=a, fill=fill, fold=fold, **kwargs)
+            pieces = sorted({(lo, hi) for _, lo, hi in seen})
+            assert len(pieces) == min(workers, batch[-1])
+            assert [lo for lo, _ in pieces] == [0] + [hi for _, hi in pieces[:-1]]
+            assert pieces[-1][1] == batch[-1]
+            for piece in pieces:
+                steps = [kind for kind, *lohi in seen if tuple(lohi) == piece]
+                assert steps == ["fill", "fold"]
+            if modulus:
+                assert np.array_equal(got, np.abs(want))
+            else:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d,batch", [(1, (7,)), (1, (3, 8)), (2, (5,))])
+    @pytest.mark.parametrize("modulus", [False, True])
+    def test_fill_equals_fill_then_transform(self, split_workers, d, batch, modulus):
+        N = 16
+        shape = batch + (N,) * d
+        rng = np.random.default_rng(d + len(batch))
+        f = rng.standard_normal((N,) * d) + 1j * rng.standard_normal((N,) * d)
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if modulus:
+            f = _presigned(f, d)
+        axis = len(batch) - 1
+        results = []
+        for workers in (1, 2):
+            with split_workers(workers):
+                buf = np.empty(shape, dtype=complex)
+
+                def fill(lo, hi):
+                    piece = (slice(None),) * axis + (slice(lo, hi),)
+                    np.multiply(f, w[piece], out=buf[piece])
+
+                A = np.empty(shape) if modulus else None
+                first = np.empty(shape) if modulus else None
+                fused = centered_fft(buf, d, 0.3, out=buf, modulus=A, fill=fill)
+                plain = centered_fft(f * w, d, 0.3, modulus=first)
+                assert np.array_equal(fused, plain)
+                results.append(fused.copy())
+        assert np.array_equal(*results)
+
+
 def _in_pool_thread(fn):
     """A split piece that runs fn on a pool thread; the caller's piece waits for it."""
     ran = threading.Event()

@@ -482,6 +482,50 @@ class TestTwoWorkers:
         assert norms1 == norms2
 
 
+class TestFusedFold:
+    """One hand-off per chunk: the row-column positions-inner sums run in the FFT's pieces."""
+
+    POSITIONS = [(p, q, POSITIONS_INNER) for p, q in [(1.0, 1.0), (2.0, 2.0), (np.inf, 1.0)]]
+
+    @pytest.mark.parametrize("window", ["gaussian_1d", "gaussian_2d"])
+    @pytest.mark.parametrize("specs", ["positions", "mixed"])
+    def test_one_and_two_workers_equal_the_reference(self, monkeypatch, split_workers,
+                                                     window, specs):
+        # 3 positions per row-column block (5 per windowed chunk): a fold
+        # that split the positions instead of k0 would change the order of
+        # each frequency's sum, and with two threads race on it
+        f, g = _case(window, seed=4)
+        grid = f.grid
+        monkeypatch.setattr(tf, "_CHUNK_BYTES", 5 * 16 * grid.npoints)
+        monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * grid.npoints)
+        specs = self.POSITIONS if specs == "positions" else SPECS
+        want = _reference_norms(f, g, specs, 1, None)
+        for workers in (1, 2):
+            with split_workers(workers):
+                assert _norms(f, g, specs) == want
+
+    def test_row_column_hands_each_transform_off_once(self, monkeypatch, split_workers):
+        # per position row: H's transform (with the window multiply and the
+        # transpose); per block: the transform with the window multiply and
+        # the positions-inner sums
+        f, g = _case("gaussian_2d")
+        grid = f.grid
+        monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * grid.npoints)
+        blocks = grid.N * -(-grid.N // 3)
+        calls = []
+        split = core._split
+
+        def counting(fn, n, nbytes):
+            calls.append(n)
+            return split(fn, n, nbytes)
+
+        with split_workers(2):
+            monkeypatch.setattr(core, "_split", counting)
+            monkeypatch.setattr(tf, "_split", counting)
+            _norms(f, g, self.POSITIONS)
+        assert len(calls) == grid.N + blocks
+
+
 class TestSpareBuffers:
     """Passes reuse the spare chunk buffers of earlier passes; concurrent ones do not."""
 

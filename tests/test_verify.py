@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from tfmult.core import ParameterError, make_grid, sample
-from tfmult.mult import symbol_unimodular
-from tfmult.tf import gaussian_window
+from tfmult.core import ParameterError, default_grid, make_grid, sample
+from tfmult.mult import schrodinger_propagate, symbol_unimodular
+from tfmult.tf import amalgam_norm_wfl1, gaussian_window, m_1_inf_norm, modulation_norm, stft
 from tfmult import verify
 from tfmult.verify import (
     DEFAULT_SEED,
@@ -52,6 +52,31 @@ class TestChirpOracle:
     def test_verify_rejects_2d(self):
         with pytest.raises(ParameterError):
             verify_chirp_stft(make_grid(2, 16.0, 32), 1.0)
+
+    @staticmethod
+    def _materialized_error(grid, t):
+        """The check's former formula: |V| of the whole materialized STFT."""
+        f = verify.chirp_field(grid, t)
+        V = stft(f, gaussian_window(grid))
+        xs, oms = grid.axis_positions(), grid.axis_frequencies()
+        px = np.abs(xs) <= grid.L / 4.0
+        pw = np.abs(oms) <= grid.N * grid.dxi / 4.0
+        sub = np.abs(V.values)[np.ix_(px, pw)]
+        oracle = chirp_stft_oracle(xs[px][:, None], oms[pw][None, :], t)
+        return float(np.max(np.abs(sub - oracle)))
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_streamed_equals_materialized(self, t):
+        grid = default_grid(1)  # dx = 1/64: the streamed |V| is exact
+        assert verify_chirp_stft(grid, t).max_abs_error == self._materialized_error(grid, t)
+
+    def test_streamed_within_a_rounding_when_dx_is_not_a_power_of_two(self):
+        # dx = 3/64 scales the real modulus instead of the signed transform:
+        # each |V| <= 1 moves by at most a relative 1e-15
+        grid = make_grid(1, 24.0, 512)
+        for t in (0.5, 1.0):
+            got = verify_chirp_stft(grid, t).max_abs_error
+            assert abs(got - self._materialized_error(grid, t)) <= 1e-15
 
     def test_small_grid_error_still_modest(self):
         rep = verify_chirp_stft(make_grid(1, 16.0, 512), 0.5)
@@ -177,6 +202,73 @@ class TestProbesAndContrast:
         fam = verify.probe_family(grid)
         labels = [lab for lab, _ in fam]
         assert len(labels) == len(set(labels))
+
+
+class TestMergedPasses:
+    """Norms measured in one shared pass equal those of separate single-spec calls."""
+
+    def test_amalgam_1d_equals_single_norms(self):
+        grid = make_grid(1, 16.0, 512)
+        g = gaussian_window(grid)
+        rows = verify.verify_amalgam_constants((0.0, 0.5, 2.0), d=1, grid=grid)
+        for row in rows:
+            f = verify.chirp_field(grid, row.t)
+            w = amalgam_norm_wfl1(f, g, position_halfwidth=grid.L / 4.0)
+            assert (row.w_measured, row.w_refinement) == (w.value, w.refinement_estimate)
+            if row.t == 0:
+                assert math.isnan(row.m1inf_measured)
+            else:
+                m1 = m_1_inf_norm(f, g, position_halfwidth=grid.L / 4.0, refine=False)
+                assert row.m1inf_measured == m1.value
+        skipped = verify.verify_amalgam_constants((0.5,), d=1, grid=grid, include_m1inf=False)
+        assert skipped[0].w_measured == rows[1].w_measured
+        assert math.isnan(skipped[0].m1inf_measured)
+
+    def test_schrodinger_equals_single_norms(self):
+        grid = make_grid(1, 16.0, 512)
+        w = gaussian_window(grid)
+        fields = [("gauss", sample(lambda x: np.exp(-np.pi * x ** 2), grid)),
+                  ("shifted", sample(lambda x: np.exp(-np.pi * (x - 1.0) ** 2), grid))]
+        t_list = (0.5, 2.0)
+        rep = verify.schrodinger_conservation(fields, w, 1, math.inf, t_list,
+                                              l2_labels=["gauss"])
+        plain = verify.schrodinger_conservation(fields, w, 1, math.inf, t_list)
+        assert plain.l2_ratios == {}
+        assert (rep.ratios, rep.c_values) == (plain.ratios, plain.c_values)
+        assert set(rep.l2_ratios) == {("gauss", t) for t in t_list}
+
+        def single(f, u, p, q):
+            return (modulation_norm(u, w, p, q, refine=False).value
+                    / modulation_norm(f, w, p, q, refine=False).value)
+
+        for label, f in fields:
+            for t in t_list:
+                u = schrodinger_propagate(f, t).u
+                assert rep.ratios[(label, t)] == single(f, u, 1, math.inf)
+                if label == "gauss":
+                    assert rep.l2_ratios[(label, t)] == single(f, u, 2, 2)
+
+    def test_wave_skips_the_zero_field_with_the_same_bits(self, monkeypatch):
+        grid = make_grid(1, 16.0, 256)
+        w = gaussian_window(grid)
+        f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
+        g0 = sample(lambda x: np.zeros_like(x), grid)
+        passes = []
+        norm = verify.modulation_norm
+
+        def counted(*args, **kwargs):
+            passes.append(args[0])
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "modulation_norm", counted)
+        for pq in ((1, 1), (2, 2), (math.inf, 1)):
+            passes.clear()
+            skipped = verify.wave_conservation(f, g0, w, *pq, (0.5, 2.0))
+            assert not any(np.array_equal(h.values, 0) for h in passes)
+            with monkeypatch.context() as mp:
+                mp.setattr(verify, "_norm_unless_zero",
+                           lambda h, window, p, q: norm(h, window, p, q, refine=False).value)
+                assert skipped == verify.wave_conservation(f, g0, w, *pq, (0.5, 2.0))
 
 
 class TestConservationDrivers:

@@ -19,7 +19,9 @@ and side the median and quartiles (``statistics.quantiles``, inclusive
 method) plus the number of pairs the change won (ties count for neither
 side; "better" comes from the change's ``BENCHMARK.json``).  It is rewritten
 after every run, so an interrupted recording keeps the pairs done so far.
-Exit 1 when any run is not correct or exits non-zero.
+The last stdout lines give, per workload and metric, both medians, their
+ratio and the change's wins.  Exit 1 when any run is not correct or exits
+non-zero.
 """
 
 from __future__ import annotations
@@ -76,6 +78,19 @@ def _summary(pairs: list, better: dict) -> dict:
     return out
 
 
+def _summary_lines(record: dict) -> list:
+    """One line per workload and metric: both medians, their ratio, the change's wins."""
+    lines = []
+    for workload, entry in record["workloads"].items():
+        for name, m in entry["summary"].items():
+            ratio = m["ratio_of_medians"]
+            lines.append(f"{workload} {name}: parent {m['parent']['median']:.6g}, "
+                         f"change {m['change']['median']:.6g}, ratio "
+                         f"{'-' if ratio is None else format(ratio, '.4f')}, change won "
+                         f"{m['change_wins']}/{len(entry['pairs'])}")
+    return lines
+
+
 def _ok(run: dict) -> bool:
     return run["exit_code"] == 0 and bool(run["result"]) and run["result"]["correct"]
 
@@ -128,6 +143,7 @@ def main(argv=None) -> int:
             run.pop("machine")
             entry["traced"][side] = run
             save()
+    print("\n".join(_summary_lines(record)))
     return 0 if ok else 1
 
 
