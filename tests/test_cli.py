@@ -1,5 +1,6 @@
 """CLI contract: subcommands, config parsing, artifacts, exit codes."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import tfmult
+from tfmult import verify
 from tfmult.cli import EXPERIMENTS, PARSERS, RULES, load_config, main, parse_params
 
 # the child process imports the same tfmult as this one, installed or not
@@ -201,6 +203,16 @@ class TestSchema:
         written = parse_params(load_config(write_config(tmp_path, f"name = {name}\n{text}")))
         assert written == bare
         assert [type(v) for v in written.values()] == [type(v) for v in bare.values()]
+
+
+    @pytest.mark.parametrize("function,argument,name,key", [
+        (verify.lp_contrast_probe, "lambdas", "lp_contrast", "lambda_list"),
+        (verify.verify_m_inf_1_divergence, "box_sizes", "m_inf_1_divergence", "l_list"),
+        (verify.linear_phase_random_cases, "n", "linear_phase", "cases"),
+    ])
+    def test_library_and_cli_share_one_default(self, function, argument, name, key):
+        library = inspect.signature(function).parameters[argument].default
+        assert parse_params({"name": name})[key] is library
 
 
 class TestRun:
