@@ -625,6 +625,16 @@ def _refinement(f: SampledField, g: Window, spec, stride: int, halfwidth, value:
     return abs(value - half) / max(abs(value), 1e-300)
 
 
+def _wfl1_and_m1inf(f: SampledField, g: Window, stride: int, halfwidth, with_m1inf: bool):
+    """W(FL^1, l^inf), its refinement estimate and M^{1,inf} from one pass.
+
+    Both norms read the same |V|, so one ``_norms`` pass measures them; the
+    refinement is W's alone.  M^{1,inf} is nan unless ``with_m1inf``.
+    """
+    w, *m1 = _norms(f, g, [_WFL1, _M1INF] if with_m1inf else [_WFL1], stride, halfwidth)
+    return w, _refinement(f, g, _WFL1, stride, halfwidth, w), m1[0] if m1 else math.nan
+
+
 def modulation_norm(
     f: SampledField, g: Window, p, q, stride: int = 1, refine: bool = True
 ) -> NormReport:

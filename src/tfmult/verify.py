@@ -10,7 +10,7 @@ the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,12 +26,9 @@ from .core import (
 )
 from .mult import Symbol, apply_multiplier, sin_singular_profile, symbol_unimodular
 from .tf import (
-    _M1INF,
-    _WFL1,
     Window,
-    _norms,
-    _refinement,
     _stft_chunks,
+    _wfl1_and_m1inf,
     amalgam_norm_wfl1,
     chi_profile,
     fl1_norm,
@@ -189,9 +186,7 @@ def verify_amalgam_constants(t_list, d: int = 1, grid: Grid | None = None,
         with_m1 = t != 0 and include_m1inf
         m1_pred = m1inf_prediction(t, d) if with_m1 else float("nan")
         if d == 1:
-            w, *m1 = _norms(f, g, [_WFL1, _M1INF] if with_m1 else [_WFL1], stride, hw)
-            w_ref = _refinement(f, g, _WFL1, stride, hw, w)
-            m1 = m1[0] if m1 else float("nan")
+            w, w_ref, m1 = _wfl1_and_m1inf(f, g, stride, hw, with_m1)
         else:
             w = amalgam_norm_wfl1(f, g, stride=stride, position_halfwidth=hw,
                                   refine=False).value
@@ -657,26 +652,25 @@ class SchrodingerConservationReport:
     c_values: dict        # (label, t) -> ratio / (t^2 + 4 pi^2)^{d/4}
     fitted_c: float
     stability: float      # (max - min) / max over all c_values
-    l2_ratios: dict = dc_field(default_factory=dict)  # (label, t) -> M^{2,2} ratio
+    l2_ratios: dict       # (label, t) -> M^{2,2} ratio
 
 
-def schrodinger_conservation(fields, window: Window, p, q, t_list,
-                             l2_labels=()) -> SchrodingerConservationReport:
+def schrodinger_conservation(fields, window: Window, p, q,
+                             t_list) -> SchrodingerConservationReport:
     """Phase-space norm growth of free Schrodinger evolution.
 
     For each initial field, measures ||u(., t)|| / ||f|| in the (p, q)
     modulation norm and the implied envelope constant against
-    (t^2 + 4 pi^2)^{d/4}.  For the fields named in ``l2_labels`` the same
-    passes also give the M^{2,2} ratios (``l2_ratios``), which Moyal's
-    formula and the unitary flow make exactly 1.
+    (t^2 + 4 pi^2)^{d/4}.  The same passes also give the M^{2,2} ratios
+    (``l2_ratios``), which Moyal's formula and the unitary flow make exactly 1.
     """
     from .mult import schrodinger_propagate
 
     pq, l2 = (float(p), float(q)), (2.0, 2.0)
+    pq_list = list(dict.fromkeys([pq, l2]))
     ratios, c_values, l2_ratios = {}, {}, {}
     for label, f in fields:
         d = f.grid.d
-        pq_list = [pq, l2] if label in l2_labels else [pq]
         base = modulation_norms_multi(f, window, pq_list)
         for t in t_list:
             u = schrodinger_propagate(f, t).u
@@ -684,8 +678,7 @@ def schrodinger_conservation(fields, window: Window, p, q, t_list,
             r = norms[pq] / base[pq]
             ratios[(label, t)] = r
             c_values[(label, t)] = r / (t * t + 4 * np.pi ** 2) ** (d / 4.0)
-            if label in l2_labels:
-                l2_ratios[(label, t)] = norms[l2] / base[l2]
+            l2_ratios[(label, t)] = norms[l2] / base[l2]
     vals = list(c_values.values())
     fitted = max(vals)
     stability = (fitted - min(vals)) / fitted

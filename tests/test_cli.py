@@ -1,5 +1,6 @@
 """CLI contract: subcommands, config parsing, artifacts, exit codes."""
 
+import ast
 import inspect
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tfmult
-from tfmult import verify
+from tfmult import cli, verify
 from tfmult.cli import EXPERIMENTS, PARSERS, RULES, load_config, main, parse_params
 
 # the child process imports the same tfmult as this one, installed or not
@@ -208,11 +209,22 @@ class TestSchema:
     @pytest.mark.parametrize("function,argument,name,key", [
         (verify.lp_contrast_probe, "lambdas", "lp_contrast", "lambda_list"),
         (verify.verify_m_inf_1_divergence, "box_sizes", "m_inf_1_divergence", "l_list"),
-        (verify.linear_phase_random_cases, "n", "linear_phase", "cases"),
     ])
     def test_library_and_cli_share_one_default(self, function, argument, name, key):
         library = inspect.signature(function).parameters[argument].default
         assert parse_params({"name": name})[key] is library
+
+    def test_linear_phase_cases_default_is_the_verify_constant(self):
+        # small ints are cached, so `is` cannot tell one constant from two
+        # equal literals; read the default expressions of both signatures
+        def default_source(function, argument):
+            args = ast.parse(inspect.getsource(function)).body[0].args
+            named = args.args[len(args.args) - len(args.defaults):]
+            return dict(zip((a.arg for a in named), map(ast.unparse, args.defaults)))[argument]
+
+        assert default_source(cli._run_linear_phase, "cases") == "verify.LINEAR_PHASE_CASES"
+        assert default_source(verify.linear_phase_random_cases, "n") == "LINEAR_PHASE_CASES"
+        assert parse_params({"name": "linear_phase"})["cases"] == verify.LINEAR_PHASE_CASES
 
 
 class TestRun:
