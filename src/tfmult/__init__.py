@@ -19,10 +19,6 @@ from .mult import (
     Symbol,
     apply_multiplier,
     schrodinger_propagate,
-    split_sing_osc,
-    symbol_gaussian_chirp,
-    symbol_piecewise,
-    symbol_sin_singular,
     symbol_unimodular,
     wave_propagate,
 )

@@ -37,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .core import ParameterError, _check_coarsenable, default_grid, make_grid, sample
+from .core import (ParameterError, SamplingError, _check_coarsenable, default_grid, make_grid,
+                   sample)
 from .mult import _check_unimodular_alpha, symbol_unimodular
 from .tf import _check_exponent, gaussian_window
 from .verify import DEFAULT_SEED
@@ -65,6 +66,11 @@ def emit_csv(rows, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _span(lo, hi) -> tuple:
+    """(lo, hi) with a one-valued span widened by 1, or by one ulp of lo where 1 is less."""
+    return (lo, hi) if hi > lo else (lo, lo + max(1.0, math.ulp(lo)))
+
+
 def emit_svg(series, path: Path, title: str = "") -> None:
     """Standalone SVG line/scatter plot: {name: (xs, ys)} with shared axes."""
     W, H, M = 640, 420, 60
@@ -75,12 +81,8 @@ def emit_svg(series, path: Path, title: str = "") -> None:
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     if not ys_all:
         ys_all = [0.0, 1.0]
-    x0, x1 = min(xs_all), max(xs_all)
-    y0, y1 = min(ys_all), max(ys_all)
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
+    x0, x1 = _span(min(xs_all), max(xs_all))
+    y0, y1 = _span(min(ys_all), max(ys_all))
 
     def px(x):
         return M + (x - x0) / (x1 - x0) * (W - 2 * M)
@@ -405,7 +407,7 @@ def _run_schrodinger(t_list=(0.5, 1.0, 2.0, 4.0), p=1.0, q=math.inf, l=_GRID.L, 
             "experiment": "schrodinger_conservation",
             "parameters": f"f={label};t={t:g};p={p:g};q={q:g}",
             "measured": r,
-            "predicted": rep.fitted_c * (t * t + 4 * np.pi ** 2) ** 0.25,
+            "predicted": rep.fitted_c * verify.schrodinger_envelope(t, 1),
             "rel_deviation": rep.c_values[(label, t)] / rep.fitted_c,
         })
     label = fields[0][0]  # the M^{2,2} check is reported for the Gaussian only
@@ -475,10 +477,17 @@ def _each(check):
     return lambda values: [check(v) for v in values]
 
 
+def _check_tolerance(tolerance):
+    """None stands for the experiment's own default."""
+    if tolerance is not None and not tolerance > 0:
+        raise ParameterError(f"tolerance must be positive, got {tolerance}")
+
+
 # each experiment's range and cross-key checks: (check, keys whose values it takes)
 RULES = {
-    "chirp_stft": [(_grid_1d, "l", "n")],
-    "amalgam_constants": [(default_grid, "d")],  # d in {1, 2}
+    "chirp_stft": [(_grid_1d, "l", "n"), (_check_tolerance, "tolerance")],
+    "amalgam_constants": [(default_grid, "d"),  # d in {1, 2}
+                          (_check_tolerance, "tolerance")],
     "m_inf_1_divergence": [(verify._check_boxes, "l_list")],
     "dyadic_series": [(verify._check_series_depth, "k", "j"),
                       (_each(verify._check_dyadic_alpha), "alpha_list")],
@@ -486,7 +495,8 @@ RULES = {
     "linear_phase": [(verify._check_case_count, "cases"), (verify._check_seed, "seed")],
     "operator_probe": [(_grid_1d, "l", "n"), (_each(_check_unimodular_alpha), "alpha_list")],
     "lp_contrast": [(verify._check_dilations, "lambda_list")],
-    "schrodinger_conservation": [(_grid_1d, "l", "n")],
+    "schrodinger_conservation": [(_grid_1d, "l", "n"),
+                                 (_each(lambda t: verify.schrodinger_envelope(t, 1)), "t_list")],
     "wave_conservation": [(_refinable_grid_1d, "l", "n")],
 }
 
@@ -531,7 +541,7 @@ def main(argv=None) -> int:
     out = os.environ.get("TFMULT_OUT") or cfg.get("out", ".")
     try:
         return run_experiment(cfg["name"], params, Path(out))
-    except (ParameterError, ConfigError) as exc:
+    except (ParameterError, SamplingError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

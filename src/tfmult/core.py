@@ -125,18 +125,9 @@ class Grid:
         ax = self.axis_frequencies()
         return np.meshgrid(*([ax] * self.d), indexing="ij")
 
-    def frequency_radius(self, r: float = 1.0) -> np.ndarray:
-        """|xi|_{2r} on the frequency lattice, shaped (N,)*d.
-
-        r=1 gives the Euclidean norm.
-        """
-        meshes = self.frequency_meshes()
-        if r == 1.0:
-            return radius(meshes)
-        s = np.zeros(self.shape)
-        for m in meshes:
-            s += np.abs(m) ** (2.0 * r)
-        return s ** (1.0 / (2.0 * r))
+    def frequency_radius(self) -> np.ndarray:
+        """|xi| on the frequency lattice, shaped (N,)*d."""
+        return radius(self.frequency_meshes())
 
 
 def make_grid(d: int, L: float, N: int) -> Grid:

@@ -19,7 +19,6 @@ from .core import (
     inverse_transform,
     require_same_grid,
 )
-from .tf import chi_profile
 
 
 @dataclass
@@ -33,12 +32,7 @@ class Symbol:
 
     grid: Grid
     values: np.ndarray  # flat, length N^d
-    descriptor: str
-    params: dict
     aliasing_warning: bool = False
-
-    def reshaped(self) -> np.ndarray:
-        return self.values.reshape(self.grid.shape)
 
 
 def _phase_aliased(phase: np.ndarray) -> bool:
@@ -54,35 +48,12 @@ def _check_unimodular_alpha(alpha: float) -> None:
         raise ParameterError(f"alpha must lie in [0, 2], got {alpha}")
 
 
-def symbol_unimodular(grid: Grid, alpha: float, t: float = 1.0, r: float = 1.0) -> Symbol:
-    """e^{i t |xi|_{2r}^alpha}; alpha restricted to [0, 2], r >= 1.
-
-    r = 1 gives the Euclidean norm |xi|.
-    """
+def symbol_unimodular(grid: Grid, alpha: float, t: float = 1.0) -> Symbol:
+    """e^{i t |xi|^alpha}; alpha restricted to [0, 2]."""
     _check_unimodular_alpha(alpha)
-    if not r >= 1.0:
-        raise ParameterError(f"r must be >= 1, got {r}")
-    phase = t * grid.frequency_radius(r) ** alpha if alpha > 0 else t * np.ones(grid.shape)
-    vals = np.exp(1j * phase)
-    return Symbol(
-        grid,
-        vals.reshape(-1),
-        "unimodular",
-        {"alpha": alpha, "t": t, "r": r},
-        aliasing_warning=_phase_aliased(phase),
-    )
-
-
-def symbol_gaussian_chirp(grid: Grid, t: float) -> Symbol:
-    """The quadratic chirp e^{i pi t |xi|^2}."""
-    phase = np.pi * t * grid.frequency_radius() ** 2
-    return Symbol(
-        grid,
-        np.exp(1j * phase).reshape(-1),
-        "gaussian_chirp",
-        {"t": t},
-        aliasing_warning=_phase_aliased(phase),
-    )
+    phase = t * grid.frequency_radius() ** alpha if alpha > 0 else t * np.ones(grid.shape)
+    return Symbol(grid, np.exp(1j * phase).reshape(-1),
+                  aliasing_warning=_phase_aliased(phase))
 
 
 def sin_singular_profile(rho, alpha: float, delta: float) -> np.ndarray:
@@ -99,52 +70,9 @@ def sin_singular_profile(rho, alpha: float, delta: float) -> np.ndarray:
     return out
 
 
-def symbol_sin_singular(grid: Grid, alpha: float, delta: float) -> Symbol:
-    """sin(|xi|^alpha) / |xi|^delta with the removable value at xi = 0.
-
-    Requires 0 < delta <= alpha; for delta > alpha the symbol is unbounded
-    near the origin and is rejected.
-    """
-    if not (0.0 < delta <= alpha):
-        raise ParameterError(f"need 0 < delta <= alpha, got alpha={alpha}, delta={delta}")
-    vals = sin_singular_profile(grid.frequency_radius(), alpha, delta)
-    return Symbol(grid, vals.astype(np.complex128).reshape(-1), "sin_singular",
-                  {"alpha": alpha, "delta": delta})
-
-
-def symbol_piecewise(grid: Grid, b, coeff) -> Symbol:
-    """Piecewise-constant symbol: value c_n on the half-open cell n + prod(0, b_j].
-
-    A lattice point landing exactly on a cell face takes the coefficient of
-    the adjacent lower cell (the cell whose open lower face it sits on).
-    ``coeff`` maps an integer index array of shape (npts, d) to values.
-    """
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if b.size != grid.d or np.any(b <= 0):
-        raise ParameterError(f"b must be {grid.d} positive reals, got {b}")
-    meshes = grid.frequency_meshes()
-    n = np.empty((grid.npoints, grid.d), dtype=np.int64)
-    for j, m in enumerate(meshes):
-        q = m.reshape(-1) / b[j]
-        near = np.abs(q - np.round(q)) < 1e-9
-        nj = np.ceil(q).astype(np.int64) - 1
-        nj[near] = np.round(q[near]).astype(np.int64) - 1
-        n[:, j] = nj
-    vals = np.asarray(coeff(n), dtype=np.complex128).reshape(-1)
-    if vals.size != grid.npoints:
-        raise ParameterError("coefficient map returned the wrong number of values")
-    return Symbol(grid, vals, "piecewise", {"b": tuple(b)})
-
-
-def custom_symbol(grid: Grid, values, descriptor: str = "custom", params=None) -> Symbol:
-    return Symbol(grid, np.asarray(values, dtype=np.complex128).reshape(-1),
-                  descriptor, params or {})
-
-
 def multiply_symbols(a: Symbol, b: Symbol) -> Symbol:
     require_same_grid(a.grid, b.grid)
-    return Symbol(a.grid, a.values * b.values, "custom",
-                  {"product": (a.descriptor, b.descriptor)},
+    return Symbol(a.grid, a.values * b.values,
                   aliasing_warning=a.aliasing_warning or b.aliasing_warning)
 
 
@@ -156,21 +84,6 @@ def apply_multiplier(sigma: Symbol, f: SampledField) -> SampledField:
     return inverse_transform(F)
 
 
-def split_sing_osc(sigma: Symbol) -> tuple:
-    """(sigma * chi, sigma * (1 - chi)) with the radial bump cutoff chi(|xi|).
-
-    The two parts sum back to sigma exactly; the first vanishes for
-    |xi| >= 2, the second for |xi| <= 1.
-    """
-    rho = sigma.grid.frequency_radius()
-    chi = np.asarray(chi_profile(rho)).reshape(-1)
-    sing = Symbol(sigma.grid, sigma.values * chi, "custom",
-                  {"part": "sing", "of": sigma.descriptor})
-    osc = Symbol(sigma.grid, sigma.values * (1.0 - chi), "custom",
-                 {"part": "osc", "of": sigma.descriptor})
-    return sing, osc
-
-
 # ---------------------------------------------------------------------------
 # propagators
 
@@ -179,20 +92,13 @@ def split_sing_osc(sigma: Symbol) -> tuple:
 class PropagatorState:
     grid: Grid
     u: SampledField
-    t: float
-    equation: str  # schrodinger | wave
     v: SampledField | None = None  # time derivative, wave only
 
 
 def schrodinger_propagate(f: SampledField, t: float) -> PropagatorState:
     """Free Schrodinger evolution: u_hat(xi, t) = e^{i t |xi|^2} f_hat(xi)."""
-    sigma = Symbol(
-        f.grid,
-        np.exp(1j * t * f.grid.frequency_radius() ** 2).reshape(-1),
-        "schrodinger",
-        {"t": t},
-    )
-    return PropagatorState(f.grid, apply_multiplier(sigma, f), t, "schrodinger")
+    sigma = Symbol(f.grid, np.exp(1j * t * f.grid.frequency_radius() ** 2).reshape(-1))
+    return PropagatorState(f.grid, apply_multiplier(sigma, f))
 
 
 def wave_propagate(f: SampledField, g: SampledField, t: float) -> PropagatorState:
@@ -217,12 +123,12 @@ def wave_propagate(f: SampledField, g: SampledField, t: float) -> PropagatorStat
     V = -rho * np.sin(t * rho) * F + c * G
     u = inverse_transform(SampledField(grid, U))
     v = inverse_transform(SampledField(grid, V))
-    return PropagatorState(grid, u, t, "wave", v=v)
+    return PropagatorState(grid, u, v=v)
 
 
 def wave_energy(state: PropagatorState) -> float:
     """Discrete phase-space energy dxi^d * sum(|xi u_hat|^2 + |v_hat|^2)."""
-    if state.equation != "wave" or state.v is None:
+    if state.v is None:
         raise ParameterError("wave_energy needs a wave state with a v field")
     grid = state.grid
     rho = grid.frequency_radius().reshape(-1)

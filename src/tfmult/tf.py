@@ -82,7 +82,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,7 +94,6 @@ from .core import (
     _split,
     centered_fft,
     coarsen,
-    make_grid,
     radius,
     require_same_grid,
     sample,
@@ -202,7 +201,6 @@ def psi_profile(rho):
 class Window:
     field: SampledField
     kind: str  # gaussian | bump_chi | annulus_psi | custom
-    params: dict = dc_field(default_factory=dict)
     # per-axis 1D samples whose outer product is ``field``; None unless the
     # window is a tensor product
     factors: tuple | None = None

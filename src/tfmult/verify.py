@@ -456,85 +456,11 @@ def linear_phase_random_cases(n: int = LINEAR_PHASE_CASES, seed: int = DEFAULT_S
 
 
 # ---------------------------------------------------------------------------
-# Taylor remainder and phase smoothness probes
-
-
-@dataclass
-class TaylorReport:
-    x: float
-    curvature_bound: float  # measured sup of |mu''| on the window support
-    max_r_ratio: float      # max |r_x| / (C/2 |xi-x|^2)
-    max_dr_ratio: float     # max |r_x'| / (C |xi-x|)
-    ok: bool
-
-
-def _fd2(mu, xi: np.ndarray, h: float) -> np.ndarray:
-    # centered 4th-order second derivative
-    return (
-        -mu(xi - 2 * h) + 16 * mu(xi - h) - 30 * mu(xi)
-        + 16 * mu(xi + h) - mu(xi + 2 * h)
-    ) / (12.0 * h * h)
-
-
-def _fd1(mu, xi: np.ndarray, h: float) -> np.ndarray:
-    # centered 4th-order first derivative
-    return (mu(xi - 2 * h) - 8 * mu(xi - h) + 8 * mu(xi + h) - mu(xi + 2 * h)) / (12.0 * h)
-
-
-def taylor_remainder_probe(mu, x: float, grid: Grid, support_radius: float = 3.0,
-                           slack: float = 1e-6) -> TaylorReport:
-    """Check |r_x| <= (C/2)|xi-x|^2 and |r_x'| <= C|xi-x| on the window support.
-
-    r_x is the phase minus its linear Taylor polynomial at x; C is the
-    finite-difference sup of |mu''| over the support, and the bounds carry a
-    small slack for finite-difference error.
-    """
-    h = grid.dxi
-    xi = x + np.arange(-support_radius, support_radius + h / 2, h)
-    xi = xi[np.abs(xi - x) > 0]
-    C = float(np.max(np.abs(_fd2(mu, np.append(xi, x), h))))
-    mu_x = float(np.real(np.asarray(mu(np.array([x])))[0]))
-    dmu_x = float(np.real(_fd1(mu, np.array([x]), h)[0]))
-    r = np.real(np.asarray(mu(xi))) - mu_x - dmu_x * (xi - x)
-    dr = _fd1(mu, xi, h) - dmu_x
-    u = np.abs(xi - x)
-    tol = slack * max(C, 1.0) + 1e-9
-    r_ratio = float(np.max(np.abs(r) / (0.5 * C * u ** 2 + tol)))
-    dr_ratio = float(np.max(np.abs(dr) / (C * u + tol)))
-    return TaylorReport(x, C, r_ratio, dr_ratio, ok=(r_ratio <= 1.0 + slack and
-                                                     dr_ratio <= 1.0 + slack))
-
-
-def phase_smoothness_probe(mu, order_max: int, annulus=(1.0, 4.0),
-                           step: float = 1.0 / 32.0) -> dict:
-    """Finite-difference sup estimates of |d^m mu| for 2 <= m <= order_max.
-
-    Sampled over the annulus (plus a stencil margin); returns {m: sup}.
-    """
-    if order_max < 2:
-        raise ParameterError("order_max must be >= 2")
-    lo, hi = annulus
-    margin = 2 * step * order_max
-    xi = np.arange(lo - margin, hi + margin + step / 2, step)
-    vals = np.real(np.asarray(mu(xi), dtype=complex))
-    sups = {}
-    der = vals
-    for m in range(1, order_max + 1):
-        der = (der[:-4] - 8 * der[1:-3] + 8 * der[3:-1] - der[4:]) / (12.0 * step)
-        xi = xi[2:-2]
-        if m >= 2:
-            inside = (xi >= lo) & (xi <= hi)
-            sups[m] = float(np.max(np.abs(der[inside]))) if inside.any() else 0.0
-    return sups
-
-
-# ---------------------------------------------------------------------------
 # operator norm probes
 
 
 @dataclass
 class ProbeReport:
-    descriptor: str
     p: float
     q: float
     labels: list
@@ -580,7 +506,7 @@ def probe_ratios(sigma: Symbol, pq_list, family=None, window: Window | None = No
     g = window or gaussian_window(grid)
     if base_norms is None:
         base_norms = probe_base_norms(family, g, pq_list)
-    reports = {pq: ProbeReport(sigma.descriptor, pq[0], pq[1], [], [], 0.0, grid)
+    reports = {pq: ProbeReport(pq[0], pq[1], [], [], 0.0, grid)
                for pq in pq_list}
     for label, f in family:
         base = base_norms[label]
@@ -643,6 +569,14 @@ def lp_contrast_probe(t: float, lambdas=LP_CONTRAST_LAMBDAS,
 # conservation experiments
 
 
+def schrodinger_envelope(t: float, d: int) -> float:
+    """(t^2 + 4 pi^2)^{d/4}, the growth bound of the Schrodinger flow's norm ratios."""
+    envelope = (t * t + 4 * np.pi ** 2) ** (d / 4.0)
+    if not math.isfinite(envelope):
+        raise ParameterError(f"the envelope (t^2 + 4 pi^2)^(d/4) overflows at t = {t:g}")
+    return envelope
+
+
 @dataclass
 class SchrodingerConservationReport:
     p: float
@@ -677,7 +611,7 @@ def schrodinger_conservation(fields, window: Window, p, q,
             norms = modulation_norms_multi(u, window, pq_list)
             r = norms[pq] / base[pq]
             ratios[(label, t)] = r
-            c_values[(label, t)] = r / (t * t + 4 * np.pi ** 2) ** (d / 4.0)
+            c_values[(label, t)] = r / schrodinger_envelope(t, d)
             l2_ratios[(label, t)] = norms[l2] / base[l2]
     vals = list(c_values.values())
     fitted = max(vals)

@@ -131,6 +131,8 @@ class TestListValidate:
         ("wave_conservation", "n", "8", "cannot coarsen below N = 8"),
         ("linear_phase", "seed", "-1", "seed must be non-negative"),
         ("amalgam_constants", "d", "3", "dimension must be 1 or 2"),
+        # (t^2 + 4 pi^2)^{1/4} overflowed, every c was 0 and the spread divided by 0
+        ("schrodinger_conservation", "t_list", "1e300", "overflows at t = 1e+300"),
         # keys the experiment does not take used to pass both commands unread
         ("sin_singular_fl1", "n", "64", "sin_singular_fl1 takes no key 'n'"),
         ("lp_contrast", "lambda_lst", "1, 2", "lp_contrast takes no key 'lambda_lst'"),
@@ -226,6 +228,19 @@ class TestSchema:
         assert default_source(verify.linear_phase_random_cases, "n") == "LINEAR_PHASE_CASES"
         assert parse_params({"name": "linear_phase"})["cases"] == verify.LINEAR_PHASE_CASES
 
+    @pytest.mark.parametrize("name,value", [
+        ("chirp_stft", "-1"),
+        ("amalgam_constants", "0"),
+    ])
+    def test_tolerance_must_be_positive(self, tmp_path, capsys, name, value):
+        # no error can be below a non-positive tolerance, so the run could only fail
+        cfg = write_config(tmp_path, f"name = {name}\ntolerance = {value}\n"
+                                     f"out = {tmp_path / 'o'}\n")
+        assert main(["validate", cfg]) == 2
+        assert "tolerance must be positive" in capsys.readouterr().err
+        assert main(["run", cfg]) == 2
+        assert not (tmp_path / "o").exists()
+
 
 class TestRun:
     def test_run_writes_csv(self, tmp_path):
@@ -281,6 +296,27 @@ class TestRun:
         assert "FAIL" in out.stderr
         # artifacts are still written for inspection
         assert (tmp_path / "f" / "results.csv").exists()
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("chirp_stft", "t_list", "1e308"),
+        ("dyadic_series", "alpha_list", "100"),
+    ])
+    def test_non_finite_sample_exits_two(self, tmp_path, capsys, name, key, value):
+        # these pass validate; sampling overflows, which ended in a traceback
+        cfg = write_config(tmp_path, f"name = {name}\n{key} = {value}\n"
+                                     f"out = {tmp_path / 'o'}\n")
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg]) == 2
+        assert "error: non-finite sample at x = " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("xs,ys", [([1e300], [1.0]), ([1.0], [1e300])])
+    def test_svg_one_valued_axis_of_large_magnitude(self, tmp_path, xs, ys):
+        # x0 + 1.0 == x0 once |x0| >= 2^53, which left a zero-width axis
+        path = tmp_path / "plot.svg"
+        cli.emit_svg({"a": (xs, ys)}, path)
+        circle = xml.dom.minidom.parse(str(path)).getElementsByTagName("circle")[0]
+        assert (circle.getAttribute("cx"), circle.getAttribute("cy")) == ("60.00", "360.00")
 
     def test_main_callable_in_process(self, tmp_path, capsys):
         assert main(["list"]) == 0

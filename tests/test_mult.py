@@ -5,14 +5,11 @@ import pytest
 
 from tfmult.core import ParameterError, SampledField, l2_norm, make_grid, sample
 from tfmult.mult import (
+    Symbol,
     apply_multiplier,
-    custom_symbol,
     multiply_symbols,
     schrodinger_propagate,
-    split_sing_osc,
-    symbol_gaussian_chirp,
-    symbol_piecewise,
-    symbol_sin_singular,
+    sin_singular_profile,
     symbol_unimodular,
     wave_energy,
     wave_propagate,
@@ -39,65 +36,23 @@ class TestSymbols:
         with pytest.raises(ParameterError):
             symbol_unimodular(grid, -0.1)
 
-    def test_anisotropic_radius(self, grid):
-        s1 = symbol_unimodular(grid, 1.0, r=1.0)
-        s2 = symbol_unimodular(grid, 1.0, r=2.0)
-        # in one dimension |xi|_{2r} = |xi| for every r
-        assert np.allclose(s1.values, s2.values)
-
-    def test_anisotropic_radius_2d(self):
-        g = make_grid(2, 8.0, 32)
-        rho = g.frequency_radius(2.0)
-        X, Y = g.frequency_meshes()
-        assert np.allclose(rho, (X ** 4 + Y ** 4) ** 0.25)
-
     def test_chirp_aliasing_flag(self):
         coarse = make_grid(1, 16.0, 64)
         fine = make_grid(1, 16.0, 2048)
-        assert symbol_gaussian_chirp(coarse, 8.0).aliasing_warning
-        assert not symbol_gaussian_chirp(fine, 0.1).aliasing_warning
+        # the Gaussian chirp e^{i pi t |xi|^2}
+        assert symbol_unimodular(coarse, 2.0, t=8.0 * np.pi).aliasing_warning
+        assert not symbol_unimodular(fine, 2.0, t=0.1 * np.pi).aliasing_warning
 
-    def test_sin_singular_origin_value(self, grid):
-        mid = grid.npoints // 2
-        assert symbol_sin_singular(grid, 1.0, 1.0).values[mid] == 1.0
-        assert symbol_sin_singular(grid, 1.0, 0.5).values[mid] == 0.0
-
-    def test_sin_singular_rejects_unbounded(self, grid):
-        with pytest.raises(ParameterError):
-            symbol_sin_singular(grid, 0.5, 1.0)
-
-    def test_piecewise_cells(self, grid):
-        s = symbol_piecewise(grid, [1.0], lambda n: n[:, 0].astype(complex))
-        xi = grid.axis_frequencies()
-        vals = s.values
-        # interior of cell (0, 1]: index 0
-        assert vals[np.argmin(np.abs(xi - 0.5))] == 0.0
-        # face point xi = 1 belongs to the lower cell (0, 1]
-        assert vals[np.argmin(np.abs(xi - 1.0))] == 0.0
-        # one lattice step above the face: next cell
-        assert vals[np.argmin(np.abs(xi - (1.0 + grid.dxi)))] == 1.0
-        # negative side: xi = -0.5 lies in (-1, 0], index -1
-        assert vals[np.argmin(np.abs(xi + 0.5))] == -1.0
-
-    def test_piecewise_2d_shape(self):
-        g = make_grid(2, 8.0, 32)
-        s = symbol_piecewise(g, [1.0, 2.0], lambda n: np.ones(len(n), complex))
-        assert s.values.shape == (g.npoints,)
-
-    def test_split_sums_back(self, grid):
-        s = symbol_unimodular(grid, 1.0)
-        sing, osc = split_sing_osc(s)
-        assert np.max(np.abs(sing.values + osc.values - s.values)) < 1e-15
-        rho = grid.frequency_radius().reshape(-1)
-        assert np.all(np.abs(sing.values[rho >= 2.0]) == 0.0)
-        assert np.all(np.abs(osc.values[rho <= 1.0]) == 0.0)
+    def test_sin_singular_origin_value(self):
+        assert sin_singular_profile(0.0, 1.0, 1.0) == 1.0
+        assert sin_singular_profile(0.0, 1.0, 0.5) == 0.0
 
 
 class TestApply:
     def test_identity_symbol(self, grid):
         rng = np.random.default_rng(1)
         f = SampledField(grid, rng.standard_normal(512) + 1j * rng.standard_normal(512))
-        one = custom_symbol(grid, np.ones(grid.npoints))
+        one = Symbol(grid, np.ones(grid.npoints, dtype=complex))
         out = apply_multiplier(one, f)
         assert np.max(np.abs(out.values - f.values)) < 1e-12
 
@@ -111,7 +66,7 @@ class TestApply:
         rng = np.random.default_rng(3)
         f = SampledField(grid, rng.standard_normal(512) + 1j * rng.standard_normal(512))
         s1 = symbol_unimodular(grid, 0.5, t=1.0)
-        s2 = symbol_gaussian_chirp(grid, 0.3)
+        s2 = symbol_unimodular(grid, 2.0, t=0.3 * np.pi)
         a = apply_multiplier(s1, apply_multiplier(s2, f))
         b = apply_multiplier(s2, apply_multiplier(s1, f))
         c = apply_multiplier(multiply_symbols(s1, s2), f)

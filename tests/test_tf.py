@@ -92,9 +92,13 @@ class TestWindows:
         assert np.all(np.abs(psi_vals[np.abs(x) < 1.0]) == 0.0)
 
 
+def _gaussian_pair(x, w):
+    """V_g g(x, w) = 2^{-1/2} e^{-pi(x^2+w^2)/2} e^{-pi i x w} for g = e^{-pi t^2}."""
+    return 2.0 ** -0.5 * np.exp(-np.pi * (x ** 2 + w ** 2) / 2.0) * np.exp(-1j * np.pi * x * w)
+
+
 class TestStft:
     def test_gaussian_pair_closed_form(self):
-        # V_g g(x, w) = 2^{-1/2} e^{-pi(x^2+w^2)/2} e^{-pi i x w} for g = e^{-pi t^2}
         grid = make_grid(1, 16.0, 512)
         f = sample(lambda t: np.exp(-np.pi * t ** 2), grid)
         V = stft(f, gaussian_window(grid))
@@ -102,11 +106,27 @@ class TestStft:
         oms = grid.axis_frequencies()
         keep_x = np.abs(xs) <= 4.0
         keep_w = np.abs(oms) <= 4.0
-        sub = np.abs(V.values)[np.ix_(keep_x, keep_w)]
-        X = xs[keep_x][:, None]
-        W = oms[keep_w][None, :]
-        oracle = 2.0 ** -0.5 * np.exp(-np.pi * (X ** 2 + W ** 2) / 2.0)
+        sub = V.values[np.ix_(keep_x, keep_w)]
+        oracle = _gaussian_pair(xs[keep_x][:, None], oms[keep_w][None, :])
+        # the phase too: the conjugate convention misses by 0.46
         assert np.max(np.abs(sub - oracle)) < 1e-12
+
+    def test_gaussian_pair_closed_form_2d(self):
+        # the row-column path: V_g g is the tensor product of the 1D form.
+        # Every 4th position keeps the matrix at 16 MiB.
+        grid = make_grid(2, 8.0, 64)
+        f = sample(lambda x, y: np.exp(-np.pi * (x ** 2 + y ** 2)), grid)
+        V = stft(f, gaussian_window(grid), stride=4)
+        xs = grid.axis_positions()[::4]
+        oms = grid.axis_frequencies()
+        keep_x = np.abs(xs) <= grid.L / 4
+        keep_w = np.abs(oms) <= grid.L / 4
+        sub = V.values.reshape(xs.size, xs.size, grid.N, grid.N)[
+            np.ix_(keep_x, keep_x, keep_w, keep_w)]
+        X, W = xs[keep_x], oms[keep_w]
+        oracle = (_gaussian_pair(X[:, None, None, None], W[None, None, :, None])
+                  * _gaussian_pair(X[None, :, None, None], W[None, None, None, :]))
+        assert np.max(np.abs(sub - oracle)) < 1e-10
 
     def test_stride_subsamples_rows(self):
         grid = make_grid(1, 16.0, 256)

@@ -19,8 +19,6 @@ from tfmult.verify import (
     linear_phase_invariance,
     linear_phase_random_cases,
     m1inf_prediction,
-    phase_smoothness_probe,
-    taylor_remainder_probe,
     verify_chirp_stft,
     verify_sin_singular_fl1,
     w_norm_prediction,
@@ -148,30 +146,6 @@ class TestLinearPhase:
         assert all(np.isclose(x[1], y[1]) for x, y in zip(a, b))
 
 
-class TestSmoothnessProbes:
-    def test_taylor_remainder_quadratic_phase(self):
-        grid = make_grid(1, 16.0, 1024)
-        rep = taylor_remainder_probe(lambda xi: xi ** 2, 2.0, grid)
-        assert rep.ok
-        assert np.isclose(rep.curvature_bound, 2.0, rtol=1e-6)
-
-    def test_taylor_remainder_alpha_phase(self):
-        grid = make_grid(1, 16.0, 1024)
-        rep = taylor_remainder_probe(lambda xi: np.abs(xi) ** 1.5, 3.0, grid,
-                                     support_radius=2.0)
-        assert rep.ok
-
-    def test_phase_smoothness_monomial(self):
-        # mu = xi^3 on [1, 4]: sup|mu''| = 24, sup|mu'''| = 6
-        sups = phase_smoothness_probe(lambda xi: xi ** 3, order_max=3)
-        assert np.isclose(sups[2], 24.0, rtol=1e-6)
-        assert np.isclose(sups[3], 6.0, rtol=1e-6)
-
-    def test_phase_smoothness_rejects_low_order(self):
-        with pytest.raises(ParameterError):
-            phase_smoothness_probe(lambda xi: xi, order_max=1)
-
-
 class TestProbesAndContrast:
     def test_fresnel_oracle_matches_measurement(self):
         rep = verify.lp_contrast_probe(0.5, (1.0, 4.0))
@@ -279,6 +253,14 @@ class TestConservationDrivers:
         rep = verify.schrodinger_conservation([("rand", f)], gaussian_window(grid),
                                               2, 2, (0.5, 2.0))
         assert all(abs(r - 1.0) < 1e-10 for r in rep.ratios.values())
+
+    def test_schrodinger_envelope_overflow_names_t(self):
+        # (t^2 + 4 pi^2)^{1/4} is inf for t = 1e300, so every c was 0
+        grid = make_grid(1, 16.0, 64)
+        f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
+        with pytest.raises(ParameterError, match="overflows at t = 1e\\+300"):
+            verify.schrodinger_conservation([("gauss", f)], gaussian_window(grid), 1, 1,
+                                            (1.0, 1e300))
 
     def test_divergence_t_zero_flat(self):
         rep = verify.verify_m_inf_1_divergence(0.0, (16.0, 32.0))
