@@ -39,7 +39,7 @@ import numpy as np
 from . import verify
 from .core import (ParameterError, SamplingError, _check_coarsenable, default_grid, make_grid,
                    sample)
-from .mult import _check_unimodular_alpha, symbol_unimodular
+from .mult import _check_phase_resolution, _check_unimodular_alpha, symbol_unimodular
 from .tf import _check_exponent, gaussian_window
 from .verify import DEFAULT_SEED
 
@@ -477,6 +477,18 @@ def _each(check):
     return lambda values: [check(v) for v in values]
 
 
+def _m1inf_grids(d, t_list):
+    """With d = 2 each t measures M^{1,inf} on a grid of its own, which has a cap."""
+    if d == 2:
+        verify._m1inf_grids_2d(t_list)
+
+
+def _resolved_phases(power):
+    """Each t's largest propagator phase t |xi|^power on the (l, n) grid is resolved."""
+    return lambda l, n, t_list: [_check_phase_resolution(make_grid(1, l, n), t, power)
+                                 for t in t_list]
+
+
 def _check_tolerance(tolerance):
     """None stands for the experiment's own default."""
     if tolerance is not None and not tolerance > 0:
@@ -487,7 +499,7 @@ def _check_tolerance(tolerance):
 RULES = {
     "chirp_stft": [(_grid_1d, "l", "n"), (_check_tolerance, "tolerance")],
     "amalgam_constants": [(default_grid, "d"),  # d in {1, 2}
-                          (_check_tolerance, "tolerance")],
+                          (_m1inf_grids, "d", "t_list"), (_check_tolerance, "tolerance")],
     "m_inf_1_divergence": [(verify._check_boxes, "l_list")],
     "dyadic_series": [(verify._check_series_depth, "k", "j"),
                       (_each(verify._check_dyadic_alpha), "alpha_list")],
@@ -496,8 +508,10 @@ RULES = {
     "operator_probe": [(_grid_1d, "l", "n"), (_each(_check_unimodular_alpha), "alpha_list")],
     "lp_contrast": [(verify._check_dilations, "lambda_list")],
     "schrodinger_conservation": [(_grid_1d, "l", "n"),
-                                 (_each(lambda t: verify.schrodinger_envelope(t, 1)), "t_list")],
-    "wave_conservation": [(_refinable_grid_1d, "l", "n")],
+                                 (_each(lambda t: verify.schrodinger_envelope(t, 1)), "t_list"),
+                                 (_resolved_phases(2), "l", "n", "t_list")],
+    "wave_conservation": [(_refinable_grid_1d, "l", "n"),
+                          (_resolved_phases(1), "l", "n", "t_list")],
 }
 
 

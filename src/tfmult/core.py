@@ -47,6 +47,16 @@ still in cache.  So a traced ``centered_fft`` span also holds that window
 multiply and reduction, and the ``tf`` layer's own time is smaller by as
 much.  Both callbacks are numpy-only, like every function handed to
 ``_split``.
+
+A pass can also hand several chunks to the threads at once.  An ``out``
+that repeats one buffer along a first axis of stride 0 is walked step by
+step inside each thread piece: fill(step, lo, hi), that step's transform
+and fold(step, lo, hi), then the next step.  A thread keeps the same piece
+lo:hi of the buffer for every step, so the steps reuse the buffer with no
+hand-off between them, and each piece's steps run in order.  The call's
+``a`` is that stride-0 view, (steps, ...) ahead of the batch axes, so its
+shape still holds every transform the call runs: a tracer that counts FFT
+work from ``a.shape`` counts the true work.
 """
 
 from __future__ import annotations
@@ -299,7 +309,11 @@ def _transform(a: np.ndarray, d: int, fft, out, scale: float, scale_op=np.multip
     With ``modulus``: a is transformed as it is, and |result| * scale goes
     into modulus.  Leading axes are batch; the last of them is split over
     the threads, each piece running all of its steps: fill(lo, hi), the
-    transform of batch indices lo:hi, then fold(lo, hi).
+    transform of batch indices lo:hi, then fold(lo, hi).  An ``out`` whose
+    first axis has stride 0 (and ``modulus`` with it) repeats one buffer
+    once per step along that axis: each piece then walks the steps in
+    order, running fill(step, lo, hi), the step's transform and
+    fold(step, lo, hi) before the next step.
     """
     shape = a.shape[a.ndim - d :]
     if any(n % 4 for n in shape):
@@ -314,22 +328,25 @@ def _transform(a: np.ndarray, d: int, fft, out, scale: float, scale_op=np.multip
     views = [a, out] if signed else [a, out, modulus]
     if a.ndim == d:
         views = [v[None] for v in views]
-    axes = tuple(range(views[0].ndim - d, views[0].ndim))
+    axes = tuple(range(-d, 0))
+    walked = out.ndim > d + 1 and out.strides[0] == 0
+    steps = [(k,) for k in range(out.shape[0])] if walked else [()]
 
     def part(lo, hi):
-        if fill is not None:
-            fill(lo, hi)
         rows = (Ellipsis, slice(lo, hi)) + (slice(None),) * d
-        x, y, *m = (v[rows] for v in views)
-        if signed:
-            x = np.multiply(x, sign, out=y, dtype=np.complex128)
-        fft(x, axes=axes, out=y)
-        if signed:
-            scale_op(y, post, out=y)
-        else:
-            np.multiply(np.abs(y, out=m[0]), scale, out=m[0])
-        if fold is not None:
-            fold(lo, hi)
+        for step in steps:
+            if fill is not None:
+                fill(*step, lo, hi)
+            x, y, *m = (v[step][rows] for v in views)
+            if signed:
+                x = np.multiply(x, sign, out=y, dtype=np.complex128)
+            fft(x, axes=axes, out=y)
+            if signed:
+                scale_op(y, post, out=y)
+            else:
+                np.multiply(np.abs(y, out=m[0]), scale, out=m[0])
+            if fold is not None:
+                fold(*step, lo, hi)
 
     _split(part, views[0].shape[views[0].ndim - d - 1], out.nbytes)
     return out if signed else modulus
@@ -355,6 +372,10 @@ def centered_fft(a: np.ndarray, d: int, dx: float, out=None, modulus=None, fill=
     thread piece of batch indices lo:hi (along the last batch axis):
     ``fill(lo, hi)`` writes that piece of ``a`` before it is transformed,
     ``fold(lo, hi)`` reads that piece of the result after it is written.
+    An ``a`` given as its own ``out`` may repeat one buffer along a first
+    axis of stride 0 (``modulus`` likewise): the transforms of that axis'
+    steps then run one after another in each piece, the callbacks taking
+    the step index first, ``fill(step, lo, hi)`` and ``fold(step, lo, hi)``.
     """
     return _transform(a, d, np.fft.fftn, out, dx ** d, modulus=modulus, fill=fill,
                       fold=fold)

@@ -7,6 +7,7 @@ and unimodular symbols are exact discrete L2 isometries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,23 @@ def apply_multiplier(sigma: Symbol, f: SampledField) -> SampledField:
 # ---------------------------------------------------------------------------
 # propagators
 
+# The largest ulp, in radians, that a propagator phase may have on its grid.
+# Past it cos and sin of the phase carry that much rounding, and at t = 1e300
+# every nonzero wave phase has an ulp of 1e283 rad, so the flow is noise.  A
+# millionth of a radian moves no norm by more than about 1e-6, far inside
+# every tolerance of the conservation experiments.
+PHASE_ULP_MAX = 1e-6
+
+
+def _check_phase_resolution(grid: Grid, t: float, power: int) -> None:
+    """Raise unless the largest phase |t| |xi|^power on the grid has an ulp <= PHASE_ULP_MAX."""
+    top = abs(t) * float(np.max(grid.frequency_radius())) ** power
+    if not math.ulp(top) <= PHASE_ULP_MAX:
+        raise ParameterError(
+            f"t = {t:g}: the largest propagator phase t|xi|^{power} on the grid, {top:.4g} rad, "
+            f"has an ulp of {math.ulp(top):.3g} rad, above {PHASE_ULP_MAX:g}"
+        )
+
 
 @dataclass
 class PropagatorState:
@@ -96,7 +114,12 @@ class PropagatorState:
 
 
 def schrodinger_propagate(f: SampledField, t: float) -> PropagatorState:
-    """Free Schrodinger evolution: u_hat(xi, t) = e^{i t |xi|^2} f_hat(xi)."""
+    """Free Schrodinger evolution: u_hat(xi, t) = e^{i t |xi|^2} f_hat(xi).
+
+    A t whose largest phase is not resolved (``_check_phase_resolution``)
+    raises ParameterError.
+    """
+    _check_phase_resolution(f.grid, t, 2)
     sigma = Symbol(f.grid, np.exp(1j * t * f.grid.frequency_radius() ** 2).reshape(-1))
     return PropagatorState(f.grid, apply_multiplier(sigma, f))
 
@@ -107,9 +130,12 @@ def wave_propagate(f: SampledField, g: SampledField, t: float) -> PropagatorStat
     u_hat = cos(t|xi|) f_hat + sin(t|xi|)/|xi| g_hat, the xi = 0 entry of the
     second multiplier set to its limit t; v_hat = -|xi| sin(t|xi|) f_hat
     + cos(t|xi|) g_hat.  Per mode this is an exact rotation of (|xi| u_hat,
-    v_hat), so the discrete wave energy is conserved.
+    v_hat), so the discrete wave energy is conserved.  A t whose largest
+    phase t|xi| is not resolved (``_check_phase_resolution``) raises
+    ParameterError.
     """
     require_same_grid(f.grid, g.grid)
+    _check_phase_resolution(f.grid, t, 1)
     grid = f.grid
     rho = grid.frequency_radius().reshape(-1)
     F = forward_transform(f).values

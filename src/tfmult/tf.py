@@ -61,18 +61,32 @@ keeps the signed path.
 Every stage of a chunk is split over two threads (``core._split``), and
 each chunk is handed to them once for its transform: the window multiply is
 the transform's ``fill`` (see ``core.centered_fft``), so it runs in the
-same thread piece as the FFT and |V|.  On the row-column path that piece
-is a range of k0, which is a range of flat frequency columns, so the
-positions-inner sums and maxima (with |V|^p) are the transform's ``fold``;
-H's transpose is the ``fold`` of H's transform.  On the windowed path the
-piece is a range of positions, so |V|^p (by contiguous halves) and the
+same thread piece as the FFT and |V|.  On the windowed path the piece is a
+range of positions, so |V|^p (by contiguous halves) and the
 positions-inner reductions (by frequency column) are handed off after the
-transform.  The frequencies-inner reductions are split by row on both
-paths.  Each output element is computed by the same operations in the same
-order as on one thread, so a split changes no bit.  The functions handed to
-the threads call only numpy, never a public ``tfmult`` function.  Since the
-window multiply and the folded reductions run inside ``centered_fft``, a
-traced run counts their time in ``core.centered_fft`` and not in ``tf``.
+transform.  On the row-column path H's transpose is the ``fold`` of H's
+transform, and a column block's piece is a range of k0, which is a range
+of flat frequency columns.  So when every spec is positions-inner
+(``_row_column_sums``), a position row's column blocks go to the threads
+once: each thread owns one k0 range and, for every block of the row in
+position order, runs the column-window multiply, the axis-1 transform, |V|
+and the positions-inner sums and maxima (with |V|^p) on its columns.  A
+pass with a frequencies-inner spec keeps one hand-off per block and splits
+its positions-inner sums after the transform, as on the windowed path.
+The frequencies-inner reductions are split by row on both paths.
+
+Why the bits stay: chunk sizes and position order do not depend on the
+split, and each output element is computed by the same operations in the
+same order as on one thread.  On the row-column path each accumulator
+column is summed block by block, in position order, by the one thread that
+owns it, whether the blocks come one per hand-off or all of a row's in
+one.  The functions handed to the threads call only numpy, never a public
+``tfmult`` function.  Since the window multiply and the positions-inner
+sums of a row-column pass run inside ``centered_fft``, a traced run counts
+their time in ``core.centered_fft`` and not in ``tf``.  A row's column
+blocks still go through one traced ``centered_fft`` call (and a short last
+block through one more), whose ``a`` is the block buffer repeated once per
+block, so a count of FFT work from ``a.shape`` is the true count.
 """
 
 from __future__ import annotations
@@ -300,19 +314,17 @@ def _translates(g: np.ndarray, axis_idx) -> np.ndarray:
     return windows[(slice(None, None, -1),) * g.ndim]
 
 
-def _transformed(block: np.ndarray, d: int, dx: float, A, fill, fold=None):
+def _transformed(block: np.ndarray, d: int, dx: float, A, fill):
     """One chunk's centered_fft in place, as (rows, N^d): V, or |V| into A if given.
 
-    ``fill`` writes the block and ``fold`` reads the result, piece by piece
-    in the transform's thread split (see ``core.centered_fft``).  With A the
-    filled block must be presigned (the sign-free path); A[:rows] is
-    returned.
+    ``fill`` writes the block piece by piece in the transform's thread split
+    (see ``core.centered_fft``).  With A the filled block must be presigned
+    (the sign-free path); A[:rows] is returned.
     """
     rows = len(block)
     if A is None:
-        return centered_fft(block, d, dx, out=block, fill=fill, fold=fold).reshape(rows, -1)
-    centered_fft(block, d, dx, out=block, modulus=A[:rows].reshape(block.shape), fill=fill,
-                 fold=fold)
+        return centered_fft(block, d, dx, out=block, fill=fill).reshape(rows, -1)
+    centered_fft(block, d, dx, out=block, modulus=A[:rows].reshape(block.shape), fill=fill)
     return A[:rows]
 
 
@@ -346,18 +358,18 @@ def _windowed_chunks(fv: np.ndarray, gvals: np.ndarray, flat_idx, axis_idx, grid
             yield flat_idx[start:stop], _transformed(block, grid.d, grid.dx, A, fill)
 
 
-def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: bool,
-                       fold=None):
-    """Yield (flat position indices, V_g f or |V_g f| rows) for a tensor-product 2D window.
+def _row_column_rows(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: bool, take):
+    """Yield (i, H, rows1, buf, A) once per position row i, for a tensor-product 2D window.
 
-    H = F0[f conj(T_{x_i} g0)] depends only on the position row i, so it is
-    transformed once per row (on the transposed field, along contiguous
-    rows) and then multiplied by each column's conj(T_{x_j} g1) before the
-    axis-1 transform.  H is always signed and scaled by dx; for |V|, g1 is
-    presigned.  Each transform is one hand-off to the threads: the window
-    multiply is its ``fill``, and H's transpose (per position row) or
-    ``fold`` (per block) its ``fold``.  A block's transform is split by k0,
-    so the piece k0 in lo:hi holds the flat frequency columns lo*N:hi*N.
+    H = F0[f conj(T_{x_i} g0)], as (k0, x1), depends only on the position
+    row i, so it is transformed once per row (on the transposed field,
+    along contiguous rows) and then multiplied by each column's window
+    rows1[j] = conj(T_{x_j} g1) before the axis-1 transform.  H is always
+    signed and scaled by dx; for |V|, g1 is presigned.  H's transform is one
+    hand-off to the threads: the window multiply is its ``fill`` and the
+    transpose its ``fold``.  ``buf`` is the column block buffer, (cols, N,
+    N), and A its |V| rows (None unless ``modulus``).  Every row reuses H,
+    buf and A.
     """
     N = grid.N
     sel0, sel1 = axis_idx
@@ -367,34 +379,91 @@ def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: b
     rows0, rows1 = _translates(g0, (sel0,)), _translates(g1, (sel1,))
     fT = np.ascontiguousarray(fv.T)
     cols = min(max(1, _ROW_COLUMN_CHUNK_BYTES // (16 * N * N)), sel1.size)
+    HT = take("HT", (N, N), np.complex128)  # (x1, k0)
+    H = take("H", (N, N), np.complex128)  # (k0, x1)
+    buf = take("chunk", (cols, N, N), np.complex128)
+    A = take("modulus", (cols, N * N)) if modulus else None
+    for i, row0 in zip(sel0, rows0):
+
+        def window_rows(lo, hi):
+            np.multiply(fT[lo:hi], row0, out=HT[lo:hi])
+
+        def transpose(lo, hi):
+            H[:, lo:hi] = HT[lo:hi].T
+
+        centered_fft(HT, 1, grid.dx, out=HT, fill=window_rows, fold=transpose)
+        yield i, H, rows1, buf, A
+
+
+def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: bool):
+    """Yield (flat position indices, V_g f or |V_g f| rows) for a tensor-product 2D window.
+
+    One chunk per block of ``cols`` columns of a position row, each block
+    one hand-off to the threads with the column-window multiply as its
+    ``fill``.
+    """
+    N, sel1 = grid.N, axis_idx[1]
     with _pass_buffers() as take:
-        HT = take("HT", (N, N), np.complex128)  # (x1, k0)
-        H = take("H", (N, N), np.complex128)  # (k0, x1)
-        buf = take("chunk", (cols, N, N), np.complex128)
-        A = take("modulus", (cols, N * N)) if modulus else None
-        for i, row0 in zip(sel0, rows0):
-
-            def window_rows(lo, hi):
-                np.multiply(fT[lo:hi], row0, out=HT[lo:hi])
-
-            def transpose(lo, hi):
-                H[:, lo:hi] = HT[lo:hi].T
-
-            centered_fft(HT, 1, grid.dx, out=HT, fill=window_rows, fold=transpose)
-            for start in range(0, sel1.size, cols):
-                stop = min(start + cols, sel1.size)
+        for i, H, rows1, buf, A in _row_column_rows(fv, factors, axis_idx, grid, modulus, take):
+            for start in range(0, sel1.size, len(buf)):
+                stop = min(start + len(buf), sel1.size)
                 block = buf[: stop - start]
                 w = rows1[start:stop, None, :]
-                part = None if fold is None else fold(A[: stop - start])
 
                 def window_columns(lo, hi):
                     np.multiply(H[lo:hi], w, out=block[:, lo:hi])
 
-                def fold_columns(lo, hi):
-                    part(lo * N, hi * N)
+                yield i * N + sel1[start:stop], _transformed(block, 1, grid.dx, A,
+                                                             window_columns)
 
-                yield i * N + sel1[start:stop], _transformed(
-                    block, 1, grid.dx, A, window_columns, None if part is None else fold_columns)
+
+def _repeated(x: np.ndarray, n: int) -> np.ndarray:
+    """A writable view of x repeated n times along a new first axis of stride 0."""
+    return np.lib.stride_tricks.as_strided(x, (n, *x.shape), (0, *x.strides))
+
+
+def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, power_rows):
+    """Fold |V_g f| into every positions-inner accumulator of ``acc``, on the row-column path.
+
+    The column blocks of a position row go to the threads once: all full
+    blocks in one ``centered_fft`` call, whose block buffer is repeated
+    once per block along a stride-0 axis (``_repeated``), and a short last
+    block in a call of its own.  A thread owns one k0 range, so the flat
+    frequency columns k0*N:(k0+1)*N, and for each block in position order
+    runs on them the column-window multiply, the axis-1 transform, |V| and
+    ``_fold_columns`` (with |V|^p into ``power_rows(A)``).  So each
+    accumulator column is summed block by block, in position order, by one
+    thread, as when each block is its own chunk; and the traced ``a`` of
+    each call still has the shape of the transforms it runs.
+    """
+    grid = f.grid
+    require_same_grid(grid, g.field.grid)
+    N = grid.N
+    _, axis_idx = _position_indices(grid, stride, halfwidth)
+    ncols = axis_idx[1].size
+    with _pass_buffers() as take:
+        for _, H, rows1, buf, A in _row_column_rows(f.reshaped(), g.factors, axis_idx, grid,
+                                                    True, take):
+            cols = len(buf)
+            P = power_rows(A)
+            full = ncols - ncols % cols
+            for start, stop, size in ((0, full, cols), (full, ncols, ncols - full)):
+                if stop == start:
+                    continue
+                block, Ab = buf[:size], A[:size]
+                Pb = None if P is None else P[:size]
+                w = rows1[start:stop].reshape(-1, size, 1, N)
+                steps = _repeated(block, len(w))
+
+                def window_columns(b, lo, hi):
+                    np.multiply(H[lo:hi], w[b], out=block[:, lo:hi])
+
+                def fold_columns(b, lo, hi):
+                    _fold_columns(Ab, Pb, acc, col, lo * N, hi * N)
+
+                centered_fft(steps, 1, grid.dx, out=steps,
+                             modulus=_repeated(Ab.reshape(block.shape), len(w)),
+                             fill=window_columns, fold=fold_columns)
 
 
 def _row_column(g: Window) -> bool:
@@ -402,25 +471,19 @@ def _row_column(g: Window) -> bool:
     return g.field.grid.d == 2 and g.factors is not None
 
 
-def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None, modulus=False,
-                 fold=None):
+def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None, modulus=False):
     """Yield (flat position indices, V_g f rows), positions row-major.
 
     With ``modulus`` the rows are |V_g f|, computed on the sign-free path.
     Each yielded array is a view of one buffer that the pass reuses: it is
     valid only until the generator resumes, so a caller that keeps rows
     copies them.
-
-    ``fold``, taken on the row-column path only (``_row_column``), is called
-    with each chunk's |V| rows before they are computed and returns
-    ``part(c0, c1)``, which reduces their flat frequency columns c0:c1; each
-    thread runs it on the columns it has just transformed.
     """
     grid = f.grid
     require_same_grid(grid, g.field.grid)
     flat_idx, axis_idx = _position_indices(grid, stride, halfwidth)
     if _row_column(g):
-        yield from _row_column_chunks(f.reshaped(), g.factors, axis_idx, grid, modulus, fold)
+        yield from _row_column_chunks(f.reshaped(), g.factors, axis_idx, grid, modulus)
     else:
         yield from _windowed_chunks(f.reshaped(), g.field.values, flat_idx, axis_idx, grid,
                                     modulus)
@@ -539,11 +602,12 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     per position row.  |V| comes from the sign-free path; |V|^p and the
     per-frequency partial sums go into buffers allocated once per pass.  The
     positions-inner sums are split over the threads by frequency column and
-    the frequencies-inner ones by row, so every sum keeps its order.  On the
-    row-column path, whose transform is split by frequency column too, the
-    positions-inner sums run inside the transform's thread pieces (its
-    ``fold``).  A value that overflows to inf (or is nan) raises
-    ParameterError naming its spec.
+    the frequencies-inner ones by row, so every sum keeps its order.  When
+    every spec is positions-inner on the row-column path, whose transform
+    is split by frequency column too, the sums run inside the transform's
+    thread pieces, one hand-off per position row (``_row_column_sums``).  A
+    value that overflows to inf (or is nan) raises ParameterError naming its
+    spec.
     """
     grid = f.grid
     wx = (grid.dx * stride) ** grid.d
@@ -551,7 +615,6 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     acc = {p: np.zeros(grid.npoints) for p, _, order in specs if order == POSITIONS_INNER}
     rows = {p: [] for p, _, order in specs if order == FREQUENCIES_INNER}
     powered = any(p != 1.0 and not math.isinf(p) for p, _, _ in specs)
-    folded = bool(acc) and _row_column(g)
     col = np.empty(grid.npoints)
     P = None
     with _pass_buffers() as take:
@@ -563,24 +626,21 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
                 P = take("power", A.shape)
             return None if P is None else P[: len(A)]
 
-        def fold(A):
-            return functools.partial(_fold_columns, A, power_rows(A), acc, col)
-
-        chunks = _stft_chunks(f, g, stride, halfwidth, modulus=True,
-                              fold=fold if folded else None)
-        for _, A in chunks:
-            pa = power_rows(A)
-            if not folded:
+        if _row_column(g) and not rows:
+            _row_column_sums(f, g, stride, halfwidth, acc, col, power_rows)
+        else:
+            for _, A in _stft_chunks(f, g, stride, halfwidth, modulus=True):
+                pa = power_rows(A)
                 for p, s in acc.items():
                     a = A if p == 1.0 or math.isinf(p) else _split_power(A, p, pa)
                     _split(functools.partial(_accumulate_columns, a, s, math.isinf(p), col),
                            A.shape[1], A.nbytes)
-            if rows:
-                parts = _split(functools.partial(_reduce_rows, A, pa, list(rows), wxi),
-                               len(A), A.nbytes)
-                for part in parts:
-                    for r, values in zip(rows.values(), part):
-                        r.append(values)
+                if rows:
+                    parts = _split(functools.partial(_reduce_rows, A, pa, list(rows), wxi),
+                                   len(A), A.nbytes)
+                    for part in parts:
+                        for r, values in zip(rows.values(), part):
+                            r.append(values)
     out = []
     for p, q, order in specs:
         if order == POSITIONS_INNER:

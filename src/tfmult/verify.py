@@ -45,6 +45,8 @@ DEFAULT_SEED = 20240214
 # defaults shared with the CLI experiments
 DIVERGENCE_BOXES = (16.0, 32.0, 64.0)
 LINEAR_PHASE_CASES = 50
+# at about 0.3 ms a case, the most cases one run takes: about half a minute
+LINEAR_PHASE_MAX_CASES = 100_000
 LP_CONTRAST_LAMBDAS = (1.0, 2.0, 4.0, 8.0)
 
 
@@ -152,18 +154,33 @@ def _amalgam_grid(d: int) -> tuple:
     return make_grid(2, 16.0, 256), 4
 
 
+# Largest N per axis of a 2D M^{1,inf} grid.  t = 8 picks it, at about 16
+# times the work of the t = 4 row (16641 positions x 1024^2 against 4225 x
+# 512^2); t = 16 would pick N = 2048, and t = 1000 a 128 GiB grid.
+M1INF_MAX_N_2D = 1024
+
+
 def _m1inf_grid_2d(t: float) -> tuple:
-    """Alias-free grid for the 2D M^{1,inf} measurement of the chirp.
+    """Alias-free grid for the 2D M^{1,inf} measurement of the chirp (t != 0).
 
     The box must hold several widths of the ridge cross-section and the
     Nyquist frequency must exceed the largest local chirp frequency, so both
-    grow with t.
+    grow with t.  A t whose grid needs N > ``M1INF_MAX_N_2D`` raises
+    ParameterError.
     """
     c = np.pi * t * t / (1.0 + t * t)
     L = max(9.0, 4.0 * 3.5 / math.sqrt(c))
     nyq = t * L / 4.0 + 3.0 * math.sqrt(1.0 + t * t)
-    N = 1 << max(8, math.ceil(math.log2(2.0 * L * nyq)))
+    N = 1 << max(8, math.ceil(math.log2(2.0 * L * nyq))) if math.isfinite(nyq) else math.inf
+    if N > M1INF_MAX_N_2D:
+        raise ParameterError(f"t = {t:g} needs an N = {N} grid for the 2D M^(1,inf) norm, "
+                             f"above the cap N = {M1INF_MAX_N_2D}")
     return make_grid(2, L, N), 4
+
+
+def _m1inf_grids_2d(t_list) -> dict:
+    """{t: ``_m1inf_grid_2d(t)``} for each t of a 2D run that measures M^{1,inf} (t != 0)."""
+    return {t: _m1inf_grid_2d(t) for t in t_list if t != 0}
 
 
 def verify_amalgam_constants(t_list, d: int = 1, grid: Grid | None = None,
@@ -175,9 +192,11 @@ def verify_amalgam_constants(t_list, d: int = 1, grid: Grid | None = None,
     not represent any continuum translate.  In 1D both norms read the same
     |V|, so one pass measures them, and W is refined at half resolution; in
     2D M^{1,inf} takes its own grid (``_m1inf_grid_2d``) and W is not
-    refined.
+    refined.  The 2D M^{1,inf} grids are derived before any pass, so a t
+    above their cap raises ParameterError at once.
     """
     base, stride = _amalgam_grid(d) if grid is None else (grid, 1 if d == 1 else 4)
+    m1_grids = _m1inf_grids_2d(t_list) if d == 2 and include_m1inf else {}
     g = gaussian_window(base)
     hw = base.L / 4.0
     rows = []
@@ -192,7 +211,7 @@ def verify_amalgam_constants(t_list, d: int = 1, grid: Grid | None = None,
                                   refine=False).value
             w_ref, m1 = None, float("nan")
             if with_m1:
-                mg, mstride = _m1inf_grid_2d(t)
+                mg, mstride = m1_grids[t]
                 m1 = m_1_inf_norm(chirp_field(mg, t), gaussian_window(mg), stride=mstride,
                                   position_halfwidth=mg.L / 4.0, refine=False).value
         rows.append(AmalgamRow(t, w, w_norm_prediction(t, d), m1, m1_pred,
@@ -408,6 +427,8 @@ def lattice_aligned_b(grid: Grid, m: int) -> float:
 def _check_case_count(n: int) -> None:
     if n < 1:
         raise ParameterError(f"need at least 1 random case, got {n}")
+    if n > LINEAR_PHASE_MAX_CASES:
+        raise ParameterError(f"at most {LINEAR_PHASE_MAX_CASES} random cases, got {n}")
 
 
 def _check_seed(seed: int) -> None:
@@ -607,11 +628,12 @@ def schrodinger_conservation(fields, window: Window, p, q,
         d = f.grid.d
         base = modulation_norms_multi(f, window, pq_list)
         for t in t_list:
+            envelope = schrodinger_envelope(t, d)
             u = schrodinger_propagate(f, t).u
             norms = modulation_norms_multi(u, window, pq_list)
             r = norms[pq] / base[pq]
             ratios[(label, t)] = r
-            c_values[(label, t)] = r / schrodinger_envelope(t, d)
+            c_values[(label, t)] = r / envelope
             l2_ratios[(label, t)] = norms[l2] / base[l2]
     vals = list(c_values.values())
     fitted = max(vals)

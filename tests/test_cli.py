@@ -133,6 +133,11 @@ class TestListValidate:
         ("amalgam_constants", "d", "3", "dimension must be 1 or 2"),
         # (t^2 + 4 pi^2)^{1/4} overflowed, every c was 0 and the spread divided by 0
         ("schrodinger_conservation", "t_list", "1e300", "overflows at t = 1e+300"),
+        # every nonzero phase t|xi| or t|xi|^2 was rounding noise, and run exited 0
+        ("wave_conservation", "t_list", "1e300", "has an ulp of 4.76e+285 rad, above 1e-06"),
+        ("schrodinger_conservation", "t_list", "1e100", "has an ulp of 1.99e+87 rad"),
+        # run had not finished after a minute
+        ("linear_phase", "cases", "100000000000", "at most 100000 random cases"),
         # keys the experiment does not take used to pass both commands unread
         ("sin_singular_fl1", "n", "64", "sin_singular_fl1 takes no key 'n'"),
         ("lp_contrast", "lambda_lst", "1, 2", "lp_contrast takes no key 'lambda_lst'"),
@@ -147,6 +152,16 @@ class TestListValidate:
         assert message in capsys.readouterr().err
         assert main(["run", cfg]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("t_list,N", [("1e3", 131072), ("0.5, 16", 2048)])
+    def test_2d_m1inf_grid_above_the_cap(self, tmp_path, capsys, t_list, N):
+        # validate said ok, and run tried to allocate the grid (128 GiB at t = 1e3)
+        cfg = write_config(tmp_path, f"name = amalgam_constants\nd = 2\nt_list = {t_list}\n"
+                                     f"out = {tmp_path / 'o'}\n")
+        for cmd in ("validate", "run"):
+            assert main([cmd, cfg]) == 2
+            assert f"needs an N = {N} grid" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name,key,value,parsed", [

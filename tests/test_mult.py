@@ -110,6 +110,18 @@ class TestSchrodinger:
         assert np.isclose(peak, oracle, rtol=1e-8)
 
 
+    @pytest.mark.parametrize("t", [2.0 ** 25, -2.0 ** 25, 1e100])
+    def test_unresolved_phase_raises(self, grid, t):
+        # the top |xi| on the grid is 256 / 16 = 16, so from t = 2^25 on the
+        # phase t|xi|^2 reaches 2^33, whose ulp 2^-19 rad is above 1e-6; at
+        # t = 1e100 the ulp is 2e87 rad and the flow would be rounding noise
+        f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
+        with pytest.raises(ParameterError, match="the largest propagator phase"):
+            schrodinger_propagate(f, t)
+        resolved = np.nextafter(abs(t), 0.0) if abs(t) == 2.0 ** 25 else 1.0
+        assert np.isfinite(schrodinger_propagate(f, resolved).u.values).all()
+
+
 class TestWave:
     def test_t_zero_identity(self, grid):
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
@@ -138,6 +150,17 @@ class TestWave:
         x = grid.axis_positions()
         oracle = 0.5 * (np.exp(-np.pi * (x - s) ** 2) + np.exp(-np.pi * (x + s) ** 2))
         assert np.max(np.abs(u.values - oracle)) < 1e-10
+
+    @pytest.mark.parametrize("t", [2.0 ** 29, -2.0 ** 29, 1e300])
+    def test_unresolved_phase_raises(self, grid, t):
+        # the top |xi| is 16, so from t = 2^29 on the phase t|xi| reaches
+        # 2^33, whose ulp 2^-19 rad is above 1e-6; at t = 1e300 every nonzero
+        # phase has an ulp of 1e283 rad or more
+        f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
+        with pytest.raises(ParameterError, match="the largest propagator phase"):
+            wave_propagate(f, f, t)
+        resolved = np.nextafter(abs(t), 0.0) if abs(t) == 2.0 ** 29 else 1.0
+        assert np.isfinite(wave_propagate(f, f, resolved).u.values).all()
 
     def test_time_reversal(self, grid):
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from tfmult import core, tf
 from tfmult.core import ParameterError, SampledField, centered_fft, l2_norm, make_grid, sample
@@ -31,7 +32,7 @@ from tfmult.tf import (
     resample_window,
     stft,
 )
-from tfmult.verify import _divergence_grid, chirp_field
+from tfmult.verify import _divergence_grid, _m1inf_grid_2d, chirp_field
 
 
 class TestProfiles:
@@ -411,23 +412,16 @@ def _case(window, L=8.0, seed=0):
     return _random_field(grid, seed), g
 
 
-def _reference_norms(f, g, specs, stride, halfwidth):
-    """The specs reduced from np.abs(stft(...).values), position sums chunk by chunk.
+def _reference_norms(f, g, specs, stride, halfwidth, modulus=False):
+    """The specs reduced on one thread from the |V| chunks of ``_stft_chunks``.
 
-    Positions-inner sums run down each frequency column in the order and
-    with the chunk boundaries of ``_stft_chunks``; frequencies-inner ones
-    along each row.  |V|^p is ``np.power`` and the roots are ``**``, as in
-    ``_norms``.
+    |V| is np.abs of the signed rows, or with ``modulus`` the sign-free rows
+    as they are.  Positions-inner sums run down each frequency column in the
+    order and with the chunk boundaries of ``_stft_chunks``; frequencies-inner
+    ones along each row.  |V|^p is ``np.power`` and the roots are ``**``, as
+    in ``_norms``.
     """
     grid = f.grid
-    S = stft(f, g, stride)
-    keep = np.ones(S.position_indices.size, dtype=bool)
-    if halfwidth is not None:
-        for axis_index in np.unravel_index(S.position_indices, grid.shape):
-            keep &= np.abs(grid.axis_positions()[axis_index]) <= halfwidth
-    A = np.abs(S.values[keep])
-    sizes = [len(js) for js, _ in tf._stft_chunks(f, g, stride, halfwidth)]
-    chunks = np.split(A, np.cumsum(sizes)[:-1])
     wx, wxi = (grid.dx * stride) ** grid.d, grid.dxi ** grid.d
 
     def lp(a, p, w, axis):
@@ -435,19 +429,24 @@ def _reference_norms(f, g, specs, stride, halfwidth):
             return np.max(a, axis=axis)
         return (np.sum(np.power(a, p), axis=axis) * w) ** (1.0 / p)
 
+    inner = {p: np.zeros(grid.npoints) for p, _, order in specs if order == POSITIONS_INNER}
+    rows = {p: [] for p, _, order in specs if order == FREQUENCIES_INNER}
+    for _, V in tf._stft_chunks(f, g, stride, halfwidth, modulus):
+        A = V if modulus else np.abs(V)
+        for p in inner:
+            if p == np.inf:
+                inner[p] = np.maximum(inner[p], A.max(axis=0))
+            else:
+                inner[p] = inner[p] + np.sum(np.power(A, p), axis=0)
+        for p in rows:
+            rows[p].append(lp(A, p, wxi, 1))
     values = []
     for p, q, order in specs:
         if order == FREQUENCIES_INNER:
-            values.append(float(lp(lp(A, p, wxi, 1), q, wx, None)))
-            continue
-        if p == np.inf:
-            inner = A.max(axis=0)
+            values.append(float(lp(np.concatenate(rows[p]), q, wx, None)))
         else:
-            s = np.zeros(grid.npoints)
-            for c in chunks:
-                s = s + np.sum(np.power(c, p), axis=0)
-            inner = (s * wx) ** (1.0 / p)
-        values.append(float(lp(inner, q, wxi, None)))
+            s = inner[p] if p == np.inf else (inner[p] * wx) ** (1.0 / p)
+            values.append(float(lp(s, q, wxi, None)))
     return values
 
 
@@ -503,7 +502,7 @@ class TestTwoWorkers:
 
 
 class TestFusedFold:
-    """One hand-off per chunk: the row-column positions-inner sums run in the FFT's pieces."""
+    """The row-column positions-inner sums run in the FFT's pieces, one hand-off per row."""
 
     POSITIONS = [(p, q, POSITIONS_INNER) for p, q in [(1.0, 1.0), (2.0, 2.0), (np.inf, 1.0)]]
 
@@ -524,14 +523,69 @@ class TestFusedFold:
             with split_workers(workers):
                 assert _norms(f, g, specs) == want
 
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
+    def test_default_m1inf_configurations(self, split_workers, t):
+        # each default 2D M^{1,inf} row's grid, stride, chirp and window, on
+        # its central 9 x 9 positions: at N = 256 (4 columns per block) a
+        # position row is 2 blocks and a short one, as the full row is 8 and
+        # a short one; at N = 512 every block is one column
+        mg, stride = _m1inf_grid_2d(t)
+        f, g = chirp_field(mg, t), gaussian_window(mg)
+        hw = 4 * stride * mg.dx
+        want = _reference_norms(f, g, [tf._M1INF], stride, hw, modulus=True)
+        for workers in (1, 2):
+            with split_workers(workers):
+                assert _norms(f, g, [tf._M1INF], stride, hw) == want
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([16, 32]), st.sampled_from([8.0, 9.0]),
+           st.sampled_from([1, 2, 3]), st.sampled_from([3, 5, 7]), st.booleans(),
+           st.lists(st.tuples(st.sampled_from([1.0, 2.0, 3.0, np.inf]),
+                              st.sampled_from([1.0, 2.0, np.inf])), min_size=1, max_size=3))
+    def test_random_tensor_products(self, split_workers, seed, N, L, stride, cols, quarter,
+                                    pqs):
+        # every position row ends on a short block; L = 9 makes dx no power of
+        # two, where only the sign-free rows give the reference's bits
+        grid = make_grid(2, L, N)
+        hw = L / 4 if quarter else None
+        _, axis_idx = tf._position_indices(grid, stride, hw)
+        assume(axis_idx[1].size % cols)
+        f, g = _random_field(grid, seed), gaussian_window(grid)
+        specs = [(p, q, POSITIONS_INNER) for p, q in pqs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", cols * 16 * grid.npoints)
+            want = _reference_norms(f, g, specs, stride, hw, modulus=True)
+            for workers in (1, 2):
+                with split_workers(workers):
+                    assert _norms(f, g, specs, stride, hw) == want
+
+    def test_traced_shapes_hold_every_transform(self, monkeypatch):
+        # a tracer counts a centered_fft call's FFT work from a.shape alone:
+        # per position row, H (N lines) and the row's N columns (N lines
+        # each), 10 blocks of 3 in one call and the short block of 2 in one
+        f, g = _case("gaussian_2d")
+        N = f.grid.N
+        monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * N * N)
+        shapes = []
+        transform = tf.centered_fft
+
+        def traced(a, d, *args, **kwargs):
+            shapes.append((a.shape, d))
+            return transform(a, d, *args, **kwargs)
+
+        monkeypatch.setattr(tf, "centered_fft", traced)
+        _norms(f, g, self.POSITIONS)
+        assert shapes == [((N, N), 1), ((10, 3, N, N), 1), ((1, 2, N, N), 1)] * N
+
     def test_row_column_hands_each_transform_off_once(self, monkeypatch, split_workers):
         # per position row: H's transform (with the window multiply and the
-        # transpose); per block: the transform with the window multiply and
-        # the positions-inner sums
+        # transpose), then the row's full column blocks in one hand-off and
+        # its short last block (32 = 10 * 3 + 2 columns) in another, each
+        # with the window multiply and the positions-inner sums
         f, g = _case("gaussian_2d")
         grid = f.grid
         monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * grid.npoints)
-        blocks = grid.N * -(-grid.N // 3)
         calls = []
         split = core._split
 
@@ -543,7 +597,7 @@ class TestFusedFold:
             monkeypatch.setattr(core, "_split", counting)
             monkeypatch.setattr(tf, "_split", counting)
             _norms(f, g, self.POSITIONS)
-        assert len(calls) == grid.N + blocks
+        assert calls == [grid.N] * (3 * grid.N)
 
 
 class TestSpareBuffers:

@@ -1,6 +1,7 @@
 """Experiment drivers: oracles, report plumbing, and edge-case handling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,23 @@ class TestPredictions:
         assert np.isclose(m1inf_prediction(1.0, 1), 2.0 ** 0.25)
         assert np.isclose(m1inf_prediction(0.5, 1), 1.25 ** 0.25 / 0.5)
         assert np.isclose(m1inf_prediction(0.5, 1), 2.1147425268811283, rtol=1e-12)
+
+    def test_2d_m1inf_grid_cap(self, monkeypatch):
+        # t = 8 picks the largest grid allowed, about 16 times the t = 4 work;
+        # t = 16 picked N = 2048 and t = 1e3 a 128 GiB grid, and both ran
+        assert verify._m1inf_grid_2d(8.0)[0].N == verify.M1INF_MAX_N_2D == 1024
+        for t, N in [(16.0, 2048), (1e3, 131072), (1e300, math.inf)]:
+            message = re.escape(f"t = {t:g} needs an N = {N} grid")
+            with pytest.raises(ParameterError, match=message):
+                verify._m1inf_grid_2d(t)
+
+        def no_pass(grid, t):
+            raise AssertionError("a pass started")
+
+        # every grid is derived before the first pass
+        monkeypatch.setattr(verify, "chirp_field", no_pass)
+        with pytest.raises(ParameterError, match="t = 16 needs an N = 2048 grid"):
+            verify.verify_amalgam_constants((0.5, 16.0), d=2)
 
 
 class TestDyadicSeries:
