@@ -49,9 +49,11 @@ much.  Both callbacks are numpy-only, like every function handed to
 ``_split``.
 
 A pass can also hand several chunks to the threads at once.  An ``out``
-that repeats one buffer along a first axis of stride 0 is walked step by
-step inside each thread piece: fill(step, lo, hi), that step's transform
-and fold(step, lo, hi), then the next step.  A thread keeps the same piece
+made by ``_repeated``, which repeats one buffer along a first axis of
+stride 0 and marks it as a ``_Steps`` view, is walked step by step inside
+each thread piece: fill(step, lo, hi), that step's transform and
+fold(step, lo, hi), then the next step.  Only the mark selects this mode:
+any other out, a stride-0 ``x[None]`` too, is transformed as a batch.  A thread keeps the same piece
 lo:hi of the buffer for every step, so the steps reuse the buffer with no
 hand-off between them, and each piece's steps run in order.  The call's
 ``a`` is that stride-0 view, (steps, ...) ahead of the batch axes, so its
@@ -301,6 +303,15 @@ def _split(fn, n: int, nbytes: int) -> list:
     return results
 
 
+class _Steps(np.ndarray):
+    """A view made by ``_repeated``: ``_transform`` walks its first axis step by step."""
+
+
+def _repeated(x: np.ndarray, n: int) -> np.ndarray:
+    """A writable ``_Steps`` view of x repeated n times along a new first axis of stride 0."""
+    return np.lib.stride_tricks.as_strided(x, (n, *x.shape), (0, *x.strides)).view(_Steps)
+
+
 def _transform(a: np.ndarray, d: int, fft, out, scale: float, scale_op=np.multiply,
                modulus=None, fill=None, fold=None):
     """fft over the trailing d axes of a, into ``out`` (a new buffer if None).
@@ -309,11 +320,11 @@ def _transform(a: np.ndarray, d: int, fft, out, scale: float, scale_op=np.multip
     With ``modulus``: a is transformed as it is, and |result| * scale goes
     into modulus.  Leading axes are batch; the last of them is split over
     the threads, each piece running all of its steps: fill(lo, hi), the
-    transform of batch indices lo:hi, then fold(lo, hi).  An ``out`` whose
-    first axis has stride 0 (and ``modulus`` with it) repeats one buffer
-    once per step along that axis: each piece then walks the steps in
-    order, running fill(step, lo, hi), the step's transform and
-    fold(step, lo, hi) before the next step.
+    transform of batch indices lo:hi, then fold(lo, hi).  An ``out`` made
+    by ``_repeated`` (and ``modulus`` with it) repeats one buffer once per
+    step along its first axis: each piece then walks the steps in order,
+    running fill(step, lo, hi), the step's transform and fold(step, lo, hi)
+    before the next step.
     """
     shape = a.shape[a.ndim - d :]
     if any(n % 4 for n in shape):
@@ -325,11 +336,11 @@ def _transform(a: np.ndarray, d: int, fft, out, scale: float, scale_op=np.multip
     signed = modulus is None
     if signed:
         sign, post = _checkerboard(shape), _checkerboard(shape, scale)
-    views = [a, out] if signed else [a, out, modulus]
+    walked = isinstance(out, _Steps)
+    views = [np.asarray(v) for v in ([a, out] if signed else [a, out, modulus])]
     if a.ndim == d:
         views = [v[None] for v in views]
     axes = tuple(range(-d, 0))
-    walked = out.ndim > d + 1 and out.strides[0] == 0
     steps = [(k,) for k in range(out.shape[0])] if walked else [()]
 
     def part(lo, hi):
@@ -372,10 +383,12 @@ def centered_fft(a: np.ndarray, d: int, dx: float, out=None, modulus=None, fill=
     thread piece of batch indices lo:hi (along the last batch axis):
     ``fill(lo, hi)`` writes that piece of ``a`` before it is transformed,
     ``fold(lo, hi)`` reads that piece of the result after it is written.
-    An ``a`` given as its own ``out`` may repeat one buffer along a first
-    axis of stride 0 (``modulus`` likewise): the transforms of that axis'
-    steps then run one after another in each piece, the callbacks taking
-    the step index first, ``fill(step, lo, hi)`` and ``fold(step, lo, hi)``.
+    An ``a`` given as its own ``out`` may be a ``_repeated`` view of one
+    buffer (``modulus`` likewise): the transforms of its first axis' steps
+    then run one after another in each piece, the callbacks taking the step
+    index first, ``fill(step, lo, hi)`` and ``fold(step, lo, hi)``.  Any
+    other ``out``, a stride-0 ``x[None]`` included, is transformed as one
+    batch with ``fill(lo, hi)`` and ``fold(lo, hi)``.
     """
     return _transform(a, d, np.fft.fftn, out, dx ** d, modulus=modulus, fill=fill,
                       fold=fold)

@@ -71,9 +71,10 @@ of flat frequency columns.  So when every spec is positions-inner
 once: each thread owns one k0 range and, for every block of the row in
 position order, runs the column-window multiply, the axis-1 transform, |V|
 and the positions-inner sums and maxima (with |V|^p) on its columns.  A
-pass with a frequencies-inner spec keeps one hand-off per block and splits
-its positions-inner sums after the transform, as on the windowed path.
-The frequencies-inner reductions are split by row on both paths.
+pass with a frequencies-inner spec too must reduce each block's rows
+before the next block overwrites them, so it hands each block off on its
+own, with the positions-inner sums still in the transform's pieces.  The
+frequencies-inner reductions are split by row on both paths.
 
 Why the bits stay: chunk sizes and position order do not depend on the
 split, and each output element is computed by the same operations in the
@@ -105,6 +106,7 @@ from .core import (
     ParameterError,
     SampledField,
     _presigned,
+    _repeated,
     _split,
     centered_fft,
     coarsen,
@@ -417,12 +419,8 @@ def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: b
                                                              window_columns)
 
 
-def _repeated(x: np.ndarray, n: int) -> np.ndarray:
-    """A writable view of x repeated n times along a new first axis of stride 0."""
-    return np.lib.stride_tricks.as_strided(x, (n, *x.shape), (0, *x.strides))
-
-
-def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, power_rows):
+def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, power_rows,
+                     reduce_rows=None):
     """Fold |V_g f| into every positions-inner accumulator of ``acc``, on the row-column path.
 
     The column blocks of a position row go to the threads once: all full
@@ -435,6 +433,10 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
     accumulator column is summed block by block, in position order, by one
     thread, as when each block is its own chunk; and the traced ``a`` of
     each call still has the shape of the transforms it runs.
+
+    With ``reduce_rows`` (a pass with frequencies-inner specs too) every
+    block is a call of its own, and reduce_rows(A, P) reads the block's
+    |V| rows after it, before the next block overwrites them.
     """
     grid = f.grid
     require_same_grid(grid, g.field.grid)
@@ -447,7 +449,11 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
             cols = len(buf)
             P = power_rows(A)
             full = ncols - ncols % cols
-            for start, stop, size in ((0, full, cols), (full, ncols, ncols - full)):
+            groups = [(0, full, cols), (full, ncols, ncols - full)]
+            if reduce_rows is not None:
+                groups = [(start, min(start + cols, ncols), min(cols, ncols - start))
+                          for start in range(0, ncols, cols)]
+            for start, stop, size in groups:
                 if stop == start:
                     continue
                 block, Ab = buf[:size], A[:size]
@@ -464,6 +470,8 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
                 centered_fft(steps, 1, grid.dx, out=steps,
                              modulus=_repeated(Ab.reshape(block.shape), len(w)),
                              fill=window_columns, fold=fold_columns)
+                if reduce_rows is not None:
+                    reduce_rows(Ab, Pb)
 
 
 def _row_column(g: Window) -> bool:
@@ -602,10 +610,11 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     per position row.  |V| comes from the sign-free path; |V|^p and the
     per-frequency partial sums go into buffers allocated once per pass.  The
     positions-inner sums are split over the threads by frequency column and
-    the frequencies-inner ones by row, so every sum keeps its order.  When
-    every spec is positions-inner on the row-column path, whose transform
-    is split by frequency column too, the sums run inside the transform's
-    thread pieces, one hand-off per position row (``_row_column_sums``).  A
+    the frequencies-inner ones by row, so every sum keeps its order.  On the
+    row-column path, whose transform is split by frequency column too, the
+    positions-inner sums run inside the transform's thread pieces
+    (``_row_column_sums``): one hand-off per position row when every spec
+    is positions-inner, one per block when some are frequencies-inner.  A
     value that overflows to inf (or is nan) raises ParameterError naming its
     spec.
     """
@@ -626,8 +635,16 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
                 P = take("power", A.shape)
             return None if P is None else P[: len(A)]
 
-        if _row_column(g) and not rows:
-            _row_column_sums(f, g, stride, halfwidth, acc, col, power_rows)
+        def reduce_rows(A, pa):
+            parts = _split(functools.partial(_reduce_rows, A, pa, list(rows), wxi),
+                           len(A), A.nbytes)
+            for part in parts:
+                for r, values in zip(rows.values(), part):
+                    r.append(values)
+
+        if _row_column(g) and acc:
+            _row_column_sums(f, g, stride, halfwidth, acc, col, power_rows,
+                             reduce_rows if rows else None)
         else:
             for _, A in _stft_chunks(f, g, stride, halfwidth, modulus=True):
                 pa = power_rows(A)
@@ -636,11 +653,7 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
                     _split(functools.partial(_accumulate_columns, a, s, math.isinf(p), col),
                            A.shape[1], A.nbytes)
                 if rows:
-                    parts = _split(functools.partial(_reduce_rows, A, pa, list(rows), wxi),
-                                   len(A), A.nbytes)
-                    for part in parts:
-                        for r, values in zip(rows.values(), part):
-                            r.append(values)
+                    reduce_rows(A, pa)
     out = []
     for p, q, order in specs:
         if order == POSITIONS_INNER:

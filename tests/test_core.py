@@ -433,6 +433,47 @@ class TestFillFold:
                 results.append(fused.copy())
         assert np.array_equal(*results)
 
+    @pytest.mark.parametrize("own_out", [False, True])
+    def test_stride_zero_out_is_one_batch(self, own_out):
+        # x[None] has a first axis of stride 0, but only a _repeated view is
+        # walked step by step: the callbacks keep their (lo, hi) arguments
+        rng = np.random.default_rng(3)
+        src = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
+        x = src.copy()
+        out = x[None]
+        assert out.strides[0] == 0
+        seen = []
+        centered_fft(out if own_out else src[None], 1, 0.125, out=out,
+                     fill=lambda lo, hi: seen.append(("fill", lo, hi)),
+                     fold=lambda lo, hi: seen.append(("fold", lo, hi)))
+        assert seen == [("fill", 0, 6), ("fold", 0, 6)]
+        assert np.array_equal(x, centered_fft(src, 1, 0.125))
+
+    @pytest.mark.parametrize("modulus", [False, True])
+    def test_repeated_view_walks_its_steps(self, split_workers, modulus):
+        # each step refills the one buffer and is folded before the next
+        rng = np.random.default_rng(4)
+        src = rng.standard_normal((3, 6, 16)) + 1j * rng.standard_normal((3, 6, 16))
+        want = centered_fft(src, 1, 0.125)
+        for workers in (1, 2):
+            with split_workers(workers):
+                buf = np.empty((6, 16), dtype=complex)
+                A = np.empty((6, 16))
+                got = np.empty((3, 6, 16), dtype=complex if not modulus else float)
+                res = A if modulus else buf
+
+                def fill(step, lo, hi):
+                    buf[lo:hi] = _presigned(src[step], 1)[lo:hi] if modulus else src[step, lo:hi]
+
+                def fold(step, lo, hi):
+                    got[step, lo:hi] = res[lo:hi]
+
+                steps = core._repeated(buf, 3)
+                centered_fft(steps, 1, 0.125, out=steps,
+                             modulus=core._repeated(A, 3) if modulus else None,
+                             fill=fill, fold=fold)
+                assert np.array_equal(got, np.abs(want) if modulus else want)
+
 
 def _in_pool_thread(fn):
     """A split piece that runs fn on a pool thread; the caller's piece waits for it."""

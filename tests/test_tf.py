@@ -419,9 +419,18 @@ def _reference_norms(f, g, specs, stride, halfwidth, modulus=False):
     as they are.  Positions-inner sums run down each frequency column in the
     order and with the chunk boundaries of ``_stft_chunks``; frequencies-inner
     ones along each row.  |V|^p is ``np.power`` and the roots are ``**``, as
-    in ``_norms``.
+    in ``_norms``.  The chunks' positions must be every ``stride``-th lattice
+    point per axis with |x| <= halfwidth, row-major, as selected here from
+    ``grid.axis_positions()`` without ``tf._position_indices``.
     """
     grid = f.grid
+    idx = np.indices(grid.shape)[(slice(None),) + (slice(None, None, stride),) * grid.d]
+    keep = np.ones(idx.shape[1:], dtype=bool)
+    if halfwidth is not None:
+        for axis_index in idx:
+            keep &= np.abs(grid.axis_positions()[axis_index]) <= halfwidth
+    positions = np.ravel_multi_index(tuple(idx), grid.shape)[keep]
+    seen = []
     wx, wxi = (grid.dx * stride) ** grid.d, grid.dxi ** grid.d
 
     def lp(a, p, w, axis):
@@ -431,7 +440,8 @@ def _reference_norms(f, g, specs, stride, halfwidth, modulus=False):
 
     inner = {p: np.zeros(grid.npoints) for p, _, order in specs if order == POSITIONS_INNER}
     rows = {p: [] for p, _, order in specs if order == FREQUENCIES_INNER}
-    for _, V in tf._stft_chunks(f, g, stride, halfwidth, modulus):
+    for js, V in tf._stft_chunks(f, g, stride, halfwidth, modulus):
+        seen.append(js.copy())
         A = V if modulus else np.abs(V)
         for p in inner:
             if p == np.inf:
@@ -440,6 +450,7 @@ def _reference_norms(f, g, specs, stride, halfwidth, modulus=False):
                 inner[p] = inner[p] + np.sum(np.power(A, p), axis=0)
         for p in rows:
             rows[p].append(lp(A, p, wxi, 1))
+    assert np.array_equal(np.concatenate(seen), positions)
     values = []
     for p, q, order in specs:
         if order == FREQUENCIES_INNER:
@@ -578,11 +589,14 @@ class TestFusedFold:
         _norms(f, g, self.POSITIONS)
         assert shapes == [((N, N), 1), ((10, 3, N, N), 1), ((1, 2, N, N), 1)] * N
 
-    def test_row_column_hands_each_transform_off_once(self, monkeypatch, split_workers):
+    @pytest.mark.parametrize("specs", ["positions", "mixed"])
+    def test_row_column_hands_each_transform_off_once(self, monkeypatch, split_workers,
+                                                      specs):
         # per position row: H's transform (with the window multiply and the
         # transpose), then the row's full column blocks in one hand-off and
         # its short last block (32 = 10 * 3 + 2 columns) in another, each
-        # with the window multiply and the positions-inner sums
+        # with the window multiply and the positions-inner sums; a mixed pass
+        # hands each of the 11 blocks off on its own, its rows reduced after
         f, g = _case("gaussian_2d")
         grid = f.grid
         monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * grid.npoints)
@@ -596,8 +610,11 @@ class TestFusedFold:
         with split_workers(2):
             monkeypatch.setattr(core, "_split", counting)
             monkeypatch.setattr(tf, "_split", counting)
-            _norms(f, g, self.POSITIONS)
-        assert calls == [grid.N] * (3 * grid.N)
+            _norms(f, g, self.POSITIONS if specs == "positions" else SPECS)
+        if specs == "positions":
+            assert calls == [grid.N] * (3 * grid.N)
+        else:
+            assert calls == ([grid.N] + [grid.N, 3] * 10 + [grid.N, 2]) * grid.N
 
 
 class TestSpareBuffers:
