@@ -589,14 +589,9 @@ class TestFusedFold:
         _norms(f, g, self.POSITIONS)
         assert shapes == [((N, N), 1), ((10, 3, N, N), 1), ((1, 2, N, N), 1)] * N
 
-    @pytest.mark.parametrize("specs", ["positions", "mixed"])
-    def test_row_column_hands_each_transform_off_once(self, monkeypatch, split_workers,
-                                                      specs):
-        # per position row: H's transform (with the window multiply and the
-        # transpose), then the row's full column blocks in one hand-off and
-        # its short last block (32 = 10 * 3 + 2 columns) in another, each
-        # with the window multiply and the positions-inner sums; a mixed pass
-        # hands each of the 11 blocks off on its own, its rows reduced after
+    @staticmethod
+    def _hand_offs(monkeypatch, split_workers, specs) -> list:
+        """The n of every _split call of a 2D pass on 3-column blocks, N = 32."""
         f, g = _case("gaussian_2d")
         grid = f.grid
         monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * grid.npoints)
@@ -610,11 +605,23 @@ class TestFusedFold:
         with split_workers(2):
             monkeypatch.setattr(core, "_split", counting)
             monkeypatch.setattr(tf, "_split", counting)
-            _norms(f, g, self.POSITIONS if specs == "positions" else SPECS)
-        if specs == "positions":
-            assert calls == [grid.N] * (3 * grid.N)
-        else:
-            assert calls == ([grid.N] + [grid.N, 3] * 10 + [grid.N, 2]) * grid.N
+            _norms(f, g, specs)
+        return calls
+
+    def test_row_column_hands_each_transform_off_once(self, monkeypatch, split_workers):
+        # per position row: H's transform (with the window multiply and the
+        # transpose), then the row's full column blocks in one hand-off and
+        # its short last block (32 = 10 * 3 + 2 columns) in another, each
+        # with the window multiply and the positions-inner sums
+        calls = self._hand_offs(monkeypatch, split_workers, self.POSITIONS)
+        assert calls == [32] * (3 * 32)
+
+    def test_mixed_pass_folds_in_each_block_hand_off(self, monkeypatch, split_workers):
+        # with frequencies-inner specs too, each of a row's 11 blocks is its
+        # own hand-off (the positions-inner sums inside it, split over k0),
+        # and its rows are reduced in one more, split over its columns
+        calls = self._hand_offs(monkeypatch, split_workers, SPECS)
+        assert calls == ([32] + [32, 3] * 10 + [32, 2]) * 32
 
 
 class TestSpareBuffers:
