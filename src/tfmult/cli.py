@@ -500,13 +500,14 @@ RULES = {
     "chirp_stft": [(_grid_1d, "l", "n"), (_check_tolerance, "tolerance")],
     "amalgam_constants": [(default_grid, "d"),  # d in {1, 2}
                           (_m1inf_grids, "d", "t_list"), (_check_tolerance, "tolerance")],
-    "m_inf_1_divergence": [(verify._check_boxes, "l_list")],
+    "m_inf_1_divergence": [(verify._divergence_grids, "t", "l_list")],
     "dyadic_series": [(verify._check_series_depth, "k", "j"),
                       (_each(verify._check_dyadic_alpha), "alpha_list")],
     "sin_singular_fl1": [(verify._check_sin_singular, "alpha", "delta")],
     "linear_phase": [(verify._check_case_count, "cases"), (verify._check_seed, "seed")],
     "operator_probe": [(_grid_1d, "l", "n"), (_each(_check_unimodular_alpha), "alpha_list")],
-    "lp_contrast": [(verify._check_dilations, "lambda_list")],
+    "lp_contrast": [(verify._check_dilations, "lambda_list"),
+                    (lambda t: _check_phase_resolution(verify._lp_contrast_grid(), t, 2), "t")],
     "schrodinger_conservation": [(_grid_1d, "l", "n"),
                                  (_each(lambda t: verify.schrodinger_envelope(t, 1)), "t_list"),
                                  (_resolved_phases(2), "l", "n", "t_list")],

@@ -53,12 +53,17 @@ made by ``_repeated``, which repeats one buffer along a first axis of
 stride 0 and marks it as a ``_Steps`` view, is walked step by step inside
 each thread piece: fill(step, lo, hi), that step's transform and
 fold(step, lo, hi), then the next step.  Only the mark selects this mode:
-any other out, a stride-0 ``x[None]`` too, is transformed as a batch.  A thread keeps the same piece
-lo:hi of the buffer for every step, so the steps reuse the buffer with no
-hand-off between them, and each piece's steps run in order.  The call's
-``a`` is that stride-0 view, (steps, ...) ahead of the batch axes, so its
-shape still holds every transform the call runs: a tracer that counts FFT
-work from ``a.shape`` counts the true work.
+any other out, a stride-0 ``x[None]`` too, is transformed as a batch.  A
+thread keeps the same piece lo:hi of the buffer for every step, so the
+steps reuse the buffer with no hand-off between them, and each piece's
+steps run in order.  A walked ``modulus`` has the steps as its first axis
+too: either a ``_repeated`` view of one real buffer, which each step
+overwrites, or a plain (steps, ...) array whose steps are distinct rows,
+so that |V| of every step is kept (``tf``'s windowed passes write a whole
+chunk's |V| that way through one small complex block).  The call's ``a``
+is that stride-0 view, (steps, ...) ahead of the batch axes, so its shape
+still holds every transform the call runs: a tracer that counts FFT work
+from ``a.shape`` counts the true work.
 """
 
 from __future__ import annotations
@@ -321,10 +326,12 @@ def _transform(a: np.ndarray, d: int, fft, out, scale: float, scale_op=np.multip
     into modulus.  Leading axes are batch; the last of them is split over
     the threads, each piece running all of its steps: fill(lo, hi), the
     transform of batch indices lo:hi, then fold(lo, hi).  An ``out`` made
-    by ``_repeated`` (and ``modulus`` with it) repeats one buffer once per
-    step along its first axis: each piece then walks the steps in order,
-    running fill(step, lo, hi), the step's transform and fold(step, lo, hi)
-    before the next step.
+    by ``_repeated`` repeats one buffer once per step along its first axis:
+    each piece then walks the steps in order, running fill(step, lo, hi),
+    the step's transform and fold(step, lo, hi) before the next step.
+    ``modulus`` then has the steps first too, as a ``_repeated`` view or as
+    a plain array of distinct step rows, and step k's |result| goes into
+    modulus[k].
     """
     shape = a.shape[a.ndim - d :]
     if any(n % 4 for n in shape):
@@ -384,11 +391,14 @@ def centered_fft(a: np.ndarray, d: int, dx: float, out=None, modulus=None, fill=
     ``fill(lo, hi)`` writes that piece of ``a`` before it is transformed,
     ``fold(lo, hi)`` reads that piece of the result after it is written.
     An ``a`` given as its own ``out`` may be a ``_repeated`` view of one
-    buffer (``modulus`` likewise): the transforms of its first axis' steps
-    then run one after another in each piece, the callbacks taking the step
-    index first, ``fill(step, lo, hi)`` and ``fold(step, lo, hi)``.  Any
-    other ``out``, a stride-0 ``x[None]`` included, is transformed as one
-    batch with ``fill(lo, hi)`` and ``fold(lo, hi)``.
+    buffer: the transforms of its first axis' steps then run one after
+    another in each piece, the callbacks taking the step index first,
+    ``fill(step, lo, hi)`` and ``fold(step, lo, hi)``.  Its ``modulus`` has
+    the same (steps, ...) shape: a ``_repeated`` view of one real buffer,
+    or a plain array whose steps are distinct rows, so that step k's |V|
+    stays in ``modulus[k]`` after the later steps reuse ``out``.  Any other
+    ``out``, a stride-0 ``x[None]`` included, is transformed as one batch
+    with ``fill(lo, hi)`` and ``fold(lo, hi)``.
     """
     return _transform(a, d, np.fft.fftn, out, dx ** d, modulus=modulus, fill=fill,
                       fold=fold)

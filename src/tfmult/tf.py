@@ -27,27 +27,32 @@ carries per-axis ``factors``); ``bump_chi``, ``annulus_psi`` and
 ``custom_window`` take one full 2D transform per position.  Both paths yield
 the same layout: positions row-major, frequencies centered.
 
-A streamed pass reuses its chunk buffers for every chunk: each position
-row is written into the pass's buffer, transformed in place
-(``centered_fft(..., out=)``); on the modulus path |V| goes into one real
-buffer, and ``_norms`` takes its powers into one of its own.  The
-translates conj(T_x g) are read as views of conj(g) tiled three times per
-axis, so no gather index array is built.  Each V that ``_stft_chunks``
-yields is therefore a view of one reused buffer, valid only until the
-generator resumes or ends: ``stft`` copies it, and ``_norms`` is done with
-it before asking for the next chunk.
+A streamed pass reuses its buffers for every chunk.  On the signed path
+(``stft``) each chunk's rows are written into one chunk buffer and
+transformed there in place (``centered_fft(..., out=)``).  The modulus
+paths never hold a chunk of complex rows: they transform blocks of about
+``_BLOCK_BYTES`` (4 MiB), and only the real rows of |V|, and of |V|^p that
+``_norms`` takes from them, are chunk-sized.  On the windowed path a chunk
+walks one block step by step (``_walked_modulus``), each step writing its
+|V| into its own rows of the chunk's real buffer; the row-column path
+transforms one block of columns at a time.  The translates conj(T_x g)
+are read as views of conj(g) tiled three times per axis, so no gather
+index array is built.  Each array that ``_stft_chunks`` yields is
+therefore a view of one reused buffer, valid only until the generator
+resumes or ends: ``stft`` copies it, and ``_norms`` is done with it before
+asking for the next chunk.
 
 The buffers also outlive the pass (``_pass_buffers``): one module store
-keeps a spare per role (the chunk, |V|, |V|^p, and the row-column H and
-HT), which the next pass takes instead of faulting in fresh pages.  A pass
-gives its buffers back when its generator ends or is closed; one that runs
-beside it finds no spare and allocates its own.  Each spare is sized for
-a pass that ran, so in the paper's runs the largest retained set is that
-of the 1D N = 2048 powered pass: the 64 MiB chunk and the 32 MiB |V| and
-|V|^p buffers, 128 MiB in all.  ``stft`` drops every spare before and
-after it materializes its matrix, so none stays under the matrix or what
-its caller computes from it.  Chunk sizes do not depend on the spares, so
-no sum changes its order.
+keeps a spare per role (the chunk or block, |V|, |V|^p, and the
+row-column H and HT), which the next pass takes instead of faulting in
+fresh pages.  A pass gives its buffers back when its generator ends or is
+closed; one that runs beside it finds no spare and allocates its own.
+Each spare is sized for a pass that ran, so in the paper's runs the
+largest retained set is that of the 1D N = 2048 powered pass: the 4 MiB
+block and the 32 MiB |V| and |V|^p buffers, 68 MiB in all.  ``stft``
+drops every spare before and after it materializes its matrix, so none
+stays under the matrix or what its caller computes from it.  Chunk sizes
+do not depend on the spares or the block, so no sum changes its order.
 
 The norms read only |V|, so they take the sign-free path
 (``_stft_chunks(..., modulus=True)``): the field is presigned once per pass
@@ -62,10 +67,13 @@ Every stage of a chunk is split over two threads (``core._split``), and
 each chunk is handed to them once for its transform: the window multiply is
 the transform's ``fill`` (see ``core.centered_fft``), so it runs in the
 same thread piece as the FFT and |V|.  On the windowed path the piece is a
-range of positions, so |V|^p (by contiguous halves) and the
-positions-inner reductions (by frequency column) are handed off after the
-transform.  On the row-column path H's transpose is the ``fold`` of H's
-transform, and a column block's piece is a range of k0, which is a range
+range of the block's rows: for each step in turn a thread multiplies its
+rows' windows into the block, transforms them and writes their |V| into
+the step's rows of the chunk's real buffer.  A chunk's steps go to the
+threads in one hand-off (and a short last step in one more); |V|^p (by
+contiguous halves) and the positions-inner reductions (by frequency
+column) are handed off after the walk.  On the row-column path H's
+transpose is the ``fold`` of H's transform, and a column block's piece is a range of k0, which is a range
 of flat frequency columns.  So when every spec is positions-inner
 (``_row_column_sums``), a position row's column blocks go to the threads
 once: each thread owns one k0 range and, for every block of the row in
@@ -77,17 +85,18 @@ own, with the positions-inner sums still in the transform's pieces.  The
 frequencies-inner reductions are split by row on both paths.
 
 Why the bits stay: chunk sizes and position order do not depend on the
-split, and each output element is computed by the same operations in the
-same order as on one thread.  On the row-column path each accumulator
-column is summed block by block, in position order, by the one thread that
-owns it, whether the blocks come one per hand-off or all of a row's in
-one.  The functions handed to the threads call only numpy, never a public
+split or the block, every row is transformed on its own, and each output
+element is computed by the same operations in the same order as on one
+thread.  On the row-column path each accumulator column is summed block
+by block, in position order, by the one thread that owns it, whether the
+blocks come one per hand-off or all of a row's in one.  The functions handed to the threads call only numpy, never a public
 ``tfmult`` function.  Since the window multiply and the positions-inner
 sums of a row-column pass run inside ``centered_fft``, a traced run counts
 their time in ``core.centered_fft`` and not in ``tf``.  A row's column
-blocks still go through one traced ``centered_fft`` call (and a short last
-block through one more), whose ``a`` is the block buffer repeated once per
-block, so a count of FFT work from ``a.shape`` is the true count.
+blocks, like a windowed chunk's steps, still go through one traced
+``centered_fft`` call (and a short last block or step through one more),
+whose ``a`` is the block buffer repeated once per block or step, so a
+count of FFT work from ``a.shape`` is the true count.
 """
 
 from __future__ import annotations
@@ -122,7 +131,16 @@ _WFL1 = (1.0, math.inf, FREQUENCIES_INNER)
 _M1INF = (1.0, math.inf, POSITIONS_INNER)
 
 _CHUNK_BYTES = 1 << 26  # ~64 MiB of complex rows per streamed chunk
-_ROW_COLUMN_CHUNK_BYTES = 1 << 22  # ~4 MiB per row-column block
+# ~4 MiB of complex rows per transform block of the modulus paths (a
+# row-column column block, a step of a windowed chunk); a 1 MiB block cost
+# 4% more wall time in per-step overhead
+_BLOCK_BYTES = 1 << 22
+# A windowed |V| step holds at least N / _LINES_PER_STEP_ROW rows of N-point
+# lines.  numpy's FFT takes a scratch buffer of a few lines per call, which a
+# fresh process maps anew on every call from N = 8192 on: at N = 32768 and
+# 65536, 4 MiB steps of 8 and 4 rows took 25% and 55% more CPU time than
+# steps of 16 rows.
+_LINES_PER_STEP_ROW = 2048
 
 # Spare pass buffers kept between passes, one flat array per role ("chunk",
 # "modulus", "power", "H", "HT").  See the module docstring.
@@ -330,34 +348,76 @@ def _transformed(block: np.ndarray, d: int, dx: float, A, fill):
     return A[:rows]
 
 
+def _walk_groups(n: int, size: int) -> list:
+    """(start, stop, size): the full size-row blocks of range(n) as one group, then the rest."""
+    full = n - n % size
+    return [(lo, hi, k) for lo, hi, k in [(0, full, size), (full, n, n - full)] if hi > lo]
+
+
+def _walked_modulus(block: np.ndarray, A: np.ndarray, first: int, d: int, dx: float,
+                    fill) -> np.ndarray:
+    """|V| of the len(A) presigned rows from row ``first`` on into A, through ``block``.
+
+    fill(row, out, lo, hi) writes rows row + lo:row + hi into out[lo:hi].
+    The full blocks go to the threads in one ``centered_fft`` call on a
+    ``_repeated`` view of the block, with A's rows as the steps' distinct
+    modulus rows, and a short rest in one more call.  A thread piece keeps
+    rows lo:hi of the block and, step by step, fills them, transforms them
+    and writes their |V| to the step's rows of A.
+    """
+    for start, stop, size in _walk_groups(len(A), len(block)):
+        rows = block[:size]
+        steps = _repeated(rows, (stop - start) // size)
+
+        def fill_step(step, lo, hi):
+            fill(first + start + step * size, rows, lo, hi)
+
+        centered_fft(steps, d, dx, out=steps, modulus=A[start:stop].reshape(steps.shape),
+                     fill=fill_step)
+    return A
+
+
 def _windowed_chunks(fv: np.ndarray, gvals: np.ndarray, flat_idx, axis_idx, grid: Grid,
                      modulus: bool):
     """Yield (flat position indices, rows of V_g f or |V_g f|) chunks, row-major.
 
-    For |V| f is presigned once.  Every chunk is a prefix of buffers that
-    the next chunk overwrites.
+    V is transformed in place in a chunk buffer.  For |V| f is presigned
+    once, and a chunk goes through one block of about ``_BLOCK_BYTES`` (at
+    least N / ``_LINES_PER_STEP_ROW`` rows) step by step
+    (``_walked_modulus``): only its real |V| rows are chunk-sized.
+    Every chunk is a prefix of buffers that the next chunk overwrites.
     """
     if modulus:
         fv = _presigned(fv, grid.d)
     windows = _translates(gvals.reshape(grid.shape), axis_idx)
     npos_axes = windows.shape[: grid.d]
     rows = min(max(1, _CHUNK_BYTES // (16 * grid.npoints)), flat_idx.size)
+
+    def window_rows(first, out, lo, hi):
+        if grid.d == 1:
+            np.multiply(fv, windows[first + lo : first + hi], out=out[lo:hi])
+        else:
+            for m in range(lo, hi):
+                window = windows[np.unravel_index(first + m, npos_axes)]
+                np.multiply(fv, window, out=out[m])
+
     with _pass_buffers() as take:
-        buf = take("chunk", (rows, *grid.shape), np.complex128)
-        A = take("modulus", (rows, grid.npoints)) if modulus else None
+        if modulus:
+            block_rows = min(max(1, _BLOCK_BYTES // (16 * grid.npoints),
+                                 grid.N // _LINES_PER_STEP_ROW), rows)
+            block = take("chunk", (block_rows, *grid.shape), np.complex128)
+            A = take("modulus", (rows, grid.npoints))
+        else:
+            buf = take("chunk", (rows, *grid.shape), np.complex128)
         for start in range(0, flat_idx.size, rows):
             stop = min(start + rows, flat_idx.size)
-            block = buf[: stop - start]
-
-            def fill(lo, hi):
-                if grid.d == 1:
-                    np.multiply(fv, windows[start + lo : start + hi], out=block[lo:hi])
-                else:
-                    for m in range(lo, hi):
-                        window = windows[np.unravel_index(start + m, npos_axes)]
-                        np.multiply(fv, window, out=block[m])
-
-            yield flat_idx[start:stop], _transformed(block, grid.d, grid.dx, A, fill)
+            if modulus:
+                yield flat_idx[start:stop], _walked_modulus(block, A[: stop - start], start,
+                                                            grid.d, grid.dx, window_rows)
+            else:
+                chunk = buf[: stop - start]
+                yield flat_idx[start:stop], _transformed(
+                    chunk, grid.d, grid.dx, None, functools.partial(window_rows, start, chunk))
 
 
 def _row_column_rows(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: bool, take):
@@ -380,7 +440,7 @@ def _row_column_rows(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: boo
         g1 = _presigned(g1, 1)
     rows0, rows1 = _translates(g0, (sel0,)), _translates(g1, (sel1,))
     fT = np.ascontiguousarray(fv.T)
-    cols = min(max(1, _ROW_COLUMN_CHUNK_BYTES // (16 * N * N)), sel1.size)
+    cols = min(max(1, _BLOCK_BYTES // (16 * N * N)), sel1.size)
     HT = take("HT", (N, N), np.complex128)  # (x1, k0)
     H = take("H", (N, N), np.complex128)  # (k0, x1)
     buf = take("chunk", (cols, N, N), np.complex128)
@@ -448,14 +508,11 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
                                                     True, take):
             cols = len(buf)
             P = power_rows(A)
-            full = ncols - ncols % cols
-            groups = [(0, full, cols), (full, ncols, ncols - full)]
+            groups = _walk_groups(ncols, cols)
             if reduce_rows is not None:
                 groups = [(start, min(start + cols, ncols), min(cols, ncols - start))
                           for start in range(0, ncols, cols)]
             for start, stop, size in groups:
-                if stop == start:
-                    continue
                 block, Ab = buf[:size], A[:size]
                 Pb = None if P is None else P[:size]
                 w = rows1[start:stop].reshape(-1, size, 1, N)

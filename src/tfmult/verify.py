@@ -24,7 +24,8 @@ from .core import (
     radius,
     sample,
 )
-from .mult import Symbol, apply_multiplier, sin_singular_profile, symbol_unimodular
+from .mult import (Symbol, _check_phase_resolution, apply_multiplier, sin_singular_profile,
+                   symbol_unimodular)
 from .tf import (
     Window,
     _stft_chunks,
@@ -154,6 +155,11 @@ def _amalgam_grid(d: int) -> tuple:
     return make_grid(2, 16.0, 256), 4
 
 
+def _grid_size(samples: float) -> float:
+    """The power of two >= samples, at least 256; inf when samples is not finite."""
+    return 1 << max(8, math.ceil(math.log2(samples))) if math.isfinite(samples) else math.inf
+
+
 # Largest N per axis of a 2D M^{1,inf} grid.  t = 8 picks it, at about 16
 # times the work of the t = 4 row (16641 positions x 1024^2 against 4225 x
 # 512^2); t = 16 would pick N = 2048, and t = 1000 a 128 GiB grid.
@@ -165,13 +171,14 @@ def _m1inf_grid_2d(t: float) -> tuple:
 
     The box must hold several widths of the ridge cross-section and the
     Nyquist frequency must exceed the largest local chirp frequency, so both
-    grow with t.  A t whose grid needs N > ``M1INF_MAX_N_2D`` raises
+    grow with |t| (the chirps of t and -t are conjugate, so they take one
+    grid).  A t whose grid needs N > ``M1INF_MAX_N_2D`` raises
     ParameterError.
     """
     c = np.pi * t * t / (1.0 + t * t)
-    L = max(9.0, 4.0 * 3.5 / math.sqrt(c))
-    nyq = t * L / 4.0 + 3.0 * math.sqrt(1.0 + t * t)
-    N = 1 << max(8, math.ceil(math.log2(2.0 * L * nyq))) if math.isfinite(nyq) else math.inf
+    L = max(9.0, 4.0 * 3.5 / math.sqrt(c)) if c > 0 else math.inf  # c underflows for tiny t
+    nyq = abs(t) * L / 4.0 + 3.0 * math.sqrt(1.0 + t * t)
+    N = _grid_size(2.0 * L * nyq)
     if N > M1INF_MAX_N_2D:
         raise ParameterError(f"t = {t:g} needs an N = {N} grid for the 2D M^(1,inf) norm, "
                              f"above the cap N = {M1INF_MAX_N_2D}")
@@ -231,9 +238,21 @@ class DivergenceReport:
     growth_factors: list
 
 
+# Largest N of a divergence box's grid.  A box of about 2 N positions x N
+# frequencies streams N^2 / 2 points of |V|: at N = 65536 about 15 s, and
+# at l_list = 16, 1e6 the box L = 1e6 would take N = 2^39 and 4 TiB.
+DIVERGENCE_MAX_N = 1 << 16
+
+
 def _divergence_grid(L: float, t: float) -> Grid:
-    nyq = t * L / 4.0 + 2.0 * math.sqrt(1.0 + t * t) + 4.0
-    N = 1 << max(8, math.ceil(math.log2(2.0 * L * nyq)))
+    """The box-L grid of the chirp of t > 0: its Nyquist frequency exceeds t L / 4 by a margin.
+
+    A box whose grid needs N > ``DIVERGENCE_MAX_N`` raises ParameterError.
+    """
+    N = _grid_size(2.0 * L * (t * L / 4.0 + 2.0 * math.sqrt(1.0 + t * t) + 4.0))
+    if N > DIVERGENCE_MAX_N:
+        raise ParameterError(f"box L = {L:g} needs an N = {N} grid for the M^(inf,1) "
+                             f"divergence, above the cap N = {DIVERGENCE_MAX_N}")
     return make_grid(1, L, N)
 
 
@@ -244,6 +263,16 @@ def _check_boxes(box_sizes) -> None:
         raise ParameterError(f"box sizes must be positive, got {list(box_sizes)}")
 
 
+def _divergence_grids(t: float, box_sizes) -> list:
+    """The grid of every box, derived before any pass, so a box above the cap raises at once.
+
+    The chirps of t and -t are conjugate and take one grid; t = 0 (the
+    constant symbol) takes that of t = 0.25.
+    """
+    _check_boxes(box_sizes)
+    return [_divergence_grid(L, max(abs(t), 0.25)) for L in box_sizes]
+
+
 def verify_m_inf_1_divergence(t: float, box_sizes=DIVERGENCE_BOXES) -> DivergenceReport:
     """M^{inf,1}-type norm of the chirp on growing boxes.
 
@@ -252,10 +281,8 @@ def verify_m_inf_1_divergence(t: float, box_sizes=DIVERGENCE_BOXES) -> Divergenc
     linearly with the box size.  t = 0 gives the constant symbol and the
     divergence assertion does not apply.
     """
-    _check_boxes(box_sizes)
     values = []
-    for L in box_sizes:
-        grid = _divergence_grid(L, max(t, 0.25))
+    for grid in _divergence_grids(t, box_sizes):
         f = chirp_field(grid, t)
         values.append(
             m_inf_1_norm(
@@ -295,8 +322,13 @@ def _check_series_depth(K: int, J: int) -> None:
 
 
 def _check_dyadic_alpha(alpha: float) -> None:
+    """alpha > 0, and large enough that 2^-alpha < 1, so the series tail is finite."""
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
+    if not 2.0 ** -alpha < 1.0:
+        raise ParameterError(f"alpha = {alpha:g}: 2^-alpha rounds to 1, so the series tail "
+                             "1 / (1 - 2^-alpha) divides by zero; alpha must exceed about "
+                             "8.01e-17")
 
 
 def _check_sin_singular(alpha: float, delta: float) -> None:
@@ -566,11 +598,21 @@ def _check_dilations(lambdas) -> None:
         raise ParameterError(f"Gaussian dilations must be positive, got {list(lambdas)}")
 
 
+def _lp_contrast_grid() -> Grid:
+    return make_grid(1, 32.0, 2048)
+
+
 def lp_contrast_probe(t: float, lambdas=LP_CONTRAST_LAMBDAS,
                       grid: Grid | None = None) -> LpContrastReport:
-    """L^1 growth versus modulation-norm stability over dilated Gaussians."""
+    """L^1 growth versus modulation-norm stability over dilated Gaussians.
+
+    The symbol e^{i t xi^2} is the Schrodinger propagator's, so a t whose
+    largest phase on the grid is not resolved (``_check_phase_resolution``)
+    raises ParameterError.
+    """
     _check_dilations(lambdas)
-    grid = grid or make_grid(1, 32.0, 2048)
+    grid = grid or _lp_contrast_grid()
+    _check_phase_resolution(grid, t, 2)
     sigma = symbol_unimodular(grid, 2.0, t=t)
     g = gaussian_window(grid)
     l1_ratios, oracle, m11 = [], [], []

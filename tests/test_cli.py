@@ -138,6 +138,13 @@ class TestListValidate:
         ("schrodinger_conservation", "t_list", "1e100", "has an ulp of 1.99e+87 rad"),
         # run had not finished after a minute
         ("linear_phase", "cases", "100000000000", "at most 100000 random cases"),
+        # run raised OverflowError in the Fresnel oracle
+        ("lp_contrast", "t", "1e300", "t = 1e+300: the largest propagator phase"),
+        # run raised ZeroDivisionError in the series tail
+        ("dyadic_series", "alpha_list", "1, 1e-300", "alpha = 1e-300: 2^-alpha rounds to 1"),
+        # run tried to allocate 4 TiB for the second box
+        ("m_inf_1_divergence", "l_list", "16, 1e6",
+         "box L = 1e+06 needs an N = 549755813888 grid"),
         # keys the experiment does not take used to pass both commands unread
         ("sin_singular_fl1", "n", "64", "sin_singular_fl1 takes no key 'n'"),
         ("lp_contrast", "lambda_lst", "1, 2", "lp_contrast takes no key 'lambda_lst'"),
@@ -154,7 +161,8 @@ class TestListValidate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("t_list,N", [("1e3", 131072), ("0.5, 16", 2048)])
+    @pytest.mark.parametrize("t_list,N", [("1e3", 131072), ("0.5, 16", 2048), ("-16", 2048),
+                                          ("1e-300", "inf")])
     def test_2d_m1inf_grid_above_the_cap(self, tmp_path, capsys, t_list, N):
         # validate said ok, and run tried to allocate the grid (128 GiB at t = 1e3)
         cfg = write_config(tmp_path, f"name = amalgam_constants\nd = 2\nt_list = {t_list}\n"
@@ -177,6 +185,15 @@ class TestListValidate:
     def test_validate_accepts_infinite_exponent(self, tmp_path):
         cfg = write_config(tmp_path, "name = schrodinger_conservation\np = 1\nq = inf\n")
         assert main(["validate", cfg]) == 0
+
+    def test_divergence_of_a_negative_t(self, tmp_path):
+        # t = -4 took the t = 0.25 grids: growth to L = 64 read 1.00 and run exited 1
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, f"name = m_inf_1_divergence\nt = -4\nout = {out}\n")
+        assert main(["run", cfg]) == 0
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        growth = [float(r.split(",")[2]) for r in rows if "growth_to_L" in r]
+        assert len(growth) == 2 and all(g >= 1.5 for g in growth)
 
     def test_divergence_needs_two_boxes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "name = m_inf_1_divergence\nl_list = 16\n"

@@ -475,6 +475,25 @@ class TestFillFold:
                 assert np.array_equal(got, np.abs(want) if modulus else want)
 
 
+    def test_walked_modulus_keeps_each_step_in_its_rows(self, split_workers):
+        # a plain (steps, ...) modulus: each step's |result| stays in its own
+        # rows while the next steps reuse the one complex buffer
+        rng = np.random.default_rng(5)
+        src = rng.standard_normal((3, 6, 16)) + 1j * rng.standard_normal((3, 6, 16))
+        want = np.abs(centered_fft(src, 1, 0.125))
+        for workers in (1, 2):
+            with split_workers(workers):
+                buf = np.empty((6, 16), dtype=complex)
+                A = np.full((3, 6, 16), np.nan)
+
+                def fill(step, lo, hi):
+                    buf[lo:hi] = _presigned(src[step], 1)[lo:hi]
+
+                steps = core._repeated(buf, 3)
+                got = centered_fft(steps, 1, 0.125, out=steps, modulus=A, fill=fill)
+                assert got is A and np.array_equal(A, want)
+
+
 def _in_pool_thread(fn):
     """A split piece that runs fn on a pool thread; the caller's piece waits for it."""
     ran = threading.Event()

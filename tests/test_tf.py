@@ -371,9 +371,10 @@ class TestReusedChunkBuffers:
                                                  halfwidth):
         d = 1 if window.endswith("1d") else 2
         grid = make_grid(d, 8.0, 64 if d == 1 else 32)
-        # 5 positions per windowed chunk, 3 columns per row-column block
+        # 5 positions per windowed chunk, 3 rows per block: a windowed |V| chunk
+        # walks a full step and a short one, a row-column block has 3 columns
         monkeypatch.setattr(tf, "_CHUNK_BYTES", 5 * 16 * grid.npoints)
-        monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * grid.npoints)
+        monkeypatch.setattr(tf, "_BLOCK_BYTES", 3 * 16 * grid.npoints)
         rng = np.random.default_rng(5 + d + stride)
         f = SampledField(grid, rng.standard_normal(grid.npoints)
                          + 1j * rng.standard_normal(grid.npoints))
@@ -408,28 +409,39 @@ SPECS = [(p, q, order) for p, q in [(1.0, 1.0), (2.0, 1.0), (np.inf, 1.0), (1.0,
 def _case(window, L=8.0, seed=0):
     d = 1 if window.endswith("1d") else 2
     grid = make_grid(d, L, 64 if d == 1 else 32)
-    g = bump_chi(grid) if window == "bump_2d" else gaussian_window(grid)
+    g = bump_chi(grid) if window.startswith("bump") else gaussian_window(grid)
     return _random_field(grid, seed), g
 
 
-def _reference_norms(f, g, specs, stride, halfwidth, modulus=False):
-    """The specs reduced on one thread from the |V| chunks of ``_stft_chunks``.
+def _selected_positions(grid, stride, halfwidth):
+    """Flat indices of every ``stride``-th lattice point per axis with |x| <= halfwidth.
 
-    |V| is np.abs of the signed rows, or with ``modulus`` the sign-free rows
-    as they are.  Positions-inner sums run down each frequency column in the
-    order and with the chunk boundaries of ``_stft_chunks``; frequencies-inner
-    ones along each row.  |V|^p is ``np.power`` and the roots are ``**``, as
-    in ``_norms``.  The chunks' positions must be every ``stride``-th lattice
-    point per axis with |x| <= halfwidth, row-major, as selected here from
-    ``grid.axis_positions()`` without ``tf._position_indices``.
+    Row-major, selected from ``grid.axis_positions()`` without
+    ``tf._position_indices``.
     """
-    grid = f.grid
     idx = np.indices(grid.shape)[(slice(None),) + (slice(None, None, stride),) * grid.d]
     keep = np.ones(idx.shape[1:], dtype=bool)
     if halfwidth is not None:
         for axis_index in idx:
             keep &= np.abs(grid.axis_positions()[axis_index]) <= halfwidth
-    positions = np.ravel_multi_index(tuple(idx), grid.shape)[keep]
+    return np.ravel_multi_index(tuple(idx), grid.shape)[keep]
+
+
+def _reference_norms(f, g, specs, stride, halfwidth, modulus=False, chunks=None):
+    """The specs reduced on one thread from the |V| chunks of ``_stft_chunks``.
+
+    |V| is np.abs of the signed rows, or with ``modulus`` the sign-free rows
+    as they are.  Positions-inner sums run down each frequency column in the
+    order and with the chunk boundaries of ``_stft_chunks`` (or of
+    ``chunks``, (positions, rows) pairs given instead); frequencies-inner
+    ones along each row.  |V|^p is ``np.power`` and the roots are ``**``, as
+    in ``_norms``.  The chunks' positions must be those of
+    ``_selected_positions``.
+    """
+    grid = f.grid
+    positions = _selected_positions(grid, stride, halfwidth)
+    if chunks is None:
+        chunks = tf._stft_chunks(f, g, stride, halfwidth, modulus)
     seen = []
     wx, wxi = (grid.dx * stride) ** grid.d, grid.dxi ** grid.d
 
@@ -440,7 +452,7 @@ def _reference_norms(f, g, specs, stride, halfwidth, modulus=False):
 
     inner = {p: np.zeros(grid.npoints) for p, _, order in specs if order == POSITIONS_INNER}
     rows = {p: [] for p, _, order in specs if order == FREQUENCIES_INNER}
-    for js, V in tf._stft_chunks(f, g, stride, halfwidth, modulus):
+    for js, V in chunks:
         seen.append(js.copy())
         A = V if modulus else np.abs(V)
         for p in inner:
@@ -494,9 +506,10 @@ class TestTwoWorkers:
                                 quarter_box):
         f, g = _case(window, seed=stride)
         grid = f.grid
-        # odd sizes: 5 positions per windowed chunk, 3 columns per row-column block
+        # odd sizes: 5 positions per windowed chunk, 3 rows per block (a full
+        # step and a short one of a |V| chunk, 3 columns of a row-column block)
         monkeypatch.setattr(tf, "_CHUNK_BYTES", 5 * 16 * grid.npoints)
-        monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * grid.npoints)
+        monkeypatch.setattr(tf, "_BLOCK_BYTES", 3 * 16 * grid.npoints)
         hw = grid.L / 4.0 if quarter_box else None
         runs = []
         for workers in (1, 2):
@@ -510,6 +523,105 @@ class TestTwoWorkers:
         for (js1, V1), (js2, V2) in zip(chunks1, chunks2):
             assert np.array_equal(js1, js2) and np.array_equal(V1, V2)
         assert norms1 == norms2
+
+
+def _chunk_buffer_rows(f, g, stride, halfwidth):
+    """Yield (positions, |V| rows) per chunk as one chunk-sized complex buffer gives them.
+
+    Each chunk of ``tf._CHUNK_BYTES // (16 N^d)`` positions is the presigned
+    field times every position's conj(T_x g), made with np.roll, transformed
+    in one ``centered_fft(..., modulus=)`` call: the windowed |V| path
+    before its chunks walked one small block.
+    """
+    grid = f.grid
+    positions = _selected_positions(grid, stride, halfwidth)
+    rows = min(tf._CHUNK_BYTES // (16 * grid.npoints), positions.size)
+    fv, gv = core._presigned(f.reshaped(), grid.d), g.field.reshaped()
+    axes = tuple(range(grid.d))
+    for start in range(0, positions.size, rows):
+        js = positions[start : start + rows]
+        chunk = np.empty((len(js), *grid.shape), dtype=complex)
+        for m, j in enumerate(js):
+            shift = tuple(int(k) - grid.N // 2 for k in np.unravel_index(j, grid.shape))
+            chunk[m] = fv * np.conj(np.roll(gv, shift, axis=axes))
+        A = np.empty((len(js), grid.npoints))
+        centered_fft(chunk, grid.d, grid.dx, out=chunk, modulus=A.reshape(chunk.shape))
+        yield js, A
+
+
+class TestWalkedModulus:
+    """A windowed |V| chunk walks one block of _BLOCK_BYTES step by step, with every bit kept."""
+
+    @pytest.mark.parametrize("window", ["gaussian_1d", "bump_1d", "bump_2d"])
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("quarter_box", [False, True])
+    def test_equals_the_chunk_buffer_reference(self, monkeypatch, split_workers, window,
+                                               stride, quarter_box):
+        # 8 positions per chunk, 3 rows per block: a full chunk walks two
+        # steps and a short one
+        f, g = _case(window, seed=7 + stride)
+        grid = f.grid
+        monkeypatch.setattr(tf, "_CHUNK_BYTES", 8 * 16 * grid.npoints)
+        monkeypatch.setattr(tf, "_BLOCK_BYTES", 3 * 16 * grid.npoints)
+        hw = grid.L / 4 if quarter_box else None
+        want = list(_chunk_buffer_rows(f, g, stride, hw))
+        assert len(want[0][0]) == 8
+        want_norms = _reference_norms(f, g, SPECS, stride, hw, modulus=True, chunks=want)
+        for workers in (1, 2):
+            with split_workers(workers):
+                got = [(js.copy(), A.copy()) for js, A in tf._stft_chunks(f, g, stride, hw, True)]
+                assert len(got) == len(want)
+                for (js1, A1), (js2, A2) in zip(got, want):
+                    assert np.array_equal(js1, js2) and np.array_equal(A1, A2)
+                assert _norms(f, g, SPECS, stride, hw) == want_norms
+
+    def test_traced_shapes_hold_every_transform(self, monkeypatch):
+        # a tracer counts a centered_fft call's FFT work from a.shape alone:
+        # per 8-position chunk, its two full 3-row steps in one call and the
+        # short 2-row step in one more
+        f, g = _case("gaussian_1d")
+        N = f.grid.N
+        monkeypatch.setattr(tf, "_CHUNK_BYTES", 8 * 16 * N)
+        monkeypatch.setattr(tf, "_BLOCK_BYTES", 3 * 16 * N)
+        shapes = []
+        transform = tf.centered_fft
+
+        def traced(a, d, *args, **kwargs):
+            shapes.append((a.shape, d))
+            return transform(a, d, *args, **kwargs)
+
+        monkeypatch.setattr(tf, "centered_fft", traced)
+        for _ in tf._stft_chunks(f, g, 1, None, True):
+            pass
+        assert shapes == [((2, 3, N), 1), ((1, 2, N), 1)] * (N // 8)
+
+    @pytest.mark.parametrize("case", ["m_inf_1_n4096", "m22_m11_n2048"])
+    def test_cold_pass_holds_one_block(self, case):
+        # a cold pass holds one complex block and the chunk's real |V| rows
+        # (and |V|^p rows for p = 2), half a chunk each; a chunk-sized
+        # complex buffer as well would add 60 MiB
+        if case == "m_inf_1_n4096":
+            grid = _divergence_grid(64.0, 1.0)
+            assert grid.N == 4096
+            f, g = chirp_field(grid, 1.0), gaussian_window(grid)
+
+            def norm():
+                m_inf_1_norm(f, g, position_halfwidth=grid.L / 4, refine=False)
+        else:
+            grid = make_grid(1, 32.0, 2048)
+            f, g = chirp_field(grid, 1.0), gaussian_window(grid)
+
+            def norm():
+                modulation_norms_multi(f, g, [(2.0, 2.0), (1.0, 1.0)])
+        real_buffers = 1 if case == "m_inf_1_n4096" else 2
+        tf._release_spares()
+        tracemalloc.start()
+        try:
+            norm()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= real_buffers * _CHUNK_BYTES // 2 + 2 * tf._BLOCK_BYTES
 
 
 class TestFusedFold:
@@ -527,7 +639,7 @@ class TestFusedFold:
         f, g = _case(window, seed=4)
         grid = f.grid
         monkeypatch.setattr(tf, "_CHUNK_BYTES", 5 * 16 * grid.npoints)
-        monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * grid.npoints)
+        monkeypatch.setattr(tf, "_BLOCK_BYTES", 3 * 16 * grid.npoints)
         specs = self.POSITIONS if specs == "positions" else SPECS
         want = _reference_norms(f, g, specs, 1, None)
         for workers in (1, 2):
@@ -565,7 +677,7 @@ class TestFusedFold:
         f, g = _random_field(grid, seed), gaussian_window(grid)
         specs = [(p, q, POSITIONS_INNER) for p, q in pqs]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", cols * 16 * grid.npoints)
+            mp.setattr(tf, "_BLOCK_BYTES", cols * 16 * grid.npoints)
             want = _reference_norms(f, g, specs, stride, hw, modulus=True)
             for workers in (1, 2):
                 with split_workers(workers):
@@ -577,7 +689,7 @@ class TestFusedFold:
         # each), 10 blocks of 3 in one call and the short block of 2 in one
         f, g = _case("gaussian_2d")
         N = f.grid.N
-        monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * N * N)
+        monkeypatch.setattr(tf, "_BLOCK_BYTES", 3 * 16 * N * N)
         shapes = []
         transform = tf.centered_fft
 
@@ -594,7 +706,7 @@ class TestFusedFold:
         """The n of every _split call of a 2D pass on 3-column blocks, N = 32."""
         f, g = _case("gaussian_2d")
         grid = f.grid
-        monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * grid.npoints)
+        monkeypatch.setattr(tf, "_BLOCK_BYTES", 3 * 16 * grid.npoints)
         calls = []
         split = core._split
 
@@ -629,9 +741,10 @@ class TestSpareBuffers:
 
     @staticmethod
     def _small_chunks(monkeypatch, grid):
-        # 5 positions per windowed chunk, 3 columns per row-column block
+        # 5 positions per windowed chunk, 3 rows per block: a windowed |V| chunk
+        # walks a full step and a short one, a row-column block has 3 columns
         monkeypatch.setattr(tf, "_CHUNK_BYTES", 5 * 16 * grid.npoints)
-        monkeypatch.setattr(tf, "_ROW_COLUMN_CHUNK_BYTES", 3 * 16 * grid.npoints)
+        monkeypatch.setattr(tf, "_BLOCK_BYTES", 3 * 16 * grid.npoints)
 
     @pytest.mark.parametrize("window", ["gaussian_1d", "gaussian_2d", "bump_2d"])
     @pytest.mark.parametrize("modulus", [False, True])

@@ -114,12 +114,34 @@ class TestPredictions:
             verify.verify_amalgam_constants((0.5, 16.0), d=2)
 
 
+    @pytest.mark.parametrize("t", [0.5, 4.0, 10.0])
+    def test_2d_m1inf_grid_ignores_the_sign_of_t(self, t):
+        # the chirps of t and -t are conjugate; t = -16 took the N = 256
+        # grid and passed the cap
+        assert verify._m1inf_grid_2d(-t) == verify._m1inf_grid_2d(t)
+        with pytest.raises(ParameterError, match="t = -16 needs an N = 2048 grid"):
+            verify._m1inf_grid_2d(-16.0)
+
+    def test_2d_m1inf_grid_of_a_tiny_t(self):
+        # pi t^2 / (1 + t^2) underflowed to 0, and its root divided by zero
+        with pytest.raises(ParameterError, match="t = 1e-300 needs an N = inf grid"):
+            verify._m1inf_grid_2d(1e-300)
+
+
 class TestDyadicSeries:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
             dyadic_fl1_series(0.0)
         with pytest.raises(ParameterError):
             dyadic_fl1_series(1.0, K=5)
+
+    def test_rejects_alpha_whose_series_tail_divides_by_zero(self):
+        # 2^-alpha rounds to 1, and 1 / (1 - 2^-alpha) raised ZeroDivisionError
+        with pytest.raises(ParameterError, match="alpha = 1e-300: 2\\^-alpha rounds to 1"):
+            dyadic_fl1_series(1e-300)
+        verify._check_dyadic_alpha(8.1e-17)
+        with pytest.raises(ParameterError):
+            verify._check_dyadic_alpha(8.0e-17)
 
     def test_partial_sums_monotone(self):
         rep = dyadic_fl1_series(1.0, K=15)
@@ -169,6 +191,11 @@ class TestProbesAndContrast:
         rep = verify.lp_contrast_probe(0.5, (1.0, 4.0))
         for measured, predicted in zip(rep.l1_ratios, rep.l1_oracle):
             assert abs(measured - predicted) / predicted < 1e-6
+
+    def test_lp_contrast_rejects_an_unresolved_phase(self):
+        # (t lam)^2 overflowed in fresnel_l1_ratio with an OverflowError
+        with pytest.raises(ParameterError, match="t = 1e\\+300: the largest propagator phase"):
+            verify.lp_contrast_probe(1e300)
 
     def test_fresnel_t_zero_flat(self):
         assert np.isclose(fresnel_l1_ratio(0.0, 8.0), 1.0)
@@ -279,6 +306,32 @@ class TestConservationDrivers:
         with pytest.raises(ParameterError, match="overflows at t = 1e\\+300"):
             verify.schrodinger_conservation([("gauss", f)], gaussian_window(grid), 1, 1,
                                             (1.0, 1e300))
+
+    def test_divergence_ignores_the_sign_of_t(self):
+        # t = -4 was measured on the t = 0.25 grids (N = 256 and 1024
+        # instead of 1024 and 4096) and read 7.87 and 15.76; |V| of the
+        # conjugate chirp is |V| mirrored in frequency, so the values agree
+        boxes = (16.0, 32.0)
+        neg = verify.verify_m_inf_1_divergence(-4.0, boxes)
+        pos = verify.verify_m_inf_1_divergence(4.0, boxes)
+        np.testing.assert_allclose(neg.values, pos.values, rtol=1e-12, atol=0.0)
+        assert neg.growth_factors[0] >= 1.5
+
+    def test_divergence_grid_cap(self, monkeypatch):
+        # l_list = 16, 1e6 picked N = 2^39 for the second box and failed to
+        # allocate 4 TiB; every box's grid is now derived before any pass
+        assert verify._divergence_grid(128.0, 4.0).N == verify.DIVERGENCE_MAX_N == 65536
+        with pytest.raises(ParameterError, match="box L = 256 needs an N = 262144 grid"):
+            verify._divergence_grid(256.0, 4.0)
+
+        def no_pass(grid, t):
+            raise AssertionError("a pass started")
+
+        monkeypatch.setattr(verify, "chirp_field", no_pass)
+        with pytest.raises(ParameterError, match="box L = 1e\\+06 needs an N = 549755813888"):
+            verify.verify_m_inf_1_divergence(1.0, (16.0, 1e6))
+        with pytest.raises(ParameterError, match="box L = 16 needs an N = inf grid"):
+            verify.verify_m_inf_1_divergence(1e300, (16.0, 32.0))
 
     def test_divergence_t_zero_flat(self):
         rep = verify.verify_m_inf_1_divergence(0.0, (16.0, 32.0))
