@@ -73,12 +73,13 @@ the step's rows of the chunk's real buffer.  A chunk's steps go to the
 threads in one hand-off (and a short last step in one more); |V|^p (by
 contiguous halves) and the positions-inner reductions (by frequency
 column) are handed off after the walk.  On the row-column path H's
-transpose is the ``fold`` of H's transform, and a column block's piece is a range of k0, which is a range
-of flat frequency columns.  So when every spec is positions-inner
-(``_row_column_sums``), a position row's column blocks go to the threads
-once: each thread owns one k0 range and, for every block of the row in
-position order, runs the column-window multiply, the axis-1 transform, |V|
-and the positions-inner sums and maxima (with |V|^p) on its columns.  A
+transpose is the ``fold`` of H's transform, and a column block's piece is
+a range of k0, which is a range of flat frequency columns.  So when every
+spec is positions-inner (``_row_column_sums``), a position row's column
+blocks go to the threads once: each thread owns one k0 range and, for
+every block of the row in position order, runs the column-window
+multiply, the axis-1 transform, |V| and the positions-inner sums and
+maxima (with |V|^p) on its columns.  A
 pass with a frequencies-inner spec too must reduce each block's rows
 before the next block overwrites them, so it hands each block off on its
 own, with the positions-inner sums still in the transform's pieces.  The
@@ -89,10 +90,11 @@ split or the block, every row is transformed on its own, and each output
 element is computed by the same operations in the same order as on one
 thread.  On the row-column path each accumulator column is summed block
 by block, in position order, by the one thread that owns it, whether the
-blocks come one per hand-off or all of a row's in one.  The functions handed to the threads call only numpy, never a public
-``tfmult`` function.  Since the window multiply and the positions-inner
-sums of a row-column pass run inside ``centered_fft``, a traced run counts
-their time in ``core.centered_fft`` and not in ``tf``.  A row's column
+blocks come one per hand-off or all of a row's in one.  The functions
+handed to the threads call only numpy, never a public ``tfmult``
+function.  Since the window multiply and the positions-inner sums of a
+row-column pass run inside ``centered_fft``, a traced run counts their
+time in ``core.centered_fft`` and not in ``tf``.  A row's column
 blocks, like a windowed chunk's steps, still go through one traced
 ``centered_fft`` call (and a short last block or step through one more),
 whose ``a`` is the block buffer repeated once per block or step, so a
@@ -135,12 +137,12 @@ _CHUNK_BYTES = 1 << 26  # ~64 MiB of complex rows per streamed chunk
 # row-column column block, a step of a windowed chunk); a 1 MiB block cost
 # 4% more wall time in per-step overhead
 _BLOCK_BYTES = 1 << 22
-# A windowed |V| step holds at least N / _LINES_PER_STEP_ROW rows of N-point
-# lines.  numpy's FFT takes a scratch buffer of a few lines per call, which a
-# fresh process maps anew on every call from N = 8192 on: at N = 32768 and
-# 65536, 4 MiB steps of 8 and 4 rows took 25% and 55% more CPU time than
-# steps of 16 rows.
-_LINES_PER_STEP_ROW = 2048
+# A windowed |V| step holds at least one row per _POINTS_PER_STEP_ROW points
+# of N: numpy's FFT takes a scratch buffer of a few N-point lines per call,
+# which a fresh process maps anew on every call from N = 8192 on, and at
+# N = 32768 and 65536 4 MiB steps of 8 and 4 rows took 25% and 55% more CPU
+# time than steps of 16 rows.
+_POINTS_PER_STEP_ROW = 2048
 
 # Spare pass buffers kept between passes, one flat array per role ("chunk",
 # "modulus", "power", "H", "HT").  See the module docstring.
@@ -383,7 +385,7 @@ def _windowed_chunks(fv: np.ndarray, gvals: np.ndarray, flat_idx, axis_idx, grid
 
     V is transformed in place in a chunk buffer.  For |V| f is presigned
     once, and a chunk goes through one block of about ``_BLOCK_BYTES`` (at
-    least N / ``_LINES_PER_STEP_ROW`` rows) step by step
+    least N / ``_POINTS_PER_STEP_ROW`` rows) step by step
     (``_walked_modulus``): only its real |V| rows are chunk-sized.
     Every chunk is a prefix of buffers that the next chunk overwrites.
     """
@@ -404,7 +406,7 @@ def _windowed_chunks(fv: np.ndarray, gvals: np.ndarray, flat_idx, axis_idx, grid
     with _pass_buffers() as take:
         if modulus:
             block_rows = min(max(1, _BLOCK_BYTES // (16 * grid.npoints),
-                                 grid.N // _LINES_PER_STEP_ROW), rows)
+                                 grid.N // _POINTS_PER_STEP_ROW), rows)
             block = take("chunk", (block_rows, *grid.shape), np.complex128)
             A = take("modulus", (rows, grid.npoints))
         else:

@@ -238,9 +238,9 @@ class DivergenceReport:
     growth_factors: list
 
 
-# Largest N of a divergence box's grid.  A box of about 2 N positions x N
-# frequencies streams N^2 / 2 points of |V|: at N = 65536 about 15 s, and
-# at l_list = 16, 1e6 the box L = 1e6 would take N = 2^39 and 4 TiB.
+# Largest N of a divergence box's grid.  A box streams |V| on N / 2
+# positions x N frequencies: at N = 65536 (t = 4, L = 128) about 30 s on two
+# cores, while l_list = 16, 1e6 would give the box L = 1e6 N = 2^39 and 4 TiB.
 DIVERGENCE_MAX_N = 1 << 16
 
 

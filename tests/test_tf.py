@@ -305,9 +305,9 @@ class TestMixedNorms:
 
     @pytest.mark.parametrize("case", ["1d_m_inf_1", "2d_bump_wfl1"])
     def test_reused_chunk_buffers_peak_memory(self, case):
-        # a pass holds one chunk of V (transformed in place) and one real |V|
-        # buffer; a fresh gather, product or |V| per chunk pushes the peak
-        # past two chunks
+        # a pass holds at most one chunk of complex rows (one block on the |V|
+        # path) and one real |V| buffer; a fresh gather, product or |V| per
+        # chunk pushes the peak past two chunks
         if case == "1d_m_inf_1":
             grid = _divergence_grid(64.0, 1.0)
             assert grid.N == 4096
