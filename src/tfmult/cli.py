@@ -489,6 +489,30 @@ def _resolved_phases(power):
                                  for t in t_list]
 
 
+def _finite_samples(field, what):
+    """Sample ``field()`` as the run samples it; a non-finite sample is a ParameterError."""
+    try:
+        field()
+    except SamplingError as exc:
+        raise ParameterError(f"{what}: {exc}") from None
+
+
+def _finite_chirps(l, n, t_list):
+    """Each t's chirp has finite samples on the (l, n) grid."""
+    grid = make_grid(1, l, n)
+    for t in t_list:
+        _finite_samples(lambda: verify.chirp_field(grid, t),
+                        f"the chirp of t = {t:g} on the grid L = {l:g}, N = {n}")
+
+
+def _finite_dyadic_terms(alpha_list, k):
+    """Each alpha's k = K series term, the largest one the run samples, is finite."""
+    grid = verify._dyadic_grid()
+    for alpha in alpha_list:
+        _finite_samples(lambda: verify._dyadic_term(grid, k, alpha),
+                        f"alpha = {alpha:g}: the k = {k} term |x|^(k alpha) psi(|x|)")
+
+
 def _check_tolerance(tolerance):
     """None stands for the experiment's own default."""
     if tolerance is not None and not tolerance > 0:
@@ -497,17 +521,20 @@ def _check_tolerance(tolerance):
 
 # each experiment's range and cross-key checks: (check, keys whose values it takes)
 RULES = {
-    "chirp_stft": [(_grid_1d, "l", "n"), (_check_tolerance, "tolerance")],
+    "chirp_stft": [(_grid_1d, "l", "n"), (_finite_chirps, "l", "n", "t_list"),
+                   (_check_tolerance, "tolerance")],
     "amalgam_constants": [(default_grid, "d"),  # d in {1, 2}
                           (_m1inf_grids, "d", "t_list"), (_check_tolerance, "tolerance")],
     "m_inf_1_divergence": [(verify._divergence_grids, "t", "l_list")],
     "dyadic_series": [(verify._check_series_depth, "k", "j"),
-                      (_each(verify._check_dyadic_alpha), "alpha_list")],
+                      (_each(verify._check_dyadic_alpha), "alpha_list"),
+                      (_finite_dyadic_terms, "alpha_list", "k")],
     "sin_singular_fl1": [(verify._check_sin_singular, "alpha", "delta")],
     "linear_phase": [(verify._check_case_count, "cases"), (verify._check_seed, "seed")],
     "operator_probe": [(_grid_1d, "l", "n"), (_each(_check_unimodular_alpha), "alpha_list")],
     "lp_contrast": [(verify._check_dilations, "lambda_list"),
-                    (lambda t: _check_phase_resolution(verify._lp_contrast_grid(), t, 2), "t")],
+                    (lambda t: _check_phase_resolution(verify._lp_contrast_grid(), t, 2), "t"),
+                    (verify._check_fresnel_ratios, "t", "lambda_list")],
     "schrodinger_conservation": [(_grid_1d, "l", "n"),
                                  (_each(lambda t: verify.schrodinger_envelope(t, 1)), "t_list"),
                                  (_resolved_phases(2), "l", "n", "t_list")],

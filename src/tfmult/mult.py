@@ -98,7 +98,14 @@ PHASE_ULP_MAX = 1e-6
 
 def _check_phase_resolution(grid: Grid, t: float, power: int) -> None:
     """Raise unless the largest phase |t| |xi|^power on the grid has an ulp <= PHASE_ULP_MAX."""
-    top = abs(t) * float(np.max(grid.frequency_radius())) ** power
+    with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned
+        xi_max = np.max(grid.frequency_radius())
+        top = float(abs(t) * xi_max ** power)
+    if not np.isfinite(xi_max):
+        raise ParameterError(
+            f"the grid L = {grid.L:g}, N = {grid.N} has a frequency lattice of spacing "
+            f"1/L = {grid.dxi:g} whose |xi| overflows float64"
+        )
     if not math.ulp(top) <= PHASE_ULP_MAX:
         raise ParameterError(
             f"t = {t:g}: the largest propagator phase t|xi|^{power} on the grid, {top:.4g} rad, "

@@ -1,8 +1,8 @@
 """Short-time Fourier transform and the mixed-norm functionals built on it.
 
 The STFT of f against a window g is computed row-by-row as the centered DFT
-of f * conj(T_x g), with T_x the circular lattice translation.  On top of the
-raw matrix we provide the three norm functionals used throughout:
+of f * conj(T_x g), with T_x the circular lattice translation.  On top of it
+we provide the norm functionals used throughout:
 
 * ``modulation_norm``   -- L^p over positions inside, L^q over frequencies
   outside (sup replacing the sum at an infinite exponent),
@@ -12,93 +12,58 @@ raw matrix we provide the three norm functionals used throughout:
 plus ``m_1_inf_norm`` (sup over frequencies of the L^1-in-position slice) and
 ``fl1_norm`` (L^1 norm of the Fourier transform).
 
-Every STFT norm, ``modulation_norms_multi`` included, goes through one
-streamed pass (``_norms``): the STFT arrives in position chunks, |V| is taken
-once per chunk, and every requested (p, q, order) reduction is accumulated
-from it, so norms never materialize the full N^d x N^d matrix.  The
-refinement estimate recomputes the same reduction on the half-resolution grid
-(``coarsen`` plus ``resample_window``).
+Every STFT norm goes through one streamed pass (``_norms``) that reads |V|
+once and accumulates every requested (p, q, order) reduction from it, so no
+norm materializes the N^d x N^d matrix.  The refinement estimate recomputes
+the same reduction on the half-resolution grid (``coarsen`` plus
+``resample_window``).  |V| takes one of two paths, by window kind:
 
-2D windows that are tensor products g(x) = g0(x0) g1(x1) take a row-column
-path: V_g f(x, w) = F1[F0[f conj(g0(. - x0))] conj(g1(. - x1))], so the
-axis-0 transform is computed once per position row and reused for every
-column of that row.  Only ``gaussian_window`` marks its window as such (it
-carries per-axis ``factors``); ``bump_chi``, ``annulus_psi`` and
-``custom_window`` take one full 2D transform per position.  Both paths yield
-the same layout: positions row-major, frequencies centered.
+* Windowed (``_stft_chunks``): one full d-dimensional transform per
+  position, for every 1D window and the 2D ``bump_chi``, ``annulus_psi``
+  and ``custom_window``.  A chunk of positions walks one block of about
+  ``_BLOCK_BYTES`` (4 MiB) step by step (``_walked_modulus``): each step
+  multiplies its rows' windows into the block, transforms them and writes
+  their |V| into its own rows of the chunk's real buffer.  Each yielded
+  array is a view of that buffer, valid until the generator resumes.
+* Row-column (``_row_column_sums``): a 2D window that is a tensor product
+  g(x) = g0(x0) g1(x1), which ``gaussian_window`` marks with per-axis
+  ``factors``.  V_g f(x, w) = F1[F0[f conj(g0(. - x0))] conj(g1(. - x1))],
+  so the axis-0 transform H is computed once per position row and reused
+  for its columns, which go through blocks of about ``_BLOCK_BYTES``.  A
+  row's blocks go to the threads in one hand-off: each thread owns a k0
+  range and runs, block by block in position order, the column-window
+  multiply, the axis-1 transform, |V| and the positions-inner sums on its
+  columns.  A pass with frequencies-inner specs hands each block off on
+  its own and reduces its rows before the next block overwrites them.
 
-A streamed pass reuses its buffers for every chunk.  On the signed path
-(``stft``) each chunk's rows are written into one chunk buffer and
-transformed there in place (``centered_fft(..., out=)``).  The modulus
-paths never hold a chunk of complex rows: they transform blocks of about
-``_BLOCK_BYTES`` (4 MiB), and only the real rows of |V|, and of |V|^p that
-``_norms`` takes from them, are chunk-sized.  On the windowed path a chunk
-walks one block step by step (``_walked_modulus``), each step writing its
-|V| into its own rows of the chunk's real buffer; the row-column path
-transforms one block of columns at a time.  The translates conj(T_x g)
-are read as views of conj(g) tiled three times per axis, so no gather
-index array is built.  Each array that ``_stft_chunks`` yields is
-therefore a view of one reused buffer, valid only until the generator
-resumes or ends: ``stft`` copies it, and ``_norms`` is done with it before
-asking for the next chunk.
+Both paths read |V| sign-free: the field (windowed) or g1 (row-column) is
+presigned once per pass (``core._presigned``) and ``centered_fft(...,
+modulus=A)`` writes |V| into the real buffer A.  ``core`` states why that
+is |V| of ``stft`` bit for bit whenever dx is a power of two, and within a
+rounding otherwise.  ``stft`` allocates its (positions, N^d) matrix and
+transforms it in place, signed, with the window multiply as the
+transform's ``fill``: in one call on the windowed path, one per position
+row on the row-column path.  Positions are row-major and frequencies
+centered on both paths.  The translates conj(T_x g) are views of conj(g)
+tiled three times per axis (``_translates``).
 
-The buffers also outlive the pass (``_pass_buffers``): one module store
-keeps a spare per role (the chunk or block, |V|, |V|^p, and the
-row-column H and HT), which the next pass takes instead of faulting in
-fresh pages.  A pass gives its buffers back when its generator ends or is
-closed; one that runs beside it finds no spare and allocates its own.
-Each spare is sized for a pass that ran, so in the paper's runs the
-largest retained set is that of the 1D N = 2048 powered pass: the 4 MiB
-block and the 32 MiB |V| and |V|^p buffers, 68 MiB in all.  ``stft``
-drops every spare before and after it materializes its matrix, so none
-stays under the matrix or what its caller computes from it.  Chunk sizes
-do not depend on the spares or the block, so no sum changes its order.
+Pass buffers outlive the pass (``_pass_buffers``): a module store keeps one
+spare per role (the block, |V|, |V|^p, and the row-column H and HT), which
+the next pass takes instead of faulting in fresh pages; a pass that runs
+beside it finds no spare and allocates its own.  In the paper's runs the
+largest kept set is that of the 1D N = 2048 powered pass, 68 MiB.
+``stft`` drops every spare before and after it fills its matrix.
 
-The norms read only |V|, so they take the sign-free path
-(``_stft_chunks(..., modulus=True)``): the field is presigned once per pass
-(``core._presigned``) and ``centered_fft(..., modulus=A)`` writes |V| into
-the real buffer A.  In the row-column path H stays the signed axis-0
-transform (once per position row) and g1 is presigned instead of the
-field.  ``core`` states why this gives |V| bit for bit that of ``stft``
-whenever dx is a power of two, and within a rounding otherwise.  ``stft``
-keeps the signed path.
-
-Every stage of a chunk is split over two threads (``core._split``), and
-each chunk is handed to them once for its transform: the window multiply is
-the transform's ``fill`` (see ``core.centered_fft``), so it runs in the
-same thread piece as the FFT and |V|.  On the windowed path the piece is a
-range of the block's rows: for each step in turn a thread multiplies its
-rows' windows into the block, transforms them and writes their |V| into
-the step's rows of the chunk's real buffer.  A chunk's steps go to the
-threads in one hand-off (and a short last step in one more); |V|^p (by
-contiguous halves) and the positions-inner reductions (by frequency
-column) are handed off after the walk.  On the row-column path H's
-transpose is the ``fold`` of H's transform, and a column block's piece is
-a range of k0, which is a range of flat frequency columns.  So when every
-spec is positions-inner (``_row_column_sums``), a position row's column
-blocks go to the threads once: each thread owns one k0 range and, for
-every block of the row in position order, runs the column-window
-multiply, the axis-1 transform, |V| and the positions-inner sums and
-maxima (with |V|^p) on its columns.  A
-pass with a frequencies-inner spec too must reduce each block's rows
-before the next block overwrites them, so it hands each block off on its
-own, with the positions-inner sums still in the transform's pieces.  The
-frequencies-inner reductions are split by row on both paths.
-
-Why the bits stay: chunk sizes and position order do not depend on the
-split or the block, every row is transformed on its own, and each output
-element is computed by the same operations in the same order as on one
-thread.  On the row-column path each accumulator column is summed block
-by block, in position order, by the one thread that owns it, whether the
-blocks come one per hand-off or all of a row's in one.  The functions
-handed to the threads call only numpy, never a public ``tfmult``
-function.  Since the window multiply and the positions-inner sums of a
-row-column pass run inside ``centered_fft``, a traced run counts their
-time in ``core.centered_fft`` and not in ``tf``.  A row's column
-blocks, like a windowed chunk's steps, still go through one traced
-``centered_fft`` call (and a short last block or step through one more),
-whose ``a`` is the block buffer repeated once per block or step, so a
-count of FFT work from ``a.shape`` is the true count.
+Why the bits stay: chunk sizes, block sizes and position order depend
+neither on the thread split (``core._split``) nor on the spares, every row
+is transformed on its own, and each output element is computed by the same
+operations in the same order as on one thread; each row-column accumulator
+column is summed block by block, in position order, by the one thread that
+owns it.  The functions handed to the threads call only numpy, never a
+public ``tfmult`` function.  A walked ``centered_fft`` call's ``a`` is the
+block repeated once per step (``core._repeated``), so a tracer counting
+FFT work from ``a.shape`` counts the true work; the window multiply and
+the fused sums run inside that call.
 """
 
 from __future__ import annotations
@@ -132,10 +97,12 @@ FREQUENCIES_INNER = "frequencies-inner"
 _WFL1 = (1.0, math.inf, FREQUENCIES_INNER)
 _M1INF = (1.0, math.inf, POSITIONS_INNER)
 
-_CHUNK_BYTES = 1 << 26  # ~64 MiB of complex rows per streamed chunk
-# ~4 MiB of complex rows per transform block of the modulus paths (a
-# row-column column block, a step of a windowed chunk); a 1 MiB block cost
-# 4% more wall time in per-step overhead
+# a windowed chunk holds as many positions as ~64 MiB of complex rows (its
+# real |V| rows take half that)
+_CHUNK_BYTES = 1 << 26
+# ~4 MiB of complex rows per transform block of the |V| paths (a row-column
+# column block, a step of a windowed chunk); a 1 MiB block cost 4% more wall
+# time in per-step overhead
 _BLOCK_BYTES = 1 << 22
 # A windowed |V| step holds at least one row per _POINTS_PER_STEP_ROW points
 # of N: numpy's FFT takes a scratch buffer of a few N-point lines per call,
@@ -336,18 +303,18 @@ def _translates(g: np.ndarray, axis_idx) -> np.ndarray:
     return windows[(slice(None, None, -1),) * g.ndim]
 
 
-def _transformed(block: np.ndarray, d: int, dx: float, A, fill):
-    """One chunk's centered_fft in place, as (rows, N^d): V, or |V| into A if given.
+def _window_rows(fv: np.ndarray, windows: np.ndarray, first: int, out, lo: int, hi: int):
+    """Write f conj(T_x g) of positions first + lo : first + hi into out[lo:hi].
 
-    ``fill`` writes the block piece by piece in the transform's thread split
-    (see ``core.centered_fft``).  With A the filled block must be presigned
-    (the sign-free path); A[:rows] is returned.
+    ``windows`` is ``_translates`` of g; positions count row-major over its
+    position axes.
     """
-    rows = len(block)
-    if A is None:
-        return centered_fft(block, d, dx, out=block, fill=fill).reshape(rows, -1)
-    centered_fft(block, d, dx, out=block, modulus=A[:rows].reshape(block.shape), fill=fill)
-    return A[:rows]
+    if fv.ndim == 1:
+        np.multiply(fv, windows[first + lo : first + hi], out=out[lo:hi])
+    else:
+        for m in range(lo, hi):
+            np.multiply(fv, windows[np.unravel_index(first + m, windows.shape[: fv.ndim])],
+                        out=out[m])
 
 
 def _walk_groups(n: int, size: int) -> list:
@@ -379,106 +346,65 @@ def _walked_modulus(block: np.ndarray, A: np.ndarray, first: int, d: int, dx: fl
     return A
 
 
-def _windowed_chunks(fv: np.ndarray, gvals: np.ndarray, flat_idx, axis_idx, grid: Grid,
-                     modulus: bool):
-    """Yield (flat position indices, rows of V_g f or |V_g f|) chunks, row-major.
+def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None):
+    """Yield (flat position indices, |V_g f| rows) chunks on the windowed path, row-major.
 
-    V is transformed in place in a chunk buffer.  For |V| f is presigned
-    once, and a chunk goes through one block of about ``_BLOCK_BYTES`` (at
-    least N / ``_POINTS_PER_STEP_ROW`` rows) step by step
-    (``_walked_modulus``): only its real |V| rows are chunk-sized.
-    Every chunk is a prefix of buffers that the next chunk overwrites.
+    f is presigned once, and each chunk of positions goes through one block
+    of about ``_BLOCK_BYTES`` (at least N / ``_POINTS_PER_STEP_ROW`` rows)
+    step by step (``_walked_modulus``): only its real |V| rows are
+    chunk-sized.  Each yielded array is a prefix of one buffer that the
+    next chunk overwrites, so a caller that keeps rows copies them.
     """
-    if modulus:
-        fv = _presigned(fv, grid.d)
-    windows = _translates(gvals.reshape(grid.shape), axis_idx)
-    npos_axes = windows.shape[: grid.d]
+    grid = f.grid
+    require_same_grid(grid, g.field.grid)
+    flat_idx, axis_idx = _position_indices(grid, stride, halfwidth)
+    fv = _presigned(f.reshaped(), grid.d)
+    fill = functools.partial(_window_rows, fv, _translates(g.field.reshaped(), axis_idx))
     rows = min(max(1, _CHUNK_BYTES // (16 * grid.npoints)), flat_idx.size)
-
-    def window_rows(first, out, lo, hi):
-        if grid.d == 1:
-            np.multiply(fv, windows[first + lo : first + hi], out=out[lo:hi])
-        else:
-            for m in range(lo, hi):
-                window = windows[np.unravel_index(first + m, npos_axes)]
-                np.multiply(fv, window, out=out[m])
-
+    block_rows = min(max(1, _BLOCK_BYTES // (16 * grid.npoints),
+                         grid.N // _POINTS_PER_STEP_ROW), rows)
     with _pass_buffers() as take:
-        if modulus:
-            block_rows = min(max(1, _BLOCK_BYTES // (16 * grid.npoints),
-                                 grid.N // _POINTS_PER_STEP_ROW), rows)
-            block = take("chunk", (block_rows, *grid.shape), np.complex128)
-            A = take("modulus", (rows, grid.npoints))
-        else:
-            buf = take("chunk", (rows, *grid.shape), np.complex128)
+        block = take("chunk", (block_rows, *grid.shape), np.complex128)
+        A = take("modulus", (rows, grid.npoints))
         for start in range(0, flat_idx.size, rows):
             stop = min(start + rows, flat_idx.size)
-            if modulus:
-                yield flat_idx[start:stop], _walked_modulus(block, A[: stop - start], start,
-                                                            grid.d, grid.dx, window_rows)
-            else:
-                chunk = buf[: stop - start]
-                yield flat_idx[start:stop], _transformed(
-                    chunk, grid.d, grid.dx, None, functools.partial(window_rows, start, chunk))
+            yield flat_idx[start:stop], _walked_modulus(block, A[: stop - start], start,
+                                                        grid.d, grid.dx, fill)
 
 
-def _row_column_rows(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: bool, take):
-    """Yield (i, H, rows1, buf, A) once per position row i, for a tensor-product 2D window.
+def _row_column_rows(fv: np.ndarray, factors, axis_idx, grid: Grid, take):
+    """(H, rows1, rows) for a tensor-product 2D window g0 x g1, with H and HT taken.
 
     H = F0[f conj(T_{x_i} g0)], as (k0, x1), depends only on the position
     row i, so it is transformed once per row (on the transposed field,
     along contiguous rows) and then multiplied by each column's window
-    rows1[j] = conj(T_{x_j} g1) before the axis-1 transform.  H is always
-    signed and scaled by dx; for |V|, g1 is presigned.  H's transform is one
-    hand-off to the threads: the window multiply is its ``fill`` and the
-    transpose its ``fold``.  ``buf`` is the column block buffer, (cols, N,
-    N), and A its |V| rows (None unless ``modulus``).  Every row reuses H,
-    buf and A.
+    rows1[j] = conj(T_{x_j} g1) before the axis-1 transform.  H is signed
+    and scaled by dx; a caller that wants |V| passes g1 presigned.  The
+    generator ``rows`` yields r = 0, 1, ... once H holds position row r's
+    transform, one hand-off to the threads with the window multiply as its
+    ``fill`` and the transpose as its ``fold``.
     """
     N = grid.N
     sel0, sel1 = axis_idx
     g0, g1 = factors
-    if modulus:
-        g1 = _presigned(g1, 1)
     rows0, rows1 = _translates(g0, (sel0,)), _translates(g1, (sel1,))
     fT = np.ascontiguousarray(fv.T)
-    cols = min(max(1, _BLOCK_BYTES // (16 * N * N)), sel1.size)
     HT = take("HT", (N, N), np.complex128)  # (x1, k0)
     H = take("H", (N, N), np.complex128)  # (k0, x1)
-    buf = take("chunk", (cols, N, N), np.complex128)
-    A = take("modulus", (cols, N * N)) if modulus else None
-    for i, row0 in zip(sel0, rows0):
 
-        def window_rows(lo, hi):
-            np.multiply(fT[lo:hi], row0, out=HT[lo:hi])
+    def rows():
+        for r, row0 in enumerate(rows0):
 
-        def transpose(lo, hi):
-            H[:, lo:hi] = HT[lo:hi].T
+            def window_rows(lo, hi):
+                np.multiply(fT[lo:hi], row0, out=HT[lo:hi])
 
-        centered_fft(HT, 1, grid.dx, out=HT, fill=window_rows, fold=transpose)
-        yield i, H, rows1, buf, A
+            def transpose(lo, hi):
+                H[:, lo:hi] = HT[lo:hi].T
 
+            centered_fft(HT, 1, grid.dx, out=HT, fill=window_rows, fold=transpose)
+            yield r
 
-def _row_column_chunks(fv: np.ndarray, factors, axis_idx, grid: Grid, modulus: bool):
-    """Yield (flat position indices, V_g f or |V_g f| rows) for a tensor-product 2D window.
-
-    One chunk per block of ``cols`` columns of a position row, each block
-    one hand-off to the threads with the column-window multiply as its
-    ``fill``.
-    """
-    N, sel1 = grid.N, axis_idx[1]
-    with _pass_buffers() as take:
-        for i, H, rows1, buf, A in _row_column_rows(fv, factors, axis_idx, grid, modulus, take):
-            for start in range(0, sel1.size, len(buf)):
-                stop = min(start + len(buf), sel1.size)
-                block = buf[: stop - start]
-                w = rows1[start:stop, None, :]
-
-                def window_columns(lo, hi):
-                    np.multiply(H[lo:hi], w, out=block[:, lo:hi])
-
-                yield i * N + sel1[start:stop], _transformed(block, 1, grid.dx, A,
-                                                             window_columns)
+    return H, rows1, rows()
 
 
 def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, power_rows,
@@ -493,27 +419,32 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
     runs on them the column-window multiply, the axis-1 transform, |V| and
     ``_fold_columns`` (with |V|^p into ``power_rows(A)``).  So each
     accumulator column is summed block by block, in position order, by one
-    thread, as when each block is its own chunk; and the traced ``a`` of
-    each call still has the shape of the transforms it runs.
+    thread; and the traced ``a`` of each call still has the shape of the
+    transforms it runs.
 
-    With ``reduce_rows`` (a pass with frequencies-inner specs too) every
-    block is a call of its own, and reduce_rows(A, P) reads the block's
-    |V| rows after it, before the next block overwrites them.
+    With ``reduce_rows`` (a pass with frequencies-inner specs) every block
+    is a call of its own, and reduce_rows(A, P) reads the block's |V| rows
+    after it, before the next block overwrites them.  With ``acc`` empty
+    there is nothing to fold.
     """
     grid = f.grid
     require_same_grid(grid, g.field.grid)
     N = grid.N
     _, axis_idx = _position_indices(grid, stride, halfwidth)
     ncols = axis_idx[1].size
+    g0, g1 = g.factors
     with _pass_buffers() as take:
-        for _, H, rows1, buf, A in _row_column_rows(f.reshaped(), g.factors, axis_idx, grid,
-                                                    True, take):
-            cols = len(buf)
-            P = power_rows(A)
-            groups = _walk_groups(ncols, cols)
-            if reduce_rows is not None:
-                groups = [(start, min(start + cols, ncols), min(cols, ncols - start))
-                          for start in range(0, ncols, cols)]
+        H, rows1, rows = _row_column_rows(f.reshaped(), (g0, _presigned(g1, 1)), axis_idx,
+                                          grid, take)
+        cols = min(max(1, _BLOCK_BYTES // (16 * N * N)), ncols)
+        buf = take("chunk", (cols, N, N), np.complex128)
+        A = take("modulus", (cols, N * N))
+        P = power_rows(A)
+        groups = _walk_groups(ncols, cols)
+        if reduce_rows is not None:
+            groups = [(start, min(start + cols, ncols), min(cols, ncols - start))
+                      for start in range(0, ncols, cols)]
+        for _ in rows:
             for start, stop, size in groups:
                 block, Ab = buf[:size], A[:size]
                 Pb = None if P is None else P[:size]
@@ -528,7 +459,7 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
 
                 centered_fft(steps, 1, grid.dx, out=steps,
                              modulus=_repeated(Ab.reshape(block.shape), len(w)),
-                             fill=window_columns, fold=fold_columns)
+                             fill=window_columns, fold=fold_columns if acc else None)
                 if reduce_rows is not None:
                     reduce_rows(Ab, Pb)
 
@@ -538,38 +469,31 @@ def _row_column(g: Window) -> bool:
     return g.field.grid.d == 2 and g.factors is not None
 
 
-def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None, modulus=False):
-    """Yield (flat position indices, V_g f rows), positions row-major.
-
-    With ``modulus`` the rows are |V_g f|, computed on the sign-free path.
-    Each yielded array is a view of one buffer that the pass reuses: it is
-    valid only until the generator resumes, so a caller that keeps rows
-    copies them.
-    """
-    grid = f.grid
-    require_same_grid(grid, g.field.grid)
-    flat_idx, axis_idx = _position_indices(grid, stride, halfwidth)
-    if _row_column(g):
-        yield from _row_column_chunks(f.reshaped(), g.factors, axis_idx, grid, modulus)
-    else:
-        yield from _windowed_chunks(f.reshaped(), g.field.values, flat_idx, axis_idx, grid,
-                                    modulus)
-
-
 def stft(f: SampledField, g: Window, stride: int = 1) -> StftMatrix:
-    """Materialize V_g f on every ``stride``-th position per axis."""
+    """Materialize V_g f on every ``stride``-th position per axis, transformed in place."""
     grid = f.grid
     require_same_grid(grid, g.field.grid)
-    flat_idx, _ = _position_indices(grid, stride, None)
-    npos = flat_idx.size
+    flat_idx, axis_idx = _position_indices(grid, stride, None)
+    fv = f.reshaped()
     _release_spares()  # no spare stays under the matrix
-    values = np.empty((npos, grid.npoints), dtype=np.complex128)
-    row = 0
-    for js, V in _stft_chunks(f, g, stride):
-        values[row : row + len(js)] = V
-        row += len(js)
+    values = np.empty((flat_idx.size, *grid.shape), dtype=np.complex128)
+    if _row_column(g):
+        ncols = axis_idx[1].size
+        with _pass_buffers() as take:
+            H, rows1, rows = _row_column_rows(fv, g.factors, axis_idx, grid, take)
+            for r in rows:
+                row = values[r * ncols : (r + 1) * ncols]
+
+                def window_columns(lo, hi):
+                    np.multiply(H[lo:hi], rows1[:, None, :], out=row[:, lo:hi])
+
+                centered_fft(row, 1, grid.dx, out=row, fill=window_columns)
+    else:
+        windows = _translates(g.field.reshaped(), axis_idx)
+        centered_fft(values, grid.d, grid.dx, out=values,
+                     fill=functools.partial(_window_rows, fv, windows, 0, values))
     _release_spares()  # nor under what the caller computes from it
-    return StftMatrix(grid, values, flat_idx, stride)
+    return StftMatrix(grid, values.reshape(flat_idx.size, -1), flat_idx, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +625,11 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
                 for r, values in zip(rows.values(), part):
                     r.append(values)
 
-        if _row_column(g) and acc:
+        if _row_column(g):
             _row_column_sums(f, g, stride, halfwidth, acc, col, power_rows,
                              reduce_rows if rows else None)
         else:
-            for _, A in _stft_chunks(f, g, stride, halfwidth, modulus=True):
+            for _, A in _stft_chunks(f, g, stride, halfwidth):
                 pa = power_rows(A)
                 for p, s in acc.items():
                     a = A if p == 1.0 or math.isinf(p) else _split_power(A, p, pa)

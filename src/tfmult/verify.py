@@ -110,8 +110,7 @@ def verify_chirp_stft(grid: Grid, t: float) -> ChirpStftReport:
     oms = grid.axis_frequencies()
     pw = np.abs(oms) <= grid.N * grid.dxi / 4.0
     errs = []
-    for js, A in _stft_chunks(f, gaussian_window(grid), halfwidth=grid.L / 4.0,
-                              modulus=True):
+    for js, A in _stft_chunks(f, gaussian_window(grid), halfwidth=grid.L / 4.0):
         oracle = chirp_stft_oracle(xs[js][:, None], oms[pw][None, :], t)
         errs.append(np.max(np.abs(A[:, pw] - oracle)))
     return ChirpStftReport(grid, t, float(np.max(errs)), chirp_aliased(grid, t))
@@ -331,6 +330,15 @@ def _check_dyadic_alpha(alpha: float) -> None:
                              "8.01e-17")
 
 
+def _dyadic_term(grid: Grid, k: int, alpha: float) -> SampledField:
+    """|x|^{k alpha} psi(|x|), the annulus factor of the series' k-th Taylor term.
+
+    psi vanishes where |x| < 1, so no sample shrinks as k grows: the k = K
+    term holds the largest.
+    """
+    return sample(lambda *xs: radius(xs) ** (k * alpha) * psi_profile(radius(xs)), grid)
+
+
 def _check_sin_singular(alpha: float, delta: float) -> None:
     if not (0.0 < delta <= alpha <= 1.0):
         raise ParameterError(f"need 0 < delta <= alpha <= 1, got {alpha}, {delta}")
@@ -356,10 +364,7 @@ def dyadic_fl1_series(alpha: float, K: int = 40, J: int = 20,
     partial = 0.0
     cauchy_k = None
     for k in range(K + 1):
-        psi_k = sample(
-            lambda *xs: radius(xs) ** (k * alpha) * psi_profile(radius(xs)), grid
-        )
-        psi_l1 = fl1_norm(psi_k, refine=False).value
+        psi_l1 = fl1_norm(_dyadic_term(grid, k, alpha), refine=False).value
         if k == 0:
             phi_bound = chi_l1
         else:
@@ -598,6 +603,20 @@ def _check_dilations(lambdas) -> None:
         raise ParameterError(f"Gaussian dilations must be positive, got {list(lambdas)}")
 
 
+def _check_fresnel_ratios(t: float, lambdas) -> None:
+    """Each lambda's closed-form L^1 ratio at this t is a finite float."""
+    for lam in lambdas:
+        try:
+            ratio = fresnel_l1_ratio(t, lam)
+        except OverflowError:
+            ratio = math.inf
+        if not math.isfinite(ratio):
+            raise ParameterError(
+                f"lambda = {lam:g}: the closed-form L^1 ratio (pi^2 + (t lambda)^2)^(1/4) / "
+                f"sqrt(pi) is not a finite float at t = {t:g}"
+            )
+
+
 def _lp_contrast_grid() -> Grid:
     return make_grid(1, 32.0, 2048)
 
@@ -607,12 +626,13 @@ def lp_contrast_probe(t: float, lambdas=LP_CONTRAST_LAMBDAS,
     """L^1 growth versus modulation-norm stability over dilated Gaussians.
 
     The symbol e^{i t xi^2} is the Schrodinger propagator's, so a t whose
-    largest phase on the grid is not resolved (``_check_phase_resolution``)
-    raises ParameterError.
+    largest phase on the grid is not resolved (``_check_phase_resolution``),
+    or a lambda whose closed-form ratio overflows, raises ParameterError.
     """
     _check_dilations(lambdas)
     grid = grid or _lp_contrast_grid()
     _check_phase_resolution(grid, t, 2)
+    _check_fresnel_ratios(t, lambdas)
     sigma = symbol_unimodular(grid, 2.0, t=t)
     g = gaussian_window(grid)
     l1_ratios, oracle, m11 = [], [], []

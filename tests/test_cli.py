@@ -8,6 +8,7 @@ import sys
 import xml.dom.minidom
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tfmult
@@ -140,6 +141,9 @@ class TestListValidate:
         ("linear_phase", "cases", "100000000000", "at most 100000 random cases"),
         # run raised OverflowError in the Fresnel oracle
         ("lp_contrast", "t", "1e300", "t = 1e+300: the largest propagator phase"),
+        # run raised OverflowError in the Fresnel oracle: (t lambda)^2 overflows
+        ("lp_contrast", "lambda_list", "1, 1e300",
+         "lambda = 1e+300: the closed-form L^1 ratio"),
         # run raised ZeroDivisionError in the series tail
         ("dyadic_series", "alpha_list", "1, 1e-300", "alpha = 1e-300: 2^-alpha rounds to 1"),
         # run tried to allocate 4 TiB for the second box
@@ -329,17 +333,47 @@ class TestRun:
         # artifacts are still written for inspection
         assert (tmp_path / "f" / "results.csv").exists()
 
+    NON_FINITE = {
+        "1e308": "the chirp of t = 1e+308 on the grid L = 32, N = 2048",
+        "1e300": "the chirp of t = 0 on the grid L = 1e+300, N = 2048",
+        "100": "alpha = 100: the k = 40 term |x|^(k alpha) psi(|x|)",
+    }
+
     @pytest.mark.parametrize("name,key,value", [
         ("chirp_stft", "t_list", "1e308"),
+        ("chirp_stft", "l", "1e300"),
         ("dyadic_series", "alpha_list", "100"),
     ])
     def test_non_finite_sample_exits_two(self, tmp_path, capsys, name, key, value):
-        # these pass validate; sampling overflows, which ended in a traceback
+        # sampling overflows: this ended in a traceback, then validate said
+        # ok while run exited 2; the field is now sampled by validate too
+        what = self.NON_FINITE[value]
         cfg = write_config(tmp_path, f"name = {name}\n{key} = {value}\n"
                                      f"out = {tmp_path / 'o'}\n")
-        assert main(["validate", cfg]) == 0
-        assert main(["run", cfg]) == 2
-        assert "error: non-finite sample at x = " in capsys.readouterr().err
+        for cmd in ("validate", "run"):
+            assert main([cmd, cfg]) == 2
+            assert f"error: {what}: non-finite sample at x = " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["chirp_stft", "dyadic_series"])
+    def test_sample_checks_start_no_fft(self, tmp_path, monkeypatch, name):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("validate started an FFT")
+
+        monkeypatch.setattr(np.fft, "fftn", no_fft)
+        monkeypatch.setattr(np.fft, "fft", no_fft)
+        assert main(["validate", write_config(tmp_path, f"name = {name}\n")]) == 0
+
+    def test_overflowing_frequency_lattice_names_the_grid(self, tmp_path):
+        # the message said "inf rad" after a numpy overflow warning (and
+        # t = 0 times the overflowed |xi| warned of an invalid value)
+        cfg = write_config(tmp_path, "name = wave_conservation\nn = 16\nl = 1e-300\n"
+                                     "t_list = 0, 0.5\n")
+        for cmd in ("validate", "run"):
+            out = run_cli([cmd, cfg], env_extra={"TFMULT_OUT": str(tmp_path / "o")})
+            assert out.returncode == 2
+            assert out.stderr == ("error: the grid L = 1e-300, N = 16 has a frequency lattice "
+                                  "of spacing 1/L = 1e+300 whose |xi| overflows float64\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("xs,ys", [([1e300], [1.0]), ([1.0], [1e300])])

@@ -138,6 +138,21 @@ class TestStft:
         assert strided.values.shape[0] == full.values.shape[0] // 4
         assert np.allclose(strided.values, full.values[::4])
 
+    def test_cold_stft_holds_only_its_matrix(self):
+        # the matrix is transformed in place: a chunk buffer beside it, as
+        # the 1D N = 2048 matrix once had, doubles the peak
+        grid = make_grid(1, 32.0, 2048)
+        f, g = chirp_field(grid, 1.0), gaussian_window(grid)
+        tf._release_spares()
+        tracemalloc.start()
+        try:
+            V = stft(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert V.values.nbytes == 64 << 20
+        assert peak <= 68 << 20
+
     def test_2d_matches_separable_product(self):
         grid2 = make_grid(2, 8.0, 32)
         grid1 = make_grid(1, 8.0, 32)
@@ -361,6 +376,89 @@ def _reference_rows(f, g, flat_idx):
     return np.stack(rows)
 
 
+def _pass_groups(grid, g, positions) -> list:
+    """``positions`` (row-major) split into the chunks a norm pass reads |V| in.
+
+    Windowed: chunks of ``tf._CHUNK_BYTES // (16 N^d)`` positions.
+    Row-column: per position row, blocks of ``tf._BLOCK_BYTES // (16 N^2)``
+    columns.
+    """
+    if not tf._row_column(g):
+        rows = min(max(1, tf._CHUNK_BYTES // (16 * grid.npoints)), positions.size)
+        return [positions[s : s + rows] for s in range(0, positions.size, rows)]
+    ncols = np.unique(positions % grid.N).size
+    cols = min(max(1, tf._BLOCK_BYTES // (16 * grid.npoints)), ncols)
+    return [row[s : s + cols] for row in positions.reshape(-1, ncols)
+            for s in range(0, ncols, cols)]
+
+
+def _stft_rows(f, g, stride, halfwidth):
+    """(positions, rows) of ``stft``, kept to the positions with |x| <= halfwidth."""
+    V = stft(f, g, stride)
+    keep = np.isin(V.position_indices, _selected_positions(f.grid, stride, halfwidth))
+    return V.position_indices[keep], V.values[keep]
+
+
+def _signed_chunks(f, g, stride, halfwidth) -> list:
+    """np.abs of ``stft``'s signed rows, in the chunks a norm pass reads."""
+    js, V = _stft_rows(f, g, stride, halfwidth)
+    groups = _pass_groups(f.grid, g, js)
+    return list(zip(groups, np.split(np.abs(V), np.cumsum([len(c) for c in groups])[:-1])))
+
+
+def _pass_rows(f, g, stride, halfwidth, views=None) -> list:
+    """(positions, |V| rows) per chunk, copied, as a norm pass reads them.
+
+    Windowed: the chunks of ``tf._stft_chunks``.  Row-column: the blocks
+    ``tf._row_column_sums`` hands to its ``reduce_rows``.  The uncopied
+    rows go to ``views`` when given.
+    """
+    views = [] if views is None else views
+    rows = []
+
+    def keep(A, P=None):
+        views.append(A)
+        rows.append(A.copy())
+
+    if not tf._row_column(g):
+        groups = []
+        for js, A in tf._stft_chunks(f, g, stride, halfwidth):
+            groups.append(js.copy())
+            keep(A)
+    else:
+        tf._row_column_sums(f, g, stride, halfwidth, {}, None, lambda A: None, keep)
+        groups = _pass_groups(f.grid, g, _selected_positions(f.grid, stride, halfwidth))
+    return list(zip(groups, rows))
+
+
+def _modulus_chunks(f, g, stride, halfwidth) -> list:
+    """(positions, |V| rows) per chunk of a norm pass, sign-free, without tf's buffers.
+
+    Windowed: ``_chunk_buffer_rows``.  Row-column: H signed once per
+    position row, as in ``_reference_rows``; each block of columns is H
+    times the presigned g1's conj(T_x g1), made with np.roll, and goes
+    through one ``centered_fft(..., modulus=)`` call.
+    """
+    if not tf._row_column(g):
+        return list(_chunk_buffer_rows(f, g, stride, halfwidth))
+    grid = f.grid
+    N, dx = grid.N, grid.dx
+    g0, g1 = g.factors
+    g1 = core._presigned(g1, 1)
+    fT = np.ascontiguousarray(f.reshaped().T)
+    chunks, H, row = [], None, None
+    for js in _pass_groups(grid, g, _selected_positions(grid, stride, halfwidth)):
+        if js[0] // N != row:
+            row = js[0] // N
+            H = centered_fft(fT * np.conj(np.roll(g0, row - N // 2)), 1, dx)
+            H = np.ascontiguousarray(H.T)
+        block = np.stack([H * np.conj(np.roll(g1, j % N - N // 2)) for j in js])
+        A = np.empty((len(js), grid.npoints))
+        centered_fft(block, 1, dx, out=block, modulus=A.reshape(block.shape))
+        chunks.append((js, A))
+    return chunks
+
+
 class TestReusedChunkBuffers:
     """Small chunk sizes, so every pass reuses its buffers and ends on a partial chunk."""
 
@@ -379,16 +477,17 @@ class TestReusedChunkBuffers:
         f = SampledField(grid, rng.standard_normal(grid.npoints)
                          + 1j * rng.standard_normal(grid.npoints))
         g = bump_chi(grid) if window == "bump_2d" else gaussian_window(grid)
-        chunks = [(js.copy(), V.copy()) for js, V in tf._stft_chunks(f, g, stride, halfwidth)]
-        js = np.concatenate([c[0] for c in chunks])
-        assert np.array_equal(np.concatenate([c[1] for c in chunks]),
-                              _reference_rows(f, g, js))
+        js, V = _stft_rows(f, g, stride, halfwidth)
+        assert np.array_equal(js, _selected_positions(grid, stride, halfwidth))
+        assert np.array_equal(V, _reference_rows(f, g, js))
+        chunks = _pass_rows(f, g, stride, halfwidth)
+        want = _modulus_chunks(f, g, stride, halfwidth)
+        assert len(chunks) == len(want) > 1
+        for (js1, A1), (js2, A2) in zip(chunks, want):
+            assert np.array_equal(js1, js2) and np.array_equal(A1, A2)
         if halfwidth is None:
             naxis = len(range(0, grid.N, stride))
             assert naxis ** d % 5 and naxis % 3  # partial last chunks
-            assert np.array_equal(js, np.arange(grid.npoints).reshape(grid.shape)[
-                (slice(None, None, stride),) * d].reshape(-1))
-            assert np.array_equal(stft(f, g, stride).values, _reference_rows(f, g, js))
 
     @pytest.mark.parametrize("stride,halfwidth", [(0, None), (1.5, None), (1, -1.0)])
     def test_rejects_empty_or_fractional_position_grid(self, stride, halfwidth):
@@ -427,21 +526,19 @@ def _selected_positions(grid, stride, halfwidth):
     return np.ravel_multi_index(tuple(idx), grid.shape)[keep]
 
 
-def _reference_norms(f, g, specs, stride, halfwidth, modulus=False, chunks=None):
-    """The specs reduced on one thread from the |V| chunks of ``_stft_chunks``.
+def _reference_norms(f, g, specs, stride, halfwidth, chunks=None):
+    """The specs reduced on one thread from (positions, |V| rows) chunks.
 
-    |V| is np.abs of the signed rows, or with ``modulus`` the sign-free rows
-    as they are.  Positions-inner sums run down each frequency column in the
-    order and with the chunk boundaries of ``_stft_chunks`` (or of
-    ``chunks``, (positions, rows) pairs given instead); frequencies-inner
-    ones along each row.  |V|^p is ``np.power`` and the roots are ``**``, as
-    in ``_norms``.  The chunks' positions must be those of
-    ``_selected_positions``.
+    The chunks default to ``_modulus_chunks``.  Positions-inner sums run
+    down each frequency column in chunk order, one chunk's sum at a time;
+    frequencies-inner ones along each row.  |V|^p is ``np.power`` and the
+    roots are ``**``, as in ``_norms``.  The chunks' positions must be
+    those of ``_selected_positions``.
     """
     grid = f.grid
     positions = _selected_positions(grid, stride, halfwidth)
     if chunks is None:
-        chunks = tf._stft_chunks(f, g, stride, halfwidth, modulus)
+        chunks = _modulus_chunks(f, g, stride, halfwidth)
     seen = []
     wx, wxi = (grid.dx * stride) ** grid.d, grid.dxi ** grid.d
 
@@ -452,9 +549,8 @@ def _reference_norms(f, g, specs, stride, halfwidth, modulus=False, chunks=None)
 
     inner = {p: np.zeros(grid.npoints) for p, _, order in specs if order == POSITIONS_INNER}
     rows = {p: [] for p, _, order in specs if order == FREQUENCIES_INNER}
-    for js, V in chunks:
+    for js, A in chunks:
         seen.append(js.copy())
-        A = V if modulus else np.abs(V)
         for p in inner:
             if p == np.inf:
                 inner[p] = np.maximum(inner[p], A.max(axis=0))
@@ -483,11 +579,10 @@ class TestSignFreeModulus:
         f, g = _case(window, L, seed=int(L) + stride)
         grid = f.grid
         hw = grid.L / 4.0 if quarter_box else None
-        rows = np.concatenate([A.copy() for _, A in tf._stft_chunks(f, g, stride, hw, True)])
-        V = np.concatenate([V.copy() for _, V in tf._stft_chunks(f, g, stride, hw)])
-        signed = np.abs(V)
+        rows = np.concatenate([A for _, A in _pass_rows(f, g, stride, hw)])
+        signed = np.abs(_stft_rows(f, g, stride, hw)[1])
         got = _norms(f, g, SPECS, stride, hw)
-        want = _reference_norms(f, g, SPECS, stride, hw)
+        want = _reference_norms(f, g, SPECS, stride, hw, _signed_chunks(f, g, stride, hw))
         if L == 8.0:  # dx = 1/8 or 1/4: scaling |V| by dx^d is exact
             assert np.array_equal(rows, signed)
             assert got == want
@@ -514,12 +609,12 @@ class TestTwoWorkers:
         runs = []
         for workers in (1, 2):
             with split_workers(workers):
-                chunks = [(js.copy(), V.copy()) for modulus in (False, True)
-                          for js, V in tf._stft_chunks(f, g, stride, hw, modulus)]
-                runs.append((chunks, _norms(f, g, SPECS, stride, hw)))
+                runs.append((stft(f, g, stride).values, _pass_rows(f, g, stride, hw),
+                             _norms(f, g, SPECS, stride, hw)))
                 assert (core._pool[1] is not None) == (workers == 2)
-        (chunks1, norms1), (chunks2, norms2) = runs
-        assert len(chunks1) == len(chunks2)
+        (V1, chunks1, norms1), (V2, chunks2, norms2) = runs
+        assert np.array_equal(V1, V2)
+        assert len(chunks1) == len(chunks2) > 1
         for (js1, V1), (js2, V2) in zip(chunks1, chunks2):
             assert np.array_equal(js1, js2) and np.array_equal(V1, V2)
         assert norms1 == norms2
@@ -535,11 +630,9 @@ def _chunk_buffer_rows(f, g, stride, halfwidth):
     """
     grid = f.grid
     positions = _selected_positions(grid, stride, halfwidth)
-    rows = min(tf._CHUNK_BYTES // (16 * grid.npoints), positions.size)
     fv, gv = core._presigned(f.reshaped(), grid.d), g.field.reshaped()
     axes = tuple(range(grid.d))
-    for start in range(0, positions.size, rows):
-        js = positions[start : start + rows]
+    for js in _pass_groups(grid, g, positions):
         chunk = np.empty((len(js), *grid.shape), dtype=complex)
         for m, j in enumerate(js):
             shift = tuple(int(k) - grid.N // 2 for k in np.unravel_index(j, grid.shape))
@@ -566,10 +659,10 @@ class TestWalkedModulus:
         hw = grid.L / 4 if quarter_box else None
         want = list(_chunk_buffer_rows(f, g, stride, hw))
         assert len(want[0][0]) == 8
-        want_norms = _reference_norms(f, g, SPECS, stride, hw, modulus=True, chunks=want)
+        want_norms = _reference_norms(f, g, SPECS, stride, hw, want)
         for workers in (1, 2):
             with split_workers(workers):
-                got = [(js.copy(), A.copy()) for js, A in tf._stft_chunks(f, g, stride, hw, True)]
+                got = _pass_rows(f, g, stride, hw)
                 assert len(got) == len(want)
                 for (js1, A1), (js2, A2) in zip(got, want):
                     assert np.array_equal(js1, js2) and np.array_equal(A1, A2)
@@ -591,7 +684,7 @@ class TestWalkedModulus:
             return transform(a, d, *args, **kwargs)
 
         monkeypatch.setattr(tf, "centered_fft", traced)
-        for _ in tf._stft_chunks(f, g, 1, None, True):
+        for _ in tf._stft_chunks(f, g, 1, None):
             pass
         assert shapes == [((2, 3, N), 1), ((1, 2, N), 1)] * (N // 8)
 
@@ -655,7 +748,7 @@ class TestFusedFold:
         mg, stride = _m1inf_grid_2d(t)
         f, g = chirp_field(mg, t), gaussian_window(mg)
         hw = 4 * stride * mg.dx
-        want = _reference_norms(f, g, [tf._M1INF], stride, hw, modulus=True)
+        want = _reference_norms(f, g, [tf._M1INF], stride, hw)
         for workers in (1, 2):
             with split_workers(workers):
                 assert _norms(f, g, [tf._M1INF], stride, hw) == want
@@ -678,7 +771,7 @@ class TestFusedFold:
         specs = [(p, q, POSITIONS_INNER) for p, q in pqs]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tf, "_BLOCK_BYTES", cols * 16 * grid.npoints)
-            want = _reference_norms(f, g, specs, stride, hw, modulus=True)
+            want = _reference_norms(f, g, specs, stride, hw)
             for workers in (1, 2):
                 with split_workers(workers):
                     assert _norms(f, g, specs, stride, hw) == want
@@ -735,6 +828,28 @@ class TestFusedFold:
         calls = self._hand_offs(monkeypatch, split_workers, SPECS)
         assert calls == ([32] + [32, 3] * 10 + [32, 2]) * 32
 
+    def test_frequencies_inner_pass_hands_off_as_a_mixed_one(self, monkeypatch,
+                                                             split_workers):
+        # a pass with no positions-inner spec takes the same path as a mixed
+        # one: each block its own hand-off and transform call, with nothing
+        # to fold, and its rows reduced in one more hand-off
+        shapes = []
+        transform = tf.centered_fft
+
+        def traced(a, d, *args, **kwargs):
+            shapes.append(a.shape)
+            return transform(a, d, *args, **kwargs)
+
+        monkeypatch.setattr(tf, "centered_fft", traced)
+        passes = []
+        for specs in ([tf._WFL1], SPECS):
+            shapes.clear()
+            calls = self._hand_offs(monkeypatch, split_workers, specs)
+            passes.append((list(calls), list(shapes)))  # later passes count on in calls
+        (w_calls, w_shapes), (mixed_calls, mixed_shapes) = passes
+        assert w_calls == mixed_calls == ([32] + [32, 3] * 10 + [32, 2]) * 32
+        assert w_shapes == mixed_shapes
+
 
 class TestSpareBuffers:
     """Passes reuse the spare chunk buffers of earlier passes; concurrent ones do not."""
@@ -747,20 +862,27 @@ class TestSpareBuffers:
         monkeypatch.setattr(tf, "_BLOCK_BYTES", 3 * 16 * grid.npoints)
 
     @pytest.mark.parametrize("window", ["gaussian_1d", "gaussian_2d", "bump_2d"])
-    @pytest.mark.parametrize("modulus", [False, True])
-    def test_consecutive_passes_share_buffers(self, monkeypatch, window, modulus):
+    @pytest.mark.parametrize("whole_norms", [False, True])
+    def test_consecutive_passes_share_buffers(self, monkeypatch, window, whole_norms):
+        # each pass takes the spares the one before gave back: the |V| rows
+        # it reads lie in the same buffer, and a whole _norms pass leaves the
+        # same spare of every role it took
         f, g = _case(window)
         self._small_chunks(monkeypatch, f.grid)
         tf._release_spares()
-        passes = []
-        for _ in range(3):
-            chunks = tf._stft_chunks(f, g, 1, None, modulus)
-            first = next(chunks)[1]
-            passes.append((first, [first.copy()] + [V.copy() for _, V in chunks]))
-        (cold_view, cold), (warm_view, warm), (_, warmer) = passes
-        assert np.shares_memory(cold_view, warm_view)
+
+        def one_pass():
+            if whole_norms:
+                values = _norms(f, g, SPECS)
+                return [tf._spares[r] for r in sorted(tf._spares)], [np.array(values)]
+            views = []
+            return views, [A for _, A in _pass_rows(f, g, 1, None, views)]
+
+        (cold_views, cold), (warm_views, warm), (_, warmer) = (one_pass() for _ in range(3))
+        assert len(warm_views) == len(cold_views) > 1
+        assert all(np.shares_memory(a, b) for a, b in zip(cold_views, warm_views))
         for rows in (warm, warmer):
-            assert len(rows) == len(cold) > 1
+            assert len(rows) == len(cold)
             assert all(np.array_equal(a, b) for a, b in zip(rows, cold))
 
     @pytest.mark.parametrize("window", ["gaussian_1d", "gaussian_2d", "bump_2d"])
@@ -768,7 +890,7 @@ class TestSpareBuffers:
         f, g = _case(window)
         self._small_chunks(monkeypatch, f.grid)
         tf._norms(f, g, SPECS)  # leaves spares of every role
-        one, two = (tf._stft_chunks(f, g, 1, None, True) for _ in range(2))
+        one, two = (tf._stft_chunks(f, g, 1, None) for _ in range(2))
         n = 0
         for (js1, A1), (js2, A2) in zip(one, two):
             assert not np.shares_memory(A1, A2)
@@ -780,7 +902,7 @@ class TestSpareBuffers:
         f, g = _case("gaussian_1d")
         self._small_chunks(monkeypatch, f.grid)
         want = _norms(f, g, SPECS)
-        outer = tf._stft_chunks(f, g, 1, None, True)
+        outer = tf._stft_chunks(f, g, 1, None)
         _, A = next(outer)
         before = A.copy()
         assert _norms(f, g, SPECS) == want
@@ -791,11 +913,11 @@ class TestSpareBuffers:
         f, g = _case("gaussian_2d")
         self._small_chunks(monkeypatch, f.grid)
         tf._release_spares()
-        chunks = tf._stft_chunks(f, g, 1, None, True)
+        chunks = tf._stft_chunks(f, g, 1, None)
         _, A = next(chunks)
         assert not tf._spares
         chunks.close()
-        assert set(tf._spares) == {"chunk", "modulus", "H", "HT"}
+        assert set(tf._spares) == {"chunk", "modulus"}
         assert np.shares_memory(tf._spares["modulus"], A)
 
     def test_larger_pass_drops_every_spare(self):
@@ -804,7 +926,7 @@ class TestSpareBuffers:
         assert set(tf._spares) >= {"chunk", "modulus", "power", "H", "HT"}
         old = dict(tf._spares)
         big = make_grid(2, 8.0, 2 * small.grid.N)
-        chunks = tf._stft_chunks(_random_field(big, 1), gaussian_window(big), 1, None, True)
+        chunks = tf._stft_chunks(_random_field(big, 1), gaussian_window(big), 1, None)
         next(chunks)
         assert not tf._spares  # "power", unused by this pass, went too
         chunks.close()

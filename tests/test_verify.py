@@ -197,6 +197,13 @@ class TestProbesAndContrast:
         with pytest.raises(ParameterError, match="t = 1e\\+300: the largest propagator phase"):
             verify.lp_contrast_probe(1e300)
 
+    @pytest.mark.parametrize("t,lambdas", [(1.0, (1.0, 1e300)), (1e6, (1e149,)),
+                                           (0.0, (float("inf"),))])
+    def test_lp_contrast_rejects_an_overflowing_oracle(self, t, lambdas):
+        # (t lam)^2 raised OverflowError, or the ratio came out inf or nan
+        with pytest.raises(ParameterError, match="the closed-form L\\^1 ratio"):
+            verify.lp_contrast_probe(t, lambdas)
+
     def test_fresnel_t_zero_flat(self):
         assert np.isclose(fresnel_l1_ratio(0.0, 8.0), 1.0)
 
