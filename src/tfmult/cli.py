@@ -39,7 +39,7 @@ import numpy as np
 from . import verify
 from .core import (ParameterError, SamplingError, _check_coarsenable, default_grid, make_grid,
                    sample)
-from .mult import _check_phase_resolution, _check_unimodular_alpha, symbol_unimodular
+from .mult import _check_phase_resolution, symbol_unimodular
 from .tf import _check_exponent, gaussian_window
 from .verify import DEFAULT_SEED
 
@@ -465,12 +465,17 @@ EXPERIMENTS = {
 
 
 def _grid_1d(l, n):
-    make_grid(1, l, n)
+    """The (l, n) grid, with N no larger than the largest grid an experiment derives."""
+    grid = make_grid(1, l, n)
+    if n > verify.DIVERGENCE_MAX_N:
+        raise ParameterError(f"n = {n}: a 1D grid may have at most N = "
+                             f"{verify.DIVERGENCE_MAX_N} points")
+    return grid
 
 
 def _refinable_grid_1d(l, n):
     """A refinement estimate coarsens the grid to N / 2."""
-    _check_coarsenable(make_grid(1, l, n))
+    _check_coarsenable(_grid_1d(l, n))
 
 
 def _each(check):
@@ -513,6 +518,16 @@ def _finite_dyadic_terms(alpha_list, k):
                         f"alpha = {alpha:g}: the k = {k} term |x|^(k alpha) psi(|x|)")
 
 
+def _probe_inputs(l, n, alpha_list):
+    """Each alpha's symbol and the probe family, on both grids the run measures (N = n, 2n)."""
+    for N in (n, 2 * n):
+        grid = make_grid(1, l, N)
+        for alpha in alpha_list:
+            symbol_unimodular(grid, alpha, t=1.0)
+        _finite_samples(lambda: verify.probe_family(grid),
+                        f"the probe family on the grid L = {l:g}, N = {N}")
+
+
 def _check_tolerance(tolerance):
     """None stands for the experiment's own default."""
     if tolerance is not None and not tolerance > 0:
@@ -531,7 +546,7 @@ RULES = {
                       (_finite_dyadic_terms, "alpha_list", "k")],
     "sin_singular_fl1": [(verify._check_sin_singular, "alpha", "delta")],
     "linear_phase": [(verify._check_case_count, "cases"), (verify._check_seed, "seed")],
-    "operator_probe": [(_grid_1d, "l", "n"), (_each(_check_unimodular_alpha), "alpha_list")],
+    "operator_probe": [(_grid_1d, "l", "n"), (_probe_inputs, "l", "n", "alpha_list")],
     "lp_contrast": [(verify._check_dilations, "lambda_list"),
                     (lambda t: _check_phase_resolution(verify._lp_contrast_grid(), t, 2), "t"),
                     (verify._check_fresnel_ratios, "t", "lambda_list")],

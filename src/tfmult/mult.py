@@ -50,8 +50,13 @@ def _check_unimodular_alpha(alpha: float) -> None:
 
 
 def symbol_unimodular(grid: Grid, alpha: float, t: float = 1.0) -> Symbol:
-    """e^{i t |xi|^alpha}; alpha restricted to [0, 2]."""
+    """e^{i t |xi|^alpha}; alpha restricted to [0, 2].
+
+    A t whose largest phase on the grid is not resolved
+    (``_check_phase_resolution``) raises ParameterError.
+    """
     _check_unimodular_alpha(alpha)
+    _check_phase_resolution(grid, t, alpha)
     phase = t * grid.frequency_radius() ** alpha if alpha > 0 else t * np.ones(grid.shape)
     return Symbol(grid, np.exp(1j * phase).reshape(-1),
                   aliasing_warning=_phase_aliased(phase))
@@ -96,7 +101,7 @@ def apply_multiplier(sigma: Symbol, f: SampledField) -> SampledField:
 PHASE_ULP_MAX = 1e-6
 
 
-def _check_phase_resolution(grid: Grid, t: float, power: int) -> None:
+def _check_phase_resolution(grid: Grid, t: float, power: float) -> None:
     """Raise unless the largest phase |t| |xi|^power on the grid has an ulp <= PHASE_ULP_MAX."""
     with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned
         xi_max = np.max(grid.frequency_radius())
@@ -108,7 +113,7 @@ def _check_phase_resolution(grid: Grid, t: float, power: int) -> None:
         )
     if not math.ulp(top) <= PHASE_ULP_MAX:
         raise ParameterError(
-            f"t = {t:g}: the largest propagator phase t|xi|^{power} on the grid, {top:.4g} rad, "
+            f"t = {t:g}: the largest propagator phase t|xi|^{power:g} on the grid, {top:.4g} rad, "
             f"has an ulp of {math.ulp(top):.3g} rad, above {PHASE_ULP_MAX:g}"
         )
 
@@ -126,9 +131,7 @@ def schrodinger_propagate(f: SampledField, t: float) -> PropagatorState:
     A t whose largest phase is not resolved (``_check_phase_resolution``)
     raises ParameterError.
     """
-    _check_phase_resolution(f.grid, t, 2)
-    sigma = Symbol(f.grid, np.exp(1j * t * f.grid.frequency_radius() ** 2).reshape(-1))
-    return PropagatorState(f.grid, apply_multiplier(sigma, f))
+    return PropagatorState(f.grid, apply_multiplier(symbol_unimodular(f.grid, 2.0, t), f))
 
 
 def wave_propagate(f: SampledField, g: SampledField, t: float) -> PropagatorState:

@@ -39,12 +39,12 @@ the same reduction on the half-resolution grid (``coarsen`` plus
 Both paths read |V| sign-free: the field (windowed) or g1 (row-column) is
 presigned once per pass (``core._presigned``) and ``centered_fft(...,
 modulus=A)`` writes |V| into the real buffer A.  ``core`` states why that
-is |V| of ``stft`` bit for bit whenever dx is a power of two, and within a
-rounding otherwise.  ``stft`` allocates its (positions, N^d) matrix and
-transforms it in place, signed, with the window multiply as the
-transform's ``fill``: in one call on the windowed path, one per position
-row on the row-column path.  Positions are row-major and frequencies
-centered on both paths.  The translates conj(T_x g) are views of conj(g)
+is |V| of the signed transform bit for bit whenever dx is a power of two,
+and within a rounding otherwise.  ``stft`` takes the windowed transform
+for every window, the 2D Gaussian included: it allocates its (positions,
+N^d) matrix and transforms it in place, signed, in one call with the
+window multiply as the transform's ``fill``.  Positions are row-major and
+frequencies centered.  The translates conj(T_x g) are views of conj(g)
 tiled three times per axis (``_translates``).
 
 Pass buffers outlive the pass (``_pass_buffers``): a module store keeps one
@@ -372,44 +372,17 @@ def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None):
                                                         grid.d, grid.dx, fill)
 
 
-def _row_column_rows(fv: np.ndarray, factors, axis_idx, grid: Grid, take):
-    """(H, rows1, rows) for a tensor-product 2D window g0 x g1, with H and HT taken.
-
-    H = F0[f conj(T_{x_i} g0)], as (k0, x1), depends only on the position
-    row i, so it is transformed once per row (on the transposed field,
-    along contiguous rows) and then multiplied by each column's window
-    rows1[j] = conj(T_{x_j} g1) before the axis-1 transform.  H is signed
-    and scaled by dx; a caller that wants |V| passes g1 presigned.  The
-    generator ``rows`` yields r = 0, 1, ... once H holds position row r's
-    transform, one hand-off to the threads with the window multiply as its
-    ``fill`` and the transpose as its ``fold``.
-    """
-    N = grid.N
-    sel0, sel1 = axis_idx
-    g0, g1 = factors
-    rows0, rows1 = _translates(g0, (sel0,)), _translates(g1, (sel1,))
-    fT = np.ascontiguousarray(fv.T)
-    HT = take("HT", (N, N), np.complex128)  # (x1, k0)
-    H = take("H", (N, N), np.complex128)  # (k0, x1)
-
-    def rows():
-        for r, row0 in enumerate(rows0):
-
-            def window_rows(lo, hi):
-                np.multiply(fT[lo:hi], row0, out=HT[lo:hi])
-
-            def transpose(lo, hi):
-                H[:, lo:hi] = HT[lo:hi].T
-
-            centered_fft(HT, 1, grid.dx, out=HT, fill=window_rows, fold=transpose)
-            yield r
-
-    return H, rows1, rows()
-
-
 def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, power_rows,
                      reduce_rows=None):
     """Fold |V_g f| into every positions-inner accumulator of ``acc``, on the row-column path.
+
+    g = g0 x g1, so H = F0[f conj(T_{x_i} g0)], as (k0, x1), depends only
+    on the position row i: it is transformed once per row, on the
+    transposed field along contiguous rows (the window multiply as the
+    transform's ``fill``, the transpose as its ``fold``), and then
+    multiplied by each column's conj(T_{x_j} g1) before the axis-1
+    transform.  g1 is presigned, so the axis-1 transforms give |V| on the
+    sign-free path.
 
     The column blocks of a position row go to the threads once: all full
     blocks in one ``centered_fft`` call, whose block buffer is repeated
@@ -430,12 +403,14 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
     grid = f.grid
     require_same_grid(grid, g.field.grid)
     N = grid.N
-    _, axis_idx = _position_indices(grid, stride, halfwidth)
-    ncols = axis_idx[1].size
+    sel0, sel1 = _position_indices(grid, stride, halfwidth)[1]
+    ncols = sel1.size
     g0, g1 = g.factors
+    rows0, rows1 = _translates(g0, (sel0,)), _translates(_presigned(g1, 1), (sel1,))
+    fT = np.ascontiguousarray(f.reshaped().T)
     with _pass_buffers() as take:
-        H, rows1, rows = _row_column_rows(f.reshaped(), (g0, _presigned(g1, 1)), axis_idx,
-                                          grid, take)
+        HT = take("HT", (N, N), np.complex128)  # (x1, k0)
+        H = take("H", (N, N), np.complex128)  # (k0, x1)
         cols = min(max(1, _BLOCK_BYTES // (16 * N * N)), ncols)
         buf = take("chunk", (cols, N, N), np.complex128)
         A = take("modulus", (cols, N * N))
@@ -444,7 +419,15 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
         if reduce_rows is not None:
             groups = [(start, min(start + cols, ncols), min(cols, ncols - start))
                       for start in range(0, ncols, cols)]
-        for _ in rows:
+        for row0 in rows0:
+
+            def window_rows(lo, hi):
+                np.multiply(fT[lo:hi], row0, out=HT[lo:hi])
+
+            def transpose(lo, hi):
+                H[:, lo:hi] = HT[lo:hi].T
+
+            centered_fft(HT, 1, grid.dx, out=HT, fill=window_rows, fold=transpose)
             for start, stop, size in groups:
                 block, Ab = buf[:size], A[:size]
                 Pb = None if P is None else P[:size]
@@ -465,7 +448,7 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
 
 
 def _row_column(g: Window) -> bool:
-    """Whether V_g takes the row-column path: a 2D window with factors."""
+    """Whether a norm pass reads |V_g| on the row-column path: a 2D window with factors."""
     return g.field.grid.d == 2 and g.factors is not None
 
 
@@ -474,24 +457,11 @@ def stft(f: SampledField, g: Window, stride: int = 1) -> StftMatrix:
     grid = f.grid
     require_same_grid(grid, g.field.grid)
     flat_idx, axis_idx = _position_indices(grid, stride, None)
-    fv = f.reshaped()
     _release_spares()  # no spare stays under the matrix
     values = np.empty((flat_idx.size, *grid.shape), dtype=np.complex128)
-    if _row_column(g):
-        ncols = axis_idx[1].size
-        with _pass_buffers() as take:
-            H, rows1, rows = _row_column_rows(fv, g.factors, axis_idx, grid, take)
-            for r in rows:
-                row = values[r * ncols : (r + 1) * ncols]
-
-                def window_columns(lo, hi):
-                    np.multiply(H[lo:hi], rows1[:, None, :], out=row[:, lo:hi])
-
-                centered_fft(row, 1, grid.dx, out=row, fill=window_columns)
-    else:
-        windows = _translates(g.field.reshaped(), axis_idx)
-        centered_fft(values, grid.d, grid.dx, out=values,
-                     fill=functools.partial(_window_rows, fv, windows, 0, values))
+    windows = _translates(g.field.reshaped(), axis_idx)
+    centered_fft(values, grid.d, grid.dx, out=values,
+                 fill=functools.partial(_window_rows, f.reshaped(), windows, 0, values))
     _release_spares()  # nor under what the caller computes from it
     return StftMatrix(grid, values.reshape(flat_idx.size, -1), flat_idx, stride)
 

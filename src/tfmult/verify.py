@@ -24,8 +24,7 @@ from .core import (
     radius,
     sample,
 )
-from .mult import (Symbol, _check_phase_resolution, apply_multiplier, sin_singular_profile,
-                   symbol_unimodular)
+from .mult import Symbol, apply_multiplier, sin_singular_profile, symbol_unimodular
 from .tf import (
     Window,
     _stft_chunks,
@@ -316,8 +315,21 @@ def _dyadic_grid() -> Grid:
 
 
 def _check_series_depth(K: int, J: int) -> None:
+    """10 <= K <= 170 and 5 <= J <= 1000.
+
+    The k-th term divides by k!, and 171! is not a float.  J only splits
+    each term's geometric sum: J terms are summed one by one and the rest
+    is the exact remainder ratio^(J+1) / (1 - ratio), so the cap on J,
+    which bounds that loop, costs the bound no validity.
+    """
     if K < 10 or J < 5:
-        raise ParameterError("need K >= 10 and J >= 5")
+        raise ParameterError(f"need K >= 10 and J >= 5, got k = {K}, j = {J}")
+    if K > 170:
+        raise ParameterError(f"k = {K}: the series depth K may be at most 170, "
+                             "since the k-th term divides by k! and 171! is not a float")
+    if J > 1000:
+        raise ParameterError(f"j = {J}: the geometric depth J may be at most 1000; the exact "
+                             "tail ratio^(J+1) / (1 - ratio) covers the rest of the sum")
 
 
 def _check_dyadic_alpha(alpha: float) -> None:
@@ -626,14 +638,13 @@ def lp_contrast_probe(t: float, lambdas=LP_CONTRAST_LAMBDAS,
     """L^1 growth versus modulation-norm stability over dilated Gaussians.
 
     The symbol e^{i t xi^2} is the Schrodinger propagator's, so a t whose
-    largest phase on the grid is not resolved (``_check_phase_resolution``),
-    or a lambda whose closed-form ratio overflows, raises ParameterError.
+    largest phase on the grid is not resolved (``symbol_unimodular``), or a
+    lambda whose closed-form ratio overflows, raises ParameterError.
     """
     _check_dilations(lambdas)
     grid = grid or _lp_contrast_grid()
-    _check_phase_resolution(grid, t, 2)
-    _check_fresnel_ratios(t, lambdas)
     sigma = symbol_unimodular(grid, 2.0, t=t)
+    _check_fresnel_ratios(t, lambdas)
     g = gaussian_window(grid)
     l1_ratios, oracle, m11 = [], [], []
     for lam in lambdas:
@@ -672,6 +683,14 @@ class SchrodingerConservationReport:
     l2_ratios: dict       # (label, t) -> M^{2,2} ratio
 
 
+def _nonzero_norm(value: float, p, q, what: str) -> float:
+    """``value``, a (p, q) norm of the nonzero field ``what``, unless it underflowed to 0."""
+    if value == 0.0:
+        raise ParameterError(f"the ({p:g}, {q:g}) norm of {what} underflows to 0: "
+                             "|V|^p or its q-th power falls below the float64 range")
+    return value
+
+
 def schrodinger_conservation(fields, window: Window, p, q,
                              t_list) -> SchrodingerConservationReport:
     """Phase-space norm growth of free Schrodinger evolution.
@@ -689,6 +708,7 @@ def schrodinger_conservation(fields, window: Window, p, q,
     for label, f in fields:
         d = f.grid.d
         base = modulation_norms_multi(f, window, pq_list)
+        _nonzero_norm(base[pq], p, q, f"the initial field {label}")
         for t in t_list:
             envelope = schrodinger_envelope(t, d)
             u = schrodinger_propagate(f, t).u
@@ -730,10 +750,12 @@ def wave_conservation(f: SampledField, g0: SampledField, window: Window, p, q,
     """Measured envelope constants and energy conservation for the wave flow."""
     from .mult import wave_energy, wave_propagate
 
-    denom = _norm_unless_zero(f, window, p, q) + _norm_unless_zero(g0, window, p, q)
+    denom = _nonzero_norm(_norm_unless_zero(f, window, p, q)
+                          + _norm_unless_zero(g0, window, p, q), p, q, "the initial data")
     fc, gc = coarsen(f), coarsen(g0)
     wc = resample_window(window, fc.grid)
-    denom_c = _norm_unless_zero(fc, wc, p, q) + _norm_unless_zero(gc, wc, p, q)
+    denom_c = _nonzero_norm(_norm_unless_zero(fc, wc, p, q) + _norm_unless_zero(gc, wc, p, q),
+                            p, q, "the coarsened initial data")
     e0 = wave_energy(wave_propagate(f, g0, 0.0))
     cs, refs = [], []
     drift = 0.0

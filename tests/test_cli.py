@@ -1,15 +1,19 @@
 """CLI contract: subcommands, config parsing, artifacts, exit codes."""
 
 import ast
+import contextlib
 import inspect
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tfmult
 from tfmult import cli, verify
@@ -149,6 +153,21 @@ class TestListValidate:
         # run tried to allocate 4 TiB for the second box
         ("m_inf_1_divergence", "l_list", "16, 1e6",
          "box L = 1e+06 needs an N = 549755813888 grid"),
+        # run raised OverflowError dividing by 171!
+        ("dyadic_series", "k", "171", "k = 171: the series depth K may be at most 170"),
+        # run had not finished after a minute
+        ("dyadic_series", "j", "100000000", "j = 100000000: the geometric depth J may be at "
+                                            "most 1000"),
+        # |xi|^alpha overflowed: run warned, then blamed the norm's overflow
+        ("operator_probe", "l", "1e-300", "the grid L = 1e-300, N = 512 has a frequency "
+                                          "lattice of spacing 1/L = 1e+300 whose |xi| "
+                                          "overflows float64"),
+        # run exited 2 from the probe family's sampling, which validate never did
+        ("operator_probe", "l", "1e300", "error: the probe family on the grid L = 1e+300, "
+                                         "N = 512: non-finite sample at x = "),
+        # validate tried to sample the grid: an 8 TiB MemoryError traceback
+        ("chirp_stft", "n", "1099511627776",
+         "n = 1099511627776: a 1D grid may have at most N = 65536 points"),
         # keys the experiment does not take used to pass both commands unread
         ("sin_singular_fl1", "n", "64", "sin_singular_fl1 takes no key 'n'"),
         ("lp_contrast", "lambda_lst", "1, 2", "lp_contrast takes no key 'lambda_lst'"),
@@ -198,6 +217,17 @@ class TestListValidate:
         rows = (out / "results.csv").read_text().splitlines()[1:]
         growth = [float(r.split(",")[2]) for r in rows if "growth_to_L" in r]
         assert len(growth) == 2 and all(g >= 1.5 for g in growth)
+
+    @pytest.mark.parametrize("name,what", [
+        ("schrodinger_conservation", "(1e+300, inf) norm of the initial field gauss"),
+        ("wave_conservation", "(1e+300, 1) norm of the initial data"),
+    ])
+    def test_underflowing_norm_of_the_initial_data(self, tmp_path, capsys, name, what):
+        # |V|^p of the Gaussian underflows to 0, and run divided by that norm
+        cfg = write_config(tmp_path, f"name = {name}\np = 1e300\nout = {tmp_path / 'o'}\n")
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg]) == 2
+        assert f"error: the {what} underflows to 0" in capsys.readouterr().err
 
     def test_divergence_needs_two_boxes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "name = m_inf_1_divergence\nl_list = 16\n"
@@ -407,3 +437,67 @@ class TestCsvFormat:
         rows = (tmp_path / "o" / "results.csv").read_text().strip().split("\n")[1:]
         m11_row = [r for r in rows if "space=M11" in r][0]
         assert m11_row.split(",")[3] == ""
+
+
+# extreme values of every kind: tiny, huge, zero, huge integers
+_EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1e308, 0.5, 1.0, 2.0, 4.0]
+_NUMBERS = st.one_of(st.sampled_from(_EXTREMES), st.floats()).map(repr)
+_INTEGERS = st.one_of(
+    st.sampled_from([0, 1, -1, 5, 8, 16, 64, 171, 256, 512, 1024, 2 ** 20, 2 ** 40, 2 ** 64,
+                     10 ** 30, -10 ** 30]),
+    st.integers(-10 ** 6, 10 ** 6)).map(str)
+_TEXT = {
+    cli._int: st.one_of(_INTEGERS, _NUMBERS),
+    cli._float: _NUMBERS,
+    cli._exponent: st.one_of(_NUMBERS, st.just("inf")),
+    cli._floats: st.lists(_NUMBERS, min_size=1, max_size=3).map(", ".join),
+}
+
+
+def _small_run(name, params) -> bool:
+    """Whether a validated config's run is cheap enough to start in a test.
+
+    No 2D ``amalgam_constants``; the grids that ``n`` sets (N = n and 2n for
+    ``operator_probe``) and the ``m_inf_1_divergence`` grids hold at most
+    1024 points; ``cases``, ``k`` and ``j`` are no larger than their
+    defaults.  The other experiments run on their own fixed grids.
+    """
+    defaults = parse_params({"name": name})
+    if params.get("d") == 2:
+        return False
+    if "n" in params and params["n"] * (2 if name == "operator_probe" else 1) > 1024:
+        return False
+    if name == "m_inf_1_divergence" and max(
+            g.N for g in verify._divergence_grids(params["t"], params["l_list"])) > 1024:
+        return False
+    return all(params[key] <= defaults[key] for key in ("cases", "k", "j") if key in params)
+
+
+class TestRandomConfigs:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_every_exit_is_0_1_or_2_with_a_message(self, data):
+        # a config of random keys and extreme values, through both commands
+        # in process: an exception escaping main fails the test
+        name = data.draw(st.sampled_from(sorted(EXPERIMENTS)))
+        keys = list(inspect.signature(EXPERIMENTS[name]).parameters)
+        chosen = data.draw(st.lists(st.sampled_from(keys), unique=True))
+        body = "".join(f"{key} = {data.draw(_TEXT[PARSERS[key]])}\n" for key in chosen)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setenv("TFMULT_OUT", str(Path(tmp) / "o"))
+            cfg = write_config(Path(tmp), f"name = {name}\n{body}")
+            if self._exit(["validate", cfg]) == 0 and _small_run(
+                    name, parse_params(load_config(cfg))):
+                self._exit(["run", cfg])
+
+    @staticmethod
+    def _exit(argv) -> int:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and len(err.getvalue()) > 8
+        if code == 1:
+            assert "FAIL-context: " in err.getvalue()
+        return code

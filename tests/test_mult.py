@@ -36,6 +36,14 @@ class TestSymbols:
         with pytest.raises(ParameterError):
             symbol_unimodular(grid, -0.1)
 
+    def test_unimodular_rejects_an_unresolved_phase(self):
+        # |xi|^alpha overflowed to inf and the symbol was nan, with numpy warnings
+        with pytest.raises(ParameterError, match="whose \\|xi\\| overflows float64"):
+            symbol_unimodular(make_grid(1, 1e-300, 512), 0.5)
+        with pytest.raises(ParameterError, match="t = 1e\\+100: the largest propagator phase "
+                                                 "t\\|xi\\|\\^1.5"):
+            symbol_unimodular(make_grid(1, 16.0, 512), 1.5, t=1e100)
+
     def test_chirp_aliasing_flag(self):
         coarse = make_grid(1, 16.0, 64)
         fine = make_grid(1, 16.0, 2048)

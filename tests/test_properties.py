@@ -85,9 +85,9 @@ def test_coarsen_equals_sampling_on_the_coarse_grid(d, L, log2n, a, b):
     assert np.array_equal(coarsen(fine).values, sample(fn, make_grid(d, L, N // 2)).values)
 
 
-# The signed STFT's complex values on each of its paths: 1D windowed, 2D
-# windowed (a window without factors) and 2D row-column (the Gaussian's
-# factors); dx = 12/128 and 6/16 are no powers of two.
+# The signed STFT's complex values for each kind of window: 1D, 2D without
+# factors and the 2D Gaussian with its factors (True), all on the windowed
+# transform; dx = 12/128 and 6/16 are no powers of two.
 signed_paths = st.sampled_from([
     ((1, 8.0, 64), True), ((1, 12.0, 128), True),
     ((2, 4.0, 16), True), ((2, 6.0, 16), True),

@@ -143,6 +143,14 @@ class TestDyadicSeries:
         with pytest.raises(ParameterError):
             verify._check_dyadic_alpha(8.0e-17)
 
+    def test_rejects_depths_past_the_caps(self):
+        # K = 171 raised OverflowError dividing by 171!, and J = 1e8 ran for minutes
+        with pytest.raises(ParameterError, match="k = 171: the series depth K may be at most"):
+            dyadic_fl1_series(0.01, K=171)
+        with pytest.raises(ParameterError, match="j = 100000000: the geometric depth J"):
+            dyadic_fl1_series(1.0, J=100_000_000)
+        verify._check_series_depth(170, 1000)
+
     def test_partial_sums_monotone(self):
         rep = dyadic_fl1_series(1.0, K=15)
         partials = [row[3] for row in rep.per_k]

@@ -22,6 +22,12 @@ after every run, so an interrupted recording keeps the pairs done so far.
 The last stdout lines give, per workload and metric, both medians, their
 ratio and the change's wins.  Exit 1 when any run is not correct or exits
 non-zero.
+
+Each side's ``commit`` is the HEAD that ``bench/run.py`` reads, so a side
+with uncommitted edits to tracked files would be recorded under a commit
+it does not match: before the first run, a side whose
+``git status --porcelain --untracked-files=no`` is not empty (or fails)
+ends the recording with exit 2, naming the side and its files.
 """
 
 from __future__ import annotations
@@ -50,6 +56,13 @@ def _run(side: Path, workload: str, seed: int, seconds: float, trace: int) -> di
         sys.stderr.write(done.stderr)
     return {"seed": seed, "exit_code": done.returncode, "machine": machine,
             "result": result}
+
+
+def _dirty(side: Path) -> str:
+    """``side``'s edited tracked files, or git's error when it cannot read them; "" when clean."""
+    done = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=side,
+                          capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else done.stderr.strip()
 
 
 def _summary(pairs: list, better: dict) -> dict:
@@ -105,6 +118,12 @@ def main(argv=None) -> int:
     ap.add_argument("--first-seed", type=int, default=1)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, path in sides.items():
+        dirty = _dirty(path)
+        if dirty:
+            sys.stderr.write(f"error: the {side} checkout {path} is not a clean git "
+                             f"checkout; commit or discard its changes first:\n{dirty}\n")
+            return 2
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
