@@ -466,11 +466,10 @@ EXPERIMENTS = {
 
 def _grid_1d(l, n):
     """The (l, n) grid, with N no larger than the largest grid an experiment derives."""
-    grid = make_grid(1, l, n)
     if n > verify.DIVERGENCE_MAX_N:
         raise ParameterError(f"n = {n}: a 1D grid may have at most N = "
                              f"{verify.DIVERGENCE_MAX_N} points")
-    return grid
+    return make_grid(1, l, n)
 
 
 def _refinable_grid_1d(l, n):
@@ -482,9 +481,11 @@ def _each(check):
     return lambda values: [check(v) for v in values]
 
 
-def _m1inf_grids(d, t_list):
-    """With d = 2 each t measures M^{1,inf} on a grid of its own, which has a cap."""
-    if d == 2:
+def _amalgam_chirps(d, t_list):
+    """1D: each t's chirp is resolved in the quarter box; 2D: each M^{1,inf} grid is capped."""
+    if d == 1:
+        verify._check_quarter_box_chirps(verify._amalgam_grid(1)[0], t_list)
+    else:
         verify._m1inf_grids_2d(t_list)
 
 
@@ -539,7 +540,7 @@ RULES = {
     "chirp_stft": [(_grid_1d, "l", "n"), (_finite_chirps, "l", "n", "t_list"),
                    (_check_tolerance, "tolerance")],
     "amalgam_constants": [(default_grid, "d"),  # d in {1, 2}
-                          (_m1inf_grids, "d", "t_list"), (_check_tolerance, "tolerance")],
+                          (_amalgam_chirps, "d", "t_list"), (_check_tolerance, "tolerance")],
     "m_inf_1_divergence": [(verify._divergence_grids, "t", "l_list")],
     "dyadic_series": [(verify._check_series_depth, "k", "j"),
                       (_each(verify._check_dyadic_alpha), "alpha_list"),

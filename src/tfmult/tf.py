@@ -20,11 +20,16 @@ the same reduction on the half-resolution grid (``coarsen`` plus
 
 * Windowed (``_stft_chunks``): one full d-dimensional transform per
   position, for every 1D window and the 2D ``bump_chi``, ``annulus_psi``
-  and ``custom_window``.  A chunk of positions walks one block of about
-  ``_BLOCK_BYTES`` (4 MiB) step by step (``_walked_modulus``): each step
-  multiplies its rows' windows into the block, transforms them and writes
-  their |V| into its own rows of the chunk's real buffer.  Each yielded
-  array is a view of that buffer, valid until the generator resumes.
+  and ``custom_window``.  The positions go through one complex block of
+  about ``_BLOCK_BYTES`` (4 MiB), one step at a time, each step one
+  ``centered_fft`` call: a thread piece multiplies its rows' windows into
+  the block, transforms them, writes their |V| (and |V|^p) into the step's
+  side of a pair of step-sized real buffers and reduces its
+  frequencies-inner rows.  The positions-inner sums of a step run inside
+  the next step's call, while the other side of the pair is written: its
+  piece of rows lo:hi takes the previous step's frequency columns
+  lo*N^d//n : hi*N^d//n.  One more hand-off folds the last step.  Each
+  yielded array is the step's |V|, valid until the next step.
 * Row-column (``_row_column_sums``): a 2D window that is a tensor product
   g(x) = g0(x0) g1(x1), which ``gaussian_window`` marks with per-axis
   ``factors``.  V_g f(x, w) = F1[F0[f conj(g0(. - x0))] conj(g1(. - x1))],
@@ -48,22 +53,29 @@ frequencies centered.  The translates conj(T_x g) are views of conj(g)
 tiled three times per axis (``_translates``).
 
 Pass buffers outlive the pass (``_pass_buffers``): a module store keeps one
-spare per role (the block, |V|, |V|^p, and the row-column H and HT), which
-the next pass takes instead of faulting in fresh pages; a pass that runs
-beside it finds no spare and allocates its own.  In the paper's runs the
-largest kept set is that of the 1D N = 2048 powered pass, 68 MiB.
-``stft`` drops every spare before and after it fills its matrix.
+spare per role (the block, the |V| pair, the |V|^p pairs, and the
+row-column H and HT), which the next pass takes instead of faulting in
+fresh pages; a pass that runs beside it finds no spare and allocates its
+own.  In the paper's runs the largest kept set is that of the 1D N = 2048
+powered pass, about 12 MiB (68 MiB while a windowed pass held a whole
+chunk of |V| and of |V|^p).  ``stft`` drops every spare before and after
+it fills its matrix.
 
 Why the bits stay: chunk sizes, block sizes and position order depend
 neither on the thread split (``core._split``) nor on the spares, every row
 is transformed on its own, and each output element is computed by the same
-operations in the same order as on one thread; each row-column accumulator
-column is summed block by block, in position order, by the one thread that
-owns it.  The functions handed to the threads call only numpy, never a
-public ``tfmult`` function.  A walked ``centered_fft`` call's ``a`` is the
-block repeated once per step (``core._repeated``), so a tracer counting
-FFT work from ``a.shape`` counts the true work; the window multiply and
-the fused sums run inside that call.
+operations in the same order as on one thread.  A windowed chunk of
+``_CHUNK_BYTES // (16 N^d)`` positions fixes the association of the
+positions-inner sums, and a step of about ``_BLOCK_BYTES`` fixes only the
+memory: a chunk's per-frequency sum runs on from step to step through a
+leading row (``_fold_step``) and is added to its accumulator once, as if
+the chunk were one block.  Each row-column accumulator column is summed
+block by block, in position order, by the one thread that owns it.  The
+functions handed to the threads call only numpy, never a public ``tfmult``
+function.  A walked row-column ``centered_fft`` call's ``a`` is the block
+repeated once per block of the row (``core._repeated``), so a tracer
+counting FFT work from ``a.shape`` counts the true work; the window
+multiply and the fused sums run inside the calls.
 """
 
 from __future__ import annotations
@@ -97,8 +109,9 @@ FREQUENCIES_INNER = "frequencies-inner"
 _WFL1 = (1.0, math.inf, FREQUENCIES_INNER)
 _M1INF = (1.0, math.inf, POSITIONS_INNER)
 
-# a windowed chunk holds as many positions as ~64 MiB of complex rows (its
-# real |V| rows take half that)
+# a windowed chunk holds as many positions as ~64 MiB of complex rows would;
+# its positions-inner sums are added to the accumulators once per chunk, so
+# the chunk fixes their association (its rows go through in steps)
 _CHUNK_BYTES = 1 << 26
 # ~4 MiB of complex rows per transform block of the |V| paths (a row-column
 # column block, a step of a windowed chunk); a 1 MiB block cost 4% more wall
@@ -323,53 +336,90 @@ def _walk_groups(n: int, size: int) -> list:
     return [(lo, hi, k) for lo, hi, k in [(0, full, size), (full, n, n - full)] if hi > lo]
 
 
-def _walked_modulus(block: np.ndarray, A: np.ndarray, first: int, d: int, dx: float,
-                    fill) -> np.ndarray:
-    """|V| of the len(A) presigned rows from row ``first`` on into A, through ``block``.
+def _steps(n: int, chunk: int, rows: int):
+    """(start, stop, first, last) of each step: range(n) cut into chunks, each chunk into steps."""
+    for lo in range(0, n, chunk):
+        end = min(lo + chunk, n)
+        for start in range(lo, end, rows):
+            yield start, min(start + rows, end), start == lo, start + rows >= end
 
-    fill(row, out, lo, hi) writes rows row + lo:row + hi into out[lo:hi].
-    The full blocks go to the threads in one ``centered_fft`` call on a
-    ``_repeated`` view of the block, with A's rows as the steps' distinct
-    modulus rows, and a short rest in one more call.  A thread piece keeps
-    rows lo:hi of the block and, step by step, fills them, transforms them
-    and writes their |V| to the step's rows of A.
+
+@dataclass
+class _Step:
+    """Positions start:stop of a windowed pass: one step of the chunk they lie in.
+
+    ``pairs`` maps each exponent to a (2, 1 + step rows, N^d) real pair:
+    |V| for 1 and inf, |V|^p for every other p of the pass.  The step owns
+    side ``side`` of each pair, its rows in rows 1:1 + n.  Row 0 carries the
+    running per-frequency sum of the chunk's earlier steps, which the fold
+    of the step before wrote there; a chunk's first step has none.
     """
-    for start, stop, size in _walk_groups(len(A), len(block)):
-        rows = block[:size]
-        steps = _repeated(rows, (stop - start) // size)
 
-        def fill_step(step, lo, hi):
-            fill(first + start + step * size, rows, lo, hi)
+    start: int
+    stop: int
+    first: bool  # the first step of its chunk
+    last: bool  # the last step of its chunk
+    side: int
+    pairs: dict
 
-        centered_fft(steps, d, dx, out=steps, modulus=A[start:stop].reshape(steps.shape),
-                     fill=fill_step)
-    return A
+    def rows(self, p: float, lead: bool = False) -> np.ndarray:
+        """The step's rows of p's pair, with row 0 ahead of them when ``lead``."""
+        return self.pairs[p][self.side, 0 if lead else 1 : 1 + self.stop - self.start]
 
 
-def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None):
-    """Yield (flat position indices, |V_g f| rows) chunks on the windowed path, row-major.
+def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None, powers=(), reduce=None,
+                 fold=None):
+    """Yield (flat position indices, |V_g f| rows) per step on the windowed path, row-major.
 
-    f is presigned once, and each chunk of positions goes through one block
-    of about ``_BLOCK_BYTES`` (at least N / ``_POINTS_PER_STEP_ROW`` rows)
-    step by step (``_walked_modulus``): only its real |V| rows are
-    chunk-sized.  Each yielded array is a prefix of one buffer that the
-    next chunk overwrites, so a caller that keeps rows copies them.
+    f is presigned once.  The positions are cut into chunks of
+    ``_CHUNK_BYTES // (16 N^d)`` and each chunk into steps of about
+    ``_BLOCK_BYTES`` (at least N / ``_POINTS_PER_STEP_ROW`` rows).  Each
+    step is one ``centered_fft`` call on one complex block: a thread piece
+    fills rows lo:hi with the window multiply, transforms them and writes
+    their |V| to the step's side of the |V| pair (``_Step``), then, still in
+    the piece, |V|^p of those rows for each p of ``powers`` and
+    ``reduce(step, lo, hi)``.  ``fold(step, lo, hi)`` reduces frequency
+    columns lo:hi of a step after all its rows are written: inside the next
+    step's call, where piece lo:hi of its n rows takes the previous step's
+    columns lo*N^d//n : hi*N^d//n, and for the last step in one more
+    hand-off.  A yielded array is the step's side of the |V| pair, valid
+    until the next step.
     """
     grid = f.grid
     require_same_grid(grid, g.field.grid)
     flat_idx, axis_idx = _position_indices(grid, stride, halfwidth)
     fv = _presigned(f.reshaped(), grid.d)
-    fill = functools.partial(_window_rows, fv, _translates(g.field.reshaped(), axis_idx))
-    rows = min(max(1, _CHUNK_BYTES // (16 * grid.npoints)), flat_idx.size)
-    block_rows = min(max(1, _BLOCK_BYTES // (16 * grid.npoints),
-                         grid.N // _POINTS_PER_STEP_ROW), rows)
+    window = functools.partial(_window_rows, fv, _translates(g.field.reshaped(), axis_idx))
+    M = grid.npoints
+    chunk = min(max(1, _CHUNK_BYTES // (16 * M)), flat_idx.size)
+    rows = min(max(1, _BLOCK_BYTES // (16 * M), grid.N // _POINTS_PER_STEP_ROW), chunk)
     with _pass_buffers() as take:
-        block = take("chunk", (block_rows, *grid.shape), np.complex128)
-        A = take("modulus", (rows, grid.npoints))
-        for start in range(0, flat_idx.size, rows):
-            stop = min(start + rows, flat_idx.size)
-            yield flat_idx[start:stop], _walked_modulus(block, A[: stop - start], start,
-                                                        grid.d, grid.dx, fill)
+        block = take("chunk", (rows, *grid.shape), np.complex128)
+        V = take("modulus", (2, 1 + rows, M))
+        P = take("power", (len(powers), 2, 1 + rows, M)) if powers else ()
+        pairs = {1.0: V, math.inf: V, **dict(zip(powers, P))}
+        prev = None
+        for k, (start, stop, first, last) in enumerate(_steps(flat_idx.size, chunk, rows)):
+            step = _Step(start, stop, first, last, k % 2, pairs)
+            x, A = block[: stop - start], step.rows(1.0)
+
+            def fill(lo, hi):
+                window(start, x, lo, hi)
+
+            def fold_rows(lo, hi):
+                for p in powers:
+                    _pow(A[lo:hi], p, out=step.rows(p)[lo:hi])
+                if reduce is not None:
+                    reduce(step, lo, hi)
+                if fold is not None and prev is not None:
+                    fold(prev, lo * M // len(x), hi * M // len(x))
+
+            centered_fft(x, grid.d, grid.dx, out=x, modulus=A.reshape(x.shape), fill=fill,
+                         fold=fold_rows)
+            yield flat_idx[start:stop], A
+            prev = step
+        if fold is not None and prev is not None:
+            _split(functools.partial(fold, prev), M, prev.rows(1.0, lead=True).nbytes)
 
 
 def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, power_rows,
@@ -505,20 +555,14 @@ def _pow(a, p: float, out=None):
 
 def _lp_reduce(a: np.ndarray, p: float, w: float, axis, out=None):
     """(sum |a|^p * w)^(1/p) along axis, max when p = inf; out holds |a|^p."""
+    return _lp_powered(a if math.isinf(p) else _pow(a, p, out), p, w, axis)
+
+
+def _lp_powered(ap: np.ndarray, p: float, w: float, axis):
+    """``_lp_reduce`` of an a whose |a|^p is ``ap`` (a itself for p = 1 and p = inf)."""
     if math.isinf(p):
-        return np.max(a, axis=axis)
-    return _pow(np.sum(_pow(a, p, out), axis=axis) * w, 1.0 / p)
-
-
-def _split_power(A: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
-    """A ** p into out (both contiguous), split over the threads."""
-    a, o = A.reshape(-1), out.reshape(-1)
-
-    def part(lo, hi):
-        _pow(a[lo:hi], p, out=o[lo:hi])
-
-    _split(part, a.size, A.nbytes)
-    return out
+        return np.max(ap, axis=axis)
+    return _pow(np.sum(ap, axis=axis) * w, 1.0 / p)
 
 
 def _accumulate_columns(a, s, is_max, col, lo, hi) -> None:
@@ -547,6 +591,30 @@ def _fold_columns(A, P, acc, col, lo, hi) -> None:
         _accumulate_columns(a, s, math.isinf(p), col, lo, hi)
 
 
+def _fold_step(acc, col, step: _Step, lo, hi) -> None:
+    """Fold frequency columns lo:hi of one windowed step into every positions-inner accumulator.
+
+    A max goes straight into its accumulator: it is exact, so a chunk's
+    steps may fold in any grouping.  A sum runs on down the chunk: the
+    step's rows are added one by one to the running sum in row 0 (numpy's
+    axis-0 sum of a C-contiguous float64 block adds its rows in order, for
+    every slice of two or more columns; a one-column slice of 8 or more rows
+    is summed pairwise, so no piece may be narrower than two columns, which
+    at most two pieces of N^d >= 8 columns never are).  The result goes to
+    row 0 of the next step's side, and at the chunk's last step into the
+    accumulator.  So each chunk adds the sum of its rows, taken in order,
+    to the accumulator once, as if the chunk were one block.
+    """
+    for p, s in acc.items():
+        if math.isinf(p):
+            _accumulate_columns(step.rows(p), s, True, col, lo, hi)
+        elif step.last:
+            _accumulate_columns(step.rows(p, lead=not step.first), s, False, col, lo, hi)
+        else:
+            np.sum(step.rows(p, lead=not step.first)[:, lo:hi], axis=0,
+                   out=step.pairs[p][1 - step.side, 0, lo:hi])
+
+
 def _reduce_rows(A, P, ps, w, lo, hi) -> list:
     """The frequencies-inner value of position rows lo:hi of |V|, one array per p."""
     out = None if P is None else P[lo:hi]
@@ -563,57 +631,61 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     per position row.  |V| comes from the sign-free path; |V|^p and the
     per-frequency partial sums go into buffers allocated once per pass.  The
     positions-inner sums are split over the threads by frequency column and
-    the frequencies-inner ones by row, so every sum keeps its order.  On the
-    row-column path, whose transform is split by frequency column too, the
-    positions-inner sums run inside the transform's thread pieces
-    (``_row_column_sums``): one hand-off per position row when every spec
-    is positions-inner, one per block when some are frequencies-inner.  A
-    value that overflows to inf (or is nan) raises ParameterError naming its
-    spec.
+    the frequencies-inner ones by row, so every sum keeps its order.  Both
+    run inside the transform's thread pieces.  Windowed (``_stft_chunks``):
+    one hand-off per step, whose pieces reduce their own rows and fold the
+    step before (``_fold_step``).  Row-column (``_row_column_sums``), whose
+    transform is split by frequency column too: one hand-off per position
+    row when every spec is positions-inner, one per block when some are
+    frequencies-inner.  A value that overflows to inf (or is nan) raises
+    ParameterError naming its spec.
     """
     grid = f.grid
     wx = (grid.dx * stride) ** grid.d
     wxi = grid.dxi ** grid.d
     acc = {p: np.zeros(grid.npoints) for p, _, order in specs if order == POSITIONS_INNER}
-    rows = {p: [] for p, _, order in specs if order == FREQUENCIES_INNER}
-    powered = any(p != 1.0 and not math.isinf(p) for p, _, _ in specs)
+    # per frequencies-inner p: {key: the values of some position rows}, the
+    # keys increasing with position
+    rows = {p: {} for p, _, order in specs if order == FREQUENCIES_INNER}
+    powers = tuple(sorted({p for p, _, _ in specs if p != 1.0 and not math.isinf(p)}))
     col = np.empty(grid.npoints)
-    P = None
-    with _pass_buffers() as take:
+    if _row_column(g):
+        P = None
+        with _pass_buffers() as take:
 
-        def power_rows(A):
-            """P[:len(A)] for |V|^p; P is taken with the first chunk, the largest."""
-            nonlocal P
-            if powered and P is None:
-                P = take("power", A.shape)
-            return None if P is None else P[: len(A)]
+            def power_rows(A):
+                """P[:len(A)] for |V|^p; P is taken with the first block, the largest."""
+                nonlocal P
+                if powers and P is None:
+                    P = take("power", A.shape)
+                return None if P is None else P[: len(A)]
 
-        def reduce_rows(A, pa):
-            parts = _split(functools.partial(_reduce_rows, A, pa, list(rows), wxi),
-                           len(A), A.nbytes)
-            for part in parts:
-                for r, values in zip(rows.values(), part):
-                    r.append(values)
+            def reduce_rows(A, pa):
+                parts = _split(functools.partial(_reduce_rows, A, pa, list(rows), wxi),
+                               len(A), A.nbytes)
+                for part in parts:
+                    for r, values in zip(rows.values(), part):
+                        r[len(r)] = values
 
-        if _row_column(g):
             _row_column_sums(f, g, stride, halfwidth, acc, col, power_rows,
                              reduce_rows if rows else None)
-        else:
-            for _, A in _stft_chunks(f, g, stride, halfwidth):
-                pa = power_rows(A)
-                for p, s in acc.items():
-                    a = A if p == 1.0 or math.isinf(p) else _split_power(A, p, pa)
-                    _split(functools.partial(_accumulate_columns, a, s, math.isinf(p), col),
-                           A.shape[1], A.nbytes)
-                if rows:
-                    reduce_rows(A, pa)
+    else:
+
+        def reduce(step, lo, hi):
+            for p, r in rows.items():
+                r[step.start + lo] = _lp_powered(step.rows(p)[lo:hi], p, wxi, axis=1)
+
+        for _ in _stft_chunks(f, g, stride, halfwidth, powers, reduce if rows else None,
+                              functools.partial(_fold_step, acc, col) if acc else None):
+            pass
     out = []
     for p, q, order in specs:
         if order == POSITIONS_INNER:
             inner = acc[p] if math.isinf(p) else _pow(acc[p] * wx, 1.0 / p)
             value = float(_lp_reduce(inner, q, wxi, axis=None))
         else:
-            value = float(_lp_reduce(np.concatenate(rows[p]), q, wx, axis=None))
+            values = np.concatenate([rows[p][key] for key in sorted(rows[p])])
+            value = float(_lp_reduce(values, q, wx, axis=None))
         if not math.isfinite(value):
             raise ParameterError(
                 f"the ({p:g}, {q:g}) {order} norm is not finite ({value}): "

@@ -97,7 +97,7 @@ def verify_chirp_stft(grid: Grid, t: float) -> ChirpStftReport:
 
     The maximum deviation is taken over the central half of the lattice in
     both position and frequency, where window periodization is negligible.
-    |V| is streamed over those positions, chunk by chunk, from the sign-free
+    |V| is streamed over those positions, step by step, from the sign-free
     path, which scales the real modulus by dx: that is |V| of ``stft`` bit
     for bit when dx is a power of two, and within a rounding of each value
     (a relative 1e-15) otherwise.
@@ -153,6 +153,22 @@ def _amalgam_grid(d: int) -> tuple:
     return make_grid(2, 16.0, 256), 4
 
 
+def _check_quarter_box_chirps(grid: Grid, t_list) -> None:
+    """Each t's chirp is resolved in the quarter box |x| <= L/4 where the 1D norms read it.
+
+    The quarter-box form of ``chirp_aliased``: the chirp's local frequency
+    |t| L/4 at the box's edge must stay below the Nyquist frequency
+    1 / (2 dx), that is 2 pi |t| (L/4) dx < pi.  On the L = 16, N = 2048
+    grid that is |t| < 16.  At t = 17 the M^{1,inf} row was off by 0.45.
+    """
+    for t in t_list:
+        if 2.0 * math.pi * abs(t) * (grid.L / 4.0) * grid.dx >= math.pi:
+            raise ParameterError(
+                f"t = {t:g}: the chirp's local frequency |t| L/4 reaches the Nyquist "
+                f"frequency of the grid L = {grid.L:g}, N = {grid.N} inside the quarter box; "
+                f"the 1D amalgam constants need |t| < {2.0 / (grid.dx * grid.L):g}")
+
+
 def _grid_size(samples: float) -> float:
     """The power of two >= samples, at least 256; inf when samples is not finite."""
     return 1 << max(8, math.ceil(math.log2(samples))) if math.isfinite(samples) else math.inf
@@ -198,9 +214,12 @@ def verify_amalgam_constants(t_list, d: int = 1, grid: Grid | None = None,
     |V|, so one pass measures them, and W is refined at half resolution; in
     2D M^{1,inf} takes its own grid (``_m1inf_grid_2d``) and W is not
     refined.  The 2D M^{1,inf} grids are derived before any pass, so a t
-    above their cap raises ParameterError at once.
+    above their cap raises ParameterError at once; so does, in 1D, a t
+    whose chirp aliases in the quarter box (``_check_quarter_box_chirps``).
     """
     base, stride = _amalgam_grid(d) if grid is None else (grid, 1 if d == 1 else 4)
+    if d == 1:
+        _check_quarter_box_chirps(base, t_list)
     m1_grids = _m1inf_grids_2d(t_list) if d == 2 and include_m1inf else {}
     g = gaussian_window(base)
     hw = base.L / 4.0

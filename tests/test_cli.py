@@ -165,6 +165,14 @@ class TestListValidate:
         # run exited 2 from the probe family's sampling, which validate never did
         ("operator_probe", "l", "1e300", "error: the probe family on the grid L = 1e+300, "
                                          "N = 512: non-finite sample at x = "),
+        # validate said ok, and run reported a failed theorem check on a grid
+        # that cannot resolve the chirp inside the quarter box (off by 0.45 at
+        # t = 17 and 2.3 at t = 50)
+        ("amalgam_constants", "t_list", "17", "t = 17: the chirp's local frequency |t| L/4 "
+                                              "reaches the Nyquist frequency"),
+        ("amalgam_constants", "t_list", "0.5, 20", "t = 20: the chirp's local frequency"),
+        ("amalgam_constants", "t_list", "-50", "t = -50: the chirp's local frequency"),
+        ("amalgam_constants", "t_list", "1e300", "t = 1e+300: the chirp's local frequency"),
         # validate tried to sample the grid: an 8 TiB MemoryError traceback
         ("chirp_stft", "n", "1099511627776",
          "n = 1099511627776: a 1D grid may have at most N = 65536 points"),

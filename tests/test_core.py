@@ -57,6 +57,14 @@ class TestMakeGrid:
         with pytest.raises(ParameterError):
             make_grid(1, 16.0, N)
 
+    @pytest.mark.parametrize("d,N", [(1, 2 ** 40), (2, 2048)])
+    def test_rejects_more_points_than_the_cap(self, d, N):
+        # sample(fn, make_grid(1, 32.0, 2**40)) raised numpy's 8 TiB MemoryError
+        with pytest.raises(ParameterError, match=rf"d = {d} grid with N = {N} has N\^d = "
+                                                 rf"{N ** d} points, above the cap of 1048576"):
+            sample(lambda *xs: xs[0], make_grid(d, 32.0, N))
+        make_grid(d, 32.0, 2 ** (20 // d))  # the cap itself is a grid
+
     def test_rejects_bad_box(self):
         with pytest.raises(ParameterError):
             make_grid(1, -1.0, 256)

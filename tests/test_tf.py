@@ -32,7 +32,7 @@ from tfmult.tf import (
     resample_window,
     stft,
 )
-from tfmult.verify import _divergence_grid, _m1inf_grid_2d, chirp_field
+from tfmult.verify import _divergence_grid, _m1inf_grid_2d, chirp_field, verify_chirp_stft
 
 
 class TestProfiles:
@@ -414,9 +414,9 @@ def _signed_chunks(f, g, stride, halfwidth) -> list:
 
 
 def _pass_rows(f, g, stride, halfwidth, views=None) -> list:
-    """(positions, |V| rows) per chunk, copied, as a norm pass reads them.
+    """(positions, |V| rows) per step, copied, as a norm pass reads them.
 
-    Windowed: the chunks of ``tf._stft_chunks``.  Row-column: the blocks
+    Windowed: the steps ``tf._stft_chunks`` yields.  Row-column: the blocks
     ``tf._row_column_sums`` hands to its ``reduce_rows``.  The uncopied
     rows go to ``views`` when given.
     """
@@ -436,6 +436,24 @@ def _pass_rows(f, g, stride, halfwidth, views=None) -> list:
         tf._row_column_sums(f, g, stride, halfwidth, {}, None, lambda A: None, keep)
         groups = _pass_groups(f.grid, g, _selected_positions(f.grid, stride, halfwidth))
     return list(zip(groups, rows))
+
+
+def _as_chunks(steps, chunks) -> list:
+    """``steps`` of (positions, rows) joined into the chunks of ``chunks``, in order.
+
+    Steps are taken until they hold as many positions as the chunk, so a
+    step that straddles a chunk boundary gives positions unequal to the
+    chunk's.
+    """
+    steps, joined = list(steps), []
+    for js, _ in chunks:
+        parts = []
+        while steps and sum(len(p) for p, _ in parts) < len(js):
+            parts.append(steps.pop(0))
+        joined.append((np.concatenate([p for p, _ in parts]),
+                       np.concatenate([A for _, A in parts])))
+    assert not steps
+    return joined
 
 
 def _modulus_chunks(f, g, stride, halfwidth) -> list:
@@ -487,8 +505,10 @@ class TestReusedChunkBuffers:
         js, V = _stft_rows(f, g, stride, halfwidth)
         assert np.array_equal(js, _selected_positions(grid, stride, halfwidth))
         assert np.array_equal(V, _reference_rows(f, g, js))
-        chunks = _pass_rows(f, g, stride, halfwidth)
         want = _modulus_chunks(f, g, stride, halfwidth)
+        steps = _pass_rows(f, g, stride, halfwidth)
+        assert max(len(js) for js, _ in steps) <= 3  # a step is one block, a chunk 5 rows
+        chunks = _as_chunks(steps, want)
         assert len(chunks) == len(want) > 1
         for (js1, A1), (js2, A2) in zip(chunks, want):
             assert np.array_equal(js1, js2) and np.array_equal(A1, A2)
@@ -669,7 +689,7 @@ class TestWalkedModulus:
         want_norms = _reference_norms(f, g, SPECS, stride, hw, want)
         for workers in (1, 2):
             with split_workers(workers):
-                got = _pass_rows(f, g, stride, hw)
+                got = _as_chunks(_pass_rows(f, g, stride, hw), want)
                 assert len(got) == len(want)
                 for (js1, A1), (js2, A2) in zip(got, want):
                     assert np.array_equal(js1, js2) and np.array_equal(A1, A2)
@@ -677,8 +697,8 @@ class TestWalkedModulus:
 
     def test_traced_shapes_hold_every_transform(self, monkeypatch):
         # a tracer counts a centered_fft call's FFT work from a.shape alone:
-        # per 8-position chunk, its two full 3-row steps in one call and the
-        # short 2-row step in one more
+        # per 8-position chunk, one call per step, two full 3-row steps and
+        # a short 2-row one
         f, g = _case("gaussian_1d")
         N = f.grid.N
         monkeypatch.setattr(tf, "_CHUNK_BYTES", 8 * 16 * N)
@@ -693,13 +713,14 @@ class TestWalkedModulus:
         monkeypatch.setattr(tf, "centered_fft", traced)
         for _ in tf._stft_chunks(f, g, 1, None):
             pass
-        assert shapes == [((2, 3, N), 1), ((1, 2, N), 1)] * (N // 8)
+        assert shapes == [((3, N), 1), ((3, N), 1), ((2, N), 1)] * (N // 8)
 
     @pytest.mark.parametrize("case", ["m_inf_1_n4096", "m22_m11_n2048"])
     def test_cold_pass_holds_one_block(self, case):
-        # a cold pass holds one complex block and the chunk's real |V| rows
-        # (and |V|^p rows for p = 2), half a chunk each; a chunk-sized
-        # complex buffer as well would add 60 MiB
+        # a cold pass holds one complex block and at most a chunk's real |V|
+        # rows (and |V|^p rows for p = 2), half a chunk each; a chunk-sized
+        # complex buffer as well would add 60 MiB.  Its rows now go through
+        # two step buffers, far below this bound (TestStepFold)
         if case == "m_inf_1_n4096":
             grid = _divergence_grid(64.0, 1.0)
             assert grid.N == 4096
@@ -722,6 +743,91 @@ class TestWalkedModulus:
         finally:
             tracemalloc.stop()
         assert peak <= real_buffers * _CHUNK_BYTES // 2 + 2 * tf._BLOCK_BYTES
+
+
+class TestStepFold:
+    """A windowed pass folds each step inside the next step's hand-off, in two step buffers."""
+
+    @pytest.mark.parametrize("R", [1, 2, 3, 8, 129])
+    @pytest.mark.parametrize("M", [2, 3, 8, 2048])
+    def test_axis_0_sum_adds_rows_in_order(self, R, M):
+        # the fact the bits rest on: numpy sums a C-contiguous float64 block
+        # along axis 0 row by row, for the whole block and for its column
+        # slices of two or more columns; so a chunk's sum may continue from
+        # a partial kept in a leading row, step by step
+        rng = np.random.default_rng(R * 4096 + M)
+        block = rng.random((R, M)) * 10.0 ** rng.integers(-8, 9, (R, M))
+        for lo, hi in {(0, M), (0, 2), (M - 2, M), (M // 2 - 1, M)}:
+            a = block[:, lo:hi]
+            by_rows = a[0].copy()
+            for row in a[1:]:
+                by_rows = by_rows + row
+            assert np.array_equal(np.sum(a, axis=0), by_rows)
+            for k in {1, R // 2, R - 1} - {0}:
+                step = np.full((1 + R - k, M), np.nan)
+                step[1:] = block[k:]
+                np.sum(block[:k, lo:hi], axis=0, out=step[0, lo:hi])
+                assert np.array_equal(np.sum(step[:, lo:hi], axis=0), by_rows)
+
+    def test_one_column_of_eight_rows_is_summed_pairwise(self):
+        # why no fold piece is narrower than two columns: numpy 2.4.6 sums a
+        # one-column slice of 8 or more rows pairwise, not row by row
+        e = 2.0 ** -53
+        block = np.array([[1.0, 1.0]] + [[e, e]] * 7)
+        assert np.sum(block, axis=0)[0] == 1.0  # 1 + e rounds to 1, seven times
+        assert np.sum(block[:, :1], axis=0)[0] == 1.0 + 3 * 2.0 ** -52
+
+    def test_cold_powered_pass_holds_two_steps(self):
+        # the (1, inf) + (2, 2) pass of schrodinger_conservation at N = 2048:
+        # one complex block, then a pair of step buffers for |V| and one for
+        # |V|^2; chunk-sized |V| and |V|^2 buffers held 68.9 MiB
+        grid = make_grid(1, 32.0, 2048)
+        f, g = chirp_field(grid, 1.0), gaussian_window(grid)
+        tf._release_spares()
+        tracemalloc.start()
+        try:
+            _norms(f, g, [(1.0, np.inf, POSITIONS_INNER), (2.0, 2.0, POSITIONS_INNER)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20
+        rows = tf._BLOCK_BYTES // (16 * grid.npoints)
+        two_steps = 2 * (1 + rows) * grid.npoints * 8
+        assert set(tf._spares) == {"chunk", "modulus", "power"}
+        assert all(buf.nbytes <= two_steps for buf in tf._spares.values())
+
+    def test_cold_chirp_stft_check_holds_two_steps(self):
+        # verify_chirp_stft reads |V| step by step: 44.4 MiB with chunk-sized |V|
+        tf._release_spares()
+        tracemalloc.start()
+        try:
+            verify_chirp_stft(core.default_grid(1), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20
+
+    def test_each_step_folds_in_the_next_hand_off(self, monkeypatch, split_workers):
+        # 8 positions per chunk, 3 rows per step, N = 64: each step is one
+        # hand-off over its rows, which also folds the step before, and the
+        # last step's fold is one more hand-off over the N frequencies
+        f, g = _case("gaussian_1d")
+        N = f.grid.N
+        monkeypatch.setattr(tf, "_CHUNK_BYTES", 8 * 16 * N)
+        monkeypatch.setattr(tf, "_BLOCK_BYTES", 3 * 16 * N)
+        monkeypatch.setattr(core, "_SPLIT_BYTES", 0)
+        calls = []
+        split = core._split
+
+        def counting(fn, n, nbytes):
+            calls.append(n)
+            return split(fn, n, nbytes)
+
+        with split_workers(2):
+            monkeypatch.setattr(core, "_split", counting)
+            monkeypatch.setattr(tf, "_split", counting)
+            _norms(f, g, SPECS)
+        assert calls == [3, 3, 2] * (N // 8) + [N]
 
 
 class TestFusedFold:
