@@ -59,10 +59,10 @@ steps reuse the buffer with no hand-off between them, and each piece's
 steps run in order.  A walked ``modulus`` has the steps as its first axis
 too: either a ``_repeated`` view of one real buffer, which each step
 overwrites, or a plain (steps, ...) array whose steps are distinct rows,
-so that |V| of every step is kept.  The call's ``a``
-is that stride-0 view, (steps, ...) ahead of the batch axes, so its shape
-still holds every transform the call runs: a tracer that counts FFT work
-from ``a.shape`` counts the true work.
+so that |V| of every step is kept.  The call's ``a`` is that stride-0
+view, (steps, ...) ahead of the batch axes, so its shape still holds every
+transform the call runs: a tracer that counts FFT work from ``a.shape``
+counts the true work.
 """
 
 from __future__ import annotations
@@ -147,15 +147,16 @@ class Grid:
 
 
 # Most lattice points N^d of a grid: the 2D N = 1024 grid of a 2D M^{1,inf}
-# row, the largest grid an experiment derives.  A pass over it streams |V| on
-# N^d frequencies per position; a larger grid is a mistake, such as N = 2^40,
-# whose samples alone would take 16 TiB.
+# row, the largest grid an experiment derives.  A larger grid is a mistake,
+# such as N = 2^40, whose samples alone would take 16 TiB.
 MAX_POINTS = 1 << 20
 
 
 def make_grid(d: int, L: float, N: int) -> Grid:
-    """Build a centered grid: d in {1, 2}, N a power of two >= 8 with N^d <= ``MAX_POINTS``,
-    and L > 0 finite."""
+    """Build a centered grid; N a power of two >= 8, L > 0 finite, d in {1, 2}.
+
+    N^d may be at most ``MAX_POINTS``.
+    """
     if d not in (1, 2):
         raise ParameterError(f"dimension must be 1 or 2, got {d}")
     if not (isinstance(N, (int, np.integer)) and _is_power_of_two(int(N)) and N >= 8):
