@@ -11,12 +11,14 @@ pairs, lists comma-separated.  Results land in the directory named by the
 ``results.csv`` plus, for table experiments, ``plot.svg``.
 
 Parameter schema, the one place where keys, defaults and ranges live: the
-keys an experiment takes are its runner's keyword parameters, with the
-keyword defaults as their defaults; ``PARSERS`` gives each key's kind and
-``RULES`` each experiment's range and cross-key checks.  ``parse_params``
-reads only these.  ``validate`` stops after it and ``run`` calls the runner
-on its result, so the two cannot disagree.  A key the experiment does not
-take is an error.
+keys an experiment takes are its plan's keyword parameters, with the keyword
+defaults as their defaults, and ``PARSERS`` gives each key's kind;
+``parse_params`` reads only these, and a key the experiment does not take is
+an error.  Each experiment is a plan: it derives the grids, symbols and
+fields its run measures, checks their caps and finiteness, starts no FFT,
+and returns its measure step.  ``validate`` runs the plan; ``run`` runs the
+plan and then the measure step (``EXPERIMENTS`` holds the runners that do
+both), so a config that validates is one that run can measure.
 
 CSV schema (stable column order): experiment, parameters, measured,
 predicted, rel_deviation, refinement_estimate.  The predicted column is
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import inspect
 import math
 import os
@@ -50,19 +53,16 @@ def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
+_COLUMNS = ("experiment", "parameters", "measured", "predicted", "rel_deviation",
+           "refinement_estimate")
+
+
 def emit_csv(rows, path: Path) -> None:
     """Write result rows; UTF-8, deterministic order, 12 significant digits."""
-    header = "experiment,parameters,measured,predicted,rel_deviation,refinement_estimate"
-    lines = [header]
+    lines = [",".join(_COLUMNS)]
     for r in rows:
-        lines.append(",".join([
-            r["experiment"],
-            r["parameters"],
-            _fmt(r.get("measured")),
-            _fmt(r.get("predicted")),
-            _fmt(r.get("rel_deviation")),
-            _fmt(r.get("refinement_estimate")),
-        ]))
+        lines.append(",".join([r["experiment"], r["parameters"],
+                               *(_fmt(r.get(key)) for key in _COLUMNS[2:])]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -182,12 +182,14 @@ PARSERS = {
 
 def load_config(path: str) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    if "experiment" not in parser:
-        raise ConfigError("config must contain an [experiment] section")
-    cfg = dict(parser["experiment"])
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        if "experiment" not in parser:
+            raise ConfigError("config must contain an [experiment] section")
+        cfg = dict(parser["experiment"])  # interpolates, so it too can raise
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {' '.join(str(exc).split())}") from None
     if "name" not in cfg:
         raise ConfigError("missing key 'name'")
     if cfg["name"] not in EXPERIMENTS:
@@ -196,7 +198,7 @@ def load_config(path: str) -> dict:
 
 
 def parse_params(cfg) -> dict:
-    """The runner's keyword arguments: keys parsed, defaults filled in, rules checked."""
+    """The plan's keyword arguments: keys parsed, defaults filled in."""
     name = cfg["name"]
     defaults = {key: par.default for key, par in
                 inspect.signature(EXPERIMENTS[name]).parameters.items()}
@@ -205,252 +207,272 @@ def parse_params(cfg) -> dict:
         note = "; only amalgam_constants takes d = 2" if "d" in unknown else ""
         raise ConfigError(f"{name} takes no key {', '.join(map(repr, unknown))} "
                           f"(it takes {', '.join(defaults)}){note}")
-    params = {key: PARSERS[key](key, cfg[key]) if key in cfg else default
-              for key, default in defaults.items()}
-    for check, *keys in RULES[name]:
-        check(*(params[key] for key in keys))
-    return params
+    return {key: PARSERS[key](key, cfg[key]) if key in cfg else default
+            for key, default in defaults.items()}
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: keyword parameters -> (rows, plot_series or None, ok)
+# experiments: a plan takes the keyword parameters, derives and checks what its
+# run measures, starts no FFT, and returns its measure step, which takes no
+# argument and returns (rows, plot_series or None, ok)
 
 _GRID = default_grid(1)  # the desk-scale 1D grid, L = 32 and N = 2048
 
 
+def _row(*values, **named) -> dict:
+    """A results row: the values of the leading columns, then any named; the rest are empty."""
+    return dict(zip(_COLUMNS, values), **named)
+
+
+def _grid_1d(l, n, factor=1):
+    """The (l, factor n) grid, with N no larger than the largest grid an experiment derives."""
+    if factor * n > verify.DIVERGENCE_MAX_N:
+        also = f", and this experiment also measures on N = {factor}n" if factor > 1 else ""
+        raise ParameterError(f"n = {n}: a 1D grid may have at most N = "
+                             f"{verify.DIVERGENCE_MAX_N} points{also}")
+    return make_grid(1, l, factor * n)
+
+
+def _sampled(what, fn, *args):
+    """``fn(*args)``, a sampled field; a non-finite sample is a ParameterError naming ``what``."""
+    try:
+        return fn(*args)
+    except SamplingError as exc:
+        raise ParameterError(f"{what}: {exc}") from None
+
+
+def _check_tolerance(tolerance):
+    """None stands for the experiment's own default."""
+    if tolerance is not None and not tolerance > 0:
+        raise ParameterError(f"tolerance must be positive, got {tolerance}")
+
+
 def _run_chirp_stft(t_list=(0.0, 0.5, 1.0, 2.0), tolerance=1e-6, l=_GRID.L, n=_GRID.N):
-    grid = make_grid(1, l, n)
-    rows, ok = [], True
-    for t in t_list:
-        rep = verify.verify_chirp_stft(grid, t)
-        ok = ok and rep.max_abs_error < tolerance
-        rows.append({
-            "experiment": "chirp_stft",
-            "parameters": f"t={t:g};L={grid.L:g};N={grid.N};aliased={rep.aliasing_warning}",
-            "measured": rep.max_abs_error,
-            "predicted": 0.0,
-            "rel_deviation": rep.max_abs_error,
-        })
-    return rows, None, ok
+    grid = _grid_1d(l, n)
+    chirps = [_sampled(f"the chirp of t = {t:g} on the grid L = {l:g}, N = {n}",
+                       verify.chirp_field, grid, t) for t in t_list]
+    _check_tolerance(tolerance)
+
+    def measure():
+        rows, ok = [], True
+        for t, f in zip(t_list, chirps):
+            rep = verify.verify_chirp_stft(grid, t, f)
+            ok = ok and rep.max_abs_error < tolerance
+            rows.append(_row(
+                "chirp_stft", f"t={t:g};L={grid.L:g};N={grid.N};aliased={rep.aliasing_warning}",
+                rep.max_abs_error, 0.0, rep.max_abs_error))
+        return rows, None, ok
+    return measure
 
 
 def _run_amalgam_constants(d=1, t_list=(0.5, 1.0, 2.0, 4.0), tolerance=None):
+    default_grid(d)  # d is 1 or 2
+    verify._amalgam_checks(t_list, d, verify._amalgam_grid(d)[0])
+    _check_tolerance(tolerance)
     tol = {1: 0.02, 2: 0.05}[d] if tolerance is None else tolerance
-    rows, ok = [], True
-    series = {"W measured": ([], []), "W predicted": ([], [])}
-    for r in verify.verify_amalgam_constants(t_list, d=d):
-        ok = ok and r.w_rel_err < tol
-        rows.append({
-            "experiment": "amalgam_constants",
-            "parameters": f"norm=W;t={r.t:g};d={d}",
-            "measured": r.w_measured,
-            "predicted": r.w_predicted,
-            "rel_deviation": r.w_rel_err,
-            "refinement_estimate": r.w_refinement,
-        })
-        series["W measured"][0].append(r.t)
-        series["W measured"][1].append(r.w_measured)
-        series["W predicted"][0].append(r.t)
-        series["W predicted"][1].append(r.w_predicted)
-        if not math.isnan(r.m1inf_measured):
-            ok = ok and r.m1inf_rel_err < tol
-            rows.append({
-                "experiment": "amalgam_constants",
-                "parameters": f"norm=M1inf;t={r.t:g};d={d}",
-                "measured": r.m1inf_measured,
-                "predicted": r.m1inf_predicted,
-                "rel_deviation": r.m1inf_rel_err,
-            })
-    return rows, series, ok
+
+    def measure():
+        rows, ok, ts, measured, predicted = [], True, [], [], []
+        for r in verify.verify_amalgam_constants(t_list, d=d):
+            ok = ok and r.w_rel_err < tol
+            rows.append(_row("amalgam_constants", f"norm=W;t={r.t:g};d={d}", r.w_measured,
+                             r.w_predicted, r.w_rel_err, r.w_refinement))
+            ts.append(r.t)
+            measured.append(r.w_measured)
+            predicted.append(r.w_predicted)
+            if not math.isnan(r.m1inf_measured):
+                ok = ok and r.m1inf_rel_err < tol
+                rows.append(_row("amalgam_constants", f"norm=M1inf;t={r.t:g};d={d}",
+                                 r.m1inf_measured, r.m1inf_predicted, r.m1inf_rel_err))
+        return rows, {"W measured": (ts, measured), "W predicted": (ts, predicted)}, ok
+    return measure
 
 
 def _run_divergence(t=1.0, l_list=verify.DIVERGENCE_BOXES):
-    rep = verify.verify_m_inf_1_divergence(t, l_list)
-    rows = [{
-        "experiment": "m_inf_1_divergence",
-        "parameters": f"t={t:g};L={L:g}",
-        "measured": v,
-    } for L, v in zip(rep.box_sizes, rep.values)]
-    ok = True
-    if t != 0:
-        ok = all(g >= 1.5 for g in rep.growth_factors)
-        for L, g in zip(rep.box_sizes[1:], rep.growth_factors):
-            rows.append({
-                "experiment": "m_inf_1_divergence",
-                "parameters": f"t={t:g};growth_to_L={L:g}",
-                "measured": g,
-                "predicted": 2.0,
-                "rel_deviation": abs(g - 2.0) / 2.0,
-            })
-    series = {"norm vs box": (rep.box_sizes, rep.values)}
-    return rows, series, ok
+    grids = verify._divergence_grids(t, l_list)
+
+    def measure():
+        rep = verify.verify_m_inf_1_divergence(t, l_list, grids)
+        rows = [_row("m_inf_1_divergence", f"t={t:g};L={L:g}", v)
+                for L, v in zip(rep.box_sizes, rep.values)]
+        ok = True
+        if t != 0:
+            ok = all(g >= 1.5 for g in rep.growth_factors)
+            rows += [_row("m_inf_1_divergence", f"t={t:g};growth_to_L={L:g}", g, 2.0,
+                          abs(g - 2.0) / 2.0)
+                     for L, g in zip(rep.box_sizes[1:], rep.growth_factors)]
+        return rows, {"norm vs box": (rep.box_sizes, rep.values)}, ok
+    return measure
 
 
 def _run_dyadic_series(alpha_list=(0.5, 1.0, 2.0), k=40, j=20):
-    rows, ok = [], True
+    verify._check_series_depth(k, j)
     for alpha in alpha_list:
-        rep = verify.dyadic_fl1_series(alpha, K=k, J=j)
-        ok = ok and (rep.series_bound >= rep.direct_fl1
-                     and math.isfinite(rep.series_bound)
-                     and rep.cauchy_k is not None
-                     and rep.direct_refinement < 0.01)
-        rows.append({
-            "experiment": "dyadic_series",
-            "parameters": f"alpha={alpha:g};quantity=direct_fl1",
-            "measured": rep.direct_fl1,
-            "refinement_estimate": rep.direct_refinement,
-        })
-        rows.append({
-            "experiment": "dyadic_series",
-            "parameters": f"alpha={alpha:g};quantity=series_bound;cauchy_k={rep.cauchy_k}",
-            "measured": rep.series_bound,
-        })
-    return rows, None, ok
+        verify._check_dyadic_alpha(alpha)
+        # the k = K term holds the series' largest samples; sampled to check, not kept
+        _sampled(f"alpha = {alpha:g}: the k = {k} term |x|^(k alpha) psi(|x|)",
+                 verify._dyadic_term, verify._dyadic_grid(), k, alpha)
+
+    def measure():
+        rows, ok = [], True
+        for alpha in alpha_list:
+            rep = verify.dyadic_fl1_series(alpha, K=k, J=j)
+            ok = ok and (rep.series_bound >= rep.direct_fl1
+                         and math.isfinite(rep.series_bound)
+                         and rep.cauchy_k is not None
+                         and rep.direct_refinement < 0.01)
+            rows.append(_row("dyadic_series", f"alpha={alpha:g};quantity=direct_fl1",
+                             rep.direct_fl1, refinement_estimate=rep.direct_refinement))
+            rows.append(_row("dyadic_series",
+                             f"alpha={alpha:g};quantity=series_bound;cauchy_k={rep.cauchy_k}",
+                             rep.series_bound))
+        return rows, None, ok
+    return measure
 
 
 def _run_sin_singular(alpha=1.0, delta=1.0):
-    rep = verify.verify_sin_singular_fl1(alpha, delta)
-    ok = (math.isfinite(rep.direct_fl1) and rep.direct_refinement < 0.01 and rep.cauchy)
-    rows = [{
-        "experiment": "sin_singular_fl1",
-        "parameters": f"alpha={alpha:g};delta={delta:g}",
-        "measured": rep.direct_fl1,
-        "refinement_estimate": rep.direct_refinement,
-    }]
-    return rows, None, ok
+    verify._check_sin_singular(alpha, delta)
+
+    def measure():
+        rep = verify.verify_sin_singular_fl1(alpha, delta)
+        ok = (math.isfinite(rep.direct_fl1) and rep.direct_refinement < 0.01 and rep.cauchy)
+        return [_row("sin_singular_fl1", f"alpha={alpha:g};delta={delta:g}", rep.direct_fl1,
+                     refinement_estimate=rep.direct_refinement)], None, ok
+    return measure
 
 
 def _run_linear_phase(cases=verify.LINEAR_PHASE_CASES, seed=DEFAULT_SEED):
-    rows, ok = [], True
-    worst = 0.0
-    for label, before, after in verify.linear_phase_random_cases(cases, seed):
-        dev = abs(before - after) / max(before, 1e-300)
-        worst = max(worst, dev)
-        ok = ok and dev < 1e-12
-    rows.append({
-        "experiment": "linear_phase",
-        "parameters": f"cases={cases};seed={seed}",
-        "measured": worst,
-        "predicted": 0.0,
-        "rel_deviation": worst,
-    })
-    return rows, None, ok
+    verify._check_case_count(cases)
+    verify._check_seed(seed)
+
+    def measure():
+        ok, worst = True, 0.0
+        for label, before, after in verify.linear_phase_random_cases(cases, seed):
+            dev = abs(before - after) / max(before, 1e-300)
+            worst = max(worst, dev)
+            ok = ok and dev < 1e-12
+        return [_row("linear_phase", f"cases={cases};seed={seed}", worst, 0.0, worst)], None, ok
+    return measure
 
 
 def _run_operator_probe(alpha_list=(0.5, 1.0, 1.5, 2.0), l=32.0, n=512):
     pq_list = [(1.0, 1.0), (2.0, 2.0), (float("inf"), 1.0), (1.0, float("inf"))]
-    probes = {}  # per N: the family, window and base norms, which no alpha changes
-    for NN in (n, 2 * n):
-        grid = make_grid(1, l, NN)
-        family, g = verify.probe_family(grid), gaussian_window(grid)
-        probes[NN] = (grid, family, g, verify.probe_base_norms(family, g, pq_list))
-    rows, ok = [], True
-    for alpha in alpha_list:
-        maxima = {}
-        for NN, (grid, family, g, base) in probes.items():
-            sig = symbol_unimodular(grid, alpha, t=1.0)
-            reps = verify.probe_ratios(sig, pq_list, family, g, base)
-            maxima[NN] = {pq: reps[pq].max_ratio for pq in pq_list}
-        for pq in pq_list:
-            a, b = maxima[n][pq], maxima[2 * n][pq]
-            change = abs(a - b) / max(a, 1e-300)
-            ok = ok and change < 0.05 and b < 10.0
-            rows.append({
-                "experiment": "operator_probe",
-                "parameters": f"alpha={alpha:g};p={pq[0]:g};q={pq[1]:g};N={2 * n}",
-                "measured": b,
-                "rel_deviation": change,
-            })
-    return rows, None, ok
+    grids = [_grid_1d(l, n), _grid_1d(l, n, factor=2)]
+    # per grid: each alpha's symbol, the probe family and the window
+    probes = [([symbol_unimodular(grid, alpha, t=1.0) for alpha in alpha_list],
+               _sampled(f"the probe family on the grid L = {l:g}, N = {grid.N}",
+                        verify.probe_family, grid),
+               gaussian_window(grid)) for grid in grids]
+
+    def measure():
+        bases = [verify.probe_base_norms(family, g, pq_list) for _, family, g in probes]
+        rows, ok = [], True
+        for i, alpha in enumerate(alpha_list):
+            a, b = ({pq: rep.max_ratio for pq, rep in
+                     verify.probe_ratios(symbols[i], pq_list, family, g, base).items()}
+                    for (symbols, family, g), base in zip(probes, bases))
+            for pq in pq_list:
+                change = abs(a[pq] - b[pq]) / max(a[pq], 1e-300)
+                ok = ok and change < 0.05 and b[pq] < 10.0
+                rows.append(_row("operator_probe",
+                                 f"alpha={alpha:g};p={pq[0]:g};q={pq[1]:g};N={grids[1].N}",
+                                 b[pq], rel_deviation=change))
+        return rows, None, ok
+    return measure
 
 
 def _run_lp_contrast(t=1.0, lambda_list=verify.LP_CONTRAST_LAMBDAS):
-    rep = verify.lp_contrast_probe(t, lambda_list)
-    increasing = all(b > a for a, b in zip(rep.l1_ratios, rep.l1_ratios[1:]))
-    spread = max(rep.m11_ratios) / min(rep.m11_ratios)
-    ok = (t == 0 or increasing) and spread < 3.0
-    rows = []
-    for lam, r, o, m in zip(rep.lambdas, rep.l1_ratios, rep.l1_oracle, rep.m11_ratios):
-        rows.append({
-            "experiment": "lp_contrast",
-            "parameters": f"t={t:g};lambda={lam:g};space=L1",
-            "measured": r,
-            "predicted": o,
-            "rel_deviation": abs(r - o) / o,
-        })
-        rows.append({
-            "experiment": "lp_contrast",
-            "parameters": f"t={t:g};lambda={lam:g};space=M11",
-            "measured": m,
-        })
-    series = {"L1 ratio": (rep.lambdas, rep.l1_ratios),
-              "L1 oracle": (rep.lambdas, rep.l1_oracle),
-              "M11 ratio": (rep.lambdas, rep.m11_ratios)}
-    return rows, series, ok
+    verify._check_dilations(lambda_list)
+    grid = verify._lp_contrast_grid()
+    _check_phase_resolution(grid, t, 2)
+    verify._check_fresnel_ratios(t, lambda_list)
+    fields = [_sampled(f"the Gaussian e^(-pi lambda |x|^2) of lambda = {lam:g} on the grid "
+                       f"L = {grid.L:g}, N = {grid.N}", verify._dilated_gaussian, grid, lam)
+              for lam in lambda_list]
+
+    def measure():
+        rep = verify.lp_contrast_probe(t, lambda_list, fields=fields)
+        increasing = all(b > a for a, b in zip(rep.l1_ratios, rep.l1_ratios[1:]))
+        spread = max(rep.m11_ratios) / min(rep.m11_ratios)
+        ok = (t == 0 or increasing) and spread < 3.0
+        rows = []
+        for lam, r, o, m in zip(rep.lambdas, rep.l1_ratios, rep.l1_oracle, rep.m11_ratios):
+            rows.append(_row("lp_contrast", f"t={t:g};lambda={lam:g};space=L1", r, o,
+                             abs(r - o) / o))
+            rows.append(_row("lp_contrast", f"t={t:g};lambda={lam:g};space=M11", m))
+        series = {"L1 ratio": (rep.lambdas, rep.l1_ratios),
+                  "L1 oracle": (rep.lambdas, rep.l1_oracle),
+                  "M11 ratio": (rep.lambdas, rep.m11_ratios)}
+        return rows, series, ok
+    return measure
 
 
-def _default_initial_data(grid):
-    g1 = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
-    g2 = sample(lambda x: np.exp(2j * np.pi * x) * np.exp(-np.pi * (x - 1.0) ** 2), grid)
-    return [("gauss", g1), ("mod_shift_gauss", g2)]
+def _gauss(x):
+    return np.exp(-np.pi * x ** 2)
+
+
+# the initial data of the Schrodinger flow: a Gaussian, and one shifted and modulated
+_INITIAL_DATA = (("gauss", _gauss),
+                 ("mod_shift_gauss",
+                  lambda x: np.exp(2j * np.pi * x) * np.exp(-np.pi * (x - 1.0) ** 2)))
 
 
 def _run_schrodinger(t_list=(0.5, 1.0, 2.0, 4.0), p=1.0, q=math.inf, l=_GRID.L, n=_GRID.N):
-    grid = make_grid(1, l, n)
+    grid = _grid_1d(l, n)
+    for t in t_list:
+        verify.schrodinger_envelope(t, 1)
+        _check_phase_resolution(grid, t, 2)
+    fields = [(label, _sampled(f"the initial data {label} on the grid L = {l:g}, N = {n}",
+                               sample, fn, grid)) for label, fn in _INITIAL_DATA]
     w = gaussian_window(grid)
-    fields = _default_initial_data(grid)
-    rep = verify.schrodinger_conservation(fields, w, p, q, t_list)
-    ok = rep.stability < 0.10
-    rows = []
-    for (label, t), r in sorted(rep.ratios.items()):
-        rows.append({
-            "experiment": "schrodinger_conservation",
-            "parameters": f"f={label};t={t:g};p={p:g};q={q:g}",
-            "measured": r,
-            "predicted": rep.fitted_c * verify.schrodinger_envelope(t, 1),
-            "rel_deviation": rep.c_values[(label, t)] / rep.fitted_c,
-        })
-    label = fields[0][0]  # the M^{2,2} check is reported for the Gaussian only
-    for t in sorted(set(t_list)):
-        r = rep.l2_ratios[(label, t)]
-        ok = ok and abs(r - 1.0) < 1e-10
-        rows.append({
-            "experiment": "schrodinger_conservation",
-            "parameters": f"f={label};t={t:g};p=2;q=2",
-            "measured": r,
-            "predicted": 1.0,
-            "rel_deviation": abs(r - 1.0),
-        })
-    series = {label: (t_list, [rep.ratios[(label, t)] for t in t_list])
-              for label, _ in fields}
-    return rows, series, ok
+
+    def measure():
+        rep = verify.schrodinger_conservation(fields, w, p, q, t_list)
+        ok = rep.stability < 0.10
+        rows = [_row("schrodinger_conservation", f"f={label};t={t:g};p={p:g};q={q:g}", r,
+                     rep.fitted_c * verify.schrodinger_envelope(t, 1),
+                     rep.c_values[(label, t)] / rep.fitted_c)
+                for (label, t), r in sorted(rep.ratios.items())]
+        label = fields[0][0]  # the M^{2,2} check is reported for the Gaussian only
+        for t in sorted(set(t_list)):
+            r = rep.l2_ratios[(label, t)]
+            ok = ok and abs(r - 1.0) < 1e-10
+            rows.append(_row("schrodinger_conservation", f"f={label};t={t:g};p=2;q=2", r, 1.0,
+                             abs(r - 1.0)))
+        series = {label: (t_list, [rep.ratios[(label, t)] for t in t_list])
+                  for label, _ in fields}
+        return rows, series, ok
+    return measure
 
 
 def _run_wave(t_list=(0.5, 1.0, 2.0), p=1.0, q=1.0, l=_GRID.L, n=_GRID.N):
-    grid = make_grid(1, l, n)
-    w = gaussian_window(grid)
-    f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
-    g0 = sample(lambda x: np.zeros_like(x), grid)
-    rep = verify.wave_conservation(f, g0, w, p, q, t_list)
-    ok = rep.energy_drift < 1e-10 and all(r < 0.01 for r in rep.refinement)
-    rows = [{
-        "experiment": "wave_conservation",
-        "parameters": f"t={t:g};p={p:g};q={q:g}",
-        "measured": c,
-        "refinement_estimate": r,
-    } for t, c, r in zip(rep.t_list, rep.c_values, rep.refinement)]
-    rows.append({
-        "experiment": "wave_conservation",
-        "parameters": "quantity=energy_drift",
-        "measured": rep.energy_drift,
-        "predicted": 0.0,
-        "rel_deviation": rep.energy_drift,
-    })
-    series = {"C(t)": (rep.t_list, rep.c_values)}
-    return rows, series, ok
+    grid = _grid_1d(l, n)
+    _check_coarsenable(grid)  # the refinement estimate measures on N / 2 too
+    for t in t_list:
+        _check_phase_resolution(grid, t, 1)
+    w, f, g0 = gaussian_window(grid), sample(_gauss, grid), sample(np.zeros_like, grid)
+
+    def measure():
+        rep = verify.wave_conservation(f, g0, w, p, q, t_list)
+        ok = rep.energy_drift < 1e-10 and all(r < 0.01 for r in rep.refinement)
+        rows = [_row("wave_conservation", f"t={t:g};p={p:g};q={q:g}", c, refinement_estimate=r)
+                for t, c, r in zip(rep.t_list, rep.c_values, rep.refinement)]
+        rows.append(_row("wave_conservation", "quantity=energy_drift", rep.energy_drift, 0.0,
+                         rep.energy_drift))
+        return rows, {"C(t)": (rep.t_list, rep.c_values)}, ok
+    return measure
 
 
-EXPERIMENTS = {
+def _runner(plan):
+    """The runner of ``plan``: the plan's keywords; it runs the plan, then its measure step."""
+    @functools.wraps(plan)
+    def run(**params):
+        return plan(**params)()
+    return run
+
+
+# name -> runner; ``inspect.unwrap`` of a runner is its plan
+EXPERIMENTS = {name: _runner(plan) for name, plan in {
     "chirp_stft": _run_chirp_stft,
     "amalgam_constants": _run_amalgam_constants,
     "m_inf_1_divergence": _run_divergence,
@@ -461,102 +483,7 @@ EXPERIMENTS = {
     "lp_contrast": _run_lp_contrast,
     "schrodinger_conservation": _run_schrodinger,
     "wave_conservation": _run_wave,
-}
-
-
-def _grid_1d(l, n):
-    """The (l, n) grid, with N no larger than the largest grid an experiment derives."""
-    if n > verify.DIVERGENCE_MAX_N:
-        raise ParameterError(f"n = {n}: a 1D grid may have at most N = "
-                             f"{verify.DIVERGENCE_MAX_N} points")
-    return make_grid(1, l, n)
-
-
-def _refinable_grid_1d(l, n):
-    """A refinement estimate coarsens the grid to N / 2."""
-    _check_coarsenable(_grid_1d(l, n))
-
-
-def _each(check):
-    return lambda values: [check(v) for v in values]
-
-
-def _amalgam_chirps(d, t_list):
-    """1D: each t's chirp is resolved in the quarter box; 2D: each M^{1,inf} grid is capped."""
-    if d == 1:
-        verify._check_quarter_box_chirps(verify._amalgam_grid(1)[0], t_list)
-    else:
-        verify._m1inf_grids_2d(t_list)
-
-
-def _resolved_phases(power):
-    """Each t's largest propagator phase t |xi|^power on the (l, n) grid is resolved."""
-    return lambda l, n, t_list: [_check_phase_resolution(make_grid(1, l, n), t, power)
-                                 for t in t_list]
-
-
-def _finite_samples(field, what):
-    """Sample ``field()`` as the run samples it; a non-finite sample is a ParameterError."""
-    try:
-        field()
-    except SamplingError as exc:
-        raise ParameterError(f"{what}: {exc}") from None
-
-
-def _finite_chirps(l, n, t_list):
-    """Each t's chirp has finite samples on the (l, n) grid."""
-    grid = make_grid(1, l, n)
-    for t in t_list:
-        _finite_samples(lambda: verify.chirp_field(grid, t),
-                        f"the chirp of t = {t:g} on the grid L = {l:g}, N = {n}")
-
-
-def _finite_dyadic_terms(alpha_list, k):
-    """Each alpha's k = K series term, the largest one the run samples, is finite."""
-    grid = verify._dyadic_grid()
-    for alpha in alpha_list:
-        _finite_samples(lambda: verify._dyadic_term(grid, k, alpha),
-                        f"alpha = {alpha:g}: the k = {k} term |x|^(k alpha) psi(|x|)")
-
-
-def _probe_inputs(l, n, alpha_list):
-    """Each alpha's symbol and the probe family, on both grids the run measures (N = n, 2n)."""
-    for N in (n, 2 * n):
-        grid = make_grid(1, l, N)
-        for alpha in alpha_list:
-            symbol_unimodular(grid, alpha, t=1.0)
-        _finite_samples(lambda: verify.probe_family(grid),
-                        f"the probe family on the grid L = {l:g}, N = {N}")
-
-
-def _check_tolerance(tolerance):
-    """None stands for the experiment's own default."""
-    if tolerance is not None and not tolerance > 0:
-        raise ParameterError(f"tolerance must be positive, got {tolerance}")
-
-
-# each experiment's range and cross-key checks: (check, keys whose values it takes)
-RULES = {
-    "chirp_stft": [(_grid_1d, "l", "n"), (_finite_chirps, "l", "n", "t_list"),
-                   (_check_tolerance, "tolerance")],
-    "amalgam_constants": [(default_grid, "d"),  # d in {1, 2}
-                          (_amalgam_chirps, "d", "t_list"), (_check_tolerance, "tolerance")],
-    "m_inf_1_divergence": [(verify._divergence_grids, "t", "l_list")],
-    "dyadic_series": [(verify._check_series_depth, "k", "j"),
-                      (_each(verify._check_dyadic_alpha), "alpha_list"),
-                      (_finite_dyadic_terms, "alpha_list", "k")],
-    "sin_singular_fl1": [(verify._check_sin_singular, "alpha", "delta")],
-    "linear_phase": [(verify._check_case_count, "cases"), (verify._check_seed, "seed")],
-    "operator_probe": [(_grid_1d, "l", "n"), (_probe_inputs, "l", "n", "alpha_list")],
-    "lp_contrast": [(verify._check_dilations, "lambda_list"),
-                    (lambda t: _check_phase_resolution(verify._lp_contrast_grid(), t, 2), "t"),
-                    (verify._check_fresnel_ratios, "t", "lambda_list")],
-    "schrodinger_conservation": [(_grid_1d, "l", "n"),
-                                 (_each(lambda t: verify.schrodinger_envelope(t, 1)), "t_list"),
-                                 (_resolved_phases(2), "l", "n", "t_list")],
-    "wave_conservation": [(_refinable_grid_1d, "l", "n"),
-                          (_resolved_phases(1), "l", "n", "t_list")],
-}
+}.items()}
 
 
 def run_experiment(name, params, out_dir: Path) -> int:
@@ -590,16 +517,13 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         params = parse_params(cfg)
-    except (ConfigError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.cmd == "validate":
-        print(f"ok: {cfg['name']}")
-        return 0
-    out = os.environ.get("TFMULT_OUT") or cfg.get("out", ".")
-    try:
+        if args.cmd == "validate":
+            inspect.unwrap(EXPERIMENTS[cfg["name"]])(**params)  # the plan alone
+            print(f"ok: {cfg['name']}")
+            return 0
+        out = os.environ.get("TFMULT_OUT") or cfg.get("out", ".")
         return run_experiment(cfg["name"], params, Path(out))
-    except (ParameterError, SamplingError, ConfigError) as exc:
+    except (ConfigError, ParameterError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

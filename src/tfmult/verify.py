@@ -92,7 +92,7 @@ class ChirpStftReport:
     aliasing_warning: bool
 
 
-def verify_chirp_stft(grid: Grid, t: float) -> ChirpStftReport:
+def verify_chirp_stft(grid: Grid, t: float, f: SampledField | None = None) -> ChirpStftReport:
     """Compare the discrete STFT of the chirp against the closed form.
 
     The maximum deviation is taken over the central half of the lattice in
@@ -100,11 +100,11 @@ def verify_chirp_stft(grid: Grid, t: float) -> ChirpStftReport:
     |V| is streamed over those positions, step by step, from the sign-free
     path, which scales the real modulus by dx: that is |V| of ``stft`` bit
     for bit when dx is a power of two, and within a rounding of each value
-    (a relative 1e-15) otherwise.
+    (a relative 1e-15) otherwise.  ``f``, when given, is ``chirp_field(grid, t)``.
     """
     if grid.d != 1:
         raise ParameterError("chirp STFT check is one-dimensional")
-    f = chirp_field(grid, t)
+    f = chirp_field(grid, t) if f is None else f
     xs = grid.axis_positions()
     oms = grid.axis_frequencies()
     pw = np.abs(oms) <= grid.N * grid.dxi / 4.0
@@ -144,7 +144,12 @@ def w_norm_prediction(t: float, d: int) -> float:
 
 
 def m1inf_prediction(t: float, d: int) -> float:
-    return (1.0 + t * t) ** (d / 4.0) * abs(t) ** (-d)
+    """(1 + t^2)^{d/4} |t|^{-d}; ParameterError where it overflows float64 (a subnormal t)."""
+    try:
+        return (1.0 + t * t) ** (d / 4.0) * abs(t) ** (-d)
+    except OverflowError:
+        raise ParameterError(f"t = {t:g}: the closed-form M^(1,inf) constant "
+                             "(1 + t^2)^(d/4) |t|^(-d) overflows float64") from None
 
 
 def _amalgam_grid(d: int) -> tuple:
@@ -204,6 +209,21 @@ def _m1inf_grids_2d(t_list) -> dict:
     return {t: _m1inf_grid_2d(t) for t in t_list if t != 0}
 
 
+def _amalgam_checks(t_list, d: int, base: Grid, include_m1inf: bool = True) -> tuple:
+    """The 2D M^{1,inf} grids {t: (grid, stride)} and each t's M^{1,inf} prediction.
+
+    Derived before any pass: a t above the 2D grid cap, or whose prediction
+    overflows, raises ParameterError; so does, in 1D, a t whose chirp
+    aliases in the quarter box of ``base`` (``_check_quarter_box_chirps``).
+    The prediction is nan where no M^{1,inf} row is measured (t = 0).
+    """
+    if d == 1:
+        _check_quarter_box_chirps(base, t_list)
+    m1_grids = _m1inf_grids_2d(t_list) if d == 2 and include_m1inf else {}
+    return m1_grids, [m1inf_prediction(t, d) if t != 0 and include_m1inf else float("nan")
+                      for t in t_list]
+
+
 def verify_amalgam_constants(t_list, d: int = 1, grid: Grid | None = None,
                              include_m1inf: bool = True) -> list:
     """Measure the W(FL1, l-inf) and M^{1,inf} norms of the chirp family.
@@ -213,21 +233,16 @@ def verify_amalgam_constants(t_list, d: int = 1, grid: Grid | None = None,
     not represent any continuum translate.  In 1D both norms read the same
     |V|, so one pass measures them, and W is refined at half resolution; in
     2D M^{1,inf} takes its own grid (``_m1inf_grid_2d``) and W is not
-    refined.  The 2D M^{1,inf} grids are derived before any pass, so a t
-    above their cap raises ParameterError at once; so does, in 1D, a t
-    whose chirp aliases in the quarter box (``_check_quarter_box_chirps``).
+    refined.  Every check runs before any pass (``_amalgam_checks``).
     """
     base, stride = _amalgam_grid(d) if grid is None else (grid, 1 if d == 1 else 4)
-    if d == 1:
-        _check_quarter_box_chirps(base, t_list)
-    m1_grids = _m1inf_grids_2d(t_list) if d == 2 and include_m1inf else {}
+    m1_grids, m1_preds = _amalgam_checks(t_list, d, base, include_m1inf)
     g = gaussian_window(base)
     hw = base.L / 4.0
     rows = []
-    for t in t_list:
+    for t, m1_pred in zip(t_list, m1_preds):
         f = chirp_field(base, t)
-        with_m1 = t != 0 and include_m1inf
-        m1_pred = m1inf_prediction(t, d) if with_m1 else float("nan")
+        with_m1 = not math.isnan(m1_pred)
         if d == 1:
             w, w_ref, m1 = _wfl1_and_m1inf(f, g, stride, hw, with_m1)
         else:
@@ -290,16 +305,18 @@ def _divergence_grids(t: float, box_sizes) -> list:
     return [_divergence_grid(L, max(abs(t), 0.25)) for L in box_sizes]
 
 
-def verify_m_inf_1_divergence(t: float, box_sizes=DIVERGENCE_BOXES) -> DivergenceReport:
+def verify_m_inf_1_divergence(t: float, box_sizes=DIVERGENCE_BOXES,
+                              grids=None) -> DivergenceReport:
     """M^{inf,1}-type norm of the chirp on growing boxes.
 
     The continuum integral diverges; on a box the sup-in-position slice is
     bounded below along the ridge omega = t x, so the measured value grows
     linearly with the box size.  t = 0 gives the constant symbol and the
-    divergence assertion does not apply.
+    divergence assertion does not apply.  ``grids``, when given, is
+    ``_divergence_grids(t, box_sizes)``.
     """
     values = []
-    for grid in _divergence_grids(t, box_sizes):
+    for grid in grids or _divergence_grids(t, box_sizes):
         f = chirp_field(grid, t)
         values.append(
             m_inf_1_norm(
@@ -558,12 +575,14 @@ class ProbeReport:
     grid: Grid
 
 
+def _dilated_gaussian(grid: Grid, lam: float) -> SampledField:
+    """e^{-pi lam |.|^2} sampled on the position lattice."""
+    return sample(lambda *xs: np.exp(-np.pi * lam * radius(xs) ** 2), grid)
+
+
 def probe_family(grid: Grid, lambdas=(0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)) -> list:
     """Dilated, translated, modulated, and chirped Gaussians on the grid."""
-    fams = []
-    for lam in lambdas:
-        fams.append((f"gauss_l{lam:g}",
-                     sample(lambda *xs: np.exp(-np.pi * lam * radius(xs) ** 2), grid)))
+    fams = [(f"gauss_l{lam:g}", _dilated_gaussian(grid, lam)) for lam in lambdas]
     fams.append(("gauss_shift2",
                  sample(lambda *xs: np.exp(-np.pi * ((xs[0] - 2.0) ** 2
                         + sum(x ** 2 for x in xs[1:]))), grid)))
@@ -652,13 +671,14 @@ def _lp_contrast_grid() -> Grid:
     return make_grid(1, 32.0, 2048)
 
 
-def lp_contrast_probe(t: float, lambdas=LP_CONTRAST_LAMBDAS,
-                      grid: Grid | None = None) -> LpContrastReport:
+def lp_contrast_probe(t: float, lambdas=LP_CONTRAST_LAMBDAS, grid: Grid | None = None,
+                      fields=None) -> LpContrastReport:
     """L^1 growth versus modulation-norm stability over dilated Gaussians.
 
     The symbol e^{i t xi^2} is the Schrodinger propagator's, so a t whose
     largest phase on the grid is not resolved (``symbol_unimodular``), or a
     lambda whose closed-form ratio overflows, raises ParameterError.
+    ``fields``, when given, are the ``_dilated_gaussian`` of each lambda.
     """
     _check_dilations(lambdas)
     grid = grid or _lp_contrast_grid()
@@ -666,8 +686,7 @@ def lp_contrast_probe(t: float, lambdas=LP_CONTRAST_LAMBDAS,
     _check_fresnel_ratios(t, lambdas)
     g = gaussian_window(grid)
     l1_ratios, oracle, m11 = [], [], []
-    for lam in lambdas:
-        f = sample(lambda *xs: np.exp(-np.pi * lam * radius(xs) ** 2), grid)
+    for lam, f in zip(lambdas, fields or (_dilated_gaussian(grid, lam) for lam in lambdas)):
         out = apply_multiplier(sigma, f)
         l1_ratios.append(l1_norm(out) / l1_norm(f))
         oracle.append(fresnel_l1_ratio(t, lam))

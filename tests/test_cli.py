@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import tfmult
 from tfmult import cli, verify
-from tfmult.cli import EXPERIMENTS, PARSERS, RULES, load_config, main, parse_params
+from tfmult.cli import EXPERIMENTS, PARSERS, load_config, main, parse_params
+from tfmult.core import Grid
 
 # the child process imports the same tfmult as this one, installed or not
 PACKAGE_ROOT = str(Path(tfmult.__file__).resolve().parents[1])
@@ -173,6 +174,14 @@ class TestListValidate:
         ("amalgam_constants", "t_list", "0.5, 20", "t = 20: the chirp's local frequency"),
         ("amalgam_constants", "t_list", "-50", "t = -50: the chirp's local frequency"),
         ("amalgam_constants", "t_list", "1e300", "t = 1e+300: the chirp's local frequency"),
+        # validate said ok, and run raised OverflowError from |t|^(-d) in the
+        # M^(1,inf) prediction, which escaped main
+        ("amalgam_constants", "t_list", "2.225073858507203e-309",
+         "t = 2.22507e-309: the closed-form M^(1,inf) constant"),
+        ("amalgam_constants", "t_list", "0.5, 1e-309", "t = 1e-309: the closed-form M^(1,inf)"),
+        # validate said ok, and run measured on an N = 131072 grid, above the cap
+        ("operator_probe", "n", "65536", "n = 65536: a 1D grid may have at most N = 65536 "
+                                         "points, and this experiment also measures on N = 2n"),
         # validate tried to sample the grid: an 8 TiB MemoryError traceback
         ("chirp_stft", "n", "1099511627776",
          "n = 1099511627776: a 1D grid may have at most N = 65536 points"),
@@ -263,10 +272,36 @@ class TestListValidate:
         out = run_cli(["validate", str(p)])
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("text", [
+        "name = chirp_stft\n",  # no section header
+        "[experiment]\nname = chirp_stft\nname = lp_contrast\n",  # a key twice
+        "[experiment]\nname = chirp_stft\nt_list\n",  # a line without =
+        "[experiment]\nname = chirp_stft\nt_list = %(x)s\n",  # raised on reading the value
+    ])
+    def test_malformed_file_exits_two(self, tmp_path, capsys, text):
+        # each printed a configparser traceback and exited 1
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        for cmd in ("validate", "run"):
+            assert main([cmd, str(p)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: malformed config file {p}: ")
+
 
 class TestSchema:
-    def test_rules_name_every_experiment(self):
-        assert set(RULES) == set(EXPERIMENTS)
+    def test_every_experiment_is_a_plan(self):
+        # validate runs the plan and run the runner, so both reach every check
+        # through one derivation
+        for name, runner in EXPERIMENTS.items():
+            plan = inspect.unwrap(runner)
+            assert plan is not runner
+            assert inspect.signature(plan) == inspect.signature(runner)
+            assert callable(plan(**parse_params({"name": name})))
+
+    def test_runner_runs_the_plan_then_its_measure_step(self):
+        calls = []
+        runner = cli._runner(
+            lambda **params: calls.append(params) or (lambda: calls.append("measure") or 7))
+        assert runner(a=1) == 7 and calls == [{"a": 1}, "measure"]
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_defaults_written_back_parse_to_the_defaults(self, tmp_path, name):
@@ -393,14 +428,30 @@ class TestRun:
             assert f"error: {what}: non-finite sample at x = " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("name", ["chirp_stft", "dyadic_series"])
+    @pytest.mark.parametrize("name", [*sorted(EXPERIMENTS),
+                                      pytest.param("amalgam_constants\nd = 2", id="amalgam_2d")])
     def test_sample_checks_start_no_fft(self, tmp_path, monkeypatch, name):
         def no_fft(*args, **kwargs):
             raise AssertionError("validate started an FFT")
 
-        monkeypatch.setattr(np.fft, "fftn", no_fft)
-        monkeypatch.setattr(np.fft, "fft", no_fft)
+        for transform in ("fft", "fftn", "ifft", "ifftn"):
+            monkeypatch.setattr(np.fft, transform, no_fft)
         assert main(["validate", write_config(tmp_path, f"name = {name}\n")]) == 0
+
+    @pytest.mark.parametrize("body,what", [
+        ("name = lp_contrast\nt = 1e-160\nlambda_list = 1e308",
+         "the Gaussian e^(-pi lambda |x|^2) of lambda = 1e+308 on the grid L = 32, N = 2048"),
+        ("name = schrodinger_conservation\nn = 16\nl = 1e308",
+         "the initial data mod_shift_gauss on the grid L = 1e+308, N = 16"),
+    ], ids=["lp_contrast", "schrodinger_conservation"])
+    def test_fields_only_run_sampled(self, tmp_path, capsys, body, what):
+        # validate said ok, then run exited 2 with a sampling error that named
+        # neither the key nor the field
+        cfg = write_config(tmp_path, f"{body}\nout = {tmp_path / 'o'}\n")
+        for cmd in ("validate", "run"):
+            assert main([cmd, cfg]) == 2
+            assert f"error: {what}: non-finite sample at x = " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_overflowing_frequency_lattice_names_the_grid(self, tmp_path):
         # the message said "inf rad" after a numpy overflow warning (and
@@ -462,23 +513,41 @@ _TEXT = {
 }
 
 
+def _plan_grids(name, params) -> list:
+    """The grids of all that the plan of ``params`` hands its measure step."""
+    measure = inspect.unwrap(EXPERIMENTS[name])(**params)
+    grids, todo = [], list(inspect.getclosurevars(measure).nonlocals.values())
+    while todo:
+        v = todo.pop()
+        if isinstance(v, Grid):
+            grids.append(v)
+        elif isinstance(v, (list, tuple)):
+            todo.extend(v)
+        elif hasattr(v, "grid") or hasattr(v, "field"):  # a field, symbol or window
+            todo.append(getattr(v, "grid", None) or v.field)
+    return grids
+
+
 def _small_run(name, params) -> bool:
     """Whether a validated config's run is cheap enough to start in a test.
 
-    No 2D ``amalgam_constants``; the grids that ``n`` sets (N = n and 2n for
-    ``operator_probe``) and the ``m_inf_1_divergence`` grids hold at most
-    1024 points; ``cases``, ``k`` and ``j`` are no larger than their
-    defaults.  The other experiments run on their own fixed grids.
+    No 2D ``amalgam_constants``; the grids that ``n`` or ``l_list`` set, as
+    the plan hands them to its measure step (N = n and 2n for
+    ``operator_probe``), hold at most 1024 points; ``cases``, ``k`` and
+    ``j`` are no larger than their defaults.  The other experiments run on
+    their own fixed grids.
     """
     defaults = parse_params({"name": name})
     if params.get("d") == 2:
         return False
-    if "n" in params and params["n"] * (2 if name == "operator_probe" else 1) > 1024:
-        return False
-    if name == "m_inf_1_divergence" and max(
-            g.N for g in verify._divergence_grids(params["t"], params["l_list"])) > 1024:
+    if {"n", "l_list"} & params.keys() and max(g.N for g in _plan_grids(name, params)) > 1024:
         return False
     return all(params[key] <= defaults[key] for key in ("cases", "k", "j") if key in params)
+
+
+# the exits of 2 that run may take after validate said ok: a (p, q) norm of
+# the data leaves the float64 range, which no check short of a pass can see
+_NORM_RANGE = ("falls below the float64 range", "rescale the field so that |V|^p stays within")
 
 
 class TestRandomConfigs:
@@ -494,12 +563,14 @@ class TestRandomConfigs:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setenv("TFMULT_OUT", str(Path(tmp) / "o"))
             cfg = write_config(Path(tmp), f"name = {name}\n{body}")
-            if self._exit(["validate", cfg]) == 0 and _small_run(
+            if self._exit(["validate", cfg])[0] == 0 and _small_run(
                     name, parse_params(load_config(cfg))):
-                self._exit(["run", cfg])
+                # a config that validates is one that run can measure
+                code, err = self._exit(["run", cfg])
+                assert code != 2 or any(m in err for m in _NORM_RANGE), (body, err)
 
     @staticmethod
-    def _exit(argv) -> int:
+    def _exit(argv) -> tuple:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -508,4 +579,4 @@ class TestRandomConfigs:
             assert err.getvalue().startswith("error: ") and len(err.getvalue()) > 8
         if code == 1:
             assert "FAIL-context: " in err.getvalue()
-        return code
+        return code, err.getvalue()

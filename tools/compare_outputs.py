@@ -6,12 +6,14 @@ PARENT and CHANGE are two checkouts of this repository.  Every experiment
 that ``tfmult list`` names is run at its default config, plus
 ``amalgam_constants`` with ``d = 2``, once per side, with
 ``PYTHONPATH=<side>/src`` and a fresh ``TFMULT_OUT`` directory under one
-temporary directory.  Every file either side writes is compared byte for
-byte, and one line per file says whether it is identical.
+temporary directory; ``tfmult validate`` checks each config first, so the
+plan path of every default config is covered too.  Every file either side
+writes is compared byte for byte, and one line per file says whether it is
+identical.
 
-Exit 0 when every file is identical on both sides and every run exited 0;
-exit 1 on any difference, any file written by only one side, a different
-experiment list, or any non-zero run exit.
+Exit 0 when every file is identical on both sides and every validate and
+run exited 0; exit 1 on any difference, any file written by only one side,
+a different experiment list, or any non-zero exit.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def _configs(names) -> list:
 
 
 def _run_side(side: Path, configs, root: Path) -> bool:
-    """Run every config against one checkout; True if all exited 0."""
+    """Validate and run every config against one checkout; True if all exited 0."""
     ok = True
     for label, text in configs:
         cfg = root / "configs" / f"{label}.ini"
@@ -54,12 +56,13 @@ def _run_side(side: Path, configs, root: Path) -> bool:
         cfg.write_text(text, encoding="utf-8")
         out = root / "out" / label
         out.mkdir(parents=True)
-        code = subprocess.run([sys.executable, "-m", "tfmult.cli", "run", str(cfg)],
-                              env=_env(side, out), cwd=root,
-                              stdout=subprocess.DEVNULL).returncode
-        if code != 0:
-            print(f"exit {code}  {side.name}: {label}")
-            ok = False
+        for cmd in ("validate", "run"):
+            code = subprocess.run([sys.executable, "-m", "tfmult.cli", cmd, str(cfg)],
+                                  env=_env(side, out), cwd=root,
+                                  stdout=subprocess.DEVNULL).returncode
+            if code != 0:
+                print(f"exit {code}  {side.name}: {cmd} {label}")
+                ok = False
     return ok
 
 
