@@ -251,6 +251,8 @@ def _run_chirp_stft(t_list=(0.0, 0.5, 1.0, 2.0), tolerance=1e-6, l=_GRID.L, n=_G
     grid = _grid_1d(l, n)
     chirps = [_sampled(f"the chirp of t = {t:g} on the grid L = {l:g}, N = {n}",
                        verify.chirp_field, grid, t) for t in t_list]
+    for t in t_list:
+        verify._chirp_stft_region(grid, t)
     _check_tolerance(tolerance)
 
     def measure():

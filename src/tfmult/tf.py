@@ -16,20 +16,25 @@ Every STFT norm goes through one streamed pass (``_norms``) that reads |V|
 once and accumulates every requested (p, q, order) reduction from it, so no
 norm materializes the N^d x N^d matrix.  The refinement estimate recomputes
 the same reduction on the half-resolution grid (``coarsen`` plus
-``resample_window``).  |V| takes one of two paths, by window kind:
+``resample_window``).  |V| takes one of two paths, by window kind, and both
+are plain functions with one contract: ``path(f, g, stride, halfwidth, acc,
+col, powers, reduce)`` folds every positions-inner accumulator of ``acc``
+itself and hands each step's or block's rows to ``reduce(first, rows_of, lo,
+hi)`` in the thread piece of its rows lo:hi, where ``first`` is the ordinal
+of its first position and ``rows_of(p)`` its |V| rows (p = 1 and inf) or
+|V|^p rows (every other p of ``powers``), valid during the call.
 
-* Windowed (``_stft_chunks``): one full d-dimensional transform per
+* Windowed (``_windowed_sums``): one full d-dimensional transform per
   position, for every 1D window and the 2D ``bump_chi``, ``annulus_psi``
   and ``custom_window``.  The positions go through one complex block of
   about ``_BLOCK_BYTES`` (4 MiB), one step at a time, each step one
   ``centered_fft`` call: a thread piece multiplies its rows' windows into
   the block, transforms them, writes their |V| (and |V|^p) into the step's
-  side of a pair of step-sized real buffers and reduces its
-  frequencies-inner rows.  The positions-inner sums of a step run inside
-  the next step's call, while the other side of the pair is written: its
-  piece of rows lo:hi takes the previous step's frequency columns
-  lo*N^d//n : hi*N^d//n.  One more hand-off folds the last step.  Each
-  yielded array is the step's |V|, valid until the next step.
+  side of a pair of step-sized real buffers and hands them to ``reduce``.
+  The positions-inner sums of a step run inside the next step's call,
+  while the other side of the pair is written: its piece of rows lo:hi
+  takes the previous step's frequency columns lo*N^d//n : hi*N^d//n.  One
+  more hand-off folds the last step.
 * Row-column (``_row_column_sums``): a 2D window that is a tensor product
   g(x) = g0(x0) g1(x1), which ``gaussian_window`` marks with per-axis
   ``factors``.  V_g f(x, w) = F1[F0[f conj(g0(. - x0))] conj(g1(. - x1))],
@@ -37,9 +42,10 @@ the same reduction on the half-resolution grid (``coarsen`` plus
   for its columns, which go through blocks of about ``_BLOCK_BYTES``.  A
   row's blocks go to the threads in one hand-off: each thread owns a k0
   range and runs, block by block in position order, the column-window
-  multiply, the axis-1 transform, |V| and the positions-inner sums on its
-  columns.  A pass with frequencies-inner specs hands each block off on
-  its own and reduces its rows before the next block overwrites them.
+  multiply, the axis-1 transform, |V|, |V|^p and the positions-inner sums
+  on its columns.  A pass with a ``reduce`` hands each block off on its
+  own and then its rows to ``reduce``, before the next block overwrites
+  them.
 
 Both paths read |V| sign-free: the field (windowed) or g1 (row-column) is
 presigned once per pass (``core._presigned``) and ``centered_fft(...,
@@ -71,11 +77,11 @@ memory: a chunk's per-frequency sum runs on from step to step through a
 leading row (``_fold_step``) and is added to its accumulator once, as if
 the chunk were one block.  Each row-column accumulator column is summed
 block by block, in position order, by the one thread that owns it.  The
-functions handed to the threads call only numpy, never a public ``tfmult``
-function.  A walked row-column ``centered_fft`` call's ``a`` is the block
-repeated once per block of the row (``core._repeated``), so a tracer
-counting FFT work from ``a.shape`` counts the true work; the window
-multiply and the fused sums run inside the calls.
+functions handed to the threads, ``reduce`` included, call only numpy,
+never a public ``tfmult`` function.  A walked row-column ``centered_fft``
+call's ``a`` is the block repeated once per block of the row
+(``core._repeated``), so a tracer counting FFT work from ``a.shape`` counts
+the true work; the window multiply and the fused sums run inside the calls.
 """
 
 from __future__ import annotations
@@ -152,12 +158,12 @@ def _pass_buffers():
 
     ``take`` pops the role's spare and returns it shaped as a prefix view.
     A pass that finds no spare allocates a buffer of exactly its size; so
-    does a pass that runs beside the one holding the spare (a nested or
-    interleaved generator, another thread).  A spare too small for the
-    pass is dropped, and so are the other spares: a larger pass makes a new
-    set, and spares freed together leave the heap one hole that its buffers
-    can reuse.  On exit each buffer goes back unless the store already has
-    a larger one for its role.
+    does a pass that runs beside the one holding the spare, which only
+    another thread can run (a pass runs to its end once started).  A spare
+    too small for the pass is dropped, and so are the other spares: a
+    larger pass makes a new set, and spares freed together leave the heap
+    one hole that its buffers can reuse.  On exit each buffer goes back
+    unless the store already has a larger one for its role.
     """
     held = {}
 
@@ -226,9 +232,11 @@ def gaussian_window(grid: Grid) -> Window:
     """The Gaussian e^{-pi |x|^2}, the reference window for all norm estimates.
 
     Sampled as the outer product of its 1D factors, so ``field`` and
-    ``factors`` agree bit for bit.
+    ``factors`` agree bit for bit.  On a huge box x^2 overflows where the
+    window underflows to 0 anyway, so that overflow is not reported.
     """
-    g1 = np.exp(-np.pi * radius((grid.axis_positions(),)) ** 2)
+    with np.errstate(over="ignore"):
+        g1 = np.exp(-np.pi * radius((grid.axis_positions(),)) ** 2)
     vals = g1 if grid.d == 1 else np.outer(g1, g1)
     return Window(SampledField(grid, vals), "gaussian", factors=(g1,) * grid.d)
 
@@ -367,9 +375,9 @@ class _Step:
         return self.pairs[p][self.side, 0 if lead else 1 : 1 + self.stop - self.start]
 
 
-def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None, powers=(), reduce=None,
-                 fold=None):
-    """Yield (flat position indices, |V_g f| rows) per step on the windowed path, row-major.
+def _windowed_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, powers,
+                   reduce=None) -> None:
+    """Fold |V_g f| into ``acc`` and hand its rows to ``reduce``, on the windowed path.
 
     f is presigned once.  The positions are cut into chunks of
     ``_CHUNK_BYTES // (16 N^d)`` and each chunk into steps of about
@@ -378,18 +386,18 @@ def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None, powers=()
     fills rows lo:hi with the window multiply, transforms them and writes
     their |V| to the step's side of the |V| pair (``_Step``), then, still in
     the piece, |V|^p of those rows for each p of ``powers`` and
-    ``reduce(step, lo, hi)``.  ``fold(step, lo, hi)`` reduces frequency
-    columns lo:hi of a step after all its rows are written: inside the next
-    step's call, where piece lo:hi of its n rows takes the previous step's
-    columns lo*N^d//n : hi*N^d//n, and for the last step in one more
-    hand-off.  A yielded array is the step's side of the |V| pair, valid
-    until the next step.
+    ``reduce(step.start, step.rows, lo, hi)``.  ``_fold_step`` folds
+    frequency columns of a step into ``acc`` after all its rows are
+    written: inside the next step's call, where piece lo:hi of its n rows
+    takes the previous step's columns lo*N^d//n : hi*N^d//n, and for the
+    last step in one more hand-off.
     """
     grid = f.grid
     require_same_grid(grid, g.field.grid)
     flat_idx, axis_idx = _position_indices(grid, stride, halfwidth)
     fv = _presigned(f.reshaped(), grid.d)
     window = functools.partial(_window_rows, fv, _translates(g.field.reshaped(), axis_idx))
+    fold = functools.partial(_fold_step, acc, col) if acc else None
     M = grid.npoints
     chunk = min(max(1, _CHUNK_BYTES // (16 * M)), flat_idx.size)
     rows = min(max(1, _BLOCK_BYTES // (16 * M), grid.N // _POINTS_PER_STEP_ROW), chunk)
@@ -410,21 +418,20 @@ def _stft_chunks(f: SampledField, g: Window, stride=1, halfwidth=None, powers=()
                 for p in powers:
                     _pow(A[lo:hi], p, out=step.rows(p)[lo:hi])
                 if reduce is not None:
-                    reduce(step, lo, hi)
+                    reduce(start, step.rows, lo, hi)
                 if fold is not None and prev is not None:
                     fold(prev, lo * M // len(x), hi * M // len(x))
 
             centered_fft(x, grid.d, grid.dx, out=x, modulus=A.reshape(x.shape), fill=fill,
                          fold=fold_rows)
-            yield flat_idx[start:stop], A
             prev = step
-        if fold is not None and prev is not None:
+        if fold is not None:
             _split(functools.partial(fold, prev), M, prev.rows(1.0, lead=True).nbytes)
 
 
-def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, power_rows,
-                     reduce_rows=None):
-    """Fold |V_g f| into every positions-inner accumulator of ``acc``, on the row-column path.
+def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, powers,
+                     reduce=None) -> None:
+    """Fold |V_g f| into ``acc`` and hand its rows to ``reduce``, on the row-column path.
 
     g = g0 x g1, so H = F0[f conj(T_{x_i} g0)], as (k0, x1), depends only
     on the position row i: it is transformed once per row, on the
@@ -439,16 +446,16 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
     once per block along a stride-0 axis (``_repeated``), and a short last
     block in a call of its own.  A thread owns one k0 range, so the flat
     frequency columns k0*N:(k0+1)*N, and for each block in position order
-    runs on them the column-window multiply, the axis-1 transform, |V| and
-    ``_fold_columns`` (with |V|^p into ``power_rows(A)``).  So each
-    accumulator column is summed block by block, in position order, by one
-    thread; and the traced ``a`` of each call still has the shape of the
-    transforms it runs.
+    runs on them the column-window multiply, the axis-1 transform, |V|,
+    |V|^p for each p of ``powers`` and the positions-inner sums
+    (``_fold_columns``).  So each accumulator column is summed block by
+    block, in position order, by one thread; and the traced ``a`` of each
+    call still has the shape of the transforms it runs.
 
-    With ``reduce_rows`` (a pass with frequencies-inner specs) every block
-    is a call of its own, and reduce_rows(A, P) reads the block's |V| rows
-    after it, before the next block overwrites them.  With ``acc`` empty
-    there is nothing to fold.
+    With ``reduce`` (a pass with frequencies-inner specs) every block is a
+    call of its own, and one more hand-off, split over the block's rows,
+    runs ``reduce(first, rows_of, lo, hi)`` before the next block
+    overwrites them; ``first`` is the ordinal of the block's first position.
     """
     grid = f.grid
     require_same_grid(grid, g.field.grid)
@@ -464,12 +471,13 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
         cols = min(max(1, _BLOCK_BYTES // (16 * N * N)), ncols)
         buf = take("chunk", (cols, N, N), np.complex128)
         A = take("modulus", (cols, N * N))
-        P = power_rows(A)
+        P = take("power", (len(powers), cols, N * N)) if powers else ()
+        powered = {1.0: A, math.inf: A, **dict(zip(powers, P))}
         groups = _walk_groups(ncols, cols)
-        if reduce_rows is not None:
+        if reduce is not None:
             groups = [(start, min(start + cols, ncols), min(cols, ncols - start))
                       for start in range(0, ncols, cols)]
-        for row0 in rows0:
+        for i, row0 in enumerate(rows0):
 
             def window_rows(lo, hi):
                 np.multiply(fT[lo:hi], row0, out=HT[lo:hi])
@@ -480,21 +488,25 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
             centered_fft(HT, 1, grid.dx, out=HT, fill=window_rows, fold=transpose)
             for start, stop, size in groups:
                 block, Ab = buf[:size], A[:size]
-                Pb = None if P is None else P[:size]
                 w = rows1[start:stop].reshape(-1, size, 1, N)
                 steps = _repeated(block, len(w))
+
+                def rows_of(p):
+                    return powered[p][:size]
 
                 def window_columns(b, lo, hi):
                     np.multiply(H[lo:hi], w[b], out=block[:, lo:hi])
 
                 def fold_columns(b, lo, hi):
-                    _fold_columns(Ab, Pb, acc, col, lo * N, hi * N)
+                    for p in powers:
+                        _pow(Ab[:, lo * N : hi * N], p, out=rows_of(p)[:, lo * N : hi * N])
+                    _fold_columns(rows_of, acc, col, lo * N, hi * N)
 
                 centered_fft(steps, 1, grid.dx, out=steps,
                              modulus=_repeated(Ab.reshape(block.shape), len(w)),
-                             fill=window_columns, fold=fold_columns if acc else None)
-                if reduce_rows is not None:
-                    reduce_rows(Ab, Pb)
+                             fill=window_columns, fold=fold_columns if acc or powers else None)
+                if reduce is not None:
+                    _split(functools.partial(reduce, i * ncols + start, rows_of), size, Ab.nbytes)
 
 
 def _row_column(g: Window) -> bool:
@@ -577,18 +589,14 @@ def _accumulate_columns(a, s, is_max, col, lo, hi) -> None:
         np.add(t, a[0] if len(a) == 1 else np.sum(a, axis=0, out=c), out=t)
 
 
-def _fold_columns(A, P, acc, col, lo, hi) -> None:
-    """Fold frequency columns lo:hi of one chunk's |V| rows into every accumulator.
+def _fold_columns(rows_of, acc, col, lo, hi) -> None:
+    """Fold frequency columns lo:hi of one block into every positions-inner accumulator.
 
     ``acc`` maps each positions-inner p to its per-frequency accumulator;
-    |V|^p of those columns goes into the same columns of P.
+    ``rows_of(p)`` is the block's |V| rows (p = 1 and inf) or |V|^p rows.
     """
     for p, s in acc.items():
-        a = A
-        if p != 1.0 and not math.isinf(p):
-            a = P
-            _pow(A[:, lo:hi], p, out=P[:, lo:hi])
-        _accumulate_columns(a, s, math.isinf(p), col, lo, hi)
+        _accumulate_columns(rows_of(p), s, math.isinf(p), col, lo, hi)
 
 
 def _fold_step(acc, col, step: _Step, lo, hi) -> None:
@@ -615,12 +623,6 @@ def _fold_step(acc, col, step: _Step, lo, hi) -> None:
                    out=step.pairs[p][1 - step.side, 0, lo:hi])
 
 
-def _reduce_rows(A, P, ps, w, lo, hi) -> list:
-    """The frequencies-inner value of position rows lo:hi of |V|, one array per p."""
-    out = None if P is None else P[lo:hi]
-    return [_lp_reduce(A[lo:hi], p, w, axis=1, out=out) for p in ps]
-
-
 def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -> list:
     """Every (p, q, order) spec of V_g f from one streamed pass over the STFT.
 
@@ -632,11 +634,12 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     per-frequency partial sums go into buffers allocated once per pass.  The
     positions-inner sums are split over the threads by frequency column and
     the frequencies-inner ones by row, so every sum keeps its order.  Both
-    run inside the transform's thread pieces.  Windowed (``_stft_chunks``):
-    one hand-off per step, whose pieces reduce their own rows and fold the
-    step before (``_fold_step``).  Row-column (``_row_column_sums``), whose
-    transform is split by frequency column too: one hand-off per position
-    row when every spec is positions-inner, one per block when some are
+    paths take the same arguments and the one ``reduce`` below.  Windowed
+    (``_windowed_sums``): one hand-off per step, whose pieces reduce their
+    own rows and fold the step before (``_fold_step``).  Row-column
+    (``_row_column_sums``), whose transform is split by frequency column
+    too: one hand-off per position row when every spec is positions-inner,
+    one per block and one more for its rows' ``reduce`` when some are
     frequencies-inner.  A value that overflows to inf (or is nan) raises
     ParameterError naming its spec.
     """
@@ -644,48 +647,27 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     wx = (grid.dx * stride) ** grid.d
     wxi = grid.dxi ** grid.d
     acc = {p: np.zeros(grid.npoints) for p, _, order in specs if order == POSITIONS_INNER}
-    # per frequencies-inner p: {key: the values of some position rows}, the
-    # keys increasing with position
+    # per frequencies-inner p: {ordinal of a position: the values of the
+    # position rows from there on that one reduce call took}
     rows = {p: {} for p, _, order in specs if order == FREQUENCIES_INNER}
     powers = tuple(sorted({p for p, _, _ in specs if p != 1.0 and not math.isinf(p)}))
     col = np.empty(grid.npoints)
-    if _row_column(g):
-        P = None
-        with _pass_buffers() as take:
 
-            def power_rows(A):
-                """P[:len(A)] for |V|^p; P is taken with the first block, the largest."""
-                nonlocal P
-                if powers and P is None:
-                    P = take("power", A.shape)
-                return None if P is None else P[: len(A)]
+    def reduce(first, rows_of, lo, hi):
+        for p, r in rows.items():
+            r[first + lo] = _lp_powered(rows_of(p)[lo:hi], p, wxi, axis=1)
 
-            def reduce_rows(A, pa):
-                parts = _split(functools.partial(_reduce_rows, A, pa, list(rows), wxi),
-                               len(A), A.nbytes)
-                for part in parts:
-                    for r, values in zip(rows.values(), part):
-                        r[len(r)] = values
-
-            _row_column_sums(f, g, stride, halfwidth, acc, col, power_rows,
-                             reduce_rows if rows else None)
-    else:
-
-        def reduce(step, lo, hi):
-            for p, r in rows.items():
-                r[step.start + lo] = _lp_powered(step.rows(p)[lo:hi], p, wxi, axis=1)
-
-        for _ in _stft_chunks(f, g, stride, halfwidth, powers, reduce if rows else None,
-                              functools.partial(_fold_step, acc, col) if acc else None):
-            pass
+    (_row_column_sums if _row_column(g) else _windowed_sums)(
+        f, g, stride, halfwidth, acc, col, powers, reduce if rows else None)
     out = []
     for p, q, order in specs:
-        if order == POSITIONS_INNER:
-            inner = acc[p] if math.isinf(p) else _pow(acc[p] * wx, 1.0 / p)
-            value = float(_lp_reduce(inner, q, wxi, axis=None))
-        else:
-            values = np.concatenate([rows[p][key] for key in sorted(rows[p])])
-            value = float(_lp_reduce(values, q, wx, axis=None))
+        with np.errstate(over="ignore"):  # an overflow is named just below
+            if order == POSITIONS_INNER:
+                inner = acc[p] if math.isinf(p) else _pow(acc[p] * wx, 1.0 / p)
+                value = float(_lp_reduce(inner, q, wxi, axis=None))
+            else:
+                values = np.concatenate([rows[p][key] for key in sorted(rows[p])])
+                value = float(_lp_reduce(values, q, wx, axis=None))
         if not math.isfinite(value):
             raise ParameterError(
                 f"the ({p:g}, {q:g}) {order} norm is not finite ({value}): "

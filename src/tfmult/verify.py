@@ -27,7 +27,8 @@ from .core import (
 from .mult import Symbol, apply_multiplier, sin_singular_profile, symbol_unimodular
 from .tf import (
     Window,
-    _stft_chunks,
+    _position_indices,
+    _windowed_sums,
     _wfl1_and_m1inf,
     amalgam_norm_wfl1,
     chi_profile,
@@ -69,19 +70,43 @@ def chirp_aliased(grid: Grid, t: float) -> bool:
 # chirp STFT closed form
 
 
+def _chirp_stft_modulus(x, omega, t: float, d: int = 1):
+    """``chirp_stft_oracle`` of float arrays, in numpy alone: it also runs on pool threads.
+
+    (omega - t x)^2 overflows only where the Gaussian factor is below
+    (1 + t^2)^{-1/4} e^{-pi}, under 1e-77, so that overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        dist2 = (omega - t * x) ** 2 if d == 1 else np.sum((omega - t * x) ** 2, axis=-1)
+        return (1.0 + t * t) ** (-d / 4.0) * np.exp(-np.pi * dist2 / (1.0 + t * t))
+
+
 def chirp_stft_oracle(x, omega, t: float, d: int = 1):
     """|V_g chirp(x, omega)| = (1+t^2)^{-d/4} e^{-pi |omega - t x|^2 / (1+t^2)}.
 
     Exact for the Gaussian window e^{-pi |.|^2}; x and omega may be scalars or
     arrays of d-vectors (last axis of length d, or plain arrays when d = 1).
     """
-    x = np.asarray(x, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if d == 1:
-        dist2 = (omega - t * x) ** 2
-    else:
-        dist2 = np.sum((omega - t * x) ** 2, axis=-1)
-    return (1.0 + t * t) ** (-d / 4.0) * np.exp(-np.pi * dist2 / (1.0 + t * t))
+    return _chirp_stft_modulus(np.asarray(x, dtype=float), np.asarray(omega, dtype=float), t, d)
+
+
+def _chirp_stft_region(grid: Grid, t: float) -> tuple:
+    """(positions, frequencies) where ``verify_chirp_stft`` compares: |x| <= L/4, |w| <= N/(4L).
+
+    The positions are the ones its pass selects, in pass order.  A t whose
+    closed form is not finite there (nan where (1 + t^2) and |w - t x|^2
+    both overflow) raises ParameterError: the check would compare against
+    nan.  |w - t x| is largest at the region's corners, so they decide it.
+    """
+    xs = grid.axis_positions()[_position_indices(grid, 1, grid.L / 4.0)[0]]
+    oms = grid.axis_frequencies()
+    oms = oms[np.abs(oms) <= grid.N * grid.dxi / 4.0]
+    with np.errstate(all="ignore"):
+        corners = _chirp_stft_modulus(xs[[0, -1], None], oms[None, [0, -1]], t)
+    if not np.isfinite(corners).all():
+        raise ParameterError(f"t = {t:g}: the closed-form chirp STFT is not finite on the "
+                             f"grid L = {grid.L:g}, N = {grid.N} (|x| <= L/4, |w| <= N/(4L))")
+    return xs, oms
 
 
 @dataclass
@@ -96,22 +121,28 @@ def verify_chirp_stft(grid: Grid, t: float, f: SampledField | None = None) -> Ch
     """Compare the discrete STFT of the chirp against the closed form.
 
     The maximum deviation is taken over the central half of the lattice in
-    both position and frequency, where window periodization is negligible.
-    |V| is streamed over those positions, step by step, from the sign-free
-    path, which scales the real modulus by dx: that is |V| of ``stft`` bit
-    for bit when dx is a power of two, and within a rounding of each value
-    (a relative 1e-15) otherwise.  ``f``, when given, is ``chirp_field(grid, t)``.
+    both position and frequency (``_chirp_stft_region``), where window
+    periodization is negligible.  |V| is streamed over those positions from
+    the sign-free path, which scales the real modulus by dx: that is |V| of
+    ``stft`` bit for bit when dx is a power of two, and within a rounding
+    of each value (a relative 1e-15) otherwise.  The pass's ``reduce``
+    writes each position row's max |V - oracle| in the thread piece that
+    wrote the row; a max is exact, so the pieces and steps change no bit.
+    ``f``, when given, is ``chirp_field(grid, t)``.
     """
     if grid.d != 1:
         raise ParameterError("chirp STFT check is one-dimensional")
+    xs, oms = _chirp_stft_region(grid, t)
     f = chirp_field(grid, t) if f is None else f
-    xs = grid.axis_positions()
-    oms = grid.axis_frequencies()
-    pw = np.abs(oms) <= grid.N * grid.dxi / 4.0
-    errs = []
-    for js, A in _stft_chunks(f, gaussian_window(grid), halfwidth=grid.L / 4.0):
-        oracle = chirp_stft_oracle(xs[js][:, None], oms[pw][None, :], t)
-        errs.append(np.max(np.abs(A[:, pw] - oracle)))
+    pw = np.abs(grid.axis_frequencies()) <= grid.N * grid.dxi / 4.0
+    errs = np.empty(xs.size)
+
+    def reduce(first, rows_of, lo, hi):
+        at = slice(first + lo, first + hi)
+        oracle = _chirp_stft_modulus(xs[at, None], oms[None, :], t)
+        np.max(np.abs(rows_of(1.0)[lo:hi, pw] - oracle), axis=1, out=errs[at])
+
+    _windowed_sums(f, gaussian_window(grid), 1, grid.L / 4.0, {}, None, (), reduce)
     return ChirpStftReport(grid, t, float(np.max(errs)), chirp_aliased(grid, t))
 
 

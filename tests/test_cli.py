@@ -185,10 +185,15 @@ class TestListValidate:
         # validate tried to sample the grid: an 8 TiB MemoryError traceback
         ("chirp_stft", "n", "1099511627776",
          "n = 1099511627776: a 1D grid may have at most N = 65536 points"),
+        # validate said ok, and run warned of overflow in the closed form,
+        # wrote an empty measured cell and exited 1 (three keys: t_list, l, n)
+        ("chirp_stft", "t_list", "1e200\nl = 1e-300\nn = 16",
+         "t = 1e+200: the closed-form chirp STFT is not finite on the grid L = 1e-300, N = 16"),
         # keys the experiment does not take used to pass both commands unread
         ("sin_singular_fl1", "n", "64", "sin_singular_fl1 takes no key 'n'"),
         ("lp_contrast", "lambda_lst", "1, 2", "lp_contrast takes no key 'lambda_lst'"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_validate_rejects_what_run_cannot_run(self, tmp_path, capsys, name, key,
                                                   value, message):
         # each of these used to pass validate, then crash, fail late or pass
@@ -200,6 +205,23 @@ class TestListValidate:
         assert main(["run", cfg]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body,codes,message", [
+        # x^2 overflowed in the Gaussian window (0 there anyway), and run
+        # warned again from the final reduction before naming the overflow
+        ("name = wave_conservation\nn = 16\nl = 1e200\n", (0, 2),
+         "rescale the field so that |V|^p stays within float64"),
+        # (w - t x)^2 overflows where the closed form is 0: a pass, no warning
+        ("name = chirp_stft\nt_list = 1e100\nl = 1e-300\nn = 16\n", (0, 0), None),
+    ])
+    def test_float64_range_edges_warn_nothing(self, tmp_path, capsys, body, codes, message):
+        # numpy's RuntimeWarnings are errors here, on pool threads too
+        cfg = write_config(tmp_path, body + f"out = {tmp_path / 'o'}\n")
+        for cmd, code in zip(("validate", "run"), codes):
+            assert main([cmd, cfg]) == code
+            err = capsys.readouterr().err
+            assert (message in err if code == 2 else err == "") and "Warning" not in err
 
     @pytest.mark.parametrize("t_list,N", [("1e3", 131072), ("0.5, 16", 2048), ("-16", 2048),
                                           ("1e-300", "inf")])

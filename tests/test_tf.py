@@ -1,5 +1,6 @@
 """STFT correctness, window machinery, and mixed-norm reductions."""
 
+import inspect
 import multiprocessing
 import os
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from tfmult import core, tf
+from tfmult import core, mult, tf, verify
 from tfmult.core import ParameterError, SampledField, centered_fft, l2_norm, make_grid, sample
 from tfmult.tf import (
     _CHUNK_BYTES,
@@ -414,28 +415,29 @@ def _signed_chunks(f, g, stride, halfwidth) -> list:
 
 
 def _pass_rows(f, g, stride, halfwidth, views=None) -> list:
-    """(positions, |V| rows) per step, copied, as a norm pass reads them.
+    """(positions, |V| rows) per step or block, copied, as a norm pass's ``reduce`` reads them.
 
-    Windowed: the steps ``tf._stft_chunks`` yields.  Row-column: the blocks
-    ``tf._row_column_sums`` hands to its ``reduce_rows``.  The uncopied
+    Both paths hand ``reduce(first, rows_of, lo, hi)`` the rows lo:hi of
+    the step or block whose first position has ordinal ``first``.  Pieces
+    of a step may finish in either order, so each is recorded with its
+    ordinal first + lo and sorted, then joined per step.  The uncopied
     rows go to ``views`` when given.
     """
     views = [] if views is None else views
-    rows = []
+    pieces = []
 
-    def keep(A, P=None):
-        views.append(A)
-        rows.append(A.copy())
+    def reduce(first, rows_of, lo, hi):
+        views.append(rows_of(1.0))
+        pieces.append((first + lo, first, rows_of(1.0)[lo:hi].copy()))
 
-    if not tf._row_column(g):
-        groups = []
-        for js, A in tf._stft_chunks(f, g, stride, halfwidth):
-            groups.append(js.copy())
-            keep(A)
-    else:
-        tf._row_column_sums(f, g, stride, halfwidth, {}, None, lambda A: None, keep)
-        groups = _pass_groups(f.grid, g, _selected_positions(f.grid, stride, halfwidth))
-    return list(zip(groups, rows))
+    path = tf._row_column_sums if tf._row_column(g) else tf._windowed_sums
+    path(f, g, stride, halfwidth, {}, None, (), reduce)
+    steps = {}
+    for _, first, rows in sorted(pieces, key=lambda piece: piece[0]):
+        steps.setdefault(first, []).append(rows)
+    positions = _selected_positions(f.grid, stride, halfwidth)
+    return [(positions[first : first + sum(map(len, parts))], np.concatenate(parts))
+            for first, parts in steps.items()]
 
 
 def _as_chunks(steps, chunks) -> list:
@@ -711,8 +713,7 @@ class TestWalkedModulus:
             return transform(a, d, *args, **kwargs)
 
         monkeypatch.setattr(tf, "centered_fft", traced)
-        for _ in tf._stft_chunks(f, g, 1, None):
-            pass
+        tf._windowed_sums(f, g, 1, None, {}, None, ())
         assert shapes == [((3, N), 1), ((3, N), 1), ((2, N), 1)] * (N // 8)
 
     @pytest.mark.parametrize("case", ["m_inf_1_n4096", "m22_m11_n2048"])
@@ -999,39 +1000,25 @@ class TestSpareBuffers:
             assert all(np.array_equal(a, b) for a, b in zip(rows, cold))
 
     @pytest.mark.parametrize("window", ["gaussian_1d", "gaussian_2d", "bump_2d"])
-    def test_interleaved_passes_get_their_own_buffers(self, monkeypatch, window):
+    def test_pass_whose_reduce_raises_returns_its_buffers(self, monkeypatch, window):
+        # the pass stops at its first reduce; its buffers still become the
+        # spares, and the next pass, which reads them, equals a cold one
         f, g = _case(window)
         self._small_chunks(monkeypatch, f.grid)
-        tf._norms(f, g, SPECS)  # leaves spares of every role
-        one, two = (tf._stft_chunks(f, g, 1, None) for _ in range(2))
-        n = 0
-        for (js1, A1), (js2, A2) in zip(one, two):
-            assert not np.shares_memory(A1, A2)
-            assert np.array_equal(js1, js2) and np.array_equal(A1, A2)
-            n += 1
-        assert n > 1
-
-    def test_nested_pass_keeps_the_outer_rows(self, monkeypatch):
-        f, g = _case("gaussian_1d")
-        self._small_chunks(monkeypatch, f.grid)
-        want = _norms(f, g, SPECS)
-        outer = tf._stft_chunks(f, g, 1, None)
-        _, A = next(outer)
-        before = A.copy()
-        assert _norms(f, g, SPECS) == want
-        assert np.array_equal(A, before)
-        outer.close()
-
-    def test_closed_partly_read_pass_returns_its_buffers(self, monkeypatch):
-        f, g = _case("gaussian_2d")
-        self._small_chunks(monkeypatch, f.grid)
         tf._release_spares()
-        chunks = tf._stft_chunks(f, g, 1, None)
-        _, A = next(chunks)
-        assert not tf._spares
-        chunks.close()
-        assert set(tf._spares) == {"chunk", "modulus"}
-        assert np.shares_memory(tf._spares["modulus"], A)
+        cold = _norms(f, g, SPECS)
+        tf._release_spares()
+
+        def reduce(first, rows_of, lo, hi):
+            raise RuntimeError("stop")
+
+        path = tf._row_column_sums if tf._row_column(g) else tf._windowed_sums
+        with pytest.raises(RuntimeError, match="stop"):
+            path(f, g, 1, None, {}, None, (2.0,), reduce)
+        assert {"chunk", "modulus", "power"} <= set(tf._spares)
+        spares = dict(tf._spares)
+        assert _norms(f, g, SPECS) == cold
+        assert all(tf._spares[r] is buf for r, buf in spares.items())
 
     def test_larger_pass_drops_every_spare(self):
         small, g = _case("gaussian_2d")
@@ -1039,10 +1026,15 @@ class TestSpareBuffers:
         assert set(tf._spares) >= {"chunk", "modulus", "power", "H", "HT"}
         old = dict(tf._spares)
         big = make_grid(2, 8.0, 2 * small.grid.N)
-        chunks = tf._stft_chunks(_random_field(big, 1), gaussian_window(big), 1, None)
-        next(chunks)
-        assert not tf._spares  # "power", unused by this pass, went too
-        chunks.close()
+        during = []
+
+        def reduce(first, rows_of, lo, hi):
+            during.append(set(tf._spares))
+
+        tf._windowed_sums(_random_field(big, 1), gaussian_window(big), 1, None, {}, None, (),
+                          reduce)
+        assert during and not any(during)  # "power", unused by this pass, went too
+        assert set(tf._spares) == {"chunk", "modulus"}
         assert not any(np.shares_memory(tf._spares[r], old[r]) for r in tf._spares)
 
     def test_stft_leaves_no_spare(self):
@@ -1116,3 +1108,50 @@ class TestSpareBuffers:
 
 def _norms_in_child(f, g, want):
     os._exit(0 if _norms(f, g, SPECS) == want else 1)
+
+
+class TestPoolThreads:
+    """What a pass runs on a pool thread calls only numpy, never a public ``tfmult`` function.
+
+    ``bench/tracer.py`` keeps one span stack for all threads, and the
+    ``reduce`` hooks of the |V| paths run in the transform's thread pieces.
+    """
+
+    def test_public_functions_run_on_the_callers_thread(self, monkeypatch, split_workers):
+        modules = (core, tf, mult, verify)
+        caller = threading.current_thread()
+        calls, pieces = [], []
+
+        def wrap(name, fn):
+            def recorded(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+            return recorded
+
+        wrappers = {id(obj): wrap(f"{mod.__name__}.{name}", obj)
+                    for mod in modules for name, obj in vars(mod).items()
+                    if inspect.isfunction(obj) and not name.startswith("_")
+                    and obj.__module__ == mod.__name__}
+        for mod in modules:
+            for name, obj in list(vars(mod).items()):
+                if id(obj) in wrappers:
+                    monkeypatch.setattr(mod, name, wrappers[id(obj)])
+        split = core._split
+
+        def recording(fn, n, nbytes):
+            def piece(lo, hi):
+                pieces.append(threading.current_thread())
+                return fn(lo, hi)
+            return split(piece, n, nbytes)
+
+        with split_workers(2):
+            monkeypatch.setattr(core, "_split", recording)
+            monkeypatch.setattr(tf, "_split", recording)
+            verify.verify_chirp_stft(core.default_grid(1), 1.0)
+            for window in ("gaussian_1d", "gaussian_2d", "bump_2d"):
+                f, g = _case(window)
+                _norms(f, g, SPECS)
+        assert any(t is not caller for t in pieces)  # the pool took some pieces
+        assert {name for name, _ in calls} >= {"tfmult.core.centered_fft",
+                                               "tfmult.verify.verify_chirp_stft"}
+        assert [name for name, t in calls if t is not caller] == []

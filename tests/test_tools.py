@@ -1,4 +1,5 @@
-"""The benchmark recorder records each side under the HEAD its files match."""
+"""The benchmark recorder records each side under the HEAD its files match; the output
+comparison fails on any stderr output."""
 
 import json
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-RECORDER = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+RECORDER = TOOLS / "bench_record.py"
 
 
 def _git(repo, *args):
@@ -56,3 +58,37 @@ def test_untracked_files_do_not_count(tmp_path):
     # the stand-in run.py prints no result, so the recording itself fails
     assert done.returncode == 1
     assert all((path / "bench" / "started").exists() for path in sides.values())
+
+
+# a stand-in tfmult.cli: one experiment whose run writes one file, and a
+# warning on stderr from run when WARN is true
+_FAKE_CLI = """import os, sys
+from pathlib import Path
+WARN = {warn}
+if sys.argv[1] == "list":
+    print("exp")
+elif sys.argv[1] == "run":
+    Path(os.environ["TFMULT_OUT"], "results.csv").write_text("x\\n")
+    if WARN:
+        print("RuntimeWarning: overflow encountered in multiply", file=sys.stderr)
+"""
+
+
+def _fake_package(path: Path, warn: bool) -> Path:
+    (path / "src" / "tfmult").mkdir(parents=True)
+    (path / "src" / "tfmult" / "__init__.py").write_text("")
+    (path / "src" / "tfmult" / "cli.py").write_text(_FAKE_CLI.format(warn=warn))
+    return path
+
+
+@pytest.mark.parametrize("warns", [None, "parent", "change"])
+def test_compare_outputs_fails_on_stderr(tmp_path, warns):
+    sides = [_fake_package(tmp_path / side, side == warns) for side in ("parent", "change")]
+    done = subprocess.run([sys.executable, str(TOOLS / "compare_outputs.py"), *map(str, sides)],
+                          capture_output=True, text=True)
+    assert "identical        exp/results.csv" in done.stdout
+    if warns is None:
+        assert done.returncode == 0 and "all identical" in done.stdout
+    else:
+        assert done.returncode == 1 and "DIFFERENCES FOUND" in done.stdout
+        assert f"stderr  {warns}: run exp\nRuntimeWarning: overflow" in done.stdout

@@ -12,8 +12,10 @@ writes is compared byte for byte, and one line per file says whether it is
 identical.
 
 Exit 0 when every file is identical on both sides and every validate and
-run exited 0; exit 1 on any difference, any file written by only one side,
-a different experiment list, or any non-zero exit.
+run exited 0 and wrote nothing to stderr; exit 1 on any difference, any
+file written by only one side, a different experiment list, any non-zero
+exit, or any stderr output (a default config should not warn), which is
+printed.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def _configs(names) -> list:
 
 
 def _run_side(side: Path, configs, root: Path) -> bool:
-    """Validate and run every config against one checkout; True if all exited 0."""
+    """Validate and run every config against one checkout; True if all exited 0 silently."""
     ok = True
     for label, text in configs:
         cfg = root / "configs" / f"{label}.ini"
@@ -57,11 +59,14 @@ def _run_side(side: Path, configs, root: Path) -> bool:
         out = root / "out" / label
         out.mkdir(parents=True)
         for cmd in ("validate", "run"):
-            code = subprocess.run([sys.executable, "-m", "tfmult.cli", cmd, str(cfg)],
-                                  env=_env(side, out), cwd=root,
-                                  stdout=subprocess.DEVNULL).returncode
-            if code != 0:
-                print(f"exit {code}  {side.name}: {cmd} {label}")
+            done = subprocess.run([sys.executable, "-m", "tfmult.cli", cmd, str(cfg)],
+                                  env=_env(side, out), cwd=root, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE, text=True)
+            if done.returncode != 0:
+                print(f"exit {done.returncode}  {side.name}: {cmd} {label}")
+                ok = False
+            if done.stderr:
+                print(f"stderr  {side.name}: {cmd} {label}\n{done.stderr.rstrip()}")
                 ok = False
     return ok
 
