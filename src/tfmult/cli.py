@@ -389,7 +389,7 @@ def _run_lp_contrast(t=1.0, lambda_list=verify.LP_CONTRAST_LAMBDAS):
     _check_phase_resolution(grid, t, 2)
     verify._check_fresnel_ratios(t, lambda_list)
     fields = [_sampled(f"the Gaussian e^(-pi lambda |x|^2) of lambda = {lam:g} on the grid "
-                       f"L = {grid.L:g}, N = {grid.N}", verify._dilated_gaussian, grid, lam)
+                       f"L = {grid.L:g}, N = {grid.N}", verify.gaussian_data, grid, lam)
               for lam in lambda_list]
 
     def measure():
@@ -409,23 +409,14 @@ def _run_lp_contrast(t=1.0, lambda_list=verify.LP_CONTRAST_LAMBDAS):
     return measure
 
 
-def _gauss(x):
-    return np.exp(-np.pi * x ** 2)
-
-
-# the initial data of the Schrodinger flow: a Gaussian, and one shifted and modulated
-_INITIAL_DATA = (("gauss", _gauss),
-                 ("mod_shift_gauss",
-                  lambda x: np.exp(2j * np.pi * x) * np.exp(-np.pi * (x - 1.0) ** 2)))
-
-
 def _run_schrodinger(t_list=(0.5, 1.0, 2.0, 4.0), p=1.0, q=math.inf, l=_GRID.L, n=_GRID.N):
     grid = _grid_1d(l, n)
     for t in t_list:
         verify.schrodinger_envelope(t, 1)
         _check_phase_resolution(grid, t, 2)
     fields = [(label, _sampled(f"the initial data {label} on the grid L = {l:g}, N = {n}",
-                               sample, fn, grid)) for label, fn in _INITIAL_DATA]
+                               verify.gaussian_data, grid, *params))
+              for label, params in verify.INITIAL_DATA.items()]
     w = gaussian_window(grid)
 
     def measure():
@@ -452,7 +443,7 @@ def _run_wave(t_list=(0.5, 1.0, 2.0), p=1.0, q=1.0, l=_GRID.L, n=_GRID.N):
     _check_coarsenable(grid)  # the refinement estimate measures on N / 2 too
     for t in t_list:
         _check_phase_resolution(grid, t, 1)
-    w, f, g0 = gaussian_window(grid), sample(_gauss, grid), sample(np.zeros_like, grid)
+    w, f, g0 = gaussian_window(grid), verify.gaussian_data(grid, 1.0), sample(np.zeros_like, grid)
 
     def measure():
         rep = verify.wave_conservation(f, g0, w, p, q, t_list)

@@ -18,8 +18,11 @@ from .core import (
     SampledField,
     forward_transform,
     inverse_transform,
+    radius,
     require_same_grid,
+    sample,
 )
+from .tf import chi_profile
 
 
 @dataclass
@@ -49,6 +52,19 @@ def _check_unimodular_alpha(alpha: float) -> None:
         raise ParameterError(f"alpha must lie in [0, 2], got {alpha}")
 
 
+def unimodular_phase(rho, alpha: float, t: float = 1.0):
+    """t rho^alpha, the phase of the multiplier e^{i t |xi|^alpha} at |xi| = rho.
+
+    rho^0 is 1 at rho = 0 too, so alpha = 0 gives the constant phase t.
+    """
+    return t * rho ** alpha
+
+
+def unimodular_profile(rho, alpha: float, t: float = 1.0):
+    """e^{i t rho^alpha}; the chirp e^{i pi t |x|^2} is alpha = 2 with pi t for t."""
+    return np.exp(1j * unimodular_phase(rho, alpha, t))
+
+
 def symbol_unimodular(grid: Grid, alpha: float, t: float = 1.0) -> Symbol:
     """e^{i t |xi|^alpha}; alpha restricted to [0, 2].
 
@@ -57,7 +73,7 @@ def symbol_unimodular(grid: Grid, alpha: float, t: float = 1.0) -> Symbol:
     """
     _check_unimodular_alpha(alpha)
     _check_phase_resolution(grid, t, alpha)
-    phase = t * grid.frequency_radius() ** alpha if alpha > 0 else t * np.ones(grid.shape)
+    phase = unimodular_phase(grid.frequency_radius(), alpha, t)
     return Symbol(grid, np.exp(1j * phase).reshape(-1),
                   aliasing_warning=_phase_aliased(phase))
 
@@ -74,6 +90,20 @@ def sin_singular_profile(rho, alpha: float, delta: float) -> np.ndarray:
     out[nz] = np.sin(rho[nz] ** alpha) / rho[nz] ** delta
     out[~nz] = 1.0 if delta == alpha else 0.0
     return out
+
+
+def radial_field(grid: Grid, profile, *params) -> SampledField:
+    """profile(|x|, *params) sampled on the position lattice.
+
+    The experiments read a symbol's variable off the position lattice; the
+    STFT machinery does not care what the variable is called.
+    """
+    return sample(lambda *xs: profile(radius(xs), *params), grid)
+
+
+def truncated_field(grid: Grid, profile, *params) -> SampledField:
+    """profile(|x|, *params) chi(|x|): the symbol cut off to |x| <= 2 by ``chi_profile``."""
+    return radial_field(grid, lambda rho: profile(rho, *params) * chi_profile(rho))
 
 
 def multiply_symbols(a: Symbol, b: Symbol) -> Symbol:

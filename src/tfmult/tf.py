@@ -14,15 +14,16 @@ plus ``m_1_inf_norm`` (sup over frequencies of the L^1-in-position slice) and
 
 Every STFT norm goes through one streamed pass (``_norms``) that reads |V|
 once and accumulates every requested (p, q, order) reduction from it, so no
-norm materializes the N^d x N^d matrix.  The refinement estimate recomputes
-the same reduction on the half-resolution grid (``coarsen`` plus
-``resample_window``).  |V| takes one of two paths, by window kind, and both
-are plain functions with one contract: ``path(f, g, stride, halfwidth, acc,
-col, powers, reduce)`` folds every positions-inner accumulator of ``acc``
-itself and hands each step's or block's rows to ``reduce(first, rows_of, lo,
-hi)`` in the thread piece of its rows lo:hi, where ``first`` is the ordinal
-of its first position and ``rows_of(p)`` its |V| rows (p = 1 and inf) or
-|V|^p rows (every other p of ``powers``), valid during the call.
+norm materializes the N^d x N^d matrix.  The refinement estimate, taken
+only when a call passes ``refine=True``, recomputes the same reduction on
+the half-resolution grid (``coarsen`` plus ``resample_window``).  |V|
+takes one of two paths, by window kind, and both are plain functions with
+one contract: ``path(f, g, stride, halfwidth, acc, col, powers, reduce)``
+folds every positions-inner accumulator of ``acc`` itself and hands each
+step's or block's rows to ``reduce(first, rows_of, lo, hi)`` in the thread
+piece of its rows lo:hi, where ``first`` is the ordinal of its first
+position and ``rows_of(p)`` its |V| rows (p = 1 and inf) or |V|^p rows
+(every other p of ``powers``), valid during the call.
 
 * Windowed (``_windowed_sums``): one full d-dimensional transform per
   position, for every 1D window and the 2D ``bump_chi``, ``annulus_psi``
@@ -565,9 +566,9 @@ def _pow(a, p: float, out=None):
     return np.square(a, out=out) if p == 2.0 else np.power(a, p, out=out)
 
 
-def _lp_reduce(a: np.ndarray, p: float, w: float, axis, out=None):
-    """(sum |a|^p * w)^(1/p) along axis, max when p = inf; out holds |a|^p."""
-    return _lp_powered(a if math.isinf(p) else _pow(a, p, out), p, w, axis)
+def _lp_reduce(a: np.ndarray, p: float, w: float, axis):
+    """(sum |a|^p * w)^(1/p) along axis, max when p = inf."""
+    return _lp_powered(a if math.isinf(p) else _pow(a, p), p, w, axis)
 
 
 def _lp_powered(ap: np.ndarray, p: float, w: float, axis):
@@ -647,15 +648,15 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     wx = (grid.dx * stride) ** grid.d
     wxi = grid.dxi ** grid.d
     acc = {p: np.zeros(grid.npoints) for p, _, order in specs if order == POSITIONS_INNER}
-    # per frequencies-inner p: {ordinal of a position: the values of the
-    # position rows from there on that one reduce call took}
-    rows = {p: {} for p, _, order in specs if order == FREQUENCIES_INNER}
+    # per frequencies-inner p: the value of every position row, in position order
+    rows = {p: np.empty(_position_indices(grid, stride, halfwidth)[0].size)
+            for p, _, order in specs if order == FREQUENCIES_INNER}
     powers = tuple(sorted({p for p, _, _ in specs if p != 1.0 and not math.isinf(p)}))
     col = np.empty(grid.npoints)
 
     def reduce(first, rows_of, lo, hi):
         for p, r in rows.items():
-            r[first + lo] = _lp_powered(rows_of(p)[lo:hi], p, wxi, axis=1)
+            r[first + lo : first + hi] = _lp_powered(rows_of(p)[lo:hi], p, wxi, axis=1)
 
     (_row_column_sums if _row_column(g) else _windowed_sums)(
         f, g, stride, halfwidth, acc, col, powers, reduce if rows else None)
@@ -666,8 +667,7 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
                 inner = acc[p] if math.isinf(p) else _pow(acc[p] * wx, 1.0 / p)
                 value = float(_lp_reduce(inner, q, wxi, axis=None))
             else:
-                values = np.concatenate([rows[p][key] for key in sorted(rows[p])])
-                value = float(_lp_reduce(values, q, wx, axis=None))
+                value = float(_lp_reduce(rows[p], q, wx, axis=None))
         if not math.isfinite(value):
             raise ParameterError(
                 f"the ({p:g}, {q:g}) {order} norm is not finite ({value}): "
@@ -685,7 +685,7 @@ def _field_norm(
     order: str,
     stride: int = 1,
     halfwidth=None,
-    refine: bool = True,
+    refine: bool = False,
 ) -> NormReport:
     p = _check_exponent(p)
     q = _check_exponent(q)
@@ -714,7 +714,7 @@ def _wfl1_and_m1inf(f: SampledField, g: Window, stride: int, halfwidth, with_m1i
 
 
 def modulation_norm(
-    f: SampledField, g: Window, p, q, stride: int = 1, refine: bool = True
+    f: SampledField, g: Window, p, q, stride: int = 1, refine: bool = False
 ) -> NormReport:
     """M^{p,q}-style norm: mixed (p, q) norm of V_g f, positions inner."""
     return _field_norm(f, g, p, q, POSITIONS_INNER, stride, None, refine)
@@ -725,7 +725,7 @@ def amalgam_norm_wfl1(
     g: Window,
     stride: int = 1,
     position_halfwidth: float | None = None,
-    refine: bool = True,
+    refine: bool = False,
 ) -> NormReport:
     """sup over positions x of sum_w |V_g f(x, w)| dxi^d.
 
@@ -741,7 +741,7 @@ def m_inf_1_norm(
     g: Window,
     stride: int = 1,
     position_halfwidth: float | None = None,
-    refine: bool = True,
+    refine: bool = False,
 ) -> NormReport:
     """sum over frequencies of (sup over positions of |V_g f|) dxi^d."""
     return _field_norm(
@@ -754,7 +754,7 @@ def m_1_inf_norm(
     g: Window,
     stride: int = 1,
     position_halfwidth: float | None = None,
-    refine: bool = True,
+    refine: bool = False,
 ) -> NormReport:
     """sup over frequencies of (sum over positions of |V_g f| dx^d)."""
     return _field_norm(f, g, *_M1INF, stride, position_halfwidth, refine)
@@ -769,7 +769,7 @@ def modulation_norms_multi(
     return dict(zip(pq_list, vals))
 
 
-def fl1_norm(f: SampledField, refine: bool = True) -> NormReport:
+def fl1_norm(f: SampledField, refine: bool = False) -> NormReport:
     """L^1 norm of the Fourier transform: sum |f_hat| dxi^d.
 
     The field is treated as compactly supported on its box; callers truncate

@@ -24,14 +24,22 @@ from .core import (
     radius,
     sample,
 )
-from .mult import Symbol, apply_multiplier, sin_singular_profile, symbol_unimodular
+from .mult import (
+    Symbol,
+    apply_multiplier,
+    radial_field,
+    sin_singular_profile,
+    symbol_unimodular,
+    truncated_field,
+    unimodular_profile,
+)
 from .tf import (
     Window,
     _position_indices,
     _windowed_sums,
     _wfl1_and_m1inf,
     amalgam_norm_wfl1,
-    chi_profile,
+    bump_chi,
     fl1_norm,
     gaussian_window,
     m_1_inf_norm,
@@ -49,21 +57,23 @@ LINEAR_PHASE_CASES = 50
 # at about 0.3 ms a case, the most cases one run takes: about half a minute
 LINEAR_PHASE_MAX_CASES = 100_000
 LP_CONTRAST_LAMBDAS = (1.0, 2.0, 4.0, 8.0)
+# the odd Taylor terms k = 0, ..., SIN_SINGULAR_K of the sin-singular series
+SIN_SINGULAR_K = 10
 
 
 def chirp_field(grid: Grid, t: float) -> SampledField:
-    """The quadratic chirp e^{i pi t |.|^2} sampled on the position lattice.
+    """The quadratic chirp e^{i pi t |.|^2}, ``unimodular_profile`` at alpha = 2, sampled."""
+    return radial_field(grid, unimodular_profile, 2.0, np.pi * t)
 
-    The position lattice plays the role of the frequency variable of the
-    symbol; the STFT machinery does not care what the variable is called.
+
+def chirp_aliased(grid: Grid, t: float, halfwidth: float) -> bool:
+    """True if the chirp is unresolved within |x| <= halfwidth.
+
+    Its local frequency |t| halfwidth at the edge reaches the Nyquist
+    frequency 1 / (2 dx): the phase step between adjacent samples there,
+    2 pi |t| halfwidth dx, is at least pi.
     """
-    return sample(lambda *xs: np.exp(1j * np.pi * t * radius(xs) ** 2), grid)
-
-
-def chirp_aliased(grid: Grid, t: float) -> bool:
-    """Aliasing guard: chirp phase step between adjacent samples >= pi."""
-    xmax = grid.L / 2.0
-    return 2.0 * np.pi * abs(t) * xmax * grid.dx >= np.pi
+    return 2.0 * math.pi * abs(t) * halfwidth * grid.dx >= math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +153,7 @@ def verify_chirp_stft(grid: Grid, t: float, f: SampledField | None = None) -> Ch
         np.max(np.abs(rows_of(1.0)[lo:hi, pw] - oracle), axis=1, out=errs[at])
 
     _windowed_sums(f, gaussian_window(grid), 1, grid.L / 4.0, {}, None, (), reduce)
-    return ChirpStftReport(grid, t, float(np.max(errs)), chirp_aliased(grid, t))
+    return ChirpStftReport(grid, t, float(np.max(errs)), chirp_aliased(grid, t, grid.L / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +202,11 @@ def _amalgam_grid(d: int) -> tuple:
 def _check_quarter_box_chirps(grid: Grid, t_list) -> None:
     """Each t's chirp is resolved in the quarter box |x| <= L/4 where the 1D norms read it.
 
-    The quarter-box form of ``chirp_aliased``: the chirp's local frequency
-    |t| L/4 at the box's edge must stay below the Nyquist frequency
-    1 / (2 dx), that is 2 pi |t| (L/4) dx < pi.  On the L = 16, N = 2048
-    grid that is |t| < 16.  At t = 17 the M^{1,inf} row was off by 0.45.
+    ``chirp_aliased`` with half-width L/4: on the L = 16, N = 2048 grid
+    that is |t| < 16.  At t = 17 the M^{1,inf} row was off by 0.45.
     """
     for t in t_list:
-        if 2.0 * math.pi * abs(t) * (grid.L / 4.0) * grid.dx >= math.pi:
+        if chirp_aliased(grid, t, grid.L / 4.0):
             raise ParameterError(
                 f"t = {t:g}: the chirp's local frequency |t| L/4 reaches the Nyquist "
                 f"frequency of the grid L = {grid.L:g}, N = {grid.N} inside the quarter box; "
@@ -277,13 +285,12 @@ def verify_amalgam_constants(t_list, d: int = 1, grid: Grid | None = None,
         if d == 1:
             w, w_ref, m1 = _wfl1_and_m1inf(f, g, stride, hw, with_m1)
         else:
-            w = amalgam_norm_wfl1(f, g, stride=stride, position_halfwidth=hw,
-                                  refine=False).value
+            w = amalgam_norm_wfl1(f, g, stride=stride, position_halfwidth=hw).value
             w_ref, m1 = None, float("nan")
             if with_m1:
                 mg, mstride = m1_grids[t]
                 m1 = m_1_inf_norm(chirp_field(mg, t), gaussian_window(mg), stride=mstride,
-                                  position_halfwidth=mg.L / 4.0, refine=False).value
+                                  position_halfwidth=mg.L / 4.0).value
         rows.append(AmalgamRow(t, w, w_norm_prediction(t, d), m1, m1_pred,
                                w_refinement=w_ref))
     return rows
@@ -348,15 +355,8 @@ def verify_m_inf_1_divergence(t: float, box_sizes=DIVERGENCE_BOXES,
     """
     values = []
     for grid in grids or _divergence_grids(t, box_sizes):
-        f = chirp_field(grid, t)
-        values.append(
-            m_inf_1_norm(
-                f,
-                gaussian_window(grid),
-                position_halfwidth=grid.L / 4.0,
-                refine=False,
-            ).value
-        )
+        values.append(m_inf_1_norm(chirp_field(grid, t), gaussian_window(grid),
+                                   position_halfwidth=grid.L / 4.0).value)
     growth = [values[i + 1] / values[i] for i in range(len(values) - 1)]
     return DivergenceReport(t, list(box_sizes), values, growth)
 
@@ -423,8 +423,7 @@ def _check_sin_singular(alpha: float, delta: float) -> None:
         raise ParameterError(f"need 0 < delta <= alpha <= 1, got {alpha}, {delta}")
 
 
-def dyadic_fl1_series(alpha: float, K: int = 40, J: int = 20,
-                      grid: Grid | None = None) -> DyadicSeriesReport:
+def dyadic_fl1_series(alpha: float, K: int = 40, J: int = 20) -> DyadicSeriesReport:
     """Taylor-in-the-exponent series bound for e^{i |.|^alpha} * chi in FL1.
 
     Each Taylor term |.|^{k alpha} chi is decomposed over dyadic annuli; the
@@ -434,16 +433,14 @@ def dyadic_fl1_series(alpha: float, K: int = 40, J: int = 20,
     """
     _check_dyadic_alpha(alpha)
     _check_series_depth(K, J)
-    grid = grid or _dyadic_grid()
-
-    chi_f = sample(lambda *xs: chi_profile(radius(xs)), grid)
-    chi_l1 = fl1_norm(chi_f, refine=False).value
+    grid = _dyadic_grid()
+    chi_l1 = fl1_norm(bump_chi(grid).field).value
 
     per_k = []
     partial = 0.0
     cauchy_k = None
     for k in range(K + 1):
-        psi_l1 = fl1_norm(_dyadic_term(grid, k, alpha), refine=False).value
+        psi_l1 = fl1_norm(_dyadic_term(grid, k, alpha)).value
         if k == 0:
             phi_bound = chi_l1
         else:
@@ -457,11 +454,7 @@ def dyadic_fl1_series(alpha: float, K: int = 40, J: int = 20,
         if cauchy_k is None and k >= 1 and term < 1e-6 * partial:
             cauchy_k = k
 
-    direct = fl1_norm(
-        sample(lambda *xs: np.exp(1j * radius(xs) ** alpha) * chi_profile(radius(xs)),
-               grid),
-        refine=True,
-    )
+    direct = fl1_norm(truncated_field(grid, unimodular_profile, alpha), refine=True)
     return DyadicSeriesReport(
         alpha, K, J, per_k, direct.value, direct.refinement_estimate, partial, cauchy_k
     )
@@ -477,31 +470,25 @@ class SinSingularReport:
     cauchy: bool
 
 
-def verify_sin_singular_fl1(alpha: float, delta: float, K: int = 10,
-                            grid: Grid | None = None) -> SinSingularReport:
+def verify_sin_singular_fl1(alpha: float, delta: float) -> SinSingularReport:
     """FL1 membership of the truncated singular symbol sin(|.|^alpha)/|.|^delta.
 
     Measures the direct FL1 norm (with refinement stability) and the odd
-    Taylor series whose terms are |.|^{(2k+1) alpha - delta} chi / (2k+1)!.
+    Taylor series whose terms are |.|^{(2k+1) alpha - delta} chi / (2k+1)!,
+    k = 0, ..., ``SIN_SINGULAR_K``.
     """
     _check_sin_singular(alpha, delta)
-    grid = grid or _dyadic_grid()
-    sigma = sample(lambda *xs: sin_singular_profile(radius(xs), alpha, delta)
-                   * chi_profile(radius(xs)), grid)
-    direct = fl1_norm(sigma, refine=True)
+    grid = _dyadic_grid()
+    direct = fl1_norm(truncated_field(grid, sin_singular_profile, alpha, delta), refine=True)
 
     partials = []
     total = 0.0
     cauchy = False
-    for k in range(K + 1):
+    for k in range(SIN_SINGULAR_K + 1):
         exponent = (2 * k + 1) * alpha - delta
-        term_field = sample(
-            lambda *xs: np.where(radius(xs) > 0, radius(xs) ** exponent,
-                                 1.0 if exponent == 0 else 0.0)
-            * chi_profile(radius(xs)),
-            grid,
-        )
-        term = fl1_norm(term_field, refine=False).value / math.factorial(2 * k + 1)
+        term_field = truncated_field(
+            grid, lambda rho: np.where(rho > 0, rho ** exponent, 1.0 if exponent == 0 else 0.0))
+        term = fl1_norm(term_field).value / math.factorial(2 * k + 1)
         total += term
         partials.append(total)
         if k >= 1 and term < 1e-6 * total:
@@ -527,11 +514,11 @@ def linear_phase_invariance(sigma_field: SampledField, g: Window, x: float,
     shift = int(round(x / grid.dx))
     gv = np.roll(g.field.values, shift)
     h = SampledField(grid, sigma_field.values * np.conj(gv))
-    before = fl1_norm(h, refine=False).value
+    before = fl1_norm(h).value
     xi = grid.axis_positions()
     phase = np.exp(1j * (a + b * xi))
     h2 = SampledField(grid, sigma_field.values * phase * np.conj(gv))
-    after = fl1_norm(h2, refine=False).value
+    after = fl1_norm(h2).value
     return before, after
 
 
@@ -552,8 +539,7 @@ def _check_seed(seed: int) -> None:
         raise ParameterError(f"seed must be non-negative, got {seed}")
 
 
-def linear_phase_random_cases(n: int = LINEAR_PHASE_CASES, seed: int = DEFAULT_SEED,
-                              grid: Grid | None = None) -> list:
+def linear_phase_random_cases(n: int = LINEAR_PHASE_CASES, seed: int = DEFAULT_SEED) -> list:
     """Seeded random (symbol, x, a, b) draws for the linear-phase invariance check.
 
     Symbols are drawn from the unimodular, chirp, and truncated singular
@@ -562,7 +548,7 @@ def linear_phase_random_cases(n: int = LINEAR_PHASE_CASES, seed: int = DEFAULT_S
     """
     _check_case_count(n)
     _check_seed(seed)
-    grid = grid or make_grid(1, 16.0, 512)
+    grid = make_grid(1, 16.0, 512)
     rng = np.random.default_rng(seed)
     g = gaussian_window(grid)
     xs = grid.axis_positions()
@@ -571,7 +557,7 @@ def linear_phase_random_cases(n: int = LINEAR_PHASE_CASES, seed: int = DEFAULT_S
         kind = rng.integers(0, 3)
         if kind == 0:
             alpha = float(rng.uniform(0.25, 2.0))
-            f = sample(lambda *p: np.exp(1j * radius(p) ** alpha), grid)
+            f = radial_field(grid, unimodular_profile, alpha)
             label = f"unimodular_a{alpha:.3f}"
         elif kind == 1:
             t = float(rng.uniform(0.25, 2.0))
@@ -580,8 +566,7 @@ def linear_phase_random_cases(n: int = LINEAR_PHASE_CASES, seed: int = DEFAULT_S
         else:
             alpha = float(rng.uniform(0.5, 1.0))
             delta = float(rng.uniform(0.1, alpha))
-            f = sample(lambda *p: sin_singular_profile(radius(p), alpha, delta)
-                       * chi_profile(radius(p)), grid)
+            f = truncated_field(grid, sin_singular_profile, alpha, delta)
             label = f"sin_singular_a{alpha:.3f}_d{delta:.3f}"
         x = float(rng.choice(xs[np.abs(xs) <= grid.L / 4]))
         a = float(rng.uniform(0, 2 * np.pi))
@@ -606,24 +591,40 @@ class ProbeReport:
     grid: Grid
 
 
-def _dilated_gaussian(grid: Grid, lam: float) -> SampledField:
-    """e^{-pi lam |.|^2} sampled on the position lattice."""
-    return sample(lambda *xs: np.exp(-np.pi * lam * radius(xs) ** 2), grid)
+def gaussian_data(grid: Grid, lam: float, x0: float = 0.0, xi0: float = 0.0,
+                  b: float = 0.0) -> SampledField:
+    """e^{2 pi i xi0 x_1} e^{i pi b |x|^2} e^{-pi lam |x - x0 e_1|^2} sampled on the grid.
+
+    The Gaussian of width lam^{-1/2}, translated by x0 and modulated by xi0
+    along the first axis and chirped by b (the chirp is ``unimodular_profile``
+    at alpha = 2).  The chirp of b = 0 is 1 and is not sampled: 0 |x|^2 is
+    nan where |x|^2 overflows a huge box, on which the Gaussian is 0.
+    """
+    def fn(*xs):
+        mod = np.exp(2j * np.pi * xi0 * xs[0])
+        if b:
+            mod = mod * unimodular_profile(radius(xs), 2.0, np.pi * b)
+        return mod * np.exp(-np.pi * lam * radius((xs[0] - x0, *xs[1:])) ** 2)
+    return sample(fn, grid)
 
 
-def probe_family(grid: Grid, lambdas=(0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)) -> list:
-    """Dilated, translated, modulated, and chirped Gaussians on the grid."""
-    fams = [(f"gauss_l{lam:g}", _dilated_gaussian(grid, lam)) for lam in lambdas]
-    fams.append(("gauss_shift2",
-                 sample(lambda *xs: np.exp(-np.pi * ((xs[0] - 2.0) ** 2
-                        + sum(x ** 2 for x in xs[1:]))), grid)))
-    fams.append(("gauss_mod2",
-                 sample(lambda *xs: np.exp(2j * np.pi * 2.0 * xs[0])
-                        * np.exp(-np.pi * radius(xs) ** 2), grid)))
-    fams.append(("gauss_chirped",
-                 sample(lambda *xs: np.exp(1j * np.pi * radius(xs) ** 2)
-                        * np.exp(-np.pi * radius(xs) ** 2), grid)))
-    return fams
+# label -> (lam, x0, xi0, b) of ``gaussian_data``: the operator-norm probes
+PROBES = {
+    **{f"gauss_l{lam:g}": (lam, 0.0, 0.0, 0.0) for lam in (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)},
+    "gauss_shift2": (1.0, 2.0, 0.0, 0.0),
+    "gauss_mod2": (1.0, 0.0, 2.0, 0.0),
+    "gauss_chirped": (1.0, 0.0, 0.0, 1.0),
+}
+# label -> (lam, x0, xi0, b): the initial data of the Schrodinger flow
+INITIAL_DATA = {
+    "gauss": (1.0, 0.0, 0.0, 0.0),
+    "mod_shift_gauss": (1.0, 1.0, 1.0, 0.0),
+}
+
+
+def probe_family(grid: Grid) -> list:
+    """[(label, field)] of the dilated, translated, modulated and chirped ``PROBES``."""
+    return [(label, gaussian_data(grid, *params)) for label, params in PROBES.items()]
 
 
 def probe_base_norms(family, window: Window, pq_list) -> dict:
@@ -702,29 +703,25 @@ def _lp_contrast_grid() -> Grid:
     return make_grid(1, 32.0, 2048)
 
 
-def lp_contrast_probe(t: float, lambdas=LP_CONTRAST_LAMBDAS, grid: Grid | None = None,
-                      fields=None) -> LpContrastReport:
+def lp_contrast_probe(t: float, lambdas=LP_CONTRAST_LAMBDAS, fields=None) -> LpContrastReport:
     """L^1 growth versus modulation-norm stability over dilated Gaussians.
 
     The symbol e^{i t xi^2} is the Schrodinger propagator's, so a t whose
     largest phase on the grid is not resolved (``symbol_unimodular``), or a
     lambda whose closed-form ratio overflows, raises ParameterError.
-    ``fields``, when given, are the ``_dilated_gaussian`` of each lambda.
+    ``fields``, when given, are the ``gaussian_data`` of each lambda.
     """
     _check_dilations(lambdas)
-    grid = grid or _lp_contrast_grid()
+    grid = _lp_contrast_grid()
     sigma = symbol_unimodular(grid, 2.0, t=t)
     _check_fresnel_ratios(t, lambdas)
     g = gaussian_window(grid)
     l1_ratios, oracle, m11 = [], [], []
-    for lam, f in zip(lambdas, fields or (_dilated_gaussian(grid, lam) for lam in lambdas)):
+    for lam, f in zip(lambdas, fields or (gaussian_data(grid, lam) for lam in lambdas)):
         out = apply_multiplier(sigma, f)
         l1_ratios.append(l1_norm(out) / l1_norm(f))
         oracle.append(fresnel_l1_ratio(t, lam))
-        m11.append(
-            modulation_norm(out, g, 1, 1, refine=False).value
-            / modulation_norm(f, g, 1, 1, refine=False).value
-        )
+        m11.append(modulation_norm(out, g, 1, 1).value / modulation_norm(f, g, 1, 1).value)
     return LpContrastReport(t, list(lambdas), l1_ratios, oracle, m11)
 
 
@@ -811,7 +808,7 @@ def _norm_unless_zero(h: SampledField, window: Window, p, q) -> float:
     """
     if not h.values.any():
         return 0.0
-    return modulation_norm(h, window, p, q, refine=False).value
+    return modulation_norm(h, window, p, q).value
 
 
 def wave_conservation(f: SampledField, g0: SampledField, window: Window, p, q,
@@ -830,9 +827,9 @@ def wave_conservation(f: SampledField, g0: SampledField, window: Window, p, q,
     drift = 0.0
     for t in t_list:
         state = wave_propagate(f, g0, t)
-        c = modulation_norm(state.u, window, p, q, refine=False).value / denom
+        c = modulation_norm(state.u, window, p, q).value / denom
         state_c = wave_propagate(fc, gc, t)
-        c_half = modulation_norm(state_c.u, wc, p, q, refine=False).value / denom_c
+        c_half = modulation_norm(state_c.u, wc, p, q).value / denom_c
         cs.append(c)
         refs.append(abs(c - c_half) / max(c, 1e-300))
         drift = max(drift, abs(wave_energy(state) - e0) / max(e0, 1e-300))

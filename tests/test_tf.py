@@ -272,7 +272,7 @@ class TestMixedNorms:
     def test_fl1_gaussian(self):
         grid = make_grid(1, 32.0, 2048)
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
-        rep = fl1_norm(f)
+        rep = fl1_norm(f, refine=True)
         assert np.isclose(rep.value, 1.0, atol=1e-10)
         assert rep.refinement_estimate < 1e-8
 

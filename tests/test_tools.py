@@ -1,7 +1,8 @@
 """The benchmark recorder records each side under the HEAD its files match; the output
-comparison fails on any stderr output."""
+comparison runs its non-default configs and fails on any stderr output."""
 
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,11 @@ def test_compare_outputs_fails_on_stderr(tmp_path, warns):
     done = subprocess.run([sys.executable, str(TOOLS / "compare_outputs.py"), *map(str, sides)],
                           capture_output=True, text=True)
     assert "identical        exp/results.csv" in done.stdout
+    # every fixed extra config is run and compared too
+    extras = runpy.run_path(str(TOOLS / "compare_outputs.py"))["EXTRA_CONFIGS"]
+    assert len(extras) == 11
+    for label, _, _ in extras:
+        assert f"identical        {label}/results.csv" in done.stdout
     if warns is None:
         assert done.returncode == 0 and "all identical" in done.stdout
     else:

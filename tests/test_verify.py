@@ -6,9 +6,22 @@ import re
 import numpy as np
 import pytest
 
-from tfmult.core import ParameterError, default_grid, make_grid, sample
-from tfmult.mult import schrodinger_propagate, symbol_unimodular
-from tfmult.tf import amalgam_norm_wfl1, gaussian_window, m_1_inf_norm, modulation_norm, stft
+from tfmult.core import ParameterError, default_grid, make_grid, radius, sample
+from tfmult.mult import (
+    schrodinger_propagate,
+    sin_singular_profile,
+    symbol_unimodular,
+    truncated_field,
+    unimodular_profile,
+)
+from tfmult.tf import (
+    amalgam_norm_wfl1,
+    chi_profile,
+    gaussian_window,
+    m_1_inf_norm,
+    modulation_norm,
+    stft,
+)
 from tfmult import verify
 from tfmult.verify import (
     DEFAULT_SEED,
@@ -45,8 +58,8 @@ class TestChirpOracle:
         assert np.isclose(v2, v1)
 
     def test_aliasing_guard(self):
-        assert chirp_aliased(make_grid(1, 32.0, 2048), 2.0)
-        assert not chirp_aliased(make_grid(1, 32.0, 2048), 1.0)
+        assert chirp_aliased(make_grid(1, 32.0, 2048), 2.0, 16.0)
+        assert not chirp_aliased(make_grid(1, 32.0, 2048), 1.0, 16.0)
 
     def test_verify_rejects_2d(self):
         with pytest.raises(ParameterError):
@@ -247,7 +260,7 @@ class TestMergedPasses:
         rows = verify.verify_amalgam_constants((0.0, 0.5, 2.0), d=1, grid=grid)
         for row in rows:
             f = verify.chirp_field(grid, row.t)
-            w = amalgam_norm_wfl1(f, g, position_halfwidth=grid.L / 4.0)
+            w = amalgam_norm_wfl1(f, g, position_halfwidth=grid.L / 4.0, refine=True)
             assert (row.w_measured, row.w_refinement) == (w.value, w.refinement_estimate)
             if row.t == 0:
                 assert math.isnan(row.m1inf_measured)
@@ -352,3 +365,98 @@ class TestConservationDrivers:
         rep = verify.verify_m_inf_1_divergence(0.0, (16.0, 32.0))
         # constant symbol: no ridge, the boxed norm saturates instead of growing
         assert rep.values[1] / rep.values[0] < 1.5
+
+
+def _bits(field_or_values):
+    values = getattr(field_or_values, "values", field_or_values)
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(_bits(a), _bits(b))
+
+
+class TestSharedDefinitions:
+    """Each shared sampler equals, bit for bit, the expression it replaced.
+
+    The references are the hand-written samplers the experiments used
+    before; the grids are those the experiments measure on.
+    """
+
+    PROBE_GRIDS = [make_grid(1, 32.0, 512), make_grid(1, 32.0, 1024), make_grid(1, 20.0, 512)]
+    FLOW_GRIDS = [make_grid(1, 32.0, 2048), make_grid(1, 24.0, 1024)]
+
+    @staticmethod
+    def _old_probes(grid):
+        def gauss(lam):
+            return sample(lambda *xs: np.exp(-np.pi * lam * radius(xs) ** 2), grid)
+
+        out = {f"gauss_l{lam:g}": gauss(lam) for lam in (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)}
+        out["gauss_shift2"] = sample(lambda *xs: np.exp(-np.pi * ((xs[0] - 2.0) ** 2 + sum(
+            x ** 2 for x in xs[1:]))), grid)
+        out["gauss_mod2"] = sample(lambda *xs: np.exp(2j * np.pi * 2.0 * xs[0])
+                                   * np.exp(-np.pi * radius(xs) ** 2), grid)
+        out["gauss_chirped"] = sample(lambda *xs: np.exp(1j * np.pi * radius(xs) ** 2)
+                                      * np.exp(-np.pi * radius(xs) ** 2), grid)
+        return out
+
+    def test_gaussian_data_from_their_tables(self):
+        for grid in self.PROBE_GRIDS:
+            old = self._old_probes(grid)
+            family = verify.probe_family(grid)
+            assert [label for label, _ in family] == list(old) == list(verify.PROBES)
+            for label, f in family:
+                assert _same_bits(f, old[label]), (grid, label)
+        for grid in self.FLOW_GRIDS:
+            old = {"gauss": sample(lambda x: np.exp(-np.pi * x ** 2), grid),
+                   "mod_shift_gauss": sample(lambda x: np.exp(2j * np.pi * x)
+                                             * np.exp(-np.pi * (x - 1.0) ** 2), grid)}
+            assert list(verify.INITIAL_DATA) == list(old)
+            for label, params in verify.INITIAL_DATA.items():
+                assert _same_bits(verify.gaussian_data(grid, *params), old[label]), (grid, label)
+        # lp_contrast's dilations: its defaults, and two that no power of two scales exactly
+        grid = verify._lp_contrast_grid()
+        for lam in (*verify.LP_CONTRAST_LAMBDAS, 0.3, 3.0):
+            old = sample(lambda *xs: np.exp(-np.pi * lam * radius(xs) ** 2), grid)
+            assert _same_bits(verify.gaussian_data(grid, lam), old), lam
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 4.0])
+    def test_chirp_is_the_alpha_2_multiplier(self, t):
+        grids = [default_grid(1), verify._amalgam_grid(1)[0], verify._amalgam_grid(2)[0],
+                 make_grid(1, 16.0, 512), *verify._divergence_grids(t, verify.DIVERGENCE_BOXES)]
+        if t != 0:
+            grids.append(verify._m1inf_grid_2d(t)[0])
+        for grid in grids:
+            old = sample(lambda *xs: np.exp(1j * np.pi * t * radius(xs) ** 2), grid)
+            assert _same_bits(verify.chirp_field(grid, t), old), grid
+
+    @pytest.mark.parametrize("t", [1.0, -0.5, 0.0])
+    def test_alpha_0_symbol_is_the_constant_phase(self, t):
+        for grid in self.PROBE_GRIDS:
+            old = np.exp(1j * (t * np.ones(grid.shape))).reshape(-1)
+            assert _same_bits(symbol_unimodular(grid, 0.0, t), old)
+
+    def test_truncated_symbols(self):
+        grid = verify._dyadic_grid()
+        for alpha in (0.5, 0.75, 1.0, 2.0):
+            old = sample(lambda *xs: np.exp(1j * radius(xs) ** alpha) * chi_profile(radius(xs)),
+                         grid)
+            assert _same_bits(truncated_field(grid, unimodular_profile, alpha), old)
+        for alpha, delta in ((1.0, 1.0), (0.8, 0.5)):
+            old = sample(lambda *xs: sin_singular_profile(radius(xs), alpha, delta)
+                         * chi_profile(radius(xs)), grid)
+            assert _same_bits(truncated_field(grid, sin_singular_profile, alpha, delta), old)
+
+    def test_chirp_resolution_rule_at_both_boxes(self):
+        grids = [default_grid(1), verify._amalgam_grid(1)[0], make_grid(1, 10.0, 256)]
+        for grid in grids:
+            for t in (0.0, 0.5, -1.0, 7.99, 8.0, 8.01, -8.0, 15.99, 16.0, 16.01, -16.0, 1e300):
+                half = 2.0 * np.pi * abs(t) * (grid.L / 2.0) * grid.dx >= np.pi
+                quarter = 2.0 * math.pi * abs(t) * (grid.L / 4.0) * grid.dx >= math.pi
+                assert chirp_aliased(grid, t, grid.L / 2.0) == half
+                assert chirp_aliased(grid, t, grid.L / 4.0) == quarter
+                if quarter:
+                    with pytest.raises(ParameterError, match="local frequency"):
+                        verify._check_quarter_box_chirps(grid, [t])
+                else:
+                    verify._check_quarter_box_chirps(grid, [t])

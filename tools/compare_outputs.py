@@ -3,18 +3,17 @@
     python3 tools/compare_outputs.py PARENT CHANGE
 
 PARENT and CHANGE are two checkouts of this repository.  Every experiment
-that ``tfmult list`` names is run at its default config, plus
-``amalgam_constants`` with ``d = 2``, once per side, with
-``PYTHONPATH=<side>/src`` and a fresh ``TFMULT_OUT`` directory under one
-temporary directory; ``tfmult validate`` checks each config first, so the
-plan path of every default config is covered too.  Every file either side
-writes is compared byte for byte, and one line per file says whether it is
-identical.
+that ``tfmult list`` names is run at its default config, then each config of
+``EXTRA_CONFIGS``, once per side, with ``PYTHONPATH=<side>/src`` and a fresh
+``TFMULT_OUT`` directory under one temporary directory; ``tfmult validate``
+checks each config first, so the plan path of every config is covered too.
+Every file either side writes is compared byte for byte, and one line per
+file says whether it is identical.
 
 Exit 0 when every file is identical on both sides and every validate and
 run exited 0 and wrote nothing to stderr; exit 1 on any difference, any
 file written by only one side, a different experiment list, any non-zero
-exit, or any stderr output (a default config should not warn), which is
+exit, or any stderr output (none of these configs should warn), which is
 printed.
 """
 
@@ -42,10 +41,28 @@ def _experiments(side: Path) -> list:
     return done.stdout.split()
 
 
+# (label, experiment, keys): 2D amalgam, then configs that sample the chirp,
+# the symbols and the Gaussian data away from the default grids and values
+EXTRA_CONFIGS = (
+    ("amalgam_constants_d2", "amalgam_constants", "d = 2"),
+    ("chirp_stft_t-1_-0.5", "chirp_stft", "t_list = -1, -0.5"),
+    ("amalgam_constants_t-1_3", "amalgam_constants", "t_list = -1, 3"),
+    ("m_inf_1_divergence_t-1", "m_inf_1_divergence", "t = -1"),
+    ("dyadic_series_alpha0.75_1.5", "dyadic_series", "alpha_list = 0.75, 1.5"),
+    ("sin_singular_fl1_alpha0.8_delta0.5", "sin_singular_fl1", "alpha = 0.8\ndelta = 0.5"),
+    ("linear_phase_seed7", "linear_phase", "seed = 7"),
+    ("operator_probe_l20", "operator_probe", "l = 20"),
+    ("lp_contrast_t-2", "lp_contrast", "t = -2"),
+    ("schrodinger_conservation_l24_n1024", "schrodinger_conservation", "l = 24\nn = 1024"),
+    ("wave_conservation_l20", "wave_conservation", "l = 20"),
+)
+
+
 def _configs(names) -> list:
-    """[(label, INI text)]: each experiment at its defaults, then 2D amalgam."""
+    """[(label, INI text)]: each experiment at its defaults, then ``EXTRA_CONFIGS``."""
     out = [(name, f"[experiment]\nname = {name}\n") for name in names]
-    out.append(("amalgam_constants_d2", "[experiment]\nname = amalgam_constants\nd = 2\n"))
+    out += [(label, f"[experiment]\nname = {name}\n{keys}\n")
+            for label, name, keys in EXTRA_CONFIGS]
     return out
 
 
