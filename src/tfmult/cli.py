@@ -14,9 +14,12 @@ Parameter schema, the one place where keys, defaults and ranges live: the
 keys an experiment takes are its plan's keyword parameters, with the keyword
 defaults as their defaults, and ``PARSERS`` gives each key's kind;
 ``parse_params`` reads only these, and a key the experiment does not take is
-an error.  Each experiment is a plan: it derives the grids, symbols and
-fields its run measures, checks their caps and finiteness, starts no FFT,
-and returns its measure step.  ``validate`` runs the plan; ``run`` runs the
+an error.  Each experiment is a plan: it derives the grids, windows,
+symbols and comparison regions its run measures, the closed-form
+predictions that need a check and the fields that can overflow, runs each
+check once, starts no FFT, and returns its measure step.  The measure step
+hands all of these to ``verify`` as required arguments, and nothing there
+derives or checks them again.  ``validate`` runs the plan; ``run`` runs the
 plan and then the measure step (``EXPERIMENTS`` holds the runners that do
 both), so a config that validates is one that run can measure.
 
@@ -43,7 +46,7 @@ from . import verify
 from .core import (ParameterError, SamplingError, _check_coarsenable, default_grid, make_grid,
                    sample)
 from .mult import _check_phase_resolution, symbol_unimodular
-from .tf import _check_exponent, gaussian_window
+from .tf import _check_exponent, bump_chi, gaussian_window
 from .verify import DEFAULT_SEED
 
 
@@ -251,14 +254,14 @@ def _run_chirp_stft(t_list=(0.0, 0.5, 1.0, 2.0), tolerance=1e-6, l=_GRID.L, n=_G
     grid = _grid_1d(l, n)
     chirps = [_sampled(f"the chirp of t = {t:g} on the grid L = {l:g}, N = {n}",
                        verify.chirp_field, grid, t) for t in t_list]
-    for t in t_list:
-        verify._chirp_stft_region(grid, t)
+    regions = [verify._chirp_stft_region(grid, t) for t in t_list]
     _check_tolerance(tolerance)
+    g = gaussian_window(grid)
 
     def measure():
         rows, ok = [], True
-        for t, f in zip(t_list, chirps):
-            rep = verify.verify_chirp_stft(grid, t, f)
+        for t, f, region in zip(t_list, chirps, regions):
+            rep = verify.verify_chirp_stft(f, g, t, region)
             ok = ok and rep.max_abs_error < tolerance
             rows.append(_row(
                 "chirp_stft", f"t={t:g};L={grid.L:g};N={grid.N};aliased={rep.aliasing_warning}",
@@ -268,14 +271,15 @@ def _run_chirp_stft(t_list=(0.0, 0.5, 1.0, 2.0), tolerance=1e-6, l=_GRID.L, n=_G
 
 
 def _run_amalgam_constants(d=1, t_list=(0.5, 1.0, 2.0, 4.0), tolerance=None):
-    default_grid(d)  # d is 1 or 2
-    verify._amalgam_checks(t_list, d, verify._amalgam_grid(d)[0])
+    base, stride = verify._amalgam_grid(d)
+    m1_grids, m1_preds = verify._amalgam_checks(t_list, base)
     _check_tolerance(tolerance)
     tol = {1: 0.02, 2: 0.05}[d] if tolerance is None else tolerance
+    g = gaussian_window(base)
 
     def measure():
         rows, ok, ts, measured, predicted = [], True, [], [], []
-        for r in verify.verify_amalgam_constants(t_list, d=d):
+        for r in verify.verify_amalgam_constants(t_list, g, stride, m1_preds, m1_grids):
             ok = ok and r.w_rel_err < tol
             rows.append(_row("amalgam_constants", f"norm=W;t={r.t:g};d={d}", r.w_measured,
                              r.w_predicted, r.w_rel_err, r.w_refinement))
@@ -291,10 +295,10 @@ def _run_amalgam_constants(d=1, t_list=(0.5, 1.0, 2.0, 4.0), tolerance=None):
 
 
 def _run_divergence(t=1.0, l_list=verify.DIVERGENCE_BOXES):
-    grids = verify._divergence_grids(t, l_list)
+    windows = [gaussian_window(grid) for grid in verify._divergence_grids(t, l_list)]
 
     def measure():
-        rep = verify.verify_m_inf_1_divergence(t, l_list, grids)
+        rep = verify.verify_m_inf_1_divergence(t, windows)
         rows = [_row("m_inf_1_divergence", f"t={t:g};L={L:g}", v)
                 for L, v in zip(rep.box_sizes, rep.values)]
         ok = True
@@ -309,16 +313,18 @@ def _run_divergence(t=1.0, l_list=verify.DIVERGENCE_BOXES):
 
 def _run_dyadic_series(alpha_list=(0.5, 1.0, 2.0), k=40, j=20):
     verify._check_series_depth(k, j)
+    grid = verify._dyadic_grid()
     for alpha in alpha_list:
         verify._check_dyadic_alpha(alpha)
         # the k = K term holds the series' largest samples; sampled to check, not kept
         _sampled(f"alpha = {alpha:g}: the k = {k} term |x|^(k alpha) psi(|x|)",
-                 verify._dyadic_term, verify._dyadic_grid(), k, alpha)
+                 verify._dyadic_term, grid, k, alpha)
+    chi = bump_chi(grid).field
 
     def measure():
         rows, ok = [], True
         for alpha in alpha_list:
-            rep = verify.dyadic_fl1_series(alpha, K=k, J=j)
+            rep = verify.dyadic_fl1_series(chi, alpha, k, j)
             ok = ok and (rep.series_bound >= rep.direct_fl1
                          and math.isfinite(rep.series_bound)
                          and rep.cauchy_k is not None
@@ -334,9 +340,10 @@ def _run_dyadic_series(alpha_list=(0.5, 1.0, 2.0), k=40, j=20):
 
 def _run_sin_singular(alpha=1.0, delta=1.0):
     verify._check_sin_singular(alpha, delta)
+    grid = verify._dyadic_grid()
 
     def measure():
-        rep = verify.verify_sin_singular_fl1(alpha, delta)
+        rep = verify.verify_sin_singular_fl1(grid, alpha, delta)
         ok = (math.isfinite(rep.direct_fl1) and rep.direct_refinement < 0.01 and rep.cauchy)
         return [_row("sin_singular_fl1", f"alpha={alpha:g};delta={delta:g}", rep.direct_fl1,
                      refinement_estimate=rep.direct_refinement)], None, ok
@@ -346,10 +353,11 @@ def _run_sin_singular(alpha=1.0, delta=1.0):
 def _run_linear_phase(cases=verify.LINEAR_PHASE_CASES, seed=DEFAULT_SEED):
     verify._check_case_count(cases)
     verify._check_seed(seed)
+    g = gaussian_window(verify._linear_phase_grid())
 
     def measure():
         ok, worst = True, 0.0
-        for label, before, after in verify.linear_phase_random_cases(cases, seed):
+        for label, before, after in verify.linear_phase_random_cases(g, cases, seed):
             dev = abs(before - after) / max(before, 1e-300)
             worst = max(worst, dev)
             ok = ok and dev < 1e-12
@@ -386,33 +394,35 @@ def _run_operator_probe(alpha_list=(0.5, 1.0, 1.5, 2.0), l=32.0, n=512):
 def _run_lp_contrast(t=1.0, lambda_list=verify.LP_CONTRAST_LAMBDAS):
     verify._check_dilations(lambda_list)
     grid = verify._lp_contrast_grid()
-    _check_phase_resolution(grid, t, 2)
-    verify._check_fresnel_ratios(t, lambda_list)
+    sigma = symbol_unimodular(grid, 2.0, t=t)
+    oracle = verify._check_fresnel_ratios(t, lambda_list)
     fields = [_sampled(f"the Gaussian e^(-pi lambda |x|^2) of lambda = {lam:g} on the grid "
                        f"L = {grid.L:g}, N = {grid.N}", verify.gaussian_data, grid, lam)
               for lam in lambda_list]
+    g = gaussian_window(grid)
 
     def measure():
-        rep = verify.lp_contrast_probe(t, lambda_list, fields=fields)
+        rep = verify.lp_contrast_probe(sigma, fields, g)
         increasing = all(b > a for a, b in zip(rep.l1_ratios, rep.l1_ratios[1:]))
         spread = max(rep.m11_ratios) / min(rep.m11_ratios)
         ok = (t == 0 or increasing) and spread < 3.0
         rows = []
-        for lam, r, o, m in zip(rep.lambdas, rep.l1_ratios, rep.l1_oracle, rep.m11_ratios):
+        for lam, r, o, m in zip(lambda_list, rep.l1_ratios, oracle, rep.m11_ratios):
             rows.append(_row("lp_contrast", f"t={t:g};lambda={lam:g};space=L1", r, o,
                              abs(r - o) / o))
             rows.append(_row("lp_contrast", f"t={t:g};lambda={lam:g};space=M11", m))
-        series = {"L1 ratio": (rep.lambdas, rep.l1_ratios),
-                  "L1 oracle": (rep.lambdas, rep.l1_oracle),
-                  "M11 ratio": (rep.lambdas, rep.m11_ratios)}
+        series = {"L1 ratio": (lambda_list, rep.l1_ratios),
+                  "L1 oracle": (lambda_list, oracle),
+                  "M11 ratio": (lambda_list, rep.m11_ratios)}
         return rows, series, ok
     return measure
 
 
 def _run_schrodinger(t_list=(0.5, 1.0, 2.0, 4.0), p=1.0, q=math.inf, l=_GRID.L, n=_GRID.N):
     grid = _grid_1d(l, n)
+    envelopes = {}
     for t in t_list:
-        verify.schrodinger_envelope(t, 1)
+        envelopes[t] = verify.schrodinger_envelope(t, 1)
         _check_phase_resolution(grid, t, 2)
     fields = [(label, _sampled(f"the initial data {label} on the grid L = {l:g}, N = {n}",
                                verify.gaussian_data, grid, *params))
@@ -420,10 +430,10 @@ def _run_schrodinger(t_list=(0.5, 1.0, 2.0, 4.0), p=1.0, q=math.inf, l=_GRID.L, 
     w = gaussian_window(grid)
 
     def measure():
-        rep = verify.schrodinger_conservation(fields, w, p, q, t_list)
+        rep = verify.schrodinger_conservation(fields, w, p, q, envelopes)
         ok = rep.stability < 0.10
         rows = [_row("schrodinger_conservation", f"f={label};t={t:g};p={p:g};q={q:g}", r,
-                     rep.fitted_c * verify.schrodinger_envelope(t, 1),
+                     rep.fitted_c * envelopes[t],
                      rep.c_values[(label, t)] / rep.fitted_c)
                 for (label, t), r in sorted(rep.ratios.items())]
         label = fields[0][0]  # the M^{2,2} check is reported for the Gaussian only

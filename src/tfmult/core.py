@@ -6,6 +6,9 @@ centered at 0 and dx * dxi * N = 1 holds exactly as a rational relation.
 
 All operations are pure functions on immutable inputs.  Reductions go through
 numpy's pairwise summation, so results are bitwise reproducible across runs.
+``radial_field`` is the one sampler of a radial profile(|x|), shared by
+``tf``, ``mult`` and ``verify`` with the profiles ``chi_profile`` and
+``psi_profile``.
 
 The centered transforms need no shift copies.  With the checkerboard sign
 s_k = (-1)^(k_1 + ... + k_d) and every transformed axis length N divisible
@@ -223,6 +226,42 @@ def sample(fn, grid: Grid) -> SampledField:
         coord = tuple(float(m[idx]) for m in meshes)
         raise SamplingError(f"non-finite sample at x = {coord}")
     return SampledField(grid, vals.reshape(-1).copy())
+
+
+def radial_field(grid: Grid, profile, *params) -> SampledField:
+    """profile(|x|, *params) sampled on the position lattice.
+
+    The experiments read a symbol's variable off the position lattice; the
+    STFT machinery does not care what the variable is called.
+    """
+    return sample(lambda *xs: profile(radius(xs), *params), grid)
+
+
+def chi_profile(rho):
+    """Smooth radial cutoff: 1 for rho <= 1, 0 for rho >= 2, monotone between.
+
+    Built from h(s) = exp(-1/s) (s > 0) as h(2-rho) / (h(2-rho) + h(rho-1)).
+    """
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+
+    def h(s):
+        out = np.zeros_like(s)
+        pos = s > 0
+        out[pos] = np.exp(-1.0 / s[pos])
+        return out
+
+    num = h(2.0 - rho)
+    den = num + h(rho - 1.0)
+    out = np.ones_like(rho)
+    band = den > 0
+    out[band] = num[band] / den[band]
+    return out if out.size > 1 else float(out[0])
+
+
+def psi_profile(rho):
+    """Annulus profile chi(rho/2) - chi(rho); supported in 1 <= rho <= 4."""
+    rho = np.asarray(rho, dtype=float)
+    return chi_profile(rho / 2.0) - chi_profile(rho)
 
 
 @functools.lru_cache(maxsize=16)

@@ -16,13 +16,12 @@ from .core import (
     Grid,
     ParameterError,
     SampledField,
+    chi_profile,
     forward_transform,
     inverse_transform,
-    radius,
+    radial_field,
     require_same_grid,
-    sample,
 )
-from .tf import chi_profile
 
 
 @dataclass
@@ -90,15 +89,6 @@ def sin_singular_profile(rho, alpha: float, delta: float) -> np.ndarray:
     out[nz] = np.sin(rho[nz] ** alpha) / rho[nz] ** delta
     out[~nz] = 1.0 if delta == alpha else 0.0
     return out
-
-
-def radial_field(grid: Grid, profile, *params) -> SampledField:
-    """profile(|x|, *params) sampled on the position lattice.
-
-    The experiments read a symbol's variable off the position lattice; the
-    STFT machinery does not care what the variable is called.
-    """
-    return sample(lambda *xs: profile(radius(xs), *params), grid)
 
 
 def truncated_field(grid: Grid, profile, *params) -> SampledField:

@@ -104,10 +104,12 @@ from .core import (
     _repeated,
     _split,
     centered_fft,
+    chi_profile,
     coarsen,
+    psi_profile,
+    radial_field,
     radius,
     require_same_grid,
-    sample,
 )
 
 POSITIONS_INNER = "positions-inner"
@@ -193,33 +195,6 @@ def _pass_buffers():
 # windows
 
 
-def chi_profile(rho):
-    """Smooth radial cutoff: 1 for rho <= 1, 0 for rho >= 2, monotone between.
-
-    Built from h(s) = exp(-1/s) (s > 0) as h(2-rho) / (h(2-rho) + h(rho-1)).
-    """
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-
-    def h(s):
-        out = np.zeros_like(s)
-        pos = s > 0
-        out[pos] = np.exp(-1.0 / s[pos])
-        return out
-
-    num = h(2.0 - rho)
-    den = num + h(rho - 1.0)
-    out = np.ones_like(rho)
-    band = den > 0
-    out[band] = num[band] / den[band]
-    return out if out.size > 1 else float(out[0])
-
-
-def psi_profile(rho):
-    """Annulus profile chi(rho/2) - chi(rho); supported in 1 <= rho <= 4."""
-    rho = np.asarray(rho, dtype=float)
-    return chi_profile(rho / 2.0) - chi_profile(rho)
-
-
 @dataclass
 class Window:
     field: SampledField
@@ -243,13 +218,11 @@ def gaussian_window(grid: Grid) -> Window:
 
 
 def bump_chi(grid: Grid) -> Window:
-    f = sample(lambda *xs: chi_profile(radius(xs)), grid)
-    return Window(f, "bump_chi")
+    return Window(radial_field(grid, chi_profile), "bump_chi")
 
 
 def annulus_psi(grid: Grid) -> Window:
-    f = sample(lambda *xs: psi_profile(radius(xs)), grid)
-    return Window(f, "annulus_psi")
+    return Window(radial_field(grid, psi_profile), "annulus_psi")
 
 
 def custom_window(f: SampledField) -> Window:
@@ -535,14 +508,10 @@ def stft(f: SampledField, g: Window, stride: int = 1) -> StftMatrix:
 
 @dataclass
 class NormReport:
-    """A computed norm with its (p, q) exponents, grid metadata, and error estimate."""
+    """A computed norm with its grid and error estimate."""
 
     value: float
-    p: float
-    q: float
-    order: str
     grid: Grid
-    stride: int = 1
     refinement_estimate: float | None = None
 
 
@@ -692,7 +661,7 @@ def _field_norm(
     spec = (p, q, order)
     (val,) = _norms(f, g, [spec], stride, halfwidth)
     ref = _refinement(f, g, spec, stride, halfwidth, val) if refine else None
-    return NormReport(val, p, q, order, f.grid, stride, refinement_estimate=ref)
+    return NormReport(val, f.grid, refinement_estimate=ref)
 
 
 def _refinement(f: SampledField, g: Window, spec, stride: int, halfwidth, value: float) -> float:
@@ -785,4 +754,4 @@ def fl1_norm(f: SampledField, refine: bool = False) -> NormReport:
     if refine:
         half = value(coarsen(f))
         ref = abs(val - half) / max(abs(val), 1e-300)
-    return NormReport(val, 1.0, 1.0, "fourier-l1", f.grid, refinement_estimate=ref)
+    return NormReport(val, f.grid, refinement_estimate=ref)

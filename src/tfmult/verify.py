@@ -21,15 +21,15 @@ from .core import (
     coarsen,
     l1_norm,
     make_grid,
+    psi_profile,
+    radial_field,
     radius,
     sample,
 )
 from .mult import (
     Symbol,
     apply_multiplier,
-    radial_field,
     sin_singular_profile,
-    symbol_unimodular,
     truncated_field,
     unimodular_profile,
 )
@@ -39,14 +39,12 @@ from .tf import (
     _windowed_sums,
     _wfl1_and_m1inf,
     amalgam_norm_wfl1,
-    bump_chi,
     fl1_norm,
     gaussian_window,
     m_1_inf_norm,
     m_inf_1_norm,
     modulation_norm,
     modulation_norms_multi,
-    psi_profile,
     resample_window,
 )
 
@@ -101,22 +99,26 @@ def chirp_stft_oracle(x, omega, t: float, d: int = 1):
 
 
 def _chirp_stft_region(grid: Grid, t: float) -> tuple:
-    """(positions, frequencies) where ``verify_chirp_stft`` compares: |x| <= L/4, |w| <= N/(4L).
+    """(positions, frequencies, frequency mask) where ``verify_chirp_stft`` compares.
 
-    The positions are the ones its pass selects, in pass order.  A t whose
-    closed form is not finite there (nan where (1 + t^2) and |w - t x|^2
-    both overflow) raises ParameterError: the check would compare against
-    nan.  |w - t x| is largest at the region's corners, so they decide it.
+    The region is |x| <= L/4, |w| <= N/(4L); the positions are the ones
+    its pass selects, in pass order, and the mask picks the frequencies out
+    of the lattice.  The check is 1D, so a 2D grid raises ParameterError.
+    So does a t whose closed form is not finite there (nan where (1 + t^2)
+    and |w - t x|^2 both overflow): the check would compare against nan.
+    |w - t x| is largest at the region's corners, so they decide it.
     """
+    if grid.d != 1:
+        raise ParameterError("chirp STFT check is one-dimensional")
     xs = grid.axis_positions()[_position_indices(grid, 1, grid.L / 4.0)[0]]
-    oms = grid.axis_frequencies()
-    oms = oms[np.abs(oms) <= grid.N * grid.dxi / 4.0]
+    pw = np.abs(grid.axis_frequencies()) <= grid.N * grid.dxi / 4.0
+    oms = grid.axis_frequencies()[pw]
     with np.errstate(all="ignore"):
         corners = _chirp_stft_modulus(xs[[0, -1], None], oms[None, [0, -1]], t)
     if not np.isfinite(corners).all():
         raise ParameterError(f"t = {t:g}: the closed-form chirp STFT is not finite on the "
                              f"grid L = {grid.L:g}, N = {grid.N} (|x| <= L/4, |w| <= N/(4L))")
-    return xs, oms
+    return xs, oms, pw
 
 
 @dataclass
@@ -127,24 +129,21 @@ class ChirpStftReport:
     aliasing_warning: bool
 
 
-def verify_chirp_stft(grid: Grid, t: float, f: SampledField | None = None) -> ChirpStftReport:
-    """Compare the discrete STFT of the chirp against the closed form.
+def verify_chirp_stft(f: SampledField, g: Window, t: float, region) -> ChirpStftReport:
+    """Compare the discrete STFT of the chirp f = ``chirp_field(grid, t)`` against the closed form.
 
-    The maximum deviation is taken over the central half of the lattice in
-    both position and frequency (``_chirp_stft_region``), where window
-    periodization is negligible.  |V| is streamed over those positions from
+    g is ``gaussian_window(grid)``.  The maximum deviation is taken over
+    the central half of the lattice in both position and frequency,
+    ``region = _chirp_stft_region(grid, t)``, where window periodization is
+    negligible.  |V| is streamed over those positions from
     the sign-free path, which scales the real modulus by dx: that is |V| of
     ``stft`` bit for bit when dx is a power of two, and within a rounding
     of each value (a relative 1e-15) otherwise.  The pass's ``reduce``
     writes each position row's max |V - oracle| in the thread piece that
     wrote the row; a max is exact, so the pieces and steps change no bit.
-    ``f``, when given, is ``chirp_field(grid, t)``.
     """
-    if grid.d != 1:
-        raise ParameterError("chirp STFT check is one-dimensional")
-    xs, oms = _chirp_stft_region(grid, t)
-    f = chirp_field(grid, t) if f is None else f
-    pw = np.abs(grid.axis_frequencies()) <= grid.N * grid.dxi / 4.0
+    grid = f.grid
+    xs, oms, pw = region
     errs = np.empty(xs.size)
 
     def reduce(first, rows_of, lo, hi):
@@ -152,7 +151,7 @@ def verify_chirp_stft(grid: Grid, t: float, f: SampledField | None = None) -> Ch
         oracle = _chirp_stft_modulus(xs[at, None], oms[None, :], t)
         np.max(np.abs(rows_of(1.0)[lo:hi, pw] - oracle), axis=1, out=errs[at])
 
-    _windowed_sums(f, gaussian_window(grid), 1, grid.L / 4.0, {}, None, (), reduce)
+    _windowed_sums(f, g, 1, grid.L / 4.0, {}, None, (), reduce)
     return ChirpStftReport(grid, t, float(np.max(errs)), chirp_aliased(grid, t, grid.L / 2.0))
 
 
@@ -165,7 +164,7 @@ class AmalgamRow:
     t: float
     w_measured: float
     w_predicted: float
-    m1inf_measured: float  # nan when not applicable (t = 0 or skipped)
+    m1inf_measured: float  # nan where no M^{1,inf} row is measured
     m1inf_predicted: float
     w_refinement: float | None = None
 
@@ -194,9 +193,8 @@ def m1inf_prediction(t: float, d: int) -> float:
 
 
 def _amalgam_grid(d: int) -> tuple:
-    if d == 1:
-        return make_grid(1, 16.0, 2048), 1
-    return make_grid(2, 16.0, 256), 4
+    """(grid, stride) of the W rows: L = 16 with N = 2048 in 1D, N = 256 at stride 4 in 2D."""
+    return make_grid(d, 16.0, 2048 if d == 1 else 256), 1 if d == 1 else 4
 
 
 def _check_quarter_box_chirps(grid: Grid, t_list) -> None:
@@ -211,6 +209,25 @@ def _check_quarter_box_chirps(grid: Grid, t_list) -> None:
                 f"t = {t:g}: the chirp's local frequency |t| L/4 reaches the Nyquist "
                 f"frequency of the grid L = {grid.L:g}, N = {grid.N} inside the quarter box; "
                 f"the 1D amalgam constants need |t| < {2.0 / (grid.dx * grid.L):g}")
+
+
+# Largest |t| of a 2D W row.  The rows run on the fixed L = 16, N = 256 grid
+# of ``_amalgam_grid(2)``, where the chirp aliases inside the quarter box from
+# |t| = 2 on; W sums |V| over a full period of frequencies, so the rows stay
+# close to the closed form a while longer.  Relative deviations measured:
+# 2.09e-6 at t = 4, 2.46e-5 at 4.5, 1.52e-4 at 5, 6.06e-4 at 5.5 and 1.77e-3
+# at 6.  Up to |t| = 4 they stay below 1e-5, the scale of the largest
+# deviation of the 1D default rows (7.18e-6).
+W_MAX_T_2D = 4.0
+
+
+def _check_2d_w_chirps(grid: Grid, t_list) -> None:
+    """Each |t| is at most ``W_MAX_T_2D``, so the 2D W row of t resolves its chirp."""
+    for t in t_list:
+        if abs(t) > W_MAX_T_2D:
+            raise ParameterError(
+                f"t = {t:g}: the 2D W rows run on the grid L = {grid.L:g}, N = {grid.N}, "
+                f"which resolves the chirp to within 1e-5 only for |t| <= {W_MAX_T_2D:g}")
 
 
 def _grid_size(samples: float) -> float:
@@ -243,55 +260,58 @@ def _m1inf_grid_2d(t: float) -> tuple:
     return make_grid(2, L, N), 4
 
 
-def _m1inf_grids_2d(t_list) -> dict:
-    """{t: ``_m1inf_grid_2d(t)``} for each t of a 2D run that measures M^{1,inf} (t != 0)."""
-    return {t: _m1inf_grid_2d(t) for t in t_list if t != 0}
-
-
-def _amalgam_checks(t_list, d: int, base: Grid, include_m1inf: bool = True) -> tuple:
+def _amalgam_checks(t_list, base: Grid) -> tuple:
     """The 2D M^{1,inf} grids {t: (grid, stride)} and each t's M^{1,inf} prediction.
 
     Derived before any pass: a t above the 2D grid cap, or whose prediction
-    overflows, raises ParameterError; so does, in 1D, a t whose chirp
-    aliases in the quarter box of ``base`` (``_check_quarter_box_chirps``).
-    The prediction is nan where no M^{1,inf} row is measured (t = 0).
+    overflows, raises ParameterError; so does a t whose chirp the W rows'
+    grid ``base`` does not resolve, in 1D one that aliases in the quarter
+    box (``_check_quarter_box_chirps``) and in 2D one above ``W_MAX_T_2D``,
+    checked after the grid cap, whose message takes precedence.  The
+    prediction is nan where no M^{1,inf} row is measured (t = 0).
     """
-    if d == 1:
+    m1_grids = {}
+    if base.d == 1:
         _check_quarter_box_chirps(base, t_list)
-    m1_grids = _m1inf_grids_2d(t_list) if d == 2 and include_m1inf else {}
-    return m1_grids, [m1inf_prediction(t, d) if t != 0 and include_m1inf else float("nan")
-                      for t in t_list]
+    else:
+        m1_grids = {t: _m1inf_grid_2d(t) for t in t_list if t != 0}
+        _check_2d_w_chirps(base, t_list)
+    return m1_grids, [m1inf_prediction(t, base.d) if t != 0 else float("nan") for t in t_list]
 
 
-def verify_amalgam_constants(t_list, d: int = 1, grid: Grid | None = None,
-                             include_m1inf: bool = True) -> list:
+def verify_amalgam_constants(t_list, g: Window, stride: int, m1_preds, m1_grids) -> list:
     """Measure the W(FL1, l-inf) and M^{1,inf} norms of the chirp family.
 
-    Sup-type quantities are restricted to the central half of the position
-    lattice; edge positions wrap the window around the periodic box and do
-    not represent any continuum translate.  In 1D both norms read the same
-    |V|, so one pass measures them, and W is refined at half resolution; in
-    2D M^{1,inf} takes its own grid (``_m1inf_grid_2d``) and W is not
-    refined.  Every check runs before any pass (``_amalgam_checks``).
+    g is the Gaussian window on the W rows' grid, which with ``stride``
+    comes from ``_amalgam_grid``; ``m1_preds`` and, in 2D, ``m1_grids``
+    come from ``_amalgam_checks``: each t's M^{1,inf} prediction, nan where
+    no M^{1,inf} row is measured, and {t: (grid, stride)} of each t's 2D
+    M^{1,inf} pass.  Sup-type quantities are restricted to the central half
+    of the position lattice; edge positions wrap the window around the
+    periodic box and do not represent any continuum translate.  In 1D both
+    norms read the same |V|, so one pass measures them, and W is refined at
+    half resolution; in 2D M^{1,inf} takes its own grid and W is not
+    refined.  Each chirp, and the window of each 2D M^{1,inf} grid, is
+    sampled here, just before its pass: the 2D chirps held at once would
+    take 11 MiB, and holding the 2D windows from the start raised the peak
+    RSS of the default 2D run from 65.0 to 69.8 MiB.
     """
-    base, stride = _amalgam_grid(d) if grid is None else (grid, 1 if d == 1 else 4)
-    m1_grids, m1_preds = _amalgam_checks(t_list, d, base, include_m1inf)
-    g = gaussian_window(base)
+    base = g.field.grid
     hw = base.L / 4.0
     rows = []
     for t, m1_pred in zip(t_list, m1_preds):
         f = chirp_field(base, t)
         with_m1 = not math.isnan(m1_pred)
-        if d == 1:
+        if base.d == 1:
             w, w_ref, m1 = _wfl1_and_m1inf(f, g, stride, hw, with_m1)
         else:
             w = amalgam_norm_wfl1(f, g, stride=stride, position_halfwidth=hw).value
             w_ref, m1 = None, float("nan")
             if with_m1:
-                mg, mstride = m1_grids[t]
-                m1 = m_1_inf_norm(chirp_field(mg, t), gaussian_window(mg), stride=mstride,
-                                  position_halfwidth=mg.L / 4.0).value
-        rows.append(AmalgamRow(t, w, w_norm_prediction(t, d), m1, m1_pred,
+                grid, mstride = m1_grids[t]
+                m1 = m_1_inf_norm(chirp_field(grid, t), gaussian_window(grid), stride=mstride,
+                                  position_halfwidth=grid.L / 4.0).value
+        rows.append(AmalgamRow(t, w, w_norm_prediction(t, base.d), m1, m1_pred,
                                w_refinement=w_ref))
     return rows
 
@@ -343,22 +363,21 @@ def _divergence_grids(t: float, box_sizes) -> list:
     return [_divergence_grid(L, max(abs(t), 0.25)) for L in box_sizes]
 
 
-def verify_m_inf_1_divergence(t: float, box_sizes=DIVERGENCE_BOXES,
-                              grids=None) -> DivergenceReport:
+def verify_m_inf_1_divergence(t: float, windows) -> DivergenceReport:
     """M^{inf,1}-type norm of the chirp on growing boxes.
 
-    The continuum integral diverges; on a box the sup-in-position slice is
-    bounded below along the ridge omega = t x, so the measured value grows
-    linearly with the box size.  t = 0 gives the constant symbol and the
-    divergence assertion does not apply.  ``grids``, when given, is
-    ``_divergence_grids(t, box_sizes)``.
+    ``windows`` holds the Gaussian window on each box's grid, as
+    ``_divergence_grids`` derives them.  The continuum integral diverges;
+    on a box the sup-in-position slice is bounded below along the ridge
+    omega = t x, so the measured value grows linearly with the box size.
+    t = 0 gives the constant symbol and the divergence assertion does not
+    apply.
     """
-    values = []
-    for grid in grids or _divergence_grids(t, box_sizes):
-        values.append(m_inf_1_norm(chirp_field(grid, t), gaussian_window(grid),
-                                   position_halfwidth=grid.L / 4.0).value)
+    grids = [g.field.grid for g in windows]
+    values = [m_inf_1_norm(chirp_field(grid, t), g, position_halfwidth=grid.L / 4.0).value
+              for grid, g in zip(grids, windows)]
     growth = [values[i + 1] / values[i] for i in range(len(values) - 1)]
-    return DivergenceReport(t, list(box_sizes), values, growth)
+    return DivergenceReport(t, [grid.L for grid in grids], values, growth)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +434,7 @@ def _dyadic_term(grid: Grid, k: int, alpha: float) -> SampledField:
     psi vanishes where |x| < 1, so no sample shrinks as k grows: the k = K
     term holds the largest.
     """
-    return sample(lambda *xs: radius(xs) ** (k * alpha) * psi_profile(radius(xs)), grid)
+    return radial_field(grid, lambda rho: rho ** (k * alpha) * psi_profile(rho))
 
 
 def _check_sin_singular(alpha: float, delta: float) -> None:
@@ -423,18 +442,19 @@ def _check_sin_singular(alpha: float, delta: float) -> None:
         raise ParameterError(f"need 0 < delta <= alpha <= 1, got {alpha}, {delta}")
 
 
-def dyadic_fl1_series(alpha: float, K: int = 40, J: int = 20) -> DyadicSeriesReport:
+def dyadic_fl1_series(chi: SampledField, alpha: float, K: int, J: int) -> DyadicSeriesReport:
     """Taylor-in-the-exponent series bound for e^{i |.|^alpha} * chi in FL1.
 
-    Each Taylor term |.|^{k alpha} chi is decomposed over dyadic annuli; the
-    annulus factor |.|^{k alpha} psi has a scale-independent FL1 norm, so the
-    term's norm is bounded by a geometric sum plus an explicit tail.  The
-    resulting exponential series dominates the directly measured FL1 norm.
+    ``chi`` is the cutoff chi(|x|) sampled on the series' grid
+    (``bump_chi(_dyadic_grid())``); alpha, K and J have passed
+    ``_check_dyadic_alpha`` and ``_check_series_depth``.  Each Taylor term
+    |.|^{k alpha} chi is decomposed over dyadic annuli; the annulus factor
+    |.|^{k alpha} psi has a scale-independent FL1 norm, so the term's norm
+    is bounded by a geometric sum plus an explicit tail.  The resulting
+    exponential series dominates the directly measured FL1 norm.
     """
-    _check_dyadic_alpha(alpha)
-    _check_series_depth(K, J)
-    grid = _dyadic_grid()
-    chi_l1 = fl1_norm(bump_chi(grid).field).value
+    grid = chi.grid
+    chi_l1 = fl1_norm(chi).value
 
     per_k = []
     partial = 0.0
@@ -470,15 +490,14 @@ class SinSingularReport:
     cauchy: bool
 
 
-def verify_sin_singular_fl1(alpha: float, delta: float) -> SinSingularReport:
+def verify_sin_singular_fl1(grid: Grid, alpha: float, delta: float) -> SinSingularReport:
     """FL1 membership of the truncated singular symbol sin(|.|^alpha)/|.|^delta.
 
-    Measures the direct FL1 norm (with refinement stability) and the odd
-    Taylor series whose terms are |.|^{(2k+1) alpha - delta} chi / (2k+1)!,
-    k = 0, ..., ``SIN_SINGULAR_K``.
+    Measures, on ``grid`` (``_dyadic_grid()``) and for an (alpha, delta)
+    that has passed ``_check_sin_singular``, the direct FL1 norm (with
+    refinement stability) and the odd Taylor series whose terms are
+    |.|^{(2k+1) alpha - delta} chi / (2k+1)!, k = 0, ..., ``SIN_SINGULAR_K``.
     """
-    _check_sin_singular(alpha, delta)
-    grid = _dyadic_grid()
     direct = fl1_norm(truncated_field(grid, sin_singular_profile, alpha, delta), refine=True)
 
     partials = []
@@ -539,18 +558,22 @@ def _check_seed(seed: int) -> None:
         raise ParameterError(f"seed must be non-negative, got {seed}")
 
 
-def linear_phase_random_cases(n: int = LINEAR_PHASE_CASES, seed: int = DEFAULT_SEED) -> list:
+def _linear_phase_grid() -> Grid:
+    return make_grid(1, 16.0, 512)
+
+
+def linear_phase_random_cases(g: Window, n: int = LINEAR_PHASE_CASES,
+                              seed: int = DEFAULT_SEED) -> list:
     """Seeded random (symbol, x, a, b) draws for the linear-phase invariance check.
 
+    g is the Gaussian window on the cases' grid (``_linear_phase_grid``);
+    n and seed have passed ``_check_case_count`` and ``_check_seed``.
     Symbols are drawn from the unimodular, chirp, and truncated singular
     families, sampled on the position lattice; b is always lattice-aligned.
     Returns (label, before, after) triples.
     """
-    _check_case_count(n)
-    _check_seed(seed)
-    grid = make_grid(1, 16.0, 512)
+    grid = g.field.grid
     rng = np.random.default_rng(seed)
-    g = gaussian_window(grid)
     xs = grid.axis_positions()
     out = []
     for i in range(n):
@@ -632,26 +655,21 @@ def probe_base_norms(family, window: Window, pq_list) -> dict:
     return {label: modulation_norms_multi(f, window, pq_list) for label, f in family}
 
 
-def probe_ratios(sigma: Symbol, pq_list, family=None, window: Window | None = None,
-                 base_norms: dict | None = None) -> dict:
+def probe_ratios(sigma: Symbol, pq_list, family, window: Window, base_norms: dict) -> dict:
     """Norm ratios ||H_sigma f|| / ||f|| over a probe family, all (p, q) at once.
 
     Lower bounds for the operator norm; the suite asserts boundedness through
-    refinement stability, not a true operator norm.  ``base_norms``, from
-    ``probe_base_norms`` of the same family, window and (p, q) list, saves
-    recomputing the ||f||, which do not depend on sigma.
+    refinement stability, not a true operator norm.  ``base_norms`` are the
+    ||f||, ``probe_base_norms`` of the same family, window and (p, q) list:
+    they do not depend on sigma, so one set serves every symbol.
     """
     grid = sigma.grid
-    family = family if family is not None else probe_family(grid)
-    g = window or gaussian_window(grid)
-    if base_norms is None:
-        base_norms = probe_base_norms(family, g, pq_list)
     reports = {pq: ProbeReport(pq[0], pq[1], [], [], 0.0, grid)
                for pq in pq_list}
     for label, f in family:
         base = base_norms[label]
         out = apply_multiplier(sigma, f)
-        moved = modulation_norms_multi(out, g, pq_list)
+        moved = modulation_norms_multi(out, window, pq_list)
         for pq in pq_list:
             r = moved[pq] / base[pq]
             rep = reports[pq]
@@ -663,10 +681,7 @@ def probe_ratios(sigma: Symbol, pq_list, family=None, window: Window | None = No
 
 @dataclass
 class LpContrastReport:
-    t: float
-    lambdas: list
     l1_ratios: list
-    l1_oracle: list
     m11_ratios: list
 
 
@@ -685,8 +700,9 @@ def _check_dilations(lambdas) -> None:
         raise ParameterError(f"Gaussian dilations must be positive, got {list(lambdas)}")
 
 
-def _check_fresnel_ratios(t: float, lambdas) -> None:
-    """Each lambda's closed-form L^1 ratio at this t is a finite float."""
+def _check_fresnel_ratios(t: float, lambdas) -> list:
+    """Each lambda's closed-form L^1 ratio at this t, checked to be a finite float."""
+    ratios = []
     for lam in lambdas:
         try:
             ratio = fresnel_l1_ratio(t, lam)
@@ -697,32 +713,29 @@ def _check_fresnel_ratios(t: float, lambdas) -> None:
                 f"lambda = {lam:g}: the closed-form L^1 ratio (pi^2 + (t lambda)^2)^(1/4) / "
                 f"sqrt(pi) is not a finite float at t = {t:g}"
             )
+        ratios.append(ratio)
+    return ratios
 
 
 def _lp_contrast_grid() -> Grid:
     return make_grid(1, 32.0, 2048)
 
 
-def lp_contrast_probe(t: float, lambdas=LP_CONTRAST_LAMBDAS, fields=None) -> LpContrastReport:
+def lp_contrast_probe(sigma: Symbol, fields, window: Window) -> LpContrastReport:
     """L^1 growth versus modulation-norm stability over dilated Gaussians.
 
-    The symbol e^{i t xi^2} is the Schrodinger propagator's, so a t whose
-    largest phase on the grid is not resolved (``symbol_unimodular``), or a
-    lambda whose closed-form ratio overflows, raises ParameterError.
-    ``fields``, when given, are the ``gaussian_data`` of each lambda.
+    ``sigma`` is the Schrodinger symbol e^{i t xi^2} and ``fields`` the
+    dilated Gaussians ``gaussian_data(grid, lambda)``, on
+    ``_lp_contrast_grid()``; the ratios ||H f|| / ||f|| of each field in L^1
+    and, with the window, in M^{1,1}.
     """
-    _check_dilations(lambdas)
-    grid = _lp_contrast_grid()
-    sigma = symbol_unimodular(grid, 2.0, t=t)
-    _check_fresnel_ratios(t, lambdas)
-    g = gaussian_window(grid)
-    l1_ratios, oracle, m11 = [], [], []
-    for lam, f in zip(lambdas, fields or (gaussian_data(grid, lam) for lam in lambdas)):
+    l1_ratios, m11 = [], []
+    for f in fields:
         out = apply_multiplier(sigma, f)
         l1_ratios.append(l1_norm(out) / l1_norm(f))
-        oracle.append(fresnel_l1_ratio(t, lam))
-        m11.append(modulation_norm(out, g, 1, 1).value / modulation_norm(f, g, 1, 1).value)
-    return LpContrastReport(t, list(lambdas), l1_ratios, oracle, m11)
+        m11.append(modulation_norm(out, window, 1, 1).value
+                   / modulation_norm(f, window, 1, 1).value)
+    return LpContrastReport(l1_ratios, m11)
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +754,6 @@ def schrodinger_envelope(t: float, d: int) -> float:
 class SchrodingerConservationReport:
     p: float
     q: float
-    t_list: list
     ratios: dict          # (label, t) -> ratio
     c_values: dict        # (label, t) -> ratio / (t^2 + 4 pi^2)^{d/4}
     fitted_c: float
@@ -758,12 +770,13 @@ def _nonzero_norm(value: float, p, q, what: str) -> float:
 
 
 def schrodinger_conservation(fields, window: Window, p, q,
-                             t_list) -> SchrodingerConservationReport:
+                             envelopes: dict) -> SchrodingerConservationReport:
     """Phase-space norm growth of free Schrodinger evolution.
 
-    For each initial field, measures ||u(., t)|| / ||f|| in the (p, q)
-    modulation norm and the implied envelope constant against
-    (t^2 + 4 pi^2)^{d/4}.  The same passes also give the M^{2,2} ratios
+    For each initial field and each t of ``envelopes``, which maps t to its
+    envelope (t^2 + 4 pi^2)^{d/4} (``schrodinger_envelope``), measures
+    ||u(., t)|| / ||f|| in the (p, q) modulation norm and the implied
+    envelope constant.  The same passes also give the M^{2,2} ratios
     (``l2_ratios``), which Moyal's formula and the unitary flow make exactly 1.
     """
     from .mult import schrodinger_propagate
@@ -772,11 +785,9 @@ def schrodinger_conservation(fields, window: Window, p, q,
     pq_list = list(dict.fromkeys([pq, l2]))
     ratios, c_values, l2_ratios = {}, {}, {}
     for label, f in fields:
-        d = f.grid.d
         base = modulation_norms_multi(f, window, pq_list)
         _nonzero_norm(base[pq], p, q, f"the initial field {label}")
-        for t in t_list:
-            envelope = schrodinger_envelope(t, d)
+        for t, envelope in envelopes.items():
             u = schrodinger_propagate(f, t).u
             norms = modulation_norms_multi(u, window, pq_list)
             r = norms[pq] / base[pq]
@@ -786,8 +797,8 @@ def schrodinger_conservation(fields, window: Window, p, q,
     vals = list(c_values.values())
     fitted = max(vals)
     stability = (fitted - min(vals)) / fitted
-    return SchrodingerConservationReport(pq[0], pq[1], list(t_list), ratios, c_values,
-                                         fitted, stability, l2_ratios)
+    return SchrodingerConservationReport(pq[0], pq[1], ratios, c_values, fitted, stability,
+                                         l2_ratios)
 
 
 @dataclass

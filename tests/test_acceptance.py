@@ -19,7 +19,7 @@ from tfmult.mult import (
     schrodinger_propagate,
     symbol_unimodular,
 )
-from tfmult.tf import gaussian_window
+from tfmult.tf import bump_chi, gaussian_window
 from tfmult import verify
 from tfmult.verify import DEFAULT_SEED
 
@@ -32,31 +32,41 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_chirp_stft_closed_form():
     grid = make_grid(1, 32.0, 2048)
-    errs = {t: verify.verify_chirp_stft(grid, t).max_abs_error
+    g = gaussian_window(grid)
+    errs = {t: verify.verify_chirp_stft(verify.chirp_field(grid, t), g, t,
+                                        verify._chirp_stft_region(grid, t)).max_abs_error
             for t in (0.0, 0.5, 1.0, 2.0)}
     worst = max(errs.values())
     _report(1, worst < 1e-6, f"chirp STFT max abs error {worst:.3e} < 1e-6")
 
 
+def _amalgam_rows(d, with_m1inf):
+    """The amalgam rows of the default t_list, with or without the M^{1,inf} ones."""
+    t_list = (0.5, 1.0, 2.0, 4.0)
+    grid, stride = verify._amalgam_grid(d)
+    m1_grids, m1_preds = verify._amalgam_checks(t_list, grid)
+    if not with_m1inf:
+        m1_grids, m1_preds = {}, [math.nan] * len(t_list)
+    return verify.verify_amalgam_constants(t_list, gaussian_window(grid), stride, m1_preds,
+                                           m1_grids)
+
+
 def test_criterion_02_amalgam_constant():
-    rows1 = verify.verify_amalgam_constants((0.5, 1.0, 2.0, 4.0), d=1,
-                                            include_m1inf=False)
-    worst1 = max(r.w_rel_err for r in rows1)
-    rows2 = verify.verify_amalgam_constants((0.5, 1.0, 2.0, 4.0), d=2,
-                                            include_m1inf=False)
-    worst2 = max(r.w_rel_err for r in rows2)
+    worst1 = max(r.w_rel_err for r in _amalgam_rows(1, with_m1inf=False))
+    worst2 = max(r.w_rel_err for r in _amalgam_rows(2, with_m1inf=False))
     ok = worst1 < 0.02 and worst2 < 0.05
     _report(2, ok, f"W(FL1) rel err d=1 {worst1:.2%} < 2%, d=2 {worst2:.2%} < 5%")
 
 
 def test_criterion_03_m1inf_constant():
-    rows = verify.verify_amalgam_constants((0.5, 1.0, 2.0, 4.0), d=1)
+    rows = _amalgam_rows(1, with_m1inf=True)
     worst = max(r.m1inf_rel_err for r in rows)
     _report(3, worst < 0.02, f"M(1,inf) constant rel err {worst:.2%} < 2%")
 
 
 def test_criterion_04_m_inf_1_divergence():
-    rep = verify.verify_m_inf_1_divergence(1.0, (16.0, 32.0, 64.0))
+    grids = verify._divergence_grids(1.0, (16.0, 32.0, 64.0))
+    rep = verify.verify_m_inf_1_divergence(1.0, [gaussian_window(grid) for grid in grids])
     increasing = all(b > a for a, b in zip(rep.values, rep.values[1:]))
     ok = increasing and all(g >= 1.5 for g in rep.growth_factors)
     _report(4, ok, f"values {['%.3f' % v for v in rep.values]}, "
@@ -66,8 +76,9 @@ def test_criterion_04_m_inf_1_divergence():
 def test_criterion_05_dyadic_series_bound():
     details = []
     ok = True
+    chi = bump_chi(verify._dyadic_grid()).field
     for alpha in (0.5, 1.0, 2.0):
-        rep = verify.dyadic_fl1_series(alpha, K=40)
+        rep = verify.dyadic_fl1_series(chi, alpha, 40, 20)
         good = (math.isfinite(rep.series_bound)
                 and rep.series_bound >= rep.direct_fl1
                 and rep.cauchy_k is not None and rep.cauchy_k <= 40
@@ -80,7 +91,8 @@ def test_criterion_05_dyadic_series_bound():
 
 
 def test_criterion_06_linear_phase_invariance():
-    cases = verify.linear_phase_random_cases(50, seed=DEFAULT_SEED)
+    cases = verify.linear_phase_random_cases(gaussian_window(verify._linear_phase_grid()), 50,
+                                             seed=DEFAULT_SEED)
     devs = [abs(after - before) / before for _, before, after in cases]
     failures = sum(d >= 1e-12 for d in devs)
     _report(6, failures == 0 and len(cases) == 50,
@@ -90,12 +102,17 @@ def test_criterion_06_linear_phase_invariance():
 
 def test_criterion_07_operator_probe_stability():
     pq_list = [(1.0, 1.0), (2.0, 2.0), (float("inf"), 1.0), (1.0, float("inf"))]
+    probes = {}
+    for N in (512, 1024):
+        grid = make_grid(1, 32.0, N)
+        family, g = verify.probe_family(grid), gaussian_window(grid)
+        probes[N] = (grid, family, g, verify.probe_base_norms(family, g, pq_list))
     worst_change = 0.0
     for alpha in (0.5, 1.0, 1.5, 2.0):
         maxima = {}
-        for N in (512, 1024):
-            sig = symbol_unimodular(make_grid(1, 32.0, N), alpha, t=1.0)
-            reps = verify.probe_ratios(sig, pq_list)
+        for N, (grid, family, g, base) in probes.items():
+            reps = verify.probe_ratios(symbol_unimodular(grid, alpha, t=1.0), pq_list, family, g,
+                                       base)
             maxima[N] = {pq: reps[pq].max_ratio for pq in pq_list}
         for pq in pq_list:
             a, b = maxima[512][pq], maxima[1024][pq]
@@ -105,7 +122,10 @@ def test_criterion_07_operator_probe_stability():
 
 
 def test_criterion_08_lp_contrast():
-    rep = verify.lp_contrast_probe(1.0, (1.0, 2.0, 4.0, 8.0))
+    grid = verify._lp_contrast_grid()
+    fields = [verify.gaussian_data(grid, lam) for lam in (1.0, 2.0, 4.0, 8.0)]
+    rep = verify.lp_contrast_probe(symbol_unimodular(grid, 2.0, t=1.0), fields,
+                                   gaussian_window(grid))
     increasing = all(b > a for a, b in zip(rep.l1_ratios, rep.l1_ratios[1:]))
     spread = max(rep.m11_ratios) / min(rep.m11_ratios)
     _report(8, increasing and spread < 3.0,
@@ -121,13 +141,13 @@ def test_criterion_09_schrodinger_envelope():
         ("modshift", sample(lambda x: np.exp(2j * np.pi * x)
                             * np.exp(-np.pi * (x - 1.0) ** 2), grid)),
     ]
-    t_list = (0.5, 1.0, 2.0, 4.0)
-    rep = verify.schrodinger_conservation(fields, w, 1, float("inf"), t_list)
+    envelopes = {t: verify.schrodinger_envelope(t, 1) for t in (0.5, 1.0, 2.0, 4.0)}
+    rep = verify.schrodinger_conservation(fields, w, 1, float("inf"), envelopes)
     envelope_ok = all(
         rep.ratios[k] <= rep.fitted_c * (k[1] ** 2 + 4 * np.pi ** 2) ** 0.25 * (1 + 1e-12)
         for k in rep.ratios
     )
-    l2 = verify.schrodinger_conservation(fields, w, 2, 2, t_list)
+    l2 = verify.schrodinger_conservation(fields, w, 2, 2, envelopes)
     l2_dev = max(abs(r - 1.0) for r in l2.ratios.values())
     ok = envelope_ok and rep.stability < 0.10 and l2_dev < 1e-10
     _report(9, ok, f"envelope holds, fitted C {rep.fitted_c:.4f} stable to "

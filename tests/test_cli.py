@@ -2,9 +2,12 @@
 
 import ast
 import contextlib
+import functools
 import inspect
 import io
 import os
+import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -16,12 +19,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tfmult
-from tfmult import cli, verify
+from tfmult import cli, tf, verify
 from tfmult.cli import EXPERIMENTS, PARSERS, load_config, main, parse_params
 from tfmult.core import Grid
 
 # the child process imports the same tfmult as this one, installed or not
 PACKAGE_ROOT = str(Path(tfmult.__file__).resolve().parents[1])
+# the fixed non-default configs whose outputs tools/compare_outputs.py compares
+EXTRA_CONFIGS = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"))["EXTRA_CONFIGS"]
 
 
 def run_cli(args, env_extra=None):
@@ -234,6 +240,23 @@ class TestListValidate:
             assert f"needs an N = {N} grid" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_2d_t_beyond_the_w_grid(self, tmp_path, capsys, monkeypatch):
+        # validate said ok, and run failed the W row's check on the N = 256
+        # grid, after minutes of M^(1,inf) passes on an N = 1024 grid
+        def no_fft(*args, **kwargs):
+            raise AssertionError("a pass started")
+
+        for transform in ("fft", "fftn", "ifft", "ifftn"):
+            monkeypatch.setattr(np.fft, transform, no_fft)
+        cfg = write_config(tmp_path, "name = amalgam_constants\nd = 2\nt_list = 10\n"
+                                     f"out = {tmp_path / 'o'}\n")
+        for cmd in ("validate", "run"):
+            assert main([cmd, cfg]) == 2
+            assert ("error: t = 10: the 2D W rows run on the grid L = 16, N = 256, which "
+                    "resolves the chirp to within 1e-5 only for |t| <= 4\n"
+                    ) == capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("name,key,value,parsed", [
         ("chirp_stft", "n", "2048.0", 2048),
         ("linear_phase", "cases", "1e3", 1000),
@@ -339,13 +362,12 @@ class TestSchema:
         assert [type(v) for v in written.values()] == [type(v) for v in bare.values()]
 
 
-    @pytest.mark.parametrize("function,argument,name,key", [
-        (verify.lp_contrast_probe, "lambdas", "lp_contrast", "lambda_list"),
-        (verify.verify_m_inf_1_divergence, "box_sizes", "m_inf_1_divergence", "l_list"),
+    @pytest.mark.parametrize("constant,name,key", [
+        ("LP_CONTRAST_LAMBDAS", "lp_contrast", "lambda_list"),
+        ("DIVERGENCE_BOXES", "m_inf_1_divergence", "l_list"),
     ])
-    def test_library_and_cli_share_one_default(self, function, argument, name, key):
-        library = inspect.signature(function).parameters[argument].default
-        assert parse_params({"name": name})[key] is library
+    def test_library_and_cli_share_one_default(self, constant, name, key):
+        assert parse_params({"name": name})[key] is getattr(verify, constant)
 
     def test_linear_phase_cases_default_is_the_verify_constant(self):
         # small ints are cached, so `is` cannot tell one constant from two
@@ -371,6 +393,52 @@ class TestSchema:
         assert "tolerance must be positive" in capsys.readouterr().err
         assert main(["run", cfg]) == 2
         assert not (tmp_path / "o").exists()
+
+
+# The helpers a plan derives or checks its run's inputs with, as ``cli`` and
+# ``verify`` bind them: the checks and the grid, window, region, symbol and
+# prediction helpers.  No field sampler is among them, and a 2D window is not
+# counted: the measure step samples the 2D chirps, the window of each 2D
+# M^{1,inf} grid and the dyadic terms on purpose.
+_HELPER = re.compile(r"^_check_|_grids?(_[12]d)?$|_window$|_region$|_prediction$|_envelope$"
+                     r"|^(bump_chi|symbol_unimodular|_amalgam_checks|fresnel_l1_ratio)$")
+
+
+class TestOneDerivation:
+    CONFIGS = [pytest.param(name, {}, id=name) for name in sorted(EXPERIMENTS)] + [
+        pytest.param(name, dict(kv.split(" = ") for kv in keys.split("\n")), id=label)
+        for label, name, keys in EXTRA_CONFIGS]
+
+    @pytest.mark.parametrize("name,keys", CONFIGS)
+    def test_measure_step_calls_no_helper_of_its_plan(self, monkeypatch, name, keys):
+        # the measure steps checked their inputs again, lp_contrast's and
+        # sin_singular_fl1's each check among them, and derived their grids
+        # and windows again; so run calls each helper exactly as often as
+        # validate does
+        calls = []
+
+        def recorded(attr, fn):
+            @functools.wraps(fn)
+            def call(*args, **kwargs):
+                if not (attr == "gaussian_window" and args[0].d == 2):
+                    calls.append(attr)
+                return fn(*args, **kwargs)
+            return call
+
+        for module in (cli, verify):
+            for attr, obj in list(vars(module).items()):
+                if inspect.isfunction(obj) and _HELPER.search(attr):
+                    monkeypatch.setattr(module, attr, recorded(attr, obj))
+        # the values do not matter here, and the 2D passes take seconds: every
+        # |V| norm pass reads 1
+        monkeypatch.setattr(tf, "_norms", lambda f, g, specs, *args: [1.0] * len(specs))
+        params = parse_params({"name": name, **keys})
+        calls.clear()
+        measure = inspect.unwrap(EXPERIMENTS[name])(**params)
+        planned = set(calls)
+        calls.clear()
+        measure()
+        assert planned and not planned & set(calls), sorted(planned & set(calls))
 
 
 class TestRun:

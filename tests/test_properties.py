@@ -4,11 +4,16 @@ Moyal's formula and the lattice covariances hold exactly on the periodic
 lattice, so the only slack is floating-point rounding.
 """
 
-import numpy as np
-from hypothesis import given, settings, strategies as st
+import math
 
-from tfmult.core import SampledField, centered_ifft, coarsen, l2_norm, make_grid, sample
-from tfmult.tf import custom_window, gaussian_window, modulation_norm, stft
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from tfmult import verify
+from tfmult.core import (SampledField, centered_ifft, coarsen, inverse_transform, l2_norm,
+                         make_grid, sample)
+from tfmult.mult import apply_multiplier, symbol_unimodular
+from tfmult.tf import amalgam_norm_wfl1, custom_window, gaussian_window, modulation_norm, stft
 
 RTOL = 1e-12
 PROPERTY = settings(max_examples=8, deadline=None)
@@ -163,3 +168,34 @@ def test_inversion(path, seed):
         recon += row * np.roll(gv, tuple(j - grid.N // 2 for j in x), axis=tuple(range(grid.d)))
     want = f.reshaped() * np.sum(np.abs(gv) ** 2)
     assert _rel_err(recon, want) < INVERSION_RTOL
+
+
+# The paper's theorem on the periodic lattice.  Factor the window in
+# frequency, g^ = g1^ g2^ with g1^ = g2^ = e^{-pi xi^2 / 2}: by Parseval
+# |V_g(sigma(D) f)(., xi)| is the modulus of a circular convolution of
+# F^-1(sigma T_xi conj g1^) with a modulated V_{g2} f(., xi), and Young's
+# inequality bounds its L^p norm by the FL^1 norm of sigma T_xi conj g1^,
+# at most the W(FL^1, l^inf) norm of sigma with window g1^, times that of
+# V_{g2} f(., xi).  So for every (p, q)
+#   ||sigma(D) f||_{M^{p,q}_g} <= ||sigma||_{W(FL^1, l^inf), g1^} ||f||_{M^{p,q}_{g2}},
+# with equality for the constant symbols (alpha = 0) at p = 1, q = inf.
+_THEOREM_GRID = make_grid(1, 32.0, 512)
+# the frequency lattice of the theorem's grid, as the positions of a grid of its own
+_FREQUENCY_GRID = make_grid(1, 512 / 32.0, 512)
+_G1_HAT = np.exp(-np.pi * _THEOREM_GRID.axis_frequencies() ** 2 / 2)
+_G = custom_window(inverse_transform(SampledField(_THEOREM_GRID, _G1_HAT * _G1_HAT)))
+_G2 = custom_window(inverse_transform(SampledField(_THEOREM_GRID, _G1_HAT)))
+_W_WINDOW = custom_window(SampledField(_FREQUENCY_GRID, _G1_HAT))
+_EXPONENTS = st.one_of(st.just(math.inf), st.floats(1.0, 8.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 2.0), st.floats(-3.0, 3.0), st.sampled_from(sorted(verify.PROBES)),
+       _EXPONENTS, _EXPONENTS)
+@example(0.0, 1.0, "gauss_l1", 1.0, math.inf)  # the bound is attained
+def test_multiplier_bound_on_the_lattice(alpha, t, probe, p, q):
+    sigma = symbol_unimodular(_THEOREM_GRID, alpha, t)
+    f = verify.gaussian_data(_THEOREM_GRID, *verify.PROBES[probe])
+    w = amalgam_norm_wfl1(SampledField(_FREQUENCY_GRID, sigma.values), _W_WINDOW).value
+    lhs = modulation_norm(apply_multiplier(sigma, f), _G, p, q).value
+    assert lhs <= w * modulation_norm(f, _G2, p, q).value * (1 + 1e-12)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from tfmult import core, mult, tf, verify
-from tfmult.core import ParameterError, SampledField, centered_fft, l2_norm, make_grid, sample
+from tfmult.core import (ParameterError, SampledField, centered_fft, chi_profile, l2_norm,
+                         make_grid, psi_profile, sample)
 from tfmult.tf import (
     _CHUNK_BYTES,
     FREQUENCIES_INNER,
@@ -21,7 +22,6 @@ from tfmult.tf import (
     amalgam_norm_wfl1,
     annulus_psi,
     bump_chi,
-    chi_profile,
     custom_window,
     fl1_norm,
     gaussian_window,
@@ -29,11 +29,11 @@ from tfmult.tf import (
     m_inf_1_norm,
     modulation_norm,
     modulation_norms_multi,
-    psi_profile,
     resample_window,
     stft,
 )
-from tfmult.verify import _divergence_grid, _m1inf_grid_2d, chirp_field, verify_chirp_stft
+from tfmult.verify import (_chirp_stft_region, _divergence_grid, _m1inf_grid_2d, chirp_field,
+                           verify_chirp_stft)
 
 
 class TestProfiles:
@@ -799,10 +799,12 @@ class TestStepFold:
 
     def test_cold_chirp_stft_check_holds_two_steps(self):
         # verify_chirp_stft reads |V| step by step: 44.4 MiB with chunk-sized |V|
+        grid = core.default_grid(1)
+        f, g, region = chirp_field(grid, 1.0), gaussian_window(grid), _chirp_stft_region(grid, 1.0)
         tf._release_spares()
         tracemalloc.start()
         try:
-            verify_chirp_stft(core.default_grid(1), 1.0)
+            verify_chirp_stft(f, g, 1.0, region)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1147,7 +1149,9 @@ class TestPoolThreads:
         with split_workers(2):
             monkeypatch.setattr(core, "_split", recording)
             monkeypatch.setattr(tf, "_split", recording)
-            verify.verify_chirp_stft(core.default_grid(1), 1.0)
+            grid = core.default_grid(1)
+            verify.verify_chirp_stft(verify.chirp_field(grid, 1.0), tf.gaussian_window(grid), 1.0,
+                                     verify._chirp_stft_region(grid, 1.0))
             for window in ("gaussian_1d", "gaussian_2d", "bump_2d"):
                 f, g = _case(window)
                 _norms(f, g, SPECS)

@@ -98,3 +98,38 @@ def test_compare_outputs_fails_on_stderr(tmp_path, warns):
     else:
         assert done.returncode == 1 and "DIFFERENCES FOUND" in done.stdout
         assert f"stderr  {warns}: run exp\nRuntimeWarning: overflow" in done.stdout
+
+
+_SOURCE = '''"""Module docstring,
+over two lines."""
+# a comment line
+
+import math  # code with a trailing comment
+
+
+class Box:
+    """Class docstring."""
+
+    side = 1
+
+
+def area(box):
+    """Function docstring,
+
+    over three lines."""
+    text = """a string that
+    is no docstring"""
+    return (box.side
+            * box.side)
+'''
+
+
+def test_count_lines_counts_code_not_blanks_comments_or_docstrings(tmp_path):
+    counter = runpy.run_path(str(TOOLS / "count_lines.py"))
+    # import, class, side, def, the two lines of text and the two of return
+    assert counter["count_code_lines"](_SOURCE) == 8
+    path = tmp_path / "box.py"
+    path.write_text(_SOURCE)
+    done = subprocess.run([sys.executable, str(TOOLS / "count_lines.py"), str(path)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["box", "8", "total", "8"]

@@ -6,8 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from tfmult.core import ParameterError, default_grid, make_grid, radius, sample
+from tfmult.core import (ParameterError, chi_profile, default_grid, make_grid, psi_profile, radius,
+                         sample)
 from tfmult.mult import (
+    apply_multiplier,
     schrodinger_propagate,
     sin_singular_profile,
     symbol_unimodular,
@@ -16,7 +18,8 @@ from tfmult.mult import (
 )
 from tfmult.tf import (
     amalgam_norm_wfl1,
-    chi_profile,
+    annulus_psi,
+    bump_chi,
     gaussian_window,
     m_1_inf_norm,
     modulation_norm,
@@ -37,6 +40,23 @@ from tfmult.verify import (
     verify_sin_singular_fl1,
     w_norm_prediction,
 )
+
+
+def _chirp_check(grid, t):
+    """``verify_chirp_stft`` of the inputs that the chirp_stft plan derives."""
+    return verify_chirp_stft(verify.chirp_field(grid, t), gaussian_window(grid), t,
+                             verify._chirp_stft_region(grid, t))
+
+
+def _envelopes(t_list):
+    """{t: envelope} of the 1D Schrodinger flow, as its plan derives it."""
+    return {t: verify.schrodinger_envelope(t, 1) for t in t_list}
+
+
+def _divergence(t, boxes):
+    """``verify_m_inf_1_divergence`` of the windows that the m_inf_1_divergence plan derives."""
+    return verify.verify_m_inf_1_divergence(
+        t, [gaussian_window(grid) for grid in verify._divergence_grids(t, boxes)])
 
 
 class TestChirpOracle:
@@ -63,7 +83,7 @@ class TestChirpOracle:
 
     def test_verify_rejects_2d(self):
         with pytest.raises(ParameterError):
-            verify_chirp_stft(make_grid(2, 16.0, 32), 1.0)
+            verify._chirp_stft_region(make_grid(2, 16.0, 32), 1.0)
 
     @staticmethod
     def _materialized_error(grid, t):
@@ -80,18 +100,18 @@ class TestChirpOracle:
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_streamed_equals_materialized(self, t):
         grid = default_grid(1)  # dx = 1/64: the streamed |V| is exact
-        assert verify_chirp_stft(grid, t).max_abs_error == self._materialized_error(grid, t)
+        assert _chirp_check(grid, t).max_abs_error == self._materialized_error(grid, t)
 
     def test_streamed_within_a_rounding_when_dx_is_not_a_power_of_two(self):
         # dx = 3/64 scales the real modulus instead of the signed transform:
         # each |V| <= 1 moves by at most a relative 1e-15
         grid = make_grid(1, 24.0, 512)
         for t in (0.5, 1.0):
-            got = verify_chirp_stft(grid, t).max_abs_error
+            got = _chirp_check(grid, t).max_abs_error
             assert abs(got - self._materialized_error(grid, t)) <= 1e-15
 
     def test_small_grid_error_still_modest(self):
-        rep = verify_chirp_stft(make_grid(1, 16.0, 512), 0.5)
+        rep = _chirp_check(make_grid(1, 16.0, 512), 0.5)
         assert rep.max_abs_error < 1e-6
 
 
@@ -109,7 +129,7 @@ class TestPredictions:
         assert np.isclose(m1inf_prediction(0.5, 1), 1.25 ** 0.25 / 0.5)
         assert np.isclose(m1inf_prediction(0.5, 1), 2.1147425268811283, rtol=1e-12)
 
-    def test_2d_m1inf_grid_cap(self, monkeypatch):
+    def test_2d_m1inf_grid_cap(self):
         # t = 8 picks the largest grid allowed, about 16 times the t = 4 work;
         # t = 16 picked N = 2048 and t = 1e3 a 128 GiB grid, and both ran
         assert verify._m1inf_grid_2d(8.0)[0].N == verify.M1INF_MAX_N_2D == 1024
@@ -117,15 +137,22 @@ class TestPredictions:
             message = re.escape(f"t = {t:g} needs an N = {N} grid")
             with pytest.raises(ParameterError, match=message):
                 verify._m1inf_grid_2d(t)
-
-        def no_pass(grid, t):
-            raise AssertionError("a pass started")
-
-        # every grid is derived before the first pass
-        monkeypatch.setattr(verify, "chirp_field", no_pass)
+        # the plan derives every grid before the first pass
         with pytest.raises(ParameterError, match="t = 16 needs an N = 2048 grid"):
-            verify.verify_amalgam_constants((0.5, 16.0), d=2)
+            verify._amalgam_checks((0.5, 16.0), verify._amalgam_grid(2)[0])
 
+    def test_2d_w_rows_take_a_resolved_t(self):
+        # t = 10 passed validate, and run failed the W row's check on the
+        # N = 256 grid after minutes of M^(1,inf) passes
+        base = verify._amalgam_grid(2)[0]
+        verify._amalgam_checks((0.5, 4.0, -4.0), base)
+        for t in (4.01, -4.5, 10.0):
+            message = re.escape(f"t = {t:g}: the 2D W rows run on the grid L = 16, N = 256")
+            with pytest.raises(ParameterError, match=message):
+                verify._amalgam_checks((1.0, t), base)
+        # a t above the M^(1,inf) grid cap is named by the cap
+        with pytest.raises(ParameterError, match="t = 16 needs an N = 2048 grid"):
+            verify._amalgam_checks((10.0, 16.0), base)
 
     @pytest.mark.parametrize("t", [0.5, 4.0, 10.0])
     def test_2d_m1inf_grid_ignores_the_sign_of_t(self, t):
@@ -144,14 +171,14 @@ class TestPredictions:
 class TestDyadicSeries:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
-            dyadic_fl1_series(0.0)
+            verify._check_dyadic_alpha(0.0)
         with pytest.raises(ParameterError):
-            dyadic_fl1_series(1.0, K=5)
+            verify._check_series_depth(5, 20)
 
     def test_rejects_alpha_whose_series_tail_divides_by_zero(self):
         # 2^-alpha rounds to 1, and 1 / (1 - 2^-alpha) raised ZeroDivisionError
         with pytest.raises(ParameterError, match="alpha = 1e-300: 2\\^-alpha rounds to 1"):
-            dyadic_fl1_series(1e-300)
+            verify._check_dyadic_alpha(1e-300)
         verify._check_dyadic_alpha(8.1e-17)
         with pytest.raises(ParameterError):
             verify._check_dyadic_alpha(8.0e-17)
@@ -159,24 +186,24 @@ class TestDyadicSeries:
     def test_rejects_depths_past_the_caps(self):
         # K = 171 raised OverflowError dividing by 171!, and J = 1e8 ran for minutes
         with pytest.raises(ParameterError, match="k = 171: the series depth K may be at most"):
-            dyadic_fl1_series(0.01, K=171)
+            verify._check_series_depth(171, 20)
         with pytest.raises(ParameterError, match="j = 100000000: the geometric depth J"):
-            dyadic_fl1_series(1.0, J=100_000_000)
+            verify._check_series_depth(40, 100_000_000)
         verify._check_series_depth(170, 1000)
 
     def test_partial_sums_monotone(self):
-        rep = dyadic_fl1_series(1.0, K=15)
+        rep = dyadic_fl1_series(bump_chi(verify._dyadic_grid()).field, 1.0, 15, 20)
         partials = [row[3] for row in rep.per_k]
         assert all(b >= a for a, b in zip(partials, partials[1:]))
 
     def test_sin_singular_requires_admissible_exponents(self):
         with pytest.raises(ParameterError):
-            verify_sin_singular_fl1(1.5, 0.5)
+            verify._check_sin_singular(1.5, 0.5)
         with pytest.raises(ParameterError):
-            verify_sin_singular_fl1(0.5, 0.7)
+            verify._check_sin_singular(0.5, 0.7)
 
     def test_sin_singular_finite(self):
-        rep = verify_sin_singular_fl1(0.5, 0.25)
+        rep = verify_sin_singular_fl1(verify._dyadic_grid(), 0.5, 0.25)
         assert math.isfinite(rep.direct_fl1)
         assert rep.direct_refinement < 0.01
 
@@ -201,29 +228,35 @@ class TestLinearPhase:
         assert abs(after - before) / before < 0.05
 
     def test_cases_deterministic(self):
-        a = linear_phase_random_cases(5, seed=123)
-        b = linear_phase_random_cases(5, seed=123)
+        g = gaussian_window(verify._linear_phase_grid())
+        a = linear_phase_random_cases(g, 5, seed=123)
+        b = linear_phase_random_cases(g, 5, seed=123)
         assert [r[0] for r in a] == [r[0] for r in b]
         assert all(np.isclose(x[1], y[1]) for x, y in zip(a, b))
 
 
 class TestProbesAndContrast:
     def test_fresnel_oracle_matches_measurement(self):
-        rep = verify.lp_contrast_probe(0.5, (1.0, 4.0))
-        for measured, predicted in zip(rep.l1_ratios, rep.l1_oracle):
+        grid = verify._lp_contrast_grid()
+        fields = [verify.gaussian_data(grid, lam) for lam in (1.0, 4.0)]
+        rep = verify.lp_contrast_probe(symbol_unimodular(grid, 2.0, t=0.5), fields,
+                                       gaussian_window(grid))
+        for measured, lam in zip(rep.l1_ratios, (1.0, 4.0)):
+            predicted = fresnel_l1_ratio(0.5, lam)
             assert abs(measured - predicted) / predicted < 1e-6
 
     def test_lp_contrast_rejects_an_unresolved_phase(self):
-        # (t lam)^2 overflowed in fresnel_l1_ratio with an OverflowError
+        # (t lam)^2 overflowed in fresnel_l1_ratio with an OverflowError; the
+        # plan builds the symbol before it takes the closed-form ratios
         with pytest.raises(ParameterError, match="t = 1e\\+300: the largest propagator phase"):
-            verify.lp_contrast_probe(1e300)
+            symbol_unimodular(verify._lp_contrast_grid(), 2.0, t=1e300)
 
     @pytest.mark.parametrize("t,lambdas", [(1.0, (1.0, 1e300)), (1e6, (1e149,)),
                                            (0.0, (float("inf"),))])
     def test_lp_contrast_rejects_an_overflowing_oracle(self, t, lambdas):
         # (t lam)^2 raised OverflowError, or the ratio came out inf or nan
         with pytest.raises(ParameterError, match="the closed-form L\\^1 ratio"):
-            verify.lp_contrast_probe(t, lambdas)
+            verify._check_fresnel_ratios(t, lambdas)
 
     def test_fresnel_t_zero_flat(self):
         assert np.isclose(fresnel_l1_ratio(0.0, 8.0), 1.0)
@@ -231,18 +264,25 @@ class TestProbesAndContrast:
     def test_probe_ratios_l2_exactly_one(self):
         grid = make_grid(1, 16.0, 256)
         sig = symbol_unimodular(grid, 1.0, t=1.0)
-        rep = verify.probe_ratios(sig, [(2.0, 2.0)])[(2.0, 2.0)]
+        family, g = verify.probe_family(grid), gaussian_window(grid)
+        base = verify.probe_base_norms(family, g, [(2.0, 2.0)])
+        rep = verify.probe_ratios(sig, [(2.0, 2.0)], family, g, base)[(2.0, 2.0)]
         assert np.allclose(rep.ratios, 1.0, atol=1e-12)
 
     def test_probe_ratios_with_precomputed_base_norms(self):
+        # one set of base norms serves every symbol: each ratio is that of two single norms
         grid = make_grid(1, 16.0, 256)
         sig = symbol_unimodular(grid, 1.5, t=1.0)
         pq_list = [(1.0, 1.0), (2.0, 2.0), (math.inf, 1.0), (1.0, math.inf)]
         family = verify.probe_family(grid)
         g = gaussian_window(grid)
         base = verify.probe_base_norms(family, g, pq_list)
-        assert verify.probe_ratios(sig, pq_list, family, g, base) == \
-            verify.probe_ratios(sig, pq_list)
+        reps = verify.probe_ratios(sig, pq_list, family, g, base)
+        for pq, rep in reps.items():
+            assert rep.labels == list(verify.PROBES)
+            for (label, f), ratio in zip(family, rep.ratios):
+                moved = modulation_norm(apply_multiplier(sig, f), g, *pq).value
+                assert ratio == moved / modulation_norm(f, g, *pq).value, (pq, label)
 
     def test_probe_family_labels_unique(self):
         grid = make_grid(1, 16.0, 128)
@@ -257,7 +297,9 @@ class TestMergedPasses:
     def test_amalgam_1d_equals_single_norms(self):
         grid = make_grid(1, 16.0, 512)
         g = gaussian_window(grid)
-        rows = verify.verify_amalgam_constants((0.0, 0.5, 2.0), d=1, grid=grid)
+        t_list = (0.0, 0.5, 2.0)
+        m1_preds = verify._amalgam_checks(t_list, grid)[1]
+        rows = verify.verify_amalgam_constants(t_list, g, 1, m1_preds, {})
         for row in rows:
             f = verify.chirp_field(grid, row.t)
             w = amalgam_norm_wfl1(f, g, position_halfwidth=grid.L / 4.0, refine=True)
@@ -267,7 +309,8 @@ class TestMergedPasses:
             else:
                 m1 = m_1_inf_norm(f, g, position_halfwidth=grid.L / 4.0, refine=False)
                 assert row.m1inf_measured == m1.value
-        skipped = verify.verify_amalgam_constants((0.5,), d=1, grid=grid, include_m1inf=False)
+        # a nan prediction measures no M^{1,inf} row
+        skipped = verify.verify_amalgam_constants((0.5,), g, 1, [math.nan], {})
         assert skipped[0].w_measured == rows[1].w_measured
         assert math.isnan(skipped[0].m1inf_measured)
 
@@ -277,7 +320,7 @@ class TestMergedPasses:
         fields = [("gauss", sample(lambda x: np.exp(-np.pi * x ** 2), grid)),
                   ("shifted", sample(lambda x: np.exp(-np.pi * (x - 1.0) ** 2), grid))]
         t_list = (0.5, 2.0)
-        rep = verify.schrodinger_conservation(fields, w, 1, math.inf, t_list)
+        rep = verify.schrodinger_conservation(fields, w, 1, math.inf, _envelopes(t_list))
         assert set(rep.l2_ratios) == set(rep.ratios)
 
         def single(f, u, p, q):
@@ -290,7 +333,7 @@ class TestMergedPasses:
                 assert rep.ratios[(label, t)] == single(f, u, 1, math.inf)
                 assert rep.l2_ratios[(label, t)] == single(f, u, 2, 2)
         # at (p, q) = (2, 2) both sets of ratios are the M^{2,2} ones
-        l2 = verify.schrodinger_conservation(fields, w, 2, 2, t_list)
+        l2 = verify.schrodinger_conservation(fields, w, 2, 2, _envelopes(t_list))
         assert l2.ratios == l2.l2_ratios == rep.l2_ratios
 
     def test_wave_skips_the_zero_field_with_the_same_bits(self, monkeypatch):
@@ -324,45 +367,37 @@ class TestConservationDrivers:
         from tfmult.core import SampledField
         f = SampledField(grid, rng.standard_normal(512) + 1j * rng.standard_normal(512))
         rep = verify.schrodinger_conservation([("rand", f)], gaussian_window(grid),
-                                              2, 2, (0.5, 2.0))
+                                              2, 2, _envelopes((0.5, 2.0)))
         assert all(abs(r - 1.0) < 1e-10 for r in rep.ratios.values())
 
     def test_schrodinger_envelope_overflow_names_t(self):
         # (t^2 + 4 pi^2)^{1/4} is inf for t = 1e300, so every c was 0
-        grid = make_grid(1, 16.0, 64)
-        f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
         with pytest.raises(ParameterError, match="overflows at t = 1e\\+300"):
-            verify.schrodinger_conservation([("gauss", f)], gaussian_window(grid), 1, 1,
-                                            (1.0, 1e300))
+            verify.schrodinger_envelope(1e300, 1)
 
     def test_divergence_ignores_the_sign_of_t(self):
         # t = -4 was measured on the t = 0.25 grids (N = 256 and 1024
         # instead of 1024 and 4096) and read 7.87 and 15.76; |V| of the
         # conjugate chirp is |V| mirrored in frequency, so the values agree
         boxes = (16.0, 32.0)
-        neg = verify.verify_m_inf_1_divergence(-4.0, boxes)
-        pos = verify.verify_m_inf_1_divergence(4.0, boxes)
+        neg = _divergence(-4.0, boxes)
+        pos = _divergence(4.0, boxes)
         np.testing.assert_allclose(neg.values, pos.values, rtol=1e-12, atol=0.0)
         assert neg.growth_factors[0] >= 1.5
 
-    def test_divergence_grid_cap(self, monkeypatch):
+    def test_divergence_grid_cap(self):
         # l_list = 16, 1e6 picked N = 2^39 for the second box and failed to
         # allocate 4 TiB; every box's grid is now derived before any pass
         assert verify._divergence_grid(128.0, 4.0).N == verify.DIVERGENCE_MAX_N == 65536
         with pytest.raises(ParameterError, match="box L = 256 needs an N = 262144 grid"):
             verify._divergence_grid(256.0, 4.0)
-
-        def no_pass(grid, t):
-            raise AssertionError("a pass started")
-
-        monkeypatch.setattr(verify, "chirp_field", no_pass)
         with pytest.raises(ParameterError, match="box L = 1e\\+06 needs an N = 549755813888"):
-            verify.verify_m_inf_1_divergence(1.0, (16.0, 1e6))
+            verify._divergence_grids(1.0, (16.0, 1e6))
         with pytest.raises(ParameterError, match="box L = 16 needs an N = inf grid"):
-            verify.verify_m_inf_1_divergence(1e300, (16.0, 32.0))
+            verify._divergence_grids(1e300, (16.0, 32.0))
 
     def test_divergence_t_zero_flat(self):
-        rep = verify.verify_m_inf_1_divergence(0.0, (16.0, 32.0))
+        rep = _divergence(0.0, (16.0, 32.0))
         # constant symbol: no ridge, the boxed norm saturates instead of growing
         assert rep.values[1] / rep.values[0] < 1.5
 
@@ -446,6 +481,19 @@ class TestSharedDefinitions:
             old = sample(lambda *xs: sin_singular_profile(radius(xs), alpha, delta)
                          * chi_profile(radius(xs)), grid)
             assert _same_bits(truncated_field(grid, sin_singular_profile, alpha, delta), old)
+
+    def test_radial_samplers(self):
+        # bump_chi, annulus_psi and the dyadic terms sampled profile(|x|) by hand
+        for grid in (verify._dyadic_grid(), make_grid(2, 16.0, 64)):
+            old = sample(lambda *xs: chi_profile(radius(xs)), grid)
+            assert _same_bits(bump_chi(grid).field, old), grid
+            old = sample(lambda *xs: psi_profile(radius(xs)), grid)
+            assert _same_bits(annulus_psi(grid).field, old), grid
+        grid = verify._dyadic_grid()
+        for alpha in (0.5, 1.0, 2.0):
+            for k in (0, 1, 40):
+                old = sample(lambda *xs: radius(xs) ** (k * alpha) * psi_profile(radius(xs)), grid)
+                assert _same_bits(verify._dyadic_term(grid, k, alpha), old), (alpha, k)
 
     def test_chirp_resolution_rule_at_both_boxes(self):
         grids = [default_grid(1), verify._amalgam_grid(1)[0], make_grid(1, 10.0, 256)]
