@@ -43,8 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .core import (ParameterError, SamplingError, _check_coarsenable, default_grid, make_grid,
-                   sample)
+from .core import ParameterError, SamplingError, default_grid, half_grid, make_grid, sample
 from .mult import _check_phase_resolution, symbol_unimodular
 from .tf import _check_exponent, bump_chi, gaussian_window
 from .verify import DEFAULT_SEED
@@ -186,12 +185,12 @@ PARSERS = {
 def load_config(path: str) -> dict:
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read config file {path}")
         if "experiment" not in parser:
             raise ConfigError("config must contain an [experiment] section")
         cfg = dict(parser["experiment"])  # interpolates, so it too can raise
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {' '.join(str(exc).split())}") from None
     if "name" not in cfg:
         raise ConfigError("missing key 'name'")
@@ -450,7 +449,7 @@ def _run_schrodinger(t_list=(0.5, 1.0, 2.0, 4.0), p=1.0, q=math.inf, l=_GRID.L, 
 
 def _run_wave(t_list=(0.5, 1.0, 2.0), p=1.0, q=1.0, l=_GRID.L, n=_GRID.N):
     grid = _grid_1d(l, n)
-    _check_coarsenable(grid)  # the refinement estimate measures on N / 2 too
+    half_grid(grid)  # the refinement estimate measures on N / 2 too
     for t in t_list:
         _check_phase_resolution(grid, t, 1)
     w, f, g0 = gaussian_window(grid), verify.gaussian_data(grid, 1.0), sample(np.zeros_like, grid)
@@ -459,10 +458,10 @@ def _run_wave(t_list=(0.5, 1.0, 2.0), p=1.0, q=1.0, l=_GRID.L, n=_GRID.N):
         rep = verify.wave_conservation(f, g0, w, p, q, t_list)
         ok = rep.energy_drift < 1e-10 and all(r < 0.01 for r in rep.refinement)
         rows = [_row("wave_conservation", f"t={t:g};p={p:g};q={q:g}", c, refinement_estimate=r)
-                for t, c, r in zip(rep.t_list, rep.c_values, rep.refinement)]
+                for t, c, r in zip(t_list, rep.c_values, rep.refinement)]
         rows.append(_row("wave_conservation", "quantity=energy_drift", rep.energy_drift, 0.0,
                          rep.energy_drift))
-        return rows, {"C(t)": (rep.t_list, rep.c_values)}, ok
+        return rows, {"C(t)": (t_list, rep.c_values)}, ok
     return measure
 
 
@@ -491,10 +490,14 @@ EXPERIMENTS = {name: _runner(plan) for name, plan in {
 
 def run_experiment(name, params, out_dir: Path) -> int:
     rows, series, ok = EXPERIMENTS[name](**params)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emit_csv(rows, out_dir / "results.csv")
-    if series is not None:
-        emit_svg(series, out_dir / "plot.svg", title=name)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        emit_csv(rows, out_dir / "results.csv")
+        if series is not None:
+            emit_svg(series, out_dir / "plot.svg", title=name)
+    except OSError as exc:
+        print(f"error: cannot write results to {out_dir}: {exc}", file=sys.stderr)
+        return 2
     if not ok:
         for r in rows:
             print(f"FAIL-context: {r['experiment']} {r['parameters']} "

@@ -485,22 +485,21 @@ def l1_norm(f: SampledField) -> float:
     return float(g.dx ** g.d * np.sum(np.abs(f.values)))
 
 
-def _check_coarsenable(grid: Grid) -> None:
-    """The half-resolution grid of a refinement estimate needs N >= 16."""
+def half_grid(grid: Grid) -> Grid:
+    """The half-resolution grid (same L, N/2) of a refinement estimate; it needs N >= 16."""
     if grid.N < 16:
         raise ParameterError("cannot coarsen below N = 8")
+    return make_grid(grid.d, grid.L, grid.N // 2)
 
 
 def coarsen(f: SampledField) -> SampledField:
-    """Subsample a field onto the half-resolution grid (same L, N/2).
+    """Subsample a field onto its half-resolution grid (``half_grid``).
 
-    Used for the discretization-error estimates carried by norm reports.
+    Used for the refinement estimates (``tf.refinement``).
     """
-    g = f.grid
-    _check_coarsenable(g)
-    half = make_grid(g.d, g.L, g.N // 2)
+    half = half_grid(f.grid)
     v = f.reshaped()
-    for _ in range(g.d):
+    for _ in range(half.d):
         v = v[::2]
         v = np.moveaxis(v, 0, -1)
     return SampledField(half, v.reshape(-1).copy())

@@ -14,16 +14,17 @@ plus ``m_1_inf_norm`` (sup over frequencies of the L^1-in-position slice) and
 
 Every STFT norm goes through one streamed pass (``_norms``) that reads |V|
 once and accumulates every requested (p, q, order) reduction from it, so no
-norm materializes the N^d x N^d matrix.  The refinement estimate, taken
-only when a call passes ``refine=True``, recomputes the same reduction on
-the half-resolution grid (``coarsen`` plus ``resample_window``).  |V|
-takes one of two paths, by window kind, and both are plain functions with
-one contract: ``path(f, g, stride, halfwidth, acc, col, powers, reduce)``
-folds every positions-inner accumulator of ``acc`` itself and hands each
-step's or block's rows to ``reduce(first, rows_of, lo, hi)`` in the thread
-piece of its rows lo:hi, where ``first`` is the ordinal of its first
-position and ``rows_of(p)`` its |V| rows (p = 1 and inf) or |V|^p rows
-(every other p of ``powers``), valid during the call.
+norm materializes the N^d x N^d matrix.  Every refinement estimate comes
+from ``refinement``: it measures the same quantity again on the
+half-resolution grid, with each field ``coarsen``ed and each window
+rebuilt there (``coarsen_window``).  |V| takes one of two paths, by window
+kind, and both are plain functions with one contract:
+``path(f, g, stride, halfwidth, acc, col, powers, reduce)`` folds every
+positions-inner accumulator of ``acc`` itself and hands each step's or
+block's rows to ``reduce(first, rows_of, lo, hi)`` in the thread piece of
+its rows lo:hi, where ``first`` is the ordinal of its first position and
+``rows_of(p)`` its |V| rows (p = 1 and inf) or |V|^p rows (every other p
+of ``powers``), valid during the call.
 
 * Windowed (``_windowed_sums``): one full d-dimensional transform per
   position, for every 1D window and the 2D ``bump_chi``, ``annulus_psi``
@@ -106,6 +107,7 @@ from .core import (
     centered_fft,
     chi_profile,
     coarsen,
+    half_grid,
     psi_profile,
     radial_field,
     radius,
@@ -229,18 +231,12 @@ def custom_window(f: SampledField) -> Window:
     return Window(f, "custom")
 
 
-def resample_window(w: Window, grid: Grid) -> Window:
-    """Rebuild a window on another grid (analytic kinds) or subsample (custom)."""
-    if w.kind == "gaussian":
-        return gaussian_window(grid)
-    if w.kind == "bump_chi":
-        return bump_chi(grid)
-    if w.kind == "annulus_psi":
-        return annulus_psi(grid)
-    src = w.field.grid
-    if src.L == grid.L and src.N == 2 * grid.N and src.d == grid.d:
-        return Window(coarsen(w.field), "custom")
-    raise ParameterError("custom windows can only be coarsened by a factor 2")
+def coarsen_window(w: Window) -> Window:
+    """The window on its half-resolution grid: rebuilt (analytic kinds) or subsampled (custom)."""
+    if w.kind == "custom":
+        return custom_window(coarsen(w.field))
+    return {"gaussian": gaussian_window, "bump_chi": bump_chi,
+            "annulus_psi": annulus_psi}[w.kind](half_grid(w.field.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +504,9 @@ def stft(f: SampledField, g: Window, stride: int = 1) -> StftMatrix:
 
 @dataclass
 class NormReport:
-    """A computed norm with its grid and error estimate."""
+    """A computed norm, with its refinement estimate where one was asked for."""
 
     value: float
-    grid: Grid
     refinement_estimate: float | None = None
 
 
@@ -646,55 +641,49 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     return out
 
 
-def _field_norm(
-    f: SampledField,
-    g: Window,
-    p,
-    q,
-    order: str,
-    stride: int = 1,
-    halfwidth=None,
-    refine: bool = False,
-) -> NormReport:
-    p = _check_exponent(p)
-    q = _check_exponent(q)
-    spec = (p, q, order)
-    (val,) = _norms(f, g, [spec], stride, halfwidth)
-    ref = _refinement(f, g, spec, stride, halfwidth, val) if refine else None
-    return NormReport(val, f.grid, refinement_estimate=ref)
+def refinement(values, measure, *inputs) -> list:
+    """|v - v_half| / max(|v|, 1e-300) for each v of ``values`` = measure(*inputs).
 
-
-def _refinement(f: SampledField, g: Window, spec, stride: int, halfwidth, value: float) -> float:
-    """Relative change of a spec's value, ``value``, recomputed at half resolution."""
-    fc = coarsen(f)
-    gc = resample_window(g, fc.grid)
-    (half,) = _norms(fc, gc, [spec], max(1, stride // 2), halfwidth)
-    return abs(value - half) / max(abs(value), 1e-300)
+    v_half is the same quantity measured again at half resolution:
+    ``measure`` is called once more with each field of ``inputs``
+    ``coarsen``ed and each window rebuilt on its half-resolution grid
+    (``coarsen_window``), and returns one value per value.
+    """
+    half = measure(*(coarsen_window(x) if isinstance(x, Window) else coarsen(x) for x in inputs))
+    return [abs(v - h) / max(abs(v), 1e-300) for v, h in zip(values, half, strict=True)]
 
 
 def _wfl1_and_m1inf(f: SampledField, g: Window, stride: int, halfwidth, with_m1inf: bool):
     """W(FL^1, l^inf), its refinement estimate and M^{1,inf} from one pass.
 
     Both norms read the same |V|, so one ``_norms`` pass measures them; the
-    refinement is W's alone.  M^{1,inf} is nan unless ``with_m1inf``.
+    refinement is W's alone, at stride max(1, stride // 2).  M^{1,inf} is
+    nan unless ``with_m1inf``.
     """
     w, *m1 = _norms(f, g, [_WFL1, _M1INF] if with_m1inf else [_WFL1], stride, halfwidth)
-    return w, _refinement(f, g, _WFL1, stride, halfwidth, w), m1[0] if m1 else math.nan
+    (ref,) = refinement([w], lambda h, gh: _norms(h, gh, [_WFL1], max(1, stride // 2), halfwidth),
+                        f, g)
+    return w, ref, m1[0] if m1 else math.nan
 
 
 def modulation_norm(
     f: SampledField, g: Window, p, q, stride: int = 1, refine: bool = False
 ) -> NormReport:
-    """M^{p,q}-style norm: mixed (p, q) norm of V_g f, positions inner."""
-    return _field_norm(f, g, p, q, POSITIONS_INNER, stride, None, refine)
+    """M^{p,q}-style norm: mixed (p, q) norm of V_g f, positions inner.
+
+    With ``refine`` the report carries the ``refinement`` estimate, measured
+    at stride max(1, stride // 2).
+    """
+    specs = [(_check_exponent(p), _check_exponent(q), POSITIONS_INNER)]
+    (value,) = _norms(f, g, specs, stride)
+    if not refine:
+        return NormReport(value)
+    (ref,) = refinement([value], lambda h, gh: _norms(h, gh, specs, max(1, stride // 2)), f, g)
+    return NormReport(value, ref)
 
 
 def amalgam_norm_wfl1(
-    f: SampledField,
-    g: Window,
-    stride: int = 1,
-    position_halfwidth: float | None = None,
-    refine: bool = False,
+    f: SampledField, g: Window, stride: int = 1, position_halfwidth: float | None = None
 ) -> NormReport:
     """sup over positions x of sum_w |V_g f(x, w)| dxi^d.
 
@@ -702,31 +691,22 @@ def amalgam_norm_wfl1(
     positions whose window wraps around the periodic box misrepresent the
     continuum translate, so sup-type estimates may exclude an edge margin.
     """
-    return _field_norm(f, g, *_WFL1, stride, position_halfwidth, refine)
+    return NormReport(_norms(f, g, [_WFL1], stride, position_halfwidth)[0])
 
 
 def m_inf_1_norm(
-    f: SampledField,
-    g: Window,
-    stride: int = 1,
-    position_halfwidth: float | None = None,
-    refine: bool = False,
+    f: SampledField, g: Window, stride: int = 1, position_halfwidth: float | None = None
 ) -> NormReport:
     """sum over frequencies of (sup over positions of |V_g f|) dxi^d."""
-    return _field_norm(
-        f, g, np.inf, 1.0, POSITIONS_INNER, stride, position_halfwidth, refine
-    )
+    spec = (math.inf, 1.0, POSITIONS_INNER)
+    return NormReport(_norms(f, g, [spec], stride, position_halfwidth)[0])
 
 
 def m_1_inf_norm(
-    f: SampledField,
-    g: Window,
-    stride: int = 1,
-    position_halfwidth: float | None = None,
-    refine: bool = False,
+    f: SampledField, g: Window, stride: int = 1, position_halfwidth: float | None = None
 ) -> NormReport:
     """sup over frequencies of (sum over positions of |V_g f| dx^d)."""
-    return _field_norm(f, g, *_M1INF, stride, position_halfwidth, refine)
+    return NormReport(_norms(f, g, [_M1INF], stride, position_halfwidth)[0])
 
 
 def modulation_norms_multi(
@@ -738,20 +718,12 @@ def modulation_norms_multi(
     return dict(zip(pq_list, vals))
 
 
-def fl1_norm(f: SampledField, refine: bool = False) -> NormReport:
+def fl1_norm(f: SampledField) -> NormReport:
     """L^1 norm of the Fourier transform: sum |f_hat| dxi^d.
 
     The field is treated as compactly supported on its box; callers truncate
     (e.g. multiply by the bump cutoff) before measuring.
     """
-
-    def value(h: SampledField) -> float:
-        gr = h.grid
-        return float(gr.dxi ** gr.d * np.sum(np.abs(centered_fft(h.reshaped(), gr.d, gr.dx))))
-
-    val = value(f)
-    ref = None
-    if refine:
-        half = value(coarsen(f))
-        ref = abs(val - half) / max(abs(val), 1e-300)
-    return NormReport(val, f.grid, refinement_estimate=ref)
+    gr = f.grid
+    modulus = np.abs(centered_fft(f.reshaped(), gr.d, gr.dx))
+    return NormReport(float(gr.dxi ** gr.d * np.sum(modulus)))

@@ -18,7 +18,6 @@ from .core import (
     Grid,
     ParameterError,
     SampledField,
-    coarsen,
     l1_norm,
     make_grid,
     psi_profile,
@@ -45,7 +44,7 @@ from .tf import (
     m_inf_1_norm,
     modulation_norm,
     modulation_norms_multi,
-    resample_window,
+    refinement,
 )
 
 DEFAULT_SEED = 20240214
@@ -123,8 +122,6 @@ def _chirp_stft_region(grid: Grid, t: float) -> tuple:
 
 @dataclass
 class ChirpStftReport:
-    grid: Grid
-    t: float
     max_abs_error: float
     aliasing_warning: bool
 
@@ -152,7 +149,7 @@ def verify_chirp_stft(f: SampledField, g: Window, t: float, region) -> ChirpStft
         np.max(np.abs(rows_of(1.0)[lo:hi, pw] - oracle), axis=1, out=errs[at])
 
     _windowed_sums(f, g, 1, grid.L / 4.0, {}, None, (), reduce)
-    return ChirpStftReport(grid, t, float(np.max(errs)), chirp_aliased(grid, t, grid.L / 2.0))
+    return ChirpStftReport(float(np.max(errs)), chirp_aliased(grid, t, grid.L / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +319,6 @@ def verify_amalgam_constants(t_list, g: Window, stride: int, m1_preds, m1_grids)
 
 @dataclass
 class DivergenceReport:
-    t: float
     box_sizes: list
     values: list
     growth_factors: list
@@ -377,7 +373,7 @@ def verify_m_inf_1_divergence(t: float, windows) -> DivergenceReport:
     values = [m_inf_1_norm(chirp_field(grid, t), g, position_halfwidth=grid.L / 4.0).value
               for grid, g in zip(grids, windows)]
     growth = [values[i + 1] / values[i] for i in range(len(values) - 1)]
-    return DivergenceReport(t, [grid.L for grid in grids], values, growth)
+    return DivergenceReport([grid.L for grid in grids], values, growth)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +382,6 @@ def verify_m_inf_1_divergence(t: float, windows) -> DivergenceReport:
 
 @dataclass
 class DyadicSeriesReport:
-    alpha: float
-    K: int
-    J: int
     per_k: list  # (k, psi_k FL1, phi_k FL1 bound, partial series sum)
     direct_fl1: float
     direct_refinement: float
@@ -442,6 +435,12 @@ def _check_sin_singular(alpha: float, delta: float) -> None:
         raise ParameterError(f"need 0 < delta <= alpha <= 1, got {alpha}, {delta}")
 
 
+def _refined_fl1(field: SampledField) -> tuple:
+    """The FL1 norm of a field and its ``refinement`` estimate."""
+    value = fl1_norm(field).value
+    return value, refinement([value], lambda h: [fl1_norm(h).value], field)[0]
+
+
 def dyadic_fl1_series(chi: SampledField, alpha: float, K: int, J: int) -> DyadicSeriesReport:
     """Taylor-in-the-exponent series bound for e^{i |.|^alpha} * chi in FL1.
 
@@ -474,19 +473,14 @@ def dyadic_fl1_series(chi: SampledField, alpha: float, K: int, J: int) -> Dyadic
         if cauchy_k is None and k >= 1 and term < 1e-6 * partial:
             cauchy_k = k
 
-    direct = fl1_norm(truncated_field(grid, unimodular_profile, alpha), refine=True)
-    return DyadicSeriesReport(
-        alpha, K, J, per_k, direct.value, direct.refinement_estimate, partial, cauchy_k
-    )
+    direct = _refined_fl1(truncated_field(grid, unimodular_profile, alpha))
+    return DyadicSeriesReport(per_k, *direct, partial, cauchy_k)
 
 
 @dataclass
 class SinSingularReport:
-    alpha: float
-    delta: float
     direct_fl1: float
     direct_refinement: float
-    series_partials: list
     cauchy: bool
 
 
@@ -498,9 +492,8 @@ def verify_sin_singular_fl1(grid: Grid, alpha: float, delta: float) -> SinSingul
     refinement stability) and the odd Taylor series whose terms are
     |.|^{(2k+1) alpha - delta} chi / (2k+1)!, k = 0, ..., ``SIN_SINGULAR_K``.
     """
-    direct = fl1_norm(truncated_field(grid, sin_singular_profile, alpha, delta), refine=True)
+    direct = _refined_fl1(truncated_field(grid, sin_singular_profile, alpha, delta))
 
-    partials = []
     total = 0.0
     cauchy = False
     for k in range(SIN_SINGULAR_K + 1):
@@ -509,11 +502,9 @@ def verify_sin_singular_fl1(grid: Grid, alpha: float, delta: float) -> SinSingul
             grid, lambda rho: np.where(rho > 0, rho ** exponent, 1.0 if exponent == 0 else 0.0))
         term = fl1_norm(term_field).value / math.factorial(2 * k + 1)
         total += term
-        partials.append(total)
         if k >= 1 and term < 1e-6 * total:
             cauchy = True
-    return SinSingularReport(alpha, delta, direct.value, direct.refinement_estimate,
-                             partials, cauchy)
+    return SinSingularReport(*direct, cauchy)
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +597,9 @@ def linear_phase_random_cases(g: Window, n: int = LINEAR_PHASE_CASES,
 
 @dataclass
 class ProbeReport:
-    p: float
-    q: float
     labels: list
     ratios: list
     max_ratio: float
-    grid: Grid
 
 
 def gaussian_data(grid: Grid, lam: float, x0: float = 0.0, xi0: float = 0.0,
@@ -663,9 +651,7 @@ def probe_ratios(sigma: Symbol, pq_list, family, window: Window, base_norms: dic
     ||f||, ``probe_base_norms`` of the same family, window and (p, q) list:
     they do not depend on sigma, so one set serves every symbol.
     """
-    grid = sigma.grid
-    reports = {pq: ProbeReport(pq[0], pq[1], [], [], 0.0, grid)
-               for pq in pq_list}
+    reports = {pq: ProbeReport([], [], 0.0) for pq in pq_list}
     for label, f in family:
         base = base_norms[label]
         out = apply_multiplier(sigma, f)
@@ -752,8 +738,6 @@ def schrodinger_envelope(t: float, d: int) -> float:
 
 @dataclass
 class SchrodingerConservationReport:
-    p: float
-    q: float
     ratios: dict          # (label, t) -> ratio
     c_values: dict        # (label, t) -> ratio / (t^2 + 4 pi^2)^{d/4}
     fitted_c: float
@@ -797,15 +781,11 @@ def schrodinger_conservation(fields, window: Window, p, q,
     vals = list(c_values.values())
     fitted = max(vals)
     stability = (fitted - min(vals)) / fitted
-    return SchrodingerConservationReport(pq[0], pq[1], ratios, c_values, fitted, stability,
-                                         l2_ratios)
+    return SchrodingerConservationReport(ratios, c_values, fitted, stability, l2_ratios)
 
 
 @dataclass
 class WaveConservationReport:
-    p: float
-    q: float
-    t_list: list
     c_values: list          # C(t) = ||u(., t)|| / (||f|| + ||g||)
     refinement: list        # relative change of C(t) at half resolution
     energy_drift: float     # max relative wave-energy deviation over t_list
@@ -824,24 +804,31 @@ def _norm_unless_zero(h: SampledField, window: Window, p, q) -> float:
 
 def wave_conservation(f: SampledField, g0: SampledField, window: Window, p, q,
                       t_list) -> WaveConservationReport:
-    """Measured envelope constants and energy conservation for the wave flow."""
+    """Measured envelope constants and energy conservation for the wave flow.
+
+    C(t) of every t is measured on the data's grid and, for its
+    ``refinement`` estimate, once more on the half-resolution grid; the
+    denominators ||f|| + ||g|| are measured once per grid.
+    """
     from .mult import wave_energy, wave_propagate
 
-    denom = _nonzero_norm(_norm_unless_zero(f, window, p, q)
-                          + _norm_unless_zero(g0, window, p, q), p, q, "the initial data")
-    fc, gc = coarsen(f), coarsen(g0)
-    wc = resample_window(window, fc.grid)
-    denom_c = _nonzero_norm(_norm_unless_zero(fc, wc, p, q) + _norm_unless_zero(gc, wc, p, q),
-                            p, q, "the coarsened initial data")
+    grid, energies = f.grid, []
+
+    def constants(f, g0, window):
+        """C(t) for each t of t_list; on the data's grid the energies go to ``energies``."""
+        fine = f.grid == grid
+        denom = _nonzero_norm(_norm_unless_zero(f, window, p, q)
+                              + _norm_unless_zero(g0, window, p, q), p, q,
+                              "the initial data" if fine else "the coarsened initial data")
+        cs = []
+        for t in t_list:
+            state = wave_propagate(f, g0, t)
+            cs.append(modulation_norm(state.u, window, p, q).value / denom)
+            if fine:
+                energies.append(wave_energy(state))
+        return cs
+
+    cs = constants(f, g0, window)
     e0 = wave_energy(wave_propagate(f, g0, 0.0))
-    cs, refs = [], []
-    drift = 0.0
-    for t in t_list:
-        state = wave_propagate(f, g0, t)
-        c = modulation_norm(state.u, window, p, q).value / denom
-        state_c = wave_propagate(fc, gc, t)
-        c_half = modulation_norm(state_c.u, wc, p, q).value / denom_c
-        cs.append(c)
-        refs.append(abs(c - c_half) / max(c, 1e-300))
-        drift = max(drift, abs(wave_energy(state) - e0) / max(e0, 1e-300))
-    return WaveConservationReport(float(p), float(q), list(t_list), cs, refs, drift)
+    drift = max([0.0, *(abs(e - e0) / max(e0, 1e-300) for e in energies)])
+    return WaveConservationReport(cs, refinement(cs, constants, f, g0, window), drift)

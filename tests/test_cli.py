@@ -322,14 +322,17 @@ class TestListValidate:
         "[experiment]\nname = chirp_stft\nname = lp_contrast\n",  # a key twice
         "[experiment]\nname = chirp_stft\nt_list\n",  # a line without =
         "[experiment]\nname = chirp_stft\nt_list = %(x)s\n",  # raised on reading the value
+        b"[experiment]\nname = chirp_stft\nt_list = 1\xff\n",  # not UTF-8
     ])
-    def test_malformed_file_exits_two(self, tmp_path, capsys, text):
-        # each printed a configparser traceback and exited 1
+    def test_malformed_file_exits_two(self, tmp_path, capsys, monkeypatch, text):
+        # each printed a configparser (or UnicodeDecodeError) traceback and exited 1
         p = tmp_path / "bad.ini"
-        p.write_text(text)
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
+        monkeypatch.setenv("TFMULT_OUT", str(tmp_path / "o"))
         for cmd in ("validate", "run"):
             assert main([cmd, str(p)]) == 2
             assert capsys.readouterr().err.startswith(f"error: malformed config file {p}: ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestSchema:
@@ -461,6 +464,25 @@ class TestRun:
         assert main(["run", cfg]) == 0
         csv = (tmp_path / "o" / "results.csv").read_text(encoding="utf-8")
         assert "cases=1;seed=9007199254740993," in csv
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, monkeypatch):
+        # run measured everything, then printed a NotADirectoryError traceback
+        # and exited 1
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        cfg = write_config(tmp_path, f"name = sin_singular_fl1\nout = {out}\n")
+        runs = []
+        runner = EXPERIMENTS["sin_singular_fl1"]
+
+        @functools.wraps(runner)
+        def counted(**params):
+            runs.append(params)
+            return runner(**params)
+
+        monkeypatch.setitem(EXPERIMENTS, "sin_singular_fl1", counted)
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write results to {out}: ")
+        assert len(runs) == 1  # through EXPERIMENTS, which the benchmark's tracer wraps
 
     def test_env_override_wins(self, tmp_path):
         cfg = write_config(tmp_path, f"name = linear_phase\ncases = 3\n"

@@ -46,7 +46,7 @@ def test_moyal(dims, seed):
     grid = make_grid(*dims)
     f = _field(grid, seed)
     g = gaussian_window(grid)
-    val = modulation_norm(f, g, 2, 2, refine=False).value
+    val = modulation_norm(f, g, 2, 2).value
     assert np.isclose(val, l2_norm(f) * l2_norm(g.field), rtol=RTOL, atol=0.0)
 
 

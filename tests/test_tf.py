@@ -22,6 +22,7 @@ from tfmult.tf import (
     amalgam_norm_wfl1,
     annulus_psi,
     bump_chi,
+    coarsen_window,
     custom_window,
     fl1_norm,
     gaussian_window,
@@ -29,7 +30,7 @@ from tfmult.tf import (
     m_inf_1_norm,
     modulation_norm,
     modulation_norms_multi,
-    resample_window,
+    refinement,
     stft,
 )
 from tfmult.verify import (_chirp_stft_region, _divergence_grid, _m1inf_grid_2d, chirp_field,
@@ -76,14 +77,14 @@ class TestWindows:
     def test_resample_analytic(self):
         g = make_grid(1, 16.0, 512)
         g2 = make_grid(1, 16.0, 256)
-        w2 = resample_window(gaussian_window(g), g2)
+        w2 = coarsen_window(gaussian_window(g))
         direct = gaussian_window(g2)
         assert np.allclose(w2.field.values, direct.field.values)
 
     def test_resample_custom_coarsen(self):
         g = make_grid(1, 16.0, 512)
         w = custom_window(sample(lambda x: np.exp(-x ** 4), g))
-        w2 = resample_window(w, make_grid(1, 16.0, 256))
+        w2 = coarsen_window(w)
         assert np.allclose(w2.field.values, w.field.values[::2])
 
     def test_bump_and_annulus_windows(self):
@@ -180,7 +181,7 @@ class TestRowColumn2D:
         grid = make_grid(2, 8.0, 32)
         w = gaussian_window(grid)
         assert np.array_equal(w.field.reshaped(), np.outer(*w.factors))
-        assert resample_window(w, make_grid(2, 8.0, 16)).factors is not None
+        assert coarsen_window(w).factors is not None
         assert custom_window(w.field).factors is None
         assert bump_chi(grid).factors is None
 
@@ -205,13 +206,13 @@ class TestRowColumn2D:
         c = custom_window(g.field)
         hw = grid.L / 4.0 if quarter_box else None
         for norm in (amalgam_norm_wfl1, m_1_inf_norm, m_inf_1_norm):
-            a = norm(f, g, stride=stride, position_halfwidth=hw, refine=False).value
-            b = norm(f, c, stride=stride, position_halfwidth=hw, refine=False).value
+            a = norm(f, g, stride=stride, position_halfwidth=hw).value
+            b = norm(f, c, stride=stride, position_halfwidth=hw).value
             assert np.isclose(a, b, rtol=1e-12, atol=0.0), norm.__name__
         if not quarter_box:
             for p in (1, 2):
-                a = modulation_norm(f, g, p, p, stride=stride, refine=False).value
-                b = modulation_norm(f, c, p, p, stride=stride, refine=False).value
+                a = modulation_norm(f, g, p, p, stride=stride).value
+                b = modulation_norm(f, c, p, p, stride=stride).value
                 assert np.isclose(a, b, rtol=1e-12, atol=0.0), p
 
     def test_moyal_2d(self):
@@ -219,7 +220,7 @@ class TestRowColumn2D:
         grid = make_grid(2, 8.0, 32)
         f = _random_field(grid, 5)
         g = gaussian_window(grid)
-        val = modulation_norm(f, g, 2, 2, refine=False).value
+        val = modulation_norm(f, g, 2, 2).value
         assert np.isclose(val, l2_norm(f) * l2_norm(g.field), rtol=1e-10, atol=0.0)
 
 
@@ -230,7 +231,7 @@ class TestMixedNorms:
         rng = np.random.default_rng(3)
         f = SampledField(grid, rng.standard_normal(512) + 1j * rng.standard_normal(512))
         g = gaussian_window(grid)
-        val = modulation_norm(f, g, 2, 2, refine=False).value
+        val = modulation_norm(f, g, 2, 2).value
         assert np.isclose(val, l2_norm(f) * l2_norm(g.field), rtol=1e-10)
 
     @pytest.mark.parametrize("p,q", [(1, 1), (1, np.inf), (np.inf, 1), (2, 2)])
@@ -244,9 +245,9 @@ class TestMixedNorms:
             f = sample(lambda *xs: np.exp(-np.pi * sum(x ** 2 for x in xs))
                        * np.cos(xs[0]), grid)
             g = gaussian_window(grid)
-            single = modulation_norm(f, g, p, q, refine=False).value
+            single = modulation_norm(f, g, p, q).value
             assert modulation_norms_multi(f, g, pairs)[(p, q)] == single
-            wfl1 = amalgam_norm_wfl1(f, g, refine=False).value
+            wfl1 = amalgam_norm_wfl1(f, g).value
             vals = _norms(f, g, specs)
             assert vals[pairs.index((p, q))] == single
             assert vals[-1] == wfl1
@@ -266,15 +267,15 @@ class TestMixedNorms:
         # e^{-pi(x^2+w^2)/2}, so the (1,1) norm is 2^{-1/2} * 2 = sqrt(2)
         grid = make_grid(1, 32.0, 1024)
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
-        val = modulation_norm(f, gaussian_window(grid), 1, 1, refine=False).value
+        val = modulation_norm(f, gaussian_window(grid), 1, 1).value
         assert np.isclose(val, np.sqrt(2.0), rtol=1e-8)
 
     def test_fl1_gaussian(self):
         grid = make_grid(1, 32.0, 2048)
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
-        rep = fl1_norm(f, refine=True)
-        assert np.isclose(rep.value, 1.0, atol=1e-10)
-        assert rep.refinement_estimate < 1e-8
+        value = fl1_norm(f).value
+        assert np.isclose(value, 1.0, atol=1e-10)
+        assert refinement([value], lambda h: [fl1_norm(h).value], f)[0] < 1e-8
 
     def test_constant_field_amalgam(self):
         # f = 1: V_g f(x, w) = conj(ghat)(w) up to phase, so the W(FL1)
@@ -289,8 +290,8 @@ class TestMixedNorms:
         grid = make_grid(1, 16.0, 512)
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
         g = gaussian_window(grid)
-        a = m_inf_1_norm(f, g, refine=False).value
-        b = m_1_inf_norm(f, g, refine=False).value
+        a = m_inf_1_norm(f, g).value
+        b = m_1_inf_norm(f, g).value
         # for the Gaussian both equal 2^{-1/2} * integral of a Gaussian slice
         assert np.isclose(a, b, rtol=1e-8)
         assert np.isclose(a, 1.0, rtol=1e-6)
@@ -313,7 +314,7 @@ class TestMixedNorms:
         tf._release_spares()  # a cold pass: no spare buffer to reuse
         tracemalloc.start()
         try:
-            m_inf_1_norm(f, g, position_halfwidth=grid.L / 4, refine=False)
+            m_inf_1_norm(f, g, position_halfwidth=grid.L / 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -330,13 +331,13 @@ class TestMixedNorms:
             f, g = chirp_field(grid, 1.0), gaussian_window(grid)
 
             def norm():
-                m_inf_1_norm(f, g, position_halfwidth=grid.L / 4, refine=False)
+                m_inf_1_norm(f, g, position_halfwidth=grid.L / 4)
         else:
             grid = make_grid(2, 16.0, 64)
             f, g = chirp_field(grid, 1.0), bump_chi(grid)
 
             def norm():
-                amalgam_norm_wfl1(f, g, stride=2, refine=False)
+                amalgam_norm_wfl1(f, g, stride=2)
         tf._release_spares()  # a cold pass: no spare buffer to reuse
         tracemalloc.start()
         try:
@@ -351,8 +352,8 @@ class TestMixedNorms:
         f = sample(lambda x: 1e200 * np.exp(-np.pi * x ** 2), grid)
         g = gaussian_window(grid)
         with np.errstate(over="ignore"), pytest.raises(ParameterError, match=r"\(2, 2\)"):
-            modulation_norm(f, g, 2, 2, refine=False)
-        val = modulation_norm(f, g, 1, 1, refine=False).value
+            modulation_norm(f, g, 2, 2)
+        val = modulation_norm(f, g, 1, 1).value
         assert val == 1.4142135623730956e+200
 
 
@@ -524,9 +525,9 @@ class TestReusedChunkBuffers:
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
         g = gaussian_window(grid)
         with pytest.raises(ParameterError):
-            m_inf_1_norm(f, g, stride, halfwidth, refine=False)
+            m_inf_1_norm(f, g, stride, halfwidth)
         with pytest.raises(ParameterError):
-            amalgam_norm_wfl1(f, g, stride, halfwidth, refine=False)
+            amalgam_norm_wfl1(f, g, stride, halfwidth)
 
 
 # (1, 1), (2, 1), (inf, 1) and (1, inf), each in both orders
@@ -728,7 +729,7 @@ class TestWalkedModulus:
             f, g = chirp_field(grid, 1.0), gaussian_window(grid)
 
             def norm():
-                m_inf_1_norm(f, g, position_halfwidth=grid.L / 4, refine=False)
+                m_inf_1_norm(f, g, position_halfwidth=grid.L / 4)
         else:
             grid = make_grid(1, 32.0, 2048)
             f, g = chirp_field(grid, 1.0), gaussian_window(grid)
@@ -1052,7 +1053,7 @@ class TestSpareBuffers:
         f, g = chirp_field(grid, 1.0), gaussian_window(grid)
 
         def norm():
-            return m_inf_1_norm(f, g, position_halfwidth=grid.L / 4, refine=False).value
+            return m_inf_1_norm(f, g, position_halfwidth=grid.L / 4).value
 
         want = norm()
         tracemalloc.start()

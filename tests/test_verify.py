@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from tfmult.core import (ParameterError, chi_profile, default_grid, make_grid, psi_profile, radius,
-                         sample)
+from tfmult.core import (ParameterError, SampledField, chi_profile, default_grid, make_grid,
+                         psi_profile, radius, sample)
 from tfmult.mult import (
     apply_multiplier,
     schrodinger_propagate,
@@ -15,14 +15,18 @@ from tfmult.mult import (
     symbol_unimodular,
     truncated_field,
     unimodular_profile,
+    wave_propagate,
 )
 from tfmult.tf import (
     amalgam_norm_wfl1,
     annulus_psi,
     bump_chi,
+    custom_window,
+    fl1_norm,
     gaussian_window,
     m_1_inf_norm,
     modulation_norm,
+    refinement,
     stft,
 )
 from tfmult import verify
@@ -302,12 +306,14 @@ class TestMergedPasses:
         rows = verify.verify_amalgam_constants(t_list, g, 1, m1_preds, {})
         for row in rows:
             f = verify.chirp_field(grid, row.t)
-            w = amalgam_norm_wfl1(f, g, position_halfwidth=grid.L / 4.0, refine=True)
-            assert (row.w_measured, row.w_refinement) == (w.value, w.refinement_estimate)
+            w = amalgam_norm_wfl1(f, g, position_halfwidth=grid.L / 4.0).value
+            ref = refinement([w], lambda h, gh: [
+                amalgam_norm_wfl1(h, gh, position_halfwidth=grid.L / 4.0).value], f, g)
+            assert (row.w_measured, row.w_refinement) == (w, ref[0])
             if row.t == 0:
                 assert math.isnan(row.m1inf_measured)
             else:
-                m1 = m_1_inf_norm(f, g, position_halfwidth=grid.L / 4.0, refine=False)
+                m1 = m_1_inf_norm(f, g, position_halfwidth=grid.L / 4.0)
                 assert row.m1inf_measured == m1.value
         # a nan prediction measures no M^{1,inf} row
         skipped = verify.verify_amalgam_constants((0.5,), g, 1, [math.nan], {})
@@ -324,8 +330,8 @@ class TestMergedPasses:
         assert set(rep.l2_ratios) == set(rep.ratios)
 
         def single(f, u, p, q):
-            return (modulation_norm(u, w, p, q, refine=False).value
-                    / modulation_norm(f, w, p, q, refine=False).value)
+            return (modulation_norm(u, w, p, q).value
+                    / modulation_norm(f, w, p, q).value)
 
         for label, f in fields:
             for t in t_list:
@@ -355,7 +361,7 @@ class TestMergedPasses:
             assert passes and not any(np.array_equal(h.values, 0) for h in passes)
             with monkeypatch.context() as mp:
                 mp.setattr(verify, "_norm_unless_zero",
-                           lambda h, window, p, q: norm(h, window, p, q, refine=False).value)
+                           lambda h, window, p, q: norm(h, window, p, q).value)
                 assert skipped == verify.wave_conservation(f, g0, w, *pq, (0.5, 2.0))
 
 
@@ -508,3 +514,77 @@ class TestSharedDefinitions:
                         verify._check_quarter_box_chirps(grid, [t])
                 else:
                     verify._check_quarter_box_chirps(grid, [t])
+
+
+def _half(f):
+    """f subsampled by hand onto the half-resolution grid: every other point per axis."""
+    g = f.grid
+    half = make_grid(g.d, g.L, g.N // 2)
+    return SampledField(half, f.reshaped()[(slice(None, None, 2),) * g.d].reshape(-1))
+
+
+def _change(v, v_half):
+    return abs(v - v_half) / max(abs(v), 1e-300)
+
+
+class TestOneRefinementRule:
+    """Every refinement estimate equals, bit for bit, a hand-written coarsen and re-measure."""
+
+    def test_w_rows(self):
+        grid = make_grid(1, 16.0, 512)
+        hw = grid.L / 4.0
+        g, gh = gaussian_window(grid), gaussian_window(make_grid(1, 16.0, 256))
+        t_list = (0.0, 1.0)
+        m1_preds = verify._amalgam_checks(t_list, grid)[1]
+        rows = verify.verify_amalgam_constants(t_list, g, 1, m1_preds, {})
+        for row in rows:
+            f = verify.chirp_field(grid, row.t)
+            w = amalgam_norm_wfl1(f, g, position_halfwidth=hw).value
+            w_half = amalgam_norm_wfl1(_half(f), gh, position_halfwidth=hw).value
+            assert (row.w_measured, row.w_refinement) == (w, _change(w, w_half)), row.t
+
+    def test_direct_fl1_rows(self):
+        grid = verify._dyadic_grid()
+        fields = {
+            "dyadic_series": (dyadic_fl1_series(bump_chi(grid).field, 1.5, 10, 5),
+                              truncated_field(grid, unimodular_profile, 1.5)),
+            "sin_singular_fl1": (verify_sin_singular_fl1(grid, 0.8, 0.5),
+                                 truncated_field(grid, sin_singular_profile, 0.8, 0.5)),
+        }
+        for name, (rep, field) in fields.items():
+            v, v_half = fl1_norm(field).value, fl1_norm(_half(field)).value
+            assert (rep.direct_fl1, rep.direct_refinement) == (v, _change(v, v_half)), name
+
+    @pytest.mark.parametrize("p,q", [(1.0, 1.0), (math.inf, 1.0)])
+    def test_wave_rows(self, p, q):
+        grid = make_grid(1, 16.0, 256)
+        w, wh = gaussian_window(grid), gaussian_window(make_grid(1, 16.0, 128))
+        f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
+        g0 = sample(lambda x: x * np.exp(-np.pi * x ** 2), grid)
+        t_list = (0.5, 2.0)
+        rep = verify.wave_conservation(f, g0, w, p, q, t_list)
+
+        def constants(f, g0, w):
+            denom = modulation_norm(f, w, p, q).value + modulation_norm(g0, w, p, q).value
+            return [modulation_norm(wave_propagate(f, g0, t).u, w, p, q).value / denom
+                    for t in t_list]
+
+        cs = constants(f, g0, w)
+        half = constants(_half(f), _half(g0), wh)
+        assert rep.c_values == cs
+        assert rep.refinement == [_change(c, c_half) for c, c_half in zip(cs, half)]
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kind", ["gaussian", "custom"])
+    def test_modulation_norm(self, stride, kind):
+        grid = make_grid(1, 16.0, 256)
+        f = sample(lambda x: np.exp(-np.pi * x ** 2) * np.cos(3.0 * x), grid)
+        g = gaussian_window(grid)
+        gh = gaussian_window(make_grid(1, 16.0, 128))
+        if kind == "custom":
+            g, gh = custom_window(g.field), custom_window(_half(g.field))
+        rep = modulation_norm(f, g, 1, 2, stride=stride, refine=True)
+        v = modulation_norm(f, g, 1, 2, stride=stride).value
+        v_half = modulation_norm(_half(f), gh, 1, 2, stride=max(1, stride // 2)).value
+        assert (rep.value, rep.refinement_estimate) == (v, _change(v, v_half))
+        assert modulation_norm(f, g, 1, 2, stride=stride).refinement_estimate is None

@@ -42,7 +42,9 @@ def _experiments(side: Path) -> list:
 
 
 # (label, experiment, keys): 2D amalgam, then configs that sample the chirp,
-# the symbols and the Gaussian data away from the default grids and values
+# the symbols and the Gaussian data away from the default grids and values,
+# then configs that reach the refinement estimates elsewhere: a W row with no
+# M^{1,inf} row (t = 0), and wave rows at other (p, q) and at t = 0
 EXTRA_CONFIGS = (
     ("amalgam_constants_d2", "amalgam_constants", "d = 2"),
     ("chirp_stft_t-1_-0.5", "chirp_stft", "t_list = -1, -0.5"),
@@ -55,6 +57,9 @@ EXTRA_CONFIGS = (
     ("lp_contrast_t-2", "lp_contrast", "t = -2"),
     ("schrodinger_conservation_l24_n1024", "schrodinger_conservation", "l = 24\nn = 1024"),
     ("wave_conservation_l20", "wave_conservation", "l = 20"),
+    ("amalgam_constants_t0_1", "amalgam_constants", "t_list = 0, 1"),
+    ("wave_conservation_pinf_q1_t0_3", "wave_conservation", "p = inf\nq = 1\nt_list = 0, 3"),
+    ("wave_conservation_p2_q2", "wave_conservation", "p = 2\nq = 2"),
 )
 
 
