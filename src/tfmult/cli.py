@@ -271,14 +271,14 @@ def _run_chirp_stft(t_list=(0.0, 0.5, 1.0, 2.0), tolerance=1e-6, l=_GRID.L, n=_G
 
 def _run_amalgam_constants(d=1, t_list=(0.5, 1.0, 2.0, 4.0), tolerance=None):
     base, stride = verify._amalgam_grid(d)
-    m1_grids, m1_preds = verify._amalgam_checks(t_list, base)
+    m1_windows, m1_preds = verify._amalgam_checks(t_list, base)
     _check_tolerance(tolerance)
     tol = {1: 0.02, 2: 0.05}[d] if tolerance is None else tolerance
     g = gaussian_window(base)
 
     def measure():
         rows, ok, ts, measured, predicted = [], True, [], [], []
-        for r in verify.verify_amalgam_constants(t_list, g, stride, m1_preds, m1_grids):
+        for r in verify.verify_amalgam_constants(t_list, g, stride, m1_preds, m1_windows):
             ok = ok and r.w_rel_err < tol
             rows.append(_row("amalgam_constants", f"norm=W;t={r.t:g};d={d}", r.w_measured,
                              r.w_predicted, r.w_rel_err, r.w_refinement))
@@ -295,6 +295,9 @@ def _run_amalgam_constants(d=1, t_list=(0.5, 1.0, 2.0, 4.0), tolerance=None):
 
 def _run_divergence(t=1.0, l_list=verify.DIVERGENCE_BOXES):
     windows = [gaussian_window(grid) for grid in verify._divergence_grids(t, l_list)]
+    # the value grows linearly with the box, so each growth factor is
+    # predicted by the box ratio and must pass halfway from 1 to it
+    ratios = [b / a for a, b in zip(l_list, l_list[1:])]
 
     def measure():
         rep = verify.verify_m_inf_1_divergence(t, windows)
@@ -302,10 +305,9 @@ def _run_divergence(t=1.0, l_list=verify.DIVERGENCE_BOXES):
                 for L, v in zip(rep.box_sizes, rep.values)]
         ok = True
         if t != 0:
-            ok = all(g >= 1.5 for g in rep.growth_factors)
-            rows += [_row("m_inf_1_divergence", f"t={t:g};growth_to_L={L:g}", g, 2.0,
-                          abs(g - 2.0) / 2.0)
-                     for L, g in zip(rep.box_sizes[1:], rep.growth_factors)]
+            ok = all(g >= (1.0 + r) / 2.0 for g, r in zip(rep.growth_factors, ratios))
+            rows += [_row("m_inf_1_divergence", f"t={t:g};growth_to_L={L:g}", g, r, abs(g - r) / r)
+                     for L, g, r in zip(rep.box_sizes[1:], rep.growth_factors, ratios)]
         return rows, {"norm vs box": (rep.box_sizes, rep.values)}, ok
     return measure
 

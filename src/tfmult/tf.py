@@ -17,8 +17,11 @@ once and accumulates every requested (p, q, order) reduction from it, so no
 norm materializes the N^d x N^d matrix.  Every refinement estimate comes
 from ``refinement``: it measures the same quantity again on the
 half-resolution grid, with each field ``coarsen``ed and each window
-rebuilt there (``coarsen_window``).  |V| takes one of two paths, by window
-kind, and both are plain functions with one contract:
+subsampled there (``coarsen_window``), which is the window rebuilt on the
+half grid bit for bit.  A window (``Window``) is its samples or, for the
+Gaussian, only its per-axis 1D factors, whose outer product ``field`` forms
+when a reader asks for it.  |V| takes one of two paths, by window (2D
+with factors or not), and both are plain functions with one contract:
 ``path(f, g, stride, halfwidth, acc, col, powers, reduce)`` folds every
 positions-inner accumulator of ``acc`` itself and hands each step's or
 block's rows to ``reduce(first, rows_of, lo, hi)`` in the thread piece of
@@ -27,38 +30,37 @@ its rows lo:hi, where ``first`` is the ordinal of its first position and
 of ``powers``), valid during the call.
 
 * Windowed (``_windowed_sums``): one full d-dimensional transform per
-  position, for every 1D window and the 2D ``bump_chi``, ``annulus_psi``
-  and ``custom_window``.  The positions go through one complex block of
-  about ``_BLOCK_BYTES`` (4 MiB), one step at a time, each step one
-  ``centered_fft`` call: a thread piece multiplies its rows' windows into
-  the block, transforms them, writes their |V| (and |V|^p) into the step's
-  side of a pair of step-sized real buffers and hands them to ``reduce``.
-  The positions-inner sums of a step run inside the next step's call,
-  while the other side of the pair is written: its piece of rows lo:hi
-  takes the previous step's frequency columns lo*N^d//n : hi*N^d//n.  One
-  more hand-off folds the last step.
-* Row-column (``_row_column_sums``): a 2D window that is a tensor product
-  g(x) = g0(x0) g1(x1), which ``gaussian_window`` marks with per-axis
-  ``factors``.  V_g f(x, w) = F1[F0[f conj(g0(. - x0))] conj(g1(. - x1))],
-  so the axis-0 transform H is computed once per position row and reused
-  for its columns, which go through blocks of about ``_BLOCK_BYTES``.  A
-  row's blocks go to the threads in one hand-off: each thread owns a k0
-  range and runs, block by block in position order, the column-window
-  multiply, the axis-1 transform, |V|, |V|^p and the positions-inner sums
-  on its columns.  A pass with a ``reduce`` hands each block off on its
-  own and then its rows to ``reduce``, before the next block overwrites
-  them.
+  position, for every 1D window and every 2D window kept as samples
+  (``bump_chi``, ``annulus_psi``, ``custom_window``).  The positions go
+  through one complex block of about ``_BLOCK_BYTES`` (4 MiB), one step at
+  a time, each step one ``centered_fft`` call: a thread piece multiplies
+  its rows' windows into the block, transforms them, writes their |V| (and
+  |V|^p) into the step's side of a pair of step-sized real buffers and
+  hands them to ``reduce``.  The positions-inner sums of a step run inside
+  the next step's call, while the other side of the pair is written: its
+  piece of rows lo:hi takes the previous step's frequency columns
+  lo*N^d//n : hi*N^d//n.  One more hand-off folds the last step.
+* Row-column (``_row_column_sums``): a 2D window kept as its factors, a
+  tensor product g(x) = g0(x0) g1(x1), as ``gaussian_window`` makes it.
+  V_g f(x, w) = F1[F0[f conj(g0(. - x0))] conj(g1(. - x1))], so the axis-0
+  transform H is computed once per position row and reused for its
+  columns, which go through blocks of about ``_BLOCK_BYTES``.  A row's
+  blocks go to the threads in one hand-off: each thread owns a k0 range
+  and runs, block by block in position order, the column-window multiply,
+  the axis-1 transform, |V|, |V|^p and the positions-inner sums on its
+  columns.  A pass with a ``reduce`` hands each block off on its own and
+  then its rows to ``reduce``, before the next block overwrites them.
 
 Both paths read |V| sign-free: the field (windowed) or g1 (row-column) is
 presigned once per pass (``core._presigned``) and ``centered_fft(...,
 modulus=A)`` writes |V| into the real buffer A.  ``core`` states why that
 is |V| of the signed transform bit for bit whenever dx is a power of two,
 and within a rounding otherwise.  ``stft`` takes the windowed transform
-for every window, the 2D Gaussian included: it allocates its (positions,
-N^d) matrix and transforms it in place, signed, in one call with the
-window multiply as the transform's ``fill``.  Positions are row-major and
-frequencies centered.  The translates conj(T_x g) are views of conj(g)
-tiled three times per axis (``_translates``).
+for every window, the 2D Gaussian's ``field`` included: it allocates its
+(positions, N^d) matrix and transforms it in place, signed, in one call
+with the window multiply as the transform's ``fill``.  Positions are
+row-major and frequencies centered.  The translates conj(T_x g) are views
+of conj(g) tiled three times per axis (``_translates``).
 
 Pass buffers outlive the pass (``_pass_buffers``): a module store keeps one
 spare per role (the block, the |V| pair, the |V|^p pairs, and the
@@ -199,44 +201,56 @@ def _pass_buffers():
 
 @dataclass
 class Window:
-    field: SampledField
-    kind: str  # gaussian | bump_chi | annulus_psi | custom
-    # per-axis 1D samples whose outer product is ``field``; None unless the
-    # window is a tensor product
+    """A window on ``grid``: its samples, or, for a tensor product, only its 1D factors.
+
+    ``samples`` holds the N^d values of a sampled window (bump, annulus,
+    custom); ``factors`` holds one N-point array per axis whose outer
+    product is the window (the Gaussian), which then keeps no N^d array.
+    """
+
+    grid: Grid
+    samples: np.ndarray | None = None
     factors: tuple | None = None
+
+    @property
+    def field(self) -> SampledField:
+        """The window's samples; a window with factors forms their product on each read."""
+        parts = self.factors or (self.samples,)
+        return SampledField(self.grid, functools.reduce(np.multiply.outer, parts))
 
 
 def gaussian_window(grid: Grid) -> Window:
     """The Gaussian e^{-pi |x|^2}, the reference window for all norm estimates.
 
-    Sampled as the outer product of its 1D factors, so ``field`` and
-    ``factors`` agree bit for bit.  On a huge box x^2 overflows where the
+    Kept as its d equal 1D factors.  On a huge box x^2 overflows where the
     window underflows to 0 anyway, so that overflow is not reported.
     """
     with np.errstate(over="ignore"):
         g1 = np.exp(-np.pi * radius((grid.axis_positions(),)) ** 2)
-    vals = g1 if grid.d == 1 else np.outer(g1, g1)
-    return Window(SampledField(grid, vals), "gaussian", factors=(g1,) * grid.d)
+    return Window(grid, factors=(g1,) * grid.d)
 
 
 def bump_chi(grid: Grid) -> Window:
-    return Window(radial_field(grid, chi_profile), "bump_chi")
+    return custom_window(radial_field(grid, chi_profile))
 
 
 def annulus_psi(grid: Grid) -> Window:
-    return Window(radial_field(grid, psi_profile), "annulus_psi")
+    return custom_window(radial_field(grid, psi_profile))
 
 
 def custom_window(f: SampledField) -> Window:
-    return Window(f, "custom")
+    return Window(f.grid, f.values)
 
 
 def coarsen_window(w: Window) -> Window:
-    """The window on its half-resolution grid: rebuilt (analytic kinds) or subsampled (custom)."""
-    if w.kind == "custom":
-        return custom_window(coarsen(w.field))
-    return {"gaussian": gaussian_window, "bump_chi": bump_chi,
-            "annulus_psi": annulus_psi}[w.kind](half_grid(w.field.grid))
+    """The window on its half-resolution grid: ``coarsen`` on samples, [::2] on each factor.
+
+    The lattice of ``half_grid`` is every other point of the fine one, bit
+    for bit, so a window sampled from a pointwise function (the Gaussian,
+    ``bump_chi``, ``annulus_psi``) subsampled is that window rebuilt there.
+    """
+    return (custom_window(coarsen(w.field)) if w.factors is None
+            else Window(half_grid(w.grid), factors=tuple(g[::2] for g in w.factors)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +377,7 @@ def _windowed_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, powe
     last step in one more hand-off.
     """
     grid = f.grid
-    require_same_grid(grid, g.field.grid)
+    require_same_grid(grid, g.grid)
     flat_idx, axis_idx = _position_indices(grid, stride, halfwidth)
     fv = _presigned(f.reshaped(), grid.d)
     window = functools.partial(_window_rows, fv, _translates(g.field.reshaped(), axis_idx))
@@ -428,7 +442,7 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
     overwrites them; ``first`` is the ordinal of the block's first position.
     """
     grid = f.grid
-    require_same_grid(grid, g.field.grid)
+    require_same_grid(grid, g.grid)
     N = grid.N
     sel0, sel1 = _position_indices(grid, stride, halfwidth)[1]
     ncols = sel1.size
@@ -481,13 +495,13 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
 
 def _row_column(g: Window) -> bool:
     """Whether a norm pass reads |V_g| on the row-column path: a 2D window with factors."""
-    return g.field.grid.d == 2 and g.factors is not None
+    return g.grid.d == 2 and g.factors is not None
 
 
 def stft(f: SampledField, g: Window, stride: int = 1) -> StftMatrix:
     """Materialize V_g f on every ``stride``-th position per axis, transformed in place."""
     grid = f.grid
-    require_same_grid(grid, g.field.grid)
+    require_same_grid(grid, g.grid)
     flat_idx, axis_idx = _position_indices(grid, stride, None)
     _release_spares()  # no spare stays under the matrix
     values = np.empty((flat_idx.size, *grid.shape), dtype=np.complex128)
@@ -646,7 +660,7 @@ def refinement(values, measure, *inputs) -> list:
 
     v_half is the same quantity measured again at half resolution:
     ``measure`` is called once more with each field of ``inputs``
-    ``coarsen``ed and each window rebuilt on its half-resolution grid
+    ``coarsen``ed and each window subsampled onto its half-resolution grid
     (``coarsen_window``), and returns one value per value.
     """
     half = measure(*(coarsen_window(x) if isinstance(x, Window) else coarsen(x) for x in inputs))

@@ -258,14 +258,16 @@ def _m1inf_grid_2d(t: float) -> tuple:
 
 
 def _amalgam_checks(t_list, base: Grid) -> tuple:
-    """The 2D M^{1,inf} grids {t: (grid, stride)} and each t's M^{1,inf} prediction.
+    """The 2D M^{1,inf} windows {t: (window, stride)} and each t's M^{1,inf} prediction.
 
     Derived before any pass: a t above the 2D grid cap, or whose prediction
     overflows, raises ParameterError; so does a t whose chirp the W rows'
     grid ``base`` does not resolve, in 1D one that aliases in the quarter
     box (``_check_quarter_box_chirps``) and in 2D one above ``W_MAX_T_2D``,
     checked after the grid cap, whose message takes precedence.  The
-    prediction is nan where no M^{1,inf} row is measured (t = 0).
+    prediction is nan where no M^{1,inf} row is measured (t = 0).  Each
+    window is the Gaussian on the t's grid (``_m1inf_grid_2d``), built
+    once every check has passed.
     """
     m1_grids = {}
     if base.d == 1:
@@ -273,27 +275,27 @@ def _amalgam_checks(t_list, base: Grid) -> tuple:
     else:
         m1_grids = {t: _m1inf_grid_2d(t) for t in t_list if t != 0}
         _check_2d_w_chirps(base, t_list)
-    return m1_grids, [m1inf_prediction(t, base.d) if t != 0 else float("nan") for t in t_list]
+    preds = [m1inf_prediction(t, base.d) if t != 0 else float("nan") for t in t_list]
+    return {t: (gaussian_window(grid), stride) for t, (grid, stride) in m1_grids.items()}, preds
 
 
-def verify_amalgam_constants(t_list, g: Window, stride: int, m1_preds, m1_grids) -> list:
+def verify_amalgam_constants(t_list, g: Window, stride: int, m1_preds, m1_windows) -> list:
     """Measure the W(FL1, l-inf) and M^{1,inf} norms of the chirp family.
 
     g is the Gaussian window on the W rows' grid, which with ``stride``
-    comes from ``_amalgam_grid``; ``m1_preds`` and, in 2D, ``m1_grids``
+    comes from ``_amalgam_grid``; ``m1_preds`` and, in 2D, ``m1_windows``
     come from ``_amalgam_checks``: each t's M^{1,inf} prediction, nan where
-    no M^{1,inf} row is measured, and {t: (grid, stride)} of each t's 2D
+    no M^{1,inf} row is measured, and {t: (window, stride)} of each t's 2D
     M^{1,inf} pass.  Sup-type quantities are restricted to the central half
     of the position lattice; edge positions wrap the window around the
     periodic box and do not represent any continuum translate.  In 1D both
     norms read the same |V|, so one pass measures them, and W is refined at
     half resolution; in 2D M^{1,inf} takes its own grid and W is not
-    refined.  Each chirp, and the window of each 2D M^{1,inf} grid, is
-    sampled here, just before its pass: the 2D chirps held at once would
-    take 11 MiB, and holding the 2D windows from the start raised the peak
-    RSS of the default 2D run from 65.0 to 69.8 MiB.
+    refined.  Each chirp is sampled here, just before its pass: the 2D
+    chirps held at once would take 11 MiB, while a 2D Gaussian window keeps
+    only its 1D factors, 2N floats.
     """
-    base = g.field.grid
+    base = g.grid
     hw = base.L / 4.0
     rows = []
     for t, m1_pred in zip(t_list, m1_preds):
@@ -305,9 +307,9 @@ def verify_amalgam_constants(t_list, g: Window, stride: int, m1_preds, m1_grids)
             w = amalgam_norm_wfl1(f, g, stride=stride, position_halfwidth=hw).value
             w_ref, m1 = None, float("nan")
             if with_m1:
-                grid, mstride = m1_grids[t]
-                m1 = m_1_inf_norm(chirp_field(grid, t), gaussian_window(grid), stride=mstride,
-                                  position_halfwidth=grid.L / 4.0).value
+                gm, mstride = m1_windows[t]
+                m1 = m_1_inf_norm(chirp_field(gm.grid, t), gm, stride=mstride,
+                                  position_halfwidth=gm.grid.L / 4.0).value
         rows.append(AmalgamRow(t, w, w_norm_prediction(t, base.d), m1, m1_pred,
                                w_refinement=w_ref))
     return rows
@@ -347,6 +349,8 @@ def _check_boxes(box_sizes) -> None:
         raise ParameterError("the divergence needs at least 2 boxes to grow over")
     if not all(L > 0 for L in box_sizes):
         raise ParameterError(f"box sizes must be positive, got {list(box_sizes)}")
+    if not all(b > a for a, b in zip(box_sizes, box_sizes[1:])):
+        raise ParameterError(f"box sizes must strictly increase, got {list(box_sizes)}")
 
 
 def _divergence_grids(t: float, box_sizes) -> list:
@@ -369,7 +373,7 @@ def verify_m_inf_1_divergence(t: float, windows) -> DivergenceReport:
     t = 0 gives the constant symbol and the divergence assertion does not
     apply.
     """
-    grids = [g.field.grid for g in windows]
+    grids = [g.grid for g in windows]
     values = [m_inf_1_norm(chirp_field(grid, t), g, position_halfwidth=grid.L / 4.0).value
               for grid, g in zip(grids, windows)]
     growth = [values[i + 1] / values[i] for i in range(len(values) - 1)]
@@ -563,7 +567,7 @@ def linear_phase_random_cases(g: Window, n: int = LINEAR_PHASE_CASES,
     families, sampled on the position lattice; b is always lattice-aligned.
     Returns (label, before, after) triples.
     """
-    grid = g.field.grid
+    grid = g.grid
     rng = np.random.default_rng(seed)
     xs = grid.axis_positions()
     out = []

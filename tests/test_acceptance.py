@@ -44,11 +44,11 @@ def _amalgam_rows(d, with_m1inf):
     """The amalgam rows of the default t_list, with or without the M^{1,inf} ones."""
     t_list = (0.5, 1.0, 2.0, 4.0)
     grid, stride = verify._amalgam_grid(d)
-    m1_grids, m1_preds = verify._amalgam_checks(t_list, grid)
+    m1_windows, m1_preds = verify._amalgam_checks(t_list, grid)
     if not with_m1inf:
-        m1_grids, m1_preds = {}, [math.nan] * len(t_list)
+        m1_windows, m1_preds = {}, [math.nan] * len(t_list)
     return verify.verify_amalgam_constants(t_list, gaussian_window(grid), stride, m1_preds,
-                                           m1_grids)
+                                           m1_windows)
 
 
 def test_criterion_02_amalgam_constant():

@@ -136,6 +136,9 @@ class TestListValidate:
 
     @pytest.mark.parametrize("name,key,value,message", [
         ("m_inf_1_divergence", "l_list", "16, 0", "box sizes must be positive"),
+        # run compared every growth with 2 and exited 1: no growth can pass
+        ("m_inf_1_divergence", "l_list", "16, 16", "box sizes must strictly increase"),
+        ("m_inf_1_divergence", "l_list", "64, 32, 16", "box sizes must strictly increase"),
         ("lp_contrast", "lambda_list", "-1", "Gaussian dilations must be positive"),
         ("linear_phase", "cases", "0", "need at least 1 random case"),
         ("dyadic_series", "alpha_list", "-1", "alpha must be positive"),
@@ -280,6 +283,21 @@ class TestListValidate:
         growth = [float(r.split(",")[2]) for r in rows if "growth_to_L" in r]
         assert len(growth) == 2 and all(g >= 1.5 for g in growth)
 
+    def test_divergence_predicts_the_box_ratio(self, tmp_path):
+        # each growth was checked against 2 whatever the boxes: 16, 20, 24
+        # grew in equal steps and run exited 1
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, f"name = m_inf_1_divergence\nl_list = 16, 20, 24\n"
+                                     f"out = {out}\n")
+        assert main(["run", cfg]) == 0
+        rows = [r.split(",") for r in (out / "results.csv").read_text().splitlines()[1:]]
+        values = [float(r[2]) for r in rows if ";L=" in r[1]]
+        growth = [(float(r[2]), float(r[3]), float(r[4])) for r in rows if "growth_to_L" in r[1]]
+        assert [p for _, p, _ in growth] == [20 / 16, 24 / 20]
+        for (g, p, dev), (a, b) in zip(growth, zip(values, values[1:])):
+            assert g == pytest.approx(b / a) and dev == pytest.approx(abs(g - p) / p)
+            assert (1 + p) / 2 <= g <= p
+
     @pytest.mark.parametrize("name,what", [
         ("schrodinger_conservation", "(1e+300, inf) norm of the initial field gauss"),
         ("wave_conservation", "(1e+300, 1) norm of the initial data"),
@@ -400,9 +418,8 @@ class TestSchema:
 
 # The helpers a plan derives or checks its run's inputs with, as ``cli`` and
 # ``verify`` bind them: the checks and the grid, window, region, symbol and
-# prediction helpers.  No field sampler is among them, and a 2D window is not
-# counted: the measure step samples the 2D chirps, the window of each 2D
-# M^{1,inf} grid and the dyadic terms on purpose.
+# prediction helpers.  No field sampler is among them: the measure step
+# samples the 2D chirps and the dyadic terms on purpose.
 _HELPER = re.compile(r"^_check_|_grids?(_[12]d)?$|_window$|_region$|_prediction$|_envelope$"
                      r"|^(bump_chi|symbol_unimodular|_amalgam_checks|fresnel_l1_ratio)$")
 
@@ -423,8 +440,7 @@ class TestOneDerivation:
         def recorded(attr, fn):
             @functools.wraps(fn)
             def call(*args, **kwargs):
-                if not (attr == "gaussian_window" and args[0].d == 2):
-                    calls.append(attr)
+                calls.append(attr)
                 return fn(*args, **kwargs)
             return call
 

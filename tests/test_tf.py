@@ -87,6 +87,36 @@ class TestWindows:
         w2 = coarsen_window(w)
         assert np.allclose(w2.field.values, w.field.values[::2])
 
+    @pytest.mark.parametrize("make", [gaussian_window, bump_chi, annulus_psi])
+    @pytest.mark.parametrize("d,N", [(1, 16), (1, 64), (1, 256), (1, 2048),
+                                     (2, 16), (2, 64), (2, 256)])
+    def test_coarsening_is_the_window_rebuilt_on_the_half_grid(self, make, d, N):
+        # the one coarsening rule, subsampling, replaced rebuilding each
+        # analytic window on the half grid: the bits must be the same
+        def bits(w):
+            return w.field.values.view(np.uint64)
+
+        for L in (0.001, 0.7, 1.0, 3.0, 12.345, 16.0, 32.0, 100.0):
+            w = make(make_grid(d, L, N))
+            half, rebuilt = coarsen_window(w), make(core.half_grid(w.grid))
+            assert half.grid == rebuilt.grid
+            assert np.array_equal(bits(half), bits(rebuilt)), (L, N)
+            if w.factors is not None:
+                assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                           for a, b in zip(half.factors, rebuilt.factors))
+
+    def test_2d_gaussian_keeps_no_samples(self):
+        # the window stored the N^d outer product of its factors: 16 MiB here
+        grid = make_grid(2, 16.0, 1024)
+        tracemalloc.start()
+        try:
+            w = gaussian_window(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert w.samples is None and [g.shape for g in w.factors] == [(1024,), (1024,)]
+
     def test_bump_and_annulus_windows(self):
         g = make_grid(1, 16.0, 512)
         assert np.max(np.abs(bump_chi(g).field.values)) == 1.0

@@ -44,7 +44,9 @@ def _experiments(side: Path) -> list:
 # (label, experiment, keys): 2D amalgam, then configs that sample the chirp,
 # the symbols and the Gaussian data away from the default grids and values,
 # then configs that reach the refinement estimates elsewhere: a W row with no
-# M^{1,inf} row (t = 0), and wave rows at other (p, q) and at t = 0
+# M^{1,inf} row (t = 0), and wave rows at other (p, q) and at t = 0; then a 2D
+# M^{1,inf} window of a negative t beside a 2D t with no M^{1,inf} row, and
+# the divergence's growth predictions on boxes other than the default ones
 EXTRA_CONFIGS = (
     ("amalgam_constants_d2", "amalgam_constants", "d = 2"),
     ("chirp_stft_t-1_-0.5", "chirp_stft", "t_list = -1, -0.5"),
@@ -60,6 +62,8 @@ EXTRA_CONFIGS = (
     ("amalgam_constants_t0_1", "amalgam_constants", "t_list = 0, 1"),
     ("wave_conservation_pinf_q1_t0_3", "wave_conservation", "p = inf\nq = 1\nt_list = 0, 3"),
     ("wave_conservation_p2_q2", "wave_conservation", "p = 2\nq = 2"),
+    ("amalgam_constants_d2_t-1_0", "amalgam_constants", "d = 2\nt_list = -1, 0"),
+    ("m_inf_1_divergence_l8_16_32", "m_inf_1_divergence", "l_list = 8, 16, 32"),
 )
 
 
