@@ -43,9 +43,11 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .core import ParameterError, SamplingError, default_grid, half_grid, make_grid, sample
+from .core import (ParameterError, SamplingError, default_grid, half_grid, l1_norm, make_grid,
+                   sample)
 from .mult import _check_phase_resolution, symbol_unimodular
-from .tf import _check_exponent, bump_chi, gaussian_window
+from .tf import (_check_exponent, bump_chi, gaussian_window, modulation_norm,
+                 modulation_norms_multi)
 from .verify import DEFAULT_SEED
 
 
@@ -369,25 +371,28 @@ def _run_linear_phase(cases=verify.LINEAR_PHASE_CASES, seed=DEFAULT_SEED):
 def _run_operator_probe(alpha_list=(0.5, 1.0, 1.5, 2.0), l=32.0, n=512):
     pq_list = [(1.0, 1.0), (2.0, 2.0), (float("inf"), 1.0), (1.0, float("inf"))]
     grids = [_grid_1d(l, n), _grid_1d(l, n, factor=2)]
-    # per grid: each alpha's symbol, the probe family and the window
-    probes = [([symbol_unimodular(grid, alpha, t=1.0) for alpha in alpha_list],
-               _sampled(f"the probe family on the grid L = {l:g}, N = {grid.N}",
-                        verify.probe_family, grid),
+    # per grid: each alpha's symbol by its index, the probe family and the window
+    probes = [(dict(enumerate(symbol_unimodular(grid, alpha, t=1.0) for alpha in alpha_list)),
+               dict(_sampled(f"the probe family on the grid L = {l:g}, N = {grid.N}",
+                             verify.probe_family, grid)),
                gaussian_window(grid)) for grid in grids]
 
     def measure():
-        bases = [verify.probe_base_norms(family, g, pq_list) for _, family, g in probes]
+        largest = []  # per grid: (alpha index, (p, q)) -> the largest ratio over the family
+        for symbols, family, g in probes:
+            ratios = verify.probe_ratios(symbols, family,
+                                         lambda h: modulation_norms_multi(h, g, pq_list))
+            largest.append({(i, pq): max(ratios[(i, label)][pq] for label in family)
+                            for i in symbols for pq in pq_list})
+        a, b = largest
         rows, ok = [], True
         for i, alpha in enumerate(alpha_list):
-            a, b = ({pq: rep.max_ratio for pq, rep in
-                     verify.probe_ratios(symbols[i], pq_list, family, g, base).items()}
-                    for (symbols, family, g), base in zip(probes, bases))
             for pq in pq_list:
-                change = abs(a[pq] - b[pq]) / max(a[pq], 1e-300)
-                ok = ok and change < 0.05 and b[pq] < 10.0
+                change = abs(a[i, pq] - b[i, pq]) / max(a[i, pq], 1e-300)
+                ok = ok and change < 0.05 and b[i, pq] < 10.0
                 rows.append(_row("operator_probe",
                                  f"alpha={alpha:g};p={pq[0]:g};q={pq[1]:g};N={grids[1].N}",
-                                 b[pq], rel_deviation=change))
+                                 b[i, pq], rel_deviation=change))
         return rows, None, ok
     return measure
 
@@ -395,56 +400,58 @@ def _run_operator_probe(alpha_list=(0.5, 1.0, 1.5, 2.0), l=32.0, n=512):
 def _run_lp_contrast(t=1.0, lambda_list=verify.LP_CONTRAST_LAMBDAS):
     verify._check_dilations(lambda_list)
     grid = verify._lp_contrast_grid()
-    sigma = symbol_unimodular(grid, 2.0, t=t)
+    symbols = {t: symbol_unimodular(grid, 2.0, t=t)}
     oracle = verify._check_fresnel_ratios(t, lambda_list)
-    fields = [_sampled(f"the Gaussian e^(-pi lambda |x|^2) of lambda = {lam:g} on the grid "
-                       f"L = {grid.L:g}, N = {grid.N}", verify.gaussian_data, grid, lam)
-              for lam in lambda_list]
+    fields = {lam: _sampled(f"the Gaussian e^(-pi lambda |x|^2) of lambda = {lam:g} on the grid "
+                            f"L = {grid.L:g}, N = {grid.N}", verify.gaussian_data, grid, lam)
+              for lam in lambda_list}
     g = gaussian_window(grid)
 
     def measure():
-        rep = verify.lp_contrast_probe(sigma, fields, g)
-        increasing = all(b > a for a, b in zip(rep.l1_ratios, rep.l1_ratios[1:]))
-        spread = max(rep.m11_ratios) / min(rep.m11_ratios)
+        ratios = verify.probe_ratios(
+            symbols, fields, lambda h: {"L1": l1_norm(h), "M11": modulation_norm(h, g, 1, 1).value})
+        l1 = [ratios[(t, lam)]["L1"] for lam in lambda_list]
+        m11 = [ratios[(t, lam)]["M11"] for lam in lambda_list]
+        increasing = all(b > a for a, b in zip(l1, l1[1:]))
+        spread = max(m11) / min(m11)
         ok = (t == 0 or increasing) and spread < 3.0
         rows = []
-        for lam, r, o, m in zip(lambda_list, rep.l1_ratios, oracle, rep.m11_ratios):
+        for lam, r, o, m in zip(lambda_list, l1, oracle, m11):
             rows.append(_row("lp_contrast", f"t={t:g};lambda={lam:g};space=L1", r, o,
                              abs(r - o) / o))
             rows.append(_row("lp_contrast", f"t={t:g};lambda={lam:g};space=M11", m))
-        series = {"L1 ratio": (lambda_list, rep.l1_ratios),
+        series = {"L1 ratio": (lambda_list, l1),
                   "L1 oracle": (lambda_list, oracle),
-                  "M11 ratio": (lambda_list, rep.m11_ratios)}
+                  "M11 ratio": (lambda_list, m11)}
         return rows, series, ok
     return measure
 
 
 def _run_schrodinger(t_list=(0.5, 1.0, 2.0, 4.0), p=1.0, q=math.inf, l=_GRID.L, n=_GRID.N):
     grid = _grid_1d(l, n)
-    envelopes = {}
+    envelopes, symbols = {}, {}
     for t in t_list:
         envelopes[t] = verify.schrodinger_envelope(t, 1)
-        _check_phase_resolution(grid, t, 2)
-    fields = [(label, _sampled(f"the initial data {label} on the grid L = {l:g}, N = {n}",
-                               verify.gaussian_data, grid, *params))
-              for label, params in verify.INITIAL_DATA.items()]
+        symbols[t] = symbol_unimodular(grid, 2.0, t)
+    fields = {label: _sampled(f"the initial data {label} on the grid L = {l:g}, N = {n}",
+                              verify.gaussian_data, grid, *params)
+              for label, params in verify.INITIAL_DATA.items()}
     w = gaussian_window(grid)
 
     def measure():
-        rep = verify.schrodinger_conservation(fields, w, p, q, envelopes)
+        rep = verify.schrodinger_conservation(fields, w, p, q, symbols, envelopes)
         ok = rep.stability < 0.10
         rows = [_row("schrodinger_conservation", f"f={label};t={t:g};p={p:g};q={q:g}", r,
                      rep.fitted_c * envelopes[t],
                      rep.c_values[(label, t)] / rep.fitted_c)
                 for (label, t), r in sorted(rep.ratios.items())]
-        label = fields[0][0]  # the M^{2,2} check is reported for the Gaussian only
+        label = next(iter(fields))  # the M^{2,2} check is reported for the Gaussian only
         for t in sorted(set(t_list)):
             r = rep.l2_ratios[(label, t)]
             ok = ok and abs(r - 1.0) < 1e-10
             rows.append(_row("schrodinger_conservation", f"f={label};t={t:g};p=2;q=2", r, 1.0,
                              abs(r - 1.0)))
-        series = {label: (t_list, [rep.ratios[(label, t)] for t in t_list])
-                  for label, _ in fields}
+        series = {label: (t_list, [rep.ratios[(label, t)] for t in t_list]) for label in fields}
         return rows, series, ok
     return measure
 

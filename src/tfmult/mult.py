@@ -80,12 +80,15 @@ def symbol_unimodular(grid: Grid, alpha: float, t: float = 1.0) -> Symbol:
 def sin_singular_profile(rho, alpha: float, delta: float) -> np.ndarray:
     """sin(rho^alpha) / rho^delta for rho >= 0, with its removable value at 0.
 
-    The value at rho = 0 is the limit for delta = alpha and 0 for delta <
-    alpha; callers check their own parameter range.
+    For delta = 0 the formula holds at rho = 0 too, since rho^0 = 1 there:
+    the value is sin(1) at alpha = 0, where the symbol is the constant
+    sin(1), and 0 for alpha > 0.  For delta > 0 the value at rho = 0 is the
+    limit 1 for delta = alpha and 0 for delta < alpha; callers check their
+    own parameter range.
     """
     rho = np.asarray(rho, dtype=float)
     out = np.empty_like(rho)
-    nz = rho > 0
+    nz = (rho > 0) | (delta == 0)
     out[nz] = np.sin(rho[nz] ** alpha) / rho[nz] ** delta
     out[~nz] = 1.0 if delta == alpha else 0.0
     return out

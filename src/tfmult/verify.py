@@ -18,7 +18,6 @@ from .core import (
     Grid,
     ParameterError,
     SampledField,
-    l1_norm,
     make_grid,
     psi_profile,
     radial_field,
@@ -26,7 +25,6 @@ from .core import (
     sample,
 )
 from .mult import (
-    Symbol,
     apply_multiplier,
     sin_singular_profile,
     truncated_field,
@@ -599,13 +597,6 @@ def linear_phase_random_cases(g: Window, n: int = LINEAR_PHASE_CASES,
 # operator norm probes
 
 
-@dataclass
-class ProbeReport:
-    labels: list
-    ratios: list
-    max_ratio: float
-
-
 def gaussian_data(grid: Grid, lam: float, x0: float = 0.0, xi0: float = 0.0,
                   b: float = 0.0) -> SampledField:
     """e^{2 pi i xi0 x_1} e^{i pi b |x|^2} e^{-pi lam |x - x0 e_1|^2} sampled on the grid.
@@ -642,37 +633,25 @@ def probe_family(grid: Grid) -> list:
     return [(label, gaussian_data(grid, *params)) for label, params in PROBES.items()]
 
 
-def probe_base_norms(family, window: Window, pq_list) -> dict:
-    """{label: {(p, q): ||f||}} for every probe f of the family, one pass each."""
-    return {label: modulation_norms_multi(f, window, pq_list) for label, f in family}
+def probe_ratios(symbols: dict, fields: dict, norms) -> dict:
+    """{(key, label): {name: ||sigma(D) f|| / ||f||}} for every symbol and field.
 
-
-def probe_ratios(sigma: Symbol, pq_list, family, window: Window, base_norms: dict) -> dict:
-    """Norm ratios ||H_sigma f|| / ||f|| over a probe family, all (p, q) at once.
-
-    Lower bounds for the operator norm; the suite asserts boundedness through
-    refinement stability, not a true operator norm.  ``base_norms`` are the
-    ||f||, ``probe_base_norms`` of the same family, window and (p, q) list:
-    they do not depend on sigma, so one set serves every symbol.
+    ``symbols`` maps a key to a Symbol and ``fields`` a label to a field,
+    all on one grid; ``norms(h)`` returns the {name: norm} of a field h, so
+    one call may share a pass among several norms.  Each ||f|| and each
+    sigma(D) f is measured once.  The ratios are lower bounds for the
+    operator norms; the experiments read them as such.  A norm of f that
+    underflows to 0 raises ParameterError naming the norm and the field.
     """
-    reports = {pq: ProbeReport([], [], 0.0) for pq in pq_list}
-    for label, f in family:
-        base = base_norms[label]
-        out = apply_multiplier(sigma, f)
-        moved = modulation_norms_multi(out, window, pq_list)
-        for pq in pq_list:
-            r = moved[pq] / base[pq]
-            rep = reports[pq]
-            rep.labels.append(label)
-            rep.ratios.append(r)
-            rep.max_ratio = max(rep.max_ratio, r)
-    return reports
-
-
-@dataclass
-class LpContrastReport:
-    l1_ratios: list
-    m11_ratios: list
+    out = {}
+    for label, f in fields.items():
+        base = norms(f)
+        for name, value in base.items():
+            _nonzero_norm(value, name, f"the field {label}")
+        for key, sigma in symbols.items():
+            moved = norms(apply_multiplier(sigma, f))
+            out[(key, label)] = {name: moved[name] / value for name, value in base.items()}
+    return out
 
 
 def fresnel_l1_ratio(t: float, lam: float) -> float:
@@ -686,8 +665,11 @@ def fresnel_l1_ratio(t: float, lam: float) -> float:
 
 
 def _check_dilations(lambdas) -> None:
+    """Positive and strictly increasing: the L^1 ratios must grow from each lambda to the next."""
     if not all(lam > 0 for lam in lambdas):
         raise ParameterError(f"Gaussian dilations must be positive, got {list(lambdas)}")
+    if not all(b > a for a, b in zip(lambdas, lambdas[1:])):
+        raise ParameterError(f"Gaussian dilations must strictly increase, got {list(lambdas)}")
 
 
 def _check_fresnel_ratios(t: float, lambdas) -> list:
@@ -711,23 +693,6 @@ def _lp_contrast_grid() -> Grid:
     return make_grid(1, 32.0, 2048)
 
 
-def lp_contrast_probe(sigma: Symbol, fields, window: Window) -> LpContrastReport:
-    """L^1 growth versus modulation-norm stability over dilated Gaussians.
-
-    ``sigma`` is the Schrodinger symbol e^{i t xi^2} and ``fields`` the
-    dilated Gaussians ``gaussian_data(grid, lambda)``, on
-    ``_lp_contrast_grid()``; the ratios ||H f|| / ||f|| of each field in L^1
-    and, with the window, in M^{1,1}.
-    """
-    l1_ratios, m11 = [], []
-    for f in fields:
-        out = apply_multiplier(sigma, f)
-        l1_ratios.append(l1_norm(out) / l1_norm(f))
-        m11.append(modulation_norm(out, window, 1, 1).value
-                   / modulation_norm(f, window, 1, 1).value)
-    return LpContrastReport(l1_ratios, m11)
-
-
 # ---------------------------------------------------------------------------
 # conservation experiments
 
@@ -749,39 +714,37 @@ class SchrodingerConservationReport:
     l2_ratios: dict       # (label, t) -> M^{2,2} ratio
 
 
-def _nonzero_norm(value: float, p, q, what: str) -> float:
-    """``value``, a (p, q) norm of the nonzero field ``what``, unless it underflowed to 0."""
+def _nonzero_norm(value: float, name, what: str) -> float:
+    """``value``, the ``name`` norm of the nonzero field ``what``, unless it underflowed to 0.
+
+    ``name`` is the (p, q) of a modulation norm or the name of any other norm.
+    """
     if value == 0.0:
-        raise ParameterError(f"the ({p:g}, {q:g}) norm of {what} underflows to 0: "
-                             "|V|^p or its q-th power falls below the float64 range")
+        name = "({:g}, {:g})".format(*name) if isinstance(name, tuple) else name
+        raise ParameterError(f"the {name} norm of {what} underflows to 0: "
+                             "a power it sums falls below the float64 range")
     return value
 
 
-def schrodinger_conservation(fields, window: Window, p, q,
+def schrodinger_conservation(fields: dict, window: Window, p, q, symbols: dict,
                              envelopes: dict) -> SchrodingerConservationReport:
     """Phase-space norm growth of free Schrodinger evolution.
 
-    For each initial field and each t of ``envelopes``, which maps t to its
-    envelope (t^2 + 4 pi^2)^{d/4} (``schrodinger_envelope``), measures
-    ||u(., t)|| / ||f|| in the (p, q) modulation norm and the implied
-    envelope constant.  The same passes also give the M^{2,2} ratios
-    (``l2_ratios``), which Moyal's formula and the unitary flow make exactly 1.
+    ``symbols`` maps each t to e^{i t |xi|^2} (``symbol_unimodular`` at
+    alpha = 2) and ``envelopes`` maps it to (t^2 + 4 pi^2)^{d/4}
+    (``schrodinger_envelope``).  ``probe_ratios`` measures ||u(., t)|| / ||f||
+    of each initial field in the (p, q) modulation norm; the same passes
+    give the M^{2,2} ratios (``l2_ratios``), which Moyal's formula and the
+    unitary flow make exactly 1.  Each ratio over its envelope is an
+    envelope constant, fitted by their maximum.
     """
-    from .mult import schrodinger_propagate
-
     pq, l2 = (float(p), float(q)), (2.0, 2.0)
     pq_list = list(dict.fromkeys([pq, l2]))
-    ratios, c_values, l2_ratios = {}, {}, {}
-    for label, f in fields:
-        base = modulation_norms_multi(f, window, pq_list)
-        _nonzero_norm(base[pq], p, q, f"the initial field {label}")
-        for t, envelope in envelopes.items():
-            u = schrodinger_propagate(f, t).u
-            norms = modulation_norms_multi(u, window, pq_list)
-            r = norms[pq] / base[pq]
-            ratios[(label, t)] = r
-            c_values[(label, t)] = r / envelope
-            l2_ratios[(label, t)] = norms[l2] / base[l2]
+    measured = probe_ratios(symbols, fields,
+                            lambda h: modulation_norms_multi(h, window, pq_list))
+    ratios = {(label, t): r[pq] for (t, label), r in measured.items()}
+    l2_ratios = {(label, t): r[l2] for (t, label), r in measured.items()}
+    c_values = {(label, t): r / envelopes[t] for (label, t), r in ratios.items()}
     vals = list(c_values.values())
     fitted = max(vals)
     stability = (fitted - min(vals)) / fitted
@@ -822,7 +785,7 @@ def wave_conservation(f: SampledField, g0: SampledField, window: Window, p, q,
         """C(t) for each t of t_list; on the data's grid the energies go to ``energies``."""
         fine = f.grid == grid
         denom = _nonzero_norm(_norm_unless_zero(f, window, p, q)
-                              + _norm_unless_zero(g0, window, p, q), p, q,
+                              + _norm_unless_zero(g0, window, p, q), (p, q),
                               "the initial data" if fine else "the coarsened initial data")
         cs = []
         for t in t_list:

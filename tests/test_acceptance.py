@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from tfmult import l2_norm, make_grid, sample
-from tfmult.core import SampledField
+from tfmult.core import SampledField, l1_norm
 from tfmult.mult import (
     apply_multiplier,
     multiply_symbols,
     schrodinger_propagate,
     symbol_unimodular,
 )
-from tfmult.tf import bump_chi, gaussian_window
+from tfmult.tf import bump_chi, gaussian_window, modulation_norm, modulation_norms_multi
 from tfmult import verify
 from tfmult.verify import DEFAULT_SEED
 
@@ -102,52 +102,56 @@ def test_criterion_06_linear_phase_invariance():
 
 def test_criterion_07_operator_probe_stability():
     pq_list = [(1.0, 1.0), (2.0, 2.0), (float("inf"), 1.0), (1.0, float("inf"))]
-    probes = {}
+    alphas = (0.5, 1.0, 1.5, 2.0)
+    maxima = {}
     for N in (512, 1024):
         grid = make_grid(1, 32.0, N)
-        family, g = verify.probe_family(grid), gaussian_window(grid)
-        probes[N] = (grid, family, g, verify.probe_base_norms(family, g, pq_list))
+        family, g = dict(verify.probe_family(grid)), gaussian_window(grid)
+        ratios = verify.probe_ratios({alpha: symbol_unimodular(grid, alpha, t=1.0)
+                                      for alpha in alphas}, family,
+                                     lambda h: modulation_norms_multi(h, g, pq_list))
+        maxima[N] = {(alpha, pq): max(ratios[(alpha, label)][pq] for label in family)
+                     for alpha in alphas for pq in pq_list}
     worst_change = 0.0
-    for alpha in (0.5, 1.0, 1.5, 2.0):
-        maxima = {}
-        for N, (grid, family, g, base) in probes.items():
-            reps = verify.probe_ratios(symbol_unimodular(grid, alpha, t=1.0), pq_list, family, g,
-                                       base)
-            maxima[N] = {pq: reps[pq].max_ratio for pq in pq_list}
-        for pq in pq_list:
-            a, b = maxima[512][pq], maxima[1024][pq]
-            worst_change = max(worst_change, abs(a - b) / a)
+    for key, a in maxima[512].items():
+        worst_change = max(worst_change, abs(a - maxima[1024][key]) / a)
     _report(7, worst_change < 0.05,
             f"max probe-ratio change under grid doubling {worst_change:.2%} < 5%")
 
 
 def test_criterion_08_lp_contrast():
     grid = verify._lp_contrast_grid()
-    fields = [verify.gaussian_data(grid, lam) for lam in (1.0, 2.0, 4.0, 8.0)]
-    rep = verify.lp_contrast_probe(symbol_unimodular(grid, 2.0, t=1.0), fields,
-                                   gaussian_window(grid))
-    increasing = all(b > a for a, b in zip(rep.l1_ratios, rep.l1_ratios[1:]))
-    spread = max(rep.m11_ratios) / min(rep.m11_ratios)
+    g = gaussian_window(grid)
+    fields = {lam: verify.gaussian_data(grid, lam) for lam in (1.0, 2.0, 4.0, 8.0)}
+    ratios = verify.probe_ratios(
+        {1.0: symbol_unimodular(grid, 2.0, t=1.0)}, fields,
+        lambda h: {"L1": l1_norm(h), "M11": modulation_norm(h, g, 1, 1).value})
+    l1 = [ratios[(1.0, lam)]["L1"] for lam in fields]
+    m11 = [ratios[(1.0, lam)]["M11"] for lam in fields]
+    increasing = all(b > a for a, b in zip(l1, l1[1:]))
+    spread = max(m11) / min(m11)
     _report(8, increasing and spread < 3.0,
-            f"L1 ratios {['%.3f' % r for r in rep.l1_ratios]} increasing, "
+            f"L1 ratios {['%.3f' % r for r in l1]} increasing, "
             f"M(1,1) spread {spread:.3f} < 3")
 
 
 def test_criterion_09_schrodinger_envelope():
     grid = make_grid(1, 32.0, 2048)
     w = gaussian_window(grid)
-    fields = [
-        ("gauss", sample(lambda x: np.exp(-np.pi * x ** 2), grid)),
-        ("modshift", sample(lambda x: np.exp(2j * np.pi * x)
-                            * np.exp(-np.pi * (x - 1.0) ** 2), grid)),
-    ]
-    envelopes = {t: verify.schrodinger_envelope(t, 1) for t in (0.5, 1.0, 2.0, 4.0)}
-    rep = verify.schrodinger_conservation(fields, w, 1, float("inf"), envelopes)
+    fields = {
+        "gauss": sample(lambda x: np.exp(-np.pi * x ** 2), grid),
+        "modshift": sample(lambda x: np.exp(2j * np.pi * x) * np.exp(-np.pi * (x - 1.0) ** 2),
+                           grid),
+    }
+    t_list = (0.5, 1.0, 2.0, 4.0)
+    symbols = {t: symbol_unimodular(grid, 2.0, t) for t in t_list}
+    envelopes = {t: verify.schrodinger_envelope(t, 1) for t in t_list}
+    rep = verify.schrodinger_conservation(fields, w, 1, float("inf"), symbols, envelopes)
     envelope_ok = all(
         rep.ratios[k] <= rep.fitted_c * (k[1] ** 2 + 4 * np.pi ** 2) ** 0.25 * (1 + 1e-12)
         for k in rep.ratios
     )
-    l2 = verify.schrodinger_conservation(fields, w, 2, 2, envelopes)
+    l2 = verify.schrodinger_conservation(fields, w, 2, 2, symbols, envelopes)
     l2_dev = max(abs(r - 1.0) for r in l2.ratios.values())
     ok = envelope_ok and rep.stability < 0.10 and l2_dev < 1e-10
     _report(9, ok, f"envelope holds, fitted C {rep.fitted_c:.4f} stable to "

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tfmult
-from tfmult import cli, tf, verify
+from tfmult import cli, mult, tf, verify
 from tfmult.cli import EXPERIMENTS, PARSERS, load_config, main, parse_params
 from tfmult.core import Grid
 
@@ -139,6 +139,12 @@ class TestListValidate:
         # run compared every growth with 2 and exited 1: no growth can pass
         ("m_inf_1_divergence", "l_list", "16, 16", "box sizes must strictly increase"),
         ("m_inf_1_divergence", "l_list", "64, 32, 16", "box sizes must strictly increase"),
+        # validate said ok, and run compared the L^1 ratios in list order and
+        # exited 1, though every row matched its closed form
+        ("lp_contrast", "lambda_list", "8, 4, 2, 1",
+         "Gaussian dilations must strictly increase, got [8.0, 4.0, 2.0, 1.0]"),
+        ("lp_contrast", "lambda_list", "1, 1, 2",
+         "Gaussian dilations must strictly increase, got [1.0, 1.0, 2.0]"),
         ("lp_contrast", "lambda_list", "-1", "Gaussian dilations must be positive"),
         ("linear_phase", "cases", "0", "need at least 1 random case"),
         ("dyadic_series", "alpha_list", "-1", "alpha must be positive"),
@@ -299,7 +305,7 @@ class TestListValidate:
             assert (1 + p) / 2 <= g <= p
 
     @pytest.mark.parametrize("name,what", [
-        ("schrodinger_conservation", "(1e+300, inf) norm of the initial field gauss"),
+        ("schrodinger_conservation", "(1e+300, inf) norm of the field gauss"),
         ("wave_conservation", "(1e+300, 1) norm of the initial data"),
     ])
     def test_underflowing_norm_of_the_initial_data(self, tmp_path, capsys, name, what):
@@ -458,6 +464,33 @@ class TestOneDerivation:
         calls.clear()
         measure()
         assert planned and not planned & set(calls), sorted(planned & set(calls))
+
+
+class TestPhaseChecks:
+    @pytest.mark.parametrize("name,plan,measure", [
+        # the measure step propagated each field at each t through
+        # schrodinger_propagate, whose symbol checked the phase again: 8 calls
+        ("schrodinger_conservation", 4, 0),
+        # the wave flow checks its phases in wave_propagate as well (3 + 7)
+        ("wave_conservation", 3, 7),
+        ("lp_contrast", 1, 0),
+        ("operator_probe", 8, 0),
+    ])
+    def test_phase_checks_of_a_default_run(self, monkeypatch, name, plan, measure):
+        calls = []
+        check = mult._check_phase_resolution
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        for module in (mult, cli):
+            monkeypatch.setattr(module, "_check_phase_resolution", counted)
+        step = inspect.unwrap(EXPERIMENTS[name])(**parse_params({"name": name}))
+        assert len(calls) == plan
+        calls.clear()
+        assert step()[2]
+        assert len(calls) == measure
 
 
 class TestRun:

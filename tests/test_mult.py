@@ -55,6 +55,17 @@ class TestSymbols:
         assert sin_singular_profile(0.0, 1.0, 1.0) == 1.0
         assert sin_singular_profile(0.0, 1.0, 0.5) == 0.0
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_sin_singular_origin_value_at_delta_zero(self, alpha):
+        # at alpha = delta = 0 the origin read 1.0, while the symbol
+        # |xi|^-0 sin(|xi|^0) is the constant sin(1) = 0.8414709848
+        rho = np.array([0.0, 0.25, 1.0, 3.0])
+        values = sin_singular_profile(rho, alpha, 0.0)
+        assert values[0] == (np.sin(1.0) if alpha == 0 else 0.0)
+        assert np.array_equal(values[1:], np.sin(rho[1:] ** alpha))
+        if alpha == 0:
+            assert np.all(values == values[1])
+
 
 class TestApply:
     def test_identity_symbol(self, grid):

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from tfmult import verify
 from tfmult.core import (SampledField, centered_ifft, coarsen, inverse_transform, l2_norm,
                          make_grid, sample)
-from tfmult.mult import apply_multiplier, symbol_unimodular
+from tfmult.mult import (Symbol, apply_multiplier, sin_singular_profile, symbol_unimodular,
+                         truncated_field)
 from tfmult.tf import amalgam_norm_wfl1, custom_window, gaussian_window, modulation_norm, stft
 
 RTOL = 1e-12
@@ -178,7 +179,9 @@ def test_inversion(path, seed):
 # at most the W(FL^1, l^inf) norm of sigma with window g1^, times that of
 # V_{g2} f(., xi).  So for every (p, q)
 #   ||sigma(D) f||_{M^{p,q}_g} <= ||sigma||_{W(FL^1, l^inf), g1^} ||f||_{M^{p,q}_{g2}},
-# with equality for the constant symbols (alpha = 0) at p = 1, q = inf.
+# with equality for the constant symbols (alpha = 0) at p = 1, q = inf.  The
+# paper's byproduct, the singular symbols chi |xi|^-delta sin(|xi|^alpha) with
+# 0 <= delta <= alpha, are bounded by the same inequality.
 _THEOREM_GRID = make_grid(1, 32.0, 512)
 # the frequency lattice of the theorem's grid, as the positions of a grid of its own
 _FREQUENCY_GRID = make_grid(1, 512 / 32.0, 512)
@@ -190,12 +193,17 @@ _EXPONENTS = st.one_of(st.just(math.inf), st.floats(1.0, 8.0))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(0.0, 2.0), st.floats(-3.0, 3.0), st.sampled_from(sorted(verify.PROBES)),
-       _EXPONENTS, _EXPONENTS)
-@example(0.0, 1.0, "gauss_l1", 1.0, math.inf)  # the bound is attained
-def test_multiplier_bound_on_the_lattice(alpha, t, probe, p, q):
-    sigma = symbol_unimodular(_THEOREM_GRID, alpha, t)
+@given(st.floats(0.0, 2.0), st.floats(-3.0, 3.0), st.floats(0.0, 1.0),
+       st.sampled_from(sorted(verify.PROBES)), _EXPONENTS, _EXPONENTS)
+@example(0.0, 1.0, 0.0, "gauss_l1", 1.0, math.inf)  # the bound is attained
+@example(1.0, 1.0, 1.0, "gauss_l1", 1.0, math.inf)  # the singular symbol comes closest
+def test_multiplier_bound_on_the_lattice(alpha, t, delta_share, probe, p, q):
+    # sigma's samples on the frequency lattice are those of a field on _FREQUENCY_GRID
+    singular = truncated_field(_FREQUENCY_GRID, sin_singular_profile, alpha, delta_share * alpha)
     f = verify.gaussian_data(_THEOREM_GRID, *verify.PROBES[probe])
-    w = amalgam_norm_wfl1(SampledField(_FREQUENCY_GRID, sigma.values), _W_WINDOW).value
-    lhs = modulation_norm(apply_multiplier(sigma, f), _G, p, q).value
-    assert lhs <= w * modulation_norm(f, _G2, p, q).value * (1 + 1e-12)
+    rhs = modulation_norm(f, _G2, p, q).value
+    for sigma in (symbol_unimodular(_THEOREM_GRID, alpha, t),
+                  Symbol(_THEOREM_GRID, singular.values)):
+        w = amalgam_norm_wfl1(SampledField(_FREQUENCY_GRID, sigma.values), _W_WINDOW).value
+        lhs = modulation_norm(apply_multiplier(sigma, f), _G, p, q).value
+        assert lhs <= w * rhs * (1 + 1e-12)

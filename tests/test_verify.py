@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from tfmult.core import (ParameterError, SampledField, chi_profile, default_grid, make_grid,
-                         psi_profile, radius, sample)
+from tfmult.core import (ParameterError, SampledField, chi_profile, default_grid, l1_norm,
+                         make_grid, psi_profile, radius, sample)
 from tfmult.mult import (
     apply_multiplier,
     schrodinger_propagate,
@@ -26,6 +26,7 @@ from tfmult.tf import (
     gaussian_window,
     m_1_inf_norm,
     modulation_norm,
+    modulation_norms_multi,
     refinement,
     stft,
 )
@@ -55,6 +56,12 @@ def _chirp_check(grid, t):
 def _envelopes(t_list):
     """{t: envelope} of the 1D Schrodinger flow, as its plan derives it."""
     return {t: verify.schrodinger_envelope(t, 1) for t in t_list}
+
+
+def _schrodinger(fields, window, p, q, t_list):
+    """``schrodinger_conservation`` of the symbols and envelopes that its plan derives."""
+    symbols = {t: symbol_unimodular(window.grid, 2.0, t) for t in t_list}
+    return verify.schrodinger_conservation(fields, window, p, q, symbols, _envelopes(t_list))
 
 
 def _divergence(t, boxes):
@@ -242,11 +249,11 @@ class TestLinearPhase:
 class TestProbesAndContrast:
     def test_fresnel_oracle_matches_measurement(self):
         grid = verify._lp_contrast_grid()
-        fields = [verify.gaussian_data(grid, lam) for lam in (1.0, 4.0)]
-        rep = verify.lp_contrast_probe(symbol_unimodular(grid, 2.0, t=0.5), fields,
-                                       gaussian_window(grid))
-        for measured, lam in zip(rep.l1_ratios, (1.0, 4.0)):
-            predicted = fresnel_l1_ratio(0.5, lam)
+        fields = {lam: verify.gaussian_data(grid, lam) for lam in (1.0, 4.0)}
+        ratios = verify.probe_ratios({0.5: symbol_unimodular(grid, 2.0, t=0.5)}, fields,
+                                     lambda h: {"L1": l1_norm(h)})
+        for lam in fields:
+            measured, predicted = ratios[(0.5, lam)]["L1"], fresnel_l1_ratio(0.5, lam)
             assert abs(measured - predicted) / predicted < 1e-6
 
     def test_lp_contrast_rejects_an_unresolved_phase(self):
@@ -268,25 +275,55 @@ class TestProbesAndContrast:
     def test_probe_ratios_l2_exactly_one(self):
         grid = make_grid(1, 16.0, 256)
         sig = symbol_unimodular(grid, 1.0, t=1.0)
-        family, g = verify.probe_family(grid), gaussian_window(grid)
-        base = verify.probe_base_norms(family, g, [(2.0, 2.0)])
-        rep = verify.probe_ratios(sig, [(2.0, 2.0)], family, g, base)[(2.0, 2.0)]
-        assert np.allclose(rep.ratios, 1.0, atol=1e-12)
+        family, g = dict(verify.probe_family(grid)), gaussian_window(grid)
+        ratios = verify.probe_ratios({1.0: sig}, family,
+                                     lambda h: modulation_norms_multi(h, g, [(2.0, 2.0)]))
+        assert list(ratios) == [(1.0, label) for label in verify.PROBES]
+        assert np.allclose([r[(2.0, 2.0)] for r in ratios.values()], 1.0, atol=1e-12)
 
-    def test_probe_ratios_with_precomputed_base_norms(self):
-        # one set of base norms serves every symbol: each ratio is that of two single norms
+    def test_probe_ratios_equal_ratios_of_single_norms(self):
+        # one pass of each field serves every symbol: each ratio is that of two single norms
         grid = make_grid(1, 16.0, 256)
-        sig = symbol_unimodular(grid, 1.5, t=1.0)
+        symbols = {alpha: symbol_unimodular(grid, alpha, t=1.0) for alpha in (0.0, 1.5)}
         pq_list = [(1.0, 1.0), (2.0, 2.0), (math.inf, 1.0), (1.0, math.inf)]
-        family = verify.probe_family(grid)
+        family = dict(verify.probe_family(grid))
         g = gaussian_window(grid)
-        base = verify.probe_base_norms(family, g, pq_list)
-        reps = verify.probe_ratios(sig, pq_list, family, g, base)
-        for pq, rep in reps.items():
-            assert rep.labels == list(verify.PROBES)
-            for (label, f), ratio in zip(family, rep.ratios):
-                moved = modulation_norm(apply_multiplier(sig, f), g, *pq).value
-                assert ratio == moved / modulation_norm(f, g, *pq).value, (pq, label)
+        ratios = verify.probe_ratios(symbols, family,
+                                     lambda h: modulation_norms_multi(h, g, pq_list))
+        assert ratios.keys() == {(alpha, label) for alpha in symbols for label in family}
+        for (alpha, label), r in ratios.items():
+            f = family[label]
+            assert list(r) == pq_list
+            for pq in pq_list:
+                moved = modulation_norm(apply_multiplier(symbols[alpha], f), g, *pq).value
+                assert r[pq] == moved / modulation_norm(f, g, *pq).value, (alpha, pq, label)
+
+    def test_probe_ratios_measure_each_field_and_product_once(self):
+        grid = make_grid(1, 16.0, 128)
+        symbols = {alpha: symbol_unimodular(grid, alpha) for alpha in (0.5, 1.0, 2.0)}
+        fields = dict(verify.probe_family(grid))
+        measured = []
+
+        def norms(h):
+            measured.append(h)
+            return {"L1": l1_norm(h)}
+
+        verify.probe_ratios(symbols, fields, norms)
+        assert len(measured) == len(fields) * (1 + len(symbols))
+
+    @pytest.mark.parametrize("norms,message", [
+        (lambda g: lambda h: modulation_norms_multi(h, g, [(1e300, math.inf)]),
+         "the (1e+300, inf) norm of the field gauss_l0.125 underflows to 0"),
+        (lambda g: lambda h: {"L1": 0.0 * l1_norm(h)},
+         "the L1 norm of the field gauss_l0.125 underflows to 0"),
+    ], ids=["modulation", "named"])
+    def test_probe_ratios_reject_an_underflowing_norm(self, norms, message):
+        # only the Schrodinger measure step checked its base norms: the
+        # others divided by 0
+        grid = make_grid(1, 16.0, 128)
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            verify.probe_ratios({1.0: symbol_unimodular(grid, 1.0)},
+                                dict(verify.probe_family(grid)), norms(gaussian_window(grid)))
 
     def test_probe_family_labels_unique(self):
         grid = make_grid(1, 16.0, 128)
@@ -323,23 +360,23 @@ class TestMergedPasses:
     def test_schrodinger_equals_single_norms(self):
         grid = make_grid(1, 16.0, 512)
         w = gaussian_window(grid)
-        fields = [("gauss", sample(lambda x: np.exp(-np.pi * x ** 2), grid)),
-                  ("shifted", sample(lambda x: np.exp(-np.pi * (x - 1.0) ** 2), grid))]
+        fields = {"gauss": sample(lambda x: np.exp(-np.pi * x ** 2), grid),
+                  "shifted": sample(lambda x: np.exp(-np.pi * (x - 1.0) ** 2), grid)}
         t_list = (0.5, 2.0)
-        rep = verify.schrodinger_conservation(fields, w, 1, math.inf, _envelopes(t_list))
+        rep = _schrodinger(fields, w, 1, math.inf, t_list)
         assert set(rep.l2_ratios) == set(rep.ratios)
 
         def single(f, u, p, q):
             return (modulation_norm(u, w, p, q).value
                     / modulation_norm(f, w, p, q).value)
 
-        for label, f in fields:
+        for label, f in fields.items():
             for t in t_list:
                 u = schrodinger_propagate(f, t).u
                 assert rep.ratios[(label, t)] == single(f, u, 1, math.inf)
                 assert rep.l2_ratios[(label, t)] == single(f, u, 2, 2)
         # at (p, q) = (2, 2) both sets of ratios are the M^{2,2} ones
-        l2 = verify.schrodinger_conservation(fields, w, 2, 2, _envelopes(t_list))
+        l2 = _schrodinger(fields, w, 2, 2, t_list)
         assert l2.ratios == l2.l2_ratios == rep.l2_ratios
 
     def test_wave_skips_the_zero_field_with_the_same_bits(self, monkeypatch):
@@ -372,8 +409,7 @@ class TestConservationDrivers:
         rng = np.random.default_rng(DEFAULT_SEED)
         from tfmult.core import SampledField
         f = SampledField(grid, rng.standard_normal(512) + 1j * rng.standard_normal(512))
-        rep = verify.schrodinger_conservation([("rand", f)], gaussian_window(grid),
-                                              2, 2, _envelopes((0.5, 2.0)))
+        rep = _schrodinger({"rand": f}, gaussian_window(grid), 2, 2, (0.5, 2.0))
         assert all(abs(r - 1.0) < 1e-10 for r in rep.ratios.values())
 
     def test_schrodinger_envelope_overflow_names_t(self):

@@ -46,7 +46,10 @@ def _experiments(side: Path) -> list:
 # then configs that reach the refinement estimates elsewhere: a W row with no
 # M^{1,inf} row (t = 0), and wave rows at other (p, q) and at t = 0; then a 2D
 # M^{1,inf} window of a negative t beside a 2D t with no M^{1,inf} row, and
-# the divergence's growth predictions on boxes other than the default ones
+# the divergence's growth predictions on boxes other than the default ones;
+# then the multiplier ratios elsewhere: the constant and quadratic probe
+# symbols on a coarser grid, the Schrodinger (p, q) equal to its M^{2,2}
+# check, and the Fresnel contrast at other dilations and t
 EXTRA_CONFIGS = (
     ("amalgam_constants_d2", "amalgam_constants", "d = 2"),
     ("chirp_stft_t-1_-0.5", "chirp_stft", "t_list = -1, -0.5"),
@@ -64,6 +67,9 @@ EXTRA_CONFIGS = (
     ("wave_conservation_p2_q2", "wave_conservation", "p = 2\nq = 2"),
     ("amalgam_constants_d2_t-1_0", "amalgam_constants", "d = 2\nt_list = -1, 0"),
     ("m_inf_1_divergence_l8_16_32", "m_inf_1_divergence", "l_list = 8, 16, 32"),
+    ("operator_probe_alpha0_2_n256", "operator_probe", "alpha_list = 0, 2\nn = 256"),
+    ("schrodinger_conservation_p2_q2", "schrodinger_conservation", "p = 2\nq = 2"),
+    ("lp_contrast_lambda0.5_3_t2", "lp_contrast", "lambda_list = 0.5, 3\nt = 2"),
 )
 
 
