@@ -2,7 +2,9 @@
 
 Each experiment measures a quantity with a known closed form or a structural
 prediction (finiteness, monotone growth, refinement stability) and returns a
-small report object; the CLI turns these into CSV tables.  Experiments are
+small report object, or, for the multiplier ratios ||sigma(D) f|| / ||f|| of
+the operator probes, the L^1 contrast and the Schrodinger flow, the dict of
+``probe_ratios``; the CLI turns these into CSV tables.  Experiments are
 deterministic: every random draw goes through a seeded generator recorded in
 the report.
 """
@@ -594,7 +596,7 @@ def linear_phase_random_cases(g: Window, n: int = LINEAR_PHASE_CASES,
 
 
 # ---------------------------------------------------------------------------
-# operator norm probes
+# multiplier ratios ||sigma(D) f|| / ||f||: operator norm probes, L^1 contrast
 
 
 def gaussian_data(grid: Grid, lam: float, x0: float = 0.0, xi0: float = 0.0,
