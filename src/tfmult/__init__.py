@@ -15,7 +15,6 @@ from .core import (
     sample,
 )
 from .mult import (
-    PropagatorState,
     Symbol,
     apply_multiplier,
     schrodinger_propagate,

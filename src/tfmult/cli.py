@@ -40,12 +40,9 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import verify
-from .core import (ParameterError, SamplingError, default_grid, half_grid, l1_norm, make_grid,
-                   sample)
-from .mult import _check_phase_resolution, symbol_unimodular
+from .core import ParameterError, SamplingError, default_grid, half_grid, l1_norm, make_grid
+from .mult import symbol_unimodular, wave_symbols
 from .tf import (_check_exponent, bump_chi, gaussian_window, modulation_norm,
                  modulation_norms_multi)
 from .verify import DEFAULT_SEED
@@ -458,13 +455,14 @@ def _run_schrodinger(t_list=(0.5, 1.0, 2.0, 4.0), p=1.0, q=math.inf, l=_GRID.L, 
 
 def _run_wave(t_list=(0.5, 1.0, 2.0), p=1.0, q=1.0, l=_GRID.L, n=_GRID.N):
     grid = _grid_1d(l, n)
-    half_grid(grid)  # the refinement estimate measures on N / 2 too
-    for t in t_list:
-        _check_phase_resolution(grid, t, 1)
-    w, f, g0 = gaussian_window(grid), verify.gaussian_data(grid, 1.0), sample(np.zeros_like, grid)
+    # per grid, each t's multipliers: the refinement estimate measures on N / 2
+    # too, and t = 0 gives the energy baseline on the data's grid
+    flows = {h: {t: wave_symbols(h, t) for t in ts}
+             for h, ts in ((grid, (0.0, *t_list)), (half_grid(grid), t_list))}
+    w, f = gaussian_window(grid), verify.gaussian_data(grid, *verify.INITIAL_DATA["gauss"])
 
     def measure():
-        rep = verify.wave_conservation(f, g0, w, p, q, t_list)
+        rep = verify.wave_conservation(f, w, p, q, t_list, flows)
         ok = rep.energy_drift < 1e-10 and all(r < 0.01 for r in rep.refinement)
         rows = [_row("wave_conservation", f"t={t:g};p={p:g};q={q:g}", c, refinement_estimate=r)
                 for t, c, r in zip(t_list, rep.c_values, rep.refinement)]

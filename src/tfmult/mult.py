@@ -26,7 +26,7 @@ from .core import (
 
 @dataclass
 class Symbol:
-    """Complex samples of a multiplier on the frequency lattice.
+    """Samples of a multiplier on the frequency lattice; a real multiplier may keep real values.
 
     ``aliasing_warning`` is set when the symbol's phase changes by more than
     pi between adjacent frequency samples somewhere on the lattice; such a
@@ -141,56 +141,57 @@ def _check_phase_resolution(grid: Grid, t: float, power: float) -> None:
         )
 
 
-@dataclass
-class PropagatorState:
-    grid: Grid
-    u: SampledField
-    v: SampledField | None = None  # time derivative, wave only
+def wave_symbols(grid: Grid, t: float) -> tuple:
+    """(cos(t|xi|), -|xi| sin(t|xi|)), the multipliers of the wave flow from (f, 0).
+
+    They take f_hat to u_hat and to v_hat = u_t_hat at time t.  A t whose
+    largest phase t|xi| is not resolved (``_check_phase_resolution``) raises
+    ParameterError.
+    """
+    _check_phase_resolution(grid, t, 1)
+    rho = grid.frequency_radius().reshape(-1)
+    return Symbol(grid, np.cos(t * rho)), Symbol(grid, -rho * np.sin(t * rho))
 
 
-def schrodinger_propagate(f: SampledField, t: float) -> PropagatorState:
+def schrodinger_propagate(f: SampledField, t: float) -> SampledField:
     """Free Schrodinger evolution: u_hat(xi, t) = e^{i t |xi|^2} f_hat(xi).
 
     A t whose largest phase is not resolved (``_check_phase_resolution``)
     raises ParameterError.
     """
-    return PropagatorState(f.grid, apply_multiplier(symbol_unimodular(f.grid, 2.0, t), f))
+    return apply_multiplier(symbol_unimodular(f.grid, 2.0, t), f)
 
 
-def wave_propagate(f: SampledField, g: SampledField, t: float) -> PropagatorState:
-    """Wave evolution from (u, u_t)(0) = (f, g).
+def wave_propagate(f: SampledField, g: SampledField, t: float) -> tuple:
+    """(u, u_t) at time t of the wave evolution from (u, u_t)(0) = (f, g).
 
     u_hat = cos(t|xi|) f_hat + sin(t|xi|)/|xi| g_hat, the xi = 0 entry of the
     second multiplier set to its limit t; v_hat = -|xi| sin(t|xi|) f_hat
-    + cos(t|xi|) g_hat.  Per mode this is an exact rotation of (|xi| u_hat,
-    v_hat), so the discrete wave energy is conserved.  A t whose largest
-    phase t|xi| is not resolved (``_check_phase_resolution``) raises
-    ParameterError.
+    + cos(t|xi|) g_hat (``wave_symbols`` gives the multipliers of f_hat).
+    Per mode this is an exact rotation of (|xi| u_hat, v_hat), so the
+    discrete wave energy is conserved.  A t whose largest phase t|xi| is not
+    resolved (``_check_phase_resolution``) raises ParameterError.
     """
     require_same_grid(f.grid, g.grid)
-    _check_phase_resolution(f.grid, t, 1)
     grid = f.grid
+    cos, vel = wave_symbols(grid, t)
     rho = grid.frequency_radius().reshape(-1)
     F = forward_transform(f).values
     G = forward_transform(g).values
-    c = np.cos(t * rho)
     sinc = np.empty_like(rho)
     nz = rho > 0
     sinc[nz] = np.sin(t * rho[nz]) / rho[nz]
     sinc[~nz] = t
-    U = c * F + sinc * G
-    V = -rho * np.sin(t * rho) * F + c * G
-    u = inverse_transform(SampledField(grid, U))
-    v = inverse_transform(SampledField(grid, V))
-    return PropagatorState(grid, u, v=v)
+    U = cos.values * F + sinc * G
+    V = vel.values * F + cos.values * G
+    return inverse_transform(SampledField(grid, U)), inverse_transform(SampledField(grid, V))
 
 
-def wave_energy(state: PropagatorState) -> float:
-    """Discrete phase-space energy dxi^d * sum(|xi u_hat|^2 + |v_hat|^2)."""
-    if state.v is None:
-        raise ParameterError("wave_energy needs a wave state with a v field")
-    grid = state.grid
+def wave_energy(u: SampledField, v: SampledField) -> float:
+    """Discrete phase-space energy dxi^d * sum(|xi u_hat|^2 + |v_hat|^2) of (u, u_t) = (u, v)."""
+    require_same_grid(u.grid, v.grid)
+    grid = u.grid
     rho = grid.frequency_radius().reshape(-1)
-    U = forward_transform(state.u).values
-    V = forward_transform(state.v).values
+    U = forward_transform(u).values
+    V = forward_transform(v).values
     return float(grid.dxi ** grid.d * np.sum(np.abs(rho * U) ** 2 + np.abs(V) ** 2))

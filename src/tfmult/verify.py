@@ -4,9 +4,9 @@ Each experiment measures a quantity with a known closed form or a structural
 prediction (finiteness, monotone growth, refinement stability) and returns a
 small report object, or, for the multiplier ratios ||sigma(D) f|| / ||f|| of
 the operator probes, the L^1 contrast and the Schrodinger flow, the dict of
-``probe_ratios``; the CLI turns these into CSV tables.  Experiments are
-deterministic: every random draw goes through a seeded generator recorded in
-the report.
+``probe_ratios``, which measures the wave flow's C(t) too; the CLI turns
+these into CSV tables.  Experiments are deterministic: every random draw
+goes through a seeded generator recorded in the report.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .mult import (
     sin_singular_profile,
     truncated_field,
     unimodular_profile,
+    wave_energy,
 )
 from .tf import (
     Window,
@@ -755,49 +756,32 @@ def schrodinger_conservation(fields: dict, window: Window, p, q, symbols: dict,
 
 @dataclass
 class WaveConservationReport:
-    c_values: list          # C(t) = ||u(., t)|| / (||f|| + ||g||)
+    c_values: list          # C(t) = ||u(., t)|| / ||f||
     refinement: list        # relative change of C(t) at half resolution
     energy_drift: float     # max relative wave-energy deviation over t_list
 
 
-def _norm_unless_zero(h: SampledField, window: Window, p, q) -> float:
-    """The (p, q) modulation norm of h, with no STFT pass when h is all zero.
+def wave_conservation(f: SampledField, window: Window, p, q, t_list,
+                      flows: dict) -> WaveConservationReport:
+    """Measured envelope constants and energy conservation for the wave flow from (f, 0).
 
-    Every |V| of a zero field is 0, so its norm is exactly 0.0, and adding
-    0.0 to a norm changes no bit.
+    ``flows`` maps the data's grid and its half-resolution grid to {t:
+    ``wave_symbols``} for each t of t_list, and the data's grid also for
+    t = 0, the energy baseline.  ``probe_ratios`` measures C(t) =
+    ||u(., t)|| / ||f|| in the (p, q) modulation norm on each grid, the half
+    grid's for the ``refinement`` estimate; f, the Gaussian
+    ``INITIAL_DATA["gauss"]``, is named the field gauss.
     """
-    if not h.values.any():
-        return 0.0
-    return modulation_norm(h, window, p, q).value
+    def constants(f, window):
+        symbols = {t: flows[f.grid][t][0] for t in t_list}
+        ratios = probe_ratios(symbols, {"gauss": f},
+                              lambda h: {(p, q): modulation_norm(h, window, p, q).value})
+        return [ratios[(t, "gauss")][(p, q)] for t in t_list]
 
+    def energy(t):
+        return wave_energy(*(apply_multiplier(sigma, f) for sigma in flows[f.grid][t]))
 
-def wave_conservation(f: SampledField, g0: SampledField, window: Window, p, q,
-                      t_list) -> WaveConservationReport:
-    """Measured envelope constants and energy conservation for the wave flow.
-
-    C(t) of every t is measured on the data's grid and, for its
-    ``refinement`` estimate, once more on the half-resolution grid; the
-    denominators ||f|| + ||g|| are measured once per grid.
-    """
-    from .mult import wave_energy, wave_propagate
-
-    grid, energies = f.grid, []
-
-    def constants(f, g0, window):
-        """C(t) for each t of t_list; on the data's grid the energies go to ``energies``."""
-        fine = f.grid == grid
-        denom = _nonzero_norm(_norm_unless_zero(f, window, p, q)
-                              + _norm_unless_zero(g0, window, p, q), (p, q),
-                              "the initial data" if fine else "the coarsened initial data")
-        cs = []
-        for t in t_list:
-            state = wave_propagate(f, g0, t)
-            cs.append(modulation_norm(state.u, window, p, q).value / denom)
-            if fine:
-                energies.append(wave_energy(state))
-        return cs
-
-    cs = constants(f, g0, window)
-    e0 = wave_energy(wave_propagate(f, g0, 0.0))
-    drift = max([0.0, *(abs(e - e0) / max(e0, 1e-300) for e in energies)])
-    return WaveConservationReport(cs, refinement(cs, constants, f, g0, window), drift)
+    cs = constants(f, window)
+    e0 = energy(0.0)
+    drift = max([0.0, *(abs(energy(t) - e0) / max(e0, 1e-300) for t in dict.fromkeys(t_list))])
+    return WaveConservationReport(cs, refinement(cs, constants, f, window), drift)

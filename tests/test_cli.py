@@ -306,7 +306,7 @@ class TestListValidate:
 
     @pytest.mark.parametrize("name,what", [
         ("schrodinger_conservation", "(1e+300, inf) norm of the field gauss"),
-        ("wave_conservation", "(1e+300, 1) norm of the initial data"),
+        ("wave_conservation", "(1e+300, 1) norm of the field gauss"),
     ])
     def test_underflowing_norm_of_the_initial_data(self, tmp_path, capsys, name, what):
         # |V|^p of the Gaussian underflows to 0, and run divided by that norm
@@ -427,7 +427,7 @@ class TestSchema:
 # prediction helpers.  No field sampler is among them: the measure step
 # samples the 2D chirps and the dyadic terms on purpose.
 _HELPER = re.compile(r"^_check_|_grids?(_[12]d)?$|_window$|_region$|_prediction$|_envelope$"
-                     r"|^(bump_chi|symbol_unimodular|_amalgam_checks|fresnel_l1_ratio)$")
+                     r"|^(bump_chi|symbol_unimodular|wave_symbols|_amalgam_checks|fresnel_l1_ratio)$")
 
 
 class TestOneDerivation:
@@ -471,8 +471,10 @@ class TestPhaseChecks:
         # the measure step propagated each field at each t through
         # schrodinger_propagate, whose symbol checked the phase again: 8 calls
         ("schrodinger_conservation", 4, 0),
-        # the wave flow checks its phases in wave_propagate as well (3 + 7)
-        ("wave_conservation", 3, 7),
+        # the wave measure step checked every t again in wave_propagate, on
+        # both grids and at t = 0 for the energy: 3 + 7 calls; the plan now
+        # builds the multipliers of the three t on both grids and of t = 0
+        ("wave_conservation", 7, 0),
         ("lp_contrast", 1, 0),
         ("operator_probe", 8, 0),
     ])
@@ -484,8 +486,7 @@ class TestPhaseChecks:
             calls.append(args)
             return check(*args)
 
-        for module in (mult, cli):
-            monkeypatch.setattr(module, "_check_phase_resolution", counted)
+        monkeypatch.setattr(mult, "_check_phase_resolution", counted)
         step = inspect.unwrap(EXPERIMENTS[name])(**parse_params({"name": name}))
         assert len(calls) == plan
         calls.clear()

@@ -103,17 +103,17 @@ class TestSchrodinger:
     def test_t_zero_identity(self, grid):
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
         out = schrodinger_propagate(f, 0.0)
-        assert np.max(np.abs(out.u.values - f.values)) < 1e-14
+        assert np.max(np.abs(out.values - f.values)) < 1e-14
 
     def test_group_law(self, grid):
         f = sample(lambda x: np.exp(-np.pi * x ** 2) * np.cos(2 * x), grid)
-        u1 = schrodinger_propagate(schrodinger_propagate(f, 0.7).u, 1.1).u
-        u2 = schrodinger_propagate(f, 1.8).u
+        u1 = schrodinger_propagate(schrodinger_propagate(f, 0.7), 1.1)
+        u2 = schrodinger_propagate(f, 1.8)
         assert np.max(np.abs(u1.values - u2.values)) < 1e-12
 
     def test_mass_conserved(self, grid):
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
-        u = schrodinger_propagate(f, 2.0).u
+        u = schrodinger_propagate(f, 2.0)
         assert np.isclose(l2_norm(u), l2_norm(f), rtol=1e-12)
 
     def test_gaussian_spreading_closed_form(self):
@@ -123,7 +123,7 @@ class TestSchrodinger:
         grid = make_grid(1, 64.0, 4096)
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
         t = 1.5
-        u = schrodinger_propagate(f, t).u
+        u = schrodinger_propagate(f, t)
         peak = np.abs(u.values[grid.N // 2])
         oracle = (1.0 + (t / np.pi) ** 2) ** -0.25
         assert np.isclose(peak, oracle, rtol=1e-8)
@@ -138,23 +138,23 @@ class TestSchrodinger:
         with pytest.raises(ParameterError, match="the largest propagator phase"):
             schrodinger_propagate(f, t)
         resolved = np.nextafter(abs(t), 0.0) if abs(t) == 2.0 ** 25 else 1.0
-        assert np.isfinite(schrodinger_propagate(f, resolved).u.values).all()
+        assert np.isfinite(schrodinger_propagate(f, resolved).values).all()
 
 
 class TestWave:
     def test_t_zero_identity(self, grid):
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
         g0 = sample(lambda x: np.exp(-x ** 2) * np.sin(x), grid)
-        st = wave_propagate(f, g0, 0.0)
-        assert np.max(np.abs(st.u.values - f.values)) < 1e-13
-        assert np.max(np.abs(st.v.values - g0.values)) < 1e-13
+        u, v = wave_propagate(f, g0, 0.0)
+        assert np.max(np.abs(u.values - f.values)) < 1e-13
+        assert np.max(np.abs(v.values - g0.values)) < 1e-13
 
     def test_energy_conserved(self, grid):
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
         g0 = sample(lambda x: np.exp(-x ** 2), grid)
-        e0 = wave_energy(wave_propagate(f, g0, 0.0))
+        e0 = wave_energy(*wave_propagate(f, g0, 0.0))
         for t in (0.5, 1.0, 3.0):
-            et = wave_energy(wave_propagate(f, g0, t))
+            et = wave_energy(*wave_propagate(f, g0, t))
             assert abs(et - e0) / e0 < 1e-12
 
     def test_dalembert_splitting(self):
@@ -165,7 +165,7 @@ class TestWave:
         g0 = sample(lambda x: np.zeros_like(x), grid)
         t = 4.0
         s = t / (2.0 * np.pi)
-        u = wave_propagate(f, g0, t).u
+        u = wave_propagate(f, g0, t)[0]
         x = grid.axis_positions()
         oracle = 0.5 * (np.exp(-np.pi * (x - s) ** 2) + np.exp(-np.pi * (x + s) ** 2))
         assert np.max(np.abs(u.values - oracle)) < 1e-10
@@ -179,12 +179,11 @@ class TestWave:
         with pytest.raises(ParameterError, match="the largest propagator phase"):
             wave_propagate(f, f, t)
         resolved = np.nextafter(abs(t), 0.0) if abs(t) == 2.0 ** 29 else 1.0
-        assert np.isfinite(wave_propagate(f, f, resolved).u.values).all()
+        assert np.isfinite(wave_propagate(f, f, resolved)[0].values).all()
 
     def test_time_reversal(self, grid):
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
         g0 = sample(lambda x: np.exp(-x ** 2), grid)
-        st = wave_propagate(f, g0, 1.3)
-        back = wave_propagate(st.u, st.v, -1.3)
-        assert np.max(np.abs(back.u.values - f.values)) < 1e-12
-        assert np.max(np.abs(back.v.values - g0.values)) < 1e-12
+        u, v = wave_propagate(*wave_propagate(f, g0, 1.3), -1.3)
+        assert np.max(np.abs(u.values - f.values)) < 1e-12
+        assert np.max(np.abs(v.values - g0.values)) < 1e-12

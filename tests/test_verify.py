@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from tfmult.core import (ParameterError, SampledField, chi_profile, default_grid, l1_norm,
-                         make_grid, psi_profile, radius, sample)
+from tfmult.core import (ParameterError, SampledField, chi_profile, default_grid, half_grid,
+                         l1_norm, make_grid, psi_profile, radius, sample)
 from tfmult.mult import (
     apply_multiplier,
     schrodinger_propagate,
@@ -15,7 +15,9 @@ from tfmult.mult import (
     symbol_unimodular,
     truncated_field,
     unimodular_profile,
+    wave_energy,
     wave_propagate,
+    wave_symbols,
 )
 from tfmult.tf import (
     amalgam_norm_wfl1,
@@ -62,6 +64,13 @@ def _schrodinger(fields, window, p, q, t_list):
     """``schrodinger_conservation`` of the symbols and envelopes that its plan derives."""
     symbols = {t: symbol_unimodular(window.grid, 2.0, t) for t in t_list}
     return verify.schrodinger_conservation(fields, window, p, q, symbols, _envelopes(t_list))
+
+
+def _wave(f, window, p, q, t_list):
+    """``wave_conservation`` of the multipliers that its plan derives."""
+    flows = {h: {t: wave_symbols(h, t) for t in (0.0, *t_list)}
+             for h in (f.grid, half_grid(f.grid))}
+    return verify.wave_conservation(f, window, p, q, t_list, flows)
 
 
 def _divergence(t, boxes):
@@ -372,34 +381,12 @@ class TestMergedPasses:
 
         for label, f in fields.items():
             for t in t_list:
-                u = schrodinger_propagate(f, t).u
+                u = schrodinger_propagate(f, t)
                 assert rep.ratios[(label, t)] == single(f, u, 1, math.inf)
                 assert rep.l2_ratios[(label, t)] == single(f, u, 2, 2)
         # at (p, q) = (2, 2) both sets of ratios are the M^{2,2} ones
         l2 = _schrodinger(fields, w, 2, 2, t_list)
         assert l2.ratios == l2.l2_ratios == rep.l2_ratios
-
-    def test_wave_skips_the_zero_field_with_the_same_bits(self, monkeypatch):
-        grid = make_grid(1, 16.0, 256)
-        w = gaussian_window(grid)
-        f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
-        g0 = sample(lambda x: np.zeros_like(x), grid)
-        passes = []
-        norm = verify.modulation_norm
-
-        def counted(*args, **kwargs):
-            passes.append(args[0])
-            return norm(*args, **kwargs)
-
-        monkeypatch.setattr(verify, "modulation_norm", counted)
-        for pq in ((1, 1), (2, 2), (math.inf, 1)):
-            passes.clear()
-            skipped = verify.wave_conservation(f, g0, w, *pq, (0.5, 2.0))
-            assert passes and not any(np.array_equal(h.values, 0) for h in passes)
-            with monkeypatch.context() as mp:
-                mp.setattr(verify, "_norm_unless_zero",
-                           lambda h, window, p, q: norm(h, window, p, q).value)
-                assert skipped == verify.wave_conservation(f, g0, w, *pq, (0.5, 2.0))
 
 
 class TestConservationDrivers:
@@ -596,19 +583,23 @@ class TestOneRefinementRule:
         grid = make_grid(1, 16.0, 256)
         w, wh = gaussian_window(grid), gaussian_window(make_grid(1, 16.0, 128))
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
-        g0 = sample(lambda x: x * np.exp(-np.pi * x ** 2), grid)
         t_list = (0.5, 2.0)
-        rep = verify.wave_conservation(f, g0, w, p, q, t_list)
+        rep = _wave(f, w, p, q, t_list)
 
-        def constants(f, g0, w):
-            denom = modulation_norm(f, w, p, q).value + modulation_norm(g0, w, p, q).value
-            return [modulation_norm(wave_propagate(f, g0, t).u, w, p, q).value / denom
-                    for t in t_list]
+        def constants(f, w):
+            zero = SampledField(f.grid, np.zeros_like(f.values))
+            return [modulation_norm(wave_propagate(f, zero, t)[0], w, p, q).value
+                    / modulation_norm(f, w, p, q).value for t in t_list]
 
-        cs = constants(f, g0, w)
-        half = constants(_half(f), _half(g0), wh)
+        cs = constants(f, w)
+        half = constants(_half(f), wh)
         assert rep.c_values == cs
         assert rep.refinement == [_change(c, c_half) for c, c_half in zip(cs, half)]
+        zero = SampledField(grid, np.zeros_like(f.values))
+        e0 = wave_energy(*wave_propagate(f, zero, 0.0))
+        drift = [abs(wave_energy(*wave_propagate(f, zero, t)) - e0) / max(e0, 1e-300)
+                 for t in t_list]
+        assert rep.energy_drift == max([0.0, *drift])
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("kind", ["gaussian", "custom"])

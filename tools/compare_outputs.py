@@ -49,7 +49,8 @@ def _experiments(side: Path) -> list:
 # the divergence's growth predictions on boxes other than the default ones;
 # then the multiplier ratios elsewhere: the constant and quadratic probe
 # symbols on a coarser grid, the Schrodinger (p, q) equal to its M^{2,2}
-# check, and the Fresnel contrast at other dilations and t
+# check, and the Fresnel contrast at other dilations and t; then a repeated
+# wave t, measured once and reported twice, on the smallest grid it takes
 EXTRA_CONFIGS = (
     ("amalgam_constants_d2", "amalgam_constants", "d = 2"),
     ("chirp_stft_t-1_-0.5", "chirp_stft", "t_list = -1, -0.5"),
@@ -70,6 +71,7 @@ EXTRA_CONFIGS = (
     ("operator_probe_alpha0_2_n256", "operator_probe", "alpha_list = 0, 2\nn = 256"),
     ("schrodinger_conservation_p2_q2", "schrodinger_conservation", "p = 2\nq = 2"),
     ("lp_contrast_lambda0.5_3_t2", "lp_contrast", "lambda_list = 0.5, 3\nt = 2"),
+    ("wave_conservation_t1_1_n16", "wave_conservation", "t_list = 1, 1\nn = 16"),
 )
 
 
