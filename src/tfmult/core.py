@@ -95,8 +95,13 @@ class GridMismatchError(ValueError):
 
 
 def radius(meshes) -> np.ndarray:
-    """Euclidean norm of a point given by its d coordinate arrays."""
-    s = np.zeros_like(meshes[0])
+    """Euclidean norm of a point given by its d coordinate arrays, in their broadcast shape.
+
+    The arrays may be sparse meshes (``Grid.position_meshes``): the sum of
+    squares is formed in one array of the broadcast shape, element by
+    element as from dense meshes.
+    """
+    s = np.zeros(np.broadcast_shapes(*map(np.shape, meshes)), np.result_type(*meshes))
     for m in meshes:
         s += m * m
     return np.sqrt(s)
@@ -137,12 +142,18 @@ class Grid:
         return (np.arange(self.N) - self.N // 2) * self.dxi
 
     def position_meshes(self) -> tuple:
+        """Sparse meshes: coordinate j as an array of length N along axis j and 1 along the others.
+
+        They broadcast to (N,)*d, so a function of them computes on the full
+        lattice without d dense N^d coordinate arrays.
+        """
         ax = self.axis_positions()
-        return np.meshgrid(*([ax] * self.d), indexing="ij")
+        return np.meshgrid(*([ax] * self.d), indexing="ij", sparse=True)
 
     def frequency_meshes(self) -> tuple:
+        """Sparse meshes of the frequency lattice, as ``position_meshes``."""
         ax = self.axis_frequencies()
-        return np.meshgrid(*([ax] * self.d), indexing="ij")
+        return np.meshgrid(*([ax] * self.d), indexing="ij", sparse=True)
 
     def frequency_radius(self) -> np.ndarray:
         """|xi| on the frequency lattice, shaped (N,)*d."""
@@ -212,8 +223,10 @@ def require_same_grid(a: Grid, b: Grid) -> None:
 def sample(fn, grid: Grid) -> SampledField:
     """Sample a pointwise function on the position lattice.
 
-    ``fn`` receives d coordinate arrays (numpy-vectorized) and must return
-    values defined at every lattice point; a non-finite result raises
+    ``fn`` receives the d sparse coordinate meshes (``Grid.position_meshes``)
+    and returns values that broadcast to the lattice, (N,)*d; a function
+    of x_0 alone may return its (N, 1, ...) column.  The values must be
+    defined at every lattice point; a non-finite result raises
     SamplingError naming the first offending coordinate.
     """
     meshes = grid.position_meshes()
@@ -223,9 +236,9 @@ def sample(fn, grid: Grid) -> SampledField:
     bad = ~np.isfinite(vals)
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        coord = tuple(float(m[idx]) for m in meshes)
+        coord = tuple(float(np.broadcast_to(m, grid.shape)[idx]) for m in meshes)
         raise SamplingError(f"non-finite sample at x = {coord}")
-    return SampledField(grid, vals.reshape(-1).copy())
+    return SampledField(grid, vals.flatten())
 
 
 def radial_field(grid: Grid, profile, *params) -> SampledField:

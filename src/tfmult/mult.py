@@ -60,8 +60,12 @@ def unimodular_phase(rho, alpha: float, t: float = 1.0):
 
 
 def unimodular_profile(rho, alpha: float, t: float = 1.0):
-    """e^{i t rho^alpha}; the chirp e^{i pi t |x|^2} is alpha = 2 with pi t for t."""
-    return np.exp(1j * unimodular_phase(rho, alpha, t))
+    """e^{i t rho^alpha}; the chirp e^{i pi t |x|^2} is alpha = 2 with pi t for t.
+
+    The phase is exponentiated in place; a scalar rho gives a scalar.
+    """
+    z = np.asarray(1j * unimodular_phase(rho, alpha, t))
+    return np.exp(z, out=z)[()]
 
 
 def symbol_unimodular(grid: Grid, alpha: float, t: float = 1.0) -> Symbol:

@@ -43,13 +43,14 @@ of ``powers``), valid during the call.
 * Row-column (``_row_column_sums``): a 2D window kept as its factors, a
   tensor product g(x) = g0(x0) g1(x1), as ``gaussian_window`` makes it.
   V_g f(x, w) = F1[F0[f conj(g0(. - x0))] conj(g1(. - x1))], so the axis-0
-  transform H is computed once per position row and reused for its
-  columns, which go through blocks of about ``_BLOCK_BYTES``.  A row's
-  blocks go to the threads in one hand-off: each thread owns a k0 range
-  and runs, block by block in position order, the column-window multiply,
-  the axis-1 transform, |V|, |V|^p and the positions-inner sums on its
-  columns.  A pass with a ``reduce`` hands each block off on its own and
-  then its rows to ``reduce``, before the next block overwrites them.
+  transform H is computed once per position row, in the first column
+  block's buffer, and reused for its columns, which go through blocks of
+  about ``_BLOCK_BYTES``.  A row's blocks go to the threads in one
+  hand-off: each thread owns a k0 range and runs, block by block in
+  position order, the column-window multiply, the axis-1 transform, |V|,
+  |V|^p and the positions-inner sums on its columns.  A pass with a
+  ``reduce`` hands each block off on its own and then its rows to
+  ``reduce``, before the next block overwrites them.
 
 Both paths read |V| sign-free: the field (windowed) or g1 (row-column) is
 presigned once per pass (``core._presigned``) and ``centered_fft(...,
@@ -64,7 +65,7 @@ of conj(g) tiled three times per axis (``_translates``).
 
 Pass buffers outlive the pass (``_pass_buffers``): a module store keeps one
 spare per role (the block, the |V| pair, the |V|^p pairs, and the
-row-column H and HT), which the next pass takes instead of faulting in
+row-column H), which the next pass takes instead of faulting in
 fresh pages; a pass that runs beside it finds no spare and allocates its
 own.  In the paper's runs the largest kept set is that of the 1D N = 2048
 powered pass, about 12 MiB (68 MiB while a windowed pass held a whole
@@ -138,7 +139,7 @@ _BLOCK_BYTES = 1 << 22
 _POINTS_PER_STEP_ROW = 2048
 
 # Spare pass buffers kept between passes, one flat array per role ("chunk",
-# "modulus", "power", "H", "HT").  See the module docstring.
+# "modulus", "power", "H").  See the module docstring.
 _spares: dict = {}
 _spares_lock = threading.Lock()
 
@@ -418,12 +419,14 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
     """Fold |V_g f| into ``acc`` and hand its rows to ``reduce``, on the row-column path.
 
     g = g0 x g1, so H = F0[f conj(T_{x_i} g0)], as (k0, x1), depends only
-    on the position row i: it is transformed once per row, on the
-    transposed field along contiguous rows (the window multiply as the
-    transform's ``fill``, the transpose as its ``fold``), and then
-    multiplied by each column's conj(T_{x_j} g1) before the axis-1
-    transform.  g1 is presigned, so the axis-1 transforms give |V| on the
-    sign-free path.
+    on the position row i: it is transformed once per row along contiguous
+    rows of HT, (x1, x0), and then multiplied by each column's
+    conj(T_{x_j} g1) before the axis-1 transform.  The transform's ``fill``
+    multiplies f's columns, read in place, by the row's window into HT, and
+    its ``fold`` transposes HT into H.  HT is the first block of the block
+    buffer, which is free from the start of a position row until the row's
+    column blocks overwrite it, after the transpose.  g1 is presigned, so
+    the axis-1 transforms give |V| on the sign-free path.
 
     The column blocks of a position row go to the threads once: all full
     blocks in one ``centered_fft`` call, whose block buffer is repeated
@@ -448,12 +451,12 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
     ncols = sel1.size
     g0, g1 = g.factors
     rows0, rows1 = _translates(g0, (sel0,)), _translates(_presigned(g1, 1), (sel1,))
-    fT = np.ascontiguousarray(f.reshaped().T)
+    fv = f.reshaped()
     with _pass_buffers() as take:
-        HT = take("HT", (N, N), np.complex128)  # (x1, k0)
         H = take("H", (N, N), np.complex128)  # (k0, x1)
         cols = min(max(1, _BLOCK_BYTES // (16 * N * N)), ncols)
         buf = take("chunk", (cols, N, N), np.complex128)
+        HT = buf[0]  # (x1, k0), free until the row's column blocks overwrite it
         A = take("modulus", (cols, N * N))
         P = take("power", (len(powers), cols, N * N)) if powers else ()
         powered = {1.0: A, math.inf: A, **dict(zip(powers, P))}
@@ -464,7 +467,7 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
         for i, row0 in enumerate(rows0):
 
             def window_rows(lo, hi):
-                np.multiply(fT[lo:hi], row0, out=HT[lo:hi])
+                np.multiply(fv[:, lo:hi].T, row0, out=HT[lo:hi])
 
             def transpose(lo, hi):
                 H[:, lo:hi] = HT[lo:hi].T

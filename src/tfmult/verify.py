@@ -636,7 +636,7 @@ def probe_family(grid: Grid) -> list:
     return [(label, gaussian_data(grid, *params)) for label, params in PROBES.items()]
 
 
-def probe_ratios(symbols: dict, fields: dict, norms) -> dict:
+def probe_ratios(symbols: dict, fields: dict, norms, products=None) -> dict:
     """{(key, label): {name: ||sigma(D) f|| / ||f||}} for every symbol and field.
 
     ``symbols`` maps a key to a Symbol and ``fields`` a label to a field,
@@ -645,6 +645,7 @@ def probe_ratios(symbols: dict, fields: dict, norms) -> dict:
     sigma(D) f is measured once.  The ratios are lower bounds for the
     operator norms; the experiments read them as such.  A norm of f that
     underflows to 0 raises ParameterError naming the norm and the field.
+    A dict given as ``products`` receives each sigma(D) f under (key, label).
     """
     out = {}
     for label, f in fields.items():
@@ -652,7 +653,8 @@ def probe_ratios(symbols: dict, fields: dict, norms) -> dict:
         for name, value in base.items():
             _nonzero_norm(value, name, f"the field {label}")
         for key, sigma in symbols.items():
-            moved = norms(apply_multiplier(sigma, f))
+            h = apply_multiplier(sigma, f)
+            moved = norms(h if products is None else products.setdefault((key, label), h))
             out[(key, label)] = {name: moved[name] / value for name, value in base.items()}
     return out
 
@@ -770,18 +772,20 @@ def wave_conservation(f: SampledField, window: Window, p, q, t_list,
     t = 0, the energy baseline.  ``probe_ratios`` measures C(t) =
     ||u(., t)|| / ||f|| in the (p, q) modulation norm on each grid, the half
     grid's for the ``refinement`` estimate; f, the Gaussian
-    ``INITIAL_DATA["gauss"]``, is named the field gauss.
+    ``INITIAL_DATA["gauss"]``, is named the field gauss.  The energy at each
+    t of t_list reads the u = cos(t|D|) f that C(t) measured on the data grid.
     """
-    def constants(f, window):
+    def constants(f, window, products=None):
         symbols = {t: flows[f.grid][t][0] for t in t_list}
         ratios = probe_ratios(symbols, {"gauss": f},
-                              lambda h: {(p, q): modulation_norm(h, window, p, q).value})
+                              lambda h: {(p, q): modulation_norm(h, window, p, q).value}, products)
         return [ratios[(t, "gauss")][(p, q)] for t in t_list]
 
-    def energy(t):
-        return wave_energy(*(apply_multiplier(sigma, f) for sigma in flows[f.grid][t]))
+    def energy(t, u):
+        return wave_energy(u, apply_multiplier(flows[f.grid][t][1], f))
 
-    cs = constants(f, window)
-    e0 = energy(0.0)
-    drift = max([0.0, *(abs(energy(t) - e0) / max(e0, 1e-300) for t in dict.fromkeys(t_list))])
+    moved = {}  # (t, "gauss") -> cos(t|D|) f, as probe_ratios made it for C(t)
+    cs = constants(f, window, moved)
+    e0 = energy(0.0, apply_multiplier(flows[f.grid][0.0][0], f))
+    drift = max([0.0, *(abs(energy(t, u) - e0) / max(e0, 1e-300) for (t, _), u in moved.items())])
     return WaveConservationReport(cs, refinement(cs, constants, f, window), drift)

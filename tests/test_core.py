@@ -4,14 +4,16 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import re
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tfmult
-from tfmult import core
+from tfmult import core, verify
 from tfmult.core import (
     Grid,
     GridMismatchError,
@@ -114,6 +116,77 @@ class TestSample:
         g = make_grid(1, 16.0, 128)
         with pytest.raises(SamplingError):
             sample(lambda x: 1.0 / x, g)
+
+
+def _dense_meshes(grid, axis):
+    """The dense (N,)*d coordinate arrays of one lattice, as np.meshgrid makes them."""
+    return np.meshgrid(*([axis] * grid.d), indexing="ij")
+
+
+class TestSparseMeshes:
+    """The sampler hands fn sparse meshes; every sample keeps the bits of dense ones."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_meshes_broadcast_to_the_lattice(self, d):
+        g = make_grid(d, 8.0, 32)
+        for sparse, dense in [(g.position_meshes(), _dense_meshes(g, g.axis_positions())),
+                              (g.frequency_meshes(), _dense_meshes(g, g.axis_frequencies()))]:
+            assert [m.shape for m in sparse] == ([(32,)] if d == 1 else [(32, 1), (1, 32)])
+            assert all(np.array_equal(np.broadcast_to(m, g.shape), n)
+                       for m, n in zip(sparse, dense))
+
+    @pytest.mark.parametrize("fn", [
+        lambda x, y: np.exp(-np.pi * x ** 2) * np.exp(1j * x),  # x_0 alone: an (N, 1) column
+        lambda x, y: np.exp(-np.pi * y ** 2),  # x_1 alone: a (1, N) row
+        lambda x, y: np.exp(1j * np.pi * (x ** 2 + y ** 2)) * np.cos(x - y),
+    ], ids=["x0", "x1", "both"])
+    def test_sample_equals_the_dense_mesh_result(self, fn):
+        g = make_grid(2, 12.0, 64)
+        dense = np.asarray(fn(*_dense_meshes(g, g.axis_positions())), dtype=np.complex128)
+        f = sample(fn, g)
+        assert f.values.flags.writeable and f.values.flags.c_contiguous
+        assert np.array_equal(f.values.view(np.uint64), dense.reshape(-1).view(np.uint64))
+
+    def test_constant_samples_to_the_full_field(self):
+        g = make_grid(2, 8.0, 32)
+        f = sample(lambda x, y: 2.5 - 1j, g)
+        assert f.values.shape == (g.npoints,) and f.values.flags.writeable
+        assert np.array_equal(f.values, np.full(g.npoints, 2.5 - 1j))
+
+    @pytest.mark.parametrize("fn,coord", [
+        # one bad lattice point, at x = (1, -0.75)
+        (lambda x, y: 1.0 / ((x - 1.0) ** 2 + (y + 0.75) ** 2), (1.0, -0.75)),
+        # a column that is inf at x_0 = 0: the first bad point has the first x_1
+        (lambda x, y: 1.0 / x, (0.0, -4.0)),
+        # a row that is inf at x_1 = 0: the first bad point has the first x_0
+        (lambda x, y: 1.0 / y, (-4.0, 0.0)),
+    ], ids=["point", "column", "row"])
+    def test_nonfinite_2d_sample_names_its_point(self, fn, coord):
+        g = make_grid(2, 8.0, 32)
+        with pytest.raises(SamplingError, match=re.escape(f"non-finite sample at x = {coord}")):
+            sample(fn, g)
+
+    @pytest.mark.parametrize("d,L,N", [(1, 32.0, 2048), (2, 16.0, 256), (2, 6.0, 16)])
+    def test_frequency_radius_keeps_its_bits(self, d, L, N):
+        g = make_grid(d, L, N)
+        s = np.zeros(g.shape)
+        for m in _dense_meshes(g, g.axis_frequencies()):
+            s += m * m
+        r = g.frequency_radius()
+        assert r.shape == g.shape and r.flags.c_contiguous
+        assert np.array_equal(r.view(np.uint64), np.sqrt(s).view(np.uint64))
+
+    def test_2d_chirp_sampling_holds_little_beside_its_field(self):
+        # dense meshes, their radius and the chirp's temporaries held 3.5
+        # times the field at once
+        g = make_grid(2, 16.0, 256)
+        tracemalloc.start()
+        try:
+            f = verify.chirp_field(g, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * f.values.nbytes
 
 
 class TestCenteredTransform:

@@ -11,6 +11,7 @@ from tfmult.mult import (
     schrodinger_propagate,
     sin_singular_profile,
     symbol_unimodular,
+    unimodular_profile,
     wave_energy,
     wave_propagate,
 )
@@ -22,6 +23,19 @@ def grid():
 
 
 class TestSymbols:
+    @pytest.mark.parametrize("rho", [0.0, 0.75, np.float64(2.5)])
+    def test_unimodular_profile_of_a_scalar_is_a_scalar(self, rho):
+        value = unimodular_profile(rho, 2.0, 3.0)
+        assert np.isscalar(value) and value == np.exp(1j * (3.0 * rho ** 2.0))
+
+    def test_unimodular_profile_keeps_its_bits_and_its_input(self):
+        rho = np.linspace(0.0, 8.0, 1001).reshape(7, 143)
+        kept = rho.copy()
+        value = unimodular_profile(rho, 1.5, 0.7)
+        assert np.array_equal(rho, kept) and value.shape == rho.shape
+        want = np.exp(1j * (0.7 * kept ** 1.5))
+        assert np.array_equal(value.view(np.uint64), want.view(np.uint64))
+
     def test_unimodular_is_unimodular(self, grid):
         s = symbol_unimodular(grid, 1.5, t=0.7)
         assert np.allclose(np.abs(s.values), 1.0)

@@ -320,6 +320,23 @@ class TestProbesAndContrast:
         verify.probe_ratios(symbols, fields, norms)
         assert len(measured) == len(fields) * (1 + len(symbols))
 
+    def test_probe_ratios_hand_out_the_products_they_measure(self):
+        grid = make_grid(1, 16.0, 128)
+        symbols = {alpha: symbol_unimodular(grid, alpha) for alpha in (0.5, 2.0)}
+        fields = dict(verify.probe_family(grid))
+        measured, products = [], {}
+
+        def norms(h):
+            measured.append(h)
+            return {"L1": l1_norm(h)}
+
+        verify.probe_ratios(symbols, fields, norms, products)
+        assert list(products) == [(key, label) for label in fields for key in symbols]
+        for (key, label), h in products.items():
+            assert any(h is m for m in measured), (key, label)
+            want = apply_multiplier(symbols[key], fields[label]).values
+            assert np.array_equal(h.values.view(np.uint64), want.view(np.uint64)), (key, label)
+
     @pytest.mark.parametrize("norms,message", [
         (lambda g: lambda h: modulation_norms_multi(h, g, [(1e300, math.inf)]),
          "the (1e+300, inf) norm of the field gauss_l0.125 underflows to 0"),
@@ -600,6 +617,22 @@ class TestOneRefinementRule:
         drift = [abs(wave_energy(*wave_propagate(f, zero, t)) - e0) / max(e0, 1e-300)
                  for t in t_list]
         assert rep.energy_drift == max([0.0, *drift])
+
+    def test_wave_applies_each_multiplier_once(self, monkeypatch):
+        # the energy applied cos(t|D|) to f again after C(t) had: 14 products
+        # where 11 are distinct, cos(t|D|) f for each t on both grids, both
+        # multipliers of t = 0 for the baseline, and -|D| sin(t|D|) f per t
+        grid = make_grid(1, 16.0, 256)
+        f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
+        applied = []
+
+        def counted(sigma, h):
+            applied.append((id(sigma), id(h)))
+            return apply_multiplier(sigma, h)
+
+        monkeypatch.setattr(verify, "apply_multiplier", counted)
+        _wave(f, gaussian_window(grid), 1.0, 1.0, (0.5, 1.0, 2.0))
+        assert len(applied) == len(set(applied)) == 11
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("kind", ["gaussian", "custom"])
