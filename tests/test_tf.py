@@ -837,6 +837,7 @@ class TestStepFold:
         # added 2 MiB
         grid = make_grid(2, 16.0, 256)
         f, g = sample(lambda x, y: np.exp(-np.pi * (x ** 2 + y ** 2)), grid), gaussian_window(grid)
+        _norms(f, g, [spec], stride=grid.N)  # numpy's FFT imports what it loads lazily
         tf._release_spares()
         tracemalloc.start()
         try:
