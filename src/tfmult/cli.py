@@ -253,42 +253,43 @@ def _run_chirp_stft(t_list=(0.0, 0.5, 1.0, 2.0), tolerance=1e-6, l=_GRID.L, n=_G
     chirps = [_sampled(f"the chirp of t = {t:g} on the grid L = {l:g}, N = {n}",
                        verify.chirp_field, grid, t) for t in t_list]
     regions = [verify._chirp_stft_region(grid, t) for t in t_list]
+    # each row names whether the chirp is unresolved anywhere in the box
+    aliased = [verify.chirp_aliased(grid, t, grid.L / 2.0) for t in t_list]
     _check_tolerance(tolerance)
     g = gaussian_window(grid)
 
     def measure():
         rows, ok = [], True
-        for t, f, region in zip(t_list, chirps, regions):
-            rep = verify.verify_chirp_stft(f, g, t, region)
-            ok = ok and rep.max_abs_error < tolerance
-            rows.append(_row(
-                "chirp_stft", f"t={t:g};L={grid.L:g};N={grid.N};aliased={rep.aliasing_warning}",
-                rep.max_abs_error, 0.0, rep.max_abs_error))
+        for t, f, region, alias in zip(t_list, chirps, regions, aliased):
+            err = verify.verify_chirp_stft(f, g, t, region)
+            ok = ok and err < tolerance
+            rows.append(_row("chirp_stft", f"t={t:g};L={grid.L:g};N={grid.N};aliased={alias}",
+                             err, 0.0, err))
         return rows, None, ok
     return measure
 
 
 def _run_amalgam_constants(d=1, t_list=(0.5, 1.0, 2.0, 4.0), tolerance=None):
     base, stride = verify._amalgam_grid(d)
-    m1_windows, m1_preds = verify._amalgam_checks(t_list, base)
+    m1_windows, w_preds, m1_preds = verify._amalgam_checks(t_list, base)
     _check_tolerance(tolerance)
     tol = {1: 0.02, 2: 0.05}[d] if tolerance is None else tolerance
     g = gaussian_window(base)
 
     def measure():
-        rows, ok, ts, measured, predicted = [], True, [], [], []
-        for r in verify.verify_amalgam_constants(t_list, g, stride, m1_preds, m1_windows):
-            ok = ok and r.w_rel_err < tol
-            rows.append(_row("amalgam_constants", f"norm=W;t={r.t:g};d={d}", r.w_measured,
-                             r.w_predicted, r.w_rel_err, r.w_refinement))
-            ts.append(r.t)
-            measured.append(r.w_measured)
-            predicted.append(r.w_predicted)
-            if not math.isnan(r.m1inf_measured):
-                ok = ok and r.m1inf_rel_err < tol
-                rows.append(_row("amalgam_constants", f"norm=M1inf;t={r.t:g};d={d}",
-                                 r.m1inf_measured, r.m1inf_predicted, r.m1inf_rel_err))
-        return rows, {"W measured": (ts, measured), "W predicted": (ts, predicted)}, ok
+        rows, ok, measured = [], True, []
+        norms = verify.verify_amalgam_constants(t_list, g, stride, m1_preds, m1_windows)
+        for t, (w, w_ref, m1), w_pred, m1_pred in zip(t_list, norms, w_preds, m1_preds):
+            err = abs(w - w_pred) / w_pred
+            ok = ok and err < tol
+            rows.append(_row("amalgam_constants", f"norm=W;t={t:g};d={d}", w, w_pred, err, w_ref))
+            measured.append(w)
+            if not math.isnan(m1):
+                err = abs(m1 - m1_pred) / m1_pred
+                ok = ok and err < tol
+                rows.append(_row("amalgam_constants", f"norm=M1inf;t={t:g};d={d}", m1, m1_pred,
+                                 err))
+        return rows, {"W measured": (t_list, measured), "W predicted": (t_list, w_preds)}, ok
     return measure
 
 
@@ -299,15 +300,15 @@ def _run_divergence(t=1.0, l_list=verify.DIVERGENCE_BOXES):
     ratios = [b / a for a, b in zip(l_list, l_list[1:])]
 
     def measure():
-        rep = verify.verify_m_inf_1_divergence(t, windows)
-        rows = [_row("m_inf_1_divergence", f"t={t:g};L={L:g}", v)
-                for L, v in zip(rep.box_sizes, rep.values)]
+        values = verify.verify_m_inf_1_divergence(t, windows)
+        rows = [_row("m_inf_1_divergence", f"t={t:g};L={L:g}", v) for L, v in zip(l_list, values)]
         ok = True
         if t != 0:
-            ok = all(g >= (1.0 + r) / 2.0 for g, r in zip(rep.growth_factors, ratios))
+            growth = [values[i + 1] / values[i] for i in range(len(values) - 1)]
+            ok = all(g >= (1.0 + r) / 2.0 for g, r in zip(growth, ratios))
             rows += [_row("m_inf_1_divergence", f"t={t:g};growth_to_L={L:g}", g, r, abs(g - r) / r)
-                     for L, g, r in zip(rep.box_sizes[1:], rep.growth_factors, ratios)]
-        return rows, {"norm vs box": (rep.box_sizes, rep.values)}, ok
+                     for L, g, r in zip(l_list[1:], growth, ratios)]
+        return rows, {"norm vs box": (l_list, values)}, ok
     return measure
 
 
@@ -324,16 +325,13 @@ def _run_dyadic_series(alpha_list=(0.5, 1.0, 2.0), k=40, j=20):
     def measure():
         rows, ok = [], True
         for alpha in alpha_list:
-            rep = verify.dyadic_fl1_series(chi, alpha, k, j)
-            ok = ok and (rep.series_bound >= rep.direct_fl1
-                         and math.isfinite(rep.series_bound)
-                         and rep.cauchy_k is not None
-                         and rep.direct_refinement < 0.01)
-            rows.append(_row("dyadic_series", f"alpha={alpha:g};quantity=direct_fl1",
-                             rep.direct_fl1, refinement_estimate=rep.direct_refinement))
+            direct, refinement, bound, cauchy_k = verify.dyadic_fl1_series(chi, alpha, k, j)
+            ok = ok and (bound >= direct and math.isfinite(bound) and cauchy_k is not None
+                         and refinement < 0.01)
+            rows.append(_row("dyadic_series", f"alpha={alpha:g};quantity=direct_fl1", direct,
+                             refinement_estimate=refinement))
             rows.append(_row("dyadic_series",
-                             f"alpha={alpha:g};quantity=series_bound;cauchy_k={rep.cauchy_k}",
-                             rep.series_bound))
+                             f"alpha={alpha:g};quantity=series_bound;cauchy_k={cauchy_k}", bound))
         return rows, None, ok
     return measure
 
@@ -343,10 +341,10 @@ def _run_sin_singular(alpha=1.0, delta=1.0):
     grid = verify._dyadic_grid()
 
     def measure():
-        rep = verify.verify_sin_singular_fl1(grid, alpha, delta)
-        ok = (math.isfinite(rep.direct_fl1) and rep.direct_refinement < 0.01 and rep.cauchy)
-        return [_row("sin_singular_fl1", f"alpha={alpha:g};delta={delta:g}", rep.direct_fl1,
-                     refinement_estimate=rep.direct_refinement)], None, ok
+        direct, refinement, cauchy = verify.verify_sin_singular_fl1(grid, alpha, delta)
+        ok = math.isfinite(direct) and refinement < 0.01 and cauchy
+        return [_row("sin_singular_fl1", f"alpha={alpha:g};delta={delta:g}", direct,
+                     refinement_estimate=refinement)], None, ok
     return measure
 
 
@@ -462,13 +460,12 @@ def _run_wave(t_list=(0.5, 1.0, 2.0), p=1.0, q=1.0, l=_GRID.L, n=_GRID.N):
     w, f = gaussian_window(grid), verify.gaussian_data(grid, *verify.INITIAL_DATA["gauss"])
 
     def measure():
-        rep = verify.wave_conservation(f, w, p, q, t_list, flows)
-        ok = rep.energy_drift < 1e-10 and all(r < 0.01 for r in rep.refinement)
+        cs, refinement, drift = verify.wave_conservation(f, w, p, q, t_list, flows)
+        ok = drift < 1e-10 and all(r < 0.01 for r in refinement)
         rows = [_row("wave_conservation", f"t={t:g};p={p:g};q={q:g}", c, refinement_estimate=r)
-                for t, c, r in zip(t_list, rep.c_values, rep.refinement)]
-        rows.append(_row("wave_conservation", "quantity=energy_drift", rep.energy_drift, 0.0,
-                         rep.energy_drift))
-        return rows, {"C(t)": (t_list, rep.c_values)}, ok
+                for t, c, r in zip(t_list, cs, refinement)]
+        rows.append(_row("wave_conservation", "quantity=energy_drift", drift, 0.0, drift))
+        return rows, {"C(t)": (t_list, cs)}, ok
     return measure
 
 

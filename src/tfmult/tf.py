@@ -641,12 +641,15 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
 
     (_row_column_sums if _row_column(g) else _windowed_sums)(
         f, g, stride, halfwidth, acc, col, powers, reduce if rows else None)
+    with np.errstate(over="ignore"):  # an overflow is named below
+        for p, a in acc.items():  # in place: specs of one p read one inner array
+            if not math.isinf(p):
+                _pow(np.multiply(a, wx, out=a), 1.0 / p, out=a)
     out = []
     for p, q, order in specs:
         with np.errstate(over="ignore"):  # an overflow is named just below
             if order == POSITIONS_INNER:
-                inner = acc[p] if math.isinf(p) else _pow(acc[p] * wx, 1.0 / p)
-                value = float(_lp_reduce(inner, q, wxi, axis=None))
+                value = float(_lp_reduce(acc[p], q, wxi, axis=None))
             else:
                 value = float(_lp_reduce(rows[p], q, wx, axis=None))
         if not math.isfinite(value):

@@ -1,12 +1,15 @@
 """Desk-scale numerical experiments for the time-frequency multiplier bounds.
 
 Each experiment measures a quantity with a known closed form or a structural
-prediction (finiteness, monotone growth, refinement stability) and returns a
-small report object, or, for the multiplier ratios ||sigma(D) f|| / ||f|| of
-the operator probes, the L^1 contrast and the Schrodinger flow, the dict of
-``probe_ratios``, which measures the wave flow's C(t) too; the CLI turns
-these into CSV tables.  Experiments are deterministic: every random draw
-goes through a seeded generator recorded in the report.
+prediction (finiteness, monotone growth, refinement stability) and returns
+the plain values it measured: a float, or a tuple or list of them.
+``probe_ratios`` measures every multiplier ratio ||sigma(D) f|| / ||f||: the
+operator probes and the L^1 contrast read its dict, the wave flow its C(t),
+and the Schrodinger flow fits its envelope constant into the one report
+object left.  The CLI's plans derive the predictions; its measure steps
+compare the values with them and turn both into CSV tables.  Experiments are
+deterministic: every random draw goes through a generator seeded by the
+caller (the linear_phase seed is written into its row's parameters).
 """
 
 from __future__ import annotations
@@ -121,14 +124,8 @@ def _chirp_stft_region(grid: Grid, t: float) -> tuple:
     return xs, oms, pw
 
 
-@dataclass
-class ChirpStftReport:
-    max_abs_error: float
-    aliasing_warning: bool
-
-
-def verify_chirp_stft(f: SampledField, g: Window, t: float, region) -> ChirpStftReport:
-    """Compare the discrete STFT of the chirp f = ``chirp_field(grid, t)`` against the closed form.
+def verify_chirp_stft(f: SampledField, g: Window, t: float, region) -> float:
+    """Max |V_g f - oracle| of the chirp f = ``chirp_field(grid, t)`` against the closed form.
 
     g is ``gaussian_window(grid)``.  The maximum deviation is taken over
     the central half of the lattice in both position and frequency,
@@ -150,31 +147,11 @@ def verify_chirp_stft(f: SampledField, g: Window, t: float, region) -> ChirpStft
         np.max(np.abs(rows_of(1.0)[lo:hi, pw] - oracle), axis=1, out=errs[at])
 
     _windowed_sums(f, g, 1, grid.L / 4.0, {}, None, (), reduce)
-    return ChirpStftReport(float(np.max(errs)), chirp_aliased(grid, t, grid.L / 2.0))
+    return float(np.max(errs))
 
 
 # ---------------------------------------------------------------------------
 # exact amalgam / M^{1,inf} constants
-
-
-@dataclass
-class AmalgamRow:
-    t: float
-    w_measured: float
-    w_predicted: float
-    m1inf_measured: float  # nan where no M^{1,inf} row is measured
-    m1inf_predicted: float
-    w_refinement: float | None = None
-
-    @property
-    def w_rel_err(self) -> float:
-        return abs(self.w_measured - self.w_predicted) / self.w_predicted
-
-    @property
-    def m1inf_rel_err(self) -> float:
-        if math.isnan(self.m1inf_measured):
-            return float("nan")
-        return abs(self.m1inf_measured - self.m1inf_predicted) / self.m1inf_predicted
 
 
 def w_norm_prediction(t: float, d: int) -> float:
@@ -259,16 +236,16 @@ def _m1inf_grid_2d(t: float) -> tuple:
 
 
 def _amalgam_checks(t_list, base: Grid) -> tuple:
-    """The 2D M^{1,inf} windows {t: (window, stride)} and each t's M^{1,inf} prediction.
+    """The 2D M^{1,inf} windows {t: (window, stride)} and each t's W and M^{1,inf} predictions.
 
     Derived before any pass: a t above the 2D grid cap, or whose prediction
     overflows, raises ParameterError; so does a t whose chirp the W rows'
     grid ``base`` does not resolve, in 1D one that aliases in the quarter
     box (``_check_quarter_box_chirps``) and in 2D one above ``W_MAX_T_2D``,
     checked after the grid cap, whose message takes precedence.  The
-    prediction is nan where no M^{1,inf} row is measured (t = 0).  Each
-    window is the Gaussian on the t's grid (``_m1inf_grid_2d``), built
-    once every check has passed.
+    M^{1,inf} prediction is nan where no M^{1,inf} row is measured
+    (t = 0).  Each window is the Gaussian on the t's grid
+    (``_m1inf_grid_2d``), built once every check has passed.
     """
     m1_grids = {}
     if base.d == 1:
@@ -276,12 +253,14 @@ def _amalgam_checks(t_list, base: Grid) -> tuple:
     else:
         m1_grids = {t: _m1inf_grid_2d(t) for t in t_list if t != 0}
         _check_2d_w_chirps(base, t_list)
-    preds = [m1inf_prediction(t, base.d) if t != 0 else float("nan") for t in t_list]
-    return {t: (gaussian_window(grid), stride) for t, (grid, stride) in m1_grids.items()}, preds
+    w_preds = [w_norm_prediction(t, base.d) for t in t_list]
+    m1_preds = [m1inf_prediction(t, base.d) if t != 0 else float("nan") for t in t_list]
+    windows = {t: (gaussian_window(grid), stride) for t, (grid, stride) in m1_grids.items()}
+    return windows, w_preds, m1_preds
 
 
 def verify_amalgam_constants(t_list, g: Window, stride: int, m1_preds, m1_windows) -> list:
-    """Measure the W(FL1, l-inf) and M^{1,inf} norms of the chirp family.
+    """(w, w_refinement, m1) of each t: the W(FL1, l-inf) and M^{1,inf} norms of its chirp.
 
     g is the Gaussian window on the W rows' grid, which with ``stride``
     comes from ``_amalgam_grid``; ``m1_preds`` and, in 2D, ``m1_windows``
@@ -292,7 +271,8 @@ def verify_amalgam_constants(t_list, g: Window, stride: int, m1_preds, m1_window
     periodic box and do not represent any continuum translate.  In 1D both
     norms read the same |V|, so one pass measures them, and W is refined at
     half resolution; in 2D M^{1,inf} takes its own grid and W is not
-    refined.  Each chirp is sampled here, just before its pass: the 2D
+    refined (w_refinement None).  m1 is nan where no M^{1,inf} row is
+    measured.  Each chirp is sampled here, just before its pass: the 2D
     chirps held at once would take 11 MiB, while a 2D Gaussian window keeps
     only its 1D factors, 2N floats.
     """
@@ -311,20 +291,12 @@ def verify_amalgam_constants(t_list, g: Window, stride: int, m1_preds, m1_window
                 gm, mstride = m1_windows[t]
                 m1 = m_1_inf_norm(chirp_field(gm.grid, t), gm, stride=mstride,
                                   position_halfwidth=gm.grid.L / 4.0).value
-        rows.append(AmalgamRow(t, w, w_norm_prediction(t, base.d), m1, m1_pred,
-                               w_refinement=w_ref))
+        rows.append((w, w_ref, m1))
     return rows
 
 
 # ---------------------------------------------------------------------------
 # M^{inf,1} divergence
-
-
-@dataclass
-class DivergenceReport:
-    box_sizes: list
-    values: list
-    growth_factors: list
 
 
 # Largest N of a divergence box's grid.  A box streams |V| on N / 2
@@ -364,8 +336,8 @@ def _divergence_grids(t: float, box_sizes) -> list:
     return [_divergence_grid(L, max(abs(t), 0.25)) for L in box_sizes]
 
 
-def verify_m_inf_1_divergence(t: float, windows) -> DivergenceReport:
-    """M^{inf,1}-type norm of the chirp on growing boxes.
+def verify_m_inf_1_divergence(t: float, windows) -> list:
+    """M^{inf,1}-type norm of the chirp on growing boxes, one value per box.
 
     ``windows`` holds the Gaussian window on each box's grid, as
     ``_divergence_grids`` derives them.  The continuum integral diverges;
@@ -374,24 +346,12 @@ def verify_m_inf_1_divergence(t: float, windows) -> DivergenceReport:
     t = 0 gives the constant symbol and the divergence assertion does not
     apply.
     """
-    grids = [g.grid for g in windows]
-    values = [m_inf_1_norm(chirp_field(grid, t), g, position_halfwidth=grid.L / 4.0).value
-              for grid, g in zip(grids, windows)]
-    growth = [values[i + 1] / values[i] for i in range(len(values) - 1)]
-    return DivergenceReport([grid.L for grid in grids], values, growth)
+    return [m_inf_1_norm(chirp_field(g.grid, t), g, position_halfwidth=g.grid.L / 4.0).value
+            for g in windows]
 
 
 # ---------------------------------------------------------------------------
 # dyadic FL1 series (homogeneous phases)
-
-
-@dataclass
-class DyadicSeriesReport:
-    per_k: list  # (k, psi_k FL1, phi_k FL1 bound, partial series sum)
-    direct_fl1: float
-    direct_refinement: float
-    series_bound: float
-    cauchy_k: int | None  # first k where the relative increment < 1e-6
 
 
 def _dyadic_grid() -> Grid:
@@ -446,7 +406,7 @@ def _refined_fl1(field: SampledField) -> tuple:
     return value, refinement([value], lambda h: [fl1_norm(h).value], field)[0]
 
 
-def dyadic_fl1_series(chi: SampledField, alpha: float, K: int, J: int) -> DyadicSeriesReport:
+def dyadic_fl1_series(chi: SampledField, alpha: float, K: int, J: int) -> tuple:
     """Taylor-in-the-exponent series bound for e^{i |.|^alpha} * chi in FL1.
 
     ``chi`` is the cutoff chi(|x|) sampled on the series' grid
@@ -455,12 +415,13 @@ def dyadic_fl1_series(chi: SampledField, alpha: float, K: int, J: int) -> Dyadic
     |.|^{k alpha} chi is decomposed over dyadic annuli; the annulus factor
     |.|^{k alpha} psi has a scale-independent FL1 norm, so the term's norm
     is bounded by a geometric sum plus an explicit tail.  The resulting
-    exponential series dominates the directly measured FL1 norm.
+    exponential series dominates the directly measured FL1 norm.  Returns
+    (direct_fl1, direct_refinement, series_bound, cauchy_k), cauchy_k the
+    first k whose term is below 1e-6 of the partial sum, or None.
     """
     grid = chi.grid
     chi_l1 = fl1_norm(chi).value
 
-    per_k = []
     partial = 0.0
     cauchy_k = None
     for k in range(K + 1):
@@ -474,28 +435,22 @@ def dyadic_fl1_series(chi: SampledField, alpha: float, K: int, J: int) -> Dyadic
             phi_bound = (geom + tail) * psi_l1
         term = phi_bound / math.factorial(k)
         partial += term
-        per_k.append((k, psi_l1, phi_bound, partial))
         if cauchy_k is None and k >= 1 and term < 1e-6 * partial:
             cauchy_k = k
 
     direct = _refined_fl1(truncated_field(grid, unimodular_profile, alpha))
-    return DyadicSeriesReport(per_k, *direct, partial, cauchy_k)
+    return (*direct, partial, cauchy_k)
 
 
-@dataclass
-class SinSingularReport:
-    direct_fl1: float
-    direct_refinement: float
-    cauchy: bool
-
-
-def verify_sin_singular_fl1(grid: Grid, alpha: float, delta: float) -> SinSingularReport:
+def verify_sin_singular_fl1(grid: Grid, alpha: float, delta: float) -> tuple:
     """FL1 membership of the truncated singular symbol sin(|.|^alpha)/|.|^delta.
 
     Measures, on ``grid`` (``_dyadic_grid()``) and for an (alpha, delta)
     that has passed ``_check_sin_singular``, the direct FL1 norm (with
     refinement stability) and the odd Taylor series whose terms are
     |.|^{(2k+1) alpha - delta} chi / (2k+1)!, k = 0, ..., ``SIN_SINGULAR_K``.
+    Returns (direct_fl1, direct_refinement, cauchy), cauchy true if a term
+    from k = 1 on is below 1e-6 of the partial sum.
     """
     direct = _refined_fl1(truncated_field(grid, sin_singular_profile, alpha, delta))
 
@@ -509,7 +464,7 @@ def verify_sin_singular_fl1(grid: Grid, alpha: float, delta: float) -> SinSingul
         total += term
         if k >= 1 and term < 1e-6 * total:
             cauchy = True
-    return SinSingularReport(*direct, cauchy)
+    return (*direct, cauchy)
 
 
 # ---------------------------------------------------------------------------
@@ -756,15 +711,7 @@ def schrodinger_conservation(fields: dict, window: Window, p, q, symbols: dict,
     return SchrodingerConservationReport(ratios, c_values, fitted, stability, l2_ratios)
 
 
-@dataclass
-class WaveConservationReport:
-    c_values: list          # C(t) = ||u(., t)|| / ||f||
-    refinement: list        # relative change of C(t) at half resolution
-    energy_drift: float     # max relative wave-energy deviation over t_list
-
-
-def wave_conservation(f: SampledField, window: Window, p, q, t_list,
-                      flows: dict) -> WaveConservationReport:
+def wave_conservation(f: SampledField, window: Window, p, q, t_list, flows: dict) -> tuple:
     """Measured envelope constants and energy conservation for the wave flow from (f, 0).
 
     ``flows`` maps the data's grid and its half-resolution grid to {t:
@@ -774,6 +721,9 @@ def wave_conservation(f: SampledField, window: Window, p, q, t_list,
     grid's for the ``refinement`` estimate; f, the Gaussian
     ``INITIAL_DATA["gauss"]``, is named the field gauss.  The energy at each
     t of t_list reads the u = cos(t|D|) f that C(t) measured on the data grid.
+    Returns (c_values, refinement, energy_drift): C(t) and its relative
+    change at half resolution per t, and the largest relative deviation of
+    the energy from its t = 0 value.
     """
     def constants(f, window, products=None):
         symbols = {t: flows[f.grid][t][0] for t in t_list}
@@ -788,4 +738,4 @@ def wave_conservation(f: SampledField, window: Window, p, q, t_list,
     cs = constants(f, window, moved)
     e0 = energy(0.0, apply_multiplier(flows[f.grid][0.0][0], f))
     drift = max([0.0, *(abs(energy(t, u) - e0) / max(e0, 1e-300) for (t, _), u in moved.items())])
-    return WaveConservationReport(cs, refinement(cs, constants, f, window), drift)
+    return cs, refinement(cs, constants, f, window), drift

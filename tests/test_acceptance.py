@@ -35,43 +35,46 @@ def test_criterion_01_chirp_stft_closed_form():
     grid = make_grid(1, 32.0, 2048)
     g = gaussian_window(grid)
     errs = {t: verify.verify_chirp_stft(verify.chirp_field(grid, t), g, t,
-                                        verify._chirp_stft_region(grid, t)).max_abs_error
+                                        verify._chirp_stft_region(grid, t))
             for t in (0.0, 0.5, 1.0, 2.0)}
     worst = max(errs.values())
     _report(1, worst < 1e-6, f"chirp STFT max abs error {worst:.3e} < 1e-6")
 
 
-def _amalgam_rows(d, with_m1inf):
-    """The amalgam rows of the default t_list, with or without the M^{1,inf} ones."""
+def _amalgam_errors(d, with_m1inf):
+    """[(W, M^{1,inf}) relative error] of the default t_list; M^{1,inf} nan when not measured."""
     t_list = (0.5, 1.0, 2.0, 4.0)
     grid, stride = verify._amalgam_grid(d)
-    m1_windows, m1_preds = verify._amalgam_checks(t_list, grid)
+    m1_windows, w_preds, m1_preds = verify._amalgam_checks(t_list, grid)
+    m1_asked = m1_preds  # a nan prediction measures no M^{1,inf} row
     if not with_m1inf:
-        m1_windows, m1_preds = {}, [math.nan] * len(t_list)
-    return verify.verify_amalgam_constants(t_list, gaussian_window(grid), stride, m1_preds,
+        m1_windows, m1_asked = {}, [math.nan] * len(t_list)
+    rows = verify.verify_amalgam_constants(t_list, gaussian_window(grid), stride, m1_asked,
                                            m1_windows)
+    return [(abs(w - wp) / wp, abs(m1 - mp) / mp)
+            for (w, _, m1), wp, mp in zip(rows, w_preds, m1_preds)]
 
 
 def test_criterion_02_amalgam_constant():
-    worst1 = max(r.w_rel_err for r in _amalgam_rows(1, with_m1inf=False))
-    worst2 = max(r.w_rel_err for r in _amalgam_rows(2, with_m1inf=False))
+    worst1 = max(w for w, _ in _amalgam_errors(1, with_m1inf=False))
+    worst2 = max(w for w, _ in _amalgam_errors(2, with_m1inf=False))
     ok = worst1 < 0.02 and worst2 < 0.05
     _report(2, ok, f"W(FL1) rel err d=1 {worst1:.2%} < 2%, d=2 {worst2:.2%} < 5%")
 
 
 def test_criterion_03_m1inf_constant():
-    rows = _amalgam_rows(1, with_m1inf=True)
-    worst = max(r.m1inf_rel_err for r in rows)
+    worst = max(m1 for _, m1 in _amalgam_errors(1, with_m1inf=True))
     _report(3, worst < 0.02, f"M(1,inf) constant rel err {worst:.2%} < 2%")
 
 
 def test_criterion_04_m_inf_1_divergence():
     grids = verify._divergence_grids(1.0, (16.0, 32.0, 64.0))
-    rep = verify.verify_m_inf_1_divergence(1.0, [gaussian_window(grid) for grid in grids])
-    increasing = all(b > a for a, b in zip(rep.values, rep.values[1:]))
-    ok = increasing and all(g >= 1.5 for g in rep.growth_factors)
-    _report(4, ok, f"values {['%.3f' % v for v in rep.values]}, "
-                   f"growth {['%.3f' % g for g in rep.growth_factors]} >= 1.5")
+    values = verify.verify_m_inf_1_divergence(1.0, [gaussian_window(grid) for grid in grids])
+    growth = [b / a for a, b in zip(values, values[1:])]
+    increasing = all(b > a for a, b in zip(values, values[1:]))
+    ok = increasing and all(g >= 1.5 for g in growth)
+    _report(4, ok, f"values {['%.3f' % v for v in values]}, "
+                   f"growth {['%.3f' % g for g in growth]} >= 1.5")
 
 
 def test_criterion_05_dyadic_series_bound():
@@ -79,15 +82,15 @@ def test_criterion_05_dyadic_series_bound():
     ok = True
     chi = bump_chi(verify._dyadic_grid()).field
     for alpha in (0.5, 1.0, 2.0):
-        rep = verify.dyadic_fl1_series(chi, alpha, 40, 20)
-        good = (math.isfinite(rep.series_bound)
-                and rep.series_bound >= rep.direct_fl1
-                and rep.cauchy_k is not None and rep.cauchy_k <= 40
-                and rep.direct_refinement < 0.01)
+        direct, refine, bound, cauchy_k = verify.dyadic_fl1_series(chi, alpha, 40, 20)
+        good = (math.isfinite(bound)
+                and bound >= direct
+                and cauchy_k is not None and cauchy_k <= 40
+                and refine < 0.01)
         ok = ok and good
-        details.append(f"a={alpha:g}: bound {rep.series_bound:.3f} >= "
-                       f"direct {rep.direct_fl1:.3f}, cauchy@{rep.cauchy_k}, "
-                       f"refine {rep.direct_refinement:.1e}")
+        details.append(f"a={alpha:g}: bound {bound:.3f} >= "
+                       f"direct {direct:.3f}, cauchy@{cauchy_k}, "
+                       f"refine {refine:.1e}")
     _report(5, ok, "; ".join(details))
 
 
@@ -168,12 +171,12 @@ def test_criterion_10_wave_envelope_and_energy():
     ok = True
     details = []
     for pq in ((1, 1), (2, 2)):
-        rep = verify.wave_conservation(f, w, *pq, t_list, flows)
-        finite = all(math.isfinite(c) for c in rep.c_values)
-        stable = all(r < 0.01 for r in rep.refinement)
-        ok = ok and finite and stable and rep.energy_drift < 1e-10
-        details.append(f"pq={pq}: C {['%.4f' % c for c in rep.c_values]}, "
-                       f"drift {rep.energy_drift:.2e}")
+        c_values, refinement, drift = verify.wave_conservation(f, w, *pq, t_list, flows)
+        finite = all(math.isfinite(c) for c in c_values)
+        stable = all(r < 0.01 for r in refinement)
+        ok = ok and finite and stable and drift < 1e-10
+        details.append(f"pq={pq}: C {['%.4f' % c for c in c_values]}, "
+                       f"drift {drift:.2e}")
     _report(10, ok, "; ".join(details))
 
 

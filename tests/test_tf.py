@@ -592,8 +592,8 @@ def _reference_norms(f, g, specs, stride, halfwidth, chunks=None):
     The chunks default to ``_modulus_chunks``.  Positions-inner sums run
     down each frequency column in chunk order, one chunk's sum at a time;
     frequencies-inner ones along each row.  |V|^p is ``np.power`` and the
-    roots are ``**``, as in ``_norms``.  The chunks' positions must be
-    those of ``_selected_positions``.
+    roots are ``**``, whose bits the in-place ``np.power`` of ``_norms``
+    gives.  The chunks' positions must be those of ``_selected_positions``.
     """
     grid = f.grid
     positions = _selected_positions(grid, stride, halfwidth)
@@ -849,6 +849,31 @@ class TestStepFold:
         real_rows = 3 if spec[2] == POSITIONS_INNER else 2
         assert peak <= 2 * 16 * M + real_rows * 8 * M + (1 << 19)
         assert set(tf._spares) == {"chunk", "modulus", "H"}
+
+    @pytest.mark.parametrize("spec", [(1.0, np.inf, POSITIONS_INNER),
+                                      (np.inf, 1.0, POSITIONS_INNER)])
+    def test_reduction_after_a_2d_pass_holds_nothing_new(self, monkeypatch, spec):
+        # the M^{1,inf} accumulator is scaled in place: acc[p] * wx was a
+        # new N^2 array beside the pass's spares, 4.00 MiB traced against
+        # 3.77 at the end of the pass; M^{inf,1} has no such product
+        grid = make_grid(2, 16.0, 256)
+        f, g = sample(lambda x, y: np.exp(-np.pi * (x ** 2 + y ** 2)), grid), gaussian_window(grid)
+        _norms(f, g, [spec], stride=4, halfwidth=0.0)  # numpy's FFT imports what it loads lazily
+        tf._release_spares()
+        passes, peaks = tf._row_column_sums, []
+
+        def traced(*args):
+            passes(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(tf, "_row_column_sums", traced)
+        tracemalloc.start()
+        try:
+            _norms(f, g, [spec], stride=4, halfwidth=0.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] == peaks[1]
 
     def test_cold_chirp_stft_check_holds_two_steps(self):
         # verify_chirp_stft reads |V| step by step: 44.4 MiB with chunk-sized |V|

@@ -50,7 +50,9 @@ def _experiments(side: Path) -> list:
 # then the multiplier ratios elsewhere: the constant and quadratic probe
 # symbols on a coarser grid, the Schrodinger (p, q) equal to its M^{2,2}
 # check, and the Fresnel contrast at other dilations and t; then a repeated
-# wave t, measured once and reported twice, on the smallest grid it takes
+# wave t, measured once and reported twice, on the smallest grid it takes;
+# then the divergence of the constant symbol (t = 0), which writes the box
+# values and no growth rows
 EXTRA_CONFIGS = (
     ("amalgam_constants_d2", "amalgam_constants", "d = 2"),
     ("chirp_stft_t-1_-0.5", "chirp_stft", "t_list = -1, -0.5"),
@@ -72,6 +74,7 @@ EXTRA_CONFIGS = (
     ("schrodinger_conservation_p2_q2", "schrodinger_conservation", "p = 2\nq = 2"),
     ("lp_contrast_lambda0.5_3_t2", "lp_contrast", "lambda_list = 0.5, 3\nt = 2"),
     ("wave_conservation_t1_1_n16", "wave_conservation", "t_list = 1, 1\nn = 16"),
+    ("m_inf_1_divergence_t0", "m_inf_1_divergence", "t = 0"),
 )
 
 
