@@ -22,24 +22,26 @@ half grid bit for bit.  A window (``Window``) is its samples or, for the
 Gaussian, only its per-axis 1D factors, whose outer product ``field`` forms
 when a reader asks for it.  |V| takes one of two paths, by window (2D
 with factors or not), and both are plain functions with one contract:
-``path(f, g, stride, halfwidth, acc, col, powers, reduce)`` folds every
-positions-inner accumulator of ``acc`` itself and hands each step's or
-block's rows to ``reduce(first, rows_of, lo, hi)`` in the thread piece of
-its rows lo:hi, where ``first`` is the ordinal of its first position and
-``rows_of(p)`` its |V| rows (p = 1 and inf) or |V|^p rows (every other p
-of ``powers``), valid during the call.
+``path(f, g, stride, halfwidth, acc, col, reduce)`` folds every
+positions-inner accumulator of ``acc`` itself, taking |V|^p for each p of
+``acc`` but 1 and inf, and hands each step's or block's |V| rows A to
+``reduce(first, A, lo, hi)`` in the thread piece of its rows lo:hi, where
+``first`` is the ordinal of its first position; A is valid during the
+call, and ``reduce`` takes any power it needs of A itself.
 
 * Windowed (``_windowed_sums``): one full d-dimensional transform per
   position, for every 1D window and every 2D window kept as samples
   (``bump_chi``, ``annulus_psi``, ``custom_window``).  The positions go
   through one complex block of about ``_BLOCK_BYTES`` (4 MiB), one step at
   a time, each step one ``centered_fft`` call: a thread piece multiplies
-  its rows' windows into the block, transforms them, writes their |V| (and
-  |V|^p) into the step's side of a pair of step-sized real buffers and
-  hands them to ``reduce``.  The positions-inner sums of a step run inside
-  the next step's call, while the other side of the pair is written: its
-  piece of rows lo:hi takes the previous step's frequency columns
-  lo*N^d//n : hi*N^d//n.  One more hand-off folds the last step.
+  its rows' windows into the block, transforms them, writes their |V| into
+  the step's side of a pair of step-sized real buffers and hands them to
+  ``reduce``.  The positions-inner sums of a step run inside the next
+  step's call, while the other side of the pair is written: its piece of
+  rows lo:hi takes the previous step's frequency columns
+  lo*N^d//n : hi*N^d//n, and forms |V|^p there once p = 1 and inf have
+  read them, the last p in place of the |V| columns.  One more hand-off
+  folds the last step.
 * Row-column (``_row_column_sums``): a 2D window kept as its factors, a
   tensor product g(x) = g0(x0) g1(x1), as ``gaussian_window`` makes it.
   V_g f(x, w) = F1[F0[f conj(g0(. - x0))] conj(g1(. - x1))], so the axis-0
@@ -64,12 +66,13 @@ row-major and frequencies centered.  The translates conj(T_x g) are views
 of conj(g) tiled three times per axis (``_translates``).
 
 Pass buffers outlive the pass (``_pass_buffers``): a module store keeps one
-spare per role (the block, the |V| pair, the |V|^p pairs, and the
-row-column H), which the next pass takes instead of faulting in
-fresh pages; a pass that runs beside it finds no spare and allocates its
-own.  In the paper's runs the largest kept set is that of the 1D N = 2048
-powered pass, about 12 MiB (68 MiB while a windowed pass held a whole
-chunk of |V| and of |V|^p).  ``stft`` drops every spare before and after
+spare per role (the block, the |V| pair or block, and the row-column |V|^p
+block and H), which the next pass takes instead of faulting in fresh
+pages; a pass that runs beside it finds no spare and allocates its own.
+In the paper's runs the largest kept set is that of the 2D N = 512
+M^{1,inf} pass, about 10 MiB, and in 1D that of the N = 4096 divergence
+pass, about 8 MiB (68 MiB while a windowed pass held a whole chunk of |V|
+and of |V|^p).  ``stft`` drops every spare before and after
 it fills its matrix.
 
 Why the bits stay: chunk sizes, block sizes and position order depend
@@ -139,7 +142,8 @@ _BLOCK_BYTES = 1 << 22
 _POINTS_PER_STEP_ROW = 2048
 
 # Spare pass buffers kept between passes, one flat array per role ("chunk",
-# "modulus", "power", "H").  See the module docstring.
+# "modulus", and on the row-column path "power" and "H").  See the module
+# docstring.
 _spares: dict = {}
 _spares_lock = threading.Lock()
 
@@ -341,11 +345,10 @@ def _steps(n: int, chunk: int, rows: int):
 class _Step:
     """Positions start:stop of a windowed pass: one step of the chunk they lie in.
 
-    ``pairs`` maps each exponent to a (2, 1 + step rows, N^d) real pair:
-    |V| for 1 and inf, |V|^p for every other p of the pass.  The step owns
-    side ``side`` of each pair, its rows in rows 1:1 + n.  Row 0 carries the
-    running per-frequency sum of the chunk's earlier steps, which the fold
-    of the step before wrote there; a chunk's first step has none.
+    ``V`` is the pass's (2, 1 + step rows, N^d) real |V| pair.  The step
+    owns side ``side``, its |V| rows in rows 1:1 + n.  Row 0 carries the
+    running per-frequency p = 1 sum of the chunk's earlier steps, which the
+    fold of the step before wrote there; a chunk's first step has none.
     """
 
     start: int
@@ -353,57 +356,56 @@ class _Step:
     first: bool  # the first step of its chunk
     last: bool  # the last step of its chunk
     side: int
-    pairs: dict
+    V: np.ndarray
 
-    def rows(self, p: float, lead: bool = False) -> np.ndarray:
-        """The step's rows of p's pair, with row 0 ahead of them when ``lead``."""
-        return self.pairs[p][self.side, 0 if lead else 1 : 1 + self.stop - self.start]
+    def rows(self, lead: bool = False) -> np.ndarray:
+        """The step's |V| rows, with row 0 ahead of them when ``lead``."""
+        return self.V[self.side, 0 if lead else 1 : 1 + self.stop - self.start]
 
 
-def _windowed_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, powers,
-                   reduce=None) -> None:
+def _windowed_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, reduce=None) -> None:
     """Fold |V_g f| into ``acc`` and hand its rows to ``reduce``, on the windowed path.
 
     f is presigned once.  The positions are cut into chunks of
     ``_CHUNK_BYTES // (16 N^d)`` and each chunk into steps of about
     ``_BLOCK_BYTES`` (at least N / ``_POINTS_PER_STEP_ROW`` rows).  Each
     step is one ``centered_fft`` call on one complex block: a thread piece
-    fills rows lo:hi with the window multiply, transforms them and writes
-    their |V| to the step's side of the |V| pair (``_Step``), then, still in
-    the piece, |V|^p of those rows for each p of ``powers`` and
-    ``reduce(step.start, step.rows, lo, hi)``.  ``_fold_step`` folds
-    frequency columns of a step into ``acc`` after all its rows are
-    written: inside the next step's call, where piece lo:hi of its n rows
-    takes the previous step's columns lo*N^d//n : hi*N^d//n, and for the
-    last step in one more hand-off.
+    fills rows lo:hi with the window multiply, transforms them, writes
+    their |V| to the step's side of the |V| pair (``_Step``) and, still in
+    the piece, calls ``reduce(step.start, A, lo, hi)`` with A the step's
+    |V| rows.  ``_fold_step`` folds frequency columns of a step into
+    ``acc``, taking |V|^p there, after all its rows are written: inside the
+    next step's call, where piece lo:hi of its n rows takes the previous
+    step's columns lo*N^d//n : hi*N^d//n, and for the last step in one
+    more hand-off.
     """
     grid = f.grid
     require_same_grid(grid, g.grid)
     flat_idx, axis_idx = _position_indices(grid, stride, halfwidth)
     fv = _presigned(f.reshaped(), grid.d)
     window = functools.partial(_window_rows, fv, _translates(g.field.reshaped(), axis_idx))
-    fold = functools.partial(_fold_step, acc, col) if acc else None
     M = grid.npoints
     chunk = min(max(1, _CHUNK_BYTES // (16 * M)), flat_idx.size)
     rows = min(max(1, _BLOCK_BYTES // (16 * M), grid.N // _POINTS_PER_STEP_ROW), chunk)
+    powers = _powers(acc)
+    # a power's running sum, and the |V|^p rows of every power but the last
+    leads = dict(zip(powers, np.empty((len(powers), M))))
+    scratch = np.empty((1 + rows, M)) if len(powers) > 1 else None
+    fold = functools.partial(_fold_step, acc, col, leads, scratch) if acc else None
     with _pass_buffers() as take:
         block = take("chunk", (rows, *grid.shape), np.complex128)
         V = take("modulus", (2, 1 + rows, M))
-        P = take("power", (len(powers), 2, 1 + rows, M)) if powers else ()
-        pairs = {1.0: V, math.inf: V, **dict(zip(powers, P))}
         prev = None
         for k, (start, stop, first, last) in enumerate(_steps(flat_idx.size, chunk, rows)):
-            step = _Step(start, stop, first, last, k % 2, pairs)
-            x, A = block[: stop - start], step.rows(1.0)
+            step = _Step(start, stop, first, last, k % 2, V)
+            x, A = block[: stop - start], step.rows()
 
             def fill(lo, hi):
                 window(start, x, lo, hi)
 
             def fold_rows(lo, hi):
-                for p in powers:
-                    _pow(A[lo:hi], p, out=step.rows(p)[lo:hi])
                 if reduce is not None:
-                    reduce(start, step.rows, lo, hi)
+                    reduce(start, A, lo, hi)
                 if fold is not None and prev is not None:
                     fold(prev, lo * M // len(x), hi * M // len(x))
 
@@ -411,10 +413,10 @@ def _windowed_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, powe
                          fold=fold_rows)
             prev = step
         if fold is not None:
-            _split(functools.partial(fold, prev), M, prev.rows(1.0, lead=True).nbytes)
+            _split(functools.partial(fold, prev), M, prev.rows(lead=True).nbytes)
 
 
-def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, powers,
+def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col,
                      reduce=None) -> None:
     """Fold |V_g f| into ``acc`` and hand its rows to ``reduce``, on the row-column path.
 
@@ -434,15 +436,17 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
     block in a call of its own.  A thread owns one k0 range, so the flat
     frequency columns k0*N:(k0+1)*N, and for each block in position order
     runs on them the column-window multiply, the axis-1 transform, |V|,
-    |V|^p for each p of ``powers`` and the positions-inner sums
-    (``_fold_columns``).  So each accumulator column is summed block by
-    block, in position order, by one thread; and the traced ``a`` of each
-    call still has the shape of the transforms it runs.
+    |V|^p for each p of ``acc`` but 1 and inf (into a one-sided power
+    block) and the positions-inner sums (``_fold_columns``).  So each
+    accumulator column is summed block by block, in position order, by one
+    thread; and the traced ``a`` of each call still has the shape of the
+    transforms it runs.
 
     With ``reduce`` (a pass with frequencies-inner specs) every block is a
     call of its own, and one more hand-off, split over the block's rows,
-    runs ``reduce(first, rows_of, lo, hi)`` before the next block
-    overwrites them; ``first`` is the ordinal of the block's first position.
+    runs ``reduce(first, A, lo, hi)`` on the block's |V| rows A before the
+    next block overwrites them; ``first`` is the ordinal of the block's
+    first position.
     """
     grid = f.grid
     require_same_grid(grid, g.grid)
@@ -452,6 +456,7 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
     g0, g1 = g.factors
     rows0, rows1 = _translates(g0, (sel0,)), _translates(_presigned(g1, 1), (sel1,))
     fv = f.reshaped()
+    powers = _powers(acc)
     with _pass_buffers() as take:
         H = take("H", (N, N), np.complex128)  # (k0, x1)
         cols = min(max(1, _BLOCK_BYTES // (16 * N * N)), ncols)
@@ -491,9 +496,9 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, po
 
                 centered_fft(steps, 1, grid.dx, out=steps,
                              modulus=_repeated(Ab.reshape(block.shape), len(w)),
-                             fill=window_columns, fold=fold_columns if acc or powers else None)
+                             fill=window_columns, fold=fold_columns if acc else None)
                 if reduce is not None:
-                    _split(functools.partial(reduce, i * ncols + start, rows_of), size, Ab.nbytes)
+                    _split(functools.partial(reduce, i * ncols + start, Ab), size, Ab.nbytes)
 
 
 def _row_column(g: Window) -> bool:
@@ -547,16 +552,16 @@ def _pow(a, p: float, out=None):
     return np.square(a, out=out) if p == 2.0 else np.power(a, p, out=out)
 
 
-def _lp_reduce(a: np.ndarray, p: float, w: float, axis):
-    """(sum |a|^p * w)^(1/p) along axis, max when p = inf."""
-    return _lp_powered(a if math.isinf(p) else _pow(a, p), p, w, axis)
-
-
-def _lp_powered(ap: np.ndarray, p: float, w: float, axis):
-    """``_lp_reduce`` of an a whose |a|^p is ``ap`` (a itself for p = 1 and p = inf)."""
+def _lp_reduce(a: np.ndarray, p: float, w: float, axis, out=None):
+    """(sum |a|^p * w)^(1/p) along axis, max when p = inf; |a|^p goes into ``out`` when given."""
     if math.isinf(p):
-        return np.max(ap, axis=axis)
-    return _pow(np.sum(ap, axis=axis) * w, 1.0 / p)
+        return np.max(a, axis=axis)
+    return _pow(np.sum(_pow(a, p, out=out), axis=axis) * w, 1.0 / p)
+
+
+def _powers(acc) -> list:
+    """The positions-inner p of ``acc`` whose sums read |V|^p: every p but 1 and inf."""
+    return [p for p in acc if p != 1.0 and not math.isinf(p)]
 
 
 def _accumulate_columns(a, s, is_max, col, lo, hi) -> None:
@@ -581,28 +586,49 @@ def _fold_columns(rows_of, acc, col, lo, hi) -> None:
         _accumulate_columns(rows_of(p), s, math.isinf(p), col, lo, hi)
 
 
-def _fold_step(acc, col, step: _Step, lo, hi) -> None:
+def _fold_step(acc, col, leads, scratch, step: _Step, lo, hi) -> None:
     """Fold frequency columns lo:hi of one windowed step into every positions-inner accumulator.
 
     A max goes straight into its accumulator: it is exact, so a chunk's
-    steps may fold in any grouping.  A sum runs on down the chunk: the
-    step's rows are added one by one to the running sum in row 0 (numpy's
-    axis-0 sum of a C-contiguous float64 block adds its rows in order, for
-    every slice of two or more columns; a one-column slice of 8 or more rows
-    is summed pairwise, so no piece may be narrower than two columns, which
-    at most two pieces of N^d >= 8 columns never are).  The result goes to
-    row 0 of the next step's side, and at the chunk's last step into the
-    accumulator.  So each chunk adds the sum of its rows, taken in order,
-    to the accumulator once, as if the chunk were one block.
+    steps may fold in any grouping.  A sum runs on down the chunk
+    (``_sum_on``).  p = 1 sums the step's |V| rows behind row 0 of its
+    side.  Every other p, once p = 1 and p = inf have read the |V| rows,
+    takes |V|^p of them: the last p of ``leads`` in place, behind row 0,
+    which p = 1 has read, and each earlier p into ``scratch``; row 0 gets
+    the p's running sum from its row of ``leads``, which receives the new
+    one.  So each chunk adds the sum of its rows, taken in order, to each
+    accumulator once, as if the chunk were one block.
     """
+    own = step.rows(lead=True)
     for p, s in acc.items():
         if math.isinf(p):
-            _accumulate_columns(step.rows(p), s, True, col, lo, hi)
-        elif step.last:
-            _accumulate_columns(step.rows(p, lead=not step.first), s, False, col, lo, hi)
-        else:
-            np.sum(step.rows(p, lead=not step.first)[:, lo:hi], axis=0,
-                   out=step.pairs[p][1 - step.side, 0, lo:hi])
+            _accumulate_columns(own[1:], s, True, col, lo, hi)
+        elif p == 1.0:
+            _sum_on(step, own, step.V[1 - step.side, 0], s, col, lo, hi)
+    for k, (p, lead) in enumerate(leads.items()):
+        rows = own if k == len(leads) - 1 else scratch[: len(own)]
+        _pow(own[1:, lo:hi], p, out=rows[1:, lo:hi])
+        rows[0, lo:hi] = lead[lo:hi]
+        _sum_on(step, rows, lead, acc[p], col, lo, hi)
+
+
+def _sum_on(step: _Step, rows, lead, s, col, lo, hi) -> None:
+    """Run a chunk's sum on over frequency columns lo:hi of one step's ``rows``.
+
+    Row 0 of ``rows`` holds the running sum of the chunk's earlier steps
+    (none at its first step), the step's rows follow.  They are added in
+    order (numpy's axis-0 sum of a C-contiguous float64 block adds its rows
+    in order, for every slice of two or more columns; a one-column slice of
+    8 or more rows is summed pairwise, so no piece may be narrower than two
+    columns, which at most two pieces of N^d >= 8 columns never are), into
+    ``lead`` for the next step or, at the chunk's last step, into the
+    accumulator ``s``.
+    """
+    rows = rows[1:] if step.first else rows
+    if step.last:
+        _accumulate_columns(rows, s, False, col, lo, hi)
+    else:
+        np.sum(rows[:, lo:hi], axis=0, out=lead[lo:hi])
 
 
 def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -> list:
@@ -612,8 +638,9 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     frequencies-inner swaps the roles.  An infinite exponent turns its sum
     into a max.  Positions-inner specs with the same p share one running
     per-frequency accumulator; frequencies-inner specs keep one reduced value
-    per position row.  |V| comes from the sign-free path; |V|^p and the
-    per-frequency partial sums go into buffers allocated once per pass.  The
+    per position row.  |V| comes from the sign-free path; the per-frequency
+    partial sums go into buffers allocated once per pass, and |V|^p is taken
+    where it is summed (``_fold_step``, the row-column fold, ``reduce``).  The
     positions-inner sums are split over the threads by frequency column and
     the frequencies-inner ones by row, so every sum keeps its order.  Both
     paths take the same arguments and the one ``reduce`` below.  Windowed
@@ -632,15 +659,14 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     # per frequencies-inner p: the value of every position row, in position order
     rows = {p: np.empty(_position_indices(grid, stride, halfwidth)[0].size)
             for p, _, order in specs if order == FREQUENCIES_INNER}
-    powers = tuple(sorted({p for p, _, _ in specs if p != 1.0 and not math.isinf(p)}))
     col = np.empty(grid.npoints)
 
-    def reduce(first, rows_of, lo, hi):
+    def reduce(first, A, lo, hi):
         for p, r in rows.items():
-            r[first + lo : first + hi] = _lp_powered(rows_of(p)[lo:hi], p, wxi, axis=1)
+            r[first + lo : first + hi] = _lp_reduce(A[lo:hi], p, wxi, axis=1)
 
     (_row_column_sums if _row_column(g) else _windowed_sums)(
-        f, g, stride, halfwidth, acc, col, powers, reduce if rows else None)
+        f, g, stride, halfwidth, acc, col, reduce if rows else None)
     with np.errstate(over="ignore"):  # an overflow is named below
         for p, a in acc.items():  # in place: specs of one p read one inner array
             if not math.isinf(p):
@@ -649,7 +675,7 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
     for p, q, order in specs:
         with np.errstate(over="ignore"):  # an overflow is named just below
             if order == POSITIONS_INNER:
-                value = float(_lp_reduce(acc[p], q, wxi, axis=None))
+                value = float(_lp_reduce(acc[p], q, wxi, axis=None, out=col))
             else:
                 value = float(_lp_reduce(rows[p], q, wx, axis=None))
         if not math.isfinite(value):

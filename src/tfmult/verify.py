@@ -141,12 +141,12 @@ def verify_chirp_stft(f: SampledField, g: Window, t: float, region) -> float:
     xs, oms, pw = region
     errs = np.empty(xs.size)
 
-    def reduce(first, rows_of, lo, hi):
+    def reduce(first, A, lo, hi):
         at = slice(first + lo, first + hi)
         oracle = _chirp_stft_modulus(xs[at, None], oms[None, :], t)
-        np.max(np.abs(rows_of(1.0)[lo:hi, pw] - oracle), axis=1, out=errs[at])
+        np.max(np.abs(A[lo:hi, pw] - oracle), axis=1, out=errs[at])
 
-    _windowed_sums(f, g, 1, grid.L / 4.0, {}, None, (), reduce)
+    _windowed_sums(f, g, 1, grid.L / 4.0, {}, None, reduce)
     return float(np.max(errs))
 
 

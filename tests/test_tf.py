@@ -448,8 +448,8 @@ def _signed_chunks(f, g, stride, halfwidth) -> list:
 def _pass_rows(f, g, stride, halfwidth, views=None) -> list:
     """(positions, |V| rows) per step or block, copied, as a norm pass's ``reduce`` reads them.
 
-    Both paths hand ``reduce(first, rows_of, lo, hi)`` the rows lo:hi of
-    the step or block whose first position has ordinal ``first``.  Pieces
+    Both paths hand ``reduce(first, A, lo, hi)`` the |V| rows A of the step
+    or block whose first position has ordinal ``first``, to read rows lo:hi.  Pieces
     of a step may finish in either order, so each is recorded with its
     ordinal first + lo and sorted, then joined per step.  The uncopied
     rows go to ``views`` when given.
@@ -457,12 +457,12 @@ def _pass_rows(f, g, stride, halfwidth, views=None) -> list:
     views = [] if views is None else views
     pieces = []
 
-    def reduce(first, rows_of, lo, hi):
-        views.append(rows_of(1.0))
-        pieces.append((first + lo, first, rows_of(1.0)[lo:hi].copy()))
+    def reduce(first, A, lo, hi):
+        views.append(A)
+        pieces.append((first + lo, first, A[lo:hi].copy()))
 
     path = tf._row_column_sums if tf._row_column(g) else tf._windowed_sums
-    path(f, g, stride, halfwidth, {}, None, (), reduce)
+    path(f, g, stride, halfwidth, {}, None, reduce)
     steps = {}
     for _, first, rows in sorted(pieces, key=lambda piece: piece[0]):
         steps.setdefault(first, []).append(rows)
@@ -607,15 +607,10 @@ def _reference_norms(f, g, specs, stride, halfwidth, chunks=None):
             return np.max(a, axis=axis)
         return (np.sum(np.power(a, p), axis=axis) * w) ** (1.0 / p)
 
-    inner = {p: np.zeros(grid.npoints) for p, _, order in specs if order == POSITIONS_INNER}
+    inner = _reference_sums([p for p, _, order in specs if order == POSITIONS_INNER], chunks)
     rows = {p: [] for p, _, order in specs if order == FREQUENCIES_INNER}
     for js, A in chunks:
         seen.append(js.copy())
-        for p in inner:
-            if p == np.inf:
-                inner[p] = np.maximum(inner[p], A.max(axis=0))
-            else:
-                inner[p] = inner[p] + np.sum(np.power(A, p), axis=0)
         for p in rows:
             rows[p].append(lp(A, p, wxi, 1))
     assert np.array_equal(np.concatenate(seen), positions)
@@ -627,6 +622,18 @@ def _reference_norms(f, g, specs, stride, halfwidth, chunks=None):
             s = inner[p] if p == np.inf else (inner[p] * wx) ** (1.0 / p)
             values.append(float(lp(s, q, wxi, None)))
     return values
+
+
+def _reference_sums(ps, chunks) -> dict:
+    """Per-frequency sum of |V|^p over positions (max for p = inf), one chunk's sum at a time."""
+    inner = dict.fromkeys(ps, 0.0)
+    for _, A in chunks:
+        for p in inner:
+            if p == np.inf:
+                inner[p] = np.maximum(inner[p], A.max(axis=0))
+            else:
+                inner[p] = inner[p] + np.sum(np.power(A, p), axis=0)
+    return inner
 
 
 class TestSignFreeModulus:
@@ -744,7 +751,7 @@ class TestWalkedModulus:
             return transform(a, d, *args, **kwargs)
 
         monkeypatch.setattr(tf, "centered_fft", traced)
-        tf._windowed_sums(f, g, 1, None, {}, None, ())
+        tf._windowed_sums(f, g, 1, None, {}, None)
         assert shapes == [((3, N), 1), ((3, N), 1), ((2, N), 1)] * (N // 8)
 
     @pytest.mark.parametrize("case", ["m_inf_1_n4096", "m22_m11_n2048"])
@@ -811,8 +818,8 @@ class TestStepFold:
 
     def test_cold_powered_pass_holds_two_steps(self):
         # the (1, inf) + (2, 2) pass of schrodinger_conservation at N = 2048:
-        # one complex block, then a pair of step buffers for |V| and one for
-        # |V|^2; chunk-sized |V| and |V|^2 buffers held 68.9 MiB
+        # one complex block, then a pair of step buffers for |V|; chunk-sized
+        # |V| and |V|^2 buffers held 68.9 MiB
         grid = make_grid(1, 32.0, 2048)
         f, g = chirp_field(grid, 1.0), gaussian_window(grid)
         tf._release_spares()
@@ -825,8 +832,25 @@ class TestStepFold:
         assert peak <= 16 << 20
         rows = tf._BLOCK_BYTES // (16 * grid.npoints)
         two_steps = 2 * (1 + rows) * grid.npoints * 8
-        assert set(tf._spares) == {"chunk", "modulus", "power"}
+        assert set(tf._spares) == {"chunk", "modulus"}
         assert all(buf.nbytes <= two_steps for buf in tf._spares.values())
+
+    def test_cold_powered_pass_keeps_no_power_buffers(self):
+        # the same pass takes |V|^2 where it sums it, in the |V| rows the fold
+        # has read: it holds the block, the |V| pair and under 0.75 MiB more
+        # (accumulators, leads and numpy's FFT buffers); a pair of step-sized
+        # |V|^2 buffers as well added 4.03 MiB (12.76 MiB traced in all)
+        grid = make_grid(1, 32.0, 2048)
+        f, g = chirp_field(grid, 1.0), gaussian_window(grid)
+        tf._release_spares()
+        tracemalloc.start()
+        try:
+            _norms(f, g, [(1.0, np.inf, POSITIONS_INNER), (2.0, 2.0, POSITIONS_INNER)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(tf._spares) == {"chunk", "modulus"}
+        assert peak <= sum(buf.nbytes for buf in tf._spares.values()) + (3 << 18)
 
     @pytest.mark.parametrize("spec", [(np.inf, 1.0, POSITIONS_INNER), tf._WFL1])
     def test_cold_2d_pass_holds_no_transposed_field(self, spec):
@@ -851,11 +875,14 @@ class TestStepFold:
         assert set(tf._spares) == {"chunk", "modulus", "H"}
 
     @pytest.mark.parametrize("spec", [(1.0, np.inf, POSITIONS_INNER),
-                                      (np.inf, 1.0, POSITIONS_INNER)])
+                                      (np.inf, 1.0, POSITIONS_INNER),
+                                      (2.0, 2.0, POSITIONS_INNER)])
     def test_reduction_after_a_2d_pass_holds_nothing_new(self, monkeypatch, spec):
         # the M^{1,inf} accumulator is scaled in place: acc[p] * wx was a
         # new N^2 array beside the pass's spares, 4.00 MiB traced against
-        # 3.77 at the end of the pass; M^{inf,1} has no such product
+        # 3.77 at the end of the pass; M^{inf,1} has no such product; the
+        # (2, 2) sum over frequencies squares into col: acc[p] ** 2 was a new
+        # N^2 array, 4.50 MiB traced against 4.27
         grid = make_grid(2, 16.0, 256)
         f, g = sample(lambda x, y: np.exp(-np.pi * (x ** 2 + y ** 2)), grid), gaussian_window(grid)
         _norms(f, g, [spec], stride=4, halfwidth=0.0)  # numpy's FFT imports what it loads lazily
@@ -874,6 +901,33 @@ class TestStepFold:
         finally:
             tracemalloc.stop()
         assert peaks[0] == peaks[1]
+
+    @pytest.mark.parametrize("window", ["gaussian_1d", "bump_2d", "gaussian_2d"])
+    def test_powers_of_one_pass_equal_single_passes(self, monkeypatch, split_workers, window):
+        # 5 positions per chunk, 3 per step: each chunk's sums run on across a
+        # step; a pass with two powers takes the last in place of |V| and the
+        # other in a scratch, and the reversed order swaps the two.  The
+        # norms sum over 64 or 1024 frequencies, which can hide a rounding of
+        # one accumulator, so the accumulators are compared too
+        f, g = _case(window, seed=5)
+        M = f.grid.npoints
+        monkeypatch.setattr(tf, "_CHUNK_BYTES", 5 * 16 * M)
+        monkeypatch.setattr(tf, "_BLOCK_BYTES", 3 * 16 * M)
+        pqs = [(1.0, 1.0), (np.inf, 1.0), (2.0, 2.0), (1.5, 3.0)]
+        specs = [(p, q, order) for p, q in pqs for order in (POSITIONS_INNER, FREQUENCIES_INNER)]
+        want = _reference_norms(f, g, specs, 1, None)
+        ps = [p for p, _ in pqs]
+        sums = _reference_sums(ps, _modulus_chunks(f, g, 1, None))
+        path = tf._row_column_sums if tf._row_column(g) else tf._windowed_sums
+        for workers in (1, 2):
+            with split_workers(workers):
+                assert [_norms(f, g, [spec])[0] for spec in specs] == want
+                assert _norms(f, g, specs) == want
+                assert _norms(f, g, specs[::-1]) == want[::-1]
+                for order in (ps, ps[::-1]):
+                    acc = {p: np.zeros(M) for p in order}
+                    path(f, g, 1, None, acc, np.empty(M))
+                    assert all(np.array_equal(acc[p], sums[p]) for p in ps)
 
     def test_cold_chirp_stft_check_holds_two_steps(self):
         # verify_chirp_stft reads |V| step by step: 44.4 MiB with chunk-sized |V|
@@ -1089,13 +1143,14 @@ class TestSpareBuffers:
         cold = _norms(f, g, SPECS)
         tf._release_spares()
 
-        def reduce(first, rows_of, lo, hi):
+        def reduce(first, A, lo, hi):
             raise RuntimeError("stop")
 
         path = tf._row_column_sums if tf._row_column(g) else tf._windowed_sums
+        M = f.grid.npoints
         with pytest.raises(RuntimeError, match="stop"):
-            path(f, g, 1, None, {}, None, (2.0,), reduce)
-        assert {"chunk", "modulus", "power"} <= set(tf._spares)
+            path(f, g, 1, None, {2.0: np.zeros(M)}, np.empty(M), reduce)
+        assert {"chunk", "modulus"} <= set(tf._spares)
         spares = dict(tf._spares)
         assert _norms(f, g, SPECS) == cold
         assert all(tf._spares[r] is buf for r, buf in spares.items())
@@ -1108,11 +1163,10 @@ class TestSpareBuffers:
         big = make_grid(2, 8.0, 2 * small.grid.N)
         during = []
 
-        def reduce(first, rows_of, lo, hi):
+        def reduce(first, A, lo, hi):
             during.append(set(tf._spares))
 
-        tf._windowed_sums(_random_field(big, 1), gaussian_window(big), 1, None, {}, None, (),
-                          reduce)
+        tf._windowed_sums(_random_field(big, 1), gaussian_window(big), 1, None, {}, None, reduce)
         assert during and not any(during)  # "power", unused by this pass, went too
         assert set(tf._spares) == {"chunk", "modulus"}
         assert not any(np.shares_memory(tf._spares[r], old[r]) for r in tf._spares)
@@ -1120,7 +1174,7 @@ class TestSpareBuffers:
     def test_stft_leaves_no_spare(self):
         f, g = _case("gaussian_1d")
         _norms(f, g, SPECS)
-        assert set(tf._spares) >= {"chunk", "modulus", "power"}
+        assert set(tf._spares) == {"chunk", "modulus"}
         stft(f, g)
         assert tf._spares == {}
 

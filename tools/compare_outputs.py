@@ -52,7 +52,9 @@ def _experiments(side: Path) -> list:
 # check, and the Fresnel contrast at other dilations and t; then a repeated
 # wave t, measured once and reported twice, on the smallest grid it takes;
 # then the divergence of the constant symbol (t = 0), which writes the box
-# values and no growth rows
+# values and no growth rows; then a Schrodinger (p, q) with two powers beside
+# the M^{2,2} check, so every windowed pass of it takes one |V|^p in place and
+# the other in a scratch
 EXTRA_CONFIGS = (
     ("amalgam_constants_d2", "amalgam_constants", "d = 2"),
     ("chirp_stft_t-1_-0.5", "chirp_stft", "t_list = -1, -0.5"),
@@ -75,6 +77,7 @@ EXTRA_CONFIGS = (
     ("lp_contrast_lambda0.5_3_t2", "lp_contrast", "lambda_list = 0.5, 3\nt = 2"),
     ("wave_conservation_t1_1_n16", "wave_conservation", "t_list = 1, 1\nn = 16"),
     ("m_inf_1_divergence_t0", "m_inf_1_divergence", "t = 0"),
+    ("schrodinger_conservation_p1.5_q3", "schrodinger_conservation", "p = 1.5\nq = 3"),
 )
 
 
