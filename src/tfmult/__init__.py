@@ -22,7 +22,6 @@ from .mult import (
     wave_propagate,
 )
 from .tf import (
-    NormReport,
     StftMatrix,
     Window,
     amalgam_norm_wfl1,

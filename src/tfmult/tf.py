@@ -524,14 +524,6 @@ def stft(f: SampledField, g: Window, stride: int = 1) -> StftMatrix:
 # mixed norms
 
 
-@dataclass
-class NormReport:
-    """A computed norm, with its refinement estimate where one was asked for."""
-
-    value: float
-    refinement_estimate: float | None = None
-
-
 def _check_exponent(p) -> float:
     p = float(p)
     if not (p >= 1.0):
@@ -714,45 +706,43 @@ def _wfl1_and_m1inf(f: SampledField, g: Window, stride: int, halfwidth, with_m1i
 
 def modulation_norm(
     f: SampledField, g: Window, p, q, stride: int = 1, refine: bool = False
-) -> NormReport:
+) -> float:
     """M^{p,q}-style norm: mixed (p, q) norm of V_g f, positions inner.
 
-    With ``refine`` the report carries the ``refinement`` estimate, measured
-    at stride max(1, stride // 2).
+    ``refine`` is accepted only as False, which the benchmark's trace
+    checks still pass; True raises ParameterError, since ``refinement`` is
+    the one refinement rule.  The keyword goes once no caller passes it.
     """
-    specs = [(_check_exponent(p), _check_exponent(q), POSITIONS_INNER)]
-    (value,) = _norms(f, g, specs, stride)
-    if not refine:
-        return NormReport(value)
-    (ref,) = refinement([value], lambda h, gh: _norms(h, gh, specs, max(1, stride // 2)), f, g)
-    return NormReport(value, ref)
+    if refine:
+        raise ParameterError("modulation_norm takes refine only as False: use tf.refinement")
+    return _norms(f, g, [(_check_exponent(p), _check_exponent(q), POSITIONS_INNER)], stride)[0]
 
 
 def amalgam_norm_wfl1(
     f: SampledField, g: Window, stride: int = 1, position_halfwidth: float | None = None
-) -> NormReport:
+) -> float:
     """sup over positions x of sum_w |V_g f(x, w)| dxi^d.
 
     ``position_halfwidth`` restricts the sup to |x| <= halfwidth per axis;
     positions whose window wraps around the periodic box misrepresent the
     continuum translate, so sup-type estimates may exclude an edge margin.
     """
-    return NormReport(_norms(f, g, [_WFL1], stride, position_halfwidth)[0])
+    return _norms(f, g, [_WFL1], stride, position_halfwidth)[0]
 
 
 def m_inf_1_norm(
     f: SampledField, g: Window, stride: int = 1, position_halfwidth: float | None = None
-) -> NormReport:
+) -> float:
     """sum over frequencies of (sup over positions of |V_g f|) dxi^d."""
     spec = (math.inf, 1.0, POSITIONS_INNER)
-    return NormReport(_norms(f, g, [spec], stride, position_halfwidth)[0])
+    return _norms(f, g, [spec], stride, position_halfwidth)[0]
 
 
 def m_1_inf_norm(
     f: SampledField, g: Window, stride: int = 1, position_halfwidth: float | None = None
-) -> NormReport:
+) -> float:
     """sup over frequencies of (sum over positions of |V_g f| dx^d)."""
-    return NormReport(_norms(f, g, [_M1INF], stride, position_halfwidth)[0])
+    return _norms(f, g, [_M1INF], stride, position_halfwidth)[0]
 
 
 def modulation_norms_multi(
@@ -764,7 +754,7 @@ def modulation_norms_multi(
     return dict(zip(pq_list, vals))
 
 
-def fl1_norm(f: SampledField) -> NormReport:
+def fl1_norm(f: SampledField) -> float:
     """L^1 norm of the Fourier transform: sum |f_hat| dxi^d.
 
     The field is treated as compactly supported on its box; callers truncate
@@ -772,4 +762,4 @@ def fl1_norm(f: SampledField) -> NormReport:
     """
     gr = f.grid
     modulus = np.abs(centered_fft(f.reshaped(), gr.d, gr.dx))
-    return NormReport(float(gr.dxi ** gr.d * np.sum(modulus)))
+    return float(gr.dxi ** gr.d * np.sum(modulus))

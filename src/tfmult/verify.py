@@ -4,18 +4,18 @@ Each experiment measures a quantity with a known closed form or a structural
 prediction (finiteness, monotone growth, refinement stability) and returns
 the plain values it measured: a float, or a tuple or list of them.
 ``probe_ratios`` measures every multiplier ratio ||sigma(D) f|| / ||f||: the
-operator probes and the L^1 contrast read its dict, the wave flow its C(t),
-and the Schrodinger flow fits its envelope constant into the one report
-object left.  The CLI's plans derive the predictions; its measure steps
-compare the values with them and turn both into CSV tables.  Experiments are
-deterministic: every random draw goes through a generator seeded by the
-caller (the linear_phase seed is written into its row's parameters).
+operator probes and the L^1 contrast read its dict, the wave flow its C(t)
+and the Schrodinger flow its (p, q) and M^{2,2} ratios.  The CLI's plans
+derive the predictions; its measure steps compare the values with them (the
+Schrodinger one fits the envelope constant) and turn both into CSV tables.
+Experiments are deterministic: every random draw goes through a generator
+seeded by the caller (the linear_phase seed is written into its row's
+parameters).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -285,12 +285,12 @@ def verify_amalgam_constants(t_list, g: Window, stride: int, m1_preds, m1_window
         if base.d == 1:
             w, w_ref, m1 = _wfl1_and_m1inf(f, g, stride, hw, with_m1)
         else:
-            w = amalgam_norm_wfl1(f, g, stride=stride, position_halfwidth=hw).value
+            w = amalgam_norm_wfl1(f, g, stride=stride, position_halfwidth=hw)
             w_ref, m1 = None, float("nan")
             if with_m1:
                 gm, mstride = m1_windows[t]
                 m1 = m_1_inf_norm(chirp_field(gm.grid, t), gm, stride=mstride,
-                                  position_halfwidth=gm.grid.L / 4.0).value
+                                  position_halfwidth=gm.grid.L / 4.0)
         rows.append((w, w_ref, m1))
     return rows
 
@@ -346,7 +346,7 @@ def verify_m_inf_1_divergence(t: float, windows) -> list:
     t = 0 gives the constant symbol and the divergence assertion does not
     apply.
     """
-    return [m_inf_1_norm(chirp_field(g.grid, t), g, position_halfwidth=g.grid.L / 4.0).value
+    return [m_inf_1_norm(chirp_field(g.grid, t), g, position_halfwidth=g.grid.L / 4.0)
             for g in windows]
 
 
@@ -402,8 +402,8 @@ def _check_sin_singular(alpha: float, delta: float) -> None:
 
 def _refined_fl1(field: SampledField) -> tuple:
     """The FL1 norm of a field and its ``refinement`` estimate."""
-    value = fl1_norm(field).value
-    return value, refinement([value], lambda h: [fl1_norm(h).value], field)[0]
+    value = fl1_norm(field)
+    return value, refinement([value], lambda h: [fl1_norm(h)], field)[0]
 
 
 def dyadic_fl1_series(chi: SampledField, alpha: float, K: int, J: int) -> tuple:
@@ -420,12 +420,12 @@ def dyadic_fl1_series(chi: SampledField, alpha: float, K: int, J: int) -> tuple:
     first k whose term is below 1e-6 of the partial sum, or None.
     """
     grid = chi.grid
-    chi_l1 = fl1_norm(chi).value
+    chi_l1 = fl1_norm(chi)
 
     partial = 0.0
     cauchy_k = None
     for k in range(K + 1):
-        psi_l1 = fl1_norm(_dyadic_term(grid, k, alpha)).value
+        psi_l1 = fl1_norm(_dyadic_term(grid, k, alpha))
         if k == 0:
             phi_bound = chi_l1
         else:
@@ -460,7 +460,7 @@ def verify_sin_singular_fl1(grid: Grid, alpha: float, delta: float) -> tuple:
         exponent = (2 * k + 1) * alpha - delta
         term_field = truncated_field(
             grid, lambda rho: np.where(rho > 0, rho ** exponent, 1.0 if exponent == 0 else 0.0))
-        term = fl1_norm(term_field).value / math.factorial(2 * k + 1)
+        term = fl1_norm(term_field) / math.factorial(2 * k + 1)
         total += term
         if k >= 1 and term < 1e-6 * total:
             cauchy = True
@@ -484,11 +484,11 @@ def linear_phase_invariance(sigma_field: SampledField, g: Window, x: float,
     shift = int(round(x / grid.dx))
     gv = np.roll(g.field.values, shift)
     h = SampledField(grid, sigma_field.values * np.conj(gv))
-    before = fl1_norm(h).value
+    before = fl1_norm(h)
     xi = grid.axis_positions()
     phase = np.exp(1j * (a + b * xi))
     h2 = SampledField(grid, sigma_field.values * phase * np.conj(gv))
-    after = fl1_norm(h2).value
+    after = fl1_norm(h2)
     return before, after
 
 
@@ -665,15 +665,6 @@ def schrodinger_envelope(t: float, d: int) -> float:
     return envelope
 
 
-@dataclass
-class SchrodingerConservationReport:
-    ratios: dict          # (label, t) -> ratio
-    c_values: dict        # (label, t) -> ratio / (t^2 + 4 pi^2)^{d/4}
-    fitted_c: float
-    stability: float      # (max - min) / max over all c_values
-    l2_ratios: dict       # (label, t) -> M^{2,2} ratio
-
-
 def _nonzero_norm(value: float, name, what: str) -> float:
     """``value``, the ``name`` norm of the nonzero field ``what``, unless it underflowed to 0.
 
@@ -686,29 +677,21 @@ def _nonzero_norm(value: float, name, what: str) -> float:
     return value
 
 
-def schrodinger_conservation(fields: dict, window: Window, p, q, symbols: dict,
-                             envelopes: dict) -> SchrodingerConservationReport:
+def schrodinger_conservation(fields: dict, window: Window, p, q, symbols: dict) -> tuple:
     """Phase-space norm growth of free Schrodinger evolution.
 
     ``symbols`` maps each t to e^{i t |xi|^2} (``symbol_unimodular`` at
-    alpha = 2) and ``envelopes`` maps it to (t^2 + 4 pi^2)^{d/4}
-    (``schrodinger_envelope``).  ``probe_ratios`` measures ||u(., t)|| / ||f||
-    of each initial field in the (p, q) modulation norm; the same passes
-    give the M^{2,2} ratios (``l2_ratios``), which Moyal's formula and the
-    unitary flow make exactly 1.  Each ratio over its envelope is an
-    envelope constant, fitted by their maximum.
+    alpha = 2).  ``probe_ratios`` measures ||u(., t)|| / ||f|| of each
+    initial field in the (p, q) modulation norm; the same passes give the
+    M^{2,2} ratios, which Moyal's formula and the unitary flow make exactly
+    1.  Returns (ratios, l2_ratios), both keyed by (label, t).
     """
     pq, l2 = (float(p), float(q)), (2.0, 2.0)
     pq_list = list(dict.fromkeys([pq, l2]))
     measured = probe_ratios(symbols, fields,
                             lambda h: modulation_norms_multi(h, window, pq_list))
-    ratios = {(label, t): r[pq] for (t, label), r in measured.items()}
-    l2_ratios = {(label, t): r[l2] for (t, label), r in measured.items()}
-    c_values = {(label, t): r / envelopes[t] for (label, t), r in ratios.items()}
-    vals = list(c_values.values())
-    fitted = max(vals)
-    stability = (fitted - min(vals)) / fitted
-    return SchrodingerConservationReport(ratios, c_values, fitted, stability, l2_ratios)
+    return ({(label, t): r[pq] for (t, label), r in measured.items()},
+            {(label, t): r[l2] for (t, label), r in measured.items()})
 
 
 def wave_conservation(f: SampledField, window: Window, p, q, t_list, flows: dict) -> tuple:
@@ -728,7 +711,7 @@ def wave_conservation(f: SampledField, window: Window, p, q, t_list, flows: dict
     def constants(f, window, products=None):
         symbols = {t: flows[f.grid][t][0] for t in t_list}
         ratios = probe_ratios(symbols, {"gauss": f},
-                              lambda h: {(p, q): modulation_norm(h, window, p, q).value}, products)
+                              lambda h: {(p, q): modulation_norm(h, window, p, q)}, products)
         return [ratios[(t, "gauss")][(p, q)] for t in t_list]
 
     def energy(t, u):

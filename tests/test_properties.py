@@ -47,7 +47,7 @@ def test_moyal(dims, seed):
     grid = make_grid(*dims)
     f = _field(grid, seed)
     g = gaussian_window(grid)
-    val = modulation_norm(f, g, 2, 2).value
+    val = modulation_norm(f, g, 2, 2)
     assert np.isclose(val, l2_norm(f) * l2_norm(g.field), rtol=RTOL, atol=0.0)
 
 
@@ -201,9 +201,9 @@ def test_multiplier_bound_on_the_lattice(alpha, t, delta_share, probe, p, q):
     # sigma's samples on the frequency lattice are those of a field on _FREQUENCY_GRID
     singular = truncated_field(_FREQUENCY_GRID, sin_singular_profile, alpha, delta_share * alpha)
     f = verify.gaussian_data(_THEOREM_GRID, *verify.PROBES[probe])
-    rhs = modulation_norm(f, _G2, p, q).value
+    rhs = modulation_norm(f, _G2, p, q)
     for sigma in (symbol_unimodular(_THEOREM_GRID, alpha, t),
                   Symbol(_THEOREM_GRID, singular.values)):
-        w = amalgam_norm_wfl1(SampledField(_FREQUENCY_GRID, sigma.values), _W_WINDOW).value
-        lhs = modulation_norm(apply_multiplier(sigma, f), _G, p, q).value
+        w = amalgam_norm_wfl1(SampledField(_FREQUENCY_GRID, sigma.values), _W_WINDOW)
+        lhs = modulation_norm(apply_multiplier(sigma, f), _G, p, q)
         assert lhs <= w * rhs * (1 + 1e-12)

@@ -236,13 +236,13 @@ class TestRowColumn2D:
         c = custom_window(g.field)
         hw = grid.L / 4.0 if quarter_box else None
         for norm in (amalgam_norm_wfl1, m_1_inf_norm, m_inf_1_norm):
-            a = norm(f, g, stride=stride, position_halfwidth=hw).value
-            b = norm(f, c, stride=stride, position_halfwidth=hw).value
+            a = norm(f, g, stride=stride, position_halfwidth=hw)
+            b = norm(f, c, stride=stride, position_halfwidth=hw)
             assert np.isclose(a, b, rtol=1e-12, atol=0.0), norm.__name__
         if not quarter_box:
             for p in (1, 2):
-                a = modulation_norm(f, g, p, p, stride=stride).value
-                b = modulation_norm(f, c, p, p, stride=stride).value
+                a = modulation_norm(f, g, p, p, stride=stride)
+                b = modulation_norm(f, c, p, p, stride=stride)
                 assert np.isclose(a, b, rtol=1e-12, atol=0.0), p
 
     def test_moyal_2d(self):
@@ -250,7 +250,7 @@ class TestRowColumn2D:
         grid = make_grid(2, 8.0, 32)
         f = _random_field(grid, 5)
         g = gaussian_window(grid)
-        val = modulation_norm(f, g, 2, 2).value
+        val = modulation_norm(f, g, 2, 2)
         assert np.isclose(val, l2_norm(f) * l2_norm(g.field), rtol=1e-10, atol=0.0)
 
 
@@ -261,7 +261,7 @@ class TestMixedNorms:
         rng = np.random.default_rng(3)
         f = SampledField(grid, rng.standard_normal(512) + 1j * rng.standard_normal(512))
         g = gaussian_window(grid)
-        val = modulation_norm(f, g, 2, 2).value
+        val = modulation_norm(f, g, 2, 2)
         assert np.isclose(val, l2_norm(f) * l2_norm(g.field), rtol=1e-10)
 
     @pytest.mark.parametrize("p,q", [(1, 1), (1, np.inf), (np.inf, 1), (2, 2)])
@@ -275,9 +275,9 @@ class TestMixedNorms:
             f = sample(lambda *xs: np.exp(-np.pi * sum(x ** 2 for x in xs))
                        * np.cos(xs[0]), grid)
             g = gaussian_window(grid)
-            single = modulation_norm(f, g, p, q).value
+            single = modulation_norm(f, g, p, q)
             assert modulation_norms_multi(f, g, pairs)[(p, q)] == single
-            wfl1 = amalgam_norm_wfl1(f, g).value
+            wfl1 = amalgam_norm_wfl1(f, g)
             vals = _norms(f, g, specs)
             assert vals[pairs.index((p, q))] == single
             assert vals[-1] == wfl1
@@ -297,15 +297,15 @@ class TestMixedNorms:
         # e^{-pi(x^2+w^2)/2}, so the (1,1) norm is 2^{-1/2} * 2 = sqrt(2)
         grid = make_grid(1, 32.0, 1024)
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
-        val = modulation_norm(f, gaussian_window(grid), 1, 1).value
+        val = modulation_norm(f, gaussian_window(grid), 1, 1)
         assert np.isclose(val, np.sqrt(2.0), rtol=1e-8)
 
     def test_fl1_gaussian(self):
         grid = make_grid(1, 32.0, 2048)
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
-        value = fl1_norm(f).value
+        value = fl1_norm(f)
         assert np.isclose(value, 1.0, atol=1e-10)
-        assert refinement([value], lambda h: [fl1_norm(h).value], f)[0] < 1e-8
+        assert refinement([value], lambda h: [fl1_norm(h)], f)[0] < 1e-8
 
     def test_constant_field_amalgam(self):
         # f = 1: V_g f(x, w) = conj(ghat)(w) up to phase, so the W(FL1)
@@ -313,15 +313,15 @@ class TestMixedNorms:
         grid = make_grid(1, 16.0, 1024)
         f = sample(lambda x: np.ones_like(x, dtype=complex), grid)
         val = amalgam_norm_wfl1(f, gaussian_window(grid),
-                                position_halfwidth=grid.L / 4.0).value
+                                position_halfwidth=grid.L / 4.0)
         assert np.isclose(val, 1.0, rtol=1e-8)
 
     def test_m_inf_1_vs_m_1_inf_orders(self):
         grid = make_grid(1, 16.0, 512)
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
         g = gaussian_window(grid)
-        a = m_inf_1_norm(f, g).value
-        b = m_1_inf_norm(f, g).value
+        a = m_inf_1_norm(f, g)
+        b = m_1_inf_norm(f, g)
         # for the Gaussian both equal 2^{-1/2} * integral of a Gaussian slice
         assert np.isclose(a, b, rtol=1e-8)
         assert np.isclose(a, 1.0, rtol=1e-6)
@@ -329,9 +329,27 @@ class TestMixedNorms:
     def test_refinement_estimate_small_for_smooth(self):
         grid = make_grid(1, 16.0, 512)
         f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
-        rep = modulation_norm(f, gaussian_window(grid), 1, 1, refine=True)
-        assert rep.refinement_estimate is not None
-        assert rep.refinement_estimate < 1e-6
+        g = gaussian_window(grid)
+        (ref,) = refinement([modulation_norm(f, g, 1, 1)],
+                            lambda h, gh: [modulation_norm(h, gh, 1, 1)], f, g)
+        assert ref < 1e-6
+
+    def test_norms_are_python_floats(self):
+        grid = make_grid(1, 16.0, 256)
+        f = sample(lambda x: np.exp(-np.pi * x ** 2) * np.cos(3.0 * x), grid)
+        g = gaussian_window(grid)
+        values = [modulation_norm(f, g, 1, 2), amalgam_norm_wfl1(f, g), m_inf_1_norm(f, g),
+                  m_1_inf_norm(f, g), fl1_norm(f),
+                  *modulation_norms_multi(f, g, [(1, 1), (2, 2), (np.inf, 1)]).values()]
+        assert [type(v) for v in values] == [float] * 8
+
+    def test_refine_only_false(self):
+        grid = make_grid(1, 16.0, 256)
+        f = sample(lambda x: np.exp(-np.pi * x ** 2), grid)
+        g = gaussian_window(grid)
+        assert modulation_norm(f, g, 1, 1, refine=False) == modulation_norm(f, g, 1, 1)
+        with pytest.raises(ParameterError, match="tf.refinement"):
+            modulation_norm(f, g, 1, 1, refine=True)
 
     def test_streamed_norm_peak_memory(self):
         # one streamed chunk of the N = 4096 divergence grid is _CHUNK_BYTES of
@@ -383,7 +401,7 @@ class TestMixedNorms:
         g = gaussian_window(grid)
         with np.errstate(over="ignore"), pytest.raises(ParameterError, match=r"\(2, 2\)"):
             modulation_norm(f, g, 2, 2)
-        val = modulation_norm(f, g, 1, 1).value
+        val = modulation_norm(f, g, 1, 1)
         assert val == 1.4142135623730956e+200
 
 
@@ -1184,7 +1202,7 @@ class TestSpareBuffers:
         f, g = chirp_field(grid, 1.0), gaussian_window(grid)
 
         def norm():
-            return m_inf_1_norm(f, g, position_halfwidth=grid.L / 4).value
+            return m_inf_1_norm(f, g, position_halfwidth=grid.L / 4)
 
         want = norm()
         tracemalloc.start()

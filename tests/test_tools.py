@@ -1,5 +1,6 @@
 """The benchmark recorder records each side under the HEAD its files match; the output
-comparison runs its non-default configs and fails on any stderr output."""
+comparison runs its non-default configs and fails on any stderr output; the
+benchmark's fast self-checks pass against the package."""
 
 import json
 import runpy
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 RECORDER = TOOLS / "bench_record.py"
 
 
@@ -90,7 +92,7 @@ def test_compare_outputs_fails_on_stderr(tmp_path, warns):
     assert "identical        exp/results.csv" in done.stdout
     # every fixed extra config is run and compared too
     extras = runpy.run_path(str(TOOLS / "compare_outputs.py"))["EXTRA_CONFIGS"]
-    assert len(extras) == 22
+    assert len(extras) == 23
     for label, _, _ in extras:
         assert f"identical        {label}/results.csv" in done.stdout
     if warns is None:
@@ -133,3 +135,12 @@ def test_count_lines_counts_code_not_blanks_comments_or_docstrings(tmp_path):
     done = subprocess.run([sys.executable, str(TOOLS / "count_lines.py"), str(path)],
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["box", "8", "total", "8"]
+
+
+def test_benchmark_self_checks_pass():
+    # the calls the benchmark makes into the package (its tracer's bindings,
+    # modulation_norm(..., refine=False)); the two traced workloads stay out
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "bench/check_trace.py", "-k", "not tf_parented"],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr

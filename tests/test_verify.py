@@ -55,15 +55,10 @@ def _chirp_check(grid, t):
                              verify._chirp_stft_region(grid, t))
 
 
-def _envelopes(t_list):
-    """{t: envelope} of the 1D Schrodinger flow, as its plan derives it."""
-    return {t: verify.schrodinger_envelope(t, 1) for t in t_list}
-
-
 def _schrodinger(fields, window, p, q, t_list):
-    """``schrodinger_conservation`` of the symbols and envelopes that its plan derives."""
+    """``schrodinger_conservation`` of the symbols that its plan derives."""
     symbols = {t: symbol_unimodular(window.grid, 2.0, t) for t in t_list}
-    return verify.schrodinger_conservation(fields, window, p, q, symbols, _envelopes(t_list))
+    return verify.schrodinger_conservation(fields, window, p, q, symbols)
 
 
 def _wave(f, window, p, q, t_list):
@@ -298,8 +293,8 @@ class TestProbesAndContrast:
             f = family[label]
             assert list(r) == pq_list
             for pq in pq_list:
-                moved = modulation_norm(apply_multiplier(symbols[alpha], f), g, *pq).value
-                assert r[pq] == moved / modulation_norm(f, g, *pq).value, (alpha, pq, label)
+                moved = modulation_norm(apply_multiplier(symbols[alpha], f), g, *pq)
+                assert r[pq] == moved / modulation_norm(f, g, *pq), (alpha, pq, label)
 
     def test_probe_ratios_measure_each_field_and_product_once(self):
         grid = make_grid(1, 16.0, 128)
@@ -363,15 +358,15 @@ class TestMergedPasses:
         rows = verify.verify_amalgam_constants(t_list, g, 1, m1_preds, {})
         for t, (w_measured, w_refinement, m1_measured) in zip(t_list, rows):
             f = verify.chirp_field(grid, t)
-            w = amalgam_norm_wfl1(f, g, position_halfwidth=grid.L / 4.0).value
+            w = amalgam_norm_wfl1(f, g, position_halfwidth=grid.L / 4.0)
             ref = refinement([w], lambda h, gh: [
-                amalgam_norm_wfl1(h, gh, position_halfwidth=grid.L / 4.0).value], f, g)
+                amalgam_norm_wfl1(h, gh, position_halfwidth=grid.L / 4.0)], f, g)
             assert (w_measured, w_refinement) == (w, ref[0])
             if t == 0:
                 assert math.isnan(m1_measured)
             else:
                 m1 = m_1_inf_norm(f, g, position_halfwidth=grid.L / 4.0)
-                assert m1_measured == m1.value
+                assert m1_measured == m1
         # a nan prediction measures no M^{1,inf} row
         [(w_skipped, _, m1_skipped)] = verify.verify_amalgam_constants((0.5,), g, 1, [math.nan], {})
         assert w_skipped == rows[1][0]
@@ -383,21 +378,20 @@ class TestMergedPasses:
         fields = {"gauss": sample(lambda x: np.exp(-np.pi * x ** 2), grid),
                   "shifted": sample(lambda x: np.exp(-np.pi * (x - 1.0) ** 2), grid)}
         t_list = (0.5, 2.0)
-        rep = _schrodinger(fields, w, 1, math.inf, t_list)
-        assert set(rep.l2_ratios) == set(rep.ratios)
+        ratios, l2_ratios = _schrodinger(fields, w, 1, math.inf, t_list)
+        assert set(l2_ratios) == set(ratios)
 
         def single(f, u, p, q):
-            return (modulation_norm(u, w, p, q).value
-                    / modulation_norm(f, w, p, q).value)
+            return modulation_norm(u, w, p, q) / modulation_norm(f, w, p, q)
 
         for label, f in fields.items():
             for t in t_list:
                 u = schrodinger_propagate(f, t)
-                assert rep.ratios[(label, t)] == single(f, u, 1, math.inf)
-                assert rep.l2_ratios[(label, t)] == single(f, u, 2, 2)
+                assert ratios[(label, t)] == single(f, u, 1, math.inf)
+                assert l2_ratios[(label, t)] == single(f, u, 2, 2)
         # at (p, q) = (2, 2) both sets of ratios are the M^{2,2} ones
-        l2 = _schrodinger(fields, w, 2, 2, t_list)
-        assert l2.ratios == l2.l2_ratios == rep.l2_ratios
+        l2, l2_again = _schrodinger(fields, w, 2, 2, t_list)
+        assert l2 == l2_again == l2_ratios
 
 
 class TestConservationDrivers:
@@ -407,8 +401,8 @@ class TestConservationDrivers:
         rng = np.random.default_rng(DEFAULT_SEED)
         from tfmult.core import SampledField
         f = SampledField(grid, rng.standard_normal(512) + 1j * rng.standard_normal(512))
-        rep = _schrodinger({"rand": f}, gaussian_window(grid), 2, 2, (0.5, 2.0))
-        assert all(abs(r - 1.0) < 1e-10 for r in rep.ratios.values())
+        ratios, _ = _schrodinger({"rand": f}, gaussian_window(grid), 2, 2, (0.5, 2.0))
+        assert all(abs(r - 1.0) < 1e-10 for r in ratios.values())
 
     def test_schrodinger_envelope_overflow_names_t(self):
         # (t^2 + 4 pi^2)^{1/4} is inf for t = 1e300, so every c was 0
@@ -573,8 +567,8 @@ class TestOneRefinementRule:
         rows = verify.verify_amalgam_constants(t_list, g, 1, m1_preds, {})
         for t, (w_measured, w_refinement, _) in zip(t_list, rows):
             f = verify.chirp_field(grid, t)
-            w = amalgam_norm_wfl1(f, g, position_halfwidth=hw).value
-            w_half = amalgam_norm_wfl1(_half(f), gh, position_halfwidth=hw).value
+            w = amalgam_norm_wfl1(f, g, position_halfwidth=hw)
+            w_half = amalgam_norm_wfl1(_half(f), gh, position_halfwidth=hw)
             assert (w_measured, w_refinement) == (w, _change(w, w_half)), t
 
     def test_direct_fl1_rows(self):
@@ -586,7 +580,7 @@ class TestOneRefinementRule:
                                  truncated_field(grid, sin_singular_profile, 0.8, 0.5)),
         }
         for name, (measured, field) in fields.items():
-            v, v_half = fl1_norm(field).value, fl1_norm(_half(field)).value
+            v, v_half = fl1_norm(field), fl1_norm(_half(field))
             assert measured[:2] == (v, _change(v, v_half)), name
 
     @pytest.mark.parametrize("p,q", [(1.0, 1.0), (math.inf, 1.0)])
@@ -599,8 +593,8 @@ class TestOneRefinementRule:
 
         def constants(f, w):
             zero = SampledField(f.grid, np.zeros_like(f.values))
-            return [modulation_norm(wave_propagate(f, zero, t)[0], w, p, q).value
-                    / modulation_norm(f, w, p, q).value for t in t_list]
+            return [modulation_norm(wave_propagate(f, zero, t)[0], w, p, q)
+                    / modulation_norm(f, w, p, q) for t in t_list]
 
         cs = constants(f, w)
         half = constants(_half(f), wh)
@@ -637,8 +631,8 @@ class TestOneRefinementRule:
         gh = gaussian_window(make_grid(1, 16.0, 128))
         if kind == "custom":
             g, gh = custom_window(g.field), custom_window(_half(g.field))
-        rep = modulation_norm(f, g, 1, 2, stride=stride, refine=True)
-        v = modulation_norm(f, g, 1, 2, stride=stride).value
-        v_half = modulation_norm(_half(f), gh, 1, 2, stride=max(1, stride // 2)).value
-        assert (rep.value, rep.refinement_estimate) == (v, _change(v, v_half))
-        assert modulation_norm(f, g, 1, 2, stride=stride).refinement_estimate is None
+        v = modulation_norm(f, g, 1, 2, stride=stride)
+        ref = refinement([v], lambda h, gh: [modulation_norm(h, gh, 1, 2, stride=max(1, stride // 2))],
+                         f, g)
+        v_half = modulation_norm(_half(f), gh, 1, 2, stride=max(1, stride // 2))
+        assert ref == [_change(v, v_half)]
