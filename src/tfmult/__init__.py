@@ -17,15 +17,12 @@ from .core import (
 from .mult import (
     Symbol,
     apply_multiplier,
-    schrodinger_propagate,
     symbol_unimodular,
-    wave_propagate,
 )
 from .tf import (
     StftMatrix,
     Window,
     amalgam_norm_wfl1,
-    annulus_psi,
     bump_chi,
     fl1_norm,
     gaussian_window,

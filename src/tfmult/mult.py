@@ -1,8 +1,10 @@
-"""Symbol constructors, FFT-based multiplier application, and propagators.
+"""Symbol constructors and FFT-based multiplier application.
 
 A multiplier acts as f -> inverse_transform(sigma * forward_transform(f));
 diagonal in frequency, so composition is pointwise multiplication of symbols
-and unimodular symbols are exact discrete L2 isometries.
+and unimodular symbols are exact discrete L2 isometries.  The free flows are
+such multipliers: the Schrodinger flow is ``symbol_unimodular(grid, 2, t)``,
+and the wave flow from (f, 0) is the pair ``wave_symbols`` gives.
 """
 
 from __future__ import annotations
@@ -26,24 +28,10 @@ from .core import (
 
 @dataclass
 class Symbol:
-    """Samples of a multiplier on the frequency lattice; a real multiplier may keep real values.
-
-    ``aliasing_warning`` is set when the symbol's phase changes by more than
-    pi between adjacent frequency samples somewhere on the lattice; such a
-    symbol is undersampled and norm estimates computed from it are suspect.
-    """
+    """Samples of a multiplier on the frequency lattice; a real multiplier may keep real values."""
 
     grid: Grid
     values: np.ndarray  # flat, length N^d
-    aliasing_warning: bool = False
-
-
-def _phase_aliased(phase: np.ndarray) -> bool:
-    """True if the (unwrapped) phase jumps by >= pi between neighbors."""
-    for ax in range(phase.ndim):
-        if phase.size and np.max(np.abs(np.diff(phase, axis=ax))) >= np.pi:
-            return True
-    return False
 
 
 def _check_unimodular_alpha(alpha: float) -> None:
@@ -51,20 +39,13 @@ def _check_unimodular_alpha(alpha: float) -> None:
         raise ParameterError(f"alpha must lie in [0, 2], got {alpha}")
 
 
-def unimodular_phase(rho, alpha: float, t: float = 1.0):
-    """t rho^alpha, the phase of the multiplier e^{i t |xi|^alpha} at |xi| = rho.
-
-    rho^0 is 1 at rho = 0 too, so alpha = 0 gives the constant phase t.
-    """
-    return t * rho ** alpha
-
-
 def unimodular_profile(rho, alpha: float, t: float = 1.0):
     """e^{i t rho^alpha}; the chirp e^{i pi t |x|^2} is alpha = 2 with pi t for t.
 
-    The phase is exponentiated in place; a scalar rho gives a scalar.
+    rho^0 is 1 at rho = 0 too, so alpha = 0 gives the constant e^{it}.  The
+    phase t rho^alpha is exponentiated in place; a scalar rho gives a scalar.
     """
-    z = np.asarray(1j * unimodular_phase(rho, alpha, t))
+    z = np.asarray(1j * (t * rho ** alpha))
     return np.exp(z, out=z)[()]
 
 
@@ -76,9 +57,7 @@ def symbol_unimodular(grid: Grid, alpha: float, t: float = 1.0) -> Symbol:
     """
     _check_unimodular_alpha(alpha)
     _check_phase_resolution(grid, t, alpha)
-    phase = unimodular_phase(grid.frequency_radius(), alpha, t)
-    return Symbol(grid, np.exp(1j * phase).reshape(-1),
-                  aliasing_warning=_phase_aliased(phase))
+    return Symbol(grid, unimodular_profile(grid.frequency_radius(), alpha, t).reshape(-1))
 
 
 def sin_singular_profile(rho, alpha: float, delta: float) -> np.ndarray:
@@ -103,12 +82,6 @@ def truncated_field(grid: Grid, profile, *params) -> SampledField:
     return radial_field(grid, lambda rho: profile(rho, *params) * chi_profile(rho))
 
 
-def multiply_symbols(a: Symbol, b: Symbol) -> Symbol:
-    require_same_grid(a.grid, b.grid)
-    return Symbol(a.grid, a.values * b.values,
-                  aliasing_warning=a.aliasing_warning or b.aliasing_warning)
-
-
 def apply_multiplier(sigma: Symbol, f: SampledField) -> SampledField:
     """inverse_transform(sigma * forward_transform(f))."""
     require_same_grid(sigma.grid, f.grid)
@@ -118,9 +91,9 @@ def apply_multiplier(sigma: Symbol, f: SampledField) -> SampledField:
 
 
 # ---------------------------------------------------------------------------
-# propagators
+# phase resolution and the wave flow
 
-# The largest ulp, in radians, that a propagator phase may have on its grid.
+# The largest ulp, in radians, that a flow's phase may have on its grid.
 # Past it cos and sin of the phase carry that much rounding, and at t = 1e300
 # every nonzero wave phase has an ulp of 1e283 rad, so the flow is noise.  A
 # millionth of a radian moves no norm by more than about 1e-6, far inside
@@ -155,40 +128,6 @@ def wave_symbols(grid: Grid, t: float) -> tuple:
     _check_phase_resolution(grid, t, 1)
     rho = grid.frequency_radius().reshape(-1)
     return Symbol(grid, np.cos(t * rho)), Symbol(grid, -rho * np.sin(t * rho))
-
-
-def schrodinger_propagate(f: SampledField, t: float) -> SampledField:
-    """Free Schrodinger evolution: u_hat(xi, t) = e^{i t |xi|^2} f_hat(xi).
-
-    A t whose largest phase is not resolved (``_check_phase_resolution``)
-    raises ParameterError.
-    """
-    return apply_multiplier(symbol_unimodular(f.grid, 2.0, t), f)
-
-
-def wave_propagate(f: SampledField, g: SampledField, t: float) -> tuple:
-    """(u, u_t) at time t of the wave evolution from (u, u_t)(0) = (f, g).
-
-    u_hat = cos(t|xi|) f_hat + sin(t|xi|)/|xi| g_hat, the xi = 0 entry of the
-    second multiplier set to its limit t; v_hat = -|xi| sin(t|xi|) f_hat
-    + cos(t|xi|) g_hat (``wave_symbols`` gives the multipliers of f_hat).
-    Per mode this is an exact rotation of (|xi| u_hat, v_hat), so the
-    discrete wave energy is conserved.  A t whose largest phase t|xi| is not
-    resolved (``_check_phase_resolution``) raises ParameterError.
-    """
-    require_same_grid(f.grid, g.grid)
-    grid = f.grid
-    cos, vel = wave_symbols(grid, t)
-    rho = grid.frequency_radius().reshape(-1)
-    F = forward_transform(f).values
-    G = forward_transform(g).values
-    sinc = np.empty_like(rho)
-    nz = rho > 0
-    sinc[nz] = np.sin(t * rho[nz]) / rho[nz]
-    sinc[~nz] = t
-    U = cos.values * F + sinc * G
-    V = vel.values * F + cos.values * G
-    return inverse_transform(SampledField(grid, U)), inverse_transform(SampledField(grid, V))
 
 
 def wave_energy(u: SampledField, v: SampledField) -> float:

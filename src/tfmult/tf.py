@@ -31,7 +31,7 @@ call, and ``reduce`` takes any power it needs of A itself.
 
 * Windowed (``_windowed_sums``): one full d-dimensional transform per
   position, for every 1D window and every 2D window kept as samples
-  (``bump_chi``, ``annulus_psi``, ``custom_window``).  The positions go
+  (``bump_chi``, ``custom_window``).  The positions go
   through one complex block of about ``_BLOCK_BYTES`` (4 MiB), one step at
   a time, each step one ``centered_fft`` call: a thread piece multiplies
   its rows' windows into the block, transforms them, writes their |V| into
@@ -114,7 +114,6 @@ from .core import (
     chi_profile,
     coarsen,
     half_grid,
-    psi_profile,
     radial_field,
     radius,
     require_same_grid,
@@ -208,9 +207,9 @@ def _pass_buffers():
 class Window:
     """A window on ``grid``: its samples, or, for a tensor product, only its 1D factors.
 
-    ``samples`` holds the N^d values of a sampled window (bump, annulus,
-    custom); ``factors`` holds one N-point array per axis whose outer
-    product is the window (the Gaussian), which then keeps no N^d array.
+    ``samples`` holds the N^d values of a sampled window (bump, custom);
+    ``factors`` holds one N-point array per axis whose outer product is the
+    window (the Gaussian), which then keeps no N^d array.
     """
 
     grid: Grid
@@ -239,10 +238,6 @@ def bump_chi(grid: Grid) -> Window:
     return custom_window(radial_field(grid, chi_profile))
 
 
-def annulus_psi(grid: Grid) -> Window:
-    return custom_window(radial_field(grid, psi_profile))
-
-
 def custom_window(f: SampledField) -> Window:
     return Window(f.grid, f.values)
 
@@ -252,7 +247,7 @@ def coarsen_window(w: Window) -> Window:
 
     The lattice of ``half_grid`` is every other point of the fine one, bit
     for bit, so a window sampled from a pointwise function (the Gaussian,
-    ``bump_chi``, ``annulus_psi``) subsampled is that window rebuilt there.
+    ``bump_chi``) subsampled is that window rebuilt there.
     """
     return (custom_window(coarsen(w.field)) if w.factors is None
             else Window(half_grid(w.grid), factors=tuple(g[::2] for g in w.factors)))

@@ -303,6 +303,12 @@ def verify_amalgam_constants(t_list, g: Window, stride: int, m1_preds, m1_window
 # positions x N frequencies: at N = 65536 (t = 4, L = 128) about 30 s on two
 # cores, while l_list = 16, 1e6 would give the box L = 1e6 N = 2^39 and 4 TiB.
 DIVERGENCE_MAX_N = 1 << 16
+# The least L_1 |t|, the first box in the chirp's own scale, on which the
+# ridge grows by the required (1 + ratio) / 2 per box.  Bisected with
+# ``tfmult run``: 2.016 on the boxes 16, 32, 64; 2.015 on 16, 17; 2.004 on
+# 32, 64; 2.065 on 8, 12; failing at 1.98 and passing at 2.07 on 64, 128,
+# 256 and on 10, 15; the same for -t.
+DIVERGENCE_MIN_BOX_T = 2.07
 
 
 def _divergence_grid(L: float, t: float) -> Grid:
@@ -330,9 +336,16 @@ def _divergence_grids(t: float, box_sizes) -> list:
     """The grid of every box, derived before any pass, so a box above the cap raises at once.
 
     The chirps of t and -t are conjugate and take one grid; t = 0 (the
-    constant symbol) takes that of t = 0.25.
+    constant symbol) takes that of t = 0.25.  A t != 0 whose first box is
+    below ``DIVERGENCE_MIN_BOX_T`` / |t| raises ParameterError: on it the
+    ridge is too flat to grow by the required factor.
     """
     _check_boxes(box_sizes)
+    if t != 0 and box_sizes[0] * abs(t) < DIVERGENCE_MIN_BOX_T:
+        raise ParameterError(
+            f"t = {t:g}: the first box L = {box_sizes[0]:g} is too small for the chirp's "
+            f"M^(inf,1) ridge to grow; it must be at least {DIVERGENCE_MIN_BOX_T:g}/|t| = "
+            f"{DIVERGENCE_MIN_BOX_T / abs(t):.4g}")
     return [_divergence_grid(L, max(abs(t), 0.25)) for L in box_sizes]
 
 

@@ -266,6 +266,27 @@ class TestListValidate:
                     ) == capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("t,smallest", [("0.1", "20.7"), ("-0.1", "20.7"),
+                                            ("0.127", "16.3"), ("1e-300", "2.07e+300")])
+    def test_divergence_first_box_below_the_chirp_scale(self, tmp_path, capsys, monkeypatch,
+                                                        t, smallest):
+        # validate said ok, and run exited 1: on the boxes 16, 32, 64 the
+        # ridge of a t with L_1 |t| below about 2 grows by less than 1.5 per
+        # doubling (1.443 and 1.614 at t = 0.1, 1.000 at t = 1e-300)
+        def no_fft(*args, **kwargs):
+            raise AssertionError("a pass started")
+
+        for transform in ("fft", "fftn", "ifft", "ifftn"):
+            monkeypatch.setattr(np.fft, transform, no_fft)
+        cfg = write_config(tmp_path, f"name = m_inf_1_divergence\nt = {t}\n"
+                                     f"out = {tmp_path / 'o'}\n")
+        for cmd in ("validate", "run"):
+            assert main([cmd, cfg]) == 2
+            assert (f"error: t = {t}: the first box L = 16 is too small for the chirp's "
+                    f"M^(inf,1) ridge to grow; it must be at least 2.07/|t| = {smallest}\n"
+                    ) == capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("name,key,value,parsed", [
         ("chirp_stft", "n", "2048.0", 2048),
         ("linear_phase", "cases", "1e3", 1000),
@@ -280,10 +301,18 @@ class TestListValidate:
         cfg = write_config(tmp_path, "name = schrodinger_conservation\np = 1\nq = inf\n")
         assert main(["validate", cfg]) == 0
 
-    def test_divergence_of_a_negative_t(self, tmp_path):
+    @pytest.mark.parametrize("keys", [
         # t = -4 took the t = 0.25 grids: growth to L = 64 read 1.00 and run exited 1
+        "t = -4",
+        # a small |t| on first boxes of its chirp scale, L_1 |t| = 3.2: the
+        # ridge grows by 1.614 and 1.761
+        "t = 0.1\nl_list = 32, 64, 128",
+        "t = -0.1\nl_list = 32, 64, 128",
+    ])
+    def test_divergence_grows_on_boxes_of_the_chirp_scale(self, tmp_path, keys):
         out = tmp_path / "o"
-        cfg = write_config(tmp_path, f"name = m_inf_1_divergence\nt = -4\nout = {out}\n")
+        cfg = write_config(tmp_path, f"name = m_inf_1_divergence\n{keys}\nout = {out}\n")
+        assert main(["validate", cfg]) == 0
         assert main(["run", cfg]) == 0
         rows = (out / "results.csv").read_text().splitlines()[1:]
         growth = [float(r.split(",")[2]) for r in rows if "growth_to_L" in r]
@@ -471,14 +500,16 @@ class TestOneDerivation:
 
 class TestPhaseChecks:
     @pytest.mark.parametrize("name,plan,measure", [
-        # the measure step propagated each field at each t through
-        # schrodinger_propagate, whose symbol checked the phase again: 8 calls
+        # every multiplier is built, and its phase checked, once in the plan
+        # and only applied in the measure step: e^{it|xi|^2} for each of the
+        # four t
         ("schrodinger_conservation", 4, 0),
-        # the wave measure step checked every t again in wave_propagate, on
-        # both grids and at t = 0 for the energy: 3 + 7 calls; the plan now
-        # builds the multipliers of the three t on both grids and of t = 0
+        # the wave flow's pair for each of the three t on the data grid and
+        # its half grid, and for t = 0 on the data grid (the energy baseline)
         ("wave_conservation", 7, 0),
+        # e^{it|xi|^2} for the one t
         ("lp_contrast", 1, 0),
+        # e^{i|xi|^alpha} for each of the four alpha on each of the two grids
         ("operator_probe", 8, 0),
     ])
     def test_phase_checks_of_a_default_run(self, monkeypatch, name, plan, measure):

@@ -13,14 +13,13 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from tfmult import core, mult, tf, verify
 from tfmult.core import (ParameterError, SampledField, centered_fft, chi_profile, l2_norm,
-                         make_grid, psi_profile, sample)
+                         make_grid, psi_profile, radial_field, sample)
 from tfmult.tf import (
     _CHUNK_BYTES,
     FREQUENCIES_INNER,
     POSITIONS_INNER,
     _norms,
     amalgam_norm_wfl1,
-    annulus_psi,
     bump_chi,
     coarsen_window,
     custom_window,
@@ -35,6 +34,11 @@ from tfmult.tf import (
 )
 from tfmult.verify import (_chirp_stft_region, _divergence_grid, _m1inf_grid_2d, chirp_field,
                            verify_chirp_stft)
+
+
+def _annulus(grid):
+    """The annular window psi(|x|), a sampled window that vanishes near the origin."""
+    return custom_window(radial_field(grid, psi_profile))
 
 
 class TestProfiles:
@@ -87,7 +91,7 @@ class TestWindows:
         w2 = coarsen_window(w)
         assert np.allclose(w2.field.values, w.field.values[::2])
 
-    @pytest.mark.parametrize("make", [gaussian_window, bump_chi, annulus_psi])
+    @pytest.mark.parametrize("make", [gaussian_window, bump_chi, _annulus])
     @pytest.mark.parametrize("d,N", [(1, 16), (1, 64), (1, 256), (1, 2048),
                                      (2, 16), (2, 64), (2, 256)])
     def test_coarsening_is_the_window_rebuilt_on_the_half_grid(self, make, d, N):
@@ -120,7 +124,7 @@ class TestWindows:
     def test_bump_and_annulus_windows(self):
         g = make_grid(1, 16.0, 512)
         assert np.max(np.abs(bump_chi(g).field.values)) == 1.0
-        psi_vals = annulus_psi(g).field.values
+        psi_vals = _annulus(g).field.values
         x = g.axis_positions()
         assert np.all(np.abs(psi_vals[np.abs(x) < 1.0]) == 0.0)
 

@@ -7,21 +7,18 @@ import numpy as np
 import pytest
 
 from tfmult.core import (ParameterError, SampledField, chi_profile, default_grid, half_grid,
-                         l1_norm, make_grid, psi_profile, radius, sample)
+                         l1_norm, make_grid, psi_profile, radial_field, radius, sample)
 from tfmult.mult import (
     apply_multiplier,
-    schrodinger_propagate,
     sin_singular_profile,
     symbol_unimodular,
     truncated_field,
     unimodular_profile,
     wave_energy,
-    wave_propagate,
     wave_symbols,
 )
 from tfmult.tf import (
     amalgam_norm_wfl1,
-    annulus_psi,
     bump_chi,
     custom_window,
     fl1_norm,
@@ -386,7 +383,7 @@ class TestMergedPasses:
 
         for label, f in fields.items():
             for t in t_list:
-                u = schrodinger_propagate(f, t)
+                u = apply_multiplier(symbol_unimodular(grid, 2.0, t), f)
                 assert ratios[(label, t)] == single(f, u, 1, math.inf)
                 assert l2_ratios[(label, t)] == single(f, u, 2, 2)
         # at (p, q) = (2, 2) both sets of ratios are the M^{2,2} ones
@@ -517,12 +514,12 @@ class TestSharedDefinitions:
             assert _same_bits(truncated_field(grid, sin_singular_profile, alpha, delta), old)
 
     def test_radial_samplers(self):
-        # bump_chi, annulus_psi and the dyadic terms sampled profile(|x|) by hand
+        # bump_chi, the annulus window and the dyadic terms sampled profile(|x|) by hand
         for grid in (verify._dyadic_grid(), make_grid(2, 16.0, 64)):
             old = sample(lambda *xs: chi_profile(radius(xs)), grid)
             assert _same_bits(bump_chi(grid).field, old), grid
             old = sample(lambda *xs: psi_profile(radius(xs)), grid)
-            assert _same_bits(annulus_psi(grid).field, old), grid
+            assert _same_bits(custom_window(radial_field(grid, psi_profile)).field, old), grid
         grid = verify._dyadic_grid()
         for alpha in (0.5, 1.0, 2.0):
             for k in (0, 1, 40):
@@ -591,18 +588,19 @@ class TestOneRefinementRule:
         t_list = (0.5, 2.0)
         c_values, refinement_estimates, energy_drift = _wave(f, w, p, q, t_list)
 
+        def flow(f, t):
+            return [apply_multiplier(sigma, f) for sigma in wave_symbols(f.grid, t)]
+
         def constants(f, w):
-            zero = SampledField(f.grid, np.zeros_like(f.values))
-            return [modulation_norm(wave_propagate(f, zero, t)[0], w, p, q)
+            return [modulation_norm(flow(f, t)[0], w, p, q)
                     / modulation_norm(f, w, p, q) for t in t_list]
 
         cs = constants(f, w)
         half = constants(_half(f), wh)
         assert c_values == cs
         assert refinement_estimates == [_change(c, c_half) for c, c_half in zip(cs, half)]
-        zero = SampledField(grid, np.zeros_like(f.values))
-        e0 = wave_energy(*wave_propagate(f, zero, 0.0))
-        drift = [abs(wave_energy(*wave_propagate(f, zero, t)) - e0) / max(e0, 1e-300)
+        e0 = wave_energy(*flow(f, 0.0))
+        drift = [abs(wave_energy(*flow(f, t)) - e0) / max(e0, 1e-300)
                  for t in t_list]
         assert energy_drift == max([0.0, *drift])
 

@@ -56,7 +56,8 @@ def _experiments(side: Path) -> list:
 # the M^{2,2} check, so every windowed pass of it takes one |V|^p in place and
 # the other in a scratch; then the Schrodinger envelope fit fed the identity
 # flow (t = 0), a repeated t (one ratio per field, two plot points) and an
-# unsorted t list
+# unsorted t list; then the divergence of a small t on first boxes that its
+# chirp scale admits
 EXTRA_CONFIGS = (
     ("amalgam_constants_d2", "amalgam_constants", "d = 2"),
     ("chirp_stft_t-1_-0.5", "chirp_stft", "t_list = -1, -0.5"),
@@ -81,6 +82,7 @@ EXTRA_CONFIGS = (
     ("m_inf_1_divergence_t0", "m_inf_1_divergence", "t = 0"),
     ("schrodinger_conservation_p1.5_q3", "schrodinger_conservation", "p = 1.5\nq = 3"),
     ("schrodinger_conservation_t4_0_4", "schrodinger_conservation", "t_list = 4, 0, 4"),
+    ("m_inf_1_divergence_t0.1_l32", "m_inf_1_divergence", "t = 0.1\nl_list = 32, 64, 128"),
 )
 
 
