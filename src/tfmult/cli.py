@@ -271,14 +271,14 @@ def _run_chirp_stft(t_list=(0.0, 0.5, 1.0, 2.0), tolerance=1e-6, l=_GRID.L, n=_G
 
 def _run_amalgam_constants(d=1, t_list=(0.5, 1.0, 2.0, 4.0), tolerance=None):
     base, stride = verify._amalgam_grid(d)
-    m1_windows, w_preds, m1_preds = verify._amalgam_checks(t_list, base)
+    windows, w_preds, m1_preds = verify._amalgam_checks(t_list, base)
     _check_tolerance(tolerance)
     tol = {1: 0.02, 2: 0.05}[d] if tolerance is None else tolerance
     g = gaussian_window(base)
 
     def measure():
         rows, ok, measured = [], True, []
-        norms = verify.verify_amalgam_constants(t_list, g, stride, m1_preds, m1_windows)
+        norms = verify.verify_amalgam_constants(t_list, g, stride, m1_preds, windows)
         for t, (w, w_ref, m1), w_pred, m1_pred in zip(t_list, norms, w_preds, m1_preds):
             err = abs(w - w_pred) / w_pred
             ok = ok and err < tol

@@ -228,17 +228,26 @@ def sample(fn, grid: Grid) -> SampledField:
     of x_0 alone may return its (N, 1, ...) column.  The values must be
     defined at every lattice point; a non-finite result raises
     SamplingError naming the first offending coordinate.
+
+    A result that already is the lattice, a complex128 (N,)*d array that
+    is C-contiguous, writable and owns its data, becomes the field's
+    values as it is, with no copy: so ``fn`` returns a new array, not one
+    that it keeps.  Any other result (a real array, a broadcast column, a
+    view, a read-only array) is copied into a new one.
     """
     meshes = grid.position_meshes()
     with np.errstate(all="ignore"):
         vals = np.asarray(fn(*meshes), dtype=np.complex128)
-    vals = np.broadcast_to(vals, grid.shape)
+    flags = vals.flags
+    if not (vals.shape == grid.shape and flags.c_contiguous and flags.writeable
+            and flags.owndata):
+        vals = np.broadcast_to(vals, grid.shape).copy()
     bad = ~np.isfinite(vals)
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         coord = tuple(float(np.broadcast_to(m, grid.shape)[idx]) for m in meshes)
         raise SamplingError(f"non-finite sample at x = {coord}")
-    return SampledField(grid, vals.flatten())
+    return SampledField(grid, vals)
 
 
 def radial_field(grid: Grid, profile, *params) -> SampledField:

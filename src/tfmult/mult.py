@@ -43,10 +43,13 @@ def unimodular_profile(rho, alpha: float, t: float = 1.0):
     """e^{i t rho^alpha}; the chirp e^{i pi t |x|^2} is alpha = 2 with pi t for t.
 
     rho^0 is 1 at rho = 0 too, so alpha = 0 gives the constant e^{it}.  The
-    phase t rho^alpha is exponentiated in place; a scalar rho gives a scalar.
+    phase t rho^alpha is exponentiated in place, and an array rho gives
+    that buffer itself, which ``sample`` keeps with no copy; a scalar rho
+    gives a scalar.
     """
     z = np.asarray(1j * (t * rho ** alpha))
-    return np.exp(z, out=z)[()]
+    np.exp(z, out=z)
+    return z if z.ndim else z[()]
 
 
 def symbol_unimodular(grid: Grid, alpha: float, t: float = 1.0) -> Symbol:

@@ -235,63 +235,94 @@ def _m1inf_grid_2d(t: float) -> tuple:
     return make_grid(2, L, N), 4
 
 
-def _amalgam_checks(t_list, base: Grid) -> tuple:
-    """The 2D M^{1,inf} windows {t: (window, stride)} and each t's W and M^{1,inf} predictions.
+def _small_t_grid(t: float) -> Grid:
+    """The 1D grid of both amalgam rows of a t with 0 < |t| < 0.5: a box of L |t| >= 8.
 
-    Derived before any pass: a t above the 2D grid cap, or whose prediction
-    overflows, raises ParameterError; so does a t whose chirp the W rows'
-    grid ``base`` does not resolve, in 1D one that aliases in the quarter
-    box (``_check_quarter_box_chirps``) and in 2D one above ``W_MAX_T_2D``,
-    checked after the grid cap, whose message takes precedence.  The
-    M^{1,inf} prediction is nan where no M^{1,inf} row is measured
-    (t = 0).  Each window is the Gaussian on the t's grid
-    (``_m1inf_grid_2d``), built once every check has passed.
+    The L = 16 box of ``_amalgam_grid(1)`` cuts off the M^{1,inf} ridge of
+    a small t (relative deviation 0.049 at t = 0.2, 0.62 at t = 0.05), and
+    the deviation falls once L |t| >= 8.  So L = 16 2^ceil(log2(0.5/|t|)),
+    and N follows the Nyquist rule of ``_divergence_grid``.  A t whose grid
+    needs N > ``DIVERGENCE_MAX_N``, that is |t| < 1/256, raises
+    ParameterError.
     """
-    m1_grids = {}
+    try:
+        L = math.ldexp(16.0, math.ceil(-math.log2(2.0 * abs(t))))
+    except OverflowError:  # L past the float64 range, for |t| <= 2^-1021
+        L = math.inf
+    N = _nyquist_size(L, abs(t))
+    if N > DIVERGENCE_MAX_N:
+        raise ParameterError(f"t = {t:g}: the 1D amalgam rows of this t need the box "
+                             f"L = {L:g} on an N = {N:g} grid, above the cap "
+                             f"N = {DIVERGENCE_MAX_N}")
+    return make_grid(1, L, N)
+
+
+def _amalgam_checks(t_list, base: Grid) -> tuple:
+    """The windows {t: (window, stride)} of the ts with a grid of their own, and the predictions.
+
+    A 2D t != 0 measures M^{1,inf} on its own grid (``_m1inf_grid_2d``); a
+    1D t with 0 < |t| < 0.5 measures both rows on its own grid
+    (``_small_t_grid``); every other row runs on the W rows' grid ``base``.
+    Derived before any pass: a t above a grid cap, or whose prediction
+    overflows, raises ParameterError; so does a t whose chirp ``base`` does
+    not resolve, in 1D one that aliases in the quarter box
+    (``_check_quarter_box_chirps``) and in 2D one above ``W_MAX_T_2D``.
+    The 2D grid cap is checked first and the 1D one last, so in 2D its
+    message takes precedence and in 1D the prediction's does.  The
+    M^{1,inf} prediction is nan where no M^{1,inf} row is measured
+    (t = 0).  Each window is the Gaussian on the t's grid, built once
+    every check has passed.
+    """
     if base.d == 1:
         _check_quarter_box_chirps(base, t_list)
     else:
-        m1_grids = {t: _m1inf_grid_2d(t) for t in t_list if t != 0}
+        grids = {t: _m1inf_grid_2d(t) for t in t_list if t != 0}
         _check_2d_w_chirps(base, t_list)
     w_preds = [w_norm_prediction(t, base.d) for t in t_list]
     m1_preds = [m1inf_prediction(t, base.d) if t != 0 else float("nan") for t in t_list]
-    windows = {t: (gaussian_window(grid), stride) for t, (grid, stride) in m1_grids.items()}
+    if base.d == 1:
+        grids = {t: (_small_t_grid(t), 1) for t in t_list if 0 < abs(t) < 0.5}
+    windows = {t: (gaussian_window(grid), stride) for t, (grid, stride) in grids.items()}
     return windows, w_preds, m1_preds
 
 
-def verify_amalgam_constants(t_list, g: Window, stride: int, m1_preds, m1_windows) -> list:
+def verify_amalgam_constants(t_list, g: Window, stride: int, m1_preds, windows) -> list:
     """(w, w_refinement, m1) of each t: the W(FL1, l-inf) and M^{1,inf} norms of its chirp.
 
     g is the Gaussian window on the W rows' grid, which with ``stride``
-    comes from ``_amalgam_grid``; ``m1_preds`` and, in 2D, ``m1_windows``
-    come from ``_amalgam_checks``: each t's M^{1,inf} prediction, nan where
-    no M^{1,inf} row is measured, and {t: (window, stride)} of each t's 2D
-    M^{1,inf} pass.  Sup-type quantities are restricted to the central half
-    of the position lattice; edge positions wrap the window around the
-    periodic box and do not represent any continuum translate.  In 1D both
-    norms read the same |V|, so one pass measures them, and W is refined at
-    half resolution; in 2D M^{1,inf} takes its own grid and W is not
-    refined (w_refinement None).  m1 is nan where no M^{1,inf} row is
-    measured.  Each chirp is sampled here, just before its pass: the 2D
-    chirps held at once would take 11 MiB, while a 2D Gaussian window keeps
-    only its 1D factors, 2N floats.
+    comes from ``_amalgam_grid``; ``m1_preds`` and ``windows`` come from
+    ``_amalgam_checks``: each t's M^{1,inf} prediction, nan where no
+    M^{1,inf} row is measured, and {t: (window, stride)} of each t with a
+    grid of its own.  Sup-type quantities are restricted to the central
+    half of the position lattice; edge positions wrap the window around
+    the periodic box and do not represent any continuum translate.  In 1D
+    both norms read the same |V|, so one pass measures them, on the t's own
+    grid if it has one (0 < |t| < 0.5) and on g's otherwise, and W is
+    refined at half resolution; in 2D M^{1,inf} takes the t's own grid and
+    W is not refined (w_refinement None).  m1 is nan where no M^{1,inf} row
+    is measured.  Each chirp is sampled here, just before its pass, and
+    handed to it with no other reference, so it is freed when the pass
+    returns: a 2D t's W chirp is gone before its M^{1,inf} chirp is
+    sampled, and only one 2D chirp is alive at a time.  The 2D chirps held
+    together would take 11 MiB, while a 2D Gaussian window keeps only its
+    1D factors, 2N floats.
     """
-    base = g.grid
-    hw = base.L / 4.0
     rows = []
     for t, m1_pred in zip(t_list, m1_preds):
-        f = chirp_field(base, t)
         with_m1 = not math.isnan(m1_pred)
-        if base.d == 1:
-            w, w_ref, m1 = _wfl1_and_m1inf(f, g, stride, hw, with_m1)
-        else:
-            w = amalgam_norm_wfl1(f, g, stride=stride, position_halfwidth=hw)
-            w_ref, m1 = None, float("nan")
-            if with_m1:
-                gm, mstride = m1_windows[t]
-                m1 = m_1_inf_norm(chirp_field(gm.grid, t), gm, stride=mstride,
-                                  position_halfwidth=gm.grid.L / 4.0)
-        rows.append((w, w_ref, m1))
+        if g.grid.d == 1:
+            gt, st = windows.get(t, (g, stride))
+            rows.append(_wfl1_and_m1inf(chirp_field(gt.grid, t), gt, st, gt.grid.L / 4.0,
+                                        with_m1))
+            continue
+        w = amalgam_norm_wfl1(chirp_field(g.grid, t), g, stride=stride,
+                              position_halfwidth=g.grid.L / 4.0)
+        m1 = float("nan")
+        if with_m1:
+            gm, mstride = windows[t]
+            m1 = m_1_inf_norm(chirp_field(gm.grid, t), gm, stride=mstride,
+                              position_halfwidth=gm.grid.L / 4.0)
+        rows.append((w, None, m1))
     return rows
 
 
@@ -309,14 +340,27 @@ DIVERGENCE_MAX_N = 1 << 16
 # 32, 64; 2.065 on 8, 12; failing at 1.98 and passing at 2.07 on 64, 128,
 # 256 and on 10, 15; the same for -t.
 DIVERGENCE_MIN_BOX_T = 2.07
+# The least first box L_1.  On smaller boxes the window, of width about 1,
+# fills the quarter box, and the pass threshold of L_1 |t| rises above
+# DIVERGENCE_MIN_BOX_T.  Bisected with ``tfmult run`` on the boxes L_1, 2 L_1:
+# 4.10 at L_1 = 3, 2.46 at 4, 2.20 at 5, 2.12 at 6, 2.09 at 7, 2.068 at 7.9,
+# 2.065 at 8 (also on 8, 9; 8, 24 and 8, 16, 32) and 2.04 at 10.  Below
+# L_1 = 3 runs pass and fail erratically: at t = 2 the boxes 1, 2 pass, 2, 4
+# fail and 3, 6 pass.
+DIVERGENCE_MIN_BOX = 8.0
+
+
+def _nyquist_size(L: float, t: float) -> float:
+    """N of the box-L grid of the chirp of t > 0: its Nyquist frequency exceeds t L / 4 by a margin."""
+    return _grid_size(2.0 * L * (t * L / 4.0 + 2.0 * math.sqrt(1.0 + t * t) + 4.0))
 
 
 def _divergence_grid(L: float, t: float) -> Grid:
-    """The box-L grid of the chirp of t > 0: its Nyquist frequency exceeds t L / 4 by a margin.
+    """The box-L grid of the chirp of t > 0, N by ``_nyquist_size``.
 
     A box whose grid needs N > ``DIVERGENCE_MAX_N`` raises ParameterError.
     """
-    N = _grid_size(2.0 * L * (t * L / 4.0 + 2.0 * math.sqrt(1.0 + t * t) + 4.0))
+    N = _nyquist_size(L, t)
     if N > DIVERGENCE_MAX_N:
         raise ParameterError(f"box L = {L:g} needs an N = {N} grid for the M^(inf,1) "
                              f"divergence, above the cap N = {DIVERGENCE_MAX_N}")
@@ -337,15 +381,18 @@ def _divergence_grids(t: float, box_sizes) -> list:
 
     The chirps of t and -t are conjugate and take one grid; t = 0 (the
     constant symbol) takes that of t = 0.25.  A t != 0 whose first box is
-    below ``DIVERGENCE_MIN_BOX_T`` / |t| raises ParameterError: on it the
-    ridge is too flat to grow by the required factor.
+    below ``DIVERGENCE_MIN_BOX_T`` / |t| or below ``DIVERGENCE_MIN_BOX``
+    raises ParameterError: on it the ridge is too flat to grow by the
+    required factor.
     """
     _check_boxes(box_sizes)
-    if t != 0 and box_sizes[0] * abs(t) < DIVERGENCE_MIN_BOX_T:
-        raise ParameterError(
-            f"t = {t:g}: the first box L = {box_sizes[0]:g} is too small for the chirp's "
-            f"M^(inf,1) ridge to grow; it must be at least {DIVERGENCE_MIN_BOX_T:g}/|t| = "
-            f"{DIVERGENCE_MIN_BOX_T / abs(t):.4g}")
+    L1 = box_sizes[0]
+    if t != 0 and (L1 * abs(t) < DIVERGENCE_MIN_BOX_T or L1 < DIVERGENCE_MIN_BOX):
+        smallest = DIVERGENCE_MIN_BOX_T / abs(t)
+        bound = (f"{DIVERGENCE_MIN_BOX_T:g}/|t| = {smallest:.4g}" if smallest > DIVERGENCE_MIN_BOX
+                 else f"{DIVERGENCE_MIN_BOX:g} for every t")
+        raise ParameterError(f"t = {t:g}: the first box L = {L1:g} is too small for the chirp's "
+                             f"M^(inf,1) ridge to grow; it must be at least {bound}")
     return [_divergence_grid(L, max(abs(t), 0.25)) for L in box_sizes]
 
 

@@ -44,12 +44,12 @@ def _amalgam_errors(d, with_m1inf):
     """[(W, M^{1,inf}) relative error] of the default t_list; M^{1,inf} nan when not measured."""
     t_list = (0.5, 1.0, 2.0, 4.0)
     grid, stride = verify._amalgam_grid(d)
-    m1_windows, w_preds, m1_preds = verify._amalgam_checks(t_list, grid)
+    windows, w_preds, m1_preds = verify._amalgam_checks(t_list, grid)
     m1_asked = m1_preds  # a nan prediction measures no M^{1,inf} row
     if not with_m1inf:
-        m1_windows, m1_asked = {}, [math.nan] * len(t_list)
+        windows, m1_asked = {}, [math.nan] * len(t_list)
     rows = verify.verify_amalgam_constants(t_list, gaussian_window(grid), stride, m1_asked,
-                                           m1_windows)
+                                           windows)
     return [(abs(w - wp) / wp, abs(m1 - mp) / mp)
             for (w, _, m1), wp, mp in zip(rows, w_preds, m1_preds)]
 

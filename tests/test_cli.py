@@ -266,25 +266,72 @@ class TestListValidate:
                     ) == capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("t,smallest", [("0.1", "20.7"), ("-0.1", "20.7"),
-                                            ("0.127", "16.3"), ("1e-300", "2.07e+300")])
-    def test_divergence_first_box_below_the_chirp_scale(self, tmp_path, capsys, monkeypatch,
-                                                        t, smallest):
+    @pytest.mark.parametrize("t,l_list,bound", [
+        ("0.1", "16, 32, 64", "2.07/|t| = 20.7"), ("-0.1", "16, 32, 64", "2.07/|t| = 20.7"),
+        ("0.127", "16, 32, 64", "2.07/|t| = 16.3"), ("1e-300", "16, 32, 64", "2.07/|t| = 2.07e+300"),
+        ("1", "3, 6", "8 for every t"), ("1", "4, 8", "8 for every t"),
+        ("1", "7, 14", "8 for every t"), ("-4", "1, 2", "8 for every t"),
+        ("2", "2, 4", "8 for every t"),
+    ])
+    def test_divergence_first_box_too_small(self, tmp_path, capsys, monkeypatch, t, l_list,
+                                            bound):
         # validate said ok, and run exited 1: on the boxes 16, 32, 64 the
         # ridge of a t with L_1 |t| below about 2 grows by less than 1.5 per
-        # doubling (1.443 and 1.614 at t = 0.1, 1.000 at t = 1e-300)
+        # doubling (1.443 and 1.614 at t = 0.1, 1.000 at t = 1e-300); on a
+        # first box below 8 the threshold of L_1 |t| rises above 2.07 (2.46
+        # at L_1 = 4, 2.09 at 7): t = 1 on 3, 6 grew by 1.466 and exited 1
         def no_fft(*args, **kwargs):
             raise AssertionError("a pass started")
 
         for transform in ("fft", "fftn", "ifft", "ifftn"):
             monkeypatch.setattr(np.fft, transform, no_fft)
-        cfg = write_config(tmp_path, f"name = m_inf_1_divergence\nt = {t}\n"
+        cfg = write_config(tmp_path, f"name = m_inf_1_divergence\nt = {t}\nl_list = {l_list}\n"
                                      f"out = {tmp_path / 'o'}\n")
         for cmd in ("validate", "run"):
             assert main([cmd, cfg]) == 2
-            assert (f"error: t = {t}: the first box L = 16 is too small for the chirp's "
-                    f"M^(inf,1) ridge to grow; it must be at least 2.07/|t| = {smallest}\n"
+            assert (f"error: t = {t}: the first box L = {l_list.split(',')[0]} is too small for "
+                    f"the chirp's M^(inf,1) ridge to grow; it must be at least {bound}\n"
                     ) == capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_divergence_smallest_first_box(self, tmp_path):
+        # the corner of the rule, L_1 = 8 and L_1 |t| = 2.07; and t = 0 on
+        # any boxes, which writes no growth rows
+        for keys in ("t = 0.25875\nl_list = 8, 16", "t = 0\nl_list = 1, 2"):
+            cfg = write_config(tmp_path, f"name = m_inf_1_divergence\n{keys}\n"
+                                         f"out = {tmp_path / 'o'}\n")
+            assert main(["validate", cfg]) == 0
+            assert main(["run", cfg]) == 0
+
+    @pytest.mark.parametrize("t_list", ["0.2", "0.05", "-0.45, 0.1, 0"])
+    def test_amalgam_small_t_takes_a_box_of_its_scale(self, tmp_path, t_list):
+        # the L = 16 box cut off the M^(1,inf) ridge: t = 0.2 read 0.049 off
+        # the prediction, t = 0.05 read 0.62, and run exited 1
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, f"name = amalgam_constants\nt_list = {t_list}\n"
+                                     f"out = {out}\n")
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg]) == 0
+        rows = [r.split(",") for r in (out / "results.csv").read_text().splitlines()[1:]]
+        ts = t_list.split(", ")
+        assert len(rows) == 2 * len(ts) - ts.count("0")
+        assert all(float(r[4]) < 1e-12 for r in rows)  # the L = 16 box: 7.2e-6 at t = 0.5
+
+    @pytest.mark.parametrize("t_list,L,N", [("1e-300", "1.07151e+301", "3.42883e+302"),
+                                            ("0.5, -0.0039", "4096", "131072")])
+    def test_amalgam_t_too_small_for_the_cap(self, tmp_path, capsys, monkeypatch, t_list, L, N):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("a pass started")
+
+        for transform in ("fft", "fftn", "ifft", "ifftn"):
+            monkeypatch.setattr(np.fft, transform, no_fft)
+        cfg = write_config(tmp_path, f"name = amalgam_constants\nt_list = {t_list}\n"
+                                     f"out = {tmp_path / 'o'}\n")
+        t = t_list.split(", ")[-1]
+        for cmd in ("validate", "run"):
+            assert main([cmd, cfg]) == 2
+            assert (f"error: t = {t}: the 1D amalgam rows of this t need the box L = {L} on an "
+                    f"N = {N} grid, above the cap N = 65536\n") == capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name,key,value,parsed", [

@@ -117,6 +117,45 @@ class TestSample:
         with pytest.raises(SamplingError):
             sample(lambda x: 1.0 / x, g)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_keeps_a_result_that_is_the_lattice(self, d):
+        # the sampler copied every result, so each sampled field was made twice
+        g = make_grid(d, 8.0, 32)
+        made = []
+
+        def fn(*xs):
+            made.append(np.exp(1j * np.pi * core.radius(xs) ** 2))
+            return made[-1]
+
+        f = sample(fn, g)
+        assert np.shares_memory(f.values, made[0])
+        assert np.array_equal(f.values, made[0].reshape(-1))
+
+    @pytest.mark.parametrize("result", [
+        lambda x, y: np.exp(1j * x),  # an (N, 1) column, broadcast
+        lambda x, y: np.exp(1j * (x + y)).T,  # a view, not C-contiguous
+        lambda x, y: np.exp(1j * (x + y))[:, :],  # a view that does not own its data
+        lambda x, y: _read_only(np.exp(1j * (x + y))),
+    ], ids=["column", "transpose", "view", "read_only"])
+    def test_copies_any_other_result(self, result):
+        g = make_grid(2, 8.0, 32)
+        made = []
+
+        def fn(*xs):
+            made.append(result(*xs))
+            return made[-1]
+
+        f = sample(fn, g)
+        assert not np.shares_memory(f.values, made[0])
+        assert f.values.shape == (g.npoints,) and f.values.flags.writeable
+        expected = np.broadcast_to(made[0], g.shape).reshape(-1)
+        assert np.array_equal(f.values.view(np.uint64), expected.view(np.uint64))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
 
 def _dense_meshes(grid, axis):
     """The dense (N,)*d coordinate arrays of one lattice, as np.meshgrid makes them."""

@@ -44,6 +44,14 @@ class TestSymbols:
         want = np.exp(1j * (0.7 * kept ** 1.5))
         assert np.array_equal(value.view(np.uint64), want.view(np.uint64))
 
+    def test_unimodular_profile_returns_the_buffer_it_owns(self):
+        # it returned a view of its exp buffer, which the sampler then copied
+        value = unimodular_profile(np.linspace(0.0, 8.0, 64).reshape(8, 8), 2.0, 1.0)
+        assert value.base is None and value.flags.owndata and value.flags.writeable
+        grid = make_grid(2, 8.0, 32)
+        f = sample(lambda *xs: unimodular_profile(np.hypot(*xs), 2.0, 1.0), grid)
+        assert f.values.base is not None and f.values.base.base is None
+
     def test_unimodular_is_unimodular(self, grid):
         s = symbol_unimodular(grid, 1.5, t=0.7)
         assert np.allclose(np.abs(s.values), 1.0)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -177,6 +178,32 @@ class TestPredictions:
         # pi t^2 / (1 + t^2) underflowed to 0, and its root divided by zero
         with pytest.raises(ParameterError, match="t = 1e-300 needs an N = inf grid"):
             verify._m1inf_grid_2d(1e-300)
+
+    @pytest.mark.parametrize("t,L,N", [(0.45, 32, 1024), (0.25, 32, 1024), (0.2, 64, 2048),
+                                       (-0.2, 64, 2048), (0.1, 128, 4096), (0.05, 256, 8192),
+                                       (0.01, 1024, 32768), (2.0 ** -8, 2048, 65536)])
+    def test_1d_small_t_grid(self, t, L, N):
+        # the L = 16 box cut off the M^(1,inf) ridge of a small t: t = 0.2
+        # read 0.049 off the prediction and run exited 1
+        grid = verify._small_t_grid(t)
+        assert (grid.L, grid.N) == (L, N) and grid.L * abs(t) >= 8.0
+        assert not chirp_aliased(grid, t, grid.L / 4.0)
+
+    @pytest.mark.parametrize("t,L,N", [(0.0039, "4096", "131072"),
+                                       (1e-300, "1.07151e+301", "3.42883e+302"),
+                                       (-5e-324, "inf", "inf")])
+    def test_1d_small_t_grid_cap(self, t, L, N):
+        message = re.escape(f"t = {t:g}: the 1D amalgam rows of this t need the box L = {L} on "
+                            f"an N = {N} grid, above the cap N = {verify.DIVERGENCE_MAX_N}")
+        with pytest.raises(ParameterError, match=message):
+            verify._small_t_grid(t)
+
+    def test_1d_windows_of_the_small_ts(self):
+        # t = 0 and |t| >= 0.5 keep the W rows' grid, so their bytes stay
+        base = verify._amalgam_grid(1)[0]
+        windows = verify._amalgam_checks((0.0, 0.2, 0.5, -1.0, -0.05), base)[0]
+        assert {t: (w.grid.L, w.grid.N, stride) for t, (w, stride) in windows.items()} == {
+            0.2: (64.0, 2048, 1), -0.05: (256.0, 8192, 1)}
 
 
 class TestDyadicSeries:
@@ -369,6 +396,44 @@ class TestMergedPasses:
         assert w_skipped == rows[1][0]
         assert math.isnan(m1_skipped)
 
+    def test_amalgam_1d_small_t_on_its_own_grid(self):
+        # both rows of a small t read one pass on the t's grid, W refined there
+        t = 0.2
+        base = make_grid(1, 16.0, 512)
+        windows, _, m1_preds = verify._amalgam_checks((t,), base)
+        [row] = verify.verify_amalgam_constants((t,), gaussian_window(base), 1, m1_preds, windows)
+        g = gaussian_window(verify._small_t_grid(t))
+        hw = g.grid.L / 4.0
+        f = verify.chirp_field(g.grid, t)
+        w = amalgam_norm_wfl1(f, g, position_halfwidth=hw)
+        [ref] = refinement([w], lambda h, gh: [amalgam_norm_wfl1(h, gh, position_halfwidth=hw)],
+                           f, g)
+        assert row == (w, ref, m_1_inf_norm(f, g, position_halfwidth=hw))
+
+    def test_amalgam_2d_holds_one_chirp_at_a_time(self, monkeypatch):
+        # the W chirp of a t stayed alive while its M^{1,inf} chirp was
+        # sampled, so two 2D chirps were held at once (5 MiB at t = 4)
+        base, stride = verify._amalgam_grid(2)
+        t_list = (0.5, 1.0, 0.0, -0.5)
+        windows, _, m1_preds = verify._amalgam_checks(t_list, base)
+        made, sample_chirp = [], verify.chirp_field
+
+        def chirp_field(grid, t):
+            if grid != base:  # an M^{1,inf} chirp: every earlier one is dead
+                assert [ref() for ref in made] == [None] * len(made), (t, len(made))
+            f = sample_chirp(grid, t)
+            made.extend([weakref.ref(f), weakref.ref(_owner(f.values))])
+            return f
+
+        monkeypatch.setattr(verify, "chirp_field", chirp_field)
+        monkeypatch.setattr(verify, "amalgam_norm_wfl1", lambda f, g, **kwargs: 1.0)
+        monkeypatch.setattr(verify, "m_1_inf_norm", lambda f, g, **kwargs: 2.0)
+        rows = verify.verify_amalgam_constants(t_list, gaussian_window(base), stride, m1_preds,
+                                               windows)
+        assert len(made) == 2 * 7
+        assert [(w, ref, m1 if t else None) for t, (w, ref, m1) in zip(t_list, rows)] == [
+            (1.0, None, 2.0), (1.0, None, 2.0), (1.0, None, None), (1.0, None, 2.0)]
+
     def test_schrodinger_equals_single_norms(self):
         grid = make_grid(1, 16.0, 512)
         w = gaussian_window(grid)
@@ -431,6 +496,13 @@ class TestConservationDrivers:
         values = _divergence(0.0, (16.0, 32.0))
         # constant symbol: no ridge, the boxed norm saturates instead of growing
         assert values[1] / values[0] < 1.5
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory a views."""
+    while a.base is not None:
+        a = a.base
+    return a
 
 
 def _bits(field_or_values):

@@ -57,7 +57,9 @@ def _experiments(side: Path) -> list:
 # the other in a scratch; then the Schrodinger envelope fit fed the identity
 # flow (t = 0), a repeated t (one ratio per field, two plot points) and an
 # unsorted t list; then the divergence of a small t on first boxes that its
-# chirp scale admits
+# chirp scale admits; then the 1D amalgam rows of small ts, each on a box of
+# its own chirp scale, and the divergence on the smallest first box the plan
+# admits, L_1 = 8 with L_1 |t| = 2.07
 EXTRA_CONFIGS = (
     ("amalgam_constants_d2", "amalgam_constants", "d = 2"),
     ("chirp_stft_t-1_-0.5", "chirp_stft", "t_list = -1, -0.5"),
@@ -83,6 +85,8 @@ EXTRA_CONFIGS = (
     ("schrodinger_conservation_p1.5_q3", "schrodinger_conservation", "p = 1.5\nq = 3"),
     ("schrodinger_conservation_t4_0_4", "schrodinger_conservation", "t_list = 4, 0, 4"),
     ("m_inf_1_divergence_t0.1_l32", "m_inf_1_divergence", "t = 0.1\nl_list = 32, 64, 128"),
+    ("amalgam_constants_t0.2_0.05", "amalgam_constants", "t_list = 0.2, 0.05"),
+    ("m_inf_1_divergence_t0.25875_l8", "m_inf_1_divergence", "t = 0.25875\nl_list = 8, 16"),
 )
 
 
