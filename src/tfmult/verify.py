@@ -314,15 +314,15 @@ def verify_amalgam_constants(t_list, g: Window, stride: int, m1_preds, windows) 
             gt, st = windows.get(t, (g, stride))
             rows.append(_wfl1_and_m1inf(chirp_field(gt.grid, t), gt, st, gt.grid.L / 4.0,
                                         with_m1))
-            continue
-        w = amalgam_norm_wfl1(chirp_field(g.grid, t), g, stride=stride,
-                              position_halfwidth=g.grid.L / 4.0)
-        m1 = float("nan")
-        if with_m1:
-            gm, mstride = windows[t]
-            m1 = m_1_inf_norm(chirp_field(gm.grid, t), gm, stride=mstride,
-                              position_halfwidth=gm.grid.L / 4.0)
-        rows.append((w, None, m1))
+        else:
+            w = amalgam_norm_wfl1(chirp_field(g.grid, t), g, stride=stride,
+                                  position_halfwidth=g.grid.L / 4.0)
+            m1 = float("nan")
+            if with_m1:
+                gm, mstride = windows[t]
+                m1 = m_1_inf_norm(chirp_field(gm.grid, t), gm, stride=mstride,
+                                  position_halfwidth=gm.grid.L / 4.0)
+            rows.append((w, None, m1))
     return rows
 
 
@@ -351,7 +351,7 @@ DIVERGENCE_MIN_BOX = 8.0
 
 
 def _nyquist_size(L: float, t: float) -> float:
-    """N of the box-L grid of the chirp of t > 0: its Nyquist frequency exceeds t L / 4 by a margin."""
+    """N of the box-L grid of the chirp of t > 0: a Nyquist frequency above t L / 4 by a margin."""
     return _grid_size(2.0 * L * (t * L / 4.0 + 2.0 * math.sqrt(1.0 + t * t) + 4.0))
 
 

@@ -268,7 +268,8 @@ class TestListValidate:
 
     @pytest.mark.parametrize("t,l_list,bound", [
         ("0.1", "16, 32, 64", "2.07/|t| = 20.7"), ("-0.1", "16, 32, 64", "2.07/|t| = 20.7"),
-        ("0.127", "16, 32, 64", "2.07/|t| = 16.3"), ("1e-300", "16, 32, 64", "2.07/|t| = 2.07e+300"),
+        ("0.127", "16, 32, 64", "2.07/|t| = 16.3"),
+        ("1e-300", "16, 32, 64", "2.07/|t| = 2.07e+300"),
         ("1", "3, 6", "8 for every t"), ("1", "4, 8", "8 for every t"),
         ("1", "7, 14", "8 for every t"), ("-4", "1, 2", "8 for every t"),
         ("2", "2, 4", "8 for every t"),
