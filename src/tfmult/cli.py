@@ -256,6 +256,8 @@ def _run_chirp_stft(t_list=(0.0, 0.5, 1.0, 2.0), tolerance=1e-6, l=_GRID.L, n=_G
     # each row names whether the chirp is unresolved anywhere in the box
     aliased = [verify.chirp_aliased(grid, t, grid.L / 2.0) for t in t_list]
     _check_tolerance(tolerance)
+    for t in t_list:
+        verify._check_chirp_alias(grid, t, tolerance)
     g = gaussian_window(grid)
 
     def measure():
@@ -371,6 +373,7 @@ def _run_operator_probe(alpha_list=(0.5, 1.0, 1.5, 2.0), l=32.0, n=512):
                dict(_sampled(f"the probe family on the grid L = {l:g}, N = {grid.N}",
                              verify.probe_family, grid)),
                gaussian_window(grid)) for grid in grids]
+    verify._check_probe_grid(grids[0])
 
     def measure():
         largest = []  # per grid: (alpha index, (p, q)) -> the largest ratio over the family

@@ -43,11 +43,18 @@ def unimodular_profile(rho, alpha: float, t: float = 1.0):
     """e^{i t rho^alpha}; the chirp e^{i pi t |x|^2} is alpha = 2 with pi t for t.
 
     rho^0 is 1 at rho = 0 too, so alpha = 0 gives the constant e^{it}.  The
-    phase t rho^alpha is exponentiated in place, and an array rho gives
-    that buffer itself, which ``sample`` keeps with no copy; a scalar rho
-    gives a scalar.
+    phase t rho^alpha is made in the imaginary part of the result and
+    exponentiated in place, so no real temporary sits beside it; the bits
+    are those of exp(1j * (t * rho ** alpha)).  An array rho gives that
+    buffer itself, which ``sample`` keeps with no copy; a scalar rho gives
+    a scalar.
     """
-    z = np.asarray(1j * (t * rho ** alpha))
+    z = np.zeros(np.shape(rho), np.complex128)
+    phase = z.imag
+    phase[...] = rho
+    phase **= alpha
+    phase *= t
+    phase += 0.0  # a phase of -0 (t < 0 at rho = 0) is +0 in 1j * phase too
     np.exp(z, out=z)
     return z if z.ndim else z[()]
 

@@ -45,12 +45,14 @@ call, and ``reduce`` takes any power it needs of A itself.
 * Row-column (``_row_column_sums``): a 2D window kept as its factors, a
   tensor product g(x) = g0(x0) g1(x1), as ``gaussian_window`` makes it.
   V_g f(x, w) = F1[F0[f conj(g0(. - x0))] conj(g1(. - x1))], so the axis-0
-  transform H is computed once per position row, in the first column
-  block's buffer, and reused for its columns, which go through blocks of
-  about ``_BLOCK_BYTES``.  A row's blocks go to the threads in one
-  hand-off: each thread owns a k0 range and runs, block by block in
-  position order, the column-window multiply, the axis-1 transform, |V|,
-  |V|^p and the positions-inner sums on its columns.  A pass with a
+  transform H is computed once per position row, in place in H's columns,
+  and reused for its columns, which go through blocks of about
+  ``_BLOCK_BYTES``.  A row's blocks go to the threads in one hand-off:
+  each thread owns a k0 range and runs, block by block in position order,
+  the column-window multiply, the axis-1 transform, |V|, |V|^p and the
+  positions-inner sums on its columns.  A block of one column (N >= 512)
+  goes through in k0 tiles of about ``_TILE_BYTES``, tile by tile, so its
+  block and |V| buffers hold a tile, not N^2 values.  A pass with a
   ``reduce`` hands each block off on its own and then its rows to
   ``reduce``, before the next block overwrites them.
 
@@ -69,11 +71,11 @@ Pass buffers outlive the pass (``_pass_buffers``): a module store keeps one
 spare per role (the block, the |V| pair or block, and the row-column |V|^p
 block and H), which the next pass takes instead of faulting in fresh
 pages; a pass that runs beside it finds no spare and allocates its own.
-In the paper's runs the largest kept set is that of the 2D N = 512
-M^{1,inf} pass, about 10 MiB, and in 1D that of the N = 4096 divergence
-pass, about 8 MiB (68 MiB while a windowed pass held a whole chunk of |V|
-and of |V|^p).  ``stft`` drops every spare before and after
-it fills its matrix.
+In the paper's runs the largest kept set is in 2D that of the N = 256 W
+passes, 7 MiB (the tiled N = 512 M^{1,inf} pass keeps 5.5 MiB), and in 1D
+that of the N = 4096 divergence pass, about 8 MiB (68 MiB while a windowed
+pass held a whole chunk of |V| and of |V|^p).  ``stft`` drops every spare
+before and after it fills its matrix.
 
 Why the bits stay: chunk sizes, block sizes and position order depend
 neither on the thread split (``core._split``) nor on the spares, every row
@@ -87,9 +89,10 @@ the chunk were one block.  Each row-column accumulator column is summed
 block by block, in position order, by the one thread that owns it.  The
 functions handed to the threads, ``reduce`` included, call only numpy,
 never a public ``tfmult`` function.  A walked row-column ``centered_fft``
-call's ``a`` is the block repeated once per block of the row
-(``core._repeated``), so a tracer counting FFT work from ``a.shape`` counts
-the true work; the window multiply and the fused sums run inside the calls.
+call's ``a`` is the block repeated once per step of the row, a block or
+a (tile, column) pair (``core._repeated``), so a tracer counting FFT work
+from ``a.shape`` counts the true work; the window multiply and the fused
+sums run inside the calls.
 """
 
 from __future__ import annotations
@@ -133,6 +136,14 @@ _CHUNK_BYTES = 1 << 26
 # column block, a step of a windowed chunk); a 1 MiB block cost 4% more wall
 # time in per-step overhead
 _BLOCK_BYTES = 1 << 22
+# ~1 MiB of complex rows per k0 tile of a row-column pass whose block is one
+# column and which has no ``reduce`` (N >= 512): its block and |V| rows shrink
+# four-fold, and no sum changes order, since a one-column block is added to
+# its accumulator as one row.  On 289 positions of the N = 512 t = 4 chirp,
+# one thread took 0.89 s with 1 MiB tiles against 1.00, 0.96 and 1.00 s with
+# 4, 2 and 0.5 MiB; two threads 0.62 s with 4, 2 and 1 MiB and 0.70 s with
+# 0.5 MiB.  Tiling the several-column blocks of N = 256 too cost 10% more.
+_TILE_BYTES = 1 << 20
 # A windowed |V| step holds at least one row per _POINTS_PER_STEP_ROW points
 # of N: numpy's FFT takes a scratch buffer of a few N-point lines per call,
 # which a fresh process maps anew on every call from N = 8192 on, and at
@@ -416,14 +427,12 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col,
     """Fold |V_g f| into ``acc`` and hand its rows to ``reduce``, on the row-column path.
 
     g = g0 x g1, so H = F0[f conj(T_{x_i} g0)], as (k0, x1), depends only
-    on the position row i: it is transformed once per row along contiguous
-    rows of HT, (x1, x0), and then multiplied by each column's
-    conj(T_{x_j} g1) before the axis-1 transform.  The transform's ``fill``
-    multiplies f's columns, read in place, by the row's window into HT, and
-    its ``fold`` transposes HT into H.  HT is the first block of the block
-    buffer, which is free from the start of a position row until the row's
-    column blocks overwrite it, after the transpose.  g1 is presigned, so
-    the axis-1 transforms give |V| on the sign-free path.
+    on the position row i: it is transformed once per row, in place along
+    H's columns (the rows of the view H.T), and then multiplied by each
+    column's conj(T_{x_j} g1) before the axis-1 transform.  The
+    transform's ``fill`` multiplies f's columns, read in place, by the
+    row's window straight into H's columns.  g1 is presigned, so the
+    axis-1 transforms give |V| on the sign-free path.
 
     The column blocks of a position row go to the threads once: all full
     blocks in one ``centered_fft`` call, whose block buffer is repeated
@@ -432,10 +441,14 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col,
     frequency columns k0*N:(k0+1)*N, and for each block in position order
     runs on them the column-window multiply, the axis-1 transform, |V|,
     |V|^p for each p of ``acc`` but 1 and inf (into a one-sided power
-    block) and the positions-inner sums (``_fold_columns``).  So each
-    accumulator column is summed block by block, in position order, by one
-    thread; and the traced ``a`` of each call still has the shape of the
-    transforms it runs.
+    block) and the positions-inner sums (``_fold_columns``).  A pass with
+    no ``reduce`` whose block is one column cuts k0 into tiles of
+    ``_TILE_BYTES`` // (16 N) rows (a power of two): the block and its |V|
+    hold one tile, and the walk's steps are the (tile, column) pairs, tile
+    by tile and column by column in position order, each folded into its
+    tile's slice of the accumulators.  So each accumulator column is summed
+    block by block, in position order, by one thread; and the traced ``a``
+    of each call still has the shape of the transforms it runs.
 
     With ``reduce`` (a pass with frequencies-inner specs) every block is a
     call of its own, and one more hand-off, split over the block's rows,
@@ -452,13 +465,19 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col,
     rows0, rows1 = _translates(g0, (sel0,)), _translates(_presigned(g1, 1), (sel1,))
     fv = f.reshaped()
     powers = _powers(acc)
+    cols = min(max(1, _BLOCK_BYTES // (16 * N * N)), ncols)
+    tile = N
+    if cols == 1 and reduce is None:
+        # a power of two, so that the tiles cut N evenly
+        tile = min(N, 1 << (max(1, _TILE_BYTES // (16 * N)).bit_length() - 1))
+    # each tile's slice of every accumulator, k0 rows k*tile:(k+1)*tile
+    tiles = [{p: s[k * tile * N : (k + 1) * tile * N] for p, s in acc.items()}
+             for k in range(N // tile)]
     with _pass_buffers() as take:
         H = take("H", (N, N), np.complex128)  # (k0, x1)
-        cols = min(max(1, _BLOCK_BYTES // (16 * N * N)), ncols)
-        buf = take("chunk", (cols, N, N), np.complex128)
-        HT = buf[0]  # (x1, k0), free until the row's column blocks overwrite it
-        A = take("modulus", (cols, N * N))
-        P = take("power", (len(powers), cols, N * N)) if powers else ()
+        buf = take("chunk", (cols, tile, N), np.complex128)
+        A = take("modulus", (cols, tile * N))
+        P = take("power", (len(powers), cols, tile * N)) if powers else ()
         powered = {1.0: A, math.inf: A, **dict(zip(powers, P))}
         groups = _walk_groups(ncols, cols)
         if reduce is not None:
@@ -467,30 +486,28 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col,
         for i, row0 in enumerate(rows0):
 
             def window_rows(lo, hi):
-                np.multiply(fv[:, lo:hi].T, row0, out=HT[lo:hi])
+                np.multiply(fv[:, lo:hi], row0[:, None], out=H[:, lo:hi])
 
-            def transpose(lo, hi):
-                H[:, lo:hi] = HT[lo:hi].T
-
-            centered_fft(HT, 1, grid.dx, out=HT, fill=window_rows, fold=transpose)
+            centered_fft(H.T, 1, grid.dx, out=H.T, fill=window_rows)
             for start, stop, size in groups:
                 block, Ab = buf[:size], A[:size]
                 w = rows1[start:stop].reshape(-1, size, 1, N)
-                steps = _repeated(block, len(w))
+                steps = _repeated(block, len(tiles) * len(w))
 
                 def rows_of(p):
                     return powered[p][:size]
 
-                def window_columns(b, lo, hi):
-                    np.multiply(H[lo:hi], w[b], out=block[:, lo:hi])
+                def window_columns(j, lo, hi):
+                    k0 = j // len(w) * tile
+                    np.multiply(H[k0 + lo : k0 + hi], w[j % len(w)], out=block[:, lo:hi])
 
-                def fold_columns(b, lo, hi):
+                def fold_columns(j, lo, hi):
                     for p in powers:
                         _pow(Ab[:, lo * N : hi * N], p, out=rows_of(p)[:, lo * N : hi * N])
-                    _fold_columns(rows_of, acc, col, lo * N, hi * N)
+                    _fold_columns(rows_of, tiles[j // len(w)], col, lo * N, hi * N)
 
                 centered_fft(steps, 1, grid.dx, out=steps,
-                             modulus=_repeated(Ab.reshape(block.shape), len(w)),
+                             modulus=_repeated(Ab.reshape(block.shape), len(steps)),
                              fill=window_columns, fold=fold_columns if acc else None)
                 if reduce is not None:
                     _split(functools.partial(reduce, i * ncols + start, Ab), size, Ab.nbytes)

@@ -124,6 +124,43 @@ def _chirp_stft_region(grid: Grid, t: float) -> tuple:
     return xs, oms, pw
 
 
+# The share of a ``chirp_stft`` tolerance that the chirp's first frequency
+# alias may take (``_check_chirp_alias``).  The check's deviation equals the
+# alias's closed form to 3 digits at its pass threshold, bisected with
+# ``verify_chirp_stft`` at tolerance 1e-6: |t| = 4.7615 on L = 32, N = 2048;
+# 3.9287 on 16, 512; 5.4347 on 20, 1024; 2.6373 on 64, 4096; 3.1032 on 12,
+# 256.  On L = 8, N = 256 the box's periodization adds 2.5e-7 (threshold
+# 5.8821, alias 7.5e-7), which the other half covers.
+CHIRP_ALIAS_SHARE = 0.5
+
+
+def _check_chirp_alias(grid: Grid, t: float, tolerance: float) -> None:
+    """Raise unless the chirp's first frequency alias stays below its share of ``tolerance``.
+
+    On the lattice dx = L/N the chirp's STFT is the continuum one
+    periodized in frequency with period N/L.  Over the compared positions
+    |x| <= L/4 the ridge w = t x has a first alias t x -/+ N/L that comes
+    within gap = 3N/(4L) - |t| L/4 of the compared band |w| <= N/(4L), at
+    a corner of the region, and enters it at gap <= 0.  There the closed
+    form gives the alias |V| = (1 + t^2)^{-1/4} e^{-pi gap^2 / (1 + t^2)},
+    which is the deviation ``verify_chirp_stft`` reads: so a t whose alias
+    reaches ``CHIRP_ALIAS_SHARE`` of the tolerance raises ParameterError.
+    The quarter-box local frequency |t| L/4 against the Nyquist frequency
+    N/(2L) does not predict it: the row of L = 32, N = 2048 passes up to
+    |t| L/4 = 38 against 32, and that of L = 8, N = 256 fails from 12
+    against 16.
+    """
+    gap = 3.0 * grid.N / (4.0 * grid.L) - abs(t) * grid.L / 4.0
+    with np.errstate(all="ignore"):  # a nan alias (inf / inf) is rejected below
+        alias = float(chirp_stft_oracle(0.0, max(0.0, gap), t))
+    if not alias < CHIRP_ALIAS_SHARE * tolerance:
+        raise ParameterError(
+            f"t = {t:g}: on the grid L = {grid.L:g}, N = {grid.N} the chirp's first frequency "
+            f"alias lies 3N/(4L) - |t|L/4 = {gap:.4g} from the compared band |w| <= N/(4L), "
+            f"where its closed-form |V| is {alias:.3g}, not below {CHIRP_ALIAS_SHARE:g} times "
+            f"the tolerance {tolerance:g}")
+
+
 def verify_chirp_stft(f: SampledField, g: Window, t: float, region) -> float:
     """Max |V_g f - oracle| of the chirp f = ``chirp_field(grid, t)`` against the closed form.
 
@@ -649,6 +686,25 @@ INITIAL_DATA = {
 def probe_family(grid: Grid) -> list:
     """[(label, field)] of the dilated, translated, modulated and chirped ``PROBES``."""
     return [(label, gaussian_data(grid, *params)) for label, params in PROBES.items()]
+
+
+# The least N/L of the coarser ``operator_probe`` grid: below it the ratios
+# of the two grids differ by the 0.05 the experiment allows, first at
+# alpha = 2, (p, q) = (1, 1), as the narrowest probes (lambda = 8) and the
+# chirped one are not resolved.  Bisected over L: the threshold lies at
+# N/L = 5.41 on N = 128 and 256 (L = 23.66 and 47.25), and 5.38 on N = 64
+# (L = 11.89); at N/L = 5.5 the change reads 0.035 to 0.039 on N = 64 to 512.
+# L = 32 fails on N = 128 (change 0.30) and passes on 256, L = 20 fails on
+# 64 (0.087) and passes on 128 (0.011).  Boxes down to L = 0.5 pass above it.
+PROBE_MIN_N_PER_L = 5.5
+
+
+def _check_probe_grid(grid: Grid) -> None:
+    """Raise unless the coarser ``operator_probe`` grid has N/L >= ``PROBE_MIN_N_PER_L``."""
+    if not grid.N / grid.L >= PROBE_MIN_N_PER_L:
+        raise ParameterError(
+            f"n = {grid.N}, l = {grid.L:g}: the operator probes are resolved only for "
+            f"n/l >= {PROBE_MIN_N_PER_L:g}, and n/l = {grid.N / grid.L:.4g}")
 
 
 def probe_ratios(symbols: dict, fields: dict, norms, products=None) -> dict:

@@ -204,6 +204,18 @@ class TestListValidate:
         # wrote an empty measured cell and exited 1 (three keys: t_list, l, n)
         ("chirp_stft", "t_list", "1e200\nl = 1e-300\nn = 16",
          "t = 1e+200: the closed-form chirp STFT is not finite on the grid L = 1e-300, N = 16"),
+        # validate said ok, and run exited 1: the ratios of the two grids
+        # differed by 0.30 and 0.087, above 0.05, as the narrow probes are
+        # not resolved below n/l = 5.41
+        ("operator_probe", "n", "128", "n = 128, l = 32: the operator probes are resolved "
+                                       "only for n/l >= 5.5, and n/l = 4"),
+        ("operator_probe", "n", "64\nl = 20", "n = 64, l = 20: the operator probes"),
+        # validate said ok, and run exited 1: the chirp's first frequency
+        # alias reached the compared band (max |V - oracle| 2.7e-6 at 4.8)
+        ("chirp_stft", "t_list", "4.8", "t = 4.8: on the grid L = 32, N = 2048 the chirp's "
+                                        "first frequency alias lies 3N/(4L) - |t|L/4 = 9.6"),
+        ("chirp_stft", "t_list", "0.5, -6", "t = -6: on the grid L = 32, N = 2048"),
+        ("chirp_stft", "t_list", "2\nl = 16\nn = 128", "t = 2: on the grid L = 16, N = 128"),
         # keys the experiment does not take used to pass both commands unread
         ("sin_singular_fl1", "n", "64", "sin_singular_fl1 takes no key 'n'"),
         ("lp_contrast", "lambda_lst", "1, 2", "lp_contrast takes no key 'lambda_lst'"),
@@ -220,6 +232,18 @@ class TestListValidate:
         assert main(["run", cfg]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("body", [
+        # the chirp's alias rule admits |t| <= 4.7356 on the default grid;
+        # max |V - oracle| reads 1.9e-7 at 4.7
+        "name = chirp_stft\nt_list = 4.7, -4.7\n",
+        # n/l = 5.5 on the smallest probe grids: the ratios change by 0.035
+        "name = operator_probe\nn = 64\nl = 11.636\n",
+    ])
+    def test_plan_bounds_admit_what_run_measures(self, tmp_path, body):
+        cfg = write_config(tmp_path, body + f"out = {tmp_path / 'o'}\n")
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg]) == 0
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("body,codes,message", [

@@ -227,6 +227,20 @@ class TestSparseMeshes:
             tracemalloc.stop()
         assert peak <= 2.5 * f.values.nbytes
 
+    def test_512_chirp_sampling_holds_only_its_radius_beside_its_field(self):
+        # |x| (2 MiB) beside the 4 MiB field, whose imaginary part holds the
+        # phase: the real phase t|x|^2 and the complex 1j * phase beside them
+        # held 8.14 MiB
+        g = make_grid(2, 22.4, 512)
+        verify.chirp_field(g, 4.0)  # numpy loads what it loads lazily
+        tracemalloc.start()
+        try:
+            f = verify.chirp_field(g, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * f.values.nbytes + (1 << 18)
+
 
 class TestCenteredTransform:
     def test_gaussian_is_fixed_point(self):

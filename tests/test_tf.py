@@ -876,11 +876,12 @@ class TestStepFold:
 
     @pytest.mark.parametrize("spec", [(np.inf, 1.0, POSITIONS_INNER), tf._WFL1])
     def test_cold_2d_pass_holds_no_transposed_field(self, spec):
-        # a row-column pass at one position holds H and the one-column block
+        # a row-column pass at one position holds H, whose axis-0 transform
+        # runs in place along its columns, and the one-column block
         # (complex), the block's |V| row, col and a positions-inner
         # accumulator (real), and during a transform numpy's FFT buffers,
         # about 0.27 MiB; the transposed field and an HT buffer beside H
-        # added 2 MiB
+        # added 2 MiB (here N = 256: the block is one k0 tile)
         grid = make_grid(2, 16.0, 256)
         f, g = sample(lambda x, y: np.exp(-np.pi * (x ** 2 + y ** 2)), grid), gaussian_window(grid)
         _norms(f, g, [spec], stride=grid.N)  # numpy's FFT imports what it loads lazily
@@ -895,6 +896,27 @@ class TestStepFold:
         real_rows = 3 if spec[2] == POSITIONS_INNER else 2
         assert peak <= 2 * 16 * M + real_rows * 8 * M + (1 << 19)
         assert set(tf._spares) == {"chunk", "modulus", "H"}
+
+    def test_cold_512_pass_holds_one_k0_tile(self):
+        # one position of an N = 512 positions-inner pass holds H (4 MiB),
+        # one k0 tile of the block (1 MiB) and of its |V| (0.5 MiB), col and
+        # the accumulator (2 MiB each) and numpy's FFT buffers: 10.3 MiB
+        # traced; the whole one-column block and its |V| (4 and 2 MiB) held
+        # 14.3 MiB
+        grid = make_grid(2, 16.0, 512)
+        f, g = sample(lambda x, y: np.exp(-np.pi * (x ** 2 + y ** 2)), grid), gaussian_window(grid)
+        _norms(f, g, [tf._M1INF], stride=grid.N)  # numpy's FFT imports what it loads lazily
+        tf._release_spares()
+        tracemalloc.start()
+        try:
+            _norms(f, g, [tf._M1INF], stride=grid.N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        M = grid.npoints
+        assert peak <= 16 * M + 16 * M // 4 + 8 * M // 4 + 2 * 8 * M + (1 << 20)
+        assert {role: buf.nbytes for role, buf in tf._spares.items()} == {
+            "H": 16 * M, "chunk": 16 * M // 4, "modulus": 8 * M // 4}
 
     @pytest.mark.parametrize("spec", [(1.0, np.inf, POSITIONS_INNER),
                                       (np.inf, 1.0, POSITIONS_INNER),
@@ -1009,6 +1031,34 @@ class TestFusedFold:
             with split_workers(workers):
                 assert _norms(f, g, specs) == want
 
+    @pytest.mark.parametrize("rows, tile", [(4, 4), (6, 4), (8, 8), (16, 16)])
+    def test_k0_tiles_equal_the_untiled_pass(self, monkeypatch, split_workers, rows, tile):
+        # one-column blocks with no reduce go through k0 tiles of a power of
+        # two rows, the walk's steps tile by tile: each accumulator column
+        # still takes one |V| row per position, in position order, on one
+        # thread, so every value is == the pass whose one tile is all of k0
+        f, g = _case("gaussian_2d", seed=6)
+        N = f.grid.N
+        specs = [(p, q, POSITIONS_INNER) for p, q in [(1.0, np.inf), (np.inf, 1.0), (2.0, 2.0)]]
+        monkeypatch.setattr(tf, "_BLOCK_BYTES", 16 * N * N)
+        monkeypatch.setattr(tf, "_TILE_BYTES", 16 * N * N)
+        with split_workers(1):
+            want = [_norms(f, g, [spec], 2) for spec in specs] + [_norms(f, g, specs, 2)]
+        monkeypatch.setattr(tf, "_TILE_BYTES", 16 * N * rows)
+        shapes = []
+        transform = tf.centered_fft
+
+        def traced(a, d, *args, **kwargs):
+            shapes.append(a.shape)
+            return transform(a, d, *args, **kwargs)
+
+        monkeypatch.setattr(tf, "centered_fft", traced)
+        for workers in (1, 2):
+            with split_workers(workers):
+                assert [_norms(f, g, [spec], 2) for spec in specs] + [_norms(f, g, specs, 2)] \
+                    == want
+        assert set(shapes) == {(N, N), (N // tile * N // 2, 1, tile, N)}
+
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
     def test_default_m1inf_configurations(self, split_workers, t):
         # each default 2D M^{1,inf} row's grid, stride, chirp and window, on
@@ -1084,8 +1134,8 @@ class TestFusedFold:
         return calls
 
     def test_row_column_hands_each_transform_off_once(self, monkeypatch, split_workers):
-        # per position row: H's transform (with the window multiply and the
-        # transpose), then the row's full column blocks in one hand-off and
+        # per position row: H's transform in place (with the window multiply),
+        # then the row's full column blocks in one hand-off and
         # its short last block (32 = 10 * 3 + 2 columns) in another, each
         # with the window multiply and the positions-inner sums
         calls = self._hand_offs(monkeypatch, split_workers, self.POSITIONS)

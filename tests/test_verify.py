@@ -94,6 +94,18 @@ class TestChirpOracle:
         assert chirp_aliased(make_grid(1, 32.0, 2048), 2.0, 16.0)
         assert not chirp_aliased(make_grid(1, 32.0, 2048), 1.0, 16.0)
 
+    @pytest.mark.parametrize("L,N,t", [(32.0, 2048, 4.8), (16.0, 512, 4.0), (64.0, 4096, -2.7)])
+    def test_deviation_past_the_alias_bound_is_the_alias(self, L, N, t):
+        # the plan's rule reads the check's deviation off the closed form of
+        # the chirp's first frequency alias, to 3 digits
+        grid = make_grid(1, L, N)
+        with pytest.raises(ParameterError, match="first frequency alias"):
+            verify._check_chirp_alias(grid, t, 1e-6)
+        gap = 3.0 * N / (4.0 * L) - abs(t) * L / 4.0
+        err = verify.verify_chirp_stft(verify.chirp_field(grid, t), gaussian_window(grid), t,
+                                       verify._chirp_stft_region(grid, t))
+        assert err == pytest.approx(chirp_stft_oracle(0.0, gap, t), rel=1e-3)
+
     def test_verify_rejects_2d(self):
         with pytest.raises(ParameterError):
             verify._chirp_stft_region(make_grid(2, 16.0, 32), 1.0)
