@@ -690,8 +690,8 @@ def probe_family(grid: Grid) -> list:
 
 # The least N/L of the coarser ``operator_probe`` grid: below it the ratios
 # of the two grids differ by the 0.05 the experiment allows, first at
-# alpha = 2, (p, q) = (1, 1), as the narrowest probes (lambda = 8) and the
-# chirped one are not resolved.  Bisected over L: the threshold lies at
+# alpha = 2, (p, q) = (1, 1) (rows of alpha <= 1 pass at N/L = 4, those of
+# 1.5 and 2 fail there).  Bisected over L: the threshold lies at
 # N/L = 5.41 on N = 128 and 256 (L = 23.66 and 47.25), and 5.38 on N = 64
 # (L = 11.89); at N/L = 5.5 the change reads 0.035 to 0.039 on N = 64 to 512.
 # L = 32 fails on N = 128 (change 0.30) and passes on 256, L = 20 fails on
