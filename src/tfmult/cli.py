@@ -257,6 +257,7 @@ def _run_chirp_stft(t_list=(0.0, 0.5, 1.0, 2.0), tolerance=1e-6, l=_GRID.L, n=_G
     aliased = [verify.chirp_aliased(grid, t, grid.L / 2.0) for t in t_list]
     _check_tolerance(tolerance)
     for t in t_list:
+        verify._check_chirp_box(grid, t)
         verify._check_chirp_alias(grid, t, tolerance)
     g = gaussian_window(grid)
 

@@ -54,7 +54,12 @@ call, and ``reduce`` takes any power it needs of A itself.
   goes through in k0 tiles of about ``_TILE_BYTES``, tile by tile, so its
   block and |V| buffers hold a tile, not N^2 values.  A pass with a
   ``reduce`` hands each block off on its own and then its rows to
-  ``reduce``, before the next block overwrites them.
+  ``reduce``, before the next block overwrites them.  A pass of M^{1,inf}
+  alone walks only the k0 rows that can hold its sup over frequencies: a
+  triangle-inequality bound of each k0 row's sums (``_k0_bound``) and the
+  exact sums of the rows under the largest bound rule out every row whose
+  bound lies below those sums.  The paper's four 2D M^{1,inf} passes walk
+  92, 76, 100 and 208 of their 256, 256, 256 and 512 k0 rows.
 
 Both paths read |V| sign-free: the field (windowed) or g1 (row-column) is
 presigned once per pass (``core._presigned``) and ``centered_fft(...,
@@ -86,13 +91,17 @@ positions-inner sums, and a step of about ``_BLOCK_BYTES`` fixes only the
 memory: a chunk's per-frequency sum runs on from step to step through a
 leading row (``_fold_step``) and is added to its accumulator once, as if
 the chunk were one block.  Each row-column accumulator column is summed
-block by block, in position order, by the one thread that owns it.  The
-functions handed to the threads, ``reduce`` included, call only numpy,
-never a public ``tfmult`` function.  A walked row-column ``centered_fft``
-call's ``a`` is the block repeated once per step of the row, a block or
-a (tile, column) pair (``core._repeated``), so a tracer counting FFT work
-from ``a.shape`` counts the true work; the window multiply and the fused
-sums run inside the calls.
+block by block, in position order, by the one thread that owns it.  A
+pass of M^{1,inf} alone leaves the k0 rows it skips at 0, and their sums
+lie below a sum it computed, so the max is the full pass's; the rows it
+walks take the full pass's column blocks, whose size depends on N alone,
+so each kept sum is the full pass's too.  The functions handed to the
+threads, ``reduce`` included, call only numpy, never a public ``tfmult``
+function.  A walked row-column ``centered_fft`` call's ``a`` is the block
+repeated once per step of the row, a block or a (tile, column) pair
+(``core._repeated``), so a tracer counting FFT work from ``a.shape``
+counts the true work; the window multiply and the fused sums run inside
+the calls.
 """
 
 from __future__ import annotations
@@ -144,6 +153,17 @@ _BLOCK_BYTES = 1 << 22
 # 4, 2 and 0.5 MiB; two threads 0.62 s with 4, 2 and 1 MiB and 0.70 s with
 # 0.5 MiB.  Tiling the several-column blocks of N = 256 too cost 10% more.
 _TILE_BYTES = 1 << 20
+# A sup-only row-column pass skips the k0 rows whose bound B (``_k0_bound``)
+# times this slack lies below a sum it has computed.  The slack covers the
+# rounding between the computed sums and B, both read from the same H: the
+# column-window product, |.| and the dx scale round each term by at most
+# eps = 2^-53; pocketfft's N-point transform errs by about
+# eps log2(N) sqrt(N) of its input's l^1 norm (3.6e-14 at N = 1024, the
+# largest 2D grid); and a sum of at most N^2 non-negative terms errs by at
+# most N^2 eps relative (1.2e-10), once in the pass and once in B.  So a
+# computed sum exceeds its computed B by less than 2.5e-10 relative, and
+# 2^-20 = 9.5e-7 leaves a margin of 3800 over that.
+_BOUND_SLACK = 1.0 + 2.0 ** -20
 # A windowed |V| step holds at least one row per _POINTS_PER_STEP_ROW points
 # of N: numpy's FFT takes a scratch buffer of a few N-point lines per call,
 # which a fresh process maps anew on every call from N = 8192 on, and at
@@ -422,8 +442,33 @@ def _windowed_sums(f: SampledField, g: Window, stride, halfwidth, acc, col, redu
             _split(functools.partial(fold, prev), M, prev.rows(lead=True).nbytes)
 
 
+def _k0_bound(H, transformed, rows1, scratch, dx) -> np.ndarray:
+    """B[k0] >= the pass's positions-inner p = 1 sum at every frequency (k0, k1).
+
+    Each |V| of position (x0, x1) at (k0, k1) is dx |F1[H_x0[k0, .]
+    conj(T_x1 g1)]|, at most dx sum_n |H_x0[k0, n]| |g1(n - x1)| by the
+    triangle inequality, so for any field and every k1 the sum is at most
+    B[k0] = dx sum_x0 sum_n |H_x0[k0, n]| c[n], c[n] = sum_x1 |g1(n - x1)|
+    over the column translates ``rows1``.  ``transformed`` yields once H
+    holds each position row's axis-0 transform; |H| goes through the real
+    buffer ``scratch`` a whole number of k0 rows at a time.
+    """
+    N = H.shape[0]
+    c = np.zeros(N)
+    for r in rows1:
+        np.add(c, np.abs(r), out=c)
+    bound = np.zeros(N)
+    rows = min(N, scratch.size // N)
+    for _ in transformed:
+        for k in range(0, N, rows):
+            m = np.abs(H[k : k + rows], out=scratch[: min(rows, N - k) * N].reshape(-1, N))
+            b = bound[k : k + rows]
+            np.add(b, np.multiply(m, c, out=m).sum(axis=1), out=b)
+    return np.multiply(bound, dx, out=bound)
+
+
 def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col,
-                     reduce=None) -> None:
+                     reduce=None, sup=False) -> None:
     """Fold |V_g f| into ``acc`` and hand its rows to ``reduce``, on the row-column path.
 
     g = g0 x g1, so H = F0[f conj(T_{x_i} g0)], as (k0, x1), depends only
@@ -442,10 +487,12 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col,
     runs on them the column-window multiply, the axis-1 transform, |V|,
     |V|^p for each p of ``acc`` but 1 and inf (into a one-sided power
     block) and the positions-inner sums (``_fold_columns``).  A pass with
-    no ``reduce`` whose block is one column cuts k0 into tiles of
-    ``_TILE_BYTES`` // (16 N) rows (a power of two): the block and its |V|
-    hold one tile, and the walk's steps are the (tile, column) pairs, tile
-    by tile and column by column in position order, each folded into its
+    no ``reduce`` whose block is one column cuts k0 into equal tiles of at
+    most ``_TILE_BYTES`` // (16 N) rows (rounded down to a power of two of
+    at least 4, so that the tiles of all of k0 cut N evenly): the block and
+    its |V| hold
+    one tile, and the walk's steps are the (tile, column) pairs, tile by
+    tile and column by column in position order, each folded into its
     tile's slice of the accumulators.  So each accumulator column is summed
     block by block, in position order, by one thread; and the traced ``a``
     of each call still has the shape of the transforms it runs.
@@ -455,6 +502,22 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col,
     runs ``reduce(first, A, lo, hi)`` on the block's |V| rows A before the
     next block overwrites them; ``first`` is the ordinal of the block's
     first position.
+
+    ``sup`` says that the pass reads only the max over frequencies of the
+    p = 1 sums of ``acc`` (every spec M^{1,inf}'s).  It then walks only
+    the k0 rows that can hold that max, in three sweeps over the position
+    rows, each transforming H once per row: ``_k0_bound`` bounds every k0
+    row's sums by B[k0]; the walk of two rows from k*, the first row of the
+    largest B (or N - 2), into a two-row accumulator gives m1, a value the
+    max can only equal or exceed; and the walk runs over the k0 range
+    holding every row whose B * ``_BOUND_SLACK`` is not below m1 (so a nan
+    bound is kept), widened to equal tiles of a multiple of four rows.  The
+    skipped rows stay 0 in ``acc`` and their sums lie below m1, so the max
+    is that of the full pass bit for bit.  The buffers are taken at the
+    full pass's size, and every walk's tiles are views of them.  So a
+    thread piece of a walked call holds an even number of k0 rows: numpy
+    2.4.6 transforms an odd number of lines in code of its own, which the
+    process then pages in (128 KiB of ``_pocketfft_umath`` resident).
     """
     grid = f.grid
     require_same_grid(grid, g.grid)
@@ -466,51 +529,77 @@ def _row_column_sums(f: SampledField, g: Window, stride, halfwidth, acc, col,
     fv = f.reshaped()
     powers = _powers(acc)
     cols = min(max(1, _BLOCK_BYTES // (16 * N * N)), ncols)
-    tile = N
+    most = N  # the most k0 rows of a tile
     if cols == 1 and reduce is None:
-        # a power of two, so that the tiles cut N evenly
-        tile = min(N, 1 << (max(1, _TILE_BYTES // (16 * N)).bit_length() - 1))
-    # each tile's slice of every accumulator, k0 rows k*tile:(k+1)*tile
-    tiles = [{p: s[k * tile * N : (k + 1) * tile * N] for p, s in acc.items()}
-             for k in range(N // tile)]
+        most = min(N, 1 << (max(4, _TILE_BYTES // (16 * N)).bit_length() - 1))
+    groups = _walk_groups(ncols, cols)
+    if reduce is not None:
+        groups = [(start, min(start + cols, ncols), min(cols, ncols - start))
+                  for start in range(0, ncols, cols)]
     with _pass_buffers() as take:
         H = take("H", (N, N), np.complex128)  # (k0, x1)
-        buf = take("chunk", (cols, tile, N), np.complex128)
-        A = take("modulus", (cols, tile * N))
-        P = take("power", (len(powers), cols, tile * N)) if powers else ()
-        powered = {1.0: A, math.inf: A, **dict(zip(powers, P))}
-        groups = _walk_groups(ncols, cols)
-        if reduce is not None:
-            groups = [(start, min(start + cols, ncols), min(cols, ncols - start))
-                      for start in range(0, ncols, cols)]
-        for i, row0 in enumerate(rows0):
+        buf = take("chunk", (cols * most * N,), np.complex128)
+        A = take("modulus", (cols * most * N,))
+        P = take("power", (len(powers), cols * most * N)) if powers else ()
 
-            def window_rows(lo, hi):
-                np.multiply(fv[:, lo:hi], row0[:, None], out=H[:, lo:hi])
+        def transformed():
+            """Each position row's ordinal, once H holds the row's axis-0 transform."""
+            for i, row0 in enumerate(rows0):
 
-            centered_fft(H.T, 1, grid.dx, out=H.T, fill=window_rows)
-            for start, stop, size in groups:
-                block, Ab = buf[:size], A[:size]
-                w = rows1[start:stop].reshape(-1, size, 1, N)
-                steps = _repeated(block, len(tiles) * len(w))
+                def window_rows(lo, hi):
+                    np.multiply(fv[:, lo:hi], row0[:, None], out=H[:, lo:hi])
 
-                def rows_of(p):
-                    return powered[p][:size]
+                centered_fft(H.T, 1, grid.dx, out=H.T, fill=window_rows)
+                yield i
 
-                def window_columns(j, lo, hi):
-                    k0 = j // len(w) * tile
-                    np.multiply(H[k0 + lo : k0 + hi], w[j % len(w)], out=block[:, lo:hi])
+        def walk(first, tile, count, acc):
+            """Fold the k0 rows first : first + count * tile, in count tiles, into ``acc``."""
+            n = cols * tile * N
+            blocks, moduli = buf[:n].reshape(cols, tile, N), A[:n].reshape(cols, tile * N)
+            powered = {1.0: moduli, math.inf: moduli,
+                       **{p: Pp[:n].reshape(cols, tile * N) for p, Pp in zip(powers, P)}}
+            # each tile's slice of every accumulator
+            tiles = [{p: s[k * tile * N : (k + 1) * tile * N] for p, s in acc.items()}
+                     for k in range(count)]
+            for i in transformed():
+                for start, stop, size in groups:
+                    block, Ab = blocks[:size], moduli[:size]
+                    w = rows1[start:stop].reshape(-1, size, 1, N)
+                    steps = _repeated(block, count * len(w))
 
-                def fold_columns(j, lo, hi):
-                    for p in powers:
-                        _pow(Ab[:, lo * N : hi * N], p, out=rows_of(p)[:, lo * N : hi * N])
-                    _fold_columns(rows_of, tiles[j // len(w)], col, lo * N, hi * N)
+                    def rows_of(p):
+                        return powered[p][:size]
 
-                centered_fft(steps, 1, grid.dx, out=steps,
-                             modulus=_repeated(Ab.reshape(block.shape), len(steps)),
-                             fill=window_columns, fold=fold_columns if acc else None)
-                if reduce is not None:
-                    _split(functools.partial(reduce, i * ncols + start, Ab), size, Ab.nbytes)
+                    def window_columns(j, lo, hi):
+                        k0 = first + j // len(w) * tile
+                        np.multiply(H[k0 + lo : k0 + hi], w[j % len(w)], out=block[:, lo:hi])
+
+                    def fold_columns(j, lo, hi):
+                        for p in powers:
+                            _pow(Ab[:, lo * N : hi * N], p, out=rows_of(p)[:, lo * N : hi * N])
+                        _fold_columns(rows_of, tiles[j // len(w)], col, lo * N, hi * N)
+
+                    centered_fft(steps, 1, grid.dx, out=steps,
+                                 modulus=_repeated(Ab.reshape(block.shape), len(steps)),
+                                 fill=window_columns, fold=fold_columns if acc else None)
+                    if reduce is not None:
+                        _split(functools.partial(reduce, i * ncols + start, Ab), size, Ab.nbytes)
+
+        first, tile, count = 0, most, N // most
+        if sup:
+            bound = _k0_bound(H, transformed(), rows1, A, grid.dx)
+            # the first row of the largest bound; np.argmax would page in
+            # 64 KiB of numpy's code that no other step runs
+            k = min(int(np.flatnonzero(~(bound < bound.max()))[0]), N - 2)
+            probe = np.zeros(2 * N)
+            walk(k, 2, 1, {1.0: probe})
+            kept = np.flatnonzero(~(bound * _BOUND_SLACK < probe.max()))
+            n = int(kept[-1]) + 1 - int(kept[0])
+            count = -(-n // most)
+            tile = -(-n // (4 * count)) * 4
+            first = min(int(kept[0]), N - count * tile)
+        walk(first, tile, count,
+             {p: s[first * N : (first + count * tile) * N] for p, s in acc.items()})
 
 
 def _row_column(g: Window) -> bool:
@@ -669,8 +758,11 @@ def _norms(f: SampledField, g: Window, specs, stride: int = 1, halfwidth=None) -
         for p, r in rows.items():
             r[first + lo : first + hi] = _lp_reduce(A[lo:hi], p, wxi, axis=1)
 
-    (_row_column_sums if _row_column(g) else _windowed_sums)(
-        f, g, stride, halfwidth, acc, col, reduce if rows else None)
+    if _row_column(g):  # a pass of M^{1,inf} alone walks only the k0 rows that can hold it
+        _row_column_sums(f, g, stride, halfwidth, acc, col, reduce if rows else None,
+                         sup=all(spec == _M1INF for spec in specs))
+    else:
+        _windowed_sums(f, g, stride, halfwidth, acc, col, reduce if rows else None)
     with np.errstate(over="ignore"):  # an overflow is named below
         for p, a in acc.items():  # in place: specs of one p read one inner array
             if not math.isinf(p):

@@ -134,6 +134,26 @@ def _chirp_stft_region(grid: Grid, t: float) -> tuple:
 CHIRP_ALIAS_SHARE = 0.5
 
 
+# The least box of a ``chirp_stft`` row with t != 0.  The compared positions
+# |x| <= L/4 lie within L/4 of the box's edge, where the periodized chirp
+# jumps and the window still reaches it.  Bisected with ``verify_chirp_stft``
+# at tolerance 1e-6, the rows of t = 0.5, 1 and 2 pass from L = 7.554,
+# 7.559 and 7.240 on N = 128; 7.581, 7.582 and 7.578 on N = 256; 7.587,
+# 7.588 and 7.586 on N = 512.  At L = 8 they read at most 2.7e-7, within the
+# half of the tolerance that ``CHIRP_ALIAS_SHARE`` leaves.  t = 0 has no jump
+# (3.8e-10 at L = 5).
+CHIRP_MIN_BOX = 8.0
+
+
+def _check_chirp_box(grid: Grid, t: float) -> None:
+    """Raise for a t != 0 on a box below ``CHIRP_MIN_BOX``."""
+    if t != 0 and not grid.L >= CHIRP_MIN_BOX:
+        raise ParameterError(
+            f"t = {t:g}: the chirp STFT check needs a box L >= {CHIRP_MIN_BOX:g} for t != 0, "
+            f"and L = {grid.L:g}: the periodized chirp's jump at the box's edge reaches the "
+            f"compared positions |x| <= L/4")
+
+
 def _check_chirp_alias(grid: Grid, t: float, tolerance: float) -> None:
     """Raise unless the chirp's first frequency alias stays below its share of ``tolerance``.
 

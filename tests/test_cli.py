@@ -216,6 +216,12 @@ class TestListValidate:
                                         "first frequency alias lies 3N/(4L) - |t|L/4 = 9.6"),
         ("chirp_stft", "t_list", "0.5, -6", "t = -6: on the grid L = 32, N = 2048"),
         ("chirp_stft", "t_list", "2\nl = 16\nn = 128", "t = 2: on the grid L = 16, N = 128"),
+        # validate said ok, and run exited 1: on a box below L = 8 the
+        # periodized chirp's jump reaches the compared band (max |V - oracle|
+        # 5.7e-6 at l = 7, n = 256, and 1.3e-6 at l = 7.5, n = 512)
+        ("chirp_stft", "t_list", "0.5\nl = 7\nn = 256", "t = 0.5: the chirp STFT check needs "
+                                                         "a box L >= 8 for t != 0, and L = 7"),
+        ("chirp_stft", "t_list", "0, -1\nl = 7.5\nn = 512", "t = -1: the chirp STFT check needs"),
         # keys the experiment does not take used to pass both commands unread
         ("sin_singular_fl1", "n", "64", "sin_singular_fl1 takes no key 'n'"),
         ("lp_contrast", "lambda_lst", "1, 2", "lp_contrast takes no key 'lambda_lst'"),
@@ -239,6 +245,10 @@ class TestListValidate:
         "name = chirp_stft\nt_list = 4.7, -4.7\n",
         # n/l = 5.5 on the smallest probe grids: the ratios change by 0.035
         "name = operator_probe\nn = 64\nl = 11.636\n",
+        # the chirp check's least box admits t != 0 from L = 8 (2.6e-7 at
+        # t = 0.5, N = 256), and t = 0 on any box (3.8e-10 at L = 5)
+        "name = chirp_stft\nt_list = 0, 0.5\nl = 8\nn = 256\n",
+        "name = chirp_stft\nt_list = 0\nl = 5\nn = 128\n",
     ])
     def test_plan_bounds_admit_what_run_measures(self, tmp_path, body):
         cfg = write_config(tmp_path, body + f"out = {tmp_path / 'o'}\n")
@@ -251,8 +261,11 @@ class TestListValidate:
         # warned again from the final reduction before naming the overflow
         ("name = wave_conservation\nn = 16\nl = 1e200\n", (0, 2),
          "rescale the field so that |V|^p stays within float64"),
-        # (w - t x)^2 overflows where the closed form is 0: a pass, no warning
-        ("name = chirp_stft\nt_list = 1e100\nl = 1e-300\nn = 16\n", (0, 0), None),
+        # (w - t x)^2 overflowed where the closed form is 0, and both passed; the
+        # box is below the chirp check's least one, so the plan now rejects it
+        # with no pass (test_verify.py runs the check on it)
+        ("name = chirp_stft\nt_list = 1e100\nl = 1e-300\nn = 16\n", (2, 2),
+         "t = 1e+100: the chirp STFT check needs a box L >= 8 for t != 0"),
     ])
     def test_float64_range_edges_warn_nothing(self, tmp_path, capsys, body, codes, message):
         # numpy's RuntimeWarnings are errors here, on pool threads too

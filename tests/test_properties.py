@@ -14,7 +14,8 @@ from tfmult.core import (SampledField, centered_ifft, coarsen, inverse_transform
                          make_grid, sample)
 from tfmult.mult import (Symbol, apply_multiplier, sin_singular_profile, symbol_unimodular,
                          truncated_field)
-from tfmult.tf import amalgam_norm_wfl1, custom_window, gaussian_window, modulation_norm, stft
+from tfmult.tf import (Window, amalgam_norm_wfl1, custom_window, gaussian_window,
+                       modulation_norm, stft)
 
 RTOL = 1e-12
 PROPERTY = settings(max_examples=8, deadline=None)
@@ -207,3 +208,40 @@ def test_multiplier_bound_on_the_lattice(alpha, t, delta_share, probe, p, q):
         w = amalgam_norm_wfl1(SampledField(_FREQUENCY_GRID, sigma.values), _W_WINDOW)
         lhs = modulation_norm(apply_multiplier(sigma, f), _G, p, q)
         assert lhs <= w * rhs * (1 + 1e-12)
+
+
+# The same inequality in 2D for a tensor product f = f0 x f1 of two probes,
+# on L = 16, N = 64: g1^ = e^{-pi |xi|^2 / 2} is e^{-pi xi0^2 / 2} x
+# e^{-pi xi1^2 / 2}, so every window is the product of two equal 1D lattice
+# windows, held as factors.
+_GRID_1D = make_grid(1, 16.0, 64)
+_THEOREM_GRID_2D = make_grid(2, 16.0, 64)
+_G1_HAT_1D = np.exp(-np.pi * _GRID_1D.axis_frequencies() ** 2 / 2)
+
+
+def _product_window(grid, factor):
+    return Window(grid, factors=(factor, factor))
+
+
+_G_2D = _product_window(_THEOREM_GRID_2D, inverse_transform(
+    SampledField(_GRID_1D, _G1_HAT_1D * _G1_HAT_1D)).values)
+_G2_2D = _product_window(_THEOREM_GRID_2D, inverse_transform(
+    SampledField(_GRID_1D, _G1_HAT_1D)).values)
+_W_WINDOW_2D = _product_window(make_grid(2, 64 / 16.0, 64), _G1_HAT_1D)
+
+
+# Each example makes three 2D passes of 64^4 |V| values, about 0.2 s each, so
+# the test draws one example beside the attained one, with the exponents
+# whose powers are cheapest.
+@settings(max_examples=1, deadline=None)
+@given(st.floats(0.0, 2.0), st.floats(-3.0, 3.0), st.sampled_from(sorted(verify.PROBES)),
+       st.sampled_from(sorted(verify.PROBES)), st.sampled_from([1.0, 2.0, math.inf]),
+       st.sampled_from([1.0, 2.0, math.inf]))
+@example(0.0, 1.0, "gauss_l1", "gauss_l2", 1.0, math.inf)  # within 0.16% of the bound
+def test_multiplier_bound_on_the_2d_lattice(alpha, t, probe0, probe1, p, q):
+    f0, f1 = (verify.gaussian_data(_GRID_1D, *verify.PROBES[k]).values for k in (probe0, probe1))
+    f = SampledField(_THEOREM_GRID_2D, np.multiply.outer(f0, f1))
+    sigma = symbol_unimodular(_THEOREM_GRID_2D, alpha, t)
+    w = amalgam_norm_wfl1(SampledField(_W_WINDOW_2D.grid, sigma.values), _W_WINDOW_2D)
+    lhs = modulation_norm(apply_multiplier(sigma, f), _G_2D, p, q)
+    assert lhs <= w * modulation_norm(f, _G2_2D, p, q) * (1 + 1e-12)

@@ -933,8 +933,8 @@ class TestStepFold:
         tf._release_spares()
         passes, peaks = tf._row_column_sums, []
 
-        def traced(*args):
-            passes(*args)
+        def traced(*args, **kwargs):
+            passes(*args, **kwargs)
             peaks.append(tracemalloc.get_traced_memory()[1])
 
         monkeypatch.setattr(tf, "_row_column_sums", traced)
@@ -1036,7 +1036,9 @@ class TestFusedFold:
         # one-column blocks with no reduce go through k0 tiles of a power of
         # two rows, the walk's steps tile by tile: each accumulator column
         # still takes one |V| row per position, in position order, on one
-        # thread, so every value is == the pass whose one tile is all of k0
+        # thread, so every value is == the pass whose one tile is all of k0;
+        # the M^{1,inf} pass walks its two probe rows too, per column (on
+        # this noise every k0 row can hold the sup, so it then walks all of k0)
         f, g = _case("gaussian_2d", seed=6)
         N = f.grid.N
         specs = [(p, q, POSITIONS_INNER) for p, q in [(1.0, np.inf), (np.inf, 1.0), (2.0, 2.0)]]
@@ -1057,7 +1059,7 @@ class TestFusedFold:
             with split_workers(workers):
                 assert [_norms(f, g, [spec], 2) for spec in specs] + [_norms(f, g, specs, 2)] \
                     == want
-        assert set(shapes) == {(N, N), (N // tile * N // 2, 1, tile, N)}
+        assert set(shapes) == {(N, N), (N // tile * N // 2, 1, tile, N), (N // 2, 1, 2, N)}
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
     def test_default_m1inf_configurations(self, split_workers, t):
@@ -1169,6 +1171,113 @@ class TestFusedFold:
         (w_calls, w_shapes), (mixed_calls, mixed_shapes) = passes
         assert w_calls == mixed_calls == ([32] + [32, 3] * 10 + [32, 2]) * 32
         assert w_shapes == mixed_shapes
+
+
+def _full_range_m1inf(f, g, stride, halfwidth) -> float:
+    """M^{1,inf} from ``_row_column_sums`` over every k0 row, reduced as ``_norms`` does."""
+    grid = f.grid
+    acc = np.zeros(grid.npoints)
+    tf._row_column_sums(f, g, stride, halfwidth, {1.0: acc}, np.empty(grid.npoints))
+    return float(np.max(acc * (grid.dx * stride) ** 2))
+
+
+def _pruning_field(kind, grid):
+    """A 2D field whose M^{1,inf} sup the k0 bound must not lose."""
+    N = grid.N
+    x0, x1 = grid.position_meshes()
+    gauss = np.exp(-np.pi * (x0 ** 2 + x1 ** 2))
+    if kind == "noise":
+        return _random_field(grid, 7)
+    if kind == "zero":
+        return SampledField(grid, np.zeros(grid.npoints, complex))
+    if kind == "chirp":
+        return chirp_field(grid, 1.0)
+    if kind == "ridges":  # two equal wave packets, 32 k0 rows apart
+        values = gauss * 2.0 * np.cos(2.0 * np.pi * 2.0 * x0)
+    else:  # a plane wave on the first (Nyquist) or the last k0 row, constant in x1
+        k0 = 0 if kind == "nyquist" else N - 1
+        values = np.exp(2j * np.pi * (k0 - N // 2) / grid.L * x0) + 0.0 * x1
+    return SampledField(grid, values.reshape(-1))
+
+
+class TestK0Pruning:
+    """A pass of M^{1,inf} alone walks only the k0 rows whose bound reaches a computed sum."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["noise", "nyquist", "top", "ridges", "zero", "chirp"])
+    def test_equals_the_full_range_pass(self, split_workers, kind, stride):
+        # the skipped rows stay 0 and their sums lie below a computed one,
+        # so the sup is that of the pass over every k0 row bit for bit
+        grid = make_grid(2, 8.0, 64)
+        f, g = _pruning_field(kind, grid), gaussian_window(grid)
+        want = _full_range_m1inf(f, g, stride, None)
+        for workers in (1, 2):
+            with split_workers(workers):
+                assert m_1_inf_norm(f, g, stride) == want
+
+    @pytest.mark.parametrize("kind", ["noise", "nyquist", "top", "ridges", "chirp"])
+    def test_tiled_range_equals_the_full_range_pass(self, monkeypatch, split_workers, kind):
+        # one-column blocks, so the kept range goes through k0 tiles of at
+        # most 8 rows, each a multiple of four rows
+        grid = make_grid(2, 8.0, 64)
+        N = grid.N
+        f, g = _pruning_field(kind, grid), gaussian_window(grid)
+        monkeypatch.setattr(tf, "_BLOCK_BYTES", 16 * N * N)
+        monkeypatch.setattr(tf, "_TILE_BYTES", 16 * N * 8)
+        want = _full_range_m1inf(f, g, 4, None)
+        for workers in (1, 2):
+            with split_workers(workers):
+                assert m_1_inf_norm(f, g, 4) == want
+
+    def test_default_t4_configuration(self, split_workers):
+        # the default t = 4 row's N = 512 grid, stride, chirp and window on
+        # its central 9 x 9 positions: one-column blocks in k0 tiles
+        mg, stride = _m1inf_grid_2d(4.0)
+        f, g = chirp_field(mg, 4.0), gaussian_window(mg)
+        hw = 4 * stride * mg.dx
+        want = _full_range_m1inf(f, g, stride, hw)
+        for workers in (1, 2):
+            with split_workers(workers):
+                assert m_1_inf_norm(f, g, stride, hw) == want
+
+    @staticmethod
+    def _transformed_shapes(monkeypatch, passes) -> list:
+        """The traced ``a.shape`` of every transform call that ``passes()`` makes."""
+        shapes = []
+        transform = tf.centered_fft
+
+        def traced(a, d, *args, **kwargs):
+            shapes.append(a.shape)
+            return transform(a, d, *args, **kwargs)
+
+        monkeypatch.setattr(tf, "centered_fft", traced)
+        passes()
+        return shapes
+
+    @pytest.mark.parametrize("kind, rows", [("nyquist", 4), ("top", 4), ("ridges", 36)])
+    def test_walks_only_the_rows_that_can_hold_the_sup(self, monkeypatch, kind, rows):
+        # each position row: H three times (bound, probe, walk), the two probe
+        # rows and then the kept range, a multiple of four rows; a plane wave
+        # keeps its own k0 row, the two packets the 33 rows from one to the other
+        grid = make_grid(2, 8.0, 64)
+        N = grid.N
+        f, g = _pruning_field(kind, grid), gaussian_window(grid)
+        shapes = self._transformed_shapes(monkeypatch, lambda: m_1_inf_norm(f, g, 4))
+        assert len(shapes) == 5 * N // 4
+        walks = [shape[-2] for shape in shapes if len(shape) == 4]
+        assert walks == [2] * (N // 4) + [rows] * (N // 4)
+
+    def test_a_pass_with_other_specs_walks_every_row(self, monkeypatch):
+        # M^{1,inf} beside another spec, or W with it, reads every k0 row
+        grid = make_grid(2, 8.0, 64)
+        f, g = _pruning_field("nyquist", grid), gaussian_window(grid)
+
+        def passes():
+            _norms(f, g, [tf._M1INF, (1.0, 1.0, POSITIONS_INNER)], 4)
+            _norms(f, g, [tf._M1INF, tf._WFL1], 4)
+
+        shapes = self._transformed_shapes(monkeypatch, passes)
+        assert {shape[-2] for shape in shapes if len(shape) == 4} == {grid.N}
 
 
 class TestSpareBuffers:

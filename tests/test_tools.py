@@ -92,7 +92,7 @@ def test_compare_outputs_fails_on_stderr(tmp_path, warns):
     assert "identical        exp/results.csv" in done.stdout
     # every fixed extra config is run and compared too
     extras = runpy.run_path(str(TOOLS / "compare_outputs.py"))["EXTRA_CONFIGS"]
-    assert len(extras) == 27
+    assert len(extras) == 28
     for label, _, _ in extras:
         assert f"identical        {label}/results.csv" in done.stdout
     if warns is None:

@@ -106,6 +106,15 @@ class TestChirpOracle:
                                        verify._chirp_stft_region(grid, t))
         assert err == pytest.approx(chirp_stft_oracle(0.0, gap, t), rel=1e-3)
 
+    @pytest.mark.filterwarnings("error")
+    def test_closed_form_overflow_warns_nothing(self):
+        # (w - t x)^2 overflows where the closed form is 0; the plan rejects
+        # this box (below CHIRP_MIN_BOX), so only the check itself runs on it
+        grid = make_grid(1, 1e-300, 16)
+        err = verify.verify_chirp_stft(verify.chirp_field(grid, 1e100), gaussian_window(grid),
+                                       1e100, verify._chirp_stft_region(grid, 1e100))
+        assert err < 1e-6
+
     def test_verify_rejects_2d(self):
         with pytest.raises(ParameterError):
             verify._chirp_stft_region(make_grid(2, 16.0, 32), 1.0)

@@ -60,7 +60,8 @@ def _experiments(side: Path) -> list:
 # chirp scale admits; then the 1D amalgam rows of small ts, each on a box of
 # its own chirp scale, and the divergence on the smallest first box the plan
 # admits, L_1 = 8 with L_1 |t| = 2.07; then the k0-tiled N = 512 M^{1,inf}
-# pass of a negative t
+# pass of a negative t, and the pruned N = 512 M^{1,inf} pass ahead of the
+# N = 256 passes of another t
 EXTRA_CONFIGS = (
     ("amalgam_constants_d2", "amalgam_constants", "d = 2"),
     ("chirp_stft_t-1_-0.5", "chirp_stft", "t_list = -1, -0.5"),
@@ -89,6 +90,7 @@ EXTRA_CONFIGS = (
     ("amalgam_constants_t0.2_0.05", "amalgam_constants", "t_list = 0.2, 0.05"),
     ("m_inf_1_divergence_t0.25875_l8", "m_inf_1_divergence", "t = 0.25875\nl_list = 8, 16"),
     ("amalgam_constants_d2_t-3", "amalgam_constants", "d = 2\nt_list = -3"),
+    ("amalgam_constants_d2_t4_1", "amalgam_constants", "d = 2\nt_list = 4, 1"),
 )
 
 
